@@ -1,10 +1,9 @@
 //! Classification-engine benchmark: replays random and biased (`scatter`)
 //! traces through the classification engines — O(n·d) linear first-match
-//! scan, plain FDD walk, and the compiled `fw-exec` matcher (row-major,
-//! field-major scalar, and the level-synchronous lane kernel) — on Fig. 12
-//! real-life-sized and Fig. 13 synthetic workloads, then writes
-//! `BENCH_exec.json`, including a lane-width sweep on the workloads where
-//! the scalar compiled matcher used to lose to the plain walk.
+//! scan, plain FDD walk, and the compiled `fw-exec` matcher (the row-major
+//! and field-major reference walks, and the level-synchronous lane kernel)
+//! — on Fig. 12 real-life-sized and Fig. 13 synthetic workloads, then
+//! writes `BENCH_exec.json`.
 //!
 //! Three adaptive sections ride the same harness:
 //!
@@ -20,11 +19,11 @@
 //! * **auto** — every workload also runs through the calibrated engine
 //!   route ([`fw_exec::calibrate`] on a trace sample, then
 //!   [`fw_exec::EngineChoice::classify_into`]); the bin *asserts* the auto
-//!   route is never slower than the best single engine (small measurement
-//!   tolerance), refining the choice from full-trace numbers when a
-//!   sample-based pick underperforms — this is the regression guard for
-//!   workloads like `fig13/synth-n100`/random where the plain walk beats
-//!   every compiled engine.
+//!   route is never slower than the better of the walk and the lane kernel
+//!   (the calibrator's uncached serial arms; small measurement tolerance),
+//!   refining the choice from full-trace numbers when a sample-based pick
+//!   underperforms — this is the regression guard for workloads like
+//!   `fig13/synth-n100`/random where the plain walk beats the lane kernel.
 //! * **thread scaling** — the parallel lane pipeline
 //!   ([`CompiledFdd::classify_lanes_par_into`]) at 1/2/4/8 workers on the
 //!   largest random workload, with the parallel≡serial oracle asserted
@@ -58,14 +57,13 @@ const SCATTER: f64 = 0.3;
 const CACHE_CAPACITY: usize = 1 << 16;
 /// Zipf exponents for the hit-rate sweep (1.0 ≈ classic web/flow skew).
 const CACHE_SWEEP_S: [f64; 3] = [0.8, 1.0, 1.2];
-const SWEEP_WIDTHS: [usize; 6] = [4, 8, 16, 32, 64, 128];
 const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-/// The auto route must stay within this factor of the best single engine
-/// — a pure noise allowance, since the winning route runs the same code
-/// as the engine it routes to.
+/// The auto route must stay within this factor of the better of the walk
+/// and the lane kernel — a pure noise allowance, since the winning route
+/// runs the same code as the engine it routes to.
 const AUTO_TOLERANCE: f64 = 0.97;
 /// Re-measure (and after two misses, re-route) this many times before
-/// declaring the auto route slower than the best single engine.
+/// declaring the auto route slower than the better of walk and lanes.
 const AUTO_ATTEMPTS: usize = 12;
 /// Auto serving with specialization enabled (re-calibrated full route,
 /// decision cache included) must beat the best uncached serving by this
@@ -104,13 +102,6 @@ struct CacheSweepRow {
     hit_rate: f64,
     cached_mpps: f64,
     uncached_mpps: f64,
-}
-
-struct SweepRow {
-    workload: String,
-    trace: &'static str,
-    lane_width: usize,
-    mpps: f64,
 }
 
 struct ThreadRow {
@@ -187,9 +178,7 @@ fn bench_trace(
     let mut compiled_out = Vec::new();
     compiled.classify_batch_into(trace.packets(), &mut compiled_out);
     let columns_out = compiled.classify_columns(&batch).expect("same schema");
-    let lanes_out = compiled
-        .classify_lanes(&batch, DEFAULT_LANE_WIDTH)
-        .expect("same schema");
+    let lanes_out = compiled.classify_lanes(&batch).expect("same schema");
     assert_eq!(linear, walked, "{name}/{kind}: FDD walk diverges");
     assert_eq!(linear, compiled_out, "{name}/{kind}: compiled diverges");
     assert_eq!(linear, columns_out, "{name}/{kind}: column batch diverges");
@@ -233,7 +222,7 @@ fn bench_trace(
         n,
         time_repeats(|| {
             compiled
-                .classify_lanes_into(&batch, DEFAULT_LANE_WIDTH, &mut scratch, &mut out)
+                .classify_lanes_into(&batch, &mut scratch, &mut out)
                 .expect("same schema");
             std::hint::black_box(out.len());
         }),
@@ -241,11 +230,13 @@ fn bench_trace(
 
     // Adaptive engine: calibrate on a trace sample, verify the routed
     // decisions against the oracle, then measure through the auto route.
-    // The route must never lose to the best single engine (modulo
-    // measurement noise): if a sample-based choice underperforms on the
-    // full trace, refine it from the full-trace numbers — the calibrator's
-    // contract is the route, and the measured single-engine table is
-    // strictly better information than a 4096-packet sample.
+    // The route must never lose to the better of its serial arms, the walk
+    // and the lane kernel (modulo measurement noise): if a sample-based
+    // choice underperforms on the full trace, refine it from the
+    // full-trace numbers — the calibrator's contract is the route, and the
+    // measured single-engine table is strictly better information than a
+    // 4096-packet sample. The row-major and column walks are reference
+    // engines the route never serves through, so they are not in the gate.
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let cal = fw_exec::calibrate(&compiled, Some(&fdd), Some(trace.packets()), &batch, cores)
         .expect("benchmark batches are non-empty and schema-matched");
@@ -267,8 +258,6 @@ fn bench_trace(
     }
     let singles = [
         (EngineKind::Walk, fdd_walk_mpps),
-        (EngineKind::Scalar, compiled_mpps),
-        (EngineKind::Columns, compiled_columns_mpps),
         (EngineKind::Lanes, lanes_mpps),
     ];
     let best = singles.iter().map(|&(_, m)| m).fold(0.0f64, f64::max);
@@ -285,7 +274,6 @@ fn bench_trace(
         if attempt >= 2 && choice.kind != best_kind {
             choice = EngineChoice {
                 kind: best_kind,
-                lane_width: DEFAULT_LANE_WIDTH,
                 threads: 1,
                 cached: false,
             };
@@ -294,7 +282,7 @@ fn bench_trace(
     }
     assert!(
         auto_mpps >= AUTO_TOLERANCE * best,
-        "{name}/{kind}: auto route {auto_mpps:.2} Mpps lost to the best single engine \
+        "{name}/{kind}: auto route {auto_mpps:.2} Mpps lost to the better of walk and lanes \
          {best:.2} Mpps ({best_kind:?})"
     );
 
@@ -305,7 +293,6 @@ fn bench_trace(
     // verdict — skewed traces elect it, uniform ones reject it.
     let base = EngineChoice {
         kind: best_kind,
-        lane_width: DEFAULT_LANE_WIDTH,
         threads: 1,
         cached: false,
     };
@@ -425,7 +412,6 @@ fn bench_trace(
     }
     let spec_choice = |threads: usize| EngineChoice {
         kind: EngineKind::Spec,
-        lane_width: DEFAULT_LANE_WIDTH,
         threads,
         cached: false,
     };
@@ -646,14 +632,12 @@ fn bench_thread_scaling(
     let compiled = CompiledFdd::from_firewall(fw).expect("benchmark policies compile");
     let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets())
         .expect("trace packets are schema-valid");
-    let serial = compiled
-        .classify_lanes(&batch, DEFAULT_LANE_WIDTH)
-        .expect("same schema");
+    let serial = compiled.classify_lanes(&batch).expect("same schema");
     let mut scratch = ParScratch::default();
     let mut out = Vec::new();
     for threads in SCALING_THREADS {
         compiled
-            .classify_lanes_par_into(&batch, DEFAULT_LANE_WIDTH, threads, &mut scratch, &mut out)
+            .classify_lanes_par_into(&batch, threads, &mut scratch, &mut out)
             .expect("same schema");
         assert_eq!(
             serial, out,
@@ -663,13 +647,7 @@ fn bench_thread_scaling(
             trace.len(),
             time_repeats(|| {
                 compiled
-                    .classify_lanes_par_into(
-                        &batch,
-                        DEFAULT_LANE_WIDTH,
-                        threads,
-                        &mut scratch,
-                        &mut out,
-                    )
+                    .classify_lanes_par_into(&batch, threads, &mut scratch, &mut out)
                     .expect("same schema");
                 std::hint::black_box(out.len());
             }),
@@ -679,48 +657,6 @@ fn bench_thread_scaling(
             workload: name.to_owned(),
             trace: kind,
             threads,
-            mpps,
-        });
-    }
-}
-
-/// Lane-width sensitivity on one workload/trace: same kernel, widths from
-/// [`SWEEP_WIDTHS`]; decisions re-asserted against the scalar column path
-/// at every width.
-fn sweep_lanes(
-    rows: &mut Vec<SweepRow>,
-    name: &str,
-    fw: &Firewall,
-    trace: &PacketTrace,
-    kind: &'static str,
-) {
-    let compiled = CompiledFdd::from_firewall(fw).expect("benchmark policies compile");
-    let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets())
-        .expect("trace packets are schema-valid");
-    let scalar = compiled.classify_columns(&batch).expect("same schema");
-    let mut out = Vec::new();
-    let mut scratch = LaneScratch::new();
-    for width in SWEEP_WIDTHS {
-        compiled
-            .classify_lanes_into(&batch, width, &mut scratch, &mut out)
-            .expect("same schema");
-        assert_eq!(
-            scalar, out,
-            "{name}/{kind}: lane kernel diverges at width {width}"
-        );
-        let mpps = median_mpps(
-            trace.len(),
-            time_repeats(|| {
-                compiled
-                    .classify_lanes_into(&batch, width, &mut scratch, &mut out)
-                    .expect("same schema");
-                std::hint::black_box(out.len());
-            }),
-        );
-        rows.push(SweepRow {
-            workload: name.to_owned(),
-            trace: kind,
-            lane_width: width,
             mpps,
         });
     }
@@ -842,19 +778,6 @@ fn main() {
         );
     }
 
-    // Lane-width sweep on the two random-trace workloads where the scalar
-    // compiled matcher loses to the plain FDD walk — the cases the lane
-    // kernel exists to win.
-    let mut sweep = Vec::new();
-    {
-        let fw = fw_synth::university_large();
-        let trace = PacketTrace::random(fw.schema().clone(), PACKETS, 20);
-        sweep_lanes(&mut sweep, "fig12/large(661)", &fw, &trace, "random");
-        let fw = fw_synth::Synthesizer::new(302).firewall(500);
-        let trace = PacketTrace::random(fw.schema().clone(), PACKETS, 42);
-        sweep_lanes(&mut sweep, "fig13/synth-n500", &fw, &trace, "random");
-    }
-
     // Hit-rate sweep: skew exponent against hit rate and throughput on
     // the large real-life workload.
     let mut cache_sweep = Vec::new();
@@ -867,18 +790,13 @@ fn main() {
 
     // Acceptance gate: on the Zipf s=1.0 trace of the large real-life
     // workload, warm cached serving must at least double the best
-    // uncached engine.
+    // uncached serving (walk, lanes or the auto route).
     {
         let row = rows
             .iter()
             .find(|r| r.workload == "fig12/large(661)" && r.trace == "zipf")
             .expect("zipf row exists");
-        let best_uncached = row
-            .fdd_walk_mpps
-            .max(row.compiled_mpps)
-            .max(row.compiled_columns_mpps)
-            .max(row.lanes_mpps)
-            .max(row.auto_mpps);
+        let best_uncached = row.fdd_walk_mpps.max(row.lanes_mpps).max(row.auto_mpps);
         assert!(
             row.cached_mpps >= 2.0 * best_uncached,
             "cached serving on fig12/large(661)/zipf reached only {:.2} Mpps \
@@ -971,18 +889,7 @@ fn main() {
         );
     }
     json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"default_lane_width\": {DEFAULT_LANE_WIDTH},");
-    json.push_str("  \"lane_width_sweep\": [\n");
-    for (i, r) in sweep.iter().enumerate() {
-        let sep = if i + 1 < sweep.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"workload\": \"{}\", \"trace\": \"{}\", \"lane_width\": {}, \
-             \"lanes_mpps\": {:.3}}}{sep}",
-            r.workload, r.trace, r.lane_width, r.mpps
-        );
-    }
-    json.push_str("  ],\n");
+    let _ = writeln!(json, "  \"lane_width\": {DEFAULT_LANE_WIDTH},");
     json.push_str("  \"cache_sweep\": [\n");
     for (i, r) in cache_sweep.iter().enumerate() {
         let sep = if i + 1 < cache_sweep.len() { "," } else { "" };
@@ -1000,7 +907,7 @@ fn main() {
         let sep = if i + 1 < scaling.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"workload\": \"{}\", \"trace\": \"{}\", \"lane_width\": {DEFAULT_LANE_WIDTH}, \
+            "    {{\"workload\": \"{}\", \"trace\": \"{}\", \
              \"threads\": {}, \"lanes_mpps\": {:.3}, \"speedup_vs_t1\": {:.3}}}{sep}",
             r.workload,
             r.trace,

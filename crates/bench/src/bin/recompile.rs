@@ -1,33 +1,32 @@
-//! Incremental-recompile benchmark: applies deterministic edit batches
-//! (sizes 1/4/16, drawn from the `fw_synth::evolve` administrative-action
-//! mix) to the Fig. 12 real-life-sized and Fig. 13 `n=500` synthetic
-//! policies, then times the whole edit-to-image pipeline both ways and
-//! writes `BENCH_recompile.json`:
+//! Edit-to-image benchmark: applies deterministic edit batches (sizes
+//! 1/4/16, drawn from the `fw_synth::evolve` administrative-action mix) to
+//! the Fig. 12 real-life-sized and Fig. 13 `n=500` synthetic policies,
+//! then times the whole edit-to-image pipeline both ways and writes
+//! `BENCH_recompile.json`:
 //!
 //! * the **maintained** path — patch a `MaintainedFdd` suffix chain
 //!   (`maintain_us`), short-circuit diff for the impact
 //!   (`impact_local_us`), export the patched diagram (`export_fdd_us`),
-//!   splice it into the old image (`incremental_us`);
+//!   compile it (`compile_us`) — what `LiveMatcher::apply_edits` runs;
 //! * the **full** path — whole-policy comparison for the impact
-//!   (`impact_full_us`), rebuild the post-edit FDD from the rule list
-//!   (`post_edit_fdd_us`), full relower (`full_us`).
+//!   (`impact_full_us`), then `CompiledFdd::from_firewall` of the
+//!   post-edit policy (`full_us`: FDD rebuild from the rule list, reduce,
+//!   compile).
 //!
-//! The `e2e_*` fields sum each pipeline end to end (both end at the
-//! splice — the full relower is reported for reference); `impact_us`
-//! keeps timing `ChangeImpact::of_edits` for continuity with earlier
-//! runs of this file.
+//! The `e2e_*` fields sum each pipeline end to end; `impact_us` keeps
+//! timing `ChangeImpact::of_edits` for continuity with earlier runs of
+//! this file.
 //!
 //! Run with: `cargo run --release -p fw-bench --bin recompile`
 //! (CI runs `-- --smoke`: one repeat, smaller oracle trace, same rows).
 //!
 //! Every policy and edit batch comes from fixed seeds, so matcher shapes
-//! and sharing ratios are reproducible run to run (only timings vary with
-//! the machine). The run is also an oracle: before any timing, the bin
-//! asserts the spliced image (built from the maintained diagram and
-//! impact), a fresh compile of the post-edit policy, and the linear
-//! first-match scan agree on every packet of a replay trace, that the
-//! maintained impact counts the same affected packets as
-//! `ChangeImpact::of_edits`, and that the spliced image round-trips the
+//! are reproducible run to run (only timings vary with the machine). The
+//! run is also an oracle: before any timing, the bin asserts the image
+//! compiled from the maintained diagram, a fresh compile of the post-edit
+//! policy, and the linear first-match scan agree on every packet of a
+//! replay trace, that the maintained impact counts the same affected
+//! packets as `ChangeImpact::of_edits`, and that the image round-trips the
 //! wire format.
 
 use std::fmt::Write as _;
@@ -55,30 +54,24 @@ struct Row {
     impact_local_us: f64,
     impact_full_us: f64,
     export_fdd_us: f64,
-    post_edit_fdd_us: f64,
+    compile_us: f64,
     full_us: f64,
-    incremental_us: f64,
     nodes: usize,
-    nodes_shared: usize,
-    nodes_fresh: usize,
-    bytes_shared: usize,
-    bytes_fresh: usize,
-    lane_arena_rebuilt: bool,
     lane_arena_bytes: usize,
     maintain: MaintainStats,
 }
 
 impl Row {
     /// Edit-to-image latency on the maintained path: patch the chain,
-    /// diff for the impact, export the diagram, splice the image.
-    fn e2e_incremental_us(&self) -> f64 {
-        self.maintain_us + self.impact_local_us + self.export_fdd_us + self.incremental_us
+    /// diff for the impact, export the diagram, compile the image.
+    fn e2e_maintained_us(&self) -> f64 {
+        self.maintain_us + self.impact_local_us + self.export_fdd_us + self.compile_us
     }
 
-    /// The same pipeline without maintenance: whole-policy impact
-    /// comparison, post-edit FDD rebuild from the rule list, splice.
+    /// The same change without maintenance: whole-policy impact
+    /// comparison, then a full `from_firewall` of the post-edit policy.
     fn e2e_full_us(&self) -> f64 {
-        self.impact_full_us + self.post_edit_fdd_us + self.incremental_us
+        self.impact_full_us + self.full_us
     }
 }
 
@@ -89,19 +82,9 @@ fn best_us(times: Vec<f64>) -> f64 {
     times.into_iter().fold(f64::INFINITY, f64::min) * 1e6
 }
 
-fn time_repeats(repeats: u32, mut f: impl FnMut()) -> Vec<f64> {
-    (0..repeats)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect()
-}
-
 /// Single-rule rows use the pure decision-flip profile — the paper's
 /// "tighten or loosen one rule" edit, the shallowest realistic change and
-/// the one the incremental path must win on.
+/// the one the maintained path must win on.
 fn flip_only() -> EvolutionProfile {
     EvolutionProfile {
         w_block_threat: 0,
@@ -114,8 +97,7 @@ fn flip_only() -> EvolutionProfile {
 
 /// A deterministic edit batch with a non-trivial impact, plus the timed
 /// impact analysis for the salt that produced it (flips of shadowed rules
-/// are no-ops; those salts are skipped so every row exercises a real
-/// splice).
+/// are no-ops; those salts are skipped so every row publishes an image).
 fn edit_batch(fw: &Firewall, k: usize, seed: u64) -> (Vec<Edit>, Firewall, ChangeImpact, f64) {
     let profile = if k == 1 {
         flip_only()
@@ -136,7 +118,6 @@ fn edit_batch(fw: &Firewall, k: usize, seed: u64) -> (Vec<Edit>, Firewall, Chang
 }
 
 fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, seed: u64) {
-    let base = CompiledFdd::from_firewall(fw).expect("benchmark policies compile");
     // Built once per workload, untimed: a server pays for the chain at
     // startup, then every edit batch below is incremental.
     let maintained_base = MaintainedFdd::new(fw.clone()).expect("benchmark policies maintain");
@@ -148,16 +129,16 @@ fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, s
         // scheduler phase penalises the maintained and full paths alike
         // instead of skewing whichever happened to run through it. The
         // maintained side runs each repeat on a fresh clone of the
-        // per-workload chain (cloning is untimed; a server edits its
-        // one long-lived chain in place); the full side repeats the
-        // post-edit FDD rebuild from the rule list and the old
+        // per-workload chain (cloning is untimed; a server edits its one
+        // long-lived chain in place); the full side repeats the old
         // whole-policy impact pipeline (§4 shaping + §5 comparison over
-        // both rule lists) for the localized-vs-full split.
+        // both rule lists) and the full compile of the post-edit policy.
         let mut maintain_times = Vec::new();
         let mut local_times = Vec::new();
         let mut export_times = Vec::new();
-        let mut post_edit_times = Vec::new();
+        let mut compile_times = Vec::new();
         let mut impact_full_times = Vec::new();
+        let mut full_times = Vec::new();
         let mut maintained_out = None;
         for _ in 0..mode.repeats {
             let mut m = maintained_base.clone();
@@ -173,33 +154,28 @@ fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, s
             let t = Instant::now();
             let m_fdd = m.to_fdd().expect("maintained chain exports");
             export_times.push(t.elapsed().as_secs_f64());
-            maintained_out = Some((m_impact, m_fdd, m_stats));
-
             let t = Instant::now();
-            std::hint::black_box(
-                Fdd::from_firewall_fast(&after)
-                    .expect("post-edit policies are comprehensive")
-                    .reduced(),
-            );
-            post_edit_times.push(t.elapsed().as_secs_f64());
+            let image = CompiledFdd::compile(&m_fdd).expect("maintained diagrams compile");
+            compile_times.push(t.elapsed().as_secs_f64());
+            maintained_out = Some((m_impact, m_fdd, m_stats, image));
+
             let t = Instant::now();
             std::hint::black_box(
                 compare_firewalls(fw, &after).expect("benchmark policies compare"),
             );
             impact_full_times.push(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            let full = CompiledFdd::from_firewall(&after).expect("post-edit policies compile");
+            full_times.push(t.elapsed().as_secs_f64());
+            std::hint::black_box(full);
         }
-        let maintain_us = best_us(maintain_times);
-        let impact_local_us = best_us(local_times);
-        let export_fdd_us = best_us(export_times);
-        let post_edit_fdd_us = best_us(post_edit_times);
-        let impact_full_us = best_us(impact_full_times);
-        let (m_impact, m_fdd, m_stats) = maintained_out.expect("at least one repeat");
+        let (m_impact, m_fdd, m_stats, image) = maintained_out.expect("at least one repeat");
 
         // Batched-maintained-vs-full agreement oracle: the coalesced
         // sweep's exported diagram must decide every trace packet exactly
         // as a fresh from-scratch rebuild of the post-edit policy (CI
         // runs this in smoke mode for every batch size; a divergence
-        // fails the job before any timing is reported).
+        // fails the job).
         let fresh_fdd = Fdd::from_firewall_fast(&after)
             .expect("post-edit policies are comprehensive")
             .reduced();
@@ -219,44 +195,25 @@ fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, s
             "{name}/k={k}: maintained impact diverges from of_edits"
         );
 
-        // The oracle's compile and splice double as the first timing
-        // sample, so single-repeat (smoke) rows do each exactly once.
-        // The splice consumes the maintained outputs — the image a
-        // LiveMatcher would publish.
-        let t = Instant::now();
-        let (spliced, stats) = base.recompile(&m_fdd, &m_impact).expect("splice succeeds");
-        let incremental_first = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let full = CompiledFdd::from_firewall(&after).expect("post-edit policies compile");
-        let full_first = t.elapsed().as_secs_f64();
-
-        // Oracle before timing: spliced == fresh == linear scan on the
-        // whole trace, and the spliced image survives the wire format's
+        // The published image == a fresh compile == linear scan on the
+        // whole trace, and the image survives the wire format's
         // independent re-validation.
-        let mut spliced_out = Vec::new();
+        let full = CompiledFdd::from_firewall(&after).expect("post-edit policies compile");
+        let mut image_out = Vec::new();
         let mut full_out = Vec::new();
-        spliced.classify_batch_into(trace.packets(), &mut spliced_out);
+        image.classify_batch_into(trace.packets(), &mut image_out);
         full.classify_batch_into(trace.packets(), &mut full_out);
         let linear: Vec<Decision> = trace
             .packets()
             .iter()
             .map(|p| after.decision_for(p).expect("comprehensive policy"))
             .collect();
-        assert_eq!(spliced_out, full_out, "{name}/k={k}: splice diverges");
-        assert_eq!(spliced_out, linear, "{name}/k={k}: compiled diverges");
-        CompiledFdd::decode(fw.schema().clone(), spliced.encode())
-            .expect("spliced image round-trips");
-
-        let mut full_times = vec![full_first];
-        full_times.extend(time_repeats(mode.repeats - 1, || {
-            std::hint::black_box(CompiledFdd::from_firewall(&after).expect("compiles"));
-        }));
-        let full_us = best_us(full_times);
-        let mut incremental_times = vec![incremental_first];
-        incremental_times.extend(time_repeats(mode.repeats - 1, || {
-            std::hint::black_box(base.recompile(&m_fdd, &m_impact).expect("splices"));
-        }));
-        let incremental_us = best_us(incremental_times);
+        assert_eq!(
+            image_out, full_out,
+            "{name}/k={k}: maintained image diverges"
+        );
+        assert_eq!(image_out, linear, "{name}/k={k}: compiled diverges");
+        CompiledFdd::decode(fw.schema().clone(), image.encode()).expect("image round-trips");
 
         let row = Row {
             workload: name.to_owned(),
@@ -264,43 +221,33 @@ fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, s
             batch: k,
             affected_packets: impact.affected_packets_in(fw.schema()),
             impact_us,
-            maintain_us,
-            impact_local_us,
-            impact_full_us,
-            export_fdd_us,
-            post_edit_fdd_us,
-            full_us,
-            incremental_us,
-            nodes: stats.nodes,
-            nodes_shared: stats.nodes_shared,
-            nodes_fresh: stats.nodes_fresh,
-            bytes_shared: stats.bytes_shared,
-            bytes_fresh: stats.bytes_fresh,
-            lane_arena_rebuilt: stats.lane_arena_rebuilt,
-            lane_arena_bytes: spliced.stats().lane_arena_bytes,
+            maintain_us: best_us(maintain_times),
+            impact_local_us: best_us(local_times),
+            impact_full_us: best_us(impact_full_times),
+            export_fdd_us: best_us(export_times),
+            compile_us: best_us(compile_times),
+            full_us: best_us(full_times),
+            nodes: image.node_count(),
+            lane_arena_bytes: image.stats().lane_arena_bytes,
             maintain: m_stats,
         };
         println!(
             "{name} k={k}: e2e full {:.0} µs | e2e maintained {:.0} µs (x{:.1}) | \
-             maintain {maintain_us:.0} + diff {impact_local_us:.0} + export \
-             {export_fdd_us:.0} + splice {incremental_us:.0} µs | \
-             plan {:?} corridors {} span {} prepends {} copied {} | \
-             {}/{} nodes reused{}",
+             maintain {:.0} + diff {:.0} + export {:.0} + compile {:.0} µs | \
+             plan {:?} corridors {} span {} prepends {} copied {} | {} nodes",
             row.e2e_full_us(),
-            row.e2e_incremental_us(),
-            row.e2e_full_us() / row.e2e_incremental_us(),
+            row.e2e_maintained_us(),
+            row.e2e_full_us() / row.e2e_maintained_us(),
+            row.maintain_us,
+            row.impact_local_us,
+            row.export_fdd_us,
+            row.compile_us,
             m_stats.plan,
             m_stats.corridors,
             m_stats.corridor_span,
             m_stats.prepends,
             m_stats.copied,
-            stats.nodes_shared,
-            stats.nodes,
-            if stats.lane_arena_rebuilt {
-                ", lane mirror rebuilt"
-            } else {
-                ""
-            },
+            row.nodes,
         );
         rows.push(row);
     }
@@ -360,16 +307,13 @@ fn main() {
             "    {{\"workload\": \"{}\", \"rules\": {}, \"batch\": {}, \
              \"affected_packets\": {}, \"impact_us\": {:.1}, \"maintain_us\": {:.1}, \
              \"impact_local_us\": {:.1}, \"impact_full_us\": {:.1}, \
-             \"export_fdd_us\": {:.1}, \"post_edit_fdd_us\": {:.1}, \
-             \"full_us\": {:.1}, \"incremental_us\": {:.1}, \"speedup\": {:.2}, \
-             \"e2e_incremental_us\": {:.1}, \"e2e_full_us\": {:.1}, \
+             \"export_fdd_us\": {:.1}, \"compile_us\": {:.1}, \"full_us\": {:.1}, \
+             \"e2e_maintained_us\": {:.1}, \"e2e_full_us\": {:.1}, \
              \"e2e_speedup\": {:.2}, \
              \"plan\": \"{:?}\", \"corridors\": {}, \"corridor_span\": {}, \
              \"tail_shared\": {}, \"sweep_levels\": {}, \"prepends\": {}, \
              \"copied\": {}, \
-             \"nodes\": {}, \"nodes_shared\": {}, \"nodes_fresh\": {}, \
-             \"bytes_shared\": {}, \"bytes_fresh\": {}, \"lane_arena_rebuilt\": {}, \
-             \"lane_arena_bytes\": {}}}{sep}",
+             \"nodes\": {}, \"lane_arena_bytes\": {}}}{sep}",
             r.workload,
             r.rules,
             r.batch,
@@ -379,13 +323,11 @@ fn main() {
             r.impact_local_us,
             r.impact_full_us,
             r.export_fdd_us,
-            r.post_edit_fdd_us,
+            r.compile_us,
             r.full_us,
-            r.incremental_us,
-            r.full_us / r.incremental_us,
-            r.e2e_incremental_us(),
+            r.e2e_maintained_us(),
             r.e2e_full_us(),
-            r.e2e_full_us() / r.e2e_incremental_us(),
+            r.e2e_full_us() / r.e2e_maintained_us(),
             r.maintain.plan,
             r.maintain.corridors,
             r.maintain.corridor_span,
@@ -394,11 +336,6 @@ fn main() {
             r.maintain.prepends,
             r.maintain.copied,
             r.nodes,
-            r.nodes_shared,
-            r.nodes_fresh,
-            r.bytes_shared,
-            r.bytes_fresh,
-            r.lane_arena_rebuilt,
             r.lane_arena_bytes
         );
     }

@@ -45,7 +45,8 @@ use crate::CoreError;
 /// Not DoS-resistant — fine for keys derived from policy structure.
 ///
 /// Public (but doc-hidden) so sibling crates on the same hot paths — the
-/// splicer in `fw-exec` — can share it; not a semver surface.
+/// shared subgraph pool in `fw-exec`, the fleet registry — can share it;
+/// not a semver surface.
 #[derive(Debug, Default)]
 pub struct FxHasher {
     hash: u64,

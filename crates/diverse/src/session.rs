@@ -249,8 +249,8 @@ impl ResolvedSession {
     /// Finalizes the agreed firewall and wraps it in a hot-swap serving
     /// handle: the session's answer to "the policy is agreed, now keep it
     /// running while administrators keep editing it". Subsequent edits go
-    /// through `fw_exec::LiveMatcher::apply_edits` (impact analysis +
-    /// incremental recompile + atomic image swap).
+    /// through `fw_exec::LiveMatcher::apply_edits` (incremental FDD
+    /// maintenance + impact analysis + compile + atomic image swap).
     ///
     /// # Errors
     ///
@@ -260,22 +260,19 @@ impl ResolvedSession {
         Ok(fw_exec::LiveMatcher::new(agreed)?)
     }
 
-    /// Applies `edits` to the finalized agreed firewall and incrementally
-    /// recompiles `image` (a matcher previously produced by
-    /// [`ResolvedSession::compile`] or a full compile of the agreed policy)
-    /// to match — the one-shot form of the serving loop, for callers that
-    /// manage image publication themselves.
+    /// Applies `edits` to the finalized agreed firewall and compiles the
+    /// edited policy's image — the one-shot form of the serving loop, for
+    /// callers that manage image publication themselves.
     ///
-    /// Returns the edited policy, the spliced image, the change impact and
-    /// the splice accounting.
+    /// Returns the edited policy, its image, the change impact and the
+    /// image's [`fw_exec::RecompileStats`].
     ///
     /// # Errors
     ///
     /// As for [`finalize`], `fw_core::ChangeImpact::of_edits` and
-    /// `fw_exec::CompiledFdd::recompile`.
+    /// `fw_exec::CompiledFdd::compile`.
     pub fn recompile(
         &self,
-        image: &fw_exec::CompiledFdd,
         edits: &[fw_core::Edit],
     ) -> Result<
         (
@@ -289,8 +286,11 @@ impl ResolvedSession {
         let agreed = finalize(&self.comparison, &self.resolution)?;
         let (after, impact) = fw_core::ChangeImpact::of_edits(&agreed, edits)?;
         let fdd = fw_core::Fdd::from_firewall_fast(&after)?.reduced();
-        let (spliced, stats) = image.recompile(&fdd, &impact)?;
-        Ok((after, spliced, impact, stats))
+        let image = fw_exec::CompiledFdd::compile(&fdd)?;
+        let stats = fw_exec::RecompileStats {
+            nodes_fresh: image.node_count(),
+        };
+        Ok((after, image, impact, stats))
     }
 }
 
@@ -330,24 +330,24 @@ mod tests {
     }
 
     #[test]
-    fn session_serves_and_recompiles_incrementally() {
+    fn session_serves_and_recompiles() {
         let resolved = compared().resolve_by_majority();
         let agreed = resolved.finalize().unwrap();
-        let image = resolved.compile().unwrap();
 
-        // One-shot incremental recompile: flip the agreed policy's first
-        // rule and check the spliced image tracks the edited semantics.
+        // One-shot recompile: flip the agreed policy's first rule and check
+        // the new image tracks the edited semantics.
         let flip = agreed.rules()[0].with_decision(agreed.rules()[0].decision().inverted());
         let edits = [fw_core::Edit::Replace {
             index: 0,
             rule: flip,
         }];
-        let (after, spliced, impact, stats) = resolved.recompile(&image, &edits).unwrap();
+        let (after, image, impact, stats) = resolved.recompile(&edits).unwrap();
         assert!(!impact.is_noop());
-        assert_eq!(stats.nodes_shared + stats.nodes_fresh, stats.nodes);
+        assert_eq!(image, fw_exec::CompiledFdd::from_firewall(&after).unwrap());
+        assert_eq!(stats.nodes_fresh, image.node_count());
         let trace = fw_synth::PacketTrace::biased(&agreed, 1_000, 0.3, 17);
         for p in trace.packets() {
-            assert_eq!(Some(spliced.classify(p)), after.decision_for(p));
+            assert_eq!(Some(image.classify(p)), after.decision_for(p));
         }
 
         // The serving handle applies the same edits behind an atomic swap.

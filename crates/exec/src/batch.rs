@@ -3,8 +3,8 @@
 //! Replaying a large trace row by row touches `d` scattered heap cells per
 //! packet (each [`Packet`] owns its own value vector). [`PacketBatch`]
 //! transposes the trace once into `d` contiguous columns so the matcher's
-//! per-field reads stream through memory — the layout both the scalar
-//! column path below and the level-synchronous lane kernel
+//! per-field reads stream through memory — the layout both the reference
+//! column walk below and the level-synchronous lane kernel
 //! ([`CompiledFdd::classify_lanes`]) consume directly.
 
 use fw_model::{Decision, ModelError, Packet, Schema};

@@ -1,25 +1,30 @@
 //! Adaptive engine calibration: measure, don't guess.
 //!
-//! The runtime has four ways to answer the same question — the plain FDD
-//! walk, the row-major compiled scalar, the field-major column walk, and
-//! the level-synchronous lane kernel (serial or sharded across cores) —
-//! and no fixed choice wins everywhere: `BENCH_exec.json`'s lane-width
-//! sweep shows the optimum drifting per workload, and the walk outruns
-//! every compiled engine on some shallow-diagram trace shapes. So the
-//! choice is *calibrated*: a short micro-trial per (image, trace shape)
-//! races every candidate over a bounded sample of the real batch and the
-//! winner is recorded as an [`EngineChoice`] — in the image's
-//! [`CompileStats`] for the single-policy surfaces, or keyed by shape
-//! label in an [`EngineTable`] for callers serving several trace shapes
-//! from one image.
+//! The runtime serves a batch one of three ways — the plain FDD walk, the
+//! level-synchronous lane kernel (serial or sharded across cores), and the
+//! profile-specialized twin once one is installed — and no fixed choice
+//! wins everywhere: the walk outruns the lane kernel on some
+//! shallow-diagram trace shapes, and the twin pays only where its
+//! re-lowering does. So the choice is *calibrated*: a short micro-trial per
+//! (image, trace shape) races the arms over a bounded sample of the real
+//! batch, and the winner is recorded as an [`EngineChoice`] in the image's
+//! [`CompileStats`] (or in the [`crate::LiveMatcher`] serving it).
 //!
-//! The trial is deterministic in everything but the clock: candidates run
-//! in a fixed order over a fixed sample prefix, each timed as the minimum
-//! of a fixed number of passes (minimum, not mean — noise on a quiet
-//! machine is one-sided), and ties break toward the earlier candidate.
-//! Decisions never depend on the choice at all: every candidate engine is
-//! proven decision-identical by the agreement oracles, so calibration can
-//! only change speed.
+//! An arm is one candidate the calibrator times, and the race holds only
+//! arms that can win on some workload: the walk (when the caller has the
+//! diagram), the lane kernel at each thread count of the ladder, the twin
+//! (when installed), and the cached arm. The row-major scalar and the
+//! column walk never won a bench row; they remain as the reference engines
+//! the agreement oracles compare against, not as arms.
+//!
+//! The trial is deterministic in everything but the clock. Arms are timed
+//! in round-robin passes over a fixed sample prefix: each pass times every
+//! arm once, so a slow stretch of a shared machine hits every arm alike
+//! instead of whichever arm happened to run through it. Each arm keeps its
+//! minimum over the passes (noise on a quiet machine is one-sided), and
+//! ties break toward the earlier arm. Decisions never depend on the choice
+//! at all: every arm is proven decision-identical by the agreement oracles,
+//! so calibration can only change speed.
 //!
 //! The FWEX wire format deliberately carries no calibration — the machine
 //! that decodes an image is not the machine (or the traffic) that encoded
@@ -27,7 +32,6 @@
 //! recalibrate on load ([`CompiledFdd::calibrate`]) or fall back to
 //! [`EngineChoice::default`].
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use fw_core::Fdd;
@@ -36,39 +40,31 @@ use serde::{Deserialize, Serialize};
 
 use crate::kernel::LaneScratch;
 use crate::par::{resolve_threads, ParScratch};
-use crate::{CompiledFdd, ExecError, PacketBatch, DEFAULT_LANE_WIDTH};
-
-/// Lane widths a calibration races. Brackets the sweep's observed optima
-/// (16 vs 32 depending on workload) with one step of headroom either side.
-pub const CALIBRATE_LANE_WIDTHS: [usize; 4] = [8, 16, 32, 64];
+use crate::{CompiledFdd, DecisionCache, ExecError, PacketBatch};
 
 /// Packets of the sample prefix a calibration replays per timed pass —
 /// enough to leave the noise floor, small enough that a full calibration
 /// stays in the low milliseconds.
 pub const CALIBRATE_SAMPLE: usize = 4096;
 
-/// Timed passes per candidate; the minimum is taken.
-const CALIBRATE_PASSES: usize = 3;
+/// Round-robin timed passes; each arm keeps its minimum.
+const CALIBRATE_PASSES: usize = 5;
 
 /// One classification engine the runtime can route a batch through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineKind {
     /// The plain FDD walk (`fw_core::Fdd::evaluate`): pointer-chasing but
     /// shallow, and unbeatable on diagrams small enough to live in L1.
+    /// Routed to the lane kernel when the caller has no diagram.
     Walk,
-    /// The compiled row-major scalar ([`CompiledFdd::classify_batch_into`]).
-    Scalar,
-    /// The compiled field-major column walk
-    /// ([`CompiledFdd::classify_columns_into`]).
-    Columns,
     /// The level-synchronous lane kernel, serial at `threads <= 1`,
     /// sharded across scoped workers above that.
     Lanes,
     /// The profile-specialized twin image ([`crate::SpecializedFdd`]),
     /// serial at `threads <= 1`, span-sharded above that. Raced only when
-    /// a twin is installed; routing a choice against an image without one
-    /// (e.g. after an edit swaps in a fresh image) degrades to the column
-    /// walk — like every degradation, it can only cost speed.
+    /// a twin is installed; a choice routed against an image without one
+    /// (e.g. after an edit swaps in a fresh image) serves through the lane
+    /// kernel at the same thread count until the next re-specialization.
     Spec,
 }
 
@@ -77,24 +73,20 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Walk => "walk",
-            EngineKind::Scalar => "scalar",
-            EngineKind::Columns => "columns",
             EngineKind::Lanes => "lanes",
             EngineKind::Spec => "spec",
         }
     }
 }
 
-/// A calibrated routing decision: which engine, and — for the lane kernel
-/// — at what width and across how many threads.
+/// A calibrated routing decision: which engine, across how many threads,
+/// and whether a decision cache fronts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineChoice {
     /// The engine to route batches through.
     pub kind: EngineKind,
-    /// Lane width when `kind` is [`EngineKind::Lanes`]; ignored otherwise.
-    pub lane_width: usize,
-    /// Worker threads when `kind` is [`EngineKind::Lanes`] (`1` = serial
-    /// kernel); ignored otherwise.
+    /// Worker threads for [`EngineKind::Lanes`] and [`EngineKind::Spec`]
+    /// (`1` = serial); the walk is always serial.
     pub threads: usize,
     /// Whether a [`crate::DecisionCache`] front end sits before `kind`
     /// (the engine then only classifies the misses). Routing through the
@@ -105,14 +97,12 @@ pub struct EngineChoice {
 }
 
 impl Default for EngineChoice {
-    /// The uncalibrated fallback: the serial lane kernel at
-    /// [`DEFAULT_LANE_WIDTH`] — the fastest engine on 9 of 10 bench
-    /// workloads before calibration existed. No cache front end: memoizing
-    /// only pays on skewed traffic, which must be measured, not presumed.
+    /// The uncalibrated fallback: the serial lane kernel, the fastest arm
+    /// on 14 of 15 bench rows. No cache front end: memoizing only pays on
+    /// skewed traffic, which must be measured, not presumed.
     fn default() -> EngineChoice {
         EngineChoice {
             kind: EngineKind::Lanes,
-            lane_width: DEFAULT_LANE_WIDTH,
             threads: 1,
             cached: false,
         }
@@ -124,15 +114,11 @@ impl std::fmt::Display for EngineChoice {
         if self.cached {
             f.write_str("cache+")?;
         }
-        match self.kind {
-            EngineKind::Lanes => {
-                write!(f, "lanes/w{}/t{}", self.lane_width, self.threads)
-            }
-            EngineKind::Spec if self.threads > 1 => {
-                write!(f, "spec/t{}", self.threads)
-            }
-            k => f.write_str(k.name()),
+        f.write_str(self.kind.name())?;
+        if self.threads > 1 {
+            write!(f, "/t{}", self.threads)?;
         }
+        Ok(())
     }
 }
 
@@ -156,46 +142,6 @@ pub struct Calibration {
     pub trials: Vec<Trial>,
     /// Packets in the sample prefix each pass replayed.
     pub sample: usize,
-}
-
-/// Calibrated choices keyed by trace-shape label, for callers that serve
-/// several distinguishable traffic shapes (random vs biased replay, per
-/// tenant, per port mix) from one image.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct EngineTable {
-    choices: HashMap<String, EngineChoice>,
-}
-
-impl EngineTable {
-    /// An empty table.
-    pub fn new() -> EngineTable {
-        EngineTable::default()
-    }
-
-    /// Records the choice for a trace shape, replacing any previous one.
-    pub fn set(&mut self, shape: impl Into<String>, choice: EngineChoice) {
-        self.choices.insert(shape.into(), choice);
-    }
-
-    /// The recorded choice for a shape, if that shape has been calibrated.
-    pub fn get(&self, shape: &str) -> Option<EngineChoice> {
-        self.choices.get(shape).copied()
-    }
-
-    /// The recorded choice for a shape, or the uncalibrated default.
-    pub fn get_or_default(&self, shape: &str) -> EngineChoice {
-        self.get(shape).unwrap_or_default()
-    }
-
-    /// Number of calibrated shapes.
-    pub fn len(&self) -> usize {
-        self.choices.len()
-    }
-
-    /// Whether no shape has been calibrated yet.
-    pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
-    }
 }
 
 /// Reusable scratch for [`EngineChoice::classify_into`] /
@@ -224,18 +170,18 @@ impl EngineChoice {
     /// Routes one batch through the chosen engine, into a caller-provided
     /// buffer (cleared first).
     ///
-    /// `walk` and `rows` widen the routing surface: [`EngineKind::Walk`]
-    /// needs the source diagram (over `rows` when given, else gathering
-    /// each packet from the columns through a reused buffer), and
-    /// [`EngineKind::Scalar`] replays `rows` when given. Without the
-    /// needed input a choice degrades to the closest batch-native engine
-    /// (walk/scalar → columns) rather than failing: the decisions are
-    /// identical on every engine, so degradation can only cost speed.
+    /// [`EngineKind::Walk`] needs the source diagram `walk`: it replays
+    /// `rows` when given, else gathers each packet from the columns
+    /// through a reused buffer. A choice whose input is missing — a walk
+    /// without its diagram, a spec choice on an image without a twin —
+    /// serves through the lane kernel at the choice's thread count: the
+    /// decisions are identical on every engine, and the lane kernel is the
+    /// fastest batch-native one.
     ///
     /// # Errors
     ///
     /// As for the routed engine ([`ExecError::Model`] on a schema
-    /// mismatch; [`ExecError::Batch`] for a zero lane width).
+    /// mismatch).
     pub fn classify_into(
         &self,
         compiled: &CompiledFdd,
@@ -245,14 +191,18 @@ impl EngineChoice {
         scratch: &mut EngineScratch,
         out: &mut Vec<Decision>,
     ) -> Result<(), ExecError> {
-        match (self.kind, walk, rows) {
-            (EngineKind::Walk, Some(fdd), Some(rows)) => {
+        let spec = match self.kind {
+            EngineKind::Spec => compiled.spec(),
+            _ => None,
+        };
+        match (self.kind, walk, rows, spec) {
+            (EngineKind::Walk, Some(fdd), Some(rows), _) => {
                 out.clear();
                 out.reserve(rows.len());
                 out.extend(rows.iter().map(|p| fdd.evaluate(p)));
                 Ok(())
             }
-            (EngineKind::Walk, Some(fdd), None) => {
+            (EngineKind::Walk, Some(fdd), None, _) => {
                 if batch.schema() != compiled.schema() {
                     return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
                         expected: compiled.schema().len(),
@@ -269,28 +219,15 @@ impl EngineChoice {
                 }
                 Ok(())
             }
-            (EngineKind::Scalar, _, Some(rows)) => {
-                compiled.classify_batch_into(rows, out);
-                Ok(())
+            (_, _, _, Some(spec)) if self.threads > 1 => {
+                spec.classify_par_into(batch, self.threads, out)
             }
-            (EngineKind::Columns, _, _)
-            | (EngineKind::Walk, None, _)
-            | (EngineKind::Scalar, _, None) => compiled.classify_columns_into(batch, out),
-            (EngineKind::Spec, _, _) => match compiled.spec() {
-                Some(spec) if self.threads > 1 => spec.classify_par_into(batch, self.threads, out),
-                Some(spec) => spec.classify_columns_into(batch, out),
-                None => compiled.classify_columns_into(batch, out),
-            },
-            (EngineKind::Lanes, _, _) if self.threads <= 1 => {
-                compiled.classify_lanes_into(batch, self.lane_width.max(1), &mut scratch.lane, out)
+            (_, _, _, Some(spec)) => spec.classify_columns_into(batch, out),
+            // The lane kernel, and every route whose input is missing.
+            _ if self.threads > 1 => {
+                compiled.classify_lanes_par_into(batch, self.threads, &mut scratch.par, out)
             }
-            (EngineKind::Lanes, _, _) => compiled.classify_lanes_par_into(
-                batch,
-                self.lane_width.max(1),
-                self.threads,
-                &mut scratch.par,
-                out,
-            ),
+            _ => compiled.classify_lanes_into(batch, &mut scratch.lane, out),
         }
     }
 }
@@ -310,17 +247,17 @@ fn thread_ladder(max: usize) -> Vec<usize> {
     ladder
 }
 
-/// Races every candidate engine over a bounded prefix of `batch` and
-/// returns the fastest, with all measurements.
+/// Races every arm over a bounded prefix of `batch` and returns the
+/// fastest, with all measurements.
 ///
-/// Candidates, in fixed trial order: the plain walk (when `walk` is
-/// given), the compiled row scalar (when `rows` are given), the column
-/// walk, then the lane kernel at every [`CALIBRATE_LANE_WIDTHS`] width ×
-/// every thread count on the ladder up to `max_threads` (`0` = all
-/// available cores). Each candidate's time is the minimum over
-/// [`CALIBRATE_PASSES`] passes after one warm-up pass (which also forces
-/// the lazy lane mirror outside the timings); ties break toward the
-/// earlier candidate.
+/// Arms, in fixed trial order: the plain walk (when `walk` is given; it
+/// replays `rows` when those are given too), the lane kernel at every
+/// thread count on the ladder up to `max_threads` (`0` = all available
+/// cores), and the specialized twin serial and fully sharded (when one is
+/// installed). One untimed pass per arm warms it up (and forces the lazy
+/// lane mirror outside the timings); then [`CALIBRATE_PASSES`] round-robin
+/// passes time every arm once each, and an arm's time is its minimum over
+/// the passes. Ties break toward the earlier arm.
 ///
 /// # Errors
 ///
@@ -337,25 +274,25 @@ pub fn calibrate(
     calibrate_with_cache(compiled, walk, rows, batch, max_threads, 0)
 }
 
-/// [`calibrate`] with one extra candidate: the best uncached engine fronted
-/// by a [`crate::DecisionCache`] of `cache_capacity` entries (skipped when
+/// [`calibrate`] with one extra arm: the best uncached engine fronted by a
+/// [`crate::DecisionCache`] of `cache_capacity` entries (skipped when
 /// `cache_capacity` is zero).
 ///
-/// The cached trial is a component race rather than a raw replay: one cold
+/// The cached arm is a component race rather than a raw replay: one cold
 /// fill pass over a throwaway cache leaves the sample's distinct tuples
-/// resident, warm passes time the pure hit path, and the trial's reported
-/// figure is the projected steady-state throughput at the sample's
-/// repetition rate (misses are costed as the best uncached engine plus the
-/// probe/insert overhead). A Zipf or replayed-flow sample elects the
-/// cache; a uniform-random sample (every tuple distinct) projects below
-/// the best engine and rejects it. The cached candidate still goes
-/// through the agreement-checked [`EngineChoice::classify_cached_into`]
-/// path, so like every other candidate it can only change speed, never
-/// decisions.
+/// resident, the round-robin passes time the pure hit path beside the
+/// other arms, and the trial's reported figure is the projected
+/// steady-state throughput at the sample's repetition rate (misses are
+/// costed as the best uncached engine plus the probe/insert overhead). A
+/// Zipf or replayed-flow sample elects the cache; a uniform-random sample
+/// (every tuple distinct) projects below the best engine and rejects it.
+/// The cached arm still goes through the agreement-checked
+/// [`EngineChoice::classify_cached_into`] path, so like every other arm it
+/// can only change speed, never decisions.
 ///
 /// # Errors
 ///
-/// As for [`calibrate`], plus any error from the cached candidate's probe
+/// As for [`calibrate`], plus any error from the cached arm's probe
 /// machinery (never for a valid batch).
 pub fn calibrate_with_cache(
     compiled: &CompiledFdd,
@@ -387,134 +324,124 @@ pub fn calibrate_with_cache(
     )?;
     let sample_rows = rows.map(|r| &r[..sample_len.min(r.len())]);
 
-    let mut candidates: Vec<EngineChoice> = Vec::new();
-    if walk.is_some() {
-        candidates.push(EngineChoice {
-            kind: EngineKind::Walk,
-            lane_width: 0,
-            threads: 1,
-            cached: false,
-        });
-    }
-    if sample_rows.is_some() {
-        candidates.push(EngineChoice {
-            kind: EngineKind::Scalar,
-            lane_width: 0,
-            threads: 1,
-            cached: false,
-        });
-    }
-    candidates.push(EngineChoice {
-        kind: EngineKind::Columns,
-        lane_width: 0,
-        threads: 1,
+    let arm = |kind, threads| EngineChoice {
+        kind,
+        threads,
         cached: false,
-    });
-    for width in CALIBRATE_LANE_WIDTHS {
-        for &threads in &thread_ladder(resolve_threads(max_threads)) {
-            candidates.push(EngineChoice {
-                kind: EngineKind::Lanes,
-                lane_width: width,
-                threads,
-                cached: false,
-            });
-        }
+    };
+    let max = resolve_threads(max_threads);
+    let mut arms: Vec<EngineChoice> = Vec::new();
+    if walk.is_some() {
+        arms.push(arm(EngineKind::Walk, 1));
     }
-    // The specialized twin joins the race only when installed, so a
-    // never-specialized image races exactly the candidate set it always
-    // did. Serial plus fully-sharded brackets the twin's useful range —
-    // its scalar walk rarely profits from intermediate thread counts.
+    arms.extend(
+        thread_ladder(max)
+            .into_iter()
+            .map(|threads| arm(EngineKind::Lanes, threads)),
+    );
+    // The twin races only when installed. Serial plus fully sharded
+    // brackets its useful range — its scalar walk rarely profits from
+    // intermediate thread counts.
     if compiled.spec().is_some() {
-        let max = resolve_threads(max_threads);
-        candidates.push(EngineChoice {
-            kind: EngineKind::Spec,
-            lane_width: 0,
-            threads: 1,
-            cached: false,
-        });
+        arms.push(arm(EngineKind::Spec, 1));
         if max > 1 {
-            candidates.push(EngineChoice {
-                kind: EngineKind::Spec,
-                lane_width: 0,
-                threads: max,
-                cached: false,
-            });
+            arms.push(arm(EngineKind::Spec, max));
         }
     }
 
     let mut scratch = EngineScratch::new();
     let mut out = Vec::new();
-    let mut trials = Vec::with_capacity(candidates.len());
-    let mut best: Option<(f64, EngineChoice)> = None;
-    for choice in candidates {
-        // Warm-up pass: forces the lazy mirror, faults the sample in, and
-        // (for the parallel candidates) pages worker scratch to size.
+    // Warm-up pass: forces the lazy mirror, faults the sample in, and (for
+    // the parallel arms) pages worker scratch to size.
+    for choice in &arms {
         choice.classify_into(compiled, walk, sample_rows, &sample, &mut scratch, &mut out)?;
-        let mut secs = f64::INFINITY;
-        for _ in 0..CALIBRATE_PASSES {
-            let t = Instant::now();
-            choice.classify_into(compiled, walk, sample_rows, &sample, &mut scratch, &mut out)?;
-            std::hint::black_box(out.len());
-            secs = secs.min(t.elapsed().as_secs_f64());
-        }
-        let mpps = sample_len as f64 / secs / 1e6;
-        trials.push(Trial { choice, mpps });
-        // Strict `>` keeps the earlier candidate on ties — deterministic
-        // given equal clocks.
-        if best.is_none_or(|(b, _)| mpps > b) {
-            best = Some((mpps, choice));
-        }
     }
-    let (best_mpps, mut best_choice) = best.expect("at least the columns candidate ran");
-    if cache_capacity > 0 {
-        let candidate = best_choice.with_cache();
-        let mut cache = crate::DecisionCache::new(compiled.schema().clone(), cache_capacity)?;
-        // The batch front end partitions a whole batch into hits and misses
-        // before any insert lands, so a single cold pass can never hit —
-        // racing cold passes would reject the cache on every trace shape.
-        // Instead the trial is a component race: one cold fill pass leaves
-        // the sample's *distinct* tuples resident (inserts refresh matching
-        // slots, so the resident count is the distinct count) ...
-        candidate.classify_cached_into(
-            compiled,
-            walk,
-            &sample,
-            &mut cache,
-            &mut scratch,
-            &mut out,
-        )?;
-        let distinct = cache.len().min(sample_len);
-        // ... warm timed passes measure the pure hit path ...
-        let mut secs = f64::INFINITY;
-        for _ in 0..CALIBRATE_PASSES {
-            let t = Instant::now();
-            candidate.classify_cached_into(
+    // The cached arm's front end serves its misses through the default
+    // engine. The batch front end partitions a whole batch into hits and
+    // misses before any insert lands, so a cold pass can never hit — timing
+    // cold passes would reject the cache on every trace shape. Instead one
+    // cold fill pass leaves the sample's *distinct* tuples resident
+    // (inserts refresh matching slots, so the resident count is the
+    // distinct count), and the timed passes measure the pure hit path.
+    let hit_path = EngineChoice::default().with_cache();
+    let mut cache = match cache_capacity {
+        0 => None,
+        capacity => {
+            let mut cache = DecisionCache::new(compiled.schema().clone(), capacity)?;
+            hit_path.classify_cached_into(
                 compiled,
-                walk,
+                None,
                 &sample,
                 &mut cache,
                 &mut scratch,
                 &mut out,
             )?;
-            std::hint::black_box(out.len());
-            secs = secs.min(t.elapsed().as_secs_f64());
+            Some(cache)
         }
-        let hit_mpps = sample_len as f64 / secs / 1e6;
-        // ... and the trial's figure is the projected steady-state
+    };
+    let distinct = cache.as_ref().map_or(0, |c| c.len().min(sample_len));
+
+    let mut secs = vec![f64::INFINITY; arms.len()];
+    let mut hit_secs = f64::INFINITY;
+    for _ in 0..CALIBRATE_PASSES {
+        for (choice, best) in arms.iter().zip(&mut secs) {
+            let t = Instant::now();
+            choice.classify_into(compiled, walk, sample_rows, &sample, &mut scratch, &mut out)?;
+            std::hint::black_box(out.len());
+            *best = best.min(t.elapsed().as_secs_f64());
+        }
+        if let Some(cache) = cache.as_mut() {
+            let t = Instant::now();
+            hit_path.classify_cached_into(
+                compiled,
+                None,
+                &sample,
+                cache,
+                &mut scratch,
+                &mut out,
+            )?;
+            std::hint::black_box(out.len());
+            hit_secs = hit_secs.min(t.elapsed().as_secs_f64());
+        }
+    }
+
+    let mpps = |secs: f64| sample_len as f64 / secs / 1e6;
+    let mut trials: Vec<Trial> = arms
+        .iter()
+        .zip(&secs)
+        .map(|(&choice, &s)| Trial {
+            choice,
+            mpps: mpps(s),
+        })
+        .collect();
+    // Strict `>` keeps the earlier arm on ties — deterministic given equal
+    // clocks. The ladder always holds the serial lane kernel, so `trials`
+    // is never empty.
+    let mut best = 0;
+    for (i, t) in trials.iter().enumerate() {
+        if t.mpps > trials[best].mpps {
+            best = i;
+        }
+    }
+    let (mut best_choice, best_mpps) = (trials[best].choice, trials[best].mpps);
+    if cache.is_some() {
+        // The cached trial's figure is the projected steady-state
         // throughput at the sample's repetition rate: hits serve at the
         // measured hit speed, misses pay the best uncached engine *plus*
-        // the probe/insert overhead (approximated by the hit-path cost).
-        // A uniform-random sample has distinct == sample_len, projects
+        // the probe/insert overhead (approximated by the hit-path cost). A
+        // uniform-random sample has distinct == sample_len, projects
         // strictly below the best engine, and rejects the cache; a skewed
         // sample's repeated flows project above it and elect the cache.
+        let hit_mpps = mpps(hit_secs);
         let hit_rate = 1.0 - distinct as f64 / sample_len as f64;
         let miss_cost = 1.0 / best_mpps + 1.0 / hit_mpps;
-        let mpps = 1.0 / (hit_rate / hit_mpps + (1.0 - hit_rate) * miss_cost);
+        let projected = 1.0 / (hit_rate / hit_mpps + (1.0 - hit_rate) * miss_cost);
+        let candidate = best_choice.with_cache();
         trials.push(Trial {
             choice: candidate,
-            mpps,
+            mpps: projected,
         });
-        if mpps > best_mpps {
+        if projected > best_mpps {
             best_choice = candidate;
         }
     }
@@ -587,10 +514,10 @@ impl CompiledFdd {
     /// (cleared first) with caller-owned scratch — zero allocation per
     /// batch at steady state.
     ///
-    /// A walk choice routes through the column gather here (the image does
-    /// not own its source diagram); callers holding the `Fdd` — the live
+    /// The image does not own its source diagram, so a walk choice serves
+    /// through the lane kernel here; callers holding the `Fdd` — the live
     /// matcher, the CLI — route through [`EngineChoice::classify_into`]
-    /// directly to replay rows.
+    /// directly.
     ///
     /// # Errors
     ///
@@ -626,6 +553,14 @@ mod tests {
         (fw, compiled, batch)
     }
 
+    fn choice(kind: EngineKind, threads: usize) -> EngineChoice {
+        EngineChoice {
+            kind,
+            threads,
+            cached: false,
+        }
+    }
+
     #[test]
     fn calibration_races_all_candidates_and_picks_a_winner() {
         let (fw, mut compiled, batch) = setup(30, 600, 15);
@@ -634,14 +569,26 @@ mod tests {
         let cal = compiled
             .calibrate(Some(&fdd), Some(&trace), &batch, 2)
             .unwrap();
-        // walk + scalar + columns + 4 widths × ladder(2) = {1, 2}.
-        assert_eq!(cal.trials.len(), 3 + CALIBRATE_LANE_WIDTHS.len() * 2);
+        // The walk, then the lane kernel at every rung of ladder(2).
+        let arms: Vec<EngineChoice> = cal.trials.iter().map(|t| t.choice).collect();
+        assert_eq!(
+            arms,
+            [
+                choice(EngineKind::Walk, 1),
+                choice(EngineKind::Lanes, 1),
+                choice(EngineKind::Lanes, 2)
+            ]
+        );
         assert_eq!(cal.sample, 600);
         assert!(cal.trials.iter().any(|t| t.choice == cal.choice));
         assert_eq!(compiled.stats().calibrated, Some(cal.choice));
         let best = cal.trials.iter().map(|t| t.mpps).fold(0.0, f64::max);
         let winner = cal.trials.iter().find(|t| t.choice == cal.choice).unwrap();
         assert!(winner.mpps >= best, "winner must have the best trial time");
+        // Without the diagram, only the lane kernel races.
+        let lanes_only = calibrate(&compiled, None, None, &batch, 1).unwrap();
+        assert_eq!(lanes_only.trials.len(), 1);
+        assert_eq!(lanes_only.choice, EngineChoice::default());
     }
 
     #[test]
@@ -653,36 +600,11 @@ mod tests {
         let mut scratch = EngineScratch::new();
         let mut out = Vec::new();
         let choices = [
-            EngineChoice {
-                kind: EngineKind::Walk,
-                lane_width: 0,
-                threads: 1,
-                cached: false,
-            },
-            EngineChoice {
-                kind: EngineKind::Scalar,
-                lane_width: 0,
-                threads: 1,
-                cached: false,
-            },
-            EngineChoice {
-                kind: EngineKind::Columns,
-                lane_width: 0,
-                threads: 1,
-                cached: false,
-            },
-            EngineChoice {
-                kind: EngineKind::Lanes,
-                lane_width: 16,
-                threads: 1,
-                cached: false,
-            },
-            EngineChoice {
-                kind: EngineKind::Lanes,
-                lane_width: 32,
-                threads: 4,
-                cached: false,
-            },
+            choice(EngineKind::Walk, 1),
+            choice(EngineKind::Lanes, 1),
+            choice(EngineKind::Lanes, 4),
+            choice(EngineKind::Spec, 1),
+            choice(EngineKind::Spec, 3),
         ];
         for choice in choices {
             // With rows and walk available.
@@ -697,7 +619,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(out, expect, "{choice} with rows");
-            // Batch-only: walk gathers from columns, scalar degrades.
+            // Batch-only: the walk gathers from columns.
             choice
                 .classify_into(&compiled, Some(&fdd), None, &batch, &mut scratch, &mut out)
                 .unwrap();
@@ -705,7 +627,36 @@ mod tests {
             choice
                 .classify_into(&compiled, None, None, &batch, &mut scratch, &mut out)
                 .unwrap();
-            assert_eq!(out, expect, "{choice} degraded");
+            assert_eq!(out, expect, "{choice} without a diagram");
+        }
+    }
+
+    /// A choice whose input is missing — a walk without its diagram, a
+    /// spec choice without a twin — serves through the lane kernel, which
+    /// forces a decoded image's lazy lane mirror.
+    #[test]
+    fn routes_with_missing_input_serve_through_the_lane_kernel() {
+        let (fw, compiled, batch) = setup(25, 300, 41);
+        let expect = compiled.classify_columns(&batch).unwrap();
+        for choice in [choice(EngineKind::Walk, 1), choice(EngineKind::Spec, 2)] {
+            let decoded = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
+            assert!(decoded.lanes.get().is_none());
+            let mut out = Vec::new();
+            choice
+                .classify_into(
+                    &decoded,
+                    None,
+                    None,
+                    &batch,
+                    &mut EngineScratch::new(),
+                    &mut out,
+                )
+                .unwrap();
+            assert_eq!(out, expect, "{choice}");
+            assert!(
+                decoded.lanes.get().is_some(),
+                "{choice} ran the lane kernel"
+            );
         }
     }
 
@@ -715,11 +666,11 @@ mod tests {
         let cal = compiled
             .calibrate_with_cache(None, None, &batch, 1, 1 << 10)
             .unwrap();
-        // columns + 4 lane widths × ladder(1) + the cached arm.
-        assert_eq!(cal.trials.len(), 1 + CALIBRATE_LANE_WIDTHS.len() + 1);
+        // The serial lane kernel + the cached arm.
+        assert_eq!(cal.trials.len(), 2);
         let last = cal.trials.last().unwrap();
         assert!(last.choice.cached, "the cached arm races last");
-        assert!(last.choice.to_string().starts_with("cache+"));
+        assert_eq!(last.choice.to_string(), "cache+lanes");
         assert_eq!(
             cal.trials.iter().filter(|t| t.choice.cached).count(),
             1,
@@ -761,14 +712,9 @@ mod tests {
         assert_eq!(spec_arms, 2, "serial + sharded spec arms");
         assert_eq!(cal.trials.len(), base.trials.len() + 2);
         // Routing a spec choice serves identically with and without the
-        // twin installed (without, it degrades to the column walk).
+        // twin installed (without, it serves through the lane kernel).
         let expect = compiled.classify_columns(&batch).unwrap();
-        let choice = EngineChoice {
-            kind: EngineKind::Spec,
-            lane_width: 0,
-            threads: 2,
-            cached: false,
-        };
+        let choice = choice(EngineKind::Spec, 2);
         assert_eq!(choice.to_string(), "spec/t2");
         let mut scratch = EngineScratch::new();
         let mut out = Vec::new();
@@ -780,7 +726,7 @@ mod tests {
         choice
             .classify_into(&compiled, None, None, &batch, &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out, expect, "degrades to columns without a twin");
+        assert_eq!(out, expect, "serves through the lane kernel without a twin");
     }
 
     #[test]
@@ -804,32 +750,6 @@ mod tests {
         let mut cleared = compiled.clone();
         cleared.stats.calibrated = None;
         assert_eq!(cleared, back);
-    }
-
-    #[test]
-    fn engine_table_keys_choices_by_shape() {
-        let mut table = EngineTable::new();
-        assert!(table.is_empty());
-        assert_eq!(table.get_or_default("random"), EngineChoice::default());
-        let choice = EngineChoice {
-            kind: EngineKind::Walk,
-            lane_width: 0,
-            threads: 1,
-            cached: false,
-        };
-        table.set("random", choice);
-        table.set(
-            "biased",
-            EngineChoice {
-                kind: EngineKind::Lanes,
-                lane_width: 16,
-                threads: 2,
-                cached: false,
-            },
-        );
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.get("random"), Some(choice));
-        assert_eq!(table.get_or_default("unseen"), EngineChoice::default());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::OnceLock;
 
-use fw_core::{Fdd, NodeView};
+use fw_core::{ChangeImpact, Fdd, NodeView};
 use fw_model::{Decision, Firewall, Packet, Schema};
 use serde::{Deserialize, Serialize};
 
@@ -75,9 +75,7 @@ pub struct CompileStats {
     /// the lane-kernel mirror).
     pub arena_bytes: usize,
     /// Bytes of the lane kernel's padded search-only mirror alone — the
-    /// part of `arena_bytes` an incremental recompile copies (slice by
-    /// slice) rather than shares, reported separately so
-    /// `BENCH_recompile.json` can split shared from copied storage.
+    /// derived part of `arena_bytes`, which FWEX never carries.
     pub lane_arena_bytes: usize,
     /// Maximum number of lookups on any root-to-decision walk.
     pub max_depth: usize,
@@ -89,6 +87,14 @@ pub struct CompileStats {
     /// Machine- and trace-local, so the FWEX wire format never carries it
     /// — decode leaves it `None` and serving surfaces recalibrate on load.
     pub calibrated: Option<crate::calibrate::EngineChoice>,
+}
+
+/// Accounting for the image an edit publishes ([`crate::SwapReport`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RecompileStats {
+    /// Nodes lowered for the new image. Every edit compiles the post-edit
+    /// diagram fresh, so this is the new image's node count.
+    pub nodes_fresh: usize,
 }
 
 /// A firewall decision diagram lowered to a flat, cache-friendly matcher.
@@ -110,10 +116,10 @@ pub struct CompiledFdd {
     /// BFS of the image.
     pub(crate) level_starts: Vec<u32>,
     /// Search-only mirror of the arenas that the lane kernel runs on;
-    /// derived, never serialized — see `kernel.rs`. Built eagerly by the
-    /// compile/recompile paths but left empty by `decode`, where it fills
-    /// on first lane use via [`CompiledFdd::lane_arena`]: a fleet restore
-    /// that only ever walks the scalar path never pays the mirror build.
+    /// derived, never serialized — see `kernel.rs`. Built eagerly by
+    /// `compile` but left empty by `decode`, where it fills on first lane
+    /// use via [`CompiledFdd::lane_arena`]: a fleet restore that only ever
+    /// walks the scalar path never pays the mirror build.
     pub(crate) lanes: OnceLock<crate::kernel::LaneArena>,
     pub(crate) stats: CompileStats,
     /// Sampling profile collector, armed by serving surfaces — see
@@ -205,17 +211,15 @@ pub(crate) fn decision_from_u16(code: u16) -> Decision {
 
 /// Flattens an internal FDD node's edges into sorted `(lo, hi, target)`
 /// spans — targets resolved through `resolve` — and verifies they partition
-/// the field's domain, span by span. Shared by full compilation and the
-/// incremental splice path (`recompile.rs`), so both lower through exactly
-/// one partition check.
-pub(crate) fn sorted_spans<T: Copy>(
+/// the field's domain, span by span.
+fn sorted_spans(
     schema: &Schema,
     src: fw_core::NodeId,
     field: fw_model::FieldId,
     edges: &[fw_core::Edge],
-    mut resolve: impl FnMut(fw_core::NodeId) -> T,
-) -> Result<Vec<(u64, u64, T)>, ExecError> {
-    let mut spans: Vec<(u64, u64, T)> = Vec::new();
+    mut resolve: impl FnMut(fw_core::NodeId) -> u32,
+) -> Result<Vec<(u64, u64, u32)>, ExecError> {
+    let mut spans = Vec::new();
     for e in edges {
         let t = resolve(e.target());
         for iv in e.label().iter() {
@@ -227,11 +231,10 @@ pub(crate) fn sorted_spans<T: Copy>(
 }
 
 /// Sorts `(lo, hi, target)` spans in place and verifies they partition
-/// `field`'s domain — the single check every lowering path funnels
-/// through: full compilation and the splice path via [`sorted_spans`],
-/// and the cross-image shared subgraph pool (`shared.rs`), which builds
-/// its spans from arena [`fw_core::ConsView`] edges instead of [`Fdd`]
-/// edges.
+/// `field`'s domain — the single check both lowering paths funnel
+/// through: compilation via [`sorted_spans`], and the cross-image shared
+/// subgraph pool (`shared.rs`), which builds its spans from arena
+/// [`fw_core::ConsView`] edges instead of [`Fdd`] edges.
 pub(crate) fn verify_partition<T: Copy>(
     schema: &Schema,
     src: impl std::fmt::Display,
@@ -444,6 +447,34 @@ impl CompiledFdd {
         CompiledFdd::compile(&fdd)
     }
 
+    /// The image to publish after an edit: [`CompiledFdd::compile`] of the
+    /// post-edit diagram `fdd`, plus its [`RecompileStats`]. `impact` is
+    /// not consulted. Lowering the post-edit diagram fresh beats splicing
+    /// it into this image on every measured edit batch, and keeps the
+    /// served image as small as a full compile (DESIGN.md §10); edit paths
+    /// call `compile` directly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::Invariant`] if `fdd` is over a different schema
+    /// than this image, and otherwise as for [`CompiledFdd::compile`].
+    pub fn recompile(
+        &self,
+        fdd: &Fdd,
+        _impact: &ChangeImpact,
+    ) -> Result<(CompiledFdd, RecompileStats), ExecError> {
+        if fdd.schema() != &self.schema {
+            return Err(ExecError::Invariant(
+                "post-edit diagram is over a different schema".into(),
+            ));
+        }
+        let image = CompiledFdd::compile(fdd)?;
+        let stats = RecompileStats {
+            nodes_fresh: image.node_count(),
+        };
+        Ok((image, stats))
+    }
+
     /// The schema packets must follow.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -461,11 +492,12 @@ impl CompiledFdd {
 
     /// The lane kernel's search-only mirror, built on first use.
     ///
-    /// Compile and recompile populate it eagerly (the splice path needs the
-    /// old mirror anyway); a decoded image defers the build until a lane or
-    /// auto classify actually runs, so scalar-only serving — e.g. a fleet
-    /// restore of thousands of tenants — never pays it. `OnceLock` makes
-    /// the deferred build race-free under concurrent readers.
+    /// Compile populates it eagerly, so an edit swap pays the build on the
+    /// writer's side instead of in the next served batch; a decoded image
+    /// defers the build until a lane or auto classify actually runs, so
+    /// scalar-only serving — e.g. a fleet restore of thousands of tenants —
+    /// never pays it. `OnceLock` makes the deferred build race-free under
+    /// concurrent readers.
     pub(crate) fn lane_arena(&self) -> &crate::kernel::LaneArena {
         self.lanes.get_or_init(|| {
             crate::kernel::LaneArena::build(&self.nodes, &self.cuts, &self.cut_targets, &self.jump)
@@ -781,6 +813,29 @@ mod tests {
             assert_eq!(compiled.classify(p), *d);
             assert_eq!(compiled.try_classify(p).unwrap(), *d);
         }
+    }
+
+    #[test]
+    fn recompile_is_a_fresh_compile_and_checks_the_schema() {
+        let fw = fw_synth::Synthesizer::new(11).firewall(60);
+        let flipped = fw.rules()[3].with_decision(fw.rules()[3].decision().inverted());
+        let edits = [fw_core::Edit::Replace {
+            index: 3,
+            rule: flipped,
+        }];
+        let (after, impact) = ChangeImpact::of_edits(&fw, &edits).unwrap();
+        let fdd = Fdd::from_firewall_fast(&after).unwrap().reduced();
+        let base = CompiledFdd::from_firewall(&fw).unwrap();
+        let (image, stats) = base.recompile(&fdd, &impact).unwrap();
+        assert_eq!(image, CompiledFdd::compile(&fdd).unwrap());
+        assert_eq!(stats.nodes_fresh, image.node_count());
+
+        let other = Firewall::parse(Schema::paper_example(), "* -> discard\n").unwrap();
+        let other_fdd = Fdd::from_firewall_fast(&other).unwrap().reduced();
+        assert!(matches!(
+            base.recompile(&other_fdd, &impact),
+            Err(ExecError::Invariant(_))
+        ));
     }
 
     #[test]

@@ -19,8 +19,9 @@ pub enum ExecError {
     /// A wire image failed to decode (truncation, bad magic/version, schema
     /// mismatch, or structurally invalid content).
     Wire(String),
-    /// A batch construction or lane-kernel configuration error (ragged
-    /// columns, zero lane width).
+    /// A batch or serving configuration error (ragged columns, an empty
+    /// calibration batch, a zero cache capacity, a profile sized for
+    /// another image).
     Batch(String),
 }
 

@@ -31,11 +31,11 @@
 //!   loops. (Past `2^8` cuts the padding multiplier stops paying and a
 //!   length-clamped fallback loop takes over — same semantics, just not
 //!   unrolled.)
-//! * **Level-synchronous passes.** All `lane_width` packets of a chunk
-//!   advance one FDD level per pass, and [`CompileStats::max_depth`] (the
-//!   verified longest root-to-decision walk) bounds the pass count exactly:
-//!   the kernel runs `max_depth` passes with no "is everyone done yet"
-//!   scan and then harvests decisions. Node ids are BFS-ordered, so a
+//! * **Level-synchronous passes.** All [`DEFAULT_LANE_WIDTH`] packets of a
+//!   chunk advance one FDD level per pass, and [`CompileStats::max_depth`]
+//!   (the verified longest root-to-decision walk) bounds the pass count
+//!   exactly: the kernel runs `max_depth` passes with no "is everyone done
+//!   yet" scan and then harvests decisions. Node ids are BFS-ordered, so a
 //!   pass's descriptor reads move monotonically through the arena
 //!   (`CompiledFdd::level_starts` records the level ranges, re-validated on
 //!   decode).
@@ -50,9 +50,9 @@
 //!   resolves its next node, the kernel touches that node's descriptor and
 //!   the head of its cut slice through [`std::hint::black_box`] — a
 //!   portable forced load under `forbid(unsafe_code)`, no intrinsics. With
-//!   `lane_width` independent lanes between one lane's prefetch and its
-//!   next use, the touched lines are warm by the time the next pass reads
-//!   them, which is exactly the memory-behaviour lever Hazelhurst's
+//!   [`DEFAULT_LANE_WIDTH`] independent lanes between one lane's prefetch
+//!   and its next use, the touched lines are warm by the time the next pass
+//!   reads them, which is exactly the memory-behaviour lever Hazelhurst's
 //!   analysis says dominates decision-diagram lookup cost.
 //!
 //! Within a pass the per-lane steps are fully independent, so the core
@@ -65,14 +65,14 @@ use fw_model::Decision;
 use crate::compile::{decision_from_u16, NodeDesc, KIND_JUMP, KIND_TERMINAL};
 use crate::{CompiledFdd, ExecError, PacketBatch};
 
-/// Default lane width for [`CompiledFdd::classify_lanes`].
+/// Lane width of [`CompiledFdd::classify_lanes`]: packets in flight per
+/// chunk.
 ///
 /// 32 packets keep a chunk's whole mutable state (32 `u32` node cursors)
 /// inside two cache lines next to the output slice while giving the
 /// out-of-order core far more independent steps per pass than it can
-/// retire per cycle. `BENCH_exec.json`'s sweep shows throughput flat
-/// within noise from 16 lanes up; narrower chunks re-run the pass-loop
-/// bookkeeping too often.
+/// retire per cycle. The width is a constant because widths 8 to 64 serve
+/// within noise of each other (the lane-width plateau in EXPERIMENTS.md).
 pub const DEFAULT_LANE_WIDTH: usize = 32;
 
 /// Reusable scratch state for the lane kernel: the per-lane node-cursor
@@ -82,7 +82,7 @@ pub const DEFAULT_LANE_WIDTH: usize = 32;
 /// loop allocates nothing per batch once the scratch (and the caller's
 /// output buffer) reach their high-water mark; the parallel driver keeps
 /// one per worker. A scratch is engine-agnostic — the same instance can
-/// serve any matcher and any lane width, growing as needed.
+/// serve any matcher, growing as needed.
 #[derive(Debug, Default, Clone)]
 pub struct LaneScratch {
     /// Node cursor per lane; length tracks the current chunk width.
@@ -99,14 +99,14 @@ impl LaneScratch {
 /// One node of the uniform kernel arena: always a cut search, never a jump
 /// table or an explicit terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct KNode {
+struct KNode {
     /// Column to probe (0 for terminal self-loops; the read is harmless).
-    pub(crate) field: u32,
+    field: u32,
     /// Start of this node's cut/target slice in [`LaneArena::cuts`].
-    pub(crate) off: u32,
+    off: u32,
     /// Cut count. Kept for probe clamping; the loop trip count is the
     /// arena-wide [`LaneArena::bits`] instead.
-    pub(crate) len: u32,
+    len: u32,
 }
 
 /// Widest node (in cut count, after mirroring) that still gets the padded
@@ -122,7 +122,7 @@ const PAD_MAX_BITS: u32 = 8;
 /// the canonical three-arena form).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct LaneArena {
-    pub(crate) nodes: Vec<KNode>,
+    nodes: Vec<KNode>,
     /// Sorted upper bounds, all nodes concatenated. Terminals contribute a
     /// single `u64::MAX` cut; jump tables are run-length-encoded back into
     /// the cut convention (upper bound per constant run of targets). When
@@ -130,92 +130,26 @@ pub(crate) struct LaneArena {
     /// cuts by repeating its final (domain-max) cut, so a probe never needs
     /// clamping — a duplicated cut duplicates its target, so landing
     /// anywhere in the pad resolves identically.
-    pub(crate) cuts: Vec<u64>,
+    cuts: Vec<u64>,
     /// Target node id per cut, parallel to `cuts`. A terminal's target is
     /// itself, which is what makes finished lanes self-loop.
-    pub(crate) targets: Vec<u32>,
+    targets: Vec<u32>,
     /// Fixed bitwise-search iteration count: number of bits of the widest
     /// node's cut count. Every search of every pass runs exactly this many
     /// branch-free halvings.
-    pub(crate) bits: u32,
+    bits: u32,
 }
 
 impl LaneArena {
-    /// Re-expresses one canonical node in uniform search form: `(field,
-    /// sorted cuts, parallel targets)`, unpadded. Terminals become one-cut
-    /// self-loops targeting `idx` (their own arena id); jump tables are
-    /// run-length-encoded back into the cut convention. The incremental
-    /// splice calls this per fresh node with exactly the semantics `build`
-    /// uses wholesale.
-    pub(crate) fn mirror_node(
-        idx: usize,
-        n: &NodeDesc,
-        cuts: &[u64],
-        cut_targets: &[u32],
-        jump: &[u32],
-    ) -> (u32, Vec<u64>, Vec<u32>) {
-        match n.kind {
-            KIND_TERMINAL => (
-                0,
-                vec![u64::MAX],
-                vec![u32::try_from(idx).expect("arena indexed by u32")],
-            ),
-            KIND_JUMP => {
-                // Undo the dense expansion: one cut per constant run of
-                // the table, upper bound = the run's last domain value.
-                let table = &jump[n.off as usize..(n.off + n.len) as usize];
-                let (mut nc, mut nt) = (Vec::new(), Vec::new());
-                let mut v = 0usize;
-                while v < table.len() {
-                    let t = table[v];
-                    while v + 1 < table.len() && table[v + 1] == t {
-                        v += 1;
-                    }
-                    nc.push(v as u64);
-                    nt.push(t);
-                    v += 1;
-                }
-                (u32::from(n.field), nc, nt)
-            }
-            _ => {
-                let (o, l) = (n.off as usize, n.len as usize);
-                (
-                    u32::from(n.field),
-                    cuts[o..o + l].to_vec(),
-                    cut_targets[o..o + l].to_vec(),
-                )
-            }
-        }
-    }
-
     /// The per-node slice size in an arena of the given `bits`: padded to
     /// `1 << bits` while affordable, the node's own cut count otherwise
     /// (`0` here means "unpadded").
-    pub(crate) fn pad_to(bits: u32) -> usize {
+    fn pad_to(bits: u32) -> usize {
         if bits <= PAD_MAX_BITS {
             1usize << bits
         } else {
             0
         }
-    }
-
-    /// Appends one mirrored node, padding its cut slice to `pad_to` entries
-    /// (`0` = no padding) by repeating the final domain-max cut and its
-    /// target, so a probe can land anywhere in the pad and resolve
-    /// identically.
-    pub(crate) fn push_node(&mut self, field: u32, nc: &[u64], nt: &[u32], pad_to: usize) {
-        let off = u32::try_from(self.cuts.len()).expect("mirror arenas within u32");
-        let len = u32::try_from(nc.len()).expect("node cuts within u32");
-        let pad = pad_to.saturating_sub(nc.len());
-        let (&last_cut, &last_target) = (
-            nc.last().expect("no empty nodes"),
-            nt.last().expect("no empty nodes"),
-        );
-        self.cuts.extend_from_slice(nc);
-        self.targets.extend_from_slice(nt);
-        self.cuts.extend(std::iter::repeat_n(last_cut, pad));
-        self.targets.extend(std::iter::repeat_n(last_target, pad));
-        self.nodes.push(KNode { field, off, len });
     }
 
     /// Mirrors the canonical arenas into uniform search-only form. Assumes
@@ -226,17 +160,53 @@ impl LaneArena {
         cut_targets: &[u32],
         jump: &[u32],
     ) -> LaneArena {
-        // Mirror pass: every node as (sorted cuts, parallel targets).
+        // Mirror pass: every node as (field, sorted cuts, parallel
+        // targets). Terminals become one-cut self-loops targeting their own
+        // arena id; jump tables are run-length-encoded back into the cut
+        // convention.
         let mut mirrored: Vec<(u32, Vec<u64>, Vec<u32>)> = Vec::with_capacity(nodes.len());
         let mut max_len = 1usize;
         for (i, n) in nodes.iter().enumerate() {
-            let (field, nc, nt) = LaneArena::mirror_node(i, n, cuts, cut_targets, jump);
-            max_len = max_len.max(nc.len());
-            mirrored.push((field, nc, nt));
+            let node = match n.kind {
+                KIND_TERMINAL => (
+                    0,
+                    vec![u64::MAX],
+                    vec![u32::try_from(i).expect("arena indexed by u32")],
+                ),
+                KIND_JUMP => {
+                    // Undo the dense expansion: one cut per constant run of
+                    // the table, upper bound = the run's last domain value.
+                    let table = &jump[n.off as usize..(n.off + n.len) as usize];
+                    let (mut nc, mut nt) = (Vec::new(), Vec::new());
+                    let mut v = 0usize;
+                    while v < table.len() {
+                        let t = table[v];
+                        while v + 1 < table.len() && table[v + 1] == t {
+                            v += 1;
+                        }
+                        nc.push(v as u64);
+                        nt.push(t);
+                        v += 1;
+                    }
+                    (u32::from(n.field), nc, nt)
+                }
+                _ => {
+                    let (o, l) = (n.off as usize, n.len as usize);
+                    (
+                        u32::from(n.field),
+                        cuts[o..o + l].to_vec(),
+                        cut_targets[o..o + l].to_vec(),
+                    )
+                }
+            };
+            max_len = max_len.max(node.1.len());
+            mirrored.push(node);
         }
 
         // Layout pass: concatenate, padding to `1 << bits` per node while
-        // the multiplier is affordable so probes never clamp.
+        // the multiplier is affordable so probes never clamp. The pad
+        // repeats the final domain-max cut and its target, so a probe can
+        // land anywhere in it and resolve identically.
         let bits = usize::BITS - max_len.leading_zeros();
         let pad_to = LaneArena::pad_to(bits);
         let mut arena = LaneArena {
@@ -244,7 +214,18 @@ impl LaneArena {
             ..LaneArena::default()
         };
         for (field, nc, nt) in mirrored {
-            arena.push_node(field, &nc, &nt, pad_to);
+            let off = u32::try_from(arena.cuts.len()).expect("mirror arenas within u32");
+            let len = u32::try_from(nc.len()).expect("node cuts within u32");
+            let pad = pad_to.saturating_sub(nc.len());
+            let (&last_cut, &last_target) = (
+                nc.last().expect("no empty nodes"),
+                nt.last().expect("no empty nodes"),
+            );
+            arena.cuts.extend_from_slice(&nc);
+            arena.targets.extend_from_slice(&nt);
+            arena.cuts.extend(std::iter::repeat_n(last_cut, pad));
+            arena.targets.extend(std::iter::repeat_n(last_target, pad));
+            arena.nodes.push(KNode { field, off, len });
         }
         arena
     }
@@ -267,8 +248,7 @@ impl LaneArena {
         let mut max_len = 1usize;
         let mut total = 0usize;
         for n in nodes {
-            // Mirrored cut count per node, mirroring `mirror_node`'s
-            // shapes: terminals one self-loop cut, jump tables one cut per
+            // Mirrored cut count per node, mirroring `build`'s shapes: terminals one self-loop cut, jump tables one cut per
             // constant run, search nodes their own cut count.
             let len = match n.kind {
                 KIND_TERMINAL => 1,
@@ -302,25 +282,18 @@ impl LaneArena {
 
 impl CompiledFdd {
     /// Classifies a field-major batch with the level-synchronous lane
-    /// kernel, `lane_width` packets in flight at a time.
+    /// kernel, [`DEFAULT_LANE_WIDTH`] packets in flight at a time.
     ///
     /// Decisions are identical to [`CompiledFdd::classify_columns`] (and
-    /// every other engine); only the schedule differs. `lane_width` trades
-    /// per-chunk state footprint against pass-loop overhead —
-    /// [`DEFAULT_LANE_WIDTH`] is a good default; any positive width,
-    /// including widths above the batch length, is valid.
+    /// every other engine); only the schedule differs.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::Model`] if the batch was built over a different
-    /// schema, or [`ExecError::Batch`] for a zero `lane_width`.
-    pub fn classify_lanes(
-        &self,
-        batch: &PacketBatch,
-        lane_width: usize,
-    ) -> Result<Vec<Decision>, ExecError> {
+    /// schema.
+    pub fn classify_lanes(&self, batch: &PacketBatch) -> Result<Vec<Decision>, ExecError> {
         let mut out = Vec::new();
-        self.classify_lanes_into(batch, lane_width, &mut LaneScratch::new(), &mut out)?;
+        self.classify_lanes_into(batch, &mut LaneScratch::new(), &mut out)?;
         Ok(out)
     }
 
@@ -335,13 +308,9 @@ impl CompiledFdd {
     pub fn classify_lanes_into(
         &self,
         batch: &PacketBatch,
-        lane_width: usize,
         scratch: &mut LaneScratch,
         out: &mut Vec<Decision>,
     ) -> Result<(), ExecError> {
-        if lane_width == 0 {
-            return Err(ExecError::Batch("lane width must be at least 1".into()));
-        }
         if batch.schema() != self.schema() {
             return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
                 expected: self.schema().len(),
@@ -354,7 +323,6 @@ impl CompiledFdd {
             self.lane_arena(),
             batch.columns_raw(),
             0,
-            lane_width,
             &mut scratch.state,
             out,
         );
@@ -377,14 +345,13 @@ impl CompiledFdd {
         arena: &LaneArena,
         columns: &[Vec<u64>],
         start: usize,
-        lane_width: usize,
         state: &mut Vec<u32>,
         out: &mut [Decision],
     ) {
         let n = out.len();
         let mut s = 0usize;
         while s < n {
-            let w = lane_width.min(n - s);
+            let w = DEFAULT_LANE_WIDTH.min(n - s);
             let base = start + s;
             // Monomorphise on the trip count so the bitwise search unrolls
             // into straight-line conditional moves — the whole point of
@@ -510,16 +477,13 @@ mod tests {
     }
 
     #[test]
-    fn lanes_match_scalar_across_widths_and_ragged_lengths() {
+    fn lanes_match_scalar_across_ragged_lengths() {
         let fw = fw_synth::Synthesizer::new(77).firewall(40);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        for n in [1usize, 31, 32, 33, 257] {
+        for n in [1usize, 3, 31, 32, 33, 401] {
             let batch = batch_of(&fw, n, 1000 + n as u64);
             let scalar = compiled.classify_columns(&batch).unwrap();
-            for width in [1usize, 3, 32, 33, n, n + 7] {
-                let lanes = compiled.classify_lanes(&batch, width).unwrap();
-                assert_eq!(scalar, lanes, "n={n}, width={width}");
-            }
+            assert_eq!(scalar, compiled.classify_lanes(&batch).unwrap(), "n={n}");
         }
     }
 
@@ -531,12 +495,12 @@ mod tests {
         let mut out = vec![Decision::AcceptLog; 7];
         let mut scratch = LaneScratch::new();
         compiled
-            .classify_lanes_into(&batch, DEFAULT_LANE_WIDTH, &mut scratch, &mut out)
+            .classify_lanes_into(&batch, &mut scratch, &mut out)
             .unwrap();
         assert_eq!(out, compiled.classify_columns(&batch).unwrap());
         let empty = PacketBatch::from_trace(fw.schema().clone(), &[]).unwrap();
         compiled
-            .classify_lanes_into(&empty, 4, &mut scratch, &mut out)
+            .classify_lanes_into(&empty, &mut scratch, &mut out)
             .unwrap();
         assert!(out.is_empty());
     }
@@ -547,28 +511,25 @@ mod tests {
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
         let mut scratch = LaneScratch::new();
         let mut out = Vec::new();
-        for n in [5usize, 64, 101] {
+        // Same scratch across batches of different sizes.
+        for n in [5usize, 64, 101, 33, 1] {
             let batch = batch_of(&fw, n, 7_000 + n as u64);
             let expect = compiled.classify_columns(&batch).unwrap();
-            // Same scratch across batches of different sizes and widths.
-            for width in [4usize, 16, 33] {
-                compiled
-                    .classify_lanes_into(&batch, width, &mut scratch, &mut out)
-                    .unwrap();
-                assert_eq!(out, expect, "n={n}, width={width}");
-                // Prefetch chunk variant over the same span: identical
-                // decisions (it only adds forced loads).
-                let mut pf_out = vec![Decision::Discard; n];
-                compiled.lanes_span::<true>(
-                    compiled.lane_arena(),
-                    batch.columns_raw(),
-                    0,
-                    width,
-                    &mut scratch.state,
-                    &mut pf_out,
-                );
-                assert_eq!(pf_out, expect, "prefetch n={n}, width={width}");
-            }
+            compiled
+                .classify_lanes_into(&batch, &mut scratch, &mut out)
+                .unwrap();
+            assert_eq!(out, expect, "n={n}");
+            // Prefetch chunk variant over the same span: identical
+            // decisions (it only adds forced loads).
+            let mut pf_out = vec![Decision::Discard; n];
+            compiled.lanes_span::<true>(
+                compiled.lane_arena(),
+                batch.columns_raw(),
+                0,
+                &mut scratch.state,
+                &mut pf_out,
+            );
+            assert_eq!(pf_out, expect, "prefetch n={n}");
         }
     }
 
@@ -586,23 +547,18 @@ mod tests {
         for (start, len) in [(0usize, 30usize), (30, 7), (37, 41), (78, 19)] {
             let (_, tail) = got.split_at_mut(start);
             let (slice, _) = tail.split_at_mut(len);
-            compiled.lanes_span::<false>(arena, batch.columns_raw(), start, 16, &mut state, slice);
+            compiled.lanes_span::<false>(arena, batch.columns_raw(), start, &mut state, slice);
         }
         assert_eq!(got, expect);
     }
 
     #[test]
-    fn zero_lane_width_and_schema_mismatch_rejected() {
+    fn schema_mismatch_rejected() {
         let compiled = CompiledFdd::from_firewall(&paper::team_a()).unwrap();
-        let batch = batch_of(&paper::team_a(), 8, 5);
-        assert!(matches!(
-            compiled.classify_lanes(&batch, 0),
-            Err(ExecError::Batch(_))
-        ));
         let other =
             PacketBatch::from_trace(Schema::tcp_ip(), &[Packet::new(vec![1, 2, 3, 4, 5])]).unwrap();
         assert!(matches!(
-            compiled.classify_lanes(&other, 8),
+            compiled.classify_lanes(&other),
             Err(ExecError::Model(_))
         ));
     }
@@ -614,7 +570,7 @@ mod tests {
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
         assert_eq!(compiled.stats().levels, 1);
         let batch = batch_of(&fw, 50, 9);
-        let lanes = compiled.classify_lanes(&batch, 16).unwrap();
+        let lanes = compiled.classify_lanes(&batch).unwrap();
         assert!(lanes.iter().all(|&d| d == Decision::DiscardLog));
     }
 

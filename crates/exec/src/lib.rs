@@ -23,25 +23,26 @@
 //!   a structure-of-arrays frontier of [`DEFAULT_LANE_WIDTH`] packets
 //!   advanced one FDD level per pass, with same-node runs resolved through
 //!   one shared cut array so the branchless search autovectorises (the
-//!   batch fast path — see `kernel.rs` for the scheduling story);
+//!   batch fast path — see `kernel.rs` for the scheduling story). The
+//!   row-major [`CompiledFdd::classify_batch`] and the column walk are the
+//!   reference engines the agreement oracles compare it against;
 //! * [`CompiledFdd::encode`] / [`CompiledFdd::decode`] — a fixed-width
 //!   little-endian wire format in the same `bytes` conventions as
 //!   `fw_synth::PacketTrace`, so a compiled policy can be shipped to the
 //!   box that serves it;
-//! * [`CompiledFdd::recompile`] — incremental recompilation: given the
-//!   post-edit FDD and the edit's `fw_core::ChangeImpact`, re-lower only
-//!   the changed subtrees and block-copy every untouched arena and
-//!   lane-mirror slice from the old image (see `recompile.rs`);
 //! * [`LiveMatcher`] — online serving: the policy plus its image behind an
 //!   atomically swapped `Arc`, where [`LiveMatcher::apply_edits`] runs the
-//!   edit→impact→incremental-recompile pipeline and in-flight snapshots
-//!   finish on the image they started with. The policy side is a
+//!   edit→impact→compile pipeline and in-flight snapshots finish on the
+//!   image they started with. The policy side is a
 //!   [`fw_core::MaintainedFdd`], so the impact and the post-edit diagram
 //!   both come from patching the maintained suffix chain along the edited
-//!   corridor rather than rebuilding from the rule list (see `live.rs`);
+//!   corridor rather than rebuilding from the rule list; the post-edit
+//!   diagram is then lowered by a fresh [`CompiledFdd::compile`], which
+//!   beats splicing it into the old image on every measured edit batch
+//!   (see `live.rs`);
 //! * [`CompileStats`] / [`RecompileStats`] — node/arena/depth accounting in
-//!   the style of `fw_core::FddStats`, plus the shared-vs-fresh split of an
-//!   incremental swap;
+//!   the style of `fw_core::FddStats`, and the node count of an edit's
+//!   image;
 //! * [`SubgraphPool`] — cross-image shared compilation for fleet serving:
 //!   one pool of compiled nodes keyed by canonical `fw_core::ConsId`, so
 //!   subtrees shared between tenants of a multi-policy registry are
@@ -52,8 +53,9 @@
 //!   cost, and [`SpecializedFdd`] re-lowers the same FDD under that heat
 //!   — hot-first arena layout, chain fusion (halving the walk's worst
 //!   case), quantized jump tables and hot-cut-first hybrid search. The
-//!   calibrator races the twin as [`EngineKind::Spec`]; decisions and
-//!   FWEX are untouched (see `profile.rs` / `specialize.rs`);
+//!   calibrator races the twin as [`EngineKind::Spec`] beside the walk and
+//!   the lane kernel ([`calibrate`]); decisions and FWEX are untouched
+//!   (see `profile.rs` / `specialize.rs`);
 //! * [`DecisionCache`] — the skew-exploiting memoization front end: a
 //!   4-way set-associative table over packet field tuples with *exact*
 //!   impact-driven invalidation (an edit's `fw_core::ChangeImpact`
@@ -90,7 +92,6 @@ mod kernel;
 mod live;
 mod par;
 mod profile;
-mod recompile;
 mod shared;
 mod specialize;
 mod wire;
@@ -101,15 +102,14 @@ pub use cache::{
     UNTAGGED,
 };
 pub use calibrate::{
-    calibrate, calibrate_with_cache, Calibration, EngineChoice, EngineKind, EngineScratch,
-    EngineTable, Trial, CALIBRATE_LANE_WIDTHS, CALIBRATE_SAMPLE,
+    calibrate, calibrate_with_cache, Calibration, EngineChoice, EngineKind, EngineScratch, Trial,
+    CALIBRATE_SAMPLE,
 };
-pub use compile::{CompileStats, CompiledFdd, JUMP_TABLE_MAX_BITS};
+pub use compile::{CompileStats, CompiledFdd, RecompileStats, JUMP_TABLE_MAX_BITS};
 pub use error::ExecError;
 pub use kernel::{LaneScratch, DEFAULT_LANE_WIDTH};
 pub use live::{LiveMatcher, SwapReport};
 pub use par::ParScratch;
 pub use profile::{PoolProfile, Profile, PROFILE_SAMPLE_ROWS};
-pub use recompile::RecompileStats;
 pub use shared::SubgraphPool;
 pub use specialize::{SpecializePlan, SpecializedFdd};

@@ -4,34 +4,36 @@
 //! compiled image behind an [`Arc`]: readers take a cheap clone of the
 //! current pointer ([`LiveMatcher::load`]) and classify against that
 //! snapshot for as long as they like; an edit builds the next image off to
-//! the side (incrementally, via [`CompiledFdd::recompile`]) and swaps the
-//! pointer when it is ready. In-flight `classify`/`classify_lanes` calls
-//! finish on the image they started with — a swap never invalidates a
-//! snapshot, it only stops handing it out.
+//! the side and swaps the pointer when it is ready. In-flight
+//! `classify`/`classify_lanes` calls finish on the image they started with
+//! — a swap never invalidates a snapshot, it only stops handing it out.
 //!
 //! The swap itself is a pointer store under a [`RwLock`] — the hand-rolled
 //! equivalent of an `arc-swap` within this crate's `forbid(unsafe_code)`:
 //! readers hold the read lock only for the nanoseconds of an `Arc` clone
 //! (never during classification), and the single writer holds the write
 //! lock only for the store. Writers serialize on the policy mutex for the
-//! whole edit→impact→recompile pipeline, so concurrent edit batches apply
+//! whole edit→impact→compile pipeline, so concurrent edit batches apply
 //! in a definite order; the [`epoch`](LiveMatcher::epoch) counter ticks
 //! once per published image for cheap change detection.
 //!
 //! Batch serving routes through the adaptive engine: the published
 //! snapshot pairs the compiled image with the source diagram it was
-//! lowered from, so [`LiveMatcher::calibrate`] can race every engine —
-//! pointer walk included — over a live traffic sample and install the
-//! winner, and [`LiveMatcher::classify_auto_into`] serves each batch
-//! through that choice against one coherent snapshot.
+//! lowered from, so [`LiveMatcher::calibrate`] can race the walk, the lane
+//! kernel at each thread count, the specialized twin (when installed) and
+//! the cached arm over a live traffic sample and install the winner, and
+//! [`LiveMatcher::classify_auto_into`] serves each batch through that
+//! choice against one coherent snapshot.
 //!
-//! The write path is incremental end to end: the matcher keeps the
-//! policy's FDD **maintained** between edits ([`MaintainedFdd`] — the
-//! hash-consed suffix chain of fw-core), so an edit batch patches the
-//! edited corridor of the diagram, short-circuit diffs it against the
-//! previous root for the impact report, exports the patched FDD, and
-//! splices it into the served image via [`CompiledFdd::recompile`].
-//! Nothing in the pipeline rebuilds from the rule list.
+//! The write path: the matcher keeps the policy's FDD **maintained**
+//! between edits ([`MaintainedFdd`] — the hash-consed suffix chain of
+//! fw-core), so an edit batch patches the edited corridor of the diagram,
+//! short-circuit diffs it against the previous root for the impact report,
+//! and exports the patched FDD; nothing rebuilds from the rule list. The
+//! exported diagram is then lowered by a fresh [`CompiledFdd::compile`].
+//! Lowering is cheap next to the sweep, and a fresh compile beats splicing
+//! the diagram into the old image on every measured edit batch while
+//! keeping the served image exactly the size of a full compile.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -46,8 +48,8 @@ use crate::specialize::SpecializePlan;
 use crate::{CompiledFdd, ExecError, PacketBatch, RecompileStats};
 
 /// A served firewall: the authoritative policy plus the hot-swappable
-/// compiled image, with edits applied through change-impact analysis and
-/// incremental recompilation.
+/// compiled image, with edits applied through incremental FDD maintenance
+/// and change-impact analysis.
 ///
 /// # Example
 ///
@@ -156,8 +158,7 @@ pub struct SwapReport {
     /// The maintenance layer's receipt: which [`fw_core::BatchPlan`] the
     /// coalesced batch sweep ran and its corridor geometry.
     pub maintain: MaintainStats,
-    /// The incremental recompile's shared/fresh accounting (`None` for a
-    /// no-op batch).
+    /// The published image's node count (`None` for a no-op batch).
     pub recompile: Option<RecompileStats>,
     /// The decision cache's invalidation receipt (`None` when no cache is
     /// enabled or the batch was a no-op — a no-op changes no decision, so
@@ -259,13 +260,12 @@ impl LiveMatcher {
             .map(|c| c.stats())
     }
 
-    /// Races every engine over a sample of `batch` against the current
+    /// Races every arm over a sample of `batch` against the current
     /// snapshot (walk included — the matcher keeps the source diagram on
     /// hand) and installs the winner for
     /// [`classify_auto_into`](Self::classify_auto_into). Pass `rows` when
-    /// the serving loop also has the row-major trace, so the scalar and
-    /// walk-over-rows candidates race too; `max_threads = 0` means "all
-    /// available cores".
+    /// the serving loop also has the row-major trace, so the walk arm
+    /// replays rows; `max_threads = 0` means "all available cores".
     ///
     /// # Errors
     ///
@@ -369,9 +369,9 @@ impl LiveMatcher {
     ///
     /// Edit swaps keep the feature armed: [`apply_edits`](Self::apply_edits)
     /// starts the fresh image's profiler before publishing it, and the
-    /// fresh image serves unspecialized (a `spec` engine choice degrades to
-    /// the column kernel) until the next re-specialization catches up —
-    /// exactness is never traded for heat.
+    /// fresh image serves unspecialized (a `spec` engine choice serves
+    /// through the lane kernel) until the next re-specialization catches
+    /// up — exactness is never traded for heat.
     pub fn enable_specialization(&self, every: u64, respecialize_after: u64) {
         self.load().arm_profiler(every);
         self.spec.every.store(every.max(1), Ordering::Relaxed);
@@ -487,10 +487,9 @@ impl LiveMatcher {
 
     /// Applies an edit batch: patch the maintained FDD along the edited
     /// corridor, short-circuit diff it against the pre-edit root for the
-    /// impact, export the patched diagram, incrementally recompile against
-    /// the current image, atomic swap. A no-op batch (every packet decides
-    /// as before) updates the stored policy text but publishes nothing —
-    /// the served image is already correct.
+    /// impact, export the patched diagram, compile it, atomic swap. A no-op
+    /// batch (every packet decides as before) updates the stored policy
+    /// text but publishes nothing — the served image is already correct.
     ///
     /// Writers serialize: concurrent calls apply in mutex order, each
     /// against the policy the previous one left. Readers are never blocked
@@ -516,9 +515,11 @@ impl LiveMatcher {
             });
         }
         let fdd = policy.to_fdd()?;
-        let current = self.load();
-        let (next, stats) = current.recompile(&fdd, &impact)?;
-        // A spliced image starts cold (no profile, no specialized twin);
+        let next = CompiledFdd::compile(&fdd)?;
+        let stats = RecompileStats {
+            nodes_fresh: next.node_count(),
+        };
+        // A fresh image starts cold (no profile, no specialized twin);
         // re-arm its profiler before publishing so specialization keeps
         // learning across the swap without a serving-path gap.
         if self.spec.enabled.load(Ordering::Acquire) {
@@ -687,9 +688,8 @@ mod tests {
         let expect = image.classify_columns(&batch).unwrap();
         for kind in [
             crate::EngineKind::Walk,
-            crate::EngineKind::Scalar,
-            crate::EngineKind::Columns,
             crate::EngineKind::Lanes,
+            crate::EngineKind::Spec,
         ] {
             let choice = EngineChoice {
                 kind,
@@ -818,8 +818,9 @@ mod tests {
             .unwrap();
         assert_eq!(out, expect, "serving after re-specialization agrees");
 
-        // Edit swap: the spliced image has no twin yet, but its profiler
-        // is re-armed and serving stays exact (a `spec` choice degrades).
+        // Edit swap: the fresh image has no twin yet, but its profiler is
+        // re-armed and serving stays exact (a `spec` choice serves through
+        // the lane kernel).
         let flip = fw.rules()[0].with_decision(fw.rules()[0].decision().inverted());
         let report = live
             .apply_edits(&[Edit::Replace {
@@ -829,7 +830,7 @@ mod tests {
             .unwrap();
         assert!(report.swapped);
         let image = live.load();
-        assert!(image.spec().is_none(), "a spliced image starts cold");
+        assert!(image.spec().is_none(), "a fresh image starts cold");
         assert!(image.profiler_armed(), "profiler re-armed across the swap");
         live.classify_auto_into(&batch, &mut scratch, &mut out)
             .unwrap();

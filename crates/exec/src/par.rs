@@ -41,7 +41,7 @@ use std::sync::Mutex;
 use fw_model::Decision;
 
 use crate::kernel::LaneScratch;
-use crate::{CompiledFdd, ExecError, PacketBatch};
+use crate::{CompiledFdd, ExecError, PacketBatch, DEFAULT_LANE_WIDTH};
 
 /// A stealable unit of work: the span's absolute packet offset paired
 /// with its disjoint slice of the output buffer, handed to exactly one
@@ -89,8 +89,8 @@ impl CompiledFdd {
     /// serial kernel with zero threading overhead).
     ///
     /// Decisions are identical — byte for byte — to
-    /// [`CompiledFdd::classify_lanes`] at the same `lane_width`, for every
-    /// thread count; see the module docs for why.
+    /// [`CompiledFdd::classify_lanes`], for every thread count; see the
+    /// module docs for why.
     ///
     /// # Errors
     ///
@@ -98,11 +98,10 @@ impl CompiledFdd {
     pub fn classify_lanes_par(
         &self,
         batch: &PacketBatch,
-        lane_width: usize,
         threads: usize,
     ) -> Result<Vec<Decision>, ExecError> {
         let mut out = Vec::new();
-        self.classify_lanes_par_into(batch, lane_width, threads, &mut ParScratch::new(), &mut out)?;
+        self.classify_lanes_par_into(batch, threads, &mut ParScratch::new(), &mut out)?;
         Ok(out)
     }
 
@@ -122,14 +121,10 @@ impl CompiledFdd {
     pub fn classify_lanes_par_into(
         &self,
         batch: &PacketBatch,
-        lane_width: usize,
         threads: usize,
         scratch: &mut ParScratch,
         out: &mut Vec<Decision>,
     ) -> Result<(), ExecError> {
-        if lane_width == 0 {
-            return Err(ExecError::Batch("lane width must be at least 1".into()));
-        }
         if batch.schema() != self.schema() {
             return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
                 expected: self.schema().len(),
@@ -147,10 +142,10 @@ impl CompiledFdd {
 
         // Below ~2 spans per worker the spawn cost outweighs the overlap;
         // run serial (identical output by construction either way).
-        let threads = resolve_threads(threads).min(len.div_ceil(lane_width).max(1));
+        let threads = resolve_threads(threads).min(len.div_ceil(DEFAULT_LANE_WIDTH).max(1));
         if threads <= 1 {
             let scratch = &mut scratch.slots(1)[0];
-            self.lanes_span::<false>(arena, columns, 0, lane_width, &mut scratch.state, out);
+            self.lanes_span::<false>(arena, columns, 0, &mut scratch.state, out);
             return Ok(());
         }
 
@@ -158,7 +153,7 @@ impl CompiledFdd {
         // balance: a span never splits a kernel chunk, so each span's
         // result is exactly the serial kernel's result for those packets.
         let per = len.div_ceil(threads * 4);
-        let span = per.div_ceil(lane_width).max(1) * lane_width;
+        let span = per.div_ceil(DEFAULT_LANE_WIDTH).max(1) * DEFAULT_LANE_WIDTH;
         let mut offset = 0usize;
         let tasks: Vec<SpanTask<'_>> = out
             .chunks_mut(span)
@@ -179,7 +174,7 @@ impl CompiledFdd {
             let Some((start, slice)) = task.lock().expect("task lock never poisoned").take() else {
                 continue;
             };
-            self.lanes_span::<true>(arena, columns, start, lane_width, &mut scratch.state, slice);
+            self.lanes_span::<true>(arena, columns, start, &mut scratch.state, slice);
         };
 
         let (first, rest) = scratch
@@ -200,7 +195,6 @@ impl CompiledFdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DEFAULT_LANE_WIDTH;
 
     fn batch_of(fw: &fw_model::Firewall, n: usize, seed: u64) -> PacketBatch {
         let trace = fw_synth::PacketTrace::random(fw.schema().clone(), n, seed);
@@ -215,29 +209,27 @@ mod tests {
         // count, including smaller than one chunk.
         for n in [1usize, 7, 61, 500, 1013] {
             let batch = batch_of(&fw, n, 9_000 + n as u64);
-            let serial = compiled.classify_lanes(&batch, DEFAULT_LANE_WIDTH).unwrap();
+            let serial = compiled.classify_lanes(&batch).unwrap();
             for threads in [0usize, 1, 2, 3, 4, 8] {
-                let par = compiled
-                    .classify_lanes_par(&batch, DEFAULT_LANE_WIDTH, threads)
-                    .unwrap();
+                let par = compiled.classify_lanes_par(&batch, threads).unwrap();
                 assert_eq!(serial, par, "n={n}, threads={threads}");
             }
         }
     }
 
     #[test]
-    fn scratch_pool_reuse_across_batches_and_widths() {
+    fn scratch_pool_reuse_across_batches() {
         let fw = fw_synth::Synthesizer::new(12).firewall(30);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
         let mut pool = ParScratch::new();
         let mut out = Vec::new();
-        for (n, width, threads) in [(129usize, 8usize, 4usize), (64, 33, 2), (999, 16, 8)] {
+        for (n, threads) in [(129usize, 4usize), (64, 2), (999, 8)] {
             let batch = batch_of(&fw, n, n as u64);
-            let serial = compiled.classify_lanes(&batch, width).unwrap();
+            let serial = compiled.classify_lanes(&batch).unwrap();
             compiled
-                .classify_lanes_par_into(&batch, width, threads, &mut pool, &mut out)
+                .classify_lanes_par_into(&batch, threads, &mut pool, &mut out)
                 .unwrap();
-            assert_eq!(serial, out, "n={n}, width={width}, threads={threads}");
+            assert_eq!(serial, out, "n={n}, threads={threads}");
         }
     }
 
@@ -246,22 +238,14 @@ mod tests {
         let fw = fw_model::paper::team_a();
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
         let empty = PacketBatch::from_trace(fw.schema().clone(), &[]).unwrap();
-        assert!(compiled
-            .classify_lanes_par(&empty, 8, 4)
-            .unwrap()
-            .is_empty());
-        let batch = batch_of(&fw, 16, 3);
-        assert!(matches!(
-            compiled.classify_lanes_par(&batch, 0, 4),
-            Err(ExecError::Batch(_))
-        ));
+        assert!(compiled.classify_lanes_par(&empty, 4).unwrap().is_empty());
         let other = PacketBatch::from_trace(
             fw_model::Schema::tcp_ip(),
             &[fw_model::Packet::new(vec![1, 2, 3, 4, 5])],
         )
         .unwrap();
         assert!(matches!(
-            compiled.classify_lanes_par(&other, 8, 4),
+            compiled.classify_lanes_par(&other, 4),
             Err(ExecError::Model(_))
         ));
     }
@@ -273,8 +257,8 @@ mod tests {
         let decoded = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
         assert!(decoded.lanes.get().is_none());
         let batch = batch_of(&fw, 200, 4);
-        let par = decoded.classify_lanes_par(&batch, 16, 4).unwrap();
+        let par = decoded.classify_lanes_par(&batch, 4).unwrap();
         assert!(decoded.lanes.get().is_some());
-        assert_eq!(par, compiled.classify_lanes(&batch, 16).unwrap());
+        assert_eq!(par, compiled.classify_lanes(&batch).unwrap());
     }
 }

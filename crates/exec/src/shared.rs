@@ -591,9 +591,8 @@ mod tests {
         let mut got = vec![Decision::Accept; 3]; // stale junk must be cleared
         for kind in [
             crate::EngineKind::Walk,
-            crate::EngineKind::Scalar,
-            crate::EngineKind::Columns,
             crate::EngineKind::Lanes,
+            crate::EngineKind::Spec,
         ] {
             for threads in [0usize, 1, 2, 3, 8] {
                 let choice = EngineChoice {

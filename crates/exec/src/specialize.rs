@@ -14,8 +14,8 @@
 //!   yields either a finished decision or an inline *slot* — a copy of
 //!   the child's descriptor whose own resolution lands two base levels
 //!   down. Terminal children are pre-resolved to tagged decisions
-//!   everywhere, and single-edge pass-through chains (which incremental
-//!   splices can leave behind) are collapsed during target resolution.
+//!   everywhere, and single-edge pass-through chains (which an unreduced
+//!   input diagram can carry) are collapsed during target resolution.
 //!   A walk therefore takes at most `ceil(max_depth / 2)` iterations —
 //!   a strict shrink for any diagram of depth ≥ 2.
 //! * **Quantized jump promotion.** Search nodes get a two-level table:
@@ -860,7 +860,7 @@ impl CompiledFdd {
     }
 
     /// Uninstalls the specialized twin; [`crate::EngineKind::Spec`]
-    /// choices then degrade to the column walk.
+    /// choices then serve through the lane kernel.
     pub fn clear_spec(&self) {
         *self.spec.write().unwrap_or_else(PoisonError::into_inner) = None;
     }

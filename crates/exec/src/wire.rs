@@ -195,9 +195,9 @@ mod tests {
         assert_eq!(back.stats(), compiled.stats(), "projected stats differ");
         let trace = fw_synth::PacketTrace::random(fw.schema().clone(), 64, 2);
         let batch = crate::PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
-        let lanes = back.classify_lanes(&batch, 16).unwrap();
+        let lanes = back.classify_lanes(&batch).unwrap();
         assert!(back.lanes.get().is_some(), "lane use must force the mirror");
-        assert_eq!(lanes, compiled.classify_lanes(&batch, 16).unwrap());
+        assert_eq!(lanes, compiled.classify_lanes(&batch).unwrap());
     }
 
     #[test]

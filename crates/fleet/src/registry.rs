@@ -25,8 +25,8 @@ use std::sync::{Mutex, RwLock};
 
 use fw_core::{ChangeImpact, ConsArena, ConsId, Edit, FxHasher, FxMap, MaintainStats, SuffixChain};
 use fw_exec::{
-    CacheScratch, CacheStats, DecisionCache, EngineChoice, EngineKind, InvalidationReport,
-    PacketBatch, PoolProfile, SubgraphPool,
+    CacheScratch, CacheStats, DecisionCache, EngineChoice, InvalidationReport, PacketBatch,
+    PoolProfile, SubgraphPool,
 };
 use fw_model::{Decision, Firewall, Packet, Rule, Schema};
 use serde::{Deserialize, Serialize};
@@ -532,29 +532,15 @@ impl FleetStats {
 /// ([`classify`](PolicyRegistry::classify),
 /// [`classify_batch`](PolicyRegistry::classify_batch), [`stats`](PolicyRegistry::stats))
 /// take a shared lock; mutations serialise on the writer lock.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PolicyRegistry {
     inner: RwLock<Inner>,
     /// The engine choice batch serving routes through
-    /// ([`SubgraphPool::classify_auto_into`] degrades every kind to the
-    /// column walk, so only the thread count bites here). One choice for
-    /// the whole registry: pool serving has a single performance shape,
-    /// unlike standalone images.
+    /// ([`SubgraphPool::classify_auto_into`] serves every kind through the
+    /// column walk, so only the thread count bites here; the default is
+    /// serial). One choice for the whole registry: pool serving has a
+    /// single performance shape, unlike standalone images.
     choice: RwLock<EngineChoice>,
-}
-
-impl Default for PolicyRegistry {
-    fn default() -> PolicyRegistry {
-        PolicyRegistry {
-            inner: RwLock::default(),
-            // Honest default for pool serving: the column walk, serial.
-            choice: RwLock::new(EngineChoice {
-                kind: EngineKind::Columns,
-                threads: 1,
-                ..EngineChoice::default()
-            }),
-        }
-    }
 }
 
 impl PolicyRegistry {
@@ -1181,7 +1167,7 @@ mod tests {
     #[test]
     fn engine_choice_changes_threads_not_decisions() {
         let registry = PolicyRegistry::new();
-        assert_eq!(registry.engine_choice().kind, EngineKind::Columns);
+        assert_eq!(registry.engine_choice(), EngineChoice::default());
         registry.add_tenant(TenantId(1), paper::team_a()).unwrap();
         let a = paper::team_a();
         let rows = packets(a.schema(), 21, 701);

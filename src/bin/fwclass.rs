@@ -7,20 +7,17 @@
 //!     fwclass [--schema tcp-ip|paper] [--format dsl|iptables]
 //!             [--trace FILE | --random N | --biased N | --zipf N]
 //!             [--scatter F] [--zipf-s S] [--seed S]
-//!             [--engine scalar|columns|lanes|auto]
-//!             [--lane-width W] [--threads T] [--cache CAP]
+//!             [--engine lanes|auto] [--threads T] [--cache CAP]
 //!             [--save-trace FILE] [--save-compiled FILE]
 //!             [--edits FILE] [--check] [--profile] <policy.fw>
 //!
-//! ENGINE (default scalar):
-//!     --engine scalar   row-major walk, packet by packet
-//!     --engine columns  field-major scalar walk over a transposed batch
-//!     --engine lanes    level-synchronous lane kernel over the same batch
-//!     --engine auto     race every engine (FDD walk included) over a
-//!                       sample of the trace, then replay through the
-//!                       winner; prints each trial and the chosen engine
-//!     --lane-width W    packets in flight per lane-kernel chunk
-//!                       (default 32; only meaningful with --engine lanes)
+//! ENGINE (default lanes):
+//!     --engine lanes    level-synchronous lane kernel over a transposed
+//!                       (field-major) batch
+//!     --engine auto     race the calibrator's arms (FDD walk, lane kernel
+//!                       at each thread count) over a sample of the trace,
+//!                       then replay through the winner; prints each trial
+//!                       and the chosen engine
 //!     --threads T       worker threads for the parallel lane pipeline and
 //!                       the calibrator's thread ladder (default 1; 0 means
 //!                       every available core)
@@ -66,10 +63,11 @@
 //!
 //! EDIT REPLAY:
 //!     --edits FILE    after the trace replay, apply the file's policy edits
-//!                     one at a time, timing a full recompile
-//!                     (CompiledFdd::from_firewall) against the incremental
-//!                     splice (CompiledFdd::recompile) for each and
-//!                     verifying both agree on the whole trace; then apply
+//!                     one at a time, timing the maintained edit path
+//!                     (maintain -> impact -> export -> compile) against
+//!                     the full one (ChangeImpact::of_edits, then
+//!                     CompiledFdd::from_firewall) for each and verifying
+//!                     both images agree on the whole trace; then apply
 //!                     the whole file again as ONE coalesced batch and
 //!                     report the sweep's plan and corridor stats. Lines
 //!                     are `insert IDX RULE`, `replace IDX RULE`,
@@ -91,8 +89,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: fwclass [--schema tcp-ip|paper] [--format dsl|iptables] \
          [--trace FILE | --random N | --biased N | --zipf N] [--scatter F] \
-         [--zipf-s S] [--seed S] [--engine scalar|columns|lanes|auto] \
-         [--lane-width W] [--threads T] [--cache CAP] [--save-trace FILE] \
+         [--zipf-s S] [--seed S] [--engine lanes|auto] \
+         [--threads T] [--cache CAP] [--save-trace FILE] \
          [--save-compiled FILE] [--edits FILE] [--check] [--profile] <policy.fw>"
     );
     ExitCode::from(2)
@@ -105,25 +103,6 @@ enum TraceSource {
     File(String),
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Engine {
-    Scalar,
-    Columns,
-    Lanes,
-    Auto,
-}
-
-impl Engine {
-    fn name(self) -> &'static str {
-        match self {
-            Engine::Scalar => "scalar",
-            Engine::Columns => "columns",
-            Engine::Lanes => "lanes",
-            Engine::Auto => "auto",
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let mut schema = Schema::tcp_ip();
     let mut iptables = false;
@@ -131,8 +110,7 @@ fn main() -> ExitCode {
     let mut scatter = 0.3f64;
     let mut zipf_s = 1.0f64;
     let mut seed = 1u64;
-    let mut engine = Engine::Scalar;
-    let mut lane_width = diverse_firewall::exec::DEFAULT_LANE_WIDTH;
+    let mut auto = false;
     let mut threads = 1usize;
     let mut cache_capacity = 0usize;
     let mut save_trace: Option<String> = None;
@@ -211,19 +189,10 @@ fn main() -> ExitCode {
                 }
             },
             "--engine" => match args.next().as_deref() {
-                Some("scalar") => engine = Engine::Scalar,
-                Some("columns") => engine = Engine::Columns,
-                Some("lanes") => engine = Engine::Lanes,
-                Some("auto") => engine = Engine::Auto,
+                Some("lanes") => auto = false,
+                Some("auto") => auto = true,
                 other => {
                     eprintln!("fwclass: unknown engine {other:?}");
-                    return usage();
-                }
-            },
-            "--lane-width" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(w) if w >= 1 => lane_width = w,
-                _ => {
-                    eprintln!("fwclass: --lane-width needs a positive integer");
                     return usage();
                 }
             },
@@ -354,24 +323,22 @@ fn main() -> ExitCode {
         println!("wrote compiled matcher to {path}");
     }
 
-    // Column engines transpose up front; the transpose (with its one-pass
-    // per-column validation) is deliberately outside the timed region, the
-    // same way the bench harness amortises it over a replayed batch.
-    let batch = if engine == Engine::Scalar && cache_capacity == 0 && !profile_heat {
-        None
-    } else {
+    // The engines run over a transposed batch; the transpose (with its
+    // one-pass per-column validation) is deliberately outside the timed
+    // region, the same way the bench harness amortises it over a replayed
+    // batch.
+    let batch =
         match diverse_firewall::exec::PacketBatch::from_trace(schema.clone(), trace.packets()) {
-            Ok(b) => Some(b),
+            Ok(b) => b,
             Err(e) => {
                 eprintln!("fwclass: trace does not fit the schema: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-    };
-    // The auto engine races every candidate over a trace sample before the
-    // timed replay — calibration (and the FDD walk candidate's diagram) is
-    // set-up cost, like the transpose above.
-    let calibrated = if engine == Engine::Auto {
+        };
+    // The auto engine races the calibrator's arms over a trace sample
+    // before the timed replay — calibration (and the FDD walk arm's
+    // diagram) is set-up cost, like the transpose above.
+    let calibrated = if auto {
         let fdd = match diverse_firewall::core::Fdd::from_firewall_fast(&fw) {
             Ok(f) => f.reduced(),
             Err(e) => {
@@ -379,14 +346,13 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let b = batch.as_ref().expect("batch built for every column engine");
         // A zero capacity makes this the plain `calibrate` race; with
         // --cache the `cache+` arm runs too and prints with the trials.
         let cal = match diverse_firewall::exec::calibrate_with_cache(
             &compiled,
             Some(&fdd),
             Some(trace.packets()),
-            b,
+            &batch,
             threads,
             cache_capacity,
         ) {
@@ -425,86 +391,63 @@ fn main() -> ExitCode {
     // its own insertions and would only time the fill.
     let cached_plan = cache.as_mut().map(|cache| {
         use diverse_firewall::exec::{EngineChoice, EngineKind};
-        let (choice, walk) = match (&calibrated, engine) {
-            (Some((choice, fdd)), _) => (choice.with_cache(), Some(fdd)),
-            (None, Engine::Scalar) => (
-                EngineChoice {
-                    kind: EngineKind::Scalar,
-                    lane_width: 0,
-                    threads: 1,
-                    cached: true,
-                },
-                None,
-            ),
-            (None, Engine::Columns) => (
-                EngineChoice {
-                    kind: EngineKind::Columns,
-                    lane_width: 0,
-                    threads: 1,
-                    cached: true,
-                },
-                None,
-            ),
-            (None, _) => (
+        let (choice, walk) = match &calibrated {
+            Some((choice, fdd)) => (choice.with_cache(), Some(fdd)),
+            None => (
                 EngineChoice {
                     kind: EngineKind::Lanes,
-                    lane_width,
                     threads,
                     cached: true,
                 },
                 None,
             ),
         };
-        let b = batch
-            .as_ref()
-            .expect("batch built whenever the cache is on");
         let mut scratch = diverse_firewall::exec::EngineScratch::default();
-        let fill =
-            choice.classify_cached_into(&compiled, walk, b, cache, &mut scratch, &mut decisions);
+        let fill = choice.classify_cached_into(
+            &compiled,
+            walk,
+            &batch,
+            cache,
+            &mut scratch,
+            &mut decisions,
+        );
         cache.reset_stats();
         (choice, walk, scratch, fill)
     });
     let t = Instant::now();
     let classified = if let Some((choice, walk, mut scratch, fill)) = cached_plan {
         let cache = cache.as_mut().expect("plan implies cache");
-        let b = batch
-            .as_ref()
-            .expect("batch built whenever the cache is on");
         fill.and_then(|()| {
-            choice.classify_cached_into(&compiled, walk, b, cache, &mut scratch, &mut decisions)
+            choice.classify_cached_into(
+                &compiled,
+                walk,
+                &batch,
+                cache,
+                &mut scratch,
+                &mut decisions,
+            )
         })
     } else {
-        match (engine, &batch) {
-            (Engine::Scalar, _) => {
-                compiled.classify_batch_into(trace.packets(), &mut decisions);
-                Ok(())
-            }
-            (Engine::Columns, Some(b)) => compiled.classify_columns_into(b, &mut decisions),
-            (Engine::Lanes, Some(b)) if threads == 1 => compiled.classify_lanes_into(
-                b,
-                lane_width,
+        match &calibrated {
+            Some((choice, fdd)) => choice.classify_into(
+                &compiled,
+                Some(fdd),
+                Some(trace.packets()),
+                &batch,
+                &mut diverse_firewall::exec::EngineScratch::default(),
+                &mut decisions,
+            ),
+            None if threads == 1 => compiled.classify_lanes_into(
+                &batch,
                 &mut diverse_firewall::exec::LaneScratch::new(),
                 &mut decisions,
             ),
-            (Engine::Lanes, Some(b)) => compiled.classify_lanes_par_into(
-                b,
-                lane_width,
+            None => compiled.classify_lanes_par_into(
+                &batch,
                 threads,
                 &mut diverse_firewall::exec::ParScratch::default(),
                 &mut decisions,
             ),
-            (Engine::Auto, Some(b)) => {
-                let (choice, fdd) = calibrated.as_ref().expect("calibrated above");
-                choice.classify_into(
-                    &compiled,
-                    Some(fdd),
-                    Some(trace.packets()),
-                    b,
-                    &mut diverse_firewall::exec::EngineScratch::default(),
-                    &mut decisions,
-                )
-            }
-            _ => unreachable!("batch built for every column engine"),
         }
     };
     if let Err(e) = classified {
@@ -535,10 +478,10 @@ fn main() -> ExitCode {
         Some((choice, _)) if cache.is_some() => format!("auto -> {}", choice.with_cache()),
         Some((choice, _)) => format!("auto -> {choice}"),
         None => {
-            let base = if engine == Engine::Lanes && threads != 1 {
+            let base = if threads != 1 {
                 format!("lanes, {threads} thread(s)")
             } else {
-                engine.name().to_string()
+                "lanes".to_string()
             };
             if cache.is_some() {
                 format!("cache+{base}")
@@ -571,10 +514,7 @@ fn main() -> ExitCode {
     }
 
     if decisions != linear {
-        eprintln!(
-            "fwclass: BUG: compiled matcher ({}) disagrees with linear scan",
-            engine.name()
-        );
+        eprintln!("fwclass: BUG: compiled matcher ({engine_label}) disagrees with linear scan");
         return ExitCode::FAILURE;
     }
     if check {
@@ -600,12 +540,9 @@ fn main() -> ExitCode {
     }
 
     if profile_heat {
-        let b = batch
-            .as_ref()
-            .expect("batch built whenever --profile is on");
         let mut profile = diverse_firewall::exec::Profile::new_for(&compiled);
         let mut profiled = Vec::new();
-        if let Err(e) = compiled.classify_profiled_into(b, &mut profile, &mut profiled) {
+        if let Err(e) = compiled.classify_profiled_into(&batch, &mut profile, &mut profiled) {
             eprintln!("fwclass: --profile replay failed: {e}");
             return ExitCode::FAILURE;
         }
@@ -655,7 +592,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if let Err(code) = replay_edits(&fw, &compiled, &trace, &edits) {
+        if let Err(code) = replay_edits(&fw, &trace, &edits) {
             return code;
         }
     }
@@ -715,24 +652,22 @@ fn parse_edits(schema: &Schema, text: &str) -> Result<Vec<diverse_firewall::core
 }
 
 /// Applies each edit in sequence through a persistent [`MaintainedFdd`],
-/// timing the maintained pipeline (patch + diff + export + splice)
-/// against the full one (whole-policy impact + FDD rebuild + full
-/// recompile) and verifying the spliced image agrees with a fresh compile
-/// on the whole replay trace after every edit.
+/// timing the maintained edit path (patch + diff + export + compile)
+/// against the full one (whole-policy impact + `from_firewall`) and
+/// verifying the two images agree on the whole replay trace after every
+/// edit.
 fn replay_edits(
     fw: &Firewall,
-    compiled: &CompiledFdd,
     trace: &PacketTrace,
     edits: &[diverse_firewall::core::Edit],
 ) -> Result<(), ExitCode> {
-    use diverse_firewall::core::{ChangeImpact, Fdd, MaintainedFdd};
+    use diverse_firewall::core::{ChangeImpact, MaintainedFdd};
     if edits.is_empty() {
         println!("edit replay: no edits in file");
         return Ok(());
     }
     let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
     let mut cur_fw = fw.clone();
-    let mut cur_img = compiled.clone();
     // One chain for the whole replay, patched edit by edit — what a
     // LiveMatcher keeps between batches.
     let mut maintained = match MaintainedFdd::new(fw.clone()) {
@@ -742,9 +677,8 @@ fn replay_edits(
             return Err(ExitCode::FAILURE);
         }
     };
-    let (mut full_out, mut inc_out) = (Vec::new(), Vec::new());
-    let (mut full_total, mut inc_total) = (0f64, 0f64);
-    let (mut e2e_full_total, mut e2e_inc_total) = (0f64, 0f64);
+    let (mut full_out, mut edit_out) = (Vec::new(), Vec::new());
+    let (mut e2e_full_total, mut e2e_edit_total) = (0f64, 0f64);
     for (i, e) in edits.iter().enumerate() {
         let t = Instant::now();
         let (after, impact) = match ChangeImpact::of_edits(&cur_fw, std::slice::from_ref(e)) {
@@ -765,16 +699,6 @@ fn replay_edits(
             }
         };
         let full_us = us(t.elapsed());
-
-        let t = Instant::now();
-        match Fdd::from_firewall_fast(&after) {
-            Ok(f) => std::hint::black_box(f.reduced()),
-            Err(err) => {
-                eprintln!("fwclass: edit {i}: {err}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
-        let fdd_us = us(t.elapsed());
 
         let old_root = maintained.root();
         let t = Instant::now();
@@ -807,56 +731,43 @@ fn replay_edits(
         }
 
         let t = Instant::now();
-        let (inc, stats) = match cur_img.recompile(&m_fdd, &m_impact) {
-            Ok(r) => r,
+        let image = match CompiledFdd::compile(&m_fdd) {
+            Ok(c) => c,
             Err(err) => {
-                eprintln!("fwclass: edit {i}: incremental recompile failed: {err}");
+                eprintln!("fwclass: edit {i}: compile failed: {err}");
                 return Err(ExitCode::FAILURE);
             }
         };
-        let inc_us = us(t.elapsed());
+        let compile_us = us(t.elapsed());
 
         full.classify_batch_into(trace.packets(), &mut full_out);
-        inc.classify_batch_into(trace.packets(), &mut inc_out);
-        if full_out != inc_out {
+        image.classify_batch_into(trace.packets(), &mut edit_out);
+        if full_out != edit_out {
             eprintln!("fwclass: BUG: edit {i}: maintained image disagrees with full recompile");
             return Err(ExitCode::FAILURE);
         }
+        let e2e_edit = maintain_us + diff_us + export_us + compile_us;
+        let e2e_full = impact_us + full_us;
         println!(
-            "edit {i}: full {full_us:.0} µs | incremental {inc_us:.0} µs (x{:.1}) | \
-             {}/{} nodes reused, {} B copied, {} B fresh{} | \
-             {} changed region(s), {} affected packet(s), impact {impact_us:.0} µs, \
-             fdd {fdd_us:.0} µs | \
-             maintained patch {maintain_us:.0} + diff {diff_us:.0} + export {export_us:.0} µs",
-            full_us / inc_us,
-            stats.nodes_shared,
-            stats.nodes,
-            stats.bytes_shared,
-            stats.bytes_fresh,
-            if stats.lane_arena_rebuilt {
-                ", lane mirror rebuilt"
-            } else {
-                ""
-            },
+            "edit {i}: maintained patch {maintain_us:.0} + diff {diff_us:.0} + export \
+             {export_us:.0} + compile {compile_us:.0} µs = {e2e_edit:.0} µs ({} nodes) | \
+             full: impact {impact_us:.0} + from_firewall {full_us:.0} µs = {e2e_full:.0} µs | \
+             {} changed region(s), {} affected packet(s)",
+            image.node_count(),
             impact.discrepancies().len(),
             // Schema-clamped: a per-region sum can exceed the packet
             // space; never report more packets than exist.
             impact.affected_packets_in(cur_fw.schema()),
         );
-        full_total += full_us;
-        inc_total += inc_us;
-        e2e_full_total += impact_us + fdd_us + inc_us;
-        e2e_inc_total += maintain_us + diff_us + export_us + inc_us;
+        e2e_full_total += e2e_full;
+        e2e_edit_total += e2e_edit;
         cur_fw = after;
-        cur_img = inc;
     }
     println!(
-        "edit replay: {} edit(s), full {full_total:.0} µs vs incremental {inc_total:.0} µs \
-         (x{:.1}) | edit-to-image: full pipeline {e2e_full_total:.0} µs vs maintained \
-         {e2e_inc_total:.0} µs (x{:.1}), all verified against the trace",
+        "edit replay: {} edit(s), edit-to-image: full pipeline {e2e_full_total:.0} µs vs \
+         maintained {e2e_edit_total:.0} µs (x{:.1}), all verified against the trace",
         edits.len(),
-        full_total / inc_total,
-        e2e_full_total / e2e_inc_total
+        e2e_full_total / e2e_edit_total
     );
 
     // The same file applied as ONE coalesced batch to a fresh chain — the

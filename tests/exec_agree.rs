@@ -3,8 +3,8 @@
 //! ([`Firewall::decision_for`]), the plain FDD walk ([`Fdd::evaluate`]),
 //! the flat compiled matcher ([`CompiledFdd::classify`], row- and
 //! column-major) and the level-synchronous lane kernel
-//! ([`CompiledFdd::classify_lanes`], across lane widths and ragged batch
-//! lengths) must return the same decision — on random policies, biased
+//! ([`CompiledFdd::classify_lanes`], across ragged batch lengths) must
+//! return the same decision — on random policies, biased
 //! traces, wire-format round trips (including the v2 level metadata), and
 //! an exhaustive all-packets sweep of a tiny schema.
 //!
@@ -17,28 +17,44 @@
 use diverse_firewall::core::Fdd;
 use diverse_firewall::exec::{
     CompiledFdd, EngineChoice, EngineKind, EngineScratch, PacketBatch, ParScratch,
-    DEFAULT_LANE_WIDTH,
 };
 use diverse_firewall::model::{Decision, FieldDef, Firewall, Packet, Schema};
 use diverse_firewall::synth::{PacketTrace, Synthesizer};
 use proptest::prelude::*;
 
-/// Lane widths that stress the kernel's chunking: degenerate (1), prime
-/// and misaligned (3, 33), the tuned default, and one chunk per batch.
-fn lane_widths(batch_len: usize) -> [usize; 5] {
-    [
-        1,
-        3,
-        DEFAULT_LANE_WIDTH,
-        DEFAULT_LANE_WIDTH + 1,
-        batch_len.max(1),
-    ]
+/// Batch lengths that stress the lane kernel's fixed-width chunking: a
+/// single packet, less than one chunk, one short of and one past a chunk,
+/// and many chunks with a ragged tail.
+const RAGGED_LENGTHS: [usize; 5] = [1, 3, 31, 33, 401];
+
+/// The lane kernel on every [`RAGGED_LENGTHS`] prefix of `packets` (as far
+/// as it reaches) must reproduce `expect`'s prefix, on `compiled` and on
+/// its decoded wire image.
+fn assert_ragged_lanes(
+    compiled: &CompiledFdd,
+    reloaded: &CompiledFdd,
+    packets: &[Packet],
+    expect: &[Decision],
+    tag: &str,
+) {
+    for n in RAGGED_LENGTHS.into_iter().filter(|&n| n <= packets.len()) {
+        let prefix = PacketBatch::from_trace(compiled.schema().clone(), &packets[..n]).unwrap();
+        assert_eq!(
+            compiled.classify_lanes(&prefix).unwrap(),
+            expect[..n],
+            "{tag}: lane kernel diverges on a {n}-packet batch"
+        );
+        assert_eq!(
+            reloaded.classify_lanes(&prefix).unwrap(),
+            expect[..n],
+            "{tag}: decoded lane kernel diverges on a {n}-packet batch"
+        );
+    }
 }
 
 /// Assert all engines agree on every packet of `trace`, including the
-/// decoded wire image, both batch entry points, and the lane kernel at
-/// every width of [`lane_widths`] (ragged final chunks included whenever
-/// the trace length is not a width multiple).
+/// decoded wire image, both batch entry points, and the lane kernel on
+/// every [`RAGGED_LENGTHS`] prefix.
 fn assert_four_way(fw: &Firewall, trace: &PacketTrace, tag: &str) {
     let fdd = Fdd::from_firewall_fast(fw).unwrap();
     let compiled = CompiledFdd::from_firewall(fw).unwrap();
@@ -48,7 +64,7 @@ fn assert_four_way(fw: &Firewall, trace: &PacketTrace, tag: &str) {
     let mut batched = Vec::new();
     compiled.classify_batch_into(trace.packets(), &mut batched);
     let columns = compiled.classify_columns(&batch).unwrap();
-    let lanes = compiled.classify_lanes(&batch, DEFAULT_LANE_WIDTH).unwrap();
+    let lanes = compiled.classify_lanes(&batch).unwrap();
     for (i, p) in trace.packets().iter().enumerate() {
         let linear = fw.decision_for(p).expect("comprehensive policy");
         let walked = fdd.evaluate(p);
@@ -64,18 +80,7 @@ fn assert_four_way(fw: &Firewall, trace: &PacketTrace, tag: &str) {
             "{tag}: decoded wire image diverges at {p}"
         );
     }
-    for width in lane_widths(batch.len()) {
-        let at_width = compiled.classify_lanes(&batch, width).unwrap();
-        assert_eq!(
-            at_width, lanes,
-            "{tag}: lane kernel diverges at width {width}"
-        );
-        let decoded_lanes = reloaded.classify_lanes(&batch, width).unwrap();
-        assert_eq!(
-            decoded_lanes, lanes,
-            "{tag}: decoded lane kernel diverges at width {width}"
-        );
-    }
+    assert_ragged_lanes(&compiled, &reloaded, trace.packets(), &lanes, tag);
 
     // Parallel ≡ serial: the sharded pipeline must reproduce the serial
     // kernel bit for bit at every thread count — 401-packet traces are
@@ -85,13 +90,7 @@ fn assert_four_way(fw: &Firewall, trace: &PacketTrace, tag: &str) {
     let mut par_out = Vec::new();
     for threads in [1usize, 2, 3, 4, 8] {
         compiled
-            .classify_lanes_par_into(
-                &batch,
-                DEFAULT_LANE_WIDTH,
-                threads,
-                &mut par_scratch,
-                &mut par_out,
-            )
+            .classify_lanes_par_into(&batch, threads, &mut par_scratch, &mut par_out)
             .unwrap();
         assert_eq!(
             par_out, lanes,
@@ -125,8 +124,8 @@ proptest! {
         trace_seed in 0u64..1_000,
     ) {
         let fw = Synthesizer::new(seed).firewall(rules);
-        // 401 packets: prime-ish, so every lane width in the sweep leaves a
-        // ragged final chunk.
+        // 401 packets: never a multiple of the lane width, so the final
+        // chunk is ragged.
         let random = PacketTrace::random(fw.schema().clone(), 401, trace_seed);
         assert_four_way(&fw, &random, "random trace");
         let biased = PacketTrace::biased(&fw, 401, 0.3, trace_seed + 1);
@@ -171,43 +170,34 @@ fn engines_match_exhaustive_oracle_on_tiny_schema() {
             assert_eq!(linear, reloaded.classify(p), "policy {k}, decoded at {p}");
             linears.push(linear);
         }
-        // The whole domain through the lane kernel, at every sweep width:
-        // 64 packets is small enough that this is the exhaustive case.
+        // The whole domain through the lane kernel: 64 packets is small
+        // enough that this is the exhaustive case; the ragged prefixes
+        // cover partial chunks.
         let batch = PacketBatch::from_trace(schema.clone(), &all).unwrap();
-        for width in lane_widths(batch.len()) {
-            let lanes = compiled.classify_lanes(&batch, width).unwrap();
-            assert_eq!(lanes, linears, "policy {k}, lane kernel at width {width}");
-        }
+        let lanes = compiled.classify_lanes(&batch).unwrap();
+        assert_eq!(lanes, linears, "policy {k}, lane kernel");
+        assert_ragged_lanes(&compiled, &reloaded, &all, &linears, &format!("policy {k}"));
 
         // The whole domain through the auto route, under every engine
-        // choice a calibrator could install: all four kinds, serial and
-        // sharded, at two lane widths — 64 packets checked cell-by-cell
-        // each time.
+        // choice a calibrator could install: every kind, serial and
+        // sharded, with and without the diagram and rows at hand — 64
+        // packets checked cell-by-cell each time.
         let mut scratch = EngineScratch::default();
         let mut out = Vec::new();
-        for kind in [
-            EngineKind::Walk,
-            EngineKind::Scalar,
-            EngineKind::Columns,
-            EngineKind::Lanes,
-        ] {
+        for kind in [EngineKind::Walk, EngineKind::Lanes, EngineKind::Spec] {
             for threads in [1usize, 2, 4, 8] {
-                for lane_width in [8usize, 32] {
-                    let choice = EngineChoice {
-                        kind,
-                        lane_width,
-                        threads,
-                        cached: false,
-                    };
+                let choice = EngineChoice {
+                    kind,
+                    threads,
+                    cached: false,
+                };
+                for (walk, rows) in [
+                    (Some(&fdd), Some(&all[..])),
+                    (Some(&fdd), None),
+                    (None, None),
+                ] {
                     choice
-                        .classify_into(
-                            &compiled,
-                            Some(&fdd),
-                            Some(&all),
-                            &batch,
-                            &mut scratch,
-                            &mut out,
-                        )
+                        .classify_into(&compiled, walk, rows, &batch, &mut scratch, &mut out)
                         .unwrap();
                     assert_eq!(out, linears, "policy {k}: {choice} diverges");
                 }

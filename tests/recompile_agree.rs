@@ -1,75 +1,69 @@
-//! Equivalence oracle for incremental recompilation: for any edit batch,
-//! the image produced by [`CompiledFdd::recompile`] (splicing fresh
-//! subtrees into the pre-edit image) must be indistinguishable from a
-//! fresh [`CompiledFdd::from_firewall`] of the post-edit policy — same
-//! decision on every probed packet, through the scalar matcher, the lane
-//! kernel at several widths, and a wire-format round trip of the spliced
-//! image. Probed on random policies with `fw_synth::evolve` edit batches
-//! of sizes {1, 4, 16}, on chains of splices (each spliced image the base
-//! of the next), on guaranteed no-op batches, and exhaustively on every
-//! packet of a tiny 2-field schema.
+//! Equivalence oracle for the edit path: after any edit batch applied
+//! through [`LiveMatcher::apply_edits`], the served image must equal a
+//! fresh [`CompiledFdd::compile`] of the matcher's post-edit diagram and a
+//! fresh [`CompiledFdd::from_firewall`] of the post-edit policy, and
+//! decide every probed packet as the first-match scan of that policy does
+//! — through the scalar matcher, the lane kernel, and a wire-format round
+//! trip of the served image. Probed on random policies
+//! with `fw_synth::evolve` edit batches of sizes {1, 4, 16}, on chains of
+//! batches through one matcher, on guaranteed no-op batches, exhaustively
+//! on every packet of a tiny 2-field schema, and on a long stream of
+//! insert/retire batches shaped like the serving benchmark's.
 
-use diverse_firewall::core::{ChangeImpact, Edit, Fdd};
-use diverse_firewall::exec::{CompiledFdd, PacketBatch, DEFAULT_LANE_WIDTH};
-use diverse_firewall::model::{Decision, FieldDef, Firewall, Packet, Schema};
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use diverse_firewall::core::{ChangeImpact, Edit};
+use diverse_firewall::exec::{CompiledFdd, LiveMatcher, PacketBatch};
+use diverse_firewall::model::{Decision, FieldDef, Firewall, Packet, Rule, Schema};
 use diverse_firewall::synth::{evolve, EvolutionProfile, PacketTrace, Synthesizer};
 use proptest::prelude::*;
 
 const BATCH_SIZES: [usize; 3] = [1, 4, 16];
 
-/// Lane widths that stress the spliced image's mirror: degenerate (1),
-/// misaligned (3), the tuned default, and one chunk per batch.
-fn lane_widths(batch_len: usize) -> [usize; 4] {
-    [1, 3, DEFAULT_LANE_WIDTH, batch_len.max(1)]
-}
-
-/// Applies `edits` to `fw` through the full incremental pipeline
-/// (impact → post-edit FDD → splice) and asserts the spliced image, a
-/// fresh compile, and a decode of the spliced wire image all agree with
-/// first-match semantics on every probe packet; returns the post-edit
-/// policy so callers can chain batches.
-fn assert_splice_agrees(fw: &Firewall, edits: &[Edit], packets: &[Packet], tag: &str) -> Firewall {
-    let base = CompiledFdd::from_firewall(fw).unwrap();
-    let (after, impact) = ChangeImpact::of_edits(fw, edits).unwrap();
-    let fdd = Fdd::from_firewall_fast(&after).unwrap().reduced();
-    let (spliced, stats) = base.recompile(&fdd, &impact).unwrap();
-    let fresh = CompiledFdd::from_firewall(&after).unwrap();
-    let reloaded = CompiledFdd::decode(fw.schema().clone(), spliced.encode()).unwrap();
-
+/// Asserts that `live` serves a fresh compile of both its published
+/// diagram and its policy, and that the served image, its decoded wire
+/// form and its lane kernel all agree with first-match semantics of that
+/// policy on every probe.
+fn assert_serves_fresh_compile(live: &LiveMatcher, packets: &[Packet], tag: &str) {
+    let policy = live.policy();
+    let (served, fdd) = live.load_pair();
     assert_eq!(
-        stats.nodes,
-        stats.nodes_shared + stats.nodes_fresh,
-        "{tag}: node accounting"
+        *served,
+        CompiledFdd::compile(&fdd).unwrap(),
+        "{tag}: served image is not a fresh compile of the post-edit diagram"
     );
-    if impact.is_noop() {
-        assert_eq!(stats.nodes_fresh, 0, "{tag}: no-op batch must share all");
-    }
-
+    assert_eq!(
+        *served,
+        CompiledFdd::from_firewall(&policy).unwrap(),
+        "{tag}: served image is not a fresh compile of the post-edit policy"
+    );
+    let reloaded = CompiledFdd::decode(policy.schema().clone(), served.encode()).unwrap();
     let mut expect = Vec::with_capacity(packets.len());
     for p in packets {
-        let linear = after.decision_for(p).expect("comprehensive policy");
-        assert_eq!(
-            linear,
-            spliced.classify(p),
-            "{tag}: spliced diverges at {p}"
-        );
-        assert_eq!(linear, fresh.classify(p), "{tag}: fresh diverges at {p}");
+        let linear = policy.decision_for(p).expect("comprehensive policy");
+        assert_eq!(linear, served.classify(p), "{tag}: served diverges at {p}");
         assert_eq!(
             linear,
             reloaded.classify(p),
-            "{tag}: decoded splice diverges at {p}"
+            "{tag}: decoded image diverges at {p}"
         );
         expect.push(linear);
     }
-    let batch = PacketBatch::from_trace(fw.schema().clone(), packets).unwrap();
-    for width in lane_widths(batch.len()) {
-        assert_eq!(
-            spliced.classify_lanes(&batch, width).unwrap(),
-            expect,
-            "{tag}: spliced lane kernel diverges at width {width}"
-        );
-    }
-    after
+    let batch = PacketBatch::from_trace(policy.schema().clone(), packets).unwrap();
+    assert_eq!(
+        served.classify_lanes(&batch).unwrap(),
+        expect,
+        "{tag}: served lane kernel diverges"
+    );
+}
+
+/// Applies `edits` to a fresh matcher serving `fw` and checks the result
+/// with [`assert_serves_fresh_compile`].
+fn assert_edit_path_agrees(fw: &Firewall, edits: &[Edit], packets: &[Packet], tag: &str) {
+    let live = LiveMatcher::new(fw.clone()).unwrap();
+    live.apply_edits(edits).unwrap();
+    assert_serves_fresh_compile(&live, packets, tag);
 }
 
 fn edits_for(fw: &Firewall, k: usize, seed: u64) -> Vec<Edit> {
@@ -82,8 +76,8 @@ fn edits_for(fw: &Firewall, k: usize, seed: u64) -> Vec<Edit> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Property: on random synthesized policies, the incremental image is
-    /// equivalent to a fresh compile for edit batches of every size in
+    /// Property: on random synthesized policies, the image the edit path
+    /// publishes is a fresh compile, for edit batches of every size in
     /// [`BATCH_SIZES`], probed on random and rule-region-biased traces.
     #[test]
     fn incremental_equals_fresh_on_random_policies(
@@ -102,14 +96,14 @@ proptest! {
             .collect();
         for k in BATCH_SIZES {
             let edits = edits_for(&fw, k, edit_seed + k as u64);
-            assert_splice_agrees(&fw, &edits, &packets, &format!("k={k}"));
+            assert_edit_path_agrees(&fw, &edits, &packets, &format!("k={k}"));
         }
     }
 }
 
 /// A batch that replaces every rule with itself is a semantic no-op: the
-/// impact is empty, the splice shares the entire image, and the result
-/// still serves the policy exactly.
+/// matcher publishes nothing, so the served image is shared whole with
+/// every earlier snapshot — and it still serves the policy exactly.
 #[test]
 fn noop_batches_share_the_whole_image() {
     for seed in [5u64, 17, 99] {
@@ -122,39 +116,33 @@ fn noop_batches_share_the_whole_image() {
             .collect();
         let (_, impact) = ChangeImpact::of_edits(&fw, &edits).unwrap();
         assert!(impact.is_noop(), "self-replacement must be a no-op");
+        let live = LiveMatcher::new(fw.clone()).unwrap();
+        let before = live.load();
+        let report = live.apply_edits(&edits).unwrap();
+        assert!(!report.swapped && report.recompile.is_none());
+        assert!(Arc::ptr_eq(&before, &live.load()), "no-op must not publish");
         let trace = PacketTrace::biased(&fw, 400, 0.3, seed);
-        assert_splice_agrees(&fw, &edits, trace.packets(), &format!("noop seed {seed}"));
+        assert_serves_fresh_compile(&live, trace.packets(), &format!("noop seed {seed}"));
     }
 }
 
-/// Splice-of-splice: images produced by `recompile` are themselves valid
-/// bases for further incremental batches — a serving loop never needs a
-/// full recompile to stay correct.
+/// Batches chained through one matcher: every published image is a fresh
+/// compile of the diagram the chain has reached — no edit ever needs a
+/// rebuild from the rule list to stay correct.
 #[test]
-fn chained_splices_stay_equivalent() {
+fn chained_edits_stay_equivalent() {
     let fw = Synthesizer::new(7).firewall(20);
-    let mut cur = fw.clone();
-    let mut img = CompiledFdd::from_firewall(&fw).unwrap();
+    let live = LiveMatcher::new(fw.clone()).unwrap();
     let trace = PacketTrace::random(fw.schema().clone(), 300, 3);
     for step in 0..6u64 {
-        let edits = edits_for(&cur, 2, 100 + step);
-        let (after, impact) = ChangeImpact::of_edits(&cur, &edits).unwrap();
-        let fdd = Fdd::from_firewall_fast(&after).unwrap().reduced();
-        let (next, _) = img.recompile(&fdd, &impact).unwrap();
-        for p in trace.packets() {
-            assert_eq!(
-                next.classify(p),
-                after.decision_for(p).unwrap(),
-                "step {step}: chained splice diverges at {p}"
-            );
-        }
-        cur = after;
-        img = next;
+        let edits = edits_for(&live.policy(), 2, 100 + step);
+        live.apply_edits(&edits).unwrap();
+        assert_serves_fresh_compile(&live, trace.packets(), &format!("step {step}"));
     }
 }
 
 /// Exhaustive oracle: on a tiny 2-field schema (3 bits each) all 64
-/// packets are enumerable, so the spliced image is checked cell-by-cell
+/// packets are enumerable, so the served image is checked cell-by-cell
 /// against first-match evaluation — for evolved batches of every size in
 /// [`BATCH_SIZES`] and for a hand-rolled batch exercising every `Edit`
 /// variant (including a no-op self-replacement) in one sequence.
@@ -182,7 +170,7 @@ fn incremental_matches_exhaustive_oracle_on_tiny_schema() {
 
         for batch in BATCH_SIZES {
             let edits = edits_for(&fw, batch, k * 31 + batch as u64);
-            assert_splice_agrees(&fw, &edits, &all, &format!("policy {k}, k={batch}"));
+            assert_edit_path_agrees(&fw, &edits, &all, &format!("policy {k}, k={batch}"));
         }
 
         let flipped = fw.rules()[0].with_decision(fw.rules()[0].decision().inverted());
@@ -206,6 +194,106 @@ fn incremental_matches_exhaustive_oracle_on_tiny_schema() {
             },
             Edit::Remove { index: 1 },
         ];
-        assert_splice_agrees(&fw, &mixed, &all, &format!("policy {k}, mixed batch"));
+        assert_edit_path_agrees(&fw, &mixed, &all, &format!("policy {k}, mixed batch"));
     }
+}
+
+/// The serving benchmark's edit stream: batches of `k` edits, first
+/// retiring the stream's own oldest inserts (up to half the batch, while
+/// more than [`InsertRetire::LIVE`] would stay live), then inserts drawn
+/// from `evolve` (threat blocks and opened services).
+struct InsertRetire {
+    current: Firewall,
+    inserted: VecDeque<Rule>,
+    seed: u64,
+}
+
+impl InsertRetire {
+    const LIVE: usize = 8;
+
+    fn next_batch(&mut self, k: usize) -> Vec<Edit> {
+        let mut edits = Vec::with_capacity(k);
+        while edits.len() < k / 2 && self.inserted.len() + k / 2 > Self::LIVE {
+            let rule = self.inserted.pop_front().expect("checked non-empty");
+            let last = self.current.len() - 1;
+            if let Some(index) = self.current.rules()[..last].iter().position(|r| *r == rule) {
+                let edit = Edit::Remove { index };
+                self.current = edit.apply(&self.current).unwrap();
+                edits.push(edit);
+            }
+        }
+        let profile = EvolutionProfile {
+            w_block_threat: 1,
+            w_open_service: 1,
+            w_delete: 0,
+            w_swap: 0,
+            w_flip_decision: 0,
+        };
+        self.seed += 1;
+        for step in evolve(&self.current, k - edits.len(), &profile, self.seed) {
+            if let Edit::Insert { rule, .. } = &step.edit {
+                self.inserted.push_back(rule.clone());
+            }
+            edits.push(step.edit);
+            self.current = step.after;
+        }
+        edits
+    }
+}
+
+/// The batch that undoes `batch` on `before` (inserts and removes only).
+fn inverse(before: &Firewall, batch: &[Edit]) -> Vec<Edit> {
+    let mut fw = before.clone();
+    let mut undo = Vec::with_capacity(batch.len());
+    for edit in batch {
+        undo.push(match edit {
+            Edit::Insert { index, .. } => Edit::Remove { index: *index },
+            Edit::Remove { index } => Edit::Insert {
+                index: *index,
+                rule: fw.rules()[*index].clone(),
+            },
+            other => panic!("the stream only inserts and removes, got {other:?}"),
+        });
+        fw = edit.apply(&fw).unwrap();
+    }
+    undo.reverse();
+    undo
+}
+
+/// Fifty insert/retire batches through one matcher: after every batch the
+/// served image equals a fresh compile of the maintained diagram, so it
+/// never grows past what a full compile would build. Every tenth batch is
+/// also undone by its inverse, which must give back exactly the image
+/// served before the batch — the first time, the starting compile.
+#[test]
+fn insert_retire_stream_serves_the_fresh_compile() {
+    let fw = fw_synth::university_average();
+    let live = LiveMatcher::new(fw.clone()).unwrap();
+    let start = live.load();
+    assert_eq!(*start, CompiledFdd::from_firewall(&fw).unwrap());
+    let mut stream = InsertRetire {
+        current: fw.clone(),
+        inserted: VecDeque::new(),
+        seed: 3,
+    };
+    let trace = PacketTrace::random(fw.schema().clone(), 200, 5);
+    for i in 0..50 {
+        let before_policy = live.policy();
+        let before = live.load();
+        let batch = stream.next_batch(4);
+        live.apply_edits(&batch).unwrap();
+        assert_eq!(live.policy(), stream.current, "batch {i}: policy drifted");
+        assert_serves_fresh_compile(&live, trace.packets(), &format!("batch {i}"));
+        if i % 10 == 0 {
+            live.apply_edits(&inverse(&before_policy, &batch)).unwrap();
+            assert_eq!(live.policy(), before_policy, "batch {i}: inverse policy");
+            assert_eq!(
+                *live.load(),
+                *before,
+                "batch {i}: batch + inverse must restore the image"
+            );
+            live.apply_edits(&batch).unwrap();
+        }
+    }
+    assert_ne!(live.policy(), fw, "the stream changed the policy");
 }

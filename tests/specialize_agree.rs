@@ -3,7 +3,8 @@
 //! fresh FDD walk of the authoritative policy — on the trace that fed the
 //! profile, on traffic with a completely different shape (an adversarial
 //! profile can misplace heat, never decisions), through every engine kind
-//! and lane width the calibrator can install while the twin is mounted,
+//! and thread count the calibrator can install while the twin is mounted
+//! (on ragged batch lengths),
 //! across live edit rounds with re-specialization between batches, after
 //! a wire roundtrip (which must shed the twin — FWEX stays unspecialized),
 //! and exhaustively on all 64 packets of a tiny 2-field schema.
@@ -51,25 +52,19 @@ fn assert_specialized_agrees(compiled: &CompiledFdd, fw: &Firewall, probes: &[Pa
         );
     }
 
-    // Every engine kind × lane width × thread count serves identically
-    // with the twin mounted — including the spec arm itself, serial and
-    // sharded.
-    let batch = PacketBatch::from_trace(fw.schema().clone(), probes).unwrap();
-    let expect = compiled.classify_columns(&batch).unwrap();
+    // Every engine kind × thread count serves identically with the twin
+    // mounted — including the spec arm itself, serial and sharded — on the
+    // whole probe set and on ragged prefixes of it (partial lane chunks).
     let mut scratch = EngineScratch::default();
     let mut got = Vec::new();
-    for kind in [
-        EngineKind::Walk,
-        EngineKind::Scalar,
-        EngineKind::Columns,
-        EngineKind::Lanes,
-        EngineKind::Spec,
-    ] {
-        for lane_width in [8usize, 32] {
+    let lengths = [1usize, 3, 31, 33, 401, probes.len()];
+    for n in lengths.into_iter().filter(|&n| n <= probes.len()) {
+        let batch = PacketBatch::from_trace(fw.schema().clone(), &probes[..n]).unwrap();
+        let expect = compiled.classify_columns(&batch).unwrap();
+        for kind in [EngineKind::Walk, EngineKind::Lanes, EngineKind::Spec] {
             for threads in [1usize, 3] {
                 let choice = EngineChoice {
                     kind,
-                    lane_width,
                     threads,
                     ..EngineChoice::default()
                 };
@@ -77,7 +72,7 @@ fn assert_specialized_agrees(compiled: &CompiledFdd, fw: &Firewall, probes: &[Pa
                     .classify_into(
                         compiled,
                         Some(&fdd),
-                        Some(probes),
+                        Some(&probes[..n]),
                         &batch,
                         &mut scratch,
                         &mut got,
@@ -85,7 +80,7 @@ fn assert_specialized_agrees(compiled: &CompiledFdd, fw: &Firewall, probes: &[Pa
                     .unwrap();
                 assert_eq!(
                     got, expect,
-                    "{tag}: {kind:?}/w{lane_width}/t{threads} diverged with the twin mounted"
+                    "{tag}: {choice} diverged on {n} packets with the twin mounted"
                 );
             }
         }
