@@ -1,23 +1,33 @@
-//! A fast FDD constructor: recursive domain partitioning with memoisation.
+//! A fast FDD constructor: recursive domain partitioning over bit tables.
 //!
 //! [`Fdd::from_firewall`] implements the paper's Fig. 7 verbatim — appending
 //! rules one at a time with edge splitting and subgraph replication — which
 //! builds an explicit tree and can replicate large subgraphs many times.
 //! [`Fdd::from_firewall_fast`] produces an *equivalent, already reduced*
-//! diagram directly: at each field it cuts the domain into the atomic
-//! segments induced by the live rules' intervals, recurses per segment on
-//! the surviving rule set, and memoises on `(field, survivor set)` — the
-//! survivor set represented as a bitset so memo hashing stays cheap even
-//! for 3,000-rule policies — sharing one subdiagram across identical
-//! subproblems. The output is a canonical DAG: what
-//! `Fdd::from_firewall(fw)?.reduced()` would return, at a small fraction of
-//! the cost. This is what makes the paper's 3,000-rule comparisons
-//! (§8.2.2) tractable.
+//! diagram directly: at each field it cuts the cell's domain into the
+//! segments induced by the surviving rules' intervals, recurses per segment
+//! on the rules that still match, and memoises on `(field, survivor set)`,
+//! sharing one subdiagram across identical subproblems. Two bit tables,
+//! built once per call and indexed by field, reduce each step to word-wise
+//! ANDs over rule bitsets:
+//!
+//! - **Segment columns.** The field's domain cut at every rule's interval
+//!   bounds and, per segment, the rules whose set contains it. A segment's
+//!   survivors are `live & column`.
+//! - **Shadow rows.** Per rule r, the earlier rules whose sets on this field
+//!   and every later one contain r's. A survivor with an earlier survivor in
+//!   its row can never be the first match in the cell, so it is dropped
+//!   before the memo lookup. This is the shadowing relation applied per
+//!   cell: it canonicalises survivor sets, which is what keeps the memo
+//!   small.
+//!
+//! The output is a canonical DAG: what `Fdd::from_firewall(fw)?.reduced()`
+//! would return, at a small fraction of the cost. This is what makes the
+//! paper's 3,000-rule comparisons (§8.2.2) tractable.
 
-use std::collections::HashMap;
+use fw_model::{FieldId, Firewall, Interval, IntervalSet};
 
-use fw_model::{Decision, FieldId, Firewall, Interval, IntervalSet};
-
+use crate::cons::FxMap;
 use crate::fdd::{Edge, Fdd, Node, NodeId};
 use crate::CoreError;
 
@@ -29,7 +39,8 @@ impl Fdd {
     /// # Errors
     ///
     /// Returns [`CoreError::NotComprehensive`] if some packet matches no
-    /// rule.
+    /// rule. The witness names one value per field down to the uncovered
+    /// cell; no rule matches it whatever the remaining fields hold.
     ///
     /// # Example
     ///
@@ -45,38 +56,31 @@ impl Fdd {
     /// # }
     /// ```
     pub fn from_firewall_fast(firewall: &Firewall) -> Result<Fdd, CoreError> {
-        let schema = firewall.schema().clone();
         let n = firewall.len();
         let words = n.div_ceil(64);
-        let mut live = vec![0u64; words].into_boxed_slice();
-        for i in 0..n {
-            live[i / 64] |= 1u64 << (i % 64);
-        }
-        // wild_from[r][i]: rule r's fields i.. are all unconstrained, so it
-        // matches everything once evaluation reaches field i — and every
-        // rule after it in a live set is dead (first-match).
         let d = firewall.schema().len();
-        let wild_from: Vec<Vec<bool>> = firewall
-            .rules()
-            .iter()
-            .map(|r| {
-                let mut v = vec![true; d + 1];
-                for i in (0..d).rev() {
-                    let fid = FieldId(i);
-                    let dom = firewall.schema().field(fid).domain();
-                    v[i] = v[i + 1] && r.predicate().set(fid).covers(dom);
-                }
-                v
-            })
-            .collect();
+        // Last field first: a field's shadow rows start from the next one's.
+        let mut tables: Vec<FieldTable> = Vec::with_capacity(d);
+        for f in (0..d).rev() {
+            let table = FieldTable::new(firewall, FieldId(f), words, tables.last());
+            tables.push(table);
+        }
+        tables.reverse();
+
+        let mut live = vec![0u64; words];
+        for r in 0..n {
+            live[r / 64] |= 1u64 << (r % 64);
+        }
+        tables[0].prune(&mut live);
         let mut builder = FastBuilder {
-            fdd: Fdd::empty(schema),
+            fdd: Fdd::empty(firewall.schema().clone()),
             firewall,
-            wild_from,
-            memo: HashMap::<(usize, Bits), NodeId>::new(),
-            cons: HashMap::new(),
+            tables: &tables,
+            memo: vec![FxMap::default(); d],
+            cons: vec![FxMap::default(); d],
+            terminals: [None; 4],
+            path: Vec::with_capacity(d),
         };
-        builder.truncate(0, &mut live);
         let root = builder.build(0, &live)?;
         builder.fdd.set_root(root);
         debug_assert!(builder.fdd.validate().is_ok());
@@ -84,217 +88,328 @@ impl Fdd {
     }
 }
 
-/// A set of surviving rule indices, packed for cheap hashing and cloning.
-pub(crate) type Bits = Box<[u64]>;
-
-/// Pluggable memo backend for the fast constructor: `(field, survivor
-/// set)` → subdiagram. The default is a process-local [`HashMap`]; the
-/// abstraction mirrors [`crate::product::ProductSink`] so a shared
-/// (striped) table can be swapped in without touching the partitioning
-/// recursion.
-pub(crate) trait ConstructionMemo {
-    /// Looks up a completed subdiagram for this subproblem.
-    fn get(&self, field: usize, live: &Bits) -> Option<NodeId>;
-    /// Records a completed subdiagram for this subproblem.
-    fn put(&mut self, field: usize, live: &Bits, n: NodeId);
+fn first_bit(bits: &[u64]) -> Option<usize> {
+    let w = bits.iter().position(|&word| word != 0)?;
+    Some(w * 64 + bits[w].trailing_zeros() as usize)
 }
 
-impl ConstructionMemo for HashMap<(usize, Bits), NodeId> {
-    fn get(&self, field: usize, live: &Bits) -> Option<NodeId> {
-        HashMap::get(self, &(field, live.clone())).copied()
-    }
-
-    fn put(&mut self, field: usize, live: &Bits, n: NodeId) {
-        self.insert((field, live.clone()), n);
-    }
-}
-
-fn first_bit(bits: &Bits) -> Option<usize> {
-    for (w, &word) in bits.iter().enumerate() {
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-    }
-    None
-}
-
-fn for_each_bit(bits: &Bits, mut f: impl FnMut(usize)) {
+fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
     for (w, &word) in bits.iter().enumerate() {
         let mut rest = word;
         while rest != 0 {
-            let b = rest.trailing_zeros() as usize;
-            f(w * 64 + b);
+            f(w * 64 + rest.trailing_zeros() as usize);
             rest &= rest - 1;
         }
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Sig {
-    Terminal(Decision),
-    Internal(FieldId, Vec<((u64, u64), NodeId)>),
+/// One field's segment columns and shadow rows. With `s` segments, `n`
+/// rules and `w = ⌈n/64⌉`, the columns take `s·w` words and the rows about
+/// `n·w/2`: a row holds only the words of the rules before it.
+struct FieldTable {
+    /// First value of each segment, ascending. A segment ends where the
+    /// next begins; the last ends at the domain's top.
+    starts: Vec<u64>,
+    /// Each rule's set as half-open runs of segment indices: rule r's are
+    /// `runs[run_at[r]..run_at[r + 1]]`.
+    runs: Vec<(usize, usize)>,
+    run_at: Vec<usize>,
+    /// Per segment, the rules whose set contains it; `words` words each.
+    columns: Vec<u64>,
+    /// Per rule r, the rules before r whose sets on this field and every
+    /// later one contain r's: `r/64 + 1` words from [`row_at`]`(r)`.
+    shadow: Vec<u64>,
+    words: usize,
 }
 
-struct FastBuilder<'a, M: ConstructionMemo> {
-    fdd: Fdd,
-    firewall: &'a Firewall,
-    /// `wild_from[r][i]`: rule r matches everything from field i on.
-    wild_from: Vec<Vec<bool>>,
-    /// `(field, surviving rule bitset)` → subdiagram.
-    memo: M,
-    /// Structural hash-consing, as in reduction.
-    cons: HashMap<Sig, NodeId>,
+/// Where rule r's shadow row starts: row q takes `q/64 + 1` words.
+fn row_at(r: usize) -> usize {
+    let (w, b) = (r / 64, r % 64);
+    32 * w * (w + 1) + (w + 1) * b
 }
 
-impl<M: ConstructionMemo> FastBuilder<'_, M> {
-    /// Clears every bit after the first rule that matches everything from
-    /// `field` on: those rules can never be the first match in this cell.
-    /// Canonicalising live sets this way multiplies memo hits.
-    fn truncate(&self, field: usize, live: &mut Bits) {
-        let mut cutoff: Option<usize> = None;
-        for (w, &word) in live.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                let r = w * 64 + rest.trailing_zeros() as usize;
-                if self.wild_from[r][field] {
-                    cutoff = Some(r);
-                    break;
-                }
-                rest &= rest - 1;
-            }
-            if cutoff.is_some() {
-                break;
+impl FieldTable {
+    fn new(
+        firewall: &Firewall,
+        field: FieldId,
+        words: usize,
+        next: Option<&FieldTable>,
+    ) -> FieldTable {
+        let domain = firewall.schema().field(field).domain();
+        let n = firewall.len();
+        let mut bounds: Vec<(u64, u64)> = Vec::with_capacity(n);
+        let mut run_at = Vec::with_capacity(n + 1);
+        run_at.push(0);
+        for rule in firewall.rules() {
+            let set = rule.predicate().set(field);
+            bounds.extend(set.iter().map(|iv| (iv.lo(), iv.hi())));
+            run_at.push(bounds.len());
+        }
+        let mut starts = vec![domain.lo()];
+        for &(lo, hi) in &bounds {
+            starts.push(lo);
+            if hi < domain.hi() {
+                starts.push(hi + 1);
             }
         }
-        if let Some(r) = cutoff {
-            // Keep bits 0..=r, clear the rest.
-            let (w, b) = (r / 64, r % 64);
-            if b < 63 {
-                live[w] &= (1u64 << (b + 1)) - 1;
+        starts.sort_unstable();
+        starts.dedup();
+        let segments = starts.len();
+        let index = |v: u64| starts.binary_search(&v).expect("every bound is a cut");
+        let runs: Vec<(usize, usize)> = bounds
+            .iter()
+            .map(|&(lo, hi)| {
+                let end = if hi < domain.hi() {
+                    index(hi + 1)
+                } else {
+                    segments
+                };
+                (index(lo), end)
+            })
+            .collect();
+
+        // Flip each rule's bit where one of its runs starts or ends; the
+        // running XOR over the segments is then the columns.
+        let mut columns = vec![0u64; segments * words];
+        let mut wild = vec![0u64; words];
+        for r in 0..n {
+            let bit = 1u64 << (r % 64);
+            let own = &runs[run_at[r]..run_at[r + 1]];
+            for &(a, b) in own {
+                columns[a * words + r / 64] ^= bit;
+                if b < segments {
+                    columns[b * words + r / 64] ^= bit;
+                }
             }
-            for word in live.iter_mut().skip(w + 1) {
-                *word = 0;
+            if own == [(0, segments)] {
+                wild[r / 64] |= bit;
+            }
+        }
+        for k in 1..segments {
+            let (done, rest) = columns.split_at_mut(k * words);
+            for (c, p) in rest[..words].iter_mut().zip(&done[(k - 1) * words..]) {
+                *c ^= p;
+            }
+        }
+
+        let mut shadow = Vec::with_capacity(row_at(n));
+        for r in 0..n {
+            match next {
+                Some(next) => shadow.extend_from_slice(next.row(r)),
+                None => {
+                    shadow.resize(shadow.len() + r / 64, u64::MAX);
+                    shadow.push((1u64 << (r % 64)) - 1);
+                }
+            }
+            let row = &mut shadow[row_at(r)..];
+            // Keep the rules whose set here contains r's: those that
+            // contain every segment r covers. The unconstrained rules are in
+            // every column, so the AND stops once no other rule is left.
+            if wild[r / 64] & (1u64 << (r % 64)) != 0 {
+                row.iter_mut().zip(&wild).for_each(|(x, w)| *x &= w);
+                continue;
+            }
+            'runs: for &(a, b) in &runs[run_at[r]..run_at[r + 1]] {
+                for k in a..b {
+                    let mut any = 0;
+                    for ((x, c), w) in row.iter_mut().zip(&columns[k * words..]).zip(&wild) {
+                        *x &= c;
+                        any |= *x & !w;
+                    }
+                    if any == 0 {
+                        break 'runs;
+                    }
+                }
+            }
+        }
+        FieldTable {
+            starts,
+            runs,
+            run_at,
+            columns,
+            shadow,
+            words,
+        }
+    }
+
+    /// Rule r's shadow row.
+    fn row(&self, r: usize) -> &[u64] {
+        &self.shadow[row_at(r)..][..=r / 64]
+    }
+
+    fn column(&self, segment: usize) -> &[u64] {
+        &self.columns[segment * self.words..][..self.words]
+    }
+
+    fn runs_of(&self, rule: usize) -> &[(usize, usize)] {
+        &self.runs[self.run_at[rule]..self.run_at[rule + 1]]
+    }
+
+    /// The segments at which some live rule's membership changes,
+    /// ascending from 0: the cell's segments begin there.
+    fn cuts(&self, live: &[u64]) -> Vec<usize> {
+        let mut cuts = vec![0];
+        for_each_bit(live, |r| {
+            for &(a, b) in self.runs_of(r) {
+                cuts.extend([a, b]);
+            }
+        });
+        cuts.sort_unstable();
+        cuts.dedup();
+        if cuts.last() == Some(&self.starts.len()) {
+            cuts.pop();
+        }
+        cuts
+    }
+
+    /// Drops every survivor that has an earlier survivor in its shadow
+    /// row: in this cell it can never be the first match. Containment is
+    /// transitive, so clearing in place drops the same rules as checking
+    /// against the original set, and the first survivor always stays.
+    fn prune(&self, survivors: &mut [u64]) {
+        for w in 0..survivors.len() {
+            let mut rest = survivors[w];
+            while rest != 0 {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let row = self.row(w * 64 + b);
+                if row.iter().zip(&survivors[..=w]).any(|(x, s)| x & s != 0) {
+                    survivors[w] &= !(1u64 << b);
+                }
             }
         }
     }
-    fn build(&mut self, field: usize, live: &Bits) -> Result<NodeId, CoreError> {
-        let first = match first_bit(live) {
-            Some(i) => i,
-            // No rule matches anything in this cell.
-            None => {
-                return Err(CoreError::NotComprehensive {
-                    witness: format!("a region at field index {field} is matched by no rule"),
-                })
-            }
-        };
-        let d = self.fdd.schema().len();
-        if field == d {
-            // All fields constrained: first survivor is the first match.
-            let decision = self.firewall.rules()[first].decision();
-            return Ok(self.intern(Sig::Terminal(decision)));
+}
+
+/// A node's maximal `(lo, hi, child)` spans of segments sharing a child,
+/// ascending: its edges in canonical form.
+type Spans = Vec<(u64, u64, NodeId)>;
+
+struct FastBuilder<'a> {
+    fdd: Fdd,
+    firewall: &'a Firewall,
+    tables: &'a [FieldTable],
+    /// Per field, survivor set → subdiagram. Fx-hashed although the keys
+    /// come from the input policy: a crafted policy can already force
+    /// exponentially many cells (Theorem 1), so collision resistance would
+    /// buy nothing.
+    memo: Vec<FxMap<Box<[u64]>, NodeId>>,
+    /// Per field, structural hash-consing of internal nodes.
+    cons: Vec<FxMap<Spans, NodeId>>,
+    /// The terminal of each decision, by wire code.
+    terminals: [Option<NodeId>; 4],
+    /// One value per field above the cell being built, for witnesses.
+    path: Vec<u64>,
+}
+
+impl FastBuilder<'_> {
+    fn build(&mut self, field: usize, live: &[u64]) -> Result<NodeId, CoreError> {
+        if let Some(&node) = self.memo[field].get(live) {
+            return Ok(node);
         }
-        if let Some(n) = self.memo.get(field, live) {
-            return Ok(n);
-        }
+        let tables = self.tables;
+        let table = &tables[field];
+        let next = tables.get(field + 1);
         let fid = FieldId(field);
-        let domain = self.fdd.schema().field(fid).domain();
+        let top = self.fdd.schema().field(fid).domain().hi();
+        let cuts = table.cuts(live);
 
-        // Atomic segment starts: domain.lo plus every run boundary of every
-        // live rule's set for this field.
-        let mut starts: Vec<u64> = vec![domain.lo()];
-        for_each_bit(live, |r| {
-            for iv in self.firewall.rules()[r].predicate().set(fid).iter() {
-                if iv.lo() > domain.lo() {
-                    starts.push(iv.lo());
-                }
-                if iv.hi() < domain.hi() {
-                    starts.push(iv.hi() + 1);
-                }
+        let mut spans: Spans = Vec::new();
+        let mut survivors = vec![0u64; live.len()];
+        let mut prev = vec![0u64; live.len()];
+        for (i, &k) in cuts.iter().enumerate() {
+            let lo = table.starts[k];
+            let hi = cuts.get(i + 1).map_or(top, |&c| table.starts[c] - 1);
+            for ((s, l), c) in survivors.iter_mut().zip(live).zip(table.column(k)) {
+                *s = l & c;
             }
-        });
-        starts.sort_unstable();
-        starts.dedup();
-
-        // One child per segment; segments are atomic, so membership of a
-        // rule's set is decided by the segment's first value.
-        let mut seg_children: Vec<(Interval, NodeId)> = Vec::with_capacity(starts.len());
-        for (k, &lo) in starts.iter().enumerate() {
-            let hi = if k + 1 < starts.len() {
-                starts[k + 1] - 1
-            } else {
-                domain.hi()
+            let child = match next {
+                // The last field: the first survivor is the first match.
+                None => match first_bit(&survivors) {
+                    Some(r) => self.terminal(r),
+                    None => return Err(self.uncovered(lo)),
+                },
+                Some(next) => {
+                    next.prune(&mut survivors);
+                    if first_bit(&survivors).is_none() {
+                        return Err(self.uncovered(lo));
+                    }
+                    if survivors == prev {
+                        spans.last_mut().expect("prev is a built segment").1 = hi;
+                        continue;
+                    }
+                    self.path.push(lo);
+                    let child = self.build(field + 1, &survivors)?;
+                    self.path.pop();
+                    std::mem::swap(&mut prev, &mut survivors);
+                    child
+                }
             };
-            let mut survivors = vec![0u64; live.len()].into_boxed_slice();
-            for_each_bit(live, |r| {
-                if self.firewall.rules()[r].predicate().set(fid).contains(lo) {
-                    survivors[r / 64] |= 1u64 << (r % 64);
-                }
-            });
-            self.truncate(field + 1, &mut survivors);
-            if first_bit(&survivors).is_none() {
-                let name = self.fdd.schema().field(fid).name().to_owned();
-                return Err(CoreError::NotComprehensive {
-                    witness: format!("{name}={}", Interval::new(lo, hi).expect("lo <= hi")),
-                });
+            match spans.last_mut() {
+                Some((_, h, c)) if *c == child => *h = hi,
+                _ => spans.push((lo, hi, child)),
             }
-            let child = self.build(field + 1, &survivors)?;
-            seg_children.push((Interval::new(lo, hi).expect("lo <= hi"), child));
         }
 
-        // Merge segments per child, elide trivial nodes, hash-cons.
-        let mut per_child: Vec<(NodeId, IntervalSet)> = Vec::new();
-        for (iv, child) in seg_children {
-            match per_child.iter_mut().find(|(c, _)| *c == child) {
-                Some((_, set)) => set.extend([iv]),
-                None => per_child.push((child, IntervalSet::from_interval(iv))),
-            }
-        }
-        let node = if per_child.len() == 1 {
-            per_child.pop().expect("len checked").0
+        let node = if spans.len() == 1 {
+            spans[0].2
         } else {
-            per_child.sort_by_key(|(_, set)| set.min_value());
-            let mut sig_edges: Vec<((u64, u64), NodeId)> = Vec::new();
-            for (child, set) in &per_child {
-                for iv in set.iter() {
-                    sig_edges.push(((iv.lo(), iv.hi()), *child));
-                }
-            }
-            sig_edges.sort_unstable();
-            self.intern_internal(Sig::Internal(fid, sig_edges), fid, per_child)
+            self.internal(fid, spans)
         };
-        self.memo.put(field, live, node);
+        self.memo[field].insert(live.into(), node);
         Ok(node)
     }
 
-    fn intern(&mut self, sig: Sig) -> NodeId {
-        if let Some(&n) = self.cons.get(&sig) {
+    fn terminal(&mut self, rule: usize) -> NodeId {
+        let decision = self.firewall.rules()[rule].decision();
+        let slot = usize::from(decision.code());
+        if let Some(n) = self.terminals[slot] {
             return n;
         }
-        let node = match &sig {
-            Sig::Terminal(d) => Node::Terminal(*d),
-            Sig::Internal(..) => unreachable!("terminal interning only"),
-        };
-        let n = self.fdd.push(node);
-        self.cons.insert(sig, n);
+        let n = self.fdd.push(Node::Terminal(decision));
+        self.terminals[slot] = Some(n);
         n
     }
 
-    fn intern_internal(
-        &mut self,
-        sig: Sig,
-        field: FieldId,
-        per_child: Vec<(NodeId, IntervalSet)>,
-    ) -> NodeId {
-        if let Some(&n) = self.cons.get(&sig) {
+    fn internal(&mut self, field: FieldId, spans: Spans) -> NodeId {
+        if let Some(&n) = self.cons[field.0].get(spans.as_slice()) {
             return n;
+        }
+        // One edge per child, in order of its lowest value.
+        let mut per_child: Vec<(NodeId, Vec<Interval>)> = Vec::new();
+        for &(lo, hi, child) in &spans {
+            let iv = Interval::new(lo, hi).expect("lo <= hi");
+            match per_child.iter_mut().find(|(c, _)| *c == child) {
+                Some((_, ivs)) => ivs.push(iv),
+                None => per_child.push((child, vec![iv])),
+            }
         }
         let edges = per_child
             .into_iter()
-            .map(|(target, label)| Edge { label, target })
+            .map(|(target, ivs)| Edge {
+                label: IntervalSet::from_intervals(ivs),
+                target,
+            })
             .collect();
         let n = self.fdd.push(Node::Internal { field, edges });
-        self.cons.insert(sig, n);
+        self.cons[field.0].insert(spans, n);
         n
+    }
+
+    /// The error for a segment no rule matches, at the field below
+    /// `path`: the whole path down to it, in the `field=value, …` form of
+    /// [`crate::ConsArena::unmatched_witness`].
+    fn uncovered(&self, value: u64) -> CoreError {
+        let schema = self.fdd.schema();
+        let witness = self
+            .path
+            .iter()
+            .chain([&value])
+            .enumerate()
+            .map(|(f, v)| format!("{}={v}", schema.field(FieldId(f)).name()))
+            .collect::<Vec<_>>()
+            .join(", ");
+        CoreError::NotComprehensive { witness }
     }
 }
 
@@ -348,20 +463,44 @@ mod tests {
         }
     }
 
+    /// The packet a witness spells: its named values, every other field at
+    /// its domain minimum.
+    fn witness_packet(schema: &Schema, witness: &str) -> Packet {
+        let mut values: Vec<u64> = schema.iter().map(|(_, f)| f.domain().lo()).collect();
+        for pair in witness.split(", ") {
+            let (name, value) = pair.split_once('=').expect("field=value");
+            let (id, _) = schema
+                .iter()
+                .find(|(_, f)| f.name() == name)
+                .expect("a schema field");
+            values[id.0] = value.parse().expect("a decimal value");
+        }
+        Packet::new(values)
+    }
+
     #[test]
     fn fast_detects_non_comprehensive() {
-        let fw = fw_model::Firewall::parse(tiny_schema(), "a=0-3 -> accept").unwrap();
-        assert!(matches!(
-            Fdd::from_firewall_fast(&fw),
-            Err(CoreError::NotComprehensive { .. })
-        ));
-        let fw2 =
-            fw_model::Firewall::parse(tiny_schema(), "a=0-3, b=0-3 -> accept\na=4-7 -> discard\n")
-                .unwrap();
-        assert!(matches!(
-            Fdd::from_firewall_fast(&fw2),
-            Err(CoreError::NotComprehensive { .. })
-        ));
+        let policies = [
+            (tiny_schema(), "a=0-3 -> accept"),
+            (tiny_schema(), "a=0-3, b=0-3 -> accept\na=4-7 -> discard\n"),
+            // The gap is src in 10.0.0.0/8 with dport above 21: dport alone
+            // does not name it, since src=11.0.0.1 matches rule 3.
+            (
+                Schema::tcp_ip(),
+                "src=10.0.0.0/8, dport=0-21 -> accept\n\
+                 src=0.0.0.0/5 -> discard\n\
+                 src=11.0.0.0-255.255.255.255 -> accept\n\
+                 src=8.0.0.0-9.255.255.255 -> accept\n",
+            ),
+        ];
+        for (schema, text) in policies {
+            let fw = fw_model::Firewall::parse(schema, text).unwrap();
+            let Err(CoreError::NotComprehensive { witness }) = Fdd::from_firewall_fast(&fw) else {
+                panic!("{text} leaves packets unmatched");
+            };
+            let p = witness_packet(fw.schema(), &witness);
+            assert_eq!(fw.decision_for(&p), None, "{witness} is matched");
+        }
     }
 
     #[test]

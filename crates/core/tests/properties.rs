@@ -311,3 +311,80 @@ proptest! {
         );
     }
 }
+
+/// A rule whose fields are each unconstrained half the time, so that rules
+/// often contain later ones: the case the fast constructor's shadow rows
+/// prune.
+fn arb_shadowing_rule() -> impl Strategy<Value = Rule> {
+    (arb_rule(), 0..8u32).prop_map(|(rule, wild)| {
+        let schema = tiny_schema();
+        let sets = schema
+            .iter()
+            .map(|(id, f)| {
+                if wild & (1 << id.0) != 0 {
+                    IntervalSet::from_interval(f.domain())
+                } else {
+                    rule.predicate().set(id).clone()
+                }
+            })
+            .collect();
+        Rule::new(Predicate::new(&schema, sets).unwrap(), rule.decision())
+    })
+}
+
+prop_compose! {
+    /// A policy of 1–11 rules, or of 60–150 (several bitset words) one time
+    /// in four, with a catch-all appended three times in four: the rest
+    /// are often not comprehensive.
+    fn arb_construction_case()(
+        large in 0..4u32,
+        small in prop::collection::vec(arb_shadowing_rule(), 1..12),
+        big in prop::collection::vec(arb_shadowing_rule(), 60..=150),
+        catch_all in 0..4u32,
+        last in 0..4usize,
+    ) -> Firewall {
+        let schema = tiny_schema();
+        let mut rules = if large == 0 { big } else { small };
+        if catch_all != 0 {
+            rules.push(Rule::catch_all(&schema, Decision::ALL[last]));
+        }
+        Firewall::new(schema, rules).unwrap()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fast constructor against the literal Fig. 7 one: the same
+    /// canonical diagram, first-match on every packet, and failure exactly
+    /// when the literal constructor fails, with a witness no rule matches.
+    #[test]
+    fn fast_construction_equals_reduced_literal(fw in arb_construction_case()) {
+        match (Fdd::from_firewall(&fw), Fdd::from_firewall_fast(&fw)) {
+            (Ok(literal), Ok(fast)) => {
+                let reduced = literal.reduced();
+                prop_assert!(fast.isomorphic(&reduced));
+                prop_assert_eq!(fast.node_count(), reduced.node_count());
+                for p in all_packets(fw.schema()) {
+                    prop_assert_eq!(fast.decision_for(&p), fw.decision_for(&p), "at {}", p);
+                }
+            }
+            (Err(_), Err(fw_core::CoreError::NotComprehensive { witness })) => {
+                let mut values: Vec<u64> =
+                    fw.schema().iter().map(|(_, f)| f.domain().lo()).collect();
+                for pair in witness.split(", ") {
+                    let (name, v) = pair.split_once('=').unwrap();
+                    let (id, _) = fw.schema().iter().find(|(_, f)| f.name() == name).unwrap();
+                    values[id.0] = v.parse().unwrap();
+                }
+                prop_assert_eq!(fw.decision_for(&Packet::new(values)), None, "{}", witness);
+            }
+            (literal, fast) => prop_assert!(
+                false,
+                "literal ok {}, fast {:?}",
+                literal.is_ok(),
+                fast.map(|f| f.node_count())
+            ),
+        }
+    }
+}

@@ -124,3 +124,32 @@ fn iptables_format_diff() {
         "mail narrowing missing: {stdout}"
     );
 }
+
+#[test]
+fn non_comprehensive_policy_names_an_unmatched_packet() {
+    // The gap is src in 10.0.0.0/8 with dport above 21; dport=22-65535
+    // alone would be a false witness, since src=11.0.0.1 matches rule 3.
+    let dir = std::env::temp_dir().join("fwdiff-cli-witness");
+    std::fs::create_dir_all(&dir).unwrap();
+    let a = dir.join("gap.fw");
+    let b = dir.join("all.fw");
+    std::fs::write(
+        &a,
+        "src=10.0.0.0/8, dport=0-21 -> accept\n\
+         src=0.0.0.0/5 -> discard\n\
+         src=11.0.0.0-255.255.255.255 -> accept\n\
+         src=8.0.0.0-9.255.255.255 -> accept\n",
+    )
+    .unwrap();
+    std::fs::write(&b, "* -> accept\n").unwrap();
+    let out = fwdiff()
+        .args([a.display().to_string(), b.display().to_string()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("no rule matches src=167772160, dst=0, sport=0, dport=22"),
+        "got: {stderr}"
+    );
+}
