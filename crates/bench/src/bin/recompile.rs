@@ -4,36 +4,35 @@
 //! then times the whole edit-to-image pipeline both ways and writes
 //! `BENCH_recompile.json`:
 //!
-//! * the **maintained** path — patch a `MaintainedFdd` suffix chain
-//!   (`maintain_us`), short-circuit diff for the impact
-//!   (`impact_local_us`), export the patched diagram (`export_fdd_us`),
-//!   compile it (`compile_us`) — what `LiveMatcher::apply_edits` runs;
-//! * the **full** path — whole-policy comparison for the impact
+//! * the **edit** path — `LiveMatcher::apply_edits` end to end (`edit_us`):
+//!   stage the batch on the rule list, rebuild the diagram by fast
+//!   construction, diff it against the published diagram for the impact,
+//!   compile and publish;
+//! * the **full** path — whole-policy §3–§5 comparison for the impact
 //!   (`impact_full_us`), then `CompiledFdd::from_firewall` of the
-//!   post-edit policy (`full_us`: FDD rebuild from the rule list, reduce,
-//!   compile).
+//!   post-edit policy (`full_us`).
 //!
-//! The `e2e_*` fields sum each pipeline end to end; `impact_us` keeps
-//! timing `ChangeImpact::of_edits` for continuity with earlier runs of
-//! this file.
+//! `e2e_full_us` sums the full path, and `e2e_speedup` is `e2e_full_us`
+//! over `edit_us`. `impact_us` times `ChangeImpact::of_edits`, the edit
+//! path's impact half on its own. Each timing is the best of the repeats.
 //!
 //! Run with: `cargo run --release -p fw-bench --bin recompile`
 //! (CI runs `-- --smoke`: one repeat, smaller oracle trace, same rows).
 //!
 //! Every policy and edit batch comes from fixed seeds, so matcher shapes
 //! are reproducible run to run (only timings vary with the machine). The
-//! run is also an oracle: before any timing, the bin asserts the image
-//! compiled from the maintained diagram, a fresh compile of the post-edit
-//! policy, and the linear first-match scan agree on every packet of a
-//! replay trace, that the maintained impact counts the same affected
-//! packets as `ChangeImpact::of_edits`, and that the image round-trips the
-//! wire format.
+//! run is also an oracle, checked before any timing: the matcher lands on
+//! the edited policy, its impact counts the same affected packets as
+//! `ChangeImpact::of_edits` and the full comparison, its published image
+//! encodes byte-identical to a fresh compile of the post-edit policy and
+//! decides every packet of a replay trace as the linear first-match scan
+//! does, and the image round-trips the wire format.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use fw_core::{compare_firewalls, ChangeImpact, Edit, Fdd, MaintainStats, MaintainedFdd};
-use fw_exec::CompiledFdd;
+use fw_core::{compare_firewalls, ChangeImpact, Edit};
+use fw_exec::{CompiledFdd, LiveMatcher};
 use fw_model::{Decision, Firewall};
 use fw_synth::{evolve, EvolutionProfile, PacketTrace};
 
@@ -50,26 +49,16 @@ struct Row {
     batch: usize,
     affected_packets: u128,
     impact_us: f64,
-    maintain_us: f64,
-    impact_local_us: f64,
+    edit_us: f64,
     impact_full_us: f64,
-    export_fdd_us: f64,
-    compile_us: f64,
     full_us: f64,
     nodes: usize,
     lane_arena_bytes: usize,
-    maintain: MaintainStats,
 }
 
 impl Row {
-    /// Edit-to-image latency on the maintained path: patch the chain,
-    /// diff for the impact, export the diagram, compile the image.
-    fn e2e_maintained_us(&self) -> f64 {
-        self.maintain_us + self.impact_local_us + self.export_fdd_us + self.compile_us
-    }
-
-    /// The same change without maintenance: whole-policy impact
-    /// comparison, then a full `from_firewall` of the post-edit policy.
+    /// The same change on the full path: whole-policy impact comparison,
+    /// then a full `from_firewall` of the post-edit policy.
     fn e2e_full_us(&self) -> f64 {
         self.impact_full_us + self.full_us
     }
@@ -83,8 +72,7 @@ fn best_us(times: Vec<f64>) -> f64 {
 }
 
 /// Single-rule rows use the pure decision-flip profile — the paper's
-/// "tighten or loosen one rule" edit, the shallowest realistic change and
-/// the one the maintained path must win on.
+/// "tighten or loosen one rule" edit, the shallowest realistic change.
 fn flip_only() -> EvolutionProfile {
     EvolutionProfile {
         w_block_threat: 0,
@@ -117,47 +105,79 @@ fn edit_batch(fw: &Firewall, k: usize, seed: u64) -> (Vec<Edit>, Firewall, Chang
     panic!("no effective edit batch for k={k} within 64 salts");
 }
 
+/// The oracle, run before any timing. Returns the published image.
+fn check(
+    name: &str,
+    k: usize,
+    fw: &Firewall,
+    edits: &[Edit],
+    after: &Firewall,
+    impact: &ChangeImpact,
+    trace: &PacketTrace,
+) -> std::sync::Arc<CompiledFdd> {
+    let schema = fw.schema();
+    let live = LiveMatcher::new(fw.clone()).expect("benchmark policies serve");
+    let report = live.apply_edits(edits).expect("evolution edits apply");
+    assert_eq!(
+        &live.policy(),
+        after,
+        "{name}/k={k}: matcher policy diverges"
+    );
+    assert!(
+        report.swapped,
+        "{name}/k={k}: an effective batch must publish"
+    );
+    assert_eq!(
+        report.affected_packets,
+        impact.affected_packets_in(schema),
+        "{name}/k={k}: matcher impact diverges from of_edits"
+    );
+    let full_impact =
+        ChangeImpact::from_discrepancies(compare_firewalls(fw, after).expect("policies compare"));
+    assert_eq!(
+        report.affected_packets,
+        full_impact.affected_packets_in(schema),
+        "{name}/k={k}: matcher impact diverges from compare_firewalls"
+    );
+
+    let image = live.load();
+    let full = CompiledFdd::from_firewall(after).expect("post-edit policies compile");
+    assert!(
+        image.encode() == full.encode(),
+        "{name}/k={k}: published image differs from a fresh compile"
+    );
+    let mut image_out = Vec::new();
+    image.classify_batch_into(trace.packets(), &mut image_out);
+    let linear: Vec<Decision> = trace
+        .packets()
+        .iter()
+        .map(|p| after.decision_for(p).expect("comprehensive policy"))
+        .collect();
+    assert_eq!(image_out, linear, "{name}/k={k}: published image diverges");
+    CompiledFdd::decode(schema.clone(), image.encode()).expect("image round-trips");
+    image
+}
+
 fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, seed: u64) {
-    // Built once per workload, untimed: a server pays for the chain at
-    // startup, then every edit batch below is incremental.
-    let maintained_base = MaintainedFdd::new(fw.clone()).expect("benchmark policies maintain");
     let trace = PacketTrace::biased(fw, mode.packets, 0.3, seed);
     for (bi, k) in BATCHES.into_iter().enumerate() {
         let (edits, after, impact, impact_us) = edit_batch(fw, k, seed + bi as u64);
+        let image = check(name, k, fw, &edits, &after, &impact, &trace);
 
         // Both pipelines' repeats interleave round by round, so a slow
-        // scheduler phase penalises the maintained and full paths alike
-        // instead of skewing whichever happened to run through it. The
-        // maintained side runs each repeat on a fresh clone of the
-        // per-workload chain (cloning is untimed; a server edits its one
-        // long-lived chain in place); the full side repeats the old
-        // whole-policy impact pipeline (§4 shaping + §5 comparison over
-        // both rule lists) and the full compile of the post-edit policy.
-        let mut maintain_times = Vec::new();
-        let mut local_times = Vec::new();
-        let mut export_times = Vec::new();
-        let mut compile_times = Vec::new();
+        // scheduler phase penalises the edit and full paths alike instead
+        // of skewing whichever happened to run through it. Each edit
+        // repeat runs on a fresh matcher, built untimed: a server pays
+        // for its matcher once at start-up.
+        let mut edit_times = Vec::new();
         let mut impact_full_times = Vec::new();
         let mut full_times = Vec::new();
-        let mut maintained_out = None;
         for _ in 0..mode.repeats {
-            let mut m = maintained_base.clone();
-            let old_root = m.root();
+            let live = LiveMatcher::new(fw.clone()).expect("benchmark policies serve");
             let t = Instant::now();
-            let m_stats = m
-                .apply_with_stats(&edits)
-                .expect("evolution edits maintain");
-            maintain_times.push(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            let m_impact = m.diff_from(old_root).expect("maintained roots diff");
-            local_times.push(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            let m_fdd = m.to_fdd().expect("maintained chain exports");
-            export_times.push(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            let image = CompiledFdd::compile(&m_fdd).expect("maintained diagrams compile");
-            compile_times.push(t.elapsed().as_secs_f64());
-            maintained_out = Some((m_impact, m_fdd, m_stats, image));
+            let report = live.apply_edits(&edits).expect("evolution edits apply");
+            edit_times.push(t.elapsed().as_secs_f64());
+            std::hint::black_box(report);
 
             let t = Instant::now();
             std::hint::black_box(
@@ -169,51 +189,6 @@ fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, s
             full_times.push(t.elapsed().as_secs_f64());
             std::hint::black_box(full);
         }
-        let (m_impact, m_fdd, m_stats, image) = maintained_out.expect("at least one repeat");
-
-        // Batched-maintained-vs-full agreement oracle: the coalesced
-        // sweep's exported diagram must decide every trace packet exactly
-        // as a fresh from-scratch rebuild of the post-edit policy (CI
-        // runs this in smoke mode for every batch size; a divergence
-        // fails the job).
-        let fresh_fdd = Fdd::from_firewall_fast(&after)
-            .expect("post-edit policies are comprehensive")
-            .reduced();
-        for p in trace.packets() {
-            assert_eq!(
-                m_fdd.evaluate(p),
-                fresh_fdd.evaluate(p),
-                "{name}/k={k}: maintained FDD diverges from fresh rebuild at {p}"
-            );
-        }
-
-        // The maintained impact must count exactly the packets the
-        // of_edits analysis counts.
-        assert_eq!(
-            m_impact.affected_packets(),
-            impact.affected_packets(),
-            "{name}/k={k}: maintained impact diverges from of_edits"
-        );
-
-        // The published image == a fresh compile == linear scan on the
-        // whole trace, and the image survives the wire format's
-        // independent re-validation.
-        let full = CompiledFdd::from_firewall(&after).expect("post-edit policies compile");
-        let mut image_out = Vec::new();
-        let mut full_out = Vec::new();
-        image.classify_batch_into(trace.packets(), &mut image_out);
-        full.classify_batch_into(trace.packets(), &mut full_out);
-        let linear: Vec<Decision> = trace
-            .packets()
-            .iter()
-            .map(|p| after.decision_for(p).expect("comprehensive policy"))
-            .collect();
-        assert_eq!(
-            image_out, full_out,
-            "{name}/k={k}: maintained image diverges"
-        );
-        assert_eq!(image_out, linear, "{name}/k={k}: compiled diverges");
-        CompiledFdd::decode(fw.schema().clone(), image.encode()).expect("image round-trips");
 
         let row = Row {
             workload: name.to_owned(),
@@ -221,32 +196,21 @@ fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, s
             batch: k,
             affected_packets: impact.affected_packets_in(fw.schema()),
             impact_us,
-            maintain_us: best_us(maintain_times),
-            impact_local_us: best_us(local_times),
+            edit_us: best_us(edit_times),
             impact_full_us: best_us(impact_full_times),
-            export_fdd_us: best_us(export_times),
-            compile_us: best_us(compile_times),
             full_us: best_us(full_times),
             nodes: image.node_count(),
             lane_arena_bytes: image.stats().lane_arena_bytes,
-            maintain: m_stats,
         };
         println!(
-            "{name} k={k}: e2e full {:.0} µs | e2e maintained {:.0} µs (x{:.1}) | \
-             maintain {:.0} + diff {:.0} + export {:.0} + compile {:.0} µs | \
-             plan {:?} corridors {} span {} prepends {} copied {} | {} nodes",
+            "{name} k={k}: e2e full {:.0} µs (impact {:.0} + from_firewall {:.0}) | \
+             apply_edits {:.0} µs (x{:.1}) | of_edits {:.0} µs | {} nodes",
             row.e2e_full_us(),
-            row.e2e_maintained_us(),
-            row.e2e_full_us() / row.e2e_maintained_us(),
-            row.maintain_us,
-            row.impact_local_us,
-            row.export_fdd_us,
-            row.compile_us,
-            m_stats.plan,
-            m_stats.corridors,
-            m_stats.corridor_span,
-            m_stats.prepends,
-            m_stats.copied,
+            row.impact_full_us,
+            row.full_us,
+            row.edit_us,
+            row.e2e_full_us() / row.edit_us,
+            row.impact_us,
             row.nodes,
         );
         rows.push(row);
@@ -305,36 +269,19 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"workload\": \"{}\", \"rules\": {}, \"batch\": {}, \
-             \"affected_packets\": {}, \"impact_us\": {:.1}, \"maintain_us\": {:.1}, \
-             \"impact_local_us\": {:.1}, \"impact_full_us\": {:.1}, \
-             \"export_fdd_us\": {:.1}, \"compile_us\": {:.1}, \"full_us\": {:.1}, \
-             \"e2e_maintained_us\": {:.1}, \"e2e_full_us\": {:.1}, \
-             \"e2e_speedup\": {:.2}, \
-             \"plan\": \"{:?}\", \"corridors\": {}, \"corridor_span\": {}, \
-             \"tail_shared\": {}, \"sweep_levels\": {}, \"prepends\": {}, \
-             \"copied\": {}, \
-             \"nodes\": {}, \"lane_arena_bytes\": {}}}{sep}",
+             \"affected_packets\": {}, \"impact_us\": {:.1}, \"edit_us\": {:.1}, \
+             \"impact_full_us\": {:.1}, \"full_us\": {:.1}, \"e2e_full_us\": {:.1}, \
+             \"e2e_speedup\": {:.2}, \"nodes\": {}, \"lane_arena_bytes\": {}}}{sep}",
             r.workload,
             r.rules,
             r.batch,
             r.affected_packets,
             r.impact_us,
-            r.maintain_us,
-            r.impact_local_us,
+            r.edit_us,
             r.impact_full_us,
-            r.export_fdd_us,
-            r.compile_us,
             r.full_us,
-            r.e2e_maintained_us(),
             r.e2e_full_us(),
-            r.e2e_full_us() / r.e2e_maintained_us(),
-            r.maintain.plan,
-            r.maintain.corridors,
-            r.maintain.corridor_span,
-            r.maintain.tail_shared,
-            r.maintain.sweep_levels,
-            r.maintain.prepends,
-            r.maintain.copied,
+            r.e2e_full_us() / r.edit_us,
             r.nodes,
             r.lane_arena_bytes
         );

@@ -17,11 +17,11 @@
 //! Terminal nodes are never overwritten: packets reaching an existing
 //! terminal already matched an earlier (higher-priority) rule.
 //!
-//! This algorithm (and the memoised `fast.rs` equivalent) rebuilds from
-//! the whole rule list. When the list is *edited* rather than built,
-//! [`MaintainedFdd`](crate::MaintainedFdd) keeps Fig. 7's recurrence
-//! materialised as a hash-consed suffix chain and patches only the edited
-//! corridor — see `maintain.rs`.
+//! This algorithm is the paper-literal reference. Every served policy is
+//! built by the memoised `fast.rs` equivalent instead, and an edited policy
+//! is simply rebuilt that way: [`ConsArena::intern_fdd`](crate::ConsArena::intern_fdd)
+//! gives the rebuilt diagram its canonical root, and the short-circuit
+//! diff against the old root yields the edit's impact (see `cons.rs`).
 
 use fw_model::{Firewall, IntervalSet, Rule};
 

@@ -13,10 +13,10 @@
 //! This pipeline prices every comparison at whole-policy cost. When the two
 //! inputs are *versions of one policy* — they share a long common rule-list
 //! tail — [`ChangeImpact::between`](crate::ChangeImpact::between) instead
-//! builds both diagrams over one hash-consed arena with the shared tail
-//! constructed once, and diffs the roots with a short-circuit product that
-//! skips every subgraph the two sides share by id (see `cons.rs` /
-//! `maintain.rs`). Same discrepancies, edit-path cost.
+//! builds both diagrams by fast construction, interns them into one
+//! hash-consed arena, and diffs the roots with a short-circuit product that
+//! skips every subgraph the two sides share by id (see `cons.rs`). Same
+//! discrepancies, edit-path cost.
 
 use fw_model::{Firewall, Predicate};
 

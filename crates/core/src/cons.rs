@@ -3,24 +3,29 @@
 //!
 //! [`Fdd`] keeps each diagram in its own vector, and canonical form is
 //! something a pass ([`Fdd::reduced`]) establishes after the fact. The
-//! incremental-maintenance machinery in [`crate::maintain`] needs the
-//! opposite discipline — the one BDD packages use (Hazelhurst's access-list
-//! analyses) and the parallel engine's flattener re-establishes globally
-//! (`par.rs`): every node is interned at creation into one shared table,
+//! arena takes the discipline BDD packages use (Hazelhurst's access-list
+//! analyses): every node is interned at creation into one shared table,
 //! canonicalised on the way in (sibling edges merged per child, min-value
 //! edge order, a node whose single edge covers the whole domain elided to
 //! its child), so
 //!
 //! * two subdiagrams compute the same function **iff** they have the same
 //!   [`ConsId`] — subtree equivalence is one `u32` compare, which is what
-//!   lets a diff product short-circuit ([`ConsArena::diff`]) and a suffix
-//!   chain detect that an edit was absorbed ([`crate::MaintainedFdd`]);
+//!   lets a diff product short-circuit ([`ConsArena::diff`]);
 //! * a rebuilt-but-unchanged subdiagram costs no memory — interning
 //!   returns the existing id.
 //!
+//! Diagrams enter through [`ConsArena::intern_fdd`], bottom-up: the fast,
+//! the paper-literal and the reduced diagram of one policy all intern to
+//! one root. The edit path rests on that. An edited policy is rebuilt by
+//! [`Fdd::from_firewall_fast`] and interned beside the old diagram, and the
+//! diff of the two roots skips every subgraph they share, so the impact
+//! costs the changed region, not the policy. The fleet registry keeps every
+//! tenant of a schema in one arena, so near-copies share their common
+//! subdiagrams by id.
+//!
 //! Arena terminals carry `Option<Decision>`: `None` is the *unmatched*
-//! sentinel, the diagram of the empty rule suffix (no rule matches).
-//! Partial suffixes of a comprehensive policy legitimately contain it; a
+//! sentinel, the diagram of the empty rule list (no rule matches). A
 //! diagram exported to a servable [`Fdd`] must not reach it
 //! ([`ConsArena::to_fdd`] reports the uncovered region otherwise).
 //!
@@ -35,7 +40,7 @@ use std::hash::BuildHasherDefault;
 use fw_model::{Decision, FieldId, Interval, IntervalSet, Schema};
 
 use crate::discrepancy::{coalesce, Discrepancy};
-use crate::fdd::{Edge, Fdd, Node};
+use crate::fdd::{Edge, Fdd, Node, NodeId};
 use crate::CoreError;
 
 /// A tiny multiply-xor hasher (the classic `FxHash` construction): every
@@ -114,34 +119,13 @@ impl ConsId {
     fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// The raw table index — for packing into flat cache keys.
-    pub(crate) fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// The inverse of [`raw`](Self::raw), for unpacking flat cache keys
-    /// (maintenance-layer memo remapping after a compaction).
-    pub(crate) fn from_raw(raw: u32) -> ConsId {
-        ConsId(raw)
-    }
 }
 
 /// An interned edge label: an index into the arena's label store. Labels
 /// are hash-consed like nodes — equal id ⟺ equal set — so edge vectors
-/// hash and compare as flat `u32` pairs, and an edge carried over from an
-/// existing node costs a 4-byte copy instead of an interval-vector clone.
+/// hash and compare as flat `u32` pairs, and the diff compares two edges'
+/// labels by id before it touches a set.
 pub(crate) type LabelId = u32;
-
-/// An edge label on its way into [`ConsArena::internal_parts`]: either an
-/// id copied verbatim from an existing edge (the bulk of what a prepend
-/// sweep re-interns — no allocation, no content hash) or a set fresh from
-/// an edge split.
-#[derive(Debug, Clone)]
-pub(crate) enum Lbl {
-    Id(LabelId),
-    Set(IntervalSet),
-}
 
 /// A borrowed view of one canonical node ([`ConsArena::view`]): the
 /// public, label-resolved counterpart of the arena's internal edge form,
@@ -177,7 +161,7 @@ enum ConsNode {
 /// The canonical node table (see module docs). Nodes and labels intern
 /// through content hashes (hash → id) instead of maps keyed by deep
 /// signatures, so probing the table never materialises a flattened key —
-/// the dominant cost of interning at suffix-sweep rates. A 64-bit content
+/// the dominant cost of interning a whole diagram. A 64-bit content
 /// hash collides essentially never, so each table maps a hash to a single
 /// id and banishes genuine collisions to a (normally empty) spill list
 /// scanned on a probe mismatch — no per-entry bucket vector to allocate.
@@ -189,15 +173,15 @@ pub struct ConsArena {
     /// Nodes whose content hash collided with an earlier, different node.
     table_spill: Vec<ConsId>,
     labels: Vec<IntervalSet>,
-    /// `(min, max)` of each label, packed — the prepend window test and
-    /// the canonical edge sort read only these, not the interval vectors.
+    /// `(min, max)` of each label, packed — the diff's window test and the
+    /// canonical edge sort read only these, not the interval vectors.
     label_meta: Vec<(u64, u64)>,
     label_table: FxMap<u64, LabelId>,
     /// Labels whose content hash collided with an earlier, different label.
     label_spill: Vec<LabelId>,
-    /// Reusable merge buffer for [`internal_parts`](Self::internal_parts)
-    /// (not reentrant, which interning is not).
-    scratch_per_child: Vec<(ConsId, Lbl)>,
+    /// Reusable merge buffer for [`internal`](Self::internal) (not
+    /// reentrant, which interning is not).
+    scratch_per_child: Vec<(ConsId, IntervalSet)>,
     /// Reusable canonical-edge buffer: probed in place, cloned into the
     /// node store only on an actual miss.
     scratch_edges: Vec<(LabelId, ConsId)>,
@@ -235,13 +219,6 @@ impl ConsArena {
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Pre-sizes the node store and intern table for about `extra` more
-    /// nodes, so a batch of interns doesn't rehash the table mid-flight.
-    pub(crate) fn reserve(&mut self, extra: usize) {
-        self.nodes.reserve(extra);
-        self.table.reserve(extra);
     }
 
     /// The rank of a node: its field index, or the schema length for
@@ -348,46 +325,22 @@ impl ConsArena {
         lid
     }
 
-    fn lbl_set<'a>(&'a self, l: &'a Lbl) -> &'a IntervalSet {
-        match l {
-            Lbl::Id(id) => &self.labels[*id as usize],
-            Lbl::Set(s) => s,
-        }
-    }
-
     /// Interns an internal node at `field` from `(child, label)` parts,
     /// canonicalising: parts with the same child merge their labels, edges
     /// sort by least value, and a node whose single edge covers the whole
     /// domain is elided to its child. The parts' labels must be pairwise
     /// disjoint and jointly cover the field's domain.
     pub fn internal(&mut self, field: FieldId, parts: Vec<(ConsId, IntervalSet)>) -> ConsId {
-        let mut parts: Vec<(ConsId, Lbl)> =
-            parts.into_iter().map(|(c, s)| (c, Lbl::Set(s))).collect();
-        self.internal_parts(field, &mut parts)
-    }
-
-    /// [`internal`](Self::internal) over [`Lbl`] parts — the prepend hot
-    /// path hands labels carried over from existing edges back as ids, so
-    /// the unchanged bulk of a node costs neither a clone nor a re-hash.
-    /// Drains `parts`, leaving the buffer empty for the caller to reuse.
-    pub(crate) fn internal_parts(
-        &mut self,
-        field: FieldId,
-        parts: &mut Vec<(ConsId, Lbl)>,
-    ) -> ConsId {
         let mut per_child = std::mem::take(&mut self.scratch_per_child);
         per_child.clear();
         if parts.len() <= 8 {
-            // Small nodes — the bulk of what a prepend sweep re-interns
-            // below the chain roots — merge by linear scan; a HashMap here
-            // costs more to build than the merges it saves.
-            for (child, label) in parts.drain(..) {
-                debug_assert!(!self.lbl_set(&label).is_empty(), "empty edge label");
+            // Small nodes — the bulk of any diagram — merge by linear scan;
+            // a HashMap here costs more to build than the merges it saves.
+            for (child, label) in parts {
+                debug_assert!(!label.is_empty(), "empty edge label");
                 debug_assert!(self.rank(child) > field.index(), "child rank out of order");
                 match per_child.iter_mut().find(|(c, _)| *c == child) {
-                    Some((_, existing)) => {
-                        *existing = Lbl::Set(self.lbl_set(&*existing).union(self.lbl_set(&label)));
-                    }
+                    Some((_, existing)) => *existing = existing.union(&label),
                     None => per_child.push((child, label)),
                 }
             }
@@ -396,13 +349,13 @@ impl ConsArena {
             // the linear merge scan quadratic.
             let mut slot: FxMap<ConsId, usize> =
                 FxMap::with_capacity_and_hasher(parts.len(), BuildHasherDefault::default());
-            for (child, label) in parts.drain(..) {
-                debug_assert!(!self.lbl_set(&label).is_empty(), "empty edge label");
+            for (child, label) in parts {
+                debug_assert!(!label.is_empty(), "empty edge label");
                 debug_assert!(self.rank(child) > field.index(), "child rank out of order");
                 match slot.entry(child) {
                     std::collections::hash_map::Entry::Occupied(e) => {
                         let existing = &mut per_child[*e.get()].1;
-                        *existing = Lbl::Set(self.lbl_set(&*existing).union(self.lbl_set(&label)));
+                        *existing = existing.union(&label);
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
                         e.insert(per_child.len());
@@ -414,7 +367,7 @@ impl ConsArena {
         debug_assert_eq!(
             per_child
                 .iter()
-                .fold(0u128, |n, (_, l)| n.saturating_add(self.lbl_set(l).count())),
+                .fold(0u128, |n, (_, l)| n.saturating_add(l.count())),
             self.schema.field(field).domain().count(),
             "edge labels must partition the domain of {field:?}"
         );
@@ -426,10 +379,7 @@ impl ConsArena {
         let mut edges = std::mem::take(&mut self.scratch_edges);
         edges.clear();
         for (c, l) in per_child.drain(..) {
-            let lid = match l {
-                Lbl::Id(id) => id,
-                Lbl::Set(s) => self.intern_label(s),
-            };
+            let lid = self.intern_label(l);
             edges.push((lid, c));
         }
         self.scratch_per_child = per_child;
@@ -487,8 +437,8 @@ impl ConsArena {
     }
 
     /// Borrowing view of an internal node's test field and edges (`None`
-    /// for terminals) — the allocation-free form the prepend hot path
-    /// reads; resolve labels through [`label`](Self::label).
+    /// for terminals) — the allocation-free form the diff reads; resolve
+    /// labels through [`label`](Self::label).
     pub(crate) fn edges(&self, id: ConsId) -> Option<(FieldId, &[(LabelId, ConsId)])> {
         match &self.nodes[id.index()] {
             ConsNode::Terminal(_) => None,
@@ -569,8 +519,8 @@ impl ConsArena {
 
     /// A region (as `field=value` pairs) from which `root` reaches the
     /// unmatched sentinel, or `None` if `root` is total — the witness
-    /// [`ConsArena::to_fdd`] and the maintenance layer report for
-    /// non-comprehensive rule sequences.
+    /// [`ConsArena::to_fdd`] reports for a diagram that leaves packets
+    /// undecided.
     pub fn unmatched_witness(&self, root: ConsId) -> Option<String> {
         // The search walks each node once with the first path that reached
         // it; any path to the sentinel is a valid witness.
@@ -615,6 +565,47 @@ impl ConsArena {
         }
     }
 
+    /// Interns every node of `fdd` — typically a
+    /// [`Fdd::from_firewall_fast`] build — bottom-up, and returns the
+    /// canonical id of its root. Each [`NodeId`] is interned once, so a
+    /// DAG costs its node count, not its path count. Interning
+    /// canonicalises, so any two diagrams of one function get one id: the
+    /// fast, the paper-literal and the reduced diagram of a policy all
+    /// intern to the same root. `fdd` must satisfy [`Fdd::validate`], as
+    /// every diagram this crate builds does.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::SchemaMismatch`] if `fdd` is not over the arena's
+    /// schema.
+    pub fn intern_fdd(&mut self, fdd: &Fdd) -> Result<ConsId, CoreError> {
+        if fdd.schema() != &self.schema {
+            return Err(CoreError::SchemaMismatch);
+        }
+        let mut memo = vec![None; fdd.arena_len()];
+        Ok(self.intern_rec(fdd, fdd.root(), &mut memo))
+    }
+
+    // Depth is bounded by the schema's field count, so plain recursion is
+    // safe here.
+    fn intern_rec(&mut self, fdd: &Fdd, id: NodeId, memo: &mut [Option<ConsId>]) -> ConsId {
+        if let Some(c) = memo[id.index()] {
+            return c;
+        }
+        let c = match fdd.node(id) {
+            Node::Terminal(d) => self.terminal(Some(*d)),
+            Node::Internal { field, edges } => {
+                let parts = edges
+                    .iter()
+                    .map(|e| (self.intern_rec(fdd, e.target, memo), e.label.clone()))
+                    .collect();
+                self.internal(*field, parts)
+            }
+        };
+        memo[id.index()] = Some(c);
+        c
+    }
+
     /// Exports the diagram rooted at `root` as a standalone reduced
     /// [`Fdd`].
     ///
@@ -628,7 +619,7 @@ impl ConsArena {
             return Err(CoreError::NotComprehensive { witness });
         }
         let mut fdd = Fdd::empty(self.schema.clone());
-        let mut map: FxMap<ConsId, crate::fdd::NodeId> = FxMap::default();
+        let mut map: FxMap<ConsId, NodeId> = FxMap::default();
         let new_root = self.export_rec(root, &mut fdd, &mut map);
         fdd.set_root(new_root);
         debug_assert!(fdd.validate().is_ok());
@@ -637,12 +628,7 @@ impl ConsArena {
 
     // Depth is bounded by the schema's field count, so plain recursion is
     // safe here.
-    fn export_rec(
-        &self,
-        id: ConsId,
-        fdd: &mut Fdd,
-        map: &mut FxMap<ConsId, crate::fdd::NodeId>,
-    ) -> crate::fdd::NodeId {
+    fn export_rec(&self, id: ConsId, fdd: &mut Fdd, map: &mut FxMap<ConsId, NodeId>) -> NodeId {
         if let Some(&n) = map.get(&id) {
             return n;
         }
@@ -677,11 +663,11 @@ impl ConsArena {
     }
 
     /// [`compact`](Self::compact), also returning the old-id → new-id map
-    /// for every retained node. Multi-root owners (the fleet registry,
-    /// with many tenants' chains in one arena) use the map to remap every
-    /// outstanding id — suffix entries, prepend memos, compiled-pool keys
-    /// — instead of dropping that state. Ids absent from the map were
-    /// unreachable from `roots` and are gone.
+    /// for every retained node. Multi-root owners (the fleet registry, with
+    /// many tenants' roots in one arena) use the map to remap every
+    /// outstanding id — policy roots, compiled-pool keys — instead of
+    /// dropping that state. Ids absent from the map were unreachable from
+    /// `roots` and are gone.
     pub fn compact_mapped(&mut self, roots: &mut [ConsId]) -> FxMap<ConsId, ConsId> {
         let mut fresh = ConsArena::new(self.schema.clone());
         let mut map: FxMap<ConsId, ConsId> = FxMap::default();
@@ -726,7 +712,7 @@ impl ConsArena {
     /// This is the short-circuit counterpart of [`crate::diff_product`]:
     /// the synchronized walk returns *empty* the moment it sees `a == b`,
     /// because in a hash-consed arena equal ids are equal functions — so
-    /// after a localized edit the walk touches only the corridor the edit
+    /// after a localized edit the walk touches only the region the edit
     /// actually changed, never the shared bulk of the diagram.
     ///
     /// # Errors
@@ -1021,6 +1007,27 @@ mod tests {
             vec![(acc, set(0, 3)), (acc, set(4, 7))], // merges+elides to acc
         );
         assert_eq!(split, acc);
+    }
+
+    #[test]
+    fn intern_fdd_is_canonical_and_schema_checked() {
+        for fw in [fw_model::paper::team_a(), fw_model::paper::team_b()] {
+            let mut a = ConsArena::new(fw.schema().clone());
+            let fast = Fdd::from_firewall_fast(&fw).unwrap();
+            let literal = Fdd::from_firewall(&fw).unwrap();
+            let root = a.intern_fdd(&fast).unwrap();
+            assert_eq!(a.intern_fdd(&literal).unwrap(), root);
+            assert_eq!(a.intern_fdd(&literal.reduced()).unwrap(), root);
+            // The export is the fast diagram, node for node up to ids.
+            assert!(a.to_fdd(root).unwrap().isomorphic(&fast));
+            assert_eq!(a.live_from(&[root]), fast.node_count());
+        }
+        let mut other = ConsArena::new(tiny_schema());
+        let fast = Fdd::from_firewall_fast(&fw_model::paper::team_a()).unwrap();
+        assert!(matches!(
+            other.intern_fdd(&fast),
+            Err(CoreError::SchemaMismatch)
+        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use fw_model::{FieldId, Firewall, Packet, Rule, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::discrepancy::Discrepancy;
-use crate::CoreError;
+use crate::{ConsArena, CoreError, Fdd};
 
 /// A single firewall policy edit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -113,14 +113,17 @@ impl ChangeImpact {
     /// ```
     pub fn between(before: &Firewall, after: &Firewall) -> Result<ChangeImpact, CoreError> {
         // The edit path: when the two policies share most of their rule
-        // tail (the signature of an edit batch), one hash-consed arena
-        // holds both suffix chains with the common tail built once, and
-        // the short-circuit diff only walks where they differ. Unrelated
-        // policies go through the full §3–§5 pipeline as before.
+        // tail (the signature of an edit batch), both are rebuilt by fast
+        // construction and diffed in one arena, where the short-circuit
+        // diff only walks where they differ. Unrelated policies go through
+        // the full §3–§5 pipeline.
         if before.schema() == after.schema()
-            && 2 * crate::maintain::common_tail(before, after) >= before.len().max(after.len())
+            && 2 * common_tail(before, after) >= before.len().max(after.len())
         {
-            return crate::maintain::edit_path_impact(before, after);
+            return ChangeImpact::between_diagrams(
+                &Fdd::from_firewall_fast(before)?,
+                &Fdd::from_firewall_fast(after)?,
+            );
         }
         Ok(ChangeImpact {
             discrepancies: crate::compare_firewalls(before, after)?,
@@ -128,26 +131,52 @@ impl ChangeImpact {
     }
 
     /// Applies `edits` in order to `before` and returns the modified
-    /// policy together with the exact impact of the whole batch: one
-    /// suffix-chain build of `before` in a hash-consed arena, then the
-    /// coalesced batch sweep and a short-circuit root diff — so the
-    /// after-policy costs one warm sweep over the edited corridors, not a
-    /// second construction.
+    /// policy together with the exact impact of the whole batch. The batch
+    /// is staged on one copy of the policy; both policies are then built
+    /// by fast construction and diffed as for
+    /// [`between_diagrams`](Self::between_diagrams).
     ///
     /// # Errors
     ///
-    /// Propagates edit-application errors and comparison errors.
+    /// Propagates edit-application errors;
+    /// [`CoreError::NotComprehensive`] if either policy leaves packets
+    /// undecided.
     pub fn of_edits(
         before: &Firewall,
         edits: &[Edit],
     ) -> Result<(Firewall, ChangeImpact), CoreError> {
-        crate::maintain::edit_batch_impact(before, edits)
+        let mut after = before.clone();
+        for e in edits {
+            e.apply_in_place(&mut after)?;
+        }
+        let impact = ChangeImpact::between_diagrams(
+            &Fdd::from_firewall_fast(before)?,
+            &Fdd::from_firewall_fast(&after)?,
+        )?;
+        Ok((after, impact))
     }
 
-    /// Wraps an already computed discrepancy set — the maintenance-layer
-    /// constructor, public so external serving layers (the fleet
-    /// registry) can turn a [`crate::ConsArena::diff`] of two roots into
-    /// the same impact report the single-policy pipeline produces.
+    /// The impact of replacing diagram `before` by diagram `after`: both
+    /// are interned into a throwaway [`ConsArena`], where equal
+    /// subfunctions share an id, and [`ConsArena::diff`] of the two roots
+    /// skips every subgraph they share. The cost is two interns plus the
+    /// region that changed.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::SchemaMismatch`] if the diagrams are over different
+    /// schemas.
+    pub fn between_diagrams(before: &Fdd, after: &Fdd) -> Result<ChangeImpact, CoreError> {
+        let mut arena = ConsArena::new(before.schema().clone());
+        let a = arena.intern_fdd(before)?;
+        let b = arena.intern_fdd(after)?;
+        Ok(ChangeImpact::from_discrepancies(arena.diff(a, b)?))
+    }
+
+    /// Wraps an already computed discrepancy set, so serving layers that
+    /// keep their own arena (the fleet registry) can turn a
+    /// [`ConsArena::diff`] of two roots into the same impact report the
+    /// single-policy pipeline produces.
     pub fn from_discrepancies(discrepancies: Vec<Discrepancy>) -> ChangeImpact {
         ChangeImpact { discrepancies }
     }
@@ -215,6 +244,17 @@ impl ChangeImpact {
     pub fn affected_packets_in(&self, schema: &Schema) -> u128 {
         self.affected_packets().min(schema.packet_space())
     }
+}
+
+/// Length of the longest common rule-list suffix — the part of the two
+/// policies an edit batch left untouched.
+fn common_tail(a: &Firewall, b: &Firewall) -> usize {
+    a.rules()
+        .iter()
+        .rev()
+        .zip(b.rules().iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 #[cfg(test)]
@@ -338,6 +378,25 @@ mod tests {
         )
         .unwrap();
         assert_eq!(impact.affected_packets(), 4 * 8); // a in 4..8 flips
+    }
+
+    #[test]
+    fn edit_shaped_between_matches_the_full_pipeline() {
+        let fw = paper::team_a();
+        let blocker = Rule::catch_all(fw.schema(), Decision::Discard);
+        let after = fw.with_rule_inserted(0, blocker).unwrap();
+        assert_eq!(common_tail(&fw, &after), fw.len());
+        let local = ChangeImpact::between(&fw, &after).unwrap();
+        let full = crate::compare_firewalls(&fw, &after).unwrap();
+        assert_eq!(
+            local.affected_packets(),
+            ChangeImpact::from_discrepancies(full).affected_packets()
+        );
+        for d in local.discrepancies() {
+            let p = d.witness();
+            assert_eq!(fw.decision_for(&p), Some(d.left()));
+            assert_eq!(after.decision_for(&p), Some(d.right()));
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use discrepancy::{coalesce, coalesce_multi, Discrepancy, MultiDiscrepancy};
 pub use error::CoreError;
 pub use fdd::{domain_label, label, Edge, Fdd, FddBuilder, NodeId, NodeView};
 pub use impact::{ChangeImpact, Edit};
-pub use maintain::{BatchPlan, MaintainStats, MaintainedFdd, SuffixChain};
+pub use maintain::{MaintainStats, SuffixChain};
 pub use multiway::{
     cross_compare, direct_compare, direct_compare_jobs, project_pair, shape_all,
     PairwiseDiscrepancies,

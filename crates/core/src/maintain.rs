@@ -1,279 +1,69 @@
-//! Incrementally maintained FDDs: the suffix chain of a first-match
-//! policy, patched under [`Edit`]s instead of rebuilt.
+//! The suffix-chain surface, a thin shim over rebuild-and-intern.
 //!
-//! The paper's construction recurrence (§3, Fig. 7) is
-//! `F(r_i..r_n) = if match(r_i) then d_i else F(r_{i+1}..r_n)` — every
-//! firewall FDD is a rule *prepended* onto the FDD of the remaining
-//! suffix. [`MaintainedFdd`] stores exactly that decomposition: the chain
-//! `S_i = prepend(r_i, S_{i+1})` for every `i`, with `S_n` the unmatched
-//! sentinel, all in one hash-consed [`ConsArena`].
-//!
-//! `prepend` splits edges only along one rule's predicate corridor and
-//! keeps every child outside it by id, so its cost is the corridor, not
-//! the diagram. An [`Edit`] at index `i` leaves `S_{i+1}..S_n` untouched
-//! and recomputes `S_i..S_0` — the §8.1 common case (a rule inserted at
-//! the top) is a *single* prepend. Each rule carries a persistent
-//! `(field, tail-node) → result` memo, so a re-prepend over a mostly
-//! unchanged tail resolves almost entirely from cache and only walks the
-//! subdiagrams the edit actually changed; hash-consing then collapses
-//! rebuilt-but-unchanged suffixes to their old ids, which lets the
-//! recomputation stop early the moment a suffix comes back unchanged.
-//!
-//! A batch of edits is applied **coalesced**: the whole batch is
-//! simulated over the rule metadata first (an alignment map records where
-//! each post-batch position's rule content lived before the batch, memos
-//! and a dirty mark travelling along), and then the chain is recomputed in
-//! **one** upward sweep instead of once per edit. The sweep copies a
-//! position's old suffix id verbatim — O(1) — whenever its rule content is
-//! untouched and its tail just re-interned to the old tail's id; only the
-//! edited corridors and the levels whose function genuinely changed pay
-//! for a `prepend`, and those resolve mostly from the travelling memos.
-//! A [`BatchPlan`] crossover falls back to a plain full rebuild (fresh
-//! memos, same arena) for pathological batches that replace most of the
-//! policy, so the coalesced bookkeeping can never lose to the §3
-//! construction it shortcuts. [`MaintainStats`] reports which plan ran and
-//! the corridor geometry.
-//!
-//! The change's impact is computed the same local way:
-//! [`ConsArena::diff`] short-circuits on shared ids, so
-//! [`MaintainedFdd::apply_edits`] returns the exact [`ChangeImpact`]
-//! after touching only the changed corridor — microseconds where
-//! [`ChangeImpact::between`] re-derives both diagrams from scratch.
+//! Every library path builds a policy's diagram by fast construction
+//! ([`Fdd::from_firewall_fast`]) and puts it into an arena at its
+//! canonical root ([`ConsArena::intern_fdd`]); an edit batch rebuilds the
+//! edited policy the same way. [`SuffixChain`] and [`MaintainStats`]
+//! remain because the end-to-end benchmark (`perfbench/`) names them in
+//! its shadows of the set-up and edit pipelines. A [`SuffixChain`] is a
+//! policy and its one root, so the shadows replay what the library runs.
 
-use fw_model::{FieldId, Firewall, Rule};
+use fw_model::Firewall;
 use serde::{Deserialize, Serialize};
 
-use crate::cons::{ConsArena, ConsId, FxMap, Lbl};
-use crate::impact::{ChangeImpact, Edit};
-use crate::CoreError;
+use crate::cons::{ConsArena, ConsId, FxMap};
+use crate::impact::Edit;
+use crate::{CoreError, Fdd};
 
-/// Per-rule prepend cache: `field << 32 | tail node` → prepended result.
-/// Valid for the life of the arena (it is append-only) and for this rule's
-/// content wherever the rule moves; remapped when the arena is compacted
-/// ([`SuffixChain::remap`]).
-type PrependMemo = FxMap<u64, ConsId>;
-
-/// How a batch was applied to the suffix chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BatchPlan {
-    /// One upward sweep over the coalesced batch: a position whose rule
-    /// content is untouched copies its old suffix id in O(1) the moment
-    /// its tail re-interns to the old tail id; everything else
-    /// re-prepends through the memos that travelled with the rules.
-    Coalesced,
-    /// The chain is rebuilt from the sentinel with fresh memos, in the
-    /// same arena (old ids stay diffable) — the bounded fallback for
-    /// batches that dirty most of the policy, where alignment bookkeeping
-    /// is pure overhead and stale memos only cost memory.
-    FullRebuild,
-}
-
-impl BatchPlan {
-    /// The measured crossover (DESIGN.md §12): the coalesced sweep wins
-    /// while most positions keep their alignment — memo hits and O(1)
-    /// copies do the work — and only loses its bookkeeping margin once an
-    /// edit batch has dirtied the majority of a policy's positions, which
-    /// takes a batch at least rebuild-sized in practice.
-    fn choose(edits: usize, changed_positions: usize, len: usize) -> BatchPlan {
-        if edits >= 8 && 2 * changed_positions >= len {
-            BatchPlan::FullRebuild
-        } else {
-            BatchPlan::Coalesced
-        }
-    }
-}
-
-/// What one batch application did to the chain — the coalesced sweep's
-/// receipt, surfaced through [`MaintainedFdd::apply_edits_with_stats`]
-/// and downstream reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// What rebuilding a policy after an edit batch covered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaintainStats {
-    /// Which arm applied the batch.
-    pub plan: BatchPlan,
-    /// Edits in the batch as given.
-    pub edits: usize,
-    /// Post-batch positions whose rule content or static tail shape the
-    /// batch dirtied (insert/remove scars, replaced or swapped rules).
-    pub changed_positions: usize,
-    /// Maximal runs of contiguous dirty positions the batch coalesced to.
-    pub corridors: usize,
-    /// Positions spanned from the first dirty position to the last
-    /// (0 when the batch dirtied nothing).
-    pub corridor_span: usize,
-    /// Rules of the content-equal policy tail whose suffix ids were
-    /// carried over verbatim without entering the sweep.
-    pub tail_shared: usize,
-    /// Chain levels the upward sweep visited (policy length minus the
-    /// shared tail).
+    /// Rules the rebuild ran over: the length of the post-batch policy.
     pub sweep_levels: usize,
-    /// Sweep levels that paid for a real `prepend`.
-    pub prepends: usize,
-    /// Sweep levels resolved by an O(1) old-suffix-id copy.
-    pub copied: usize,
 }
 
-/// Lockstep simulation of an edit batch over the metadata that travels
-/// with the chain: the staged policy, each position's provenance in the
-/// pre-batch rule list (kept only while the rule content is untouched),
-/// the per-rule prepend memos, and a static dirty mark per position used
-/// for corridor accounting and the [`BatchPlan`] crossover.
-struct BatchSim {
-    work: Firewall,
-    /// `aligned[i] = Some(o)`: the rule now at `i` is, content-identical,
-    /// the pre-batch rule `o` — so `prepend` over the pre-batch tail of
-    /// `o` would reproduce `suffix[o]` exactly.
-    aligned: Vec<Option<usize>>,
-    memos: Vec<PrependMemo>,
-    /// `scar[i]`: the batch dirtied position `i` statically (new or
-    /// replaced content, a swap, or the seam left by a removal below).
-    scar: Vec<bool>,
-}
-
-impl BatchSim {
-    /// Replays pre-validated `edits` over the metadata; panics on an
-    /// invalid edit (callers validate on a staged policy first).
-    fn run(fw: &Firewall, memos: Vec<PrependMemo>, edits: &[Edit]) -> BatchSim {
-        let mut s = BatchSim {
-            work: fw.clone(),
-            aligned: (0..fw.len()).map(Some).collect(),
-            memos,
-            scar: vec![false; fw.len()],
-        };
-        for e in edits {
-            match e {
-                Edit::Insert { index, rule } => {
-                    s.work
-                        .insert_rule(*index, rule.clone())
-                        .expect("edits validated on the staged policy");
-                    s.aligned.insert(*index, None);
-                    s.memos.insert(*index, PrependMemo::default());
-                    s.scar.insert(*index, true);
-                }
-                Edit::Remove { index } => {
-                    s.work
-                        .remove_rule(*index)
-                        .expect("edits validated on the staged policy");
-                    s.aligned.remove(*index);
-                    s.memos.remove(*index);
-                    s.scar.remove(*index);
-                    // The rule just above the seam keeps its content but
-                    // loses a rule from its tail.
-                    if *index > 0 {
-                        s.scar[*index - 1] = true;
-                    }
-                }
-                Edit::Replace { index, rule } => {
-                    if &s.work.rules()[*index] == rule {
-                        // Self-replacement: content untouched, alignment
-                        // and memo survive, nothing dirtied.
-                        continue;
-                    }
-                    s.work
-                        .replace_rule(*index, rule.clone())
-                        .expect("edits validated on the staged policy");
-                    s.aligned[*index] = None;
-                    s.memos[*index] = PrependMemo::default();
-                    s.scar[*index] = true;
-                }
-                Edit::Swap { first, second } => {
-                    s.work
-                        .swap_rules(*first, *second)
-                        .expect("edits validated on the staged policy");
-                    if first == second {
-                        continue;
-                    }
-                    s.aligned.swap(*first, *second);
-                    s.memos.swap(*first, *second);
-                    s.scar[*first] = true;
-                    s.scar[*second] = true;
-                }
-            }
-        }
-        s
-    }
-}
-
-/// A policy's suffix chain living in a **caller-owned** [`ConsArena`] —
-/// the sharable core of [`MaintainedFdd`]. Several chains may intern into
-/// one arena (the fleet registry hosts every tenant on a schema this
-/// way): hash-consing then makes structurally shared suffixes literally
-/// the same nodes, so near-copies of a policy cost only their deltas.
+/// A policy and the canonical root of its diagram in a **caller-owned**
+/// [`ConsArena`]. Several policies may intern into one arena; equal
+/// subfunctions then share nodes.
 ///
-/// Every method that grows the diagram takes the arena explicitly; the
-/// caller is responsible for always passing the same arena the chain was
-/// built in ([`CoreError::SchemaMismatch`] catches cross-schema mix-ups,
-/// cross-arena mix-ups with an equal schema are undetectable).
+/// The caller must always pass the arena the root was interned in
+/// ([`CoreError::SchemaMismatch`] catches cross-schema mix-ups; a
+/// cross-arena mix-up with an equal schema is undetectable).
 #[derive(Debug, Clone)]
 pub struct SuffixChain {
     firewall: Firewall,
-    /// `suffix[i]` = diagram of rules `i..n`; `suffix[n]` = unmatched
-    /// sentinel. Always `firewall.len() + 1` entries.
-    suffix: Vec<ConsId>,
-    /// Parallel to the rules: each rule's prepend cache travels with it.
-    memos: Vec<PrependMemo>,
+    root: ConsId,
 }
 
 impl SuffixChain {
-    /// Builds the suffix chain for `firewall` in `arena` (the §3 Fig. 7
-    /// recurrence, bottom-up).
+    /// Builds `firewall`'s diagram by fast construction and interns it
+    /// into `arena`.
     ///
     /// # Errors
     ///
+    /// [`CoreError::NotComprehensive`] if some packet matches no rule;
     /// [`CoreError::SchemaMismatch`] if `firewall` is not on the arena's
-    /// schema; [`CoreError::NotComprehensive`] if some packet matches no
-    /// rule (as for [`crate::Fdd::from_firewall`]).
+    /// schema.
     pub fn build(arena: &mut ConsArena, firewall: Firewall) -> Result<SuffixChain, CoreError> {
-        if firewall.schema() != arena.schema() {
-            return Err(CoreError::SchemaMismatch);
-        }
-        let mut memos: Vec<PrependMemo> = firewall
-            .rules()
-            .iter()
-            .map(|_| PrependMemo::default())
-            .collect();
-        let mut chain = vec![arena.terminal(None)];
-        let mut scratch = PrependScratch::for_fields(arena.schema().len());
-        for i in (0..firewall.len()).rev() {
-            let tail = *chain.last().expect("chain is nonempty");
-            let next = prepend(
-                arena,
-                &firewall.rules()[i],
-                &mut memos[i],
-                tail,
-                &mut scratch,
-            );
-            chain.push(next);
-        }
-        chain.reverse();
-        if let Some(witness) = arena.unmatched_witness(chain[0]) {
-            return Err(CoreError::NotComprehensive { witness });
-        }
-        Ok(SuffixChain {
-            firewall,
-            suffix: chain,
-            memos,
-        })
+        let root = arena.intern_fdd(&Fdd::from_firewall_fast(&firewall)?)?;
+        Ok(SuffixChain { firewall, root })
     }
 
-    /// The maintained policy.
-    pub fn firewall(&self) -> &Firewall {
-        &self.firewall
-    }
-
-    /// The canonical id of the full policy's diagram (`S_0`).
+    /// The canonical id of the policy's diagram.
     pub fn root(&self) -> ConsId {
-        self.suffix[0]
+        self.root
     }
 
-    /// Every suffix id of the chain, sentinel included — the root set a
-    /// multi-chain owner passes to [`ConsArena::compact_mapped`] /
+    /// Every id the chain holds — just the root — as the root set a
+    /// multi-policy owner passes to [`ConsArena::compact_mapped`] or
     /// [`ConsArena::live_from`].
     pub fn suffix_ids(&self) -> &[ConsId] {
-        &self.suffix
+        std::slice::from_ref(&self.root)
     }
 
-    /// Patches the chain and policy under `edits` as one coalesced batch.
-    /// On error the chain is unchanged (though the arena may have grown).
+    /// Applies `edits` as one batch: stages them on a copy of the policy,
+    /// rebuilds its diagram and interns it. On error the chain is
+    /// unchanged (though the arena may have grown).
     ///
     /// # Errors
     ///
@@ -285,788 +75,88 @@ impl SuffixChain {
         arena: &mut ConsArena,
         edits: &[Edit],
     ) -> Result<MaintainStats, CoreError> {
-        self.apply_batch(arena, edits, None)
-    }
-
-    /// [`apply_with_stats`](Self::apply_with_stats) with the
-    /// [`BatchPlan`] forced instead of chosen by the crossover heuristic.
-    ///
-    /// # Errors
-    ///
-    /// As for [`apply_with_stats`](Self::apply_with_stats).
-    pub fn apply_planned(
-        &mut self,
-        arena: &mut ConsArena,
-        edits: &[Edit],
-        plan: BatchPlan,
-    ) -> Result<MaintainStats, CoreError> {
-        self.apply_batch(arena, edits, Some(plan))
-    }
-
-    fn apply_batch(
-        &mut self,
-        arena: &mut ConsArena,
-        edits: &[Edit],
-        forced: Option<BatchPlan>,
-    ) -> Result<MaintainStats, CoreError> {
-        // Stage the policy first: all index arithmetic is validated on a
-        // scratch copy before any chain surgery, so the error path below
-        // is only the (rare) comprehensiveness failure.
         let mut staged = self.firewall.clone();
         for e in edits {
             e.apply_in_place(&mut staged)?;
         }
-
-        // Simulate the whole batch over the chain's rule metadata —
-        // alignment, memos, dirty marks — without touching the chain.
-        let sim = BatchSim::run(&self.firewall, std::mem::take(&mut self.memos), edits);
-        debug_assert_eq!(sim.work, staged);
-        let BatchSim {
-            work,
-            mut aligned,
-            mut memos,
-            scar,
-        } = sim;
-
-        let n_old = self.firewall.len();
-        let n_new = work.len();
-        let changed_positions = scar.iter().filter(|&&d| d).count();
-        let corridors = scar
-            .iter()
-            .zip(std::iter::once(&false).chain(scar.iter()))
-            .filter(|(cur, prev)| **cur && !**prev)
-            .count();
-        let corridor_span = match (scar.iter().position(|&d| d), scar.iter().rposition(|&d| d)) {
-            (Some(first), Some(last)) => last - first + 1,
-            _ => 0,
-        };
-        let plan =
-            forced.unwrap_or_else(|| BatchPlan::choose(edits.len(), changed_positions, n_new));
-
-        // The content-equal rule tail keeps its suffix ids verbatim; the
-        // sweep starts at the lowest position whose suffix can differ.
-        let tail_shared = match plan {
-            BatchPlan::Coalesced => common_tail(&self.firewall, &work),
-            BatchPlan::FullRebuild => {
-                // Rebuild the chain from the sentinel in the *same* arena
-                // (so old and new ids stay diffable) with fresh memos —
-                // alignment bookkeeping dropped, stale memo memory freed.
-                aligned = vec![None; n_new];
-                memos = (0..n_new).map(|_| PrependMemo::default()).collect();
-                0
-            }
-        };
-
-        // One upward sweep, built back-to-front then reversed. A position
-        // aligned with an untouched rule whose tail just re-interned to
-        // its old tail id copies its old suffix id in O(1) — prepend is a
-        // pure function of (rule content, tail id) within one arena — and
-        // that copy is what lets whole unchanged corridors between and
-        // above the edits flow by without a single set operation.
-        let mut suffix: Vec<ConsId> = Vec::with_capacity(n_new + 1);
-        suffix.push(self.suffix[n_old]);
-        for j in 0..tail_shared {
-            suffix.push(self.suffix[n_old - 1 - j]);
-        }
-        let mut prepends = 0usize;
-        let mut copied = 0usize;
-        let mut scratch = PrependScratch::for_fields(arena.schema().len());
-        // A deep batch interns thousands of nodes; grow the arena's node
-        // store and intern table once up front instead of rehashing a
-        // 10⁴-entry table mid-sweep.
-        arena.reserve(arena.len() / 4);
-        for i in (0..n_new - tail_shared).rev() {
-            let tail = *suffix.last().expect("sentinel seeds the chain");
-            if let Some(o) = aligned[i] {
-                if self.suffix[o + 1] == tail {
-                    suffix.push(self.suffix[o]);
-                    copied += 1;
-                    continue;
-                }
-            }
-            suffix.push(prepend(
-                arena,
-                &work.rules()[i],
-                &mut memos[i],
-                tail,
-                &mut scratch,
-            ));
-            prepends += 1;
-        }
-        suffix.reverse();
-
-        if let Some(witness) = arena.unmatched_witness(suffix[0]) {
-            // Roll back: policy and chain were never touched, but the
-            // per-rule memo vector was taken for the simulation —
-            // rebuilding it fresh on this rare path keeps the happy path
-            // free of deep snapshots.
-            self.memos = self
-                .firewall
-                .rules()
-                .iter()
-                .map(|_| PrependMemo::default())
-                .collect();
-            return Err(CoreError::NotComprehensive { witness });
-        }
-
-        let sweep_levels = n_new - tail_shared;
-        self.firewall = work;
-        self.suffix = suffix;
-        self.memos = memos;
+        self.root = arena.intern_fdd(&Fdd::from_firewall_fast(&staged)?)?;
+        self.firewall = staged;
         Ok(MaintainStats {
-            plan,
-            edits: edits.len(),
-            changed_positions,
-            corridors,
-            corridor_span,
-            tail_shared,
-            sweep_levels,
-            prepends,
-            copied,
+            sweep_levels: self.firewall.len(),
         })
     }
 
-    /// Rewrites every id the chain holds through a compaction map from
-    /// [`ConsArena::compact_mapped`]. Suffix ids must all be present
-    /// (pass them in the compaction's root set); prepend-memo entries are
-    /// **remapped, not dropped** — an entry survives iff both its tail
-    /// and its result were retained, so the caches stay warm across a
-    /// shared-arena compaction.
+    /// Rewrites the root through a compaction map from
+    /// [`ConsArena::compact_mapped`].
     ///
     /// # Panics
     ///
-    /// If a suffix id is missing from `map` — the caller failed to
-    /// include this chain's [`suffix_ids`](Self::suffix_ids) in the
-    /// compaction roots, and the chain is unrecoverable.
+    /// If the root is missing from `map`: the caller left this chain's
+    /// [`suffix_ids`](Self::suffix_ids) out of the compaction roots.
     pub fn remap(&mut self, map: &FxMap<ConsId, ConsId>) {
-        for s in &mut self.suffix {
-            *s = *map
-                .get(s)
-                .expect("chain suffix ids must be compaction roots");
-        }
-        for memo in &mut self.memos {
-            let entries: Vec<(u64, ConsId)> = memo.drain().collect();
-            for (key, val) in entries {
-                let tail = ConsId::from_raw((key & u64::from(u32::MAX)) as u32);
-                if let (Some(&new_tail), Some(&new_val)) = (map.get(&tail), map.get(&val)) {
-                    let new_key = (key & !u64::from(u32::MAX)) | u64::from(new_tail.raw());
-                    memo.insert(new_key, new_val);
-                }
-            }
-        }
+        self.root = *map
+            .get(&self.root)
+            .expect("chain suffix ids must be compaction roots");
     }
-
-    /// Drops every per-rule prepend cache. Pure caches — correctness is
-    /// unaffected, the next edit just re-derives what it needs. The fleet
-    /// registry trims cold tenants this way: a fleet member that never
-    /// edits should not pay memo memory for the build that created it.
-    pub fn trim_memos(&mut self) {
-        for m in &mut self.memos {
-            *m = PrependMemo::default();
-        }
-    }
-
-    /// Approximate heap bytes of the chain's own state (suffix vector,
-    /// memos, rule list) — the *per-tenant marginal* cost in a shared
-    /// arena, excluding the arena itself.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let schema = self.firewall.schema();
-        let rules: usize = self
-            .firewall
-            .rules()
-            .iter()
-            .map(|r| {
-                size_of::<Rule>()
-                    + (0..schema.len())
-                        .map(|f| {
-                            size_of::<fw_model::IntervalSet>()
-                                + r.predicate().set(FieldId(f)).iter().len()
-                                    * size_of::<fw_model::Interval>()
-                        })
-                        .sum::<usize>()
-            })
-            .sum();
-        let memos: usize = self
-            .memos
-            .iter()
-            .map(|m| m.capacity() * (size_of::<u64>() + size_of::<ConsId>() + size_of::<u64>()))
-            .sum();
-        rules + memos + self.suffix.capacity() * size_of::<ConsId>()
-    }
-}
-
-/// A firewall with its FDD kept incrementally up to date (see module
-/// docs): a [`SuffixChain`] bundled with its own private [`ConsArena`].
-///
-/// # Example
-///
-/// ```
-/// # fn main() -> Result<(), fw_core::CoreError> {
-/// use fw_core::{Edit, MaintainedFdd};
-/// use fw_model::{paper, Decision, Rule};
-///
-/// let mut m = MaintainedFdd::new(paper::team_a())?;
-/// // §8.1's common case: a new blanket rule at the top — one prepend.
-/// let impact = m.apply_edits(&[Edit::Insert {
-///     index: 0,
-///     rule: Rule::catch_all(m.firewall().schema(), Decision::Discard),
-/// }])?;
-/// assert!(!impact.is_noop());
-/// let fdd = m.to_fdd()?; // servable post-edit diagram
-/// assert!(fdd.node_count() > 0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct MaintainedFdd {
-    arena: ConsArena,
-    chain: SuffixChain,
-}
-
-impl MaintainedFdd {
-    /// Builds the suffix chain for `firewall`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NotComprehensive`] if some packet matches no rule
-    /// (as for [`crate::Fdd::from_firewall`]).
-    pub fn new(firewall: Firewall) -> Result<MaintainedFdd, CoreError> {
-        let mut arena = ConsArena::new(firewall.schema().clone());
-        let chain = SuffixChain::build(&mut arena, firewall)?;
-        Ok(MaintainedFdd { arena, chain })
-    }
-
-    /// The maintained policy.
-    pub fn firewall(&self) -> &Firewall {
-        self.chain.firewall()
-    }
-
-    /// The canonical id of the full policy's diagram (`S_0`). Stable until
-    /// the next [`apply`](Self::apply) / [`apply_edits`](Self::apply_edits)
-    /// call; ids from before and after an `apply` may be compared and
-    /// diffed ([`diff_from`](Self::diff_from)).
-    pub fn root(&self) -> ConsId {
-        self.chain.root()
-    }
-
-    /// Nodes reachable from the current root.
-    pub fn node_count(&self) -> usize {
-        self.arena.live_from(&[self.root()])
-    }
-
-    /// Total nodes interned in the arena, including garbage from past
-    /// edits (see [`compact`](Self::compact)).
-    pub fn arena_len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Approximate heap bytes of the arena plus the chain's own state —
-    /// what one standalone maintained policy costs, the baseline the
-    /// fleet registry's shared accounting is compared against.
-    pub fn approx_bytes(&self) -> usize {
-        self.arena.approx_bytes() + self.chain.approx_bytes()
-    }
-
-    /// Exports the current diagram as a standalone reduced [`crate::Fdd`]
-    /// — the form the compiled runtime lowers.
-    ///
-    /// # Errors
-    ///
-    /// Never fails after a successful construction or edit (both verify
-    /// comprehensiveness); the `Result` mirrors [`ConsArena::to_fdd`].
-    pub fn to_fdd(&self) -> Result<crate::Fdd, CoreError> {
-        self.arena.to_fdd(self.root())
-    }
-
-    /// Patches the suffix chain and policy under `edits`, applied as one
-    /// coalesced batch (one upward sweep, see [`MaintainStats`]), without
-    /// computing the impact. On error the maintained state is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Index/validation errors as for [`Edit::apply`];
-    /// [`CoreError::NotComprehensive`] if the edited policy no longer
-    /// decides every packet.
-    pub fn apply(&mut self, edits: &[Edit]) -> Result<(), CoreError> {
-        self.apply_with_stats(edits).map(|_| ())
-    }
-
-    /// [`apply`](Self::apply), also reporting which [`BatchPlan`] ran and
-    /// the batch's corridor geometry.
-    ///
-    /// # Errors
-    ///
-    /// As for [`apply`](Self::apply).
-    pub fn apply_with_stats(&mut self, edits: &[Edit]) -> Result<MaintainStats, CoreError> {
-        self.chain.apply_with_stats(&mut self.arena, edits)
-    }
-
-    /// [`apply_with_stats`](Self::apply_with_stats) with the plan forced
-    /// instead of chosen by the crossover heuristic. Both arms produce the
-    /// same diagram (hash-consing makes them intern to the same root); the
-    /// forced form exists so equivalence suites can prove exactly that.
-    ///
-    /// # Errors
-    ///
-    /// As for [`apply`](Self::apply).
-    pub fn apply_planned(
-        &mut self,
-        edits: &[Edit],
-        plan: BatchPlan,
-    ) -> Result<MaintainStats, CoreError> {
-        self.chain.apply_planned(&mut self.arena, edits, plan)
-    }
-
-    /// The exact impact of everything applied since `old_root` (a
-    /// [`root`](Self::root) snapshot from this maintained diagram): a
-    /// short-circuit diff that only walks where the diagrams differ.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ConsArena::diff`].
-    pub fn diff_from(&self, old_root: ConsId) -> Result<ChangeImpact, CoreError> {
-        Ok(ChangeImpact::from_discrepancies(
-            self.arena.diff(old_root, self.root())?,
-        ))
-    }
-
-    /// Applies an edit batch and returns its exact impact — the
-    /// maintained equivalent of [`ChangeImpact::of_edits`], at corridor
-    /// cost instead of whole-policy cost. On error the maintained state
-    /// is unchanged.
-    ///
-    /// The arena is compacted afterwards when past edits have left it
-    /// mostly garbage, so long-lived serving loops stay bounded by the
-    /// live diagram, not the edit history.
-    ///
-    /// # Errors
-    ///
-    /// As for [`apply`](Self::apply).
-    pub fn apply_edits(&mut self, edits: &[Edit]) -> Result<ChangeImpact, CoreError> {
-        self.apply_edits_with_stats(edits).map(|(impact, _)| impact)
-    }
-
-    /// [`apply_edits`](Self::apply_edits), also reporting which
-    /// [`BatchPlan`] ran and the batch's corridor geometry.
-    ///
-    /// # Errors
-    ///
-    /// As for [`apply`](Self::apply).
-    pub fn apply_edits_with_stats(
-        &mut self,
-        edits: &[Edit],
-    ) -> Result<(ChangeImpact, MaintainStats), CoreError> {
-        let old_root = self.root();
-        let stats = self.apply_with_stats(edits)?;
-        let impact = self.diff_from(old_root)?;
-        self.maybe_compact();
-        Ok((impact, stats))
-    }
-
-    /// Drops arena garbage once it dominates the live chain. Invalidates
-    /// previously returned [`root`](Self::root) snapshots, so only the
-    /// batch-level API calls it.
-    fn maybe_compact(&mut self) {
-        if self.arena.len() > 4096
-            && self.arena.len() > 4 * self.arena.live_from(self.chain.suffix_ids())
-        {
-            self.compact();
-        }
-    }
-
-    /// Rebuilds the arena keeping only the live chain; past
-    /// [`root`](Self::root) snapshots become invalid. The per-rule
-    /// prepend caches are remapped through the compaction map
-    /// ([`SuffixChain::remap`]), so they stay warm — edits right after a
-    /// compaction resolve from cache exactly as they would have before.
-    pub fn compact(&mut self) {
-        let mut roots = self.chain.suffix.clone();
-        let map = self.arena.compact_mapped(&mut roots);
-        self.chain.remap(&map);
-    }
-}
-
-/// `prepend(rule, tail)`: the diagram of "if `match(rule)` then
-/// `rule.decision()` else `tail`", built by splitting `tail`'s edges along
-/// the rule's predicate corridor only. Outside the corridor children are
-/// kept by id (shared, never visited); inside it the recursion descends
-/// one field at a time; once every remaining field of the rule is
-/// unconstrained the whole cell decides `rule.decision()` and `tail` is
-/// dropped. Memoised per `(field, tail node)` in `memo`, which outlives
-/// the call (see [`PrependMemo`]).
-/// One split-vector pair of the prepend recursion: the edges kept as-is
-/// (`parts`) and the edges whose children the corridor descends into.
-type SplitFrame = (Vec<(ConsId, Lbl)>, Vec<(ConsId, Lbl)>);
-
-/// Reusable buffers for the prepend recursion: one split-vector pair per
-/// schema field plus the wildcard prefix table, so a whole sweep allocates
-/// them once instead of once per visited node.
-struct PrependScratch {
-    /// `(parts, descend)` per field depth.
-    frames: Vec<SplitFrame>,
-    /// `wild[f]`: the current rule's fields `f..` are all unconstrained —
-    /// every packet reaching field `f` matches, first-match decides.
-    wild: Vec<bool>,
-}
-
-impl PrependScratch {
-    fn for_fields(d: usize) -> PrependScratch {
-        PrependScratch {
-            frames: (0..d).map(|_| (Vec::new(), Vec::new())).collect(),
-            wild: vec![true; d + 1],
-        }
-    }
-}
-
-fn prepend(
-    arena: &mut ConsArena,
-    rule: &Rule,
-    memo: &mut PrependMemo,
-    tail: ConsId,
-    scratch: &mut PrependScratch,
-) -> ConsId {
-    let d = arena.schema().len();
-    scratch.wild[d] = true;
-    for f in (0..d).rev() {
-        let fid = FieldId(f);
-        let dom = arena.schema().field(fid).domain();
-        scratch.wild[f] = scratch.wild[f + 1] && rule.predicate().set(fid).covers(dom);
-    }
-    prepend_rec(arena, rule, memo, 0, tail, scratch)
-}
-
-// Depth is bounded by the schema's field count, so plain recursion is
-// safe here.
-fn prepend_rec(
-    arena: &mut ConsArena,
-    rule: &Rule,
-    memo: &mut PrependMemo,
-    field: usize,
-    tail: ConsId,
-    scratch: &mut PrependScratch,
-) -> ConsId {
-    if scratch.wild[field] {
-        return arena.terminal(Some(rule.decision()));
-    }
-    let key = ((field as u64) << 32) | u64::from(tail.raw());
-    if let Some(&r) = memo.get(&key) {
-        return r;
-    }
-    let fid = FieldId(field);
-    let set = rule.predicate().set(fid);
-    // Phase 1 (arena borrowed shared): split the tail's edges into parts
-    // outside the rule's set — whose subdiagrams are kept verbatim by id,
-    // this is where the sharing comes from — and parts inside it, queued
-    // for descent. A tail constant on this field (terminal or later-field
-    // node) contributes one virtual full-domain edge to itself.
-    let (mut parts, mut descend) = std::mem::take(&mut scratch.frames[field]);
-    match arena.edges(tail) {
-        Some((f, edges)) if f == fid => {
-            // Most rules constrain a narrow window of a wide node, so the
-            // bulk of the edges is wholly outside `set` (kept by label id,
-            // no set algebra) or — for single-interval sets — wholly
-            // inside it (descended with the label id as-is). Only edges
-            // straddling the window pay for subtract/intersect.
-            let lo = set.min_value().expect("rule sets are nonempty");
-            let hi = set.max_value().expect("rule sets are nonempty");
-            let single = set.as_single_interval().is_some();
-            for (lid, child) in edges {
-                let (elo, ehi) = arena.label_window(*lid);
-                if ehi < lo || elo > hi {
-                    parts.push((*child, Lbl::Id(*lid)));
-                    continue;
-                }
-                if single && lo <= elo && ehi <= hi {
-                    descend.push((*child, Lbl::Id(*lid)));
-                    continue;
-                }
-                let label = arena.label(*lid);
-                let outside = label.subtract(set);
-                if !outside.is_empty() {
-                    parts.push((*child, Lbl::Set(outside)));
-                }
-                let inside = label.intersect(set);
-                if !inside.is_empty() {
-                    descend.push((*child, Lbl::Set(inside)));
-                }
-            }
-        }
-        _ => {
-            let domain = arena.schema().field(fid).domain();
-            let outside = set.complement(domain);
-            if !outside.is_empty() {
-                parts.push((tail, Lbl::Set(outside)));
-            }
-            descend.push((tail, Lbl::Set(set.clone())));
-        }
-    }
-    // Phase 2 (arena borrowed unique): descend into the corridor. The
-    // frame vectors were taken out of the scratch, so deeper recursion is
-    // free to use its own depth's pair.
-    for (child, inside) in descend.drain(..) {
-        let c = prepend_rec(arena, rule, memo, field + 1, child, scratch);
-        parts.push((c, inside));
-    }
-    let res = arena.internal_parts(fid, &mut parts);
-    scratch.frames[field] = (parts, descend);
-    memo.insert(key, res);
-    res
-}
-
-/// The impact of a concrete edit batch, computed on a throwaway
-/// maintained chain: one §3 build of `before`, then the coalesced batch
-/// sweep (which reuses the shared tail by id and the travelling memos)
-/// and a short-circuit diff of the two roots. Strictly cheaper than
-/// building both chains — the after-chain costs one warm sweep instead
-/// of a cold construction. Used by [`ChangeImpact::of_edits`].
-///
-/// # Errors
-///
-/// [`CoreError::NotComprehensive`] if either policy leaves packets
-/// undecided; index/validation errors as for [`Edit::apply`].
-pub(crate) fn edit_batch_impact(
-    before: &Firewall,
-    edits: &[Edit],
-) -> Result<(Firewall, ChangeImpact), CoreError> {
-    let mut m = MaintainedFdd::new(before.clone())?;
-    let old_root = m.root();
-    m.apply(edits)?;
-    let impact = m.diff_from(old_root)?;
-    Ok((m.chain.firewall, impact))
-}
-
-/// The impact of an *edit-shaped* change computed over one hash-consed
-/// arena: both policies' suffix chains are built with the longest common
-/// rule-list tail constructed once and shared by id, then the roots are
-/// short-circuit diffed. For a batch of localized edits this touches the
-/// edited corridor plus one chain build; for the §8.1 top-insert it is
-/// one prepend. Used (behind a similarity check) by
-/// [`ChangeImpact::between`], where only the two policies — not the edits
-/// that relate them — are known.
-///
-/// # Errors
-///
-/// [`CoreError::SchemaMismatch`] for different schemas;
-/// [`CoreError::NotComprehensive`] if either policy leaves packets
-/// undecided.
-pub(crate) fn edit_path_impact(
-    before: &Firewall,
-    after: &Firewall,
-) -> Result<ChangeImpact, CoreError> {
-    if before.schema() != after.schema() {
-        return Err(CoreError::SchemaMismatch);
-    }
-    let common = common_tail(before, after);
-    let mut arena = ConsArena::new(before.schema().clone());
-    let mut scratch = PrependScratch::for_fields(arena.schema().len());
-    let mut tail = arena.terminal(None);
-    let mut memo = PrependMemo::default();
-    for i in (before.len() - common..before.len()).rev() {
-        memo.clear();
-        tail = prepend(
-            &mut arena,
-            &before.rules()[i],
-            &mut memo,
-            tail,
-            &mut scratch,
-        );
-    }
-    let mut chain_up = |arena: &mut ConsArena, fw: &Firewall, shared: ConsId| {
-        let mut root = shared;
-        let mut memo = PrependMemo::default();
-        for i in (0..fw.len() - common).rev() {
-            memo.clear();
-            root = prepend(arena, &fw.rules()[i], &mut memo, root, &mut scratch);
-        }
-        root
-    };
-    let root_before = chain_up(&mut arena, before, tail);
-    let root_after = chain_up(&mut arena, after, tail);
-    for root in [root_before, root_after] {
-        if let Some(witness) = arena.unmatched_witness(root) {
-            return Err(CoreError::NotComprehensive { witness });
-        }
-    }
-    Ok(ChangeImpact::from_discrepancies(
-        arena.diff(root_before, root_after)?,
-    ))
-}
-
-/// Length of the longest common rule-list suffix — the part of the two
-/// policies an edit batch left untouched.
-pub(crate) fn common_tail(a: &Firewall, b: &Firewall) -> usize {
-    a.rules()
-        .iter()
-        .rev()
-        .zip(b.rules().iter().rev())
-        .take_while(|(x, y)| x == y)
-        .count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fw_model::{paper, Decision, Rule, Schema};
+    use fw_model::{paper, Decision, FieldDef, Rule, Schema};
 
     #[test]
-    fn chain_matches_fig7_construction() {
-        for fw in [paper::team_a(), paper::team_b()] {
-            let m = MaintainedFdd::new(fw.clone()).unwrap();
-            let chain = m.to_fdd().unwrap();
-            let fresh = crate::Fdd::from_firewall_fast(&fw).unwrap();
-            assert!(chain.isomorphic(&fresh));
-        }
-    }
-
-    #[test]
-    fn top_insert_is_one_prepend_and_exact() {
-        let fw = paper::team_b();
-        let mut m = MaintainedFdd::new(fw.clone()).unwrap();
+    fn build_and_edit_land_on_the_fresh_roots() {
+        let fw = paper::team_a();
+        let mut arena = ConsArena::new(fw.schema().clone());
+        let mut chain = SuffixChain::build(&mut arena, fw.clone()).unwrap();
+        let fresh = |arena: &mut ConsArena, fw: &Firewall| {
+            arena
+                .intern_fdd(&Fdd::from_firewall_fast(fw).unwrap())
+                .unwrap()
+        };
+        assert_eq!(chain.root(), fresh(&mut arena, &fw));
         let blocker = Rule::catch_all(fw.schema(), Decision::Discard);
-        let impact = m
-            .apply_edits(&[Edit::Insert {
-                index: 0,
-                rule: blocker.clone(),
-            }])
+        let stats = chain
+            .apply_with_stats(
+                &mut arena,
+                &[Edit::Insert {
+                    index: 0,
+                    rule: blocker.clone(),
+                }],
+            )
             .unwrap();
         let after = fw.with_rule_inserted(0, blocker).unwrap();
-        assert_eq!(m.firewall(), &after);
-        let (_, full) = ChangeImpact::of_edits(&fw, &[]).unwrap();
-        assert!(full.is_noop());
-        let expect = ChangeImpact::between(&fw, &after).unwrap();
-        assert_eq!(impact.affected_packets(), expect.affected_packets());
-        let chain = m.to_fdd().unwrap();
-        assert!(chain.isomorphic(&crate::Fdd::from_firewall_fast(&after).unwrap()));
+        assert_eq!(stats.sweep_levels, after.len());
+        assert_eq!(chain.root(), fresh(&mut arena, &after));
     }
 
     #[test]
-    fn absorbed_edit_keeps_the_root_id() {
-        let fw = paper::team_a();
-        let mut m = MaintainedFdd::new(fw.clone()).unwrap();
-        let root = m.root();
-        // Self-replacement: nothing changes, the chain re-conses to the
-        // same ids and the recomputation stops immediately.
-        let impact = m
-            .apply_edits(&[Edit::Replace {
-                index: 1,
-                rule: fw.rules()[1].clone(),
-            }])
-            .unwrap();
-        assert!(impact.is_noop());
-        assert_eq!(m.root(), root);
-    }
-
-    #[test]
-    fn non_comprehensive_edit_rolls_back() {
+    fn failed_batch_leaves_the_chain_alone() {
         let schema = Schema::new(vec![
-            fw_model::FieldDef::new("a", 3).unwrap(),
-            fw_model::FieldDef::new("b", 3).unwrap(),
+            FieldDef::new("a", 3).unwrap(),
+            FieldDef::new("b", 3).unwrap(),
         ])
         .unwrap();
         let fw = Firewall::parse(schema, "a=0-3 -> accept\n* -> discard\n").unwrap();
-        let mut m = MaintainedFdd::new(fw.clone()).unwrap();
-        let root = m.root();
-        let err = m.apply_edits(&[Edit::Remove { index: 1 }]).unwrap_err();
+        let mut arena = ConsArena::new(fw.schema().clone());
+        let mut chain = SuffixChain::build(&mut arena, fw).unwrap();
+        let root = chain.root();
+        let err = chain
+            .apply_with_stats(&mut arena, &[Edit::Remove { index: 1 }])
+            .unwrap_err();
         assert!(matches!(err, CoreError::NotComprehensive { .. }));
-        assert_eq!(m.firewall(), &fw);
-        assert_eq!(m.root(), root);
-        // The maintained diagram still works after the failed batch.
-        let ok = m
-            .apply_edits(&[Edit::Replace {
-                index: 0,
-                rule: Rule::catch_all(m.firewall().schema(), Decision::Accept),
-            }])
-            .unwrap();
-        assert!(!ok.is_noop());
+        assert_eq!(chain.root(), root);
     }
 
     #[test]
-    fn every_edit_variant_tracks_the_policy() {
-        let fw = paper::team_a();
-        let mut m = MaintainedFdd::new(fw.clone()).unwrap();
-        let extra = Rule::catch_all(fw.schema(), Decision::DiscardLog);
-        let edits = vec![
-            Edit::Insert {
-                index: 1,
-                rule: extra.clone(),
-            },
-            Edit::Swap {
-                first: 0,
-                second: 1,
-            },
-            Edit::Replace {
-                index: 2,
-                rule: extra,
-            },
-            Edit::Remove { index: 0 },
-        ];
-        let mut expect = fw.clone();
-        for e in &edits {
-            expect = e.apply(&expect).unwrap();
-        }
-        m.apply_edits(&edits).unwrap();
-        assert_eq!(m.firewall(), &expect);
-        let chain = m.to_fdd().unwrap();
-        assert!(chain.isomorphic(&crate::Fdd::from_firewall_fast(&expect).unwrap()));
-        for p in expect.witnesses() {
-            assert_eq!(chain.decision_for(&p), expect.decision_for(&p));
-        }
-    }
-
-    #[test]
-    fn edit_path_impact_matches_full_compare() {
-        let fw = paper::team_a();
-        let blocker = Rule::catch_all(fw.schema(), Decision::Discard);
-        let after = fw.with_rule_inserted(0, blocker).unwrap();
-        let local = edit_path_impact(&fw, &after).unwrap();
-        let full = ChangeImpact::between(&fw, &after).unwrap();
-        assert_eq!(local.affected_packets(), full.affected_packets());
-        for d in local.discrepancies() {
-            let p = d.witness();
-            assert_eq!(fw.decision_for(&p), Some(d.left()));
-            assert_eq!(after.decision_for(&p), Some(d.right()));
-        }
-        assert_eq!(common_tail(&fw, &after), fw.len());
-    }
-
-    #[test]
-    fn compaction_preserves_the_diagram() {
-        let fw = paper::team_b();
-        let mut m = MaintainedFdd::new(fw).unwrap();
-        let before = m.to_fdd().unwrap();
-        m.compact();
-        let after = m.to_fdd().unwrap();
-        assert!(before.isomorphic(&after));
-        // The compacted arena holds the whole suffix chain (not just the
-        // root's diagram) and nothing else.
-        assert!(m.arena_len() >= m.node_count());
-        // Edits still apply after a compaction reset the memos.
-        let flip =
-            m.firewall().rules()[0].with_decision(m.firewall().rules()[0].decision().inverted());
-        m.apply_edits(&[Edit::Replace {
-            index: 0,
-            rule: flip,
-        }])
-        .unwrap();
-    }
-
-    /// Regression for the fleet registry's multi-root usage: several
-    /// chains share one arena, a compaction passes *all* their suffix ids
-    /// as roots, every chain remaps — suffixes and prepend memos both —
-    /// and editing one tenant afterwards works while the others' diagrams
-    /// are untouched.
-    #[test]
-    fn shared_arena_compact_remaps_every_chain_and_memo() {
-        let fw_a = paper::team_a();
-        let fw_b = paper::team_b();
+    fn remap_follows_a_shared_compaction() {
+        let (fw_a, fw_b) = (paper::team_a(), paper::team_b());
         let mut arena = ConsArena::new(fw_a.schema().clone());
         let mut a = SuffixChain::build(&mut arena, fw_a.clone()).unwrap();
-        let mut b = SuffixChain::build(&mut arena, fw_b.clone()).unwrap();
-        // Leave garbage behind: flip a rule out and back on one chain.
-        let orig = fw_b.rules()[0].clone();
-        let flip = orig.with_decision(orig.decision().inverted());
-        b.apply_with_stats(
+        let mut b = SuffixChain::build(&mut arena, fw_b).unwrap();
+        let flip = fw_a.rules()[0].with_decision(fw_a.rules()[0].decision().inverted());
+        a.apply_with_stats(
             &mut arena,
             &[Edit::Replace {
                 index: 0,
@@ -1074,16 +164,10 @@ mod tests {
             }],
         )
         .unwrap();
-        b.apply_with_stats(
-            &mut arena,
-            &[Edit::Replace {
-                index: 0,
-                rule: orig,
-            }],
-        )
-        .unwrap();
-        assert!(arena.len() > arena.live_from(&[a.root(), b.root()]));
-
+        let before = [
+            arena.to_fdd(a.root()).unwrap(),
+            arena.to_fdd(b.root()).unwrap(),
+        ];
         let mut roots: Vec<ConsId> = a
             .suffix_ids()
             .iter()
@@ -1093,124 +177,17 @@ mod tests {
         let map = arena.compact_mapped(&mut roots);
         a.remap(&map);
         b.remap(&map);
-
-        // Both tenants' diagrams survive the shared compact intact...
-        for (chain, fw) in [(&a, &fw_a), (&b, &fw_b)] {
-            let fdd = arena.to_fdd(chain.root()).unwrap();
-            for p in fw.witnesses() {
-                assert_eq!(fdd.decision_for(&p), fw.decision_for(&p));
-            }
-        }
-        // ...with warm memos (remapped, not dropped).
-        assert!(a.memos.iter().any(|m| !m.is_empty()));
-        assert!(b.memos.iter().any(|m| !m.is_empty()));
-
-        // Editing one tenant after the compact leaves the other alone.
-        let b_root = b.root();
-        let blocker = Rule::catch_all(fw_a.schema(), Decision::Discard);
-        a.apply_with_stats(
-            &mut arena,
-            &[Edit::Insert {
-                index: 0,
-                rule: blocker.clone(),
-            }],
-        )
-        .unwrap();
-        let expect = fw_a.with_rule_inserted(0, blocker).unwrap();
-        assert_eq!(a.firewall(), &expect);
-        assert_eq!(b.root(), b_root);
-        let fdd_a = arena.to_fdd(a.root()).unwrap();
-        let fdd_b = arena.to_fdd(b.root()).unwrap();
-        for p in expect.witnesses() {
-            assert_eq!(fdd_a.decision_for(&p), expect.decision_for(&p));
-        }
-        for p in fw_b.witnesses() {
-            assert_eq!(fdd_b.decision_for(&p), fw_b.decision_for(&p));
-        }
+        assert_eq!([a.root(), b.root()], [roots[0], roots[1]]);
+        assert!(before[0].isomorphic(&arena.to_fdd(a.root()).unwrap()));
+        assert!(before[1].isomorphic(&arena.to_fdd(b.root()).unwrap()));
     }
 
-    /// A chain whose suffix ids are left out of the compaction root set
-    /// is unrecoverable — `remap` says so loudly instead of corrupting.
     #[test]
     #[should_panic(expected = "compaction roots")]
     fn remap_panics_when_chain_was_not_a_root() {
         let fw = paper::team_a();
         let mut arena = ConsArena::new(fw.schema().clone());
         let mut chain = SuffixChain::build(&mut arena, fw).unwrap();
-        let map = FxMap::default(); // compacted without this chain's roots
-        chain.remap(&map);
-    }
-
-    #[test]
-    fn crossover_picks_rebuild_only_for_majority_dirty_large_batches() {
-        // Small batches always sweep, however dirty.
-        assert_eq!(BatchPlan::choose(1, 10, 10), BatchPlan::Coalesced);
-        assert_eq!(BatchPlan::choose(7, 10, 10), BatchPlan::Coalesced);
-        // Large batches sweep while most positions keep alignment...
-        assert_eq!(BatchPlan::choose(16, 4, 100), BatchPlan::Coalesced);
-        assert_eq!(BatchPlan::choose(8, 49, 100), BatchPlan::Coalesced);
-        // ...and rebuild once the batch dirties at least half the policy.
-        assert_eq!(BatchPlan::choose(8, 50, 100), BatchPlan::FullRebuild);
-        assert_eq!(BatchPlan::choose(16, 100, 100), BatchPlan::FullRebuild);
-    }
-
-    #[test]
-    fn both_plan_arms_intern_to_the_same_diagram() {
-        let fw = paper::team_a();
-        let extra = Rule::catch_all(fw.schema(), Decision::DiscardLog);
-        let edits = vec![
-            Edit::Insert {
-                index: 0,
-                rule: extra.clone(),
-            },
-            Edit::Replace {
-                index: 2,
-                rule: extra,
-            },
-            Edit::Swap {
-                first: 1,
-                second: 2,
-            },
-        ];
-        let base = MaintainedFdd::new(fw).unwrap();
-        let mut swept = base.clone();
-        let s = swept.apply_planned(&edits, BatchPlan::Coalesced).unwrap();
-        let mut rebuilt = base.clone();
-        let r = rebuilt
-            .apply_planned(&edits, BatchPlan::FullRebuild)
-            .unwrap();
-        assert_eq!(s.plan, BatchPlan::Coalesced);
-        assert_eq!(r.plan, BatchPlan::FullRebuild);
-        // Hash-consing makes the arms' results literally the same node,
-        // so the exported diagrams are equal, not merely isomorphic.
-        assert_eq!(swept.root(), rebuilt.root());
-        assert_eq!(swept.firewall(), rebuilt.firewall());
-        let sf = swept.to_fdd().unwrap();
-        let rf = rebuilt.to_fdd().unwrap();
-        assert!(sf.isomorphic(&rf));
-        for p in swept.firewall().witnesses() {
-            assert_eq!(sf.decision_for(&p), rf.decision_for(&p));
-        }
-        // The rebuild arm re-prepends every position; the sweep copies
-        // the shared tail instead of re-deriving it.
-        assert!(r.prepends >= s.prepends);
-        assert_eq!(s.edits, 3);
-        assert_eq!(r.edits, 3);
-    }
-
-    #[test]
-    fn partial_policy_is_rejected_with_witness() {
-        let schema = Schema::new(vec![
-            fw_model::FieldDef::new("a", 3).unwrap(),
-            fw_model::FieldDef::new("b", 3).unwrap(),
-        ])
-        .unwrap();
-        let fw = Firewall::parse(schema, "a=0-3 -> accept\n").unwrap();
-        match MaintainedFdd::new(fw) {
-            Err(CoreError::NotComprehensive { witness }) => {
-                assert!(witness.contains("a="), "witness was {witness}");
-            }
-            other => panic!("expected NotComprehensive, got {other:?}"),
-        }
+        chain.remap(&FxMap::default());
     }
 }

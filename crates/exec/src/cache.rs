@@ -24,9 +24,10 @@
 //! `contains`), so the cache drops precisely the entries the edit made
 //! stale and keeps every other hot flow warm across the swap. When the
 //! region is large the exact scan stops paying — the crossover to a
-//! wholesale epoch bump (O(1), forgets everything) is chosen like
-//! `fw_core::BatchPlan::choose`: many discrepancies *and* a region
-//! covering half the packet space ([`InvalidationPlan::choose`]).
+//! wholesale epoch bump (O(1), forgets everything) needs many
+//! discrepancies, which make the scan expensive, *and* a region covering
+//! half the packet space, which leaves little worth keeping
+//! ([`InvalidationPlan::choose`]).
 //!
 //! Staleness across the probe→classify→insert window is closed by a
 //! generation counter: every invalidation (exact or epoch bump) bumps the
@@ -113,13 +114,14 @@ pub enum InvalidationPlan {
 }
 
 impl InvalidationPlan {
-    /// The measured crossover, shaped like `fw_core::BatchPlan::choose`:
-    /// the exact scan costs `resident × discrepancies` interval checks and
-    /// keeps every unaffected flow warm; the epoch bump is free but
-    /// forfeits all of them. Only when the batch is large on *both* axes —
-    /// many discrepancy regions (scan cost) and a region covering at least
-    /// half the packet space (little left worth keeping) — does wholesale
-    /// win.
+    /// The crossover: the exact scan costs `resident × discrepancies`
+    /// interval checks and keeps every unaffected flow warm; the epoch
+    /// bump is free but forfeits all of them. Wholesale wins only when the
+    /// edit is large on *both* axes — many discrepancy regions (scan cost)
+    /// and a region covering at least half the packet space (little left
+    /// worth keeping). Either axis alone keeps the scan: few regions are
+    /// cheap to test, and a small region leaves most entries worth
+    /// keeping.
     pub fn choose(discrepancies: usize, affected: u128, space: u128) -> InvalidationPlan {
         if discrepancies >= 8 && affected.saturating_mul(2) >= space {
             InvalidationPlan::EpochBump
@@ -685,8 +687,7 @@ impl EngineChoice {
     }
 
     /// Routes one batch through `cache`, classifying misses through this
-    /// choice's engine (see [`classify_cached_with`] and the module docs
-    /// for the identity argument). Entries are keyed [`UNTAGGED`]: one
+    /// choice's engine (see the module docs for the identity argument). Entries are keyed [`UNTAGGED`]: one
     /// cache per served image.
     ///
     /// # Errors
@@ -885,7 +886,7 @@ mod tests {
         assert_eq!(report.invalidated, resident as u64);
         assert!(cache.is_empty());
 
-        // Crossover shape, mirroring `BatchPlan::choose`.
+        // Crossover shape: wholesale only when both axes are large.
         assert_eq!(
             InvalidationPlan::choose(8, 1, 2),
             InvalidationPlan::EpochBump

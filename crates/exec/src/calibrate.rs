@@ -255,9 +255,9 @@ fn thread_ladder(max: usize) -> Vec<usize> {
 /// thread count on the ladder up to `max_threads` (`0` = all available
 /// cores), and the specialized twin serial and fully sharded (when one is
 /// installed). One untimed pass per arm warms it up (and forces the lazy
-/// lane mirror outside the timings); then [`CALIBRATE_PASSES`] round-robin
-/// passes time every arm once each, and an arm's time is its minimum over
-/// the passes. Ties break toward the earlier arm.
+/// lane mirror outside the timings); then `CALIBRATE_PASSES` (five)
+/// round-robin passes time every arm once each, and an arm's time is its
+/// minimum over the passes. Ties break toward the earlier arm.
 ///
 /// # Errors
 ///
@@ -454,8 +454,9 @@ pub fn calibrate_with_cache(
 
 impl CompiledFdd {
     /// Calibrates this image against a representative batch and records
-    /// the winner in [`CompileStats::calibrated`], which
-    /// [`CompiledFdd::classify_auto`] then routes through.
+    /// the winner in
+    /// [`CompileStats::calibrated`](crate::CompileStats::calibrated),
+    /// which [`CompiledFdd::classify_auto`] then routes through.
     ///
     /// See [`calibrate`] for the candidate set and determinism story.
     /// `max_threads` caps the lane kernel's thread ladder (`0` = all
@@ -498,8 +499,8 @@ impl CompiledFdd {
     }
 
     /// Classifies a batch through the calibrated engine choice
-    /// ([`CompileStats::calibrated`]), falling back to
-    /// [`EngineChoice::default`] on an uncalibrated image.
+    /// ([`CompileStats::calibrated`](crate::CompileStats::calibrated)),
+    /// falling back to [`EngineChoice::default`] on an uncalibrated image.
     ///
     /// # Errors
     ///

@@ -33,13 +33,11 @@
 //! * [`LiveMatcher`] — online serving: the policy plus its image behind an
 //!   atomically swapped `Arc`, where [`LiveMatcher::apply_edits`] runs the
 //!   edit→impact→compile pipeline and in-flight snapshots finish on the
-//!   image they started with. The policy side is a
-//!   [`fw_core::MaintainedFdd`], so the impact and the post-edit diagram
-//!   both come from patching the maintained suffix chain along the edited
-//!   corridor rather than rebuilding from the rule list; the post-edit
-//!   diagram is then lowered by a fresh [`CompiledFdd::compile`], which
-//!   beats splicing it into the old image on every measured edit batch
-//!   (see `live.rs`);
+//!   image they started with. An edit batch rebuilds the policy's diagram
+//!   by fast construction, takes the impact from a short-circuit diff
+//!   against the published diagram in a throwaway hash-consed arena, and
+//!   lowers the new diagram by a fresh [`CompiledFdd::compile`] only if
+//!   some decision changed (see `live.rs`);
 //! * [`CompileStats`] / [`RecompileStats`] — node/arena/depth accounting in
 //!   the style of `fw_core::FddStats`, and the node count of an edit's
 //!   image;

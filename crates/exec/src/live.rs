@@ -25,20 +25,19 @@
 //! [`LiveMatcher::classify_auto_into`] serves each batch through that
 //! choice against one coherent snapshot.
 //!
-//! The write path: the matcher keeps the policy's FDD **maintained**
-//! between edits ([`MaintainedFdd`] — the hash-consed suffix chain of
-//! fw-core), so an edit batch patches the edited corridor of the diagram,
-//! short-circuit diffs it against the previous root for the impact report,
-//! and exports the patched FDD; nothing rebuilds from the rule list. The
-//! exported diagram is then lowered by a fresh [`CompiledFdd::compile`].
-//! Lowering is cheap next to the sweep, and a fresh compile beats splicing
-//! the diagram into the old image on every measured edit batch while
-//! keeping the served image exactly the size of a full compile.
+//! The write path rebuilds. The matcher keeps only the rule list and the
+//! published (image, diagram) pair. An edit batch is staged on one copy of
+//! the rule list, the new diagram is built by fast construction
+//! ([`Fdd::from_firewall_fast`]), and [`ChangeImpact::between_diagrams`]
+//! diffs it against the published diagram in a throwaway hash-consed arena,
+//! where the walk skips every subgraph the two share. Only a batch that
+//! changes some decision compiles the new diagram ([`CompiledFdd::compile`],
+//! no arena export), publishes the pair and invalidates the cache.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use fw_core::{Edit, Fdd, MaintainStats, MaintainedFdd};
+use fw_core::{ChangeImpact, Edit, Fdd, MaintainStats};
 use fw_model::{Decision, Firewall, Packet};
 use serde::{Deserialize, Serialize};
 
@@ -48,8 +47,8 @@ use crate::specialize::SpecializePlan;
 use crate::{CompiledFdd, ExecError, PacketBatch, RecompileStats};
 
 /// A served firewall: the authoritative policy plus the hot-swappable
-/// compiled image, with edits applied through incremental FDD maintenance
-/// and change-impact analysis.
+/// compiled image, with edits applied by rebuild and change-impact
+/// analysis.
 ///
 /// # Example
 ///
@@ -71,10 +70,9 @@ use crate::{CompiledFdd, ExecError, PacketBatch, RecompileStats};
 /// ```
 #[derive(Debug)]
 pub struct LiveMatcher {
-    /// The authoritative policy with its FDD kept maintained between
-    /// edits; the mutex serializes writers across the whole edit pipeline
-    /// (readers never touch it).
-    policy: Mutex<MaintainedFdd>,
+    /// The authoritative rule list; the mutex serializes writers across
+    /// the whole edit pipeline (readers never touch it).
+    policy: Mutex<Firewall>,
     /// The published image paired with the source diagram it was lowered
     /// from — swapped together, atomically, so the auto engine's walk
     /// choice always replays the same semantics the compiled image serves.
@@ -155,8 +153,8 @@ pub struct SwapReport {
     /// Packets whose decision changed, from the impact analysis —
     /// schema-clamped, so never more packets than the space holds.
     pub affected_packets: u128,
-    /// The maintenance layer's receipt: which [`fw_core::BatchPlan`] the
-    /// coalesced batch sweep ran and its corridor geometry.
+    /// The rebuild's receipt: `sweep_levels` is the number of rules the
+    /// rebuild ran over (the post-batch policy length).
     pub maintain: MaintainStats,
     /// The published image's node count (`None` for a no-op batch).
     pub recompile: Option<RecompileStats>,
@@ -167,19 +165,17 @@ pub struct SwapReport {
 }
 
 impl LiveMatcher {
-    /// Compiles `policy`, builds its maintained FDD, and starts serving at
-    /// epoch 0. Construction pays for the full suffix chain once so that
-    /// every later [`apply_edits`](Self::apply_edits) is incremental.
+    /// Builds `policy`'s diagram by fast construction, compiles it, and
+    /// starts serving at epoch 0.
     ///
     /// # Errors
     ///
     /// As for [`CompiledFdd::from_firewall`].
     pub fn new(policy: Firewall) -> Result<LiveMatcher, ExecError> {
-        let maintained = MaintainedFdd::new(policy)?;
-        let fdd = maintained.to_fdd()?;
+        let fdd = Fdd::from_firewall_fast(&policy)?;
         let image = CompiledFdd::compile(&fdd)?;
         Ok(LiveMatcher {
-            policy: Mutex::new(maintained),
+            policy: Mutex::new(policy),
             image: RwLock::new((Arc::new(image), Arc::new(fdd))),
             choice: RwLock::new(EngineChoice::default()),
             cache: Mutex::new(None),
@@ -475,7 +471,6 @@ impl LiveMatcher {
         self.policy
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .firewall()
             .clone()
     }
 
@@ -485,9 +480,10 @@ impl LiveMatcher {
         self.load().classify(packet)
     }
 
-    /// Applies an edit batch: patch the maintained FDD along the edited
-    /// corridor, short-circuit diff it against the pre-edit root for the
-    /// impact, export the patched diagram, compile it, atomic swap. A no-op
+    /// Applies an edit batch: stage every edit on one copy of the rule
+    /// list, rebuild its diagram by fast construction, diff it against the
+    /// published diagram for the impact, and — only if some decision
+    /// changed — compile it, atomic swap, invalidate the cache. A no-op
     /// batch (every packet decides as before) updates the stored policy
     /// text but publishes nothing — the served image is already correct.
     ///
@@ -502,9 +498,21 @@ impl LiveMatcher {
     /// image and stored policy are untouched on error.
     pub fn apply_edits(&self, edits: &[Edit]) -> Result<SwapReport, ExecError> {
         let mut policy = self.policy.lock().unwrap_or_else(PoisonError::into_inner);
-        let (impact, maintain) = policy.apply_edits_with_stats(edits)?;
-        let affected_packets = impact.affected_packets_in(policy.firewall().schema());
+        let mut staged = policy.clone();
+        for e in edits {
+            e.apply_in_place(&mut staged)?;
+        }
+        let fdd = Fdd::from_firewall_fast(&staged)?;
+        // Writers hold the policy mutex, so the published diagram is the
+        // one built from `policy`.
+        let (_, published) = self.load_pair();
+        let impact = ChangeImpact::between_diagrams(&published, &fdd)?;
+        let affected_packets = impact.affected_packets_in(staged.schema());
+        let maintain = MaintainStats {
+            sweep_levels: staged.len(),
+        };
         if impact.is_noop() {
+            *policy = staged;
             return Ok(SwapReport {
                 swapped: false,
                 epoch: self.epoch(),
@@ -514,7 +522,6 @@ impl LiveMatcher {
                 cache: None,
             });
         }
-        let fdd = policy.to_fdd()?;
         let next = CompiledFdd::compile(&fdd)?;
         let stats = RecompileStats {
             nodes_fresh: next.node_count(),
@@ -527,6 +534,7 @@ impl LiveMatcher {
         }
         *self.image.write().unwrap_or_else(PoisonError::into_inner) =
             (Arc::new(next), Arc::new(fdd));
+        *policy = staged;
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         // Invalidate AFTER publishing: once we hold the cache lock, any
         // in-flight cached batch has finished its inserts, and the exact
@@ -617,8 +625,7 @@ mod tests {
 
     /// Regression: the report's packet count is the schema-clamped one, so
     /// even an edit flipping the whole domain (whose per-region sum counts
-    /// overlapping discrepancies) can never exceed the packet space — and
-    /// the maintenance receipt describes the batch that actually ran.
+    /// overlapping discrepancies) can never exceed the packet space.
     #[test]
     fn report_clamps_affected_packets_and_carries_the_maintain_receipt() {
         let fw = fw_synth::Synthesizer::new(77).firewall(20);
@@ -637,10 +644,7 @@ mod tests {
             "clamped count {} exceeds the packet space {space}",
             report.affected_packets
         );
-        assert_eq!(report.maintain.plan, fw_core::BatchPlan::Coalesced);
-        assert_eq!(report.maintain.edits, 3);
-        assert!(report.maintain.corridors >= 1);
-        assert!(report.maintain.corridor_span >= report.maintain.corridors);
+        assert_eq!(report.maintain.sweep_levels, fw.len());
 
         // Flip the final catch-all: the whole unshadowed remainder
         // changes decision, pushing the raw per-region sum toward the

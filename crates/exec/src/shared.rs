@@ -413,9 +413,9 @@ impl SubgraphPool {
     /// [`classify_auto_into`](Self::classify_auto_into) behind a
     /// [`crate::DecisionCache`] front end, entries keyed by this image's
     /// root index as the cache tag. A pool root index names one canonical
-    /// subfunction (`ConsId`) for the pool's lifetime — [`ensure`]
-    /// (SubgraphPool::ensure) returns the existing index for an equal
-    /// function and a fresh monotone index otherwise — so tenants dedup'd
+    /// subfunction (`ConsId`) for the pool's lifetime —
+    /// [`ensure`](SubgraphPool::ensure) returns the existing index for an
+    /// equal function and a fresh monotone index otherwise — so tenants dedup'd
     /// onto the same root *share* hot entries while distinct roots never
     /// collide. The one operation that breaks the mapping is a pool
     /// rebuild (indices restart from zero): the owner must epoch-bump the
@@ -505,24 +505,31 @@ impl SubgraphPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fw_core::SuffixChain;
-    use fw_model::paper;
+    use fw_core::Fdd;
+    use fw_model::{paper, Firewall};
+
+    /// `fw`'s canonical root in `arena`, as the fleet registry interns it.
+    fn intern(arena: &mut ConsArena, fw: &Firewall) -> ConsId {
+        arena
+            .intern_fdd(&Fdd::from_firewall_fast(fw).unwrap())
+            .unwrap()
+    }
 
     #[test]
     fn pool_agrees_with_standalone_images_and_dedupes() {
         let fw_a = paper::team_a();
         let fw_b = paper::team_b();
         let mut arena = ConsArena::new(fw_a.schema().clone());
-        let a = SuffixChain::build(&mut arena, fw_a.clone()).unwrap();
-        let b = SuffixChain::build(&mut arena, fw_b.clone()).unwrap();
+        let a = intern(&mut arena, &fw_a);
+        let b = intern(&mut arena, &fw_b);
 
         let mut pool = SubgraphPool::new(fw_a.schema().clone());
-        let ra = pool.ensure(&arena, a.root()).unwrap();
+        let ra = pool.ensure(&arena, a).unwrap();
         let after_a = pool.node_count();
-        let rb = pool.ensure(&arena, b.root()).unwrap();
+        let rb = pool.ensure(&arena, b).unwrap();
         let after_b = pool.node_count();
         // Re-ensuring is free.
-        assert_eq!(pool.ensure(&arena, a.root()).unwrap(), ra);
+        assert_eq!(pool.ensure(&arena, a).unwrap(), ra);
         assert_eq!(pool.node_count(), after_b);
         // The second image reuses at least the shared terminals.
         assert!(after_b - after_a < pool.reachable(rb));
@@ -546,14 +553,14 @@ mod tests {
     fn identical_roots_share_everything() {
         let fw = paper::team_a();
         let mut arena = ConsArena::new(fw.schema().clone());
-        let a = SuffixChain::build(&mut arena, fw.clone()).unwrap();
-        let b = SuffixChain::build(&mut arena, fw.clone()).unwrap();
-        // Hash-consing gives both chains the same root...
-        assert_eq!(a.root(), b.root());
+        let a = intern(&mut arena, &fw);
+        let b = intern(&mut arena, &fw);
+        // Hash-consing gives both policies the same root...
+        assert_eq!(a, b);
         let mut pool = SubgraphPool::new(fw.schema().clone());
-        let ra = pool.ensure(&arena, a.root()).unwrap();
+        let ra = pool.ensure(&arena, a).unwrap();
         let n = pool.node_count();
-        let rb = pool.ensure(&arena, b.root()).unwrap();
+        let rb = pool.ensure(&arena, b).unwrap();
         // ...so the pool compiles one image, not two.
         assert_eq!(ra, rb);
         assert_eq!(pool.node_count(), n);
@@ -567,8 +574,8 @@ mod tests {
         let mut pool = SubgraphPool::new(fw.schema().clone());
         assert!(pool.ensure(&arena, sentinel).is_err());
         let mut other = SubgraphPool::new(fw_model::Schema::tcp_ip());
-        let chain = SuffixChain::build(&mut arena, fw).unwrap();
-        assert!(other.ensure(&arena, chain.root()).is_err());
+        let cons_root = intern(&mut arena, &fw);
+        assert!(other.ensure(&arena, cons_root).is_err());
     }
 
     /// Sharded auto serving must be byte-identical to the serial column
@@ -578,9 +585,9 @@ mod tests {
     fn auto_routing_shards_the_batch_without_reordering() {
         let fw = fw_synth::Synthesizer::new(31).firewall(40);
         let mut arena = ConsArena::new(fw.schema().clone());
-        let chain = SuffixChain::build(&mut arena, fw.clone()).unwrap();
+        let cons_root = intern(&mut arena, &fw);
         let mut pool = SubgraphPool::new(fw.schema().clone());
-        let root = pool.ensure(&arena, chain.root()).unwrap();
+        let root = pool.ensure(&arena, cons_root).unwrap();
 
         let trace = fw_synth::PacketTrace::random(fw.schema().clone(), 1_013, 17);
         let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
@@ -625,11 +632,11 @@ mod tests {
         let fw_a = paper::team_a();
         let fw_b = paper::team_b();
         let mut arena = ConsArena::new(fw_a.schema().clone());
-        let a = SuffixChain::build(&mut arena, fw_a.clone()).unwrap();
-        let b = SuffixChain::build(&mut arena, fw_b.clone()).unwrap();
+        let a = intern(&mut arena, &fw_a);
+        let b = intern(&mut arena, &fw_b);
         let mut pool = SubgraphPool::new(fw_a.schema().clone());
-        let ra = pool.ensure(&arena, a.root()).unwrap();
-        let rb = pool.ensure(&arena, b.root()).unwrap();
+        let ra = pool.ensure(&arena, a).unwrap();
+        let rb = pool.ensure(&arena, b).unwrap();
         assert_ne!(ra, rb);
 
         let mut cache = crate::DecisionCache::new(fw_a.schema().clone(), 1 << 13).unwrap();
@@ -670,9 +677,9 @@ mod tests {
     fn profiled_walk_and_hot_first_reorder_preserve_decisions() {
         let fw = fw_synth::Synthesizer::new(91).firewall(45);
         let mut arena = ConsArena::new(fw.schema().clone());
-        let chain = SuffixChain::build(&mut arena, fw.clone()).unwrap();
+        let cons_root = intern(&mut arena, &fw);
         let mut pool = SubgraphPool::new(fw.schema().clone());
-        let root = pool.ensure(&arena, chain.root()).unwrap();
+        let root = pool.ensure(&arena, cons_root).unwrap();
 
         let trace = fw_synth::PacketTrace::zipf(&fw, 2_000, 1.1, 7, 8);
         let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
@@ -714,7 +721,7 @@ mod tests {
         // The dedup map was rewritten too: re-ensuring finds the permuted
         // image instead of recompiling.
         let n = pool.node_count();
-        assert_eq!(pool.ensure(&arena, chain.root()).unwrap(), new_root);
+        assert_eq!(pool.ensure(&arena, cons_root).unwrap(), new_root);
         assert_eq!(pool.node_count(), n);
     }
 
@@ -722,18 +729,18 @@ mod tests {
     fn remapped_keys_keep_serving_after_arena_compact() {
         let fw = paper::team_b();
         let mut arena = ConsArena::new(fw.schema().clone());
-        let mut chain = SuffixChain::build(&mut arena, fw.clone()).unwrap();
+        let cons_root = intern(&mut arena, &fw);
         let mut pool = SubgraphPool::new(fw.schema().clone());
-        let root = pool.ensure(&arena, chain.root()).unwrap();
+        let root = pool.ensure(&arena, cons_root).unwrap();
 
-        let mut roots: Vec<ConsId> = chain.suffix_ids().to_vec();
+        let mut roots = [cons_root];
         let map = arena.compact_mapped(&mut roots);
-        chain.remap(&map);
+        let cons_root = roots[0];
         pool.remap_keys(&map);
 
         // The old root index still serves, and re-ensuring the remapped
         // ConsId finds the existing image instead of recompiling.
-        assert_eq!(pool.ensure(&arena, chain.root()).unwrap(), root);
+        assert_eq!(pool.ensure(&arena, cons_root).unwrap(), root);
         for p in fw.witnesses() {
             assert_eq!(Some(pool.classify(root, &p)), fw.decision_for(&p));
         }

@@ -21,20 +21,14 @@
 //! front end ([`PolicyRegistry::classify`],
 //! [`PolicyRegistry::classify_batch`]) serves any tenant from the shared
 //! pool; [`PolicyRegistry::apply_edits`] routes a tenant's edit batch
-//! through the same maintained suffix-chain machinery as
-//! [`fw_exec::LiveMatcher`] and returns the same style of receipt.
+//! through the same rebuild-and-diff path as [`fw_exec::LiveMatcher`] and
+//! returns the same style of receipt.
 //!
-//! Suffix chains are **ephemeral** here: an add or edit builds the
-//! tenant's chain in the shared arena (sharing every node it can), keeps
-//! the root, and lets the intermediate suffixes be compacted away. A
-//! chain's ~n·corridor interior nodes are specific to one rule list and
-//! do not share across perturbed variants (measured: a 661-rule variant
-//! adds ~21k interior nodes but only tens of *final-diagram* nodes), so
-//! retaining them per tenant would cost nearly as much as independent
-//! serving — exactly what the registry exists to avoid. The trade is an
-//! O(policy) chain rebuild per edited tenant instead of the single-policy
-//! path's O(corridor) patch; fleet edits are rare per tenant, and the
-//! rebuild still interns against the shared arena.
+//! An add or edit builds the tenant's diagram by fast construction and
+//! interns it into the shared arena, which keeps only the final diagram's
+//! nodes, and most of those are shared with the other variants: a
+//! 661-rule 5% variant adds only tens of nodes. The edit's impact is the
+//! short-circuit diff of the old and new roots in that arena.
 //!
 //! Persistence goes through FWEX ([`save_fleet`]/[`load_fleet`]): a
 //! manifest of schema + tenant→policy bindings, per-policy rule text, and

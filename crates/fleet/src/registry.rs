@@ -11,19 +11,18 @@
 //! entry by content hash, with a full rule-list equality check guarding
 //! against hash collisions.
 //!
-//! Suffix chains are ephemeral (see the crate docs for the measurement
-//! that forced this): `add_tenant`/`apply_edits` build the tenant's chain
-//! in the shared arena, keep the root, and drop the chain. The arena is
-//! compacted opportunistically behind the writer lock once garbage
-//! dominates, with every retained root remapped and the pool's key map
-//! rewritten in place.
+//! `add_tenant`/`apply_edits` build the tenant's diagram by fast
+//! construction and intern it into the shared arena, keeping only the
+//! canonical root. The arena is compacted opportunistically behind the
+//! writer lock once garbage dominates, with every retained root remapped
+//! and the pool's key map rewritten in place.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use fw_core::{ChangeImpact, ConsArena, ConsId, Edit, FxHasher, FxMap, MaintainStats, SuffixChain};
+use fw_core::{ChangeImpact, ConsArena, ConsId, Edit, Fdd, FxHasher, FxMap};
 use fw_exec::{
     CacheScratch, CacheStats, DecisionCache, EngineChoice, InvalidationReport, PacketBatch,
     PoolProfile, SubgraphPool,
@@ -478,8 +477,6 @@ pub struct EditReceipt {
     pub epoch: u64,
     /// Exact count of packets whose decision the batch changed.
     pub affected_packets: u128,
-    /// Maintenance statistics from the suffix-chain batch apply.
-    pub maintain: MaintainStats,
     /// Whether the post-edit policy collapsed onto another fleet policy
     /// (content dedup), so the tenant now shares that image.
     pub merged: bool,
@@ -658,10 +655,7 @@ impl PolicyRegistry {
             let entry = shard.policies.get_mut(&hash).expect("matched above");
             entry.refs += 1;
         } else {
-            // Ephemeral chain: build in the shared arena, keep the root.
-            let chain = SuffixChain::build(&mut shard.arena, policy.clone())?;
-            let root = chain.root();
-            drop(chain);
+            let root = shard.arena.intern_fdd(&Fdd::from_firewall_fast(&policy)?)?;
             shard.attach_policy(hash, &policy, root)?;
             shard.maybe_compact_arena();
         }
@@ -788,13 +782,13 @@ impl PolicyRegistry {
         Ok(())
     }
 
-    /// Apply an edit batch to `tenant`'s policy through the maintained
-    /// suffix-chain path, returning a receipt with exact impact.
+    /// Apply an edit batch to `tenant`'s policy, returning a receipt with
+    /// exact impact.
     ///
-    /// The tenant's chain is rebuilt in the shared arena (hash-consing
-    /// reproduces its stored root), the batch applies through the
-    /// coalesced maintenance sweep, and the new root is diffed against the
-    /// old one for the exact affected-packet count. If the post-edit
+    /// The batch is staged on a copy of the tenant's rule list, the edited
+    /// policy is rebuilt by fast construction and interned into the shared
+    /// arena, and the new root is diffed against the stored one for the
+    /// exact affected-packet count. If the post-edit
     /// policy equals another fleet policy, the tenant merges onto that
     /// entry (`merged` in the receipt). Other tenants sharing the old
     /// policy are unaffected — the edit forks, never mutates in place.
@@ -817,15 +811,13 @@ impl PolicyRegistry {
             (entry.root, entry.root_node)
         };
 
-        // Rebuild the ephemeral chain; hash-consing guarantees the rebuilt
-        // root is bit-identical to the stored one.
-        let firewall = shard.firewall_of(state.hash);
-        let mut chain = SuffixChain::build(&mut shard.arena, firewall)?;
-        debug_assert_eq!(chain.root(), old_root);
-        let maintain = chain.apply_with_stats(&mut shard.arena, edits)?;
-        let new_root = chain.root();
-        let new_firewall = chain.firewall().clone();
-        drop(chain);
+        let mut new_firewall = shard.firewall_of(state.hash);
+        for e in edits {
+            e.apply_in_place(&mut new_firewall)?;
+        }
+        let new_root = shard
+            .arena
+            .intern_fdd(&Fdd::from_firewall_fast(&new_firewall)?)?;
 
         let impact = ChangeImpact::from_discrepancies(shard.arena.diff(old_root, new_root)?);
         let swapped = !impact.is_noop();
@@ -888,7 +880,6 @@ impl PolicyRegistry {
             swapped,
             epoch,
             affected_packets,
-            maintain,
             merged,
             cache: cache_report,
         })
@@ -1380,8 +1371,9 @@ mod tests {
             .iter()
             .map(|fw| {
                 let mut arena = ConsArena::new(fw.schema().clone());
-                let chain = SuffixChain::build(&mut arena, fw.clone()).unwrap();
-                let mut roots = [chain.root()];
+                let mut roots = [arena
+                    .intern_fdd(&Fdd::from_firewall_fast(fw).unwrap())
+                    .unwrap()];
                 arena.compact(&mut roots);
                 arena.len()
             })

@@ -62,14 +62,14 @@
 //!     --save-compiled write the compiled matcher's wire image
 //!
 //! EDIT REPLAY:
-//!     --edits FILE    after the trace replay, apply the file's policy edits
-//!                     one at a time, timing the maintained edit path
-//!                     (maintain -> impact -> export -> compile) against
-//!                     the full one (ChangeImpact::of_edits, then
+//!     --edits FILE    after the trace replay, push the file's policy edits
+//!                     one at a time through a LiveMatcher, timing its
+//!                     edit path (rebuild -> diff -> compile -> publish)
+//!                     against the full one (compare_firewalls, then
 //!                     CompiledFdd::from_firewall) for each and verifying
 //!                     both images agree on the whole trace; then apply
-//!                     the whole file again as ONE coalesced batch and
-//!                     report the sweep's plan and corridor stats. Lines
+//!                     the whole file again as ONE batch on a fresh
+//!                     matcher and check it lands on the same policy. Lines
 //!                     are `insert IDX RULE`, `replace IDX RULE`,
 //!                     `remove IDX`, `swap I J` (RULE in the fw_model rule
 //!                     DSL); blank lines and `#` comments are skipped.
@@ -651,174 +651,116 @@ fn parse_edits(schema: &Schema, text: &str) -> Result<Vec<diverse_firewall::core
     Ok(edits)
 }
 
-/// Applies each edit in sequence through a persistent [`MaintainedFdd`],
-/// timing the maintained edit path (patch + diff + export + compile)
-/// against the full one (whole-policy impact + `from_firewall`) and
-/// verifying the two images agree on the whole replay trace after every
-/// edit.
+/// Pushes each edit through one
+/// [`LiveMatcher`](diverse_firewall::exec::LiveMatcher), timing its edit
+/// path (rebuild, diff, compile, publish) against the full one (the §3–§5
+/// comparison for the impact, then `from_firewall`) and checking after
+/// every edit that the published image decides the whole replay trace as
+/// a fresh compile of the edited policy does. Then applies the whole file
+/// as one batch on a fresh matcher, which must land on the same policy.
 fn replay_edits(
     fw: &Firewall,
     trace: &PacketTrace,
     edits: &[diverse_firewall::core::Edit],
 ) -> Result<(), ExitCode> {
-    use diverse_firewall::core::{ChangeImpact, MaintainedFdd};
+    use diverse_firewall::core::{compare_firewalls, ChangeImpact};
+    use diverse_firewall::exec::LiveMatcher;
     if edits.is_empty() {
         println!("edit replay: no edits in file");
         return Ok(());
     }
-    let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
-    let mut cur_fw = fw.clone();
-    // One chain for the whole replay, patched edit by edit — what a
-    // LiveMatcher keeps between batches.
-    let mut maintained = match MaintainedFdd::new(fw.clone()) {
-        Ok(m) => m,
-        Err(err) => {
-            eprintln!("fwclass: building maintained FDD: {err}");
-            return Err(ExitCode::FAILURE);
-        }
+    let fail = |what: &str, err: &dyn std::fmt::Display| {
+        eprintln!("fwclass: {what}: {err}");
+        ExitCode::FAILURE
     };
+    let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
+    let live = LiveMatcher::new(fw.clone()).map_err(|e| fail("building the matcher", &e))?;
+    let mut cur_fw = fw.clone();
     let (mut full_out, mut edit_out) = (Vec::new(), Vec::new());
     let (mut e2e_full_total, mut e2e_edit_total) = (0f64, 0f64);
     for (i, e) in edits.iter().enumerate() {
-        let t = Instant::now();
-        let (after, impact) = match ChangeImpact::of_edits(&cur_fw, std::slice::from_ref(e)) {
-            Ok(r) => r,
-            Err(err) => {
-                eprintln!("fwclass: edit {i}: {err}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
-        let impact_us = us(t.elapsed());
+        let after = e
+            .apply(&cur_fw)
+            .map_err(|err| fail(&format!("edit {i}"), &err))?;
 
         let t = Instant::now();
-        let full = match CompiledFdd::from_firewall(&after) {
-            Ok(c) => c,
-            Err(err) => {
-                eprintln!("fwclass: edit {i}: full recompile failed: {err}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
+        let report = live
+            .apply_edits(std::slice::from_ref(e))
+            .map_err(|err| fail(&format!("edit {i}"), &err))?;
+        let edit_us = us(t.elapsed());
+
+        let t = Instant::now();
+        let impact = compare_firewalls(&cur_fw, &after)
+            .map(ChangeImpact::from_discrepancies)
+            .map_err(|err| fail(&format!("edit {i}: full comparison"), &err))?;
+        let impact_us = us(t.elapsed());
+        let t = Instant::now();
+        let full = CompiledFdd::from_firewall(&after)
+            .map_err(|err| fail(&format!("edit {i}: full recompile"), &err))?;
         let full_us = us(t.elapsed());
 
-        let old_root = maintained.root();
-        let t = Instant::now();
-        if let Err(err) = maintained.apply(std::slice::from_ref(e)) {
-            eprintln!("fwclass: edit {i}: maintained patch failed: {err}");
+        // Schema-clamped on both sides: a per-region sum can exceed the
+        // packet space; never report more packets than exist.
+        let affected = impact.affected_packets_in(after.schema());
+        if live.policy() != after || report.affected_packets != affected {
+            eprintln!("fwclass: BUG: edit {i}: the matcher's policy or impact disagrees");
             return Err(ExitCode::FAILURE);
         }
-        let maintain_us = us(t.elapsed());
-        let t = Instant::now();
-        let m_impact = match maintained.diff_from(old_root) {
-            Ok(im) => im,
-            Err(err) => {
-                eprintln!("fwclass: edit {i}: maintained diff failed: {err}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
-        let diff_us = us(t.elapsed());
-        let t = Instant::now();
-        let m_fdd = match maintained.to_fdd() {
-            Ok(f) => f,
-            Err(err) => {
-                eprintln!("fwclass: edit {i}: maintained export failed: {err}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
-        let export_us = us(t.elapsed());
-        if m_impact.affected_packets() != impact.affected_packets() {
-            eprintln!("fwclass: BUG: edit {i}: maintained impact disagrees with of_edits");
-            return Err(ExitCode::FAILURE);
-        }
-
-        let t = Instant::now();
-        let image = match CompiledFdd::compile(&m_fdd) {
-            Ok(c) => c,
-            Err(err) => {
-                eprintln!("fwclass: edit {i}: compile failed: {err}");
-                return Err(ExitCode::FAILURE);
-            }
-        };
-        let compile_us = us(t.elapsed());
-
+        let image = live.load();
         full.classify_batch_into(trace.packets(), &mut full_out);
         image.classify_batch_into(trace.packets(), &mut edit_out);
         if full_out != edit_out {
-            eprintln!("fwclass: BUG: edit {i}: maintained image disagrees with full recompile");
+            eprintln!("fwclass: BUG: edit {i}: published image disagrees with full recompile");
             return Err(ExitCode::FAILURE);
         }
-        let e2e_edit = maintain_us + diff_us + export_us + compile_us;
         let e2e_full = impact_us + full_us;
         println!(
-            "edit {i}: maintained patch {maintain_us:.0} + diff {diff_us:.0} + export \
-             {export_us:.0} + compile {compile_us:.0} µs = {e2e_edit:.0} µs ({} nodes) | \
+            "edit {i}: apply_edits {edit_us:.0} µs ({} nodes, swapped: {}) | \
              full: impact {impact_us:.0} + from_firewall {full_us:.0} µs = {e2e_full:.0} µs | \
-             {} changed region(s), {} affected packet(s)",
+             {} changed region(s), {affected} affected packet(s)",
             image.node_count(),
+            report.swapped,
             impact.discrepancies().len(),
-            // Schema-clamped: a per-region sum can exceed the packet
-            // space; never report more packets than exist.
-            impact.affected_packets_in(cur_fw.schema()),
         );
         e2e_full_total += e2e_full;
-        e2e_edit_total += e2e_edit;
+        e2e_edit_total += edit_us;
         cur_fw = after;
     }
     println!(
         "edit replay: {} edit(s), edit-to-image: full pipeline {e2e_full_total:.0} µs vs \
-         maintained {e2e_edit_total:.0} µs (x{:.1}), all verified against the trace",
+         apply_edits {e2e_edit_total:.0} µs (x{:.1}), all verified against the trace",
         edits.len(),
         e2e_full_total / e2e_edit_total
     );
 
-    // The same file applied as ONE coalesced batch to a fresh chain — the
-    // path a LiveMatcher takes for a multi-edit call. Must land on exactly
-    // the policy and semantics the edit-by-edit replay reached.
-    let mut batch_m = match MaintainedFdd::new(fw.clone()) {
-        Ok(m) => m,
-        Err(err) => {
-            eprintln!("fwclass: building batch chain: {err}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
+    // The same file applied as ONE batch to a fresh matcher — the path a
+    // multi-edit call takes. Must land on exactly the policy and semantics
+    // the edit-by-edit replay reached.
+    let batch_live =
+        LiveMatcher::new(fw.clone()).map_err(|e| fail("building the batch matcher", &e))?;
     let t = Instant::now();
-    let (b_impact, b_stats) = match batch_m.apply_edits_with_stats(edits) {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("fwclass: batch apply failed: {err}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
+    let report = batch_live
+        .apply_edits(edits)
+        .map_err(|e| fail("batch apply", &e))?;
     let batch_us = us(t.elapsed());
-    if batch_m.firewall() != &cur_fw {
+    if batch_live.policy() != cur_fw {
         eprintln!("fwclass: BUG: one-batch replay lands on a different policy");
         return Err(ExitCode::FAILURE);
     }
-    let b_fdd = match batch_m.to_fdd() {
-        Ok(f) => f,
-        Err(err) => {
-            eprintln!("fwclass: batch export failed: {err}");
-            return Err(ExitCode::FAILURE);
-        }
-    };
+    let image = batch_live.load();
     for p in trace.packets() {
-        let linear = cur_fw.decision_for(p).expect("comprehensive policy");
-        if b_fdd.evaluate(p) != linear {
-            eprintln!("fwclass: BUG: one-batch chain disagrees with first-match at {p}");
+        if image.classify(p) != cur_fw.decision_for(p).expect("comprehensive policy") {
+            eprintln!("fwclass: BUG: one-batch image disagrees with first-match at {p}");
             return Err(ExitCode::FAILURE);
         }
     }
     println!(
-        "batch replay: {} edit(s) as one {:?} batch in {batch_us:.0} µs | \
-         {} corridor(s) spanning {} position(s), {} tail rule(s) shared, \
-         {} prepend(s), {} copied | {} affected packet(s), verified against the trace",
+        "batch replay: {} edit(s) as one batch in {batch_us:.0} µs over {} rules | \
+         swapped: {} | {} affected packet(s), verified against the trace",
         edits.len(),
-        b_stats.plan,
-        b_stats.corridors,
-        b_stats.corridor_span,
-        b_stats.tail_shared,
-        b_stats.prepends,
-        b_stats.copied,
-        b_impact.affected_packets_in(cur_fw.schema()),
+        report.maintain.sweep_levels,
+        report.swapped,
+        report.affected_packets,
     );
     Ok(())
 }

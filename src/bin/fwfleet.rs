@@ -39,9 +39,9 @@
 //!
 //! EDITS:
 //!     --tenant T      tenant id for --edits
-//!     --edits FILE    apply the file's edit batch to tenant T through the
-//!                     maintained path and print the receipt (epoch,
-//!                     affected packets, batch plan, content dedup). Lines
+//!     --edits FILE    apply the file's edit batch to tenant T (rebuild,
+//!                     intern, diff) and print the receipt (epoch,
+//!                     affected packets, content dedup). Lines
 //!                     are `insert IDX RULE`, `replace IDX RULE`,
 //!                     `remove IDX`, `swap I J`; `#` comments skipped.
 //!
@@ -390,7 +390,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Per-tenant edit batch through the maintained path.
+    // Per-tenant edit batch: rebuild, intern, diff.
     match (&edits_file, tenant) {
         (Some(path), Some(t_id)) => {
             let tenant = TenantId(t_id);
@@ -419,17 +419,14 @@ fn main() -> ExitCode {
             match registry.apply_edits(tenant, &edits) {
                 Ok(r) => {
                     println!(
-                        "edited {tenant}: {} edit(s) as one {:?} batch in {:?} | swapped: {} \
-                         (epoch {}), {} affected packet(s), {} corridor(s) spanning {} | \
+                        "edited {tenant}: {} edit(s) as one batch in {:?} | swapped: {} \
+                         (epoch {}), {} affected packet(s) | \
                          content dedup onto existing policy: {}",
                         edits.len(),
-                        r.maintain.plan,
                         t.elapsed(),
                         r.swapped,
                         r.epoch,
                         r.affected_packets,
-                        r.maintain.corridors,
-                        r.maintain.corridor_span,
                         r.merged
                     );
                     if let Some(inv) = &r.cache {

@@ -1,10 +1,25 @@
-//! Integration tests for the `fwdiff` command-line tool, driven through the
-//! real binary.
+//! Integration tests for the command-line tools, driven through the real
+//! binaries: `fwdiff` throughout, and the edit surfaces of `fwclass` and
+//! `fwfleet`.
 
 use std::process::Command;
 
 fn fwdiff() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fwdiff"))
+}
+
+/// Writes the three-edit file both edit surfaces replay, in a directory of
+/// its own under the system temp dir, and returns its path.
+fn edit_file(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fw-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("edits.txt");
+    std::fs::write(
+        &path,
+        "insert 0 proto=6, dport=23 -> discard\nremove 1\nswap 0 1\n",
+    )
+    .expect("write edits");
+    path
 }
 
 fn repo_path(rel: &str) -> String {
@@ -152,4 +167,58 @@ fn non_comprehensive_policy_names_an_unmatched_packet() {
         stderr.contains("no rule matches src=167772160, dst=0, sport=0, dport=22"),
         "got: {stderr}"
     );
+}
+
+#[test]
+fn fwclass_replays_an_edit_file_and_verifies_every_image() {
+    let edits = edit_file("fwclass");
+    let out = Command::new(env!("CARGO_BIN_EXE_fwclass"))
+        .args(["--random", "2000", "--edits"])
+        .arg(&edits)
+        .arg(repo_path("policies/dmz_v1.fw"))
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_dir_all(edits.parent().expect("edit file has a dir"));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("all verified against the trace"),
+        "got: {stdout}"
+    );
+}
+
+#[test]
+fn fwfleet_applies_an_edit_file_to_one_tenant() {
+    let edits = edit_file("fwfleet");
+    let out = Command::new(env!("CARGO_BIN_EXE_fwfleet"))
+        .args([
+            "--rules",
+            "40",
+            "--tenants",
+            "4",
+            "--percent",
+            "5",
+            "--random",
+            "500",
+            "--tenant",
+            "1",
+            "--edits",
+        ])
+        .arg(&edits)
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_dir_all(edits.parent().expect("edit file has a dir"));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("swapped: true"), "got: {stdout}");
 }

@@ -261,7 +261,7 @@ fn inverse(before: &Firewall, batch: &[Edit]) -> Vec<Edit> {
 }
 
 /// Fifty insert/retire batches through one matcher: after every batch the
-/// served image equals a fresh compile of the maintained diagram, so it
+/// served image equals a fresh compile of the published diagram, so it
 /// never grows past what a full compile would build. Every tenth batch is
 /// also undone by its inverse, which must give back exactly the image
 /// served before the batch — the first time, the starting compile.
