@@ -53,7 +53,6 @@ mod fdd;
 mod impact;
 mod maintain;
 mod multiway;
-mod par;
 mod product;
 pub mod query;
 mod reduce;
@@ -71,13 +70,7 @@ pub use error::CoreError;
 pub use fdd::{domain_label, label, Edge, Fdd, FddBuilder, NodeId, NodeView};
 pub use impact::{ChangeImpact, Edit};
 pub use maintain::{MaintainStats, SuffixChain};
-pub use multiway::{
-    cross_compare, direct_compare, direct_compare_jobs, project_pair, shape_all,
-    PairwiseDiscrepancies,
-};
-pub use par::{
-    build_pair_parallel, compare_firewalls_parallel, diff_firewalls_parallel, diff_product_parallel,
-};
+pub use multiway::{cross_compare, direct_compare, project_pair, shape_all, PairwiseDiscrepancies};
 pub use product::{diff_firewalls, diff_product, DiffProduct};
 pub use query::{any_match, query_fdd, query_firewall, QueryAnswer};
 pub use shape::{semi_isomorphic, shape_pair};

@@ -79,31 +79,6 @@ pub fn direct_compare(versions: &[Firewall]) -> Result<Vec<MultiDiscrepancy>, Co
     Ok(coalesce_multi(out))
 }
 
-/// [`direct_compare`] with a thread budget: for two versions the sharded
-/// parallel product engine ([`crate::diff_firewalls_parallel`]) runs
-/// across `jobs` workers (0 = all cores, 1 = serial); for `N > 2` the
-/// `N`-way shaping walk is inherently sequential and runs serially
-/// regardless of `jobs`.
-///
-/// # Errors
-///
-/// As for [`direct_compare`].
-pub fn direct_compare_jobs(
-    versions: &[Firewall],
-    jobs: usize,
-) -> Result<Vec<MultiDiscrepancy>, CoreError> {
-    check_versions(versions)?;
-    if versions.len() == 2 {
-        let prod = crate::par::diff_firewalls_parallel(&versions[0], &versions[1], jobs)?;
-        let mut out = Vec::new();
-        prod.for_each_discrepancy(|p, x, y| {
-            out.push(MultiDiscrepancy::new(p.clone(), vec![x, y]));
-        });
-        return Ok(coalesce_multi(out));
-    }
-    direct_compare(versions)
-}
-
 /// Shapes all `N` versions into mutually semi-isomorphic FDDs in one pass —
 /// the generalisation of [`crate::shape_pair`] that §7.3's direct comparison
 /// needs. The `i`-th output is equivalent to `versions[i]`.

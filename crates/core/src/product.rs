@@ -21,6 +21,10 @@
 //! live in one arena, shared subgraphs have equal ids, and the pairing
 //! short-circuits to "no discrepancy" without visiting them (see
 //! [`ChangeImpact::between`](crate::ChangeImpact::between)).
+//!
+//! The recursion is serial: one memo and one node interner. Independent
+//! comparisons parallelise one level up, one pair per thread (§7.3's
+//! cross comparison in `fw-diverse`).
 
 use std::collections::HashMap;
 
@@ -31,10 +35,10 @@ use crate::fdd::{Fdd, Node, NodeId};
 use crate::CoreError;
 
 /// Index into a [`DiffProduct`] arena.
-pub(crate) type PId = u32;
+type PId = u32;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum PNode {
+enum PNode {
     Terminal(Decision, Decision),
     Internal {
         field: FieldId,
@@ -78,11 +82,11 @@ pub fn diff_product(a: &Fdd, b: &Fdd) -> Result<DiffProduct, CoreError> {
     if a.schema() != b.schema() {
         return Err(CoreError::SchemaMismatch);
     }
-    let mut sink = LocalSink::default();
-    let root = product_rec(a, b, a.root(), b.root(), &mut sink);
+    let mut arena = ProductArena::default();
+    let root = product_rec(a, b, a.root(), b.root(), &mut arena);
     Ok(DiffProduct {
         schema: a.schema().clone(),
-        nodes: sink.nodes,
+        nodes: arena.nodes,
         root,
     })
 }
@@ -103,42 +107,16 @@ pub fn diff_firewalls(a: &Firewall, b: &Firewall) -> Result<DiffProduct, CoreErr
     diff_product(&fa, &fb)
 }
 
-/// Where the synchronized-product recursion stores its results: a memo
-/// table over `(NodeId, NodeId)` pairs plus a hash-consing node interner.
-///
-/// The recursion itself ([`product_rec`]) is written once against this
-/// trait; the serial builder plugs in a plain [`HashMap`]-backed
-/// [`LocalSink`], while the parallel engine (`crate::par`) plugs in a
-/// sink whose memo is a lock-striped table shared across worker shards.
-pub(crate) trait ProductSink {
-    /// Handle to an interned product node. For the serial sink this is a
-    /// [`PId`]; the parallel sink packs `(worker, local index)`.
-    type Ref: Copy + Eq;
-
-    /// Looks up a previously completed product for this node pair.
-    fn memo_get(&mut self, key: (NodeId, NodeId)) -> Option<Self::Ref>;
-    /// Publishes a completed product for this node pair.
-    fn memo_put(&mut self, key: (NodeId, NodeId), r: Self::Ref);
-    /// Interns a terminal carrying the pair of decisions.
-    fn intern_terminal(&mut self, da: Decision, db: Decision) -> Self::Ref;
-    /// Interns an internal node; `edges` partition the field's domain and
-    /// are already sorted by minimum value.
-    fn intern_internal(
-        &mut self,
-        field: FieldId,
-        edges: Vec<(IntervalSet, Self::Ref)>,
-    ) -> Self::Ref;
-}
-
-/// Serial sink: process-local memo + hash-cons tables, arena of [`PNode`]s.
+/// The product recursion's memo over `(NodeId, NodeId)` pairs plus the
+/// hash-consing interner of the [`PNode`] arena it fills.
 #[derive(Default)]
-pub(crate) struct LocalSink {
-    pub(crate) nodes: Vec<PNode>,
+struct ProductArena {
+    nodes: Vec<PNode>,
     cons: HashMap<PNode, PId>,
     memo: HashMap<(NodeId, NodeId), PId>,
 }
 
-impl LocalSink {
+impl ProductArena {
     fn intern(&mut self, node: PNode) -> PId {
         if let Some(&id) = self.cons.get(&node) {
             return id;
@@ -150,29 +128,9 @@ impl LocalSink {
     }
 }
 
-impl ProductSink for LocalSink {
-    type Ref = PId;
-
-    fn memo_get(&mut self, key: (NodeId, NodeId)) -> Option<PId> {
-        self.memo.get(&key).copied()
-    }
-
-    fn memo_put(&mut self, key: (NodeId, NodeId), r: PId) {
-        self.memo.insert(key, r);
-    }
-
-    fn intern_terminal(&mut self, da: Decision, db: Decision) -> PId {
-        self.intern(PNode::Terminal(da, db))
-    }
-
-    fn intern_internal(&mut self, field: FieldId, edges: Vec<(IntervalSet, PId)>) -> PId {
-        self.intern(PNode::Internal { field, edges })
-    }
-}
-
 /// One overlay cell: a non-empty intersection of two edge labels and the
 /// child pair it leads to.
-pub(crate) type OverlayCell = (IntervalSet, NodeId, NodeId);
+type OverlayCell = (IntervalSet, NodeId, NodeId);
 
 /// Computes the overlay step at one node pair: the field the product
 /// branches on and the non-empty pairwise cells with their child pairs.
@@ -180,12 +138,7 @@ pub(crate) type OverlayCell = (IntervalSet, NodeId, NodeId);
 /// Returns `None` when both nodes are terminal (the recursion bottom).
 /// A node ranked after the chosen field behaves as a single full-domain
 /// self-edge — the paper's node-insertion step, performed virtually.
-pub(crate) fn overlay_cells(
-    a: &Fdd,
-    b: &Fdd,
-    va: NodeId,
-    vb: NodeId,
-) -> Option<(FieldId, Vec<OverlayCell>)> {
+fn overlay_cells(a: &Fdd, b: &Fdd, va: NodeId, vb: NodeId) -> Option<(FieldId, Vec<OverlayCell>)> {
     let d = a.schema().len();
     let rank_a = match a.node(va) {
         Node::Terminal(_) => d,
@@ -236,29 +189,22 @@ pub(crate) fn overlay_cells(
     Some((field, cells))
 }
 
-/// The memoised synchronized-product recursion, generic over the memo /
-/// interner backend so the serial and sharded-parallel builders share one
-/// implementation.
-pub(crate) fn product_rec<S: ProductSink>(
-    a: &Fdd,
-    b: &Fdd,
-    va: NodeId,
-    vb: NodeId,
-    sink: &mut S,
-) -> S::Ref {
-    if let Some(r) = sink.memo_get((va, vb)) {
+/// The memoised synchronized-product recursion: each distinct node pair
+/// is overlaid once, and equal product nodes are interned once.
+fn product_rec(a: &Fdd, b: &Fdd, va: NodeId, vb: NodeId, arena: &mut ProductArena) -> PId {
+    if let Some(&r) = arena.memo.get(&(va, vb)) {
         return r;
     }
     let r = match overlay_cells(a, b, va, vb) {
         None => {
             let da = a.terminal_decision(va).expect("both-terminal case");
             let db = b.terminal_decision(vb).expect("both-terminal case");
-            sink.intern_terminal(da, db)
+            arena.intern(PNode::Terminal(da, db))
         }
         Some((field, cells)) => {
-            let mut per_child: Vec<(S::Ref, IntervalSet)> = Vec::new();
+            let mut per_child: Vec<(PId, IntervalSet)> = Vec::new();
             for (cell, ta, tb) in cells {
-                let child = product_rec(a, b, ta, tb, sink);
+                let child = product_rec(a, b, ta, tb, arena);
                 match per_child.iter_mut().find(|(c, _)| *c == child) {
                     Some((_, set)) => *set = set.union(&cell),
                     None => per_child.push((child, cell)),
@@ -269,26 +215,15 @@ pub(crate) fn product_rec<S: ProductSink>(
             } else {
                 per_child.sort_by_key(|(_, set)| set.min_value());
                 let edges = per_child.into_iter().map(|(c, s)| (s, c)).collect();
-                sink.intern_internal(field, edges)
+                arena.intern(PNode::Internal { field, edges })
             }
         }
     };
-    sink.memo_put((va, vb), r);
+    arena.memo.insert((va, vb), r);
     r
 }
 
 impl DiffProduct {
-    /// Assembles a product from an already-built arena (used by the
-    /// parallel engine's flatten step). The caller guarantees the arena
-    /// is hash-consed and `root` is in range.
-    pub(crate) fn from_parts(schema: Schema, nodes: Vec<PNode>, root: PId) -> DiffProduct {
-        DiffProduct {
-            schema,
-            nodes,
-            root,
-        }
-    }
-
     /// The common schema.
     pub fn schema(&self) -> &Schema {
         &self.schema

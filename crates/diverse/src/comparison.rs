@@ -2,10 +2,10 @@
 //! discrepancies among the versions the design teams produced.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-use fw_core::{Discrepancy, MultiDiscrepancy};
+use fw_core::{CoreError, Discrepancy, MultiDiscrepancy};
 use fw_model::{Firewall, Packet};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::DiverseError;
@@ -47,22 +47,6 @@ impl Comparison {
         })
     }
 
-    /// [`Comparison::of`] with a thread budget: the two-version case runs
-    /// the sharded parallel product engine across `jobs` workers (0 = all
-    /// cores, 1 = serial). Produces exactly the same discrepancy set as
-    /// the serial phase.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Comparison::of`].
-    pub fn of_with_jobs(versions: Vec<Firewall>, jobs: usize) -> Result<Comparison, DiverseError> {
-        let discrepancies = fw_core::direct_compare_jobs(&versions, jobs)?;
-        Ok(Comparison {
-            versions,
-            discrepancies,
-        })
-    }
-
     /// The compared versions, in team order.
     pub fn versions(&self) -> &[Firewall] {
         &self.versions
@@ -94,81 +78,47 @@ impl Comparison {
 }
 
 /// Cross comparison of all version pairs (§7.3), fanned out across threads —
-/// each of the `N·(N−1)/2` pairwise pipelines is independent, so they run
-/// concurrently under `crossbeam::scope`.
+/// each of the `N·(N−1)/2` pairwise pipelines is independent, so up to one
+/// worker per available core takes the next pair until none is left.
 ///
 /// # Errors
 ///
-/// As for [`fw_core::cross_compare`] (the first error encountered wins).
+/// Exactly [`fw_core::cross_compare`]'s: each pair's result is kept in its
+/// own slot and the first error in `(i, j)` order is returned, whichever
+/// thread finished first.
 pub fn cross_compare_parallel(
     versions: &[Firewall],
 ) -> Result<fw_core::PairwiseDiscrepancies, DiverseError> {
-    cross_compare_parallel_jobs(versions, 0)
-}
-
-/// [`cross_compare_parallel`] with an explicit thread budget. `jobs`
-/// worker threads (0 = all available cores) drain the pair queue; when
-/// there are fewer pairs than workers, the surplus is spent *inside*
-/// each comparison via the sharded product engine
-/// ([`fw_core::compare_firewalls_parallel`]), so a two-version cross
-/// comparison still uses the full budget.
-///
-/// # Errors
-///
-/// As for [`fw_core::cross_compare`] (the first error encountered wins).
-pub fn cross_compare_parallel_jobs(
-    versions: &[Firewall],
-    jobs: usize,
-) -> Result<fw_core::PairwiseDiscrepancies, DiverseError> {
-    if versions.len() < 2 {
-        return Err(DiverseError::Core(fw_core::CoreError::Invariant(
-            "need at least two versions to compare".to_owned(),
-        )));
+    if versions.len() < 2 || versions.windows(2).any(|w| w[0].schema() != w[1].schema()) {
+        // `cross_compare`'s own argument check, and its error.
+        return Ok(fw_core::cross_compare(versions)?);
     }
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
-    };
     let pairs: Vec<(usize, usize)> = (0..versions.len())
         .flat_map(|i| ((i + 1)..versions.len()).map(move |j| (i, j)))
         .collect();
-    // Outer fan-out over pairs; leftover budget goes to intra-pair shards.
-    let workers = jobs.min(pairs.len()).max(1);
-    let intra = (jobs / workers).max(1);
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(pairs.len());
     let cursor = AtomicUsize::new(0);
-    let results: Mutex<fw_core::PairwiseDiscrepancies> =
-        Mutex::new(Vec::with_capacity(pairs.len()));
-    let first_error: Mutex<Option<fw_core::CoreError>> = Mutex::new(None);
-    crossbeam::thread::scope(|s| {
+    let slots: Vec<OnceLock<Result<Vec<Discrepancy>, CoreError>>> =
+        pairs.iter().map(|_| OnceLock::new()).collect();
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            let pairs = &pairs;
-            let cursor = &cursor;
-            let results = &results;
-            let first_error = &first_error;
-            s.spawn(move |_| {
-                while let Some(&(i, j)) = pairs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                    match fw_core::compare_firewalls_parallel(&versions[i], &versions[j], intra) {
-                        Ok(ds) => results.lock().push(((i, j), ds)),
-                        Err(e) => {
-                            let mut slot = first_error.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                        }
-                    }
-                }
+            s.spawn(|| loop {
+                let k = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(i, j)) = pairs.get(k) else { break };
+                let result = fw_core::compare_firewalls(&versions[i], &versions[j]);
+                slots[k]
+                    .set(result)
+                    .expect("the cursor hands out each pair once");
             });
         }
-    })
-    .expect("comparison worker threads do not panic");
-    if let Some(e) = first_error.into_inner() {
-        return Err(e.into());
+    });
+    let mut out = Vec::with_capacity(pairs.len());
+    for (pair, slot) in pairs.into_iter().zip(slots) {
+        let result = slot.into_inner().expect("every pair was compared");
+        out.push((pair, result?));
     }
-    let mut out = results.into_inner();
-    out.sort_by_key(|(k, _)| *k);
     Ok(out)
 }
 
@@ -196,31 +146,30 @@ mod tests {
         assert!(cmp.versions_agree());
     }
 
+    /// The fan-out must return exactly `cross_compare`'s result: the
+    /// same pairs in the same order on success, and the same error —
+    /// the first in `(i, j)` order — however the threads are scheduled.
     #[test]
     fn parallel_cross_compare_matches_serial() {
         let versions = vec![paper::team_a(), paper::team_b(), paper::team_a()];
-        let parallel = cross_compare_parallel(&versions).unwrap();
         let serial = fw_core::cross_compare(&versions).unwrap();
-        assert_eq!(parallel.len(), serial.len());
-        for ((pk, pv), (sk, sv)) in parallel.iter().zip(&serial) {
-            assert_eq!(pk, sk);
-            assert_eq!(pv.len(), sv.len());
-        }
-    }
+        assert_eq!(cross_compare_parallel(&versions).unwrap(), serial);
 
-    #[test]
-    fn jobs_variants_match_serial() {
-        let serial = Comparison::of(vec![paper::team_a(), paper::team_b()]).unwrap();
-        for jobs in [0, 1, 2, 8] {
-            let par =
-                Comparison::of_with_jobs(vec![paper::team_a(), paper::team_b()], jobs).unwrap();
-            assert_eq!(serial.discrepancies(), par.discrepancies(), "jobs={jobs}");
-        }
-        let versions = vec![paper::team_a(), paper::team_b(), paper::team_a()];
-        let serial = fw_core::cross_compare(&versions).unwrap();
-        for jobs in [1, 2, 8] {
-            let par = cross_compare_parallel_jobs(&versions, jobs).unwrap();
-            assert_eq!(serial, par, "jobs={jobs}");
+        // Version 1 lacks its catch-all and version 3 covers six protocols
+        // only. Pair (0, 1) is the first to fail in (i, j) order and the
+        // slowest to (a 3,000-rule build); (0, 3) and (2, 3) fail fast on
+        // version 3, so a first-to-finish rule would report their error.
+        let schema = fw_model::Schema::tcp_ip();
+        let small = fw_synth::Synthesizer::new(5).firewall(60);
+        let large = fw_synth::Synthesizer::new(6).firewall(3_000);
+        let gap = Firewall::new(schema.clone(), large.rules()[..large.len() - 1].to_vec()).unwrap();
+        let narrow = Firewall::parse(schema, "proto=0-5 -> accept\n").unwrap();
+        let versions = vec![small.clone(), gap, small, narrow];
+        let serial = fw_core::cross_compare(&versions).map_err(DiverseError::from);
+        let first = fw_core::compare_firewalls(&versions[0], &versions[1]).unwrap_err();
+        assert_eq!(serial, Err(DiverseError::Core(first)));
+        for _ in 0..20 {
+            assert_eq!(cross_compare_parallel(&versions), serial);
         }
     }
 

@@ -47,21 +47,10 @@ pub struct TeamScore {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DesignSession {
     names: Vec<String>,
     versions: Vec<Firewall>,
-    jobs: usize,
-}
-
-impl Default for DesignSession {
-    fn default() -> DesignSession {
-        DesignSession {
-            names: Vec::new(),
-            versions: Vec::new(),
-            jobs: 1,
-        }
-    }
 }
 
 impl DesignSession {
@@ -78,37 +67,20 @@ impl DesignSession {
         self
     }
 
-    /// Sets the thread budget for the comparison phase: `0` uses all
-    /// available cores, `1` (the default) runs serially, `n > 1` runs the
-    /// sharded parallel comparison engine across `n` workers. The
-    /// discrepancy set is identical either way.
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> DesignSession {
-        self.jobs = jobs;
-        self
-    }
-
     /// Number of registered teams.
     pub fn team_count(&self) -> usize {
         self.versions.len()
     }
 
-    /// Runs the comparison phase (across the configured [`jobs`] budget).
-    ///
-    /// [`jobs`]: DesignSession::jobs
+    /// Runs the comparison phase.
     ///
     /// # Errors
     ///
     /// As for [`Comparison::of`] (needs ≥ 2 teams with one schema).
     pub fn compare(self) -> Result<ComparedSession, DiverseError> {
-        let comparison = if self.jobs == 1 {
-            Comparison::of(self.versions)?
-        } else {
-            Comparison::of_with_jobs(self.versions, self.jobs)?
-        };
         Ok(ComparedSession {
             names: self.names,
-            comparison,
+            comparison: Comparison::of(self.versions)?,
         })
     }
 }
@@ -386,21 +358,6 @@ mod tests {
             s.resolve_with(vec![Decision::Accept]),
             Err(DiverseError::ResolutionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn parallel_session_matches_serial() {
-        let serial = compared();
-        let parallel = DesignSession::new()
-            .team("A", paper::team_a())
-            .team("B", paper::team_b())
-            .jobs(4)
-            .compare()
-            .unwrap();
-        assert_eq!(
-            serial.comparison().discrepancies(),
-            parallel.comparison().discrepancies()
-        );
     }
 
     #[test]

@@ -91,8 +91,9 @@ pub struct EngineChoice {
     /// Whether a [`crate::DecisionCache`] front end sits before `kind`
     /// (the engine then only classifies the misses). Routing through the
     /// cache is the caller's move — [`EngineChoice::classify_into`]
-    /// ignores this flag, [`crate::LiveMatcher`] and the fleet registry
-    /// honour it.
+    /// ignores this flag and [`crate::LiveMatcher`] honours it. The fleet
+    /// registry takes no engine choice: its shards serve through the
+    /// pool's column walk, behind a cache when one is enabled.
     pub cached: bool,
 }
 

@@ -108,6 +108,6 @@ pub use error::ExecError;
 pub use kernel::{LaneScratch, DEFAULT_LANE_WIDTH};
 pub use live::{LiveMatcher, SwapReport};
 pub use par::ParScratch;
-pub use profile::{PoolProfile, Profile, PROFILE_SAMPLE_ROWS};
+pub use profile::{Profile, PROFILE_SAMPLE_ROWS};
 pub use shared::SubgraphPool;
 pub use specialize::{SpecializePlan, SpecializedFdd};

@@ -23,9 +23,9 @@
 //! wire format never carries them, and [`CompiledFdd::clone`] resets the
 //! profiler (the clone may serve different traffic).
 //!
-//! [`PoolProfile`] is the fleet-side sibling: one visit histogram per
-//! shard of a [`crate::SubgraphPool`], where dedup'd tenants share nodes
-//! and therefore share heat (see `shared.rs`).
+//! Profiling is a single-image concern: the fleet's shared
+//! [`crate::SubgraphPool`] serves through its plain column walk and keeps
+//! no heat.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -334,58 +334,6 @@ impl CompiledFdd {
             );
         }
         s
-    }
-}
-
-/// A per-shard visit profile over [`crate::SubgraphPool`] node indices.
-///
-/// The fleet registry samples shard traffic through
-/// [`crate::SubgraphPool::classify_columns_profiled_into`] and feeds the
-/// histogram to [`crate::SubgraphPool::reorder_hot_first`] on the next
-/// pool rebuild, so the nodes tenants actually share heat on end up
-/// adjacent at the front of the arena. Unlike the single-image
-/// [`Profile`], there is no per-cut histogram: cross-tenant layout is the
-/// only specialization the pool applies (fusion and hybrid search remain
-/// single-image concerns — see `specialize.rs`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PoolProfile {
-    pub(crate) visits: Vec<u64>,
-    pub(crate) packets: u64,
-    pub(crate) batches: u64,
-}
-
-impl PoolProfile {
-    /// An empty profile; grows to the pool's node count on first use.
-    pub fn new() -> PoolProfile {
-        PoolProfile::default()
-    }
-
-    /// Per-pool-node visit counts.
-    pub fn visits(&self) -> &[u64] {
-        &self.visits
-    }
-
-    /// Packets accumulated.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Sampled batches accumulated.
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Clears the histogram (after a rebuild reindexes the pool).
-    pub fn reset(&mut self) {
-        self.visits.clear();
-        self.packets = 0;
-        self.batches = 0;
-    }
-
-    pub(crate) fn ensure_len(&mut self, nodes: usize) {
-        if self.visits.len() < nodes {
-            self.visits.resize(nodes, 0);
-        }
     }
 }
 

@@ -18,23 +18,17 @@
 //! The pool trades the lane mirror away: level-contiguity is a per-image
 //! property that cannot survive incremental multi-root growth, so serving
 //! from the pool uses the scalar walk ([`SubgraphPool::decide`]) and the
-//! column walk ([`SubgraphPool::classify_columns_into`]). The calibrated
-//! engine choice still routes fleet batches
-//! ([`SubgraphPool::classify_auto_into`]): every kind degrades to the
-//! column walk, but the choice's thread count shards the batch across
-//! cores into disjoint output spans — the same multi-core discipline as
-//! the standalone parallel lane pipeline, minus the lanes.
+//! serial column walk ([`SubgraphPool::classify_columns_into`]), optionally
+//! behind a decision cache ([`SubgraphPool::classify_cached_into`]).
 
 use fw_core::{ConsArena, ConsId, ConsView, FxMap};
 use fw_model::{Decision, Packet, Schema};
 
 use crate::batch::PacketBatch;
-use crate::calibrate::EngineChoice;
 use crate::compile::{
     decision_from_u16, emit_internal, lower_bound, verify_partition, NodeDesc, KIND_JUMP,
     KIND_TERMINAL,
 };
-use crate::profile::PoolProfile;
 use crate::ExecError;
 
 /// A pool of compiled FDD nodes shared across any number of roots (see
@@ -216,70 +210,9 @@ impl SubgraphPool {
         }
         out.clear();
         out.resize(batch.len(), Decision::Accept);
-        self.columns_span(root, batch, 0, out);
-        Ok(())
-    }
-
-    /// The column walk over packets `[start, start + out.len())` of the
-    /// batch, writing each decision at its batch-relative slot — the
-    /// span primitive both the serial path and the sharded auto path
-    /// fill disjoint output slices through.
-    fn columns_span(&self, root: u32, batch: &PacketBatch, start: usize, out: &mut [Decision]) {
-        for (k, slot) in out.iter_mut().enumerate() {
-            let i = start + k;
-            let mut idx = root as usize;
-            *slot = loop {
-                let n = self.nodes[idx];
-                match n.kind {
-                    KIND_TERMINAL => break decision_from_u16(n.field),
-                    KIND_JUMP => {
-                        let v = batch.column(n.field as usize)[i];
-                        idx = self.jump[n.off as usize + v as usize] as usize;
-                    }
-                    _ => {
-                        let v = batch.column(n.field as usize)[i];
-                        let off = n.off as usize;
-                        let len = n.len as usize;
-                        let k = lower_bound(&self.cuts[off..off + len], v);
-                        idx = self.cut_targets[off + k] as usize;
-                    }
-                }
-            };
-        }
-    }
-
-    /// The column walk with a visit histogram: identical decisions to
-    /// [`classify_columns_into`](Self::classify_columns_into), plus one
-    /// visit count per pool node traversed. The fleet registry routes a
-    /// sampled fraction of shard traffic through here and feeds the
-    /// accumulated [`PoolProfile`] to
-    /// [`reorder_hot_first`](Self::reorder_hot_first) — the pool-level
-    /// analogue of the single-image sampling profiler.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Model`] if the batch was built over a different
-    /// schema.
-    pub fn classify_columns_profiled_into(
-        &self,
-        root: u32,
-        batch: &PacketBatch,
-        profile: &mut PoolProfile,
-        out: &mut Vec<Decision>,
-    ) -> Result<(), ExecError> {
-        if batch.schema() != &self.schema {
-            return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
-                expected: self.schema.len(),
-                found: batch.schema().len(),
-            }));
-        }
-        profile.ensure_len(self.nodes.len());
-        out.clear();
-        out.resize(batch.len(), Decision::Accept);
         for (i, slot) in out.iter_mut().enumerate() {
             let mut idx = root as usize;
             *slot = loop {
-                profile.visits[idx] += 1;
                 let n = self.nodes[idx];
                 match n.kind {
                     KIND_TERMINAL => break decision_from_u16(n.field),
@@ -297,120 +230,10 @@ impl SubgraphPool {
                 }
             };
         }
-        profile.packets += batch.len() as u64;
-        profile.batches += 1;
         Ok(())
     }
 
-    /// Permutes the pool into hot-first order under `visits` (indexed by
-    /// current node index; missing tail entries count as cold): nodes are
-    /// stably sorted by descending visit count, every arena slice is
-    /// re-emitted in the new order, and all targets plus the dedup map are
-    /// rewritten through the permutation. Returns the old-index → new-index
-    /// map so the owner can rewrite the root indices it handed out —
-    /// **every previously returned root index is invalidated** (the fleet
-    /// registry also epoch-bumps its decision cache here, exactly as for a
-    /// rebuild).
-    ///
-    /// Decisions are untouched: the permutation renames nodes and moves
-    /// their bytes, so the hottest descriptors and their cut/jump slices
-    /// pack the front of each arena and cross-tenant hot paths share cache
-    /// lines, but every walk resolves the same function.
-    pub fn reorder_hot_first(&mut self, visits: &[u64]) -> Vec<u32> {
-        let n = self.nodes.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(visits.get(i as usize).copied().unwrap_or(0)),
-                i,
-            )
-        });
-        let mut map = vec![0u32; n];
-        for (new, &old) in order.iter().enumerate() {
-            map[old as usize] = new as u32;
-        }
-        let mut nodes = Vec::with_capacity(n);
-        let mut cuts = Vec::with_capacity(self.cuts.len());
-        let mut cut_targets = Vec::with_capacity(self.cut_targets.len());
-        let mut jump = Vec::with_capacity(self.jump.len());
-        for &old in &order {
-            let mut d = self.nodes[old as usize];
-            let (off, len) = (d.off as usize, d.len as usize);
-            match d.kind {
-                KIND_TERMINAL => {}
-                KIND_JUMP => {
-                    d.off = jump.len() as u32;
-                    jump.extend(self.jump[off..off + len].iter().map(|&t| map[t as usize]));
-                }
-                _ => {
-                    d.off = cuts.len() as u32;
-                    cuts.extend_from_slice(&self.cuts[off..off + len]);
-                    cut_targets.extend(
-                        self.cut_targets[off..off + len]
-                            .iter()
-                            .map(|&t| map[t as usize]),
-                    );
-                }
-            }
-            nodes.push(d);
-        }
-        self.nodes = nodes;
-        self.cuts = cuts;
-        self.cut_targets = cut_targets;
-        self.jump = jump;
-        for v in self.map.values_mut() {
-            *v = map[*v as usize];
-        }
-        map
-    }
-
-    /// Classifies a batch through a calibrated [`EngineChoice`], degraded
-    /// to what the pool can serve: there is no lane mirror here
-    /// (level-contiguity is per-image) and no source diagram, so every
-    /// engine *kind* maps onto the column walk — but the choice's thread
-    /// count still shards the batch across cores, each worker filling a
-    /// disjoint span of `out`. Decisions land in packet order regardless
-    /// of the thread count, identical to
-    /// [`classify_columns_into`](Self::classify_columns_into).
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::Model`] if the batch was built over a different
-    /// schema.
-    pub fn classify_auto_into(
-        &self,
-        root: u32,
-        choice: EngineChoice,
-        batch: &PacketBatch,
-        out: &mut Vec<Decision>,
-    ) -> Result<(), ExecError> {
-        if batch.schema() != &self.schema {
-            return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
-                expected: self.schema.len(),
-                found: batch.schema().len(),
-            }));
-        }
-        let len = batch.len();
-        out.clear();
-        out.resize(len, Decision::Accept);
-        let threads = crate::par::resolve_threads(choice.threads).min(len.max(1));
-        if threads <= 1 {
-            self.columns_span(root, batch, 0, out);
-            return Ok(());
-        }
-        // Uniform static partition: the walk costs roughly the same per
-        // packet, so equal spans balance without a stealing cursor.
-        let span = len.div_ceil(threads);
-        std::thread::scope(|s| {
-            for (k, chunk) in out.chunks_mut(span).enumerate() {
-                let at = k * span;
-                s.spawn(move || self.columns_span(root, batch, at, chunk));
-            }
-        });
-        Ok(())
-    }
-
-    /// [`classify_auto_into`](Self::classify_auto_into) behind a
+    /// [`classify_columns_into`](Self::classify_columns_into) behind a
     /// [`crate::DecisionCache`] front end, entries keyed by this image's
     /// root index as the cache tag. A pool root index names one canonical
     /// subfunction (`ConsId`) for the pool's lifetime —
@@ -428,7 +251,6 @@ impl SubgraphPool {
     pub fn classify_cached_into(
         &self,
         root: u32,
-        choice: EngineChoice,
         batch: &PacketBatch,
         cache: &mut crate::DecisionCache,
         scratch: &mut crate::CacheScratch,
@@ -451,7 +273,7 @@ impl SubgraphPool {
             batch,
             scratch,
             out,
-            |miss, miss_out| self.classify_auto_into(root, choice, miss, miss_out),
+            |miss, miss_out| self.classify_columns_into(root, miss, miss_out),
         )
     }
 
@@ -578,50 +400,22 @@ mod tests {
         assert!(other.ensure(&arena, cons_root).is_err());
     }
 
-    /// Sharded auto serving must be byte-identical to the serial column
-    /// walk for every engine kind and thread count — including spans that
-    /// do not divide the batch evenly.
+    /// The column walk clears stale output, serves an empty batch, and
+    /// rejects a batch over another schema.
     #[test]
-    fn auto_routing_shards_the_batch_without_reordering() {
+    fn column_walk_clears_the_output_and_rejects_other_schemas() {
         let fw = fw_synth::Synthesizer::new(31).firewall(40);
         let mut arena = ConsArena::new(fw.schema().clone());
         let cons_root = intern(&mut arena, &fw);
         let mut pool = SubgraphPool::new(fw.schema().clone());
         let root = pool.ensure(&arena, cons_root).unwrap();
 
-        let trace = fw_synth::PacketTrace::random(fw.schema().clone(), 1_013, 17);
-        let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
-        let mut expect = Vec::new();
-        pool.classify_columns_into(root, &batch, &mut expect)
-            .unwrap();
-
         let mut got = vec![Decision::Accept; 3]; // stale junk must be cleared
-        for kind in [
-            crate::EngineKind::Walk,
-            crate::EngineKind::Lanes,
-            crate::EngineKind::Spec,
-        ] {
-            for threads in [0usize, 1, 2, 3, 8] {
-                let choice = EngineChoice {
-                    kind,
-                    threads,
-                    ..EngineChoice::default()
-                };
-                pool.classify_auto_into(root, choice, &batch, &mut got)
-                    .unwrap();
-                assert_eq!(got, expect, "kind {kind:?} threads {threads} diverged");
-            }
-        }
-
-        // Schema mismatch still rejects, and an empty batch is fine.
         let empty = PacketBatch::from_packets(fw.schema().clone(), &[]).unwrap();
-        pool.classify_auto_into(root, EngineChoice::default(), &empty, &mut got)
-            .unwrap();
+        pool.classify_columns_into(root, &empty, &mut got).unwrap();
         assert!(got.is_empty());
         let other = PacketBatch::from_packets(fw_model::Schema::paper_example(), &[]).unwrap();
-        assert!(pool
-            .classify_auto_into(root, EngineChoice::default(), &other, &mut got)
-            .is_err());
+        assert!(pool.classify_columns_into(root, &other, &mut got).is_err());
     }
 
     /// Cached pool serving must agree with the plain column walk, share
@@ -641,7 +435,6 @@ mod tests {
 
         let mut cache = crate::DecisionCache::new(fw_a.schema().clone(), 1 << 13).unwrap();
         let mut scratch = crate::CacheScratch::new();
-        let choice = EngineChoice::default();
         let trace = fw_synth::PacketTrace::biased(&fw_a, 400, 0.3, 3);
         let batch = PacketBatch::from_trace(fw_a.schema().clone(), trace.packets()).unwrap();
         let mut expect = Vec::new();
@@ -652,7 +445,7 @@ mod tests {
             for root in [ra, rb] {
                 pool.classify_columns_into(root, &batch, &mut expect)
                     .unwrap();
-                pool.classify_cached_into(root, choice, &batch, &mut cache, &mut scratch, &mut got)
+                pool.classify_cached_into(root, &batch, &mut cache, &mut scratch, &mut got)
                     .unwrap();
                 assert_eq!(got, expect, "root {root} diverged through the cache");
             }
@@ -664,65 +457,9 @@ mod tests {
         // A dedup'd "second tenant" is the same root — its first pass is
         // already warm.
         let before = cache.stats().misses;
-        pool.classify_cached_into(ra, choice, &batch, &mut cache, &mut scratch, &mut got)
+        pool.classify_cached_into(ra, &batch, &mut cache, &mut scratch, &mut got)
             .unwrap();
         assert_eq!(cache.stats().misses, before, "shared root serves warm");
-    }
-
-    /// The profiled walk must decide identically to the plain column walk
-    /// while counting every traversal, and a hot-first reorder must be
-    /// decision-invisible: same function, new names, visits non-increasing
-    /// along the new index order.
-    #[test]
-    fn profiled_walk_and_hot_first_reorder_preserve_decisions() {
-        let fw = fw_synth::Synthesizer::new(91).firewall(45);
-        let mut arena = ConsArena::new(fw.schema().clone());
-        let cons_root = intern(&mut arena, &fw);
-        let mut pool = SubgraphPool::new(fw.schema().clone());
-        let root = pool.ensure(&arena, cons_root).unwrap();
-
-        let trace = fw_synth::PacketTrace::zipf(&fw, 2_000, 1.1, 7, 8);
-        let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
-        let mut expect = Vec::new();
-        pool.classify_columns_into(root, &batch, &mut expect)
-            .unwrap();
-
-        let mut profile = PoolProfile::new();
-        let mut got = Vec::new();
-        pool.classify_columns_profiled_into(root, &batch, &mut profile, &mut got)
-            .unwrap();
-        assert_eq!(got, expect, "instrumentation must not change decisions");
-        assert_eq!(profile.packets(), 2_000);
-        assert_eq!(profile.batches(), 1);
-        assert_eq!(
-            profile.visits()[root as usize],
-            2_000,
-            "every packet visits the root"
-        );
-
-        let map = pool.reorder_hot_first(profile.visits());
-        let new_root = map[root as usize];
-        let mut after = Vec::new();
-        pool.classify_columns_into(new_root, &batch, &mut after)
-            .unwrap();
-        assert_eq!(after, expect, "reorder must be decision-invisible");
-        for p in trace.packets().iter().take(50) {
-            assert_eq!(Some(pool.classify(new_root, p)), fw.decision_for(p));
-        }
-
-        // Hot-first really holds: visit counts are non-increasing when
-        // read through the permutation.
-        let mut new_visits = vec![0u64; pool.node_count()];
-        for (old, &new) in map.iter().enumerate() {
-            new_visits[new as usize] = profile.visits()[old];
-        }
-        assert!(new_visits.windows(2).all(|w| w[0] >= w[1]));
-
-        // The dedup map was rewritten too: re-ensuring finds the permuted
-        // image instead of recompiling.
-        let n = pool.node_count();
-        assert_eq!(pool.ensure(&arena, cons_root).unwrap(), new_root);
-        assert_eq!(pool.node_count(), n);
     }
 
     #[test]

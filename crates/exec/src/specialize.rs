@@ -403,8 +403,7 @@ impl SpecializedFdd {
     }
 
     /// Sharded column classification: the batch is split into one
-    /// contiguous span per worker (same static carve as
-    /// [`crate::SubgraphPool::classify_auto_into`]).
+    /// contiguous span per worker, equal in length but for the last.
     pub(crate) fn classify_par_into(
         &self,
         batch: &PacketBatch,

@@ -16,16 +16,17 @@
 //! canonical root. The arena is compacted opportunistically behind the
 //! writer lock once garbage dominates, with every retained root remapped
 //! and the pool's key map rewritten in place.
+//!
+//! A batch is served by the shard pool's serial column walk, behind the
+//! shard's decision cache when one is enabled.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use fw_core::{ChangeImpact, ConsArena, ConsId, Edit, Fdd, FxHasher, FxMap};
 use fw_exec::{
-    CacheScratch, CacheStats, DecisionCache, EngineChoice, InvalidationReport, PacketBatch,
-    PoolProfile, SubgraphPool,
+    CacheScratch, CacheStats, DecisionCache, InvalidationReport, PacketBatch, SubgraphPool,
 };
 use fw_model::{Decision, Firewall, Packet, Rule, Schema};
 use serde::{Deserialize, Serialize};
@@ -168,15 +169,6 @@ struct Shard {
     /// while holding the registry write lock, so the two locks never
     /// deadlock.
     cache: Mutex<Option<ShardCache>>,
-    /// Per-shard visit histogram over pool node indices, fed by the
-    /// sampled serving batches when [`PolicyRegistry::enable_profiling`]
-    /// is on and consumed by [`PolicyRegistry::respecialize`]. Reset
-    /// whenever root indices are reassigned (reorder or rebuild) — the
-    /// histogram is meaningless across a renumbering.
-    profile: Mutex<PoolProfile>,
-    /// Serving-batch counter for 1-in-N profile sampling; advanced with a
-    /// relaxed fetch-add under the registry read lock.
-    profile_tick: AtomicU64,
 }
 
 impl fmt::Debug for Shard {
@@ -200,8 +192,6 @@ impl Shard {
             policies: FxMap::default(),
             pool_dead: 0,
             cache: Mutex::new(None),
-            profile: Mutex::new(PoolProfile::new()),
-            profile_tick: AtomicU64::new(0),
         }
     }
 
@@ -218,15 +208,6 @@ impl Shard {
         {
             sc.cache.bump_epoch();
         }
-    }
-
-    /// Forget the visit histogram. Must run alongside any root-index
-    /// renumbering: stale indices would attribute heat to the wrong nodes.
-    fn reset_profile(&mut self) {
-        self.profile
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .reset();
     }
 
     /// Reconstruct the [`Firewall`] a policy entry denotes.
@@ -353,7 +334,6 @@ impl Shard {
         self.pool = pool;
         self.pool_dead = 0;
         self.flush_cache();
-        self.reset_profile();
         Ok(())
     }
 
@@ -417,10 +397,6 @@ struct Inner {
     /// Requested decision-cache capacity per shard; 0 means caching is
     /// off. New shards are provisioned to match on creation.
     cache_capacity: usize,
-    /// Profile-sampling period: one serving batch in `profile_every` per
-    /// shard routes through the instrumented column walk; 0 means
-    /// profiling is off.
-    profile_every: u64,
 }
 
 impl Inner {
@@ -532,30 +508,12 @@ impl FleetStats {
 #[derive(Debug, Default)]
 pub struct PolicyRegistry {
     inner: RwLock<Inner>,
-    /// The engine choice batch serving routes through
-    /// ([`SubgraphPool::classify_auto_into`] serves every kind through the
-    /// column walk, so only the thread count bites here; the default is
-    /// serial). One choice for the whole registry: pool serving has a
-    /// single performance shape, unlike standalone images.
-    choice: RwLock<EngineChoice>,
 }
 
 impl PolicyRegistry {
     /// Create an empty registry.
     pub fn new() -> PolicyRegistry {
         PolicyRegistry::default()
-    }
-
-    /// The engine choice batch serving currently routes through.
-    pub fn engine_choice(&self) -> EngineChoice {
-        *self.choice.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Install the engine choice for batch serving — typically the winner
-    /// of a [`fw_exec::calibrate`] race on a representative image, or a
-    /// hand-picked thread count for the sharded column walk.
-    pub fn set_engine_choice(&self, choice: EngineChoice) {
-        *self.choice.write().unwrap_or_else(|e| e.into_inner()) = choice;
     }
 
     /// Provision a per-shard [`DecisionCache`] of `capacity` entries
@@ -741,23 +699,6 @@ impl PolicyRegistry {
             .policies
             .get(&state.hash)
             .expect("registry invariant: tenant points at a live policy");
-        // 1-in-N sampling arm of fleet serving: a sampled batch runs the
-        // instrumented column walk instead (identical decisions) and
-        // bypasses the cache front end for that one batch — the same
-        // discipline as the standalone matcher's profiler.
-        if guard.profile_every > 0 {
-            let tick = shard.profile_tick.fetch_add(1, Ordering::Relaxed);
-            if tick.is_multiple_of(guard.profile_every) {
-                let mut profile = shard.profile.lock().unwrap_or_else(|e| e.into_inner());
-                shard.pool.classify_columns_profiled_into(
-                    entry.root_node,
-                    batch,
-                    &mut profile,
-                    out,
-                )?;
-                return Ok(());
-            }
-        }
         // Cached front end when a shard cache is provisioned: the mutex is
         // held for the whole batch (probe, compacted miss classification,
         // insert), which keeps probes coherent with writer-side
@@ -767,7 +708,6 @@ impl PolicyRegistry {
         if let Some(sc) = slot.as_mut() {
             shard.pool.classify_cached_into(
                 entry.root_node,
-                self.engine_choice(),
                 batch,
                 &mut sc.cache,
                 &mut sc.scratch,
@@ -778,7 +718,7 @@ impl PolicyRegistry {
         drop(slot);
         shard
             .pool
-            .classify_auto_into(entry.root_node, self.engine_choice(), batch, out)?;
+            .classify_columns_into(entry.root_node, batch, out)?;
         Ok(())
     }
 
@@ -942,72 +882,6 @@ impl PolicyRegistry {
         stats
     }
 
-    /// Arms pool-profile sampling: one serving batch in `every` (clamped
-    /// to at least 1) per shard routes through the instrumented column
-    /// walk, accumulating a visit histogram over that shard's pool nodes.
-    /// Sampled batches decide identically and skip the cache front end for
-    /// that batch only. Feed the accumulated heat to
-    /// [`respecialize`](PolicyRegistry::respecialize).
-    pub fn enable_profiling(&self, every: u64) {
-        self.inner
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .profile_every = every.max(1);
-    }
-
-    /// Turns profile sampling off; accumulated histograms stay readable
-    /// for one last [`respecialize`](PolicyRegistry::respecialize).
-    pub fn disable_profiling(&self) {
-        self.inner
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .profile_every = 0;
-    }
-
-    /// Packets accumulated by profile sampling across all shards since the
-    /// last [`respecialize`](PolicyRegistry::respecialize) (or enable).
-    pub fn profiled_packets(&self) -> u64 {
-        let guard = self.inner.read().unwrap_or_else(|e| e.into_inner());
-        guard
-            .shards
-            .iter()
-            .map(|s| {
-                s.profile
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .packets()
-            })
-            .sum()
-    }
-
-    /// Hot-first re-layout of every profiled shard: each pool with
-    /// accumulated heat is permuted so the most-visited nodes (the
-    /// structure tenants actually share traffic on) pack the front of the
-    /// arenas ([`SubgraphPool::reorder_hot_first`]), every policy's root
-    /// index is rewritten through the permutation, the shard cache is
-    /// epoch-bumped (tags are root indices, which were just renumbered),
-    /// and the histogram resets. Decisions are untouched. Returns the
-    /// number of shards reordered; shards with no profiled packets are
-    /// skipped.
-    pub fn respecialize(&self) -> usize {
-        let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let mut reordered = 0;
-        for shard in &mut guard.shards {
-            let profile =
-                std::mem::take(shard.profile.get_mut().unwrap_or_else(|e| e.into_inner()));
-            if profile.packets() == 0 {
-                continue;
-            }
-            let map = shard.pool.reorder_hot_first(profile.visits());
-            for entry in shard.policies.values_mut() {
-                entry.root_node = map[entry.root_node as usize];
-            }
-            shard.flush_cache();
-            reordered += 1;
-        }
-        reordered
-    }
-
     /// Force full maintenance on every shard: arena compaction (all live
     /// roots retained, pool keys remapped), compiled-pool rebuild from
     /// live roots, and rule-store garbage collection.
@@ -1033,7 +907,6 @@ impl PolicyRegistry {
             shard.pool = pool;
             shard.pool_dead = 0;
             shard.flush_cache();
-            shard.reset_profile();
             shard.rebuild_store();
         }
         Ok(())
@@ -1083,97 +956,6 @@ mod tests {
             assert_eq!(
                 registry.classify(TenantId(3), &p).unwrap(),
                 paper::team_b().decision_for(&p).unwrap()
-            );
-        }
-    }
-
-    /// Fleet profile sampling must be decision-invisible, and a
-    /// respecialization (hot-first pool permutation) must keep every
-    /// tenant serving identically — including through the cache front
-    /// end, whose tags were just renumbered.
-    #[test]
-    fn profiled_fleet_respecializes_without_changing_decisions() {
-        let registry = PolicyRegistry::new();
-        registry.add_tenant(TenantId(1), paper::team_a()).unwrap();
-        registry.add_tenant(TenantId(2), paper::team_b()).unwrap();
-        registry.enable_cache(1 << 12).unwrap();
-        registry.enable_profiling(1); // sample every batch
-        let a = paper::team_a();
-        let rows = packets(a.schema(), 5, 600);
-        let batch = PacketBatch::from_packets(a.schema().clone(), &rows).unwrap();
-
-        let expect_a = registry.classify_batch(TenantId(1), &batch).unwrap();
-        let expect_b = registry.classify_batch(TenantId(2), &batch).unwrap();
-        for (p, d) in rows.iter().zip(&expect_a) {
-            assert_eq!(Some(*d), a.decision_for(p), "sampling changed a decision");
-        }
-        assert!(registry.profiled_packets() >= 600);
-
-        assert_eq!(registry.respecialize(), 1, "one profiled shard reorders");
-        assert_eq!(registry.profiled_packets(), 0, "histogram resets");
-        registry.disable_profiling();
-        assert_eq!(
-            registry.classify_batch(TenantId(1), &batch).unwrap(),
-            expect_a
-        );
-        assert_eq!(
-            registry.classify_batch(TenantId(2), &batch).unwrap(),
-            expect_b
-        );
-        for p in rows.iter().take(50) {
-            assert_eq!(
-                Some(registry.classify(TenantId(1), p).unwrap()),
-                a.decision_for(p)
-            );
-        }
-
-        // With sampling off, nothing accumulates and a second call is a
-        // no-op.
-        assert_eq!(registry.respecialize(), 0);
-
-        // Edits still apply cleanly on the renumbered pool.
-        let fw = registry.policy(TenantId(1)).unwrap();
-        let flip = fw.rules()[0].with_decision(fw.rules()[0].decision().inverted());
-        let receipt = registry
-            .apply_edits(
-                TenantId(1),
-                &[Edit::Replace {
-                    index: 0,
-                    rule: flip,
-                }],
-            )
-            .unwrap();
-        assert!(receipt.swapped);
-        let after = registry.policy(TenantId(1)).unwrap();
-        for p in rows.iter().take(50) {
-            assert_eq!(
-                Some(registry.classify(TenantId(1), p).unwrap()),
-                after.decision_for(p)
-            );
-        }
-    }
-
-    /// The installed engine choice must never change a decision — only
-    /// how many cores the batch shards across.
-    #[test]
-    fn engine_choice_changes_threads_not_decisions() {
-        let registry = PolicyRegistry::new();
-        assert_eq!(registry.engine_choice(), EngineChoice::default());
-        registry.add_tenant(TenantId(1), paper::team_a()).unwrap();
-        let a = paper::team_a();
-        let rows = packets(a.schema(), 21, 701);
-        let batch = PacketBatch::from_packets(a.schema().clone(), &rows).unwrap();
-        let baseline = registry.classify_batch(TenantId(1), &batch).unwrap();
-        assert_eq!(baseline.len(), rows.len());
-        for threads in [0usize, 2, 3, 8] {
-            registry.set_engine_choice(EngineChoice {
-                threads,
-                ..registry.engine_choice()
-            });
-            assert_eq!(
-                registry.classify_batch(TenantId(1), &batch).unwrap(),
-                baseline,
-                "threads {threads} diverged"
             );
         }
     }

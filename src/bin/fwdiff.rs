@@ -4,7 +4,7 @@
 //! ```text
 //! USAGE:
 //!     fwdiff [--schema tcp-ip|paper] [--format dsl|iptables] [--lint]
-//!            [--jobs N] <before.fw> [<after.fw>]
+//!            <before.fw> [<after.fw>]
 //!
 //! MODES:
 //!     two files   change-impact / diverse-design comparison (§1.3, §2):
@@ -13,9 +13,6 @@
 //!     --lint      single file: per-policy hygiene — pairwise anomalies
 //!                 (shadowing/generalisation/correlation) and exact
 //!                 redundancy analysis
-//!     --jobs N    run construction + comparison across N worker threads
-//!                 (0 = all cores; default 1 = serial); output is
-//!                 identical regardless of N
 //! ```
 //!
 //! Policy files use the rule DSL of `fw_model::parse` (one rule per line,
@@ -25,14 +22,14 @@
 
 use std::process::ExitCode;
 
-use diverse_firewall::core::{diff_firewalls, diff_firewalls_parallel};
+use diverse_firewall::core::diff_firewalls;
 use diverse_firewall::gen::{analyze_anomalies, analyze_redundancy};
 use diverse_firewall::model::{Firewall, Schema};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: fwdiff [--schema tcp-ip|paper] [--format dsl|iptables] [--lint] \
-         [--jobs N] <before.fw> [<after.fw>]"
+         <before.fw> [<after.fw>]"
     );
     ExitCode::from(2)
 }
@@ -41,7 +38,6 @@ fn main() -> ExitCode {
     let mut schema = Schema::tcp_ip();
     let mut lint = false;
     let mut iptables = false;
-    let mut jobs = 1usize;
     let mut files: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -66,13 +62,6 @@ fn main() -> ExitCode {
                 }
             },
             "--lint" => lint = true,
-            "--jobs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) => jobs = n,
-                None => {
-                    eprintln!("fwdiff: --jobs needs a non-negative integer");
-                    return usage();
-                }
-            },
             "--help" | "-h" => {
                 println!("fwdiff: compare two firewall policies (Liu & Gouda, DSN 2004)");
                 return usage();
@@ -131,11 +120,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let prod = match if jobs == 1 {
-                diff_firewalls(&a, &b)
-            } else {
-                diff_firewalls_parallel(&a, &b, jobs)
-            } {
+            let prod = match diff_firewalls(&a, &b) {
                 Ok(p) => p,
                 Err(e) => {
                     eprintln!("fwdiff: {e}");

@@ -81,6 +81,60 @@ fn bad_usage_exits_2() {
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
+    let out = fwdiff()
+        .args(["--jobs", "2", "a", "b"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "--jobs is not a flag");
+}
+
+/// The whole report, byte for byte, and the exit code of four diffs over
+/// the fixture policies, against the files in `tests/golden/`.
+#[test]
+fn diff_reports_match_the_golden_files() {
+    let runs: [(&[&str], &str); 4] = [
+        (
+            &["policies/dmz_v1.fw", "policies/dmz_v2.fw"],
+            "fwdiff_dmz_v1_dmz_v2.txt",
+        ),
+        (
+            &["policies/dmz_v1.fw", "policies/messy.fw"],
+            "fwdiff_dmz_v1_messy.txt",
+        ),
+        (
+            &["policies/dmz_v2.fw", "policies/messy.fw"],
+            "fwdiff_dmz_v2_messy.txt",
+        ),
+        (
+            &[
+                "--format",
+                "iptables",
+                "policies/router_v1.rules",
+                "policies/router_v2.rules",
+            ],
+            "fwdiff_router_v1_router_v2_iptables.txt",
+        ),
+    ];
+    for (args, golden) in runs {
+        let out = fwdiff()
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{golden}: differing policies exit 1"
+        );
+        let expect =
+            std::fs::read(repo_path(&format!("tests/golden/{golden}"))).expect("golden file");
+        assert!(
+            out.stdout == expect,
+            "{golden}: report differs\n--- got\n{}\n--- expected\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&expect)
+        );
+    }
 }
 
 #[test]

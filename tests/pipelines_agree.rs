@@ -1,11 +1,10 @@
 //! Cross-validation of the comparison pipelines (paper-literal tree
-//! shaping vs memoised synchronized product vs the sharded parallel
-//! engine) and of the two multi-version comparison modes (cross vs
-//! direct, §7.3), on generated workloads and an exhaustive oracle.
+//! shaping vs memoised synchronized product) and of the two multi-version
+//! comparison modes (cross vs direct, §7.3), on generated workloads and an
+//! exhaustive oracle.
 
 use diverse_firewall::core::{
-    compare_firewalls, compare_firewalls_parallel, compare_firewalls_via_shaping, cross_compare,
-    direct_compare, project_pair,
+    compare_firewalls, compare_firewalls_via_shaping, cross_compare, direct_compare, project_pair,
 };
 use diverse_firewall::synth::{perturb, PacketTrace, Synthesizer};
 use proptest::prelude::*;
@@ -90,41 +89,22 @@ fn cross_and_direct_comparison_agree_for_three_versions() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Property: on random synthesized pairs, the parallel sharded engine
-    /// produces the *identical* discrepancy list (same regions, same
-    /// order) as the serial product pipeline, for every thread count.
+    /// Property: the synchronized product and the paper-literal shaping
+    /// pipeline describe the same disagreement space with the same
+    /// decisions (shaping may partition regions differently, so agreement
+    /// is witness-checked both ways).
     #[test]
-    fn parallel_engine_matches_serial_on_random_pairs(
-        seed_a in 0u64..10_000,
-        seed_b in 10_000u64..20_000,
-        rules_a in 2usize..24,
-        rules_b in 2usize..24,
-    ) {
-        let a = Synthesizer::new(seed_a).firewall(rules_a);
-        let b = Synthesizer::new(seed_b).firewall(rules_b);
-        let serial = compare_firewalls(&a, &b).unwrap();
-        for jobs in [1usize, 2, 8] {
-            let parallel = compare_firewalls_parallel(&a, &b, jobs).unwrap();
-            prop_assert_eq!(&serial, &parallel, "jobs={}", jobs);
-        }
-    }
-
-    /// Property: the parallel engine, the serial product and the
-    /// paper-literal shaping pipeline all describe the same disagreement
-    /// space with the same decisions (shaping may partition regions
-    /// differently, so agreement is witness-checked both ways).
-    #[test]
-    fn all_three_pipelines_agree_on_random_pairs(
+    fn product_and_shaping_pipelines_agree_on_random_pairs(
         seed in 0u64..5_000,
         rules in 2usize..14,
     ) {
         let a = Synthesizer::new(seed).firewall(rules);
         let b = Synthesizer::new(seed.wrapping_add(77_777)).firewall(rules);
-        let parallel = compare_firewalls_parallel(&a, &b, 2).unwrap();
+        let product = compare_firewalls(&a, &b).unwrap();
         let shaped = compare_firewalls_via_shaping(&a, &b).unwrap();
         for (xs, ys, tag) in [
-            (&parallel, &shaped, "parallel⊆shaping"),
-            (&shaped, &parallel, "shaping⊆parallel"),
+            (&product, &shaped, "product⊆shaping"),
+            (&shaped, &product, "shaping⊆product"),
         ] {
             for d in xs.iter() {
                 let w = d.witness();
@@ -172,10 +152,6 @@ fn all_pipelines_match_exhaustive_oracle_on_tiny_schema() {
         for fb in policies.iter().skip(i + 1) {
             let serial = compare_firewalls(fa, fb).unwrap();
             let shaped = compare_firewalls_via_shaping(fa, fb).unwrap();
-            for jobs in [1usize, 2, 8] {
-                let parallel = compare_firewalls_parallel(fa, fb, jobs).unwrap();
-                assert_eq!(serial, parallel, "pair {i}, jobs={jobs}");
-            }
             // Brute force over all 64 packets: membership in the reported
             // regions must equal actual disagreement, and the reported
             // decisions must be the actual decisions.
