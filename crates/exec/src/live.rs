@@ -669,7 +669,7 @@ mod tests {
         let fw = fw_synth::Synthesizer::new(5).firewall(40);
         let live = LiveMatcher::new(fw.clone()).unwrap();
         let trace = fw_synth::PacketTrace::random(fw.schema().clone(), 600, 11);
-        let batch = PacketBatch::from_packets(fw.schema().clone(), trace.packets()).unwrap();
+        let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
         let mut scratch = EngineScratch::default();
         let mut auto = Vec::new();
 
@@ -735,7 +735,7 @@ mod tests {
         live.enable_cache(1 << 12).unwrap();
         assert!(live.engine_choice().cached);
         let trace = fw_synth::PacketTrace::biased(&fw, 800, 0.3, 7);
-        let batch = PacketBatch::from_packets(fw.schema().clone(), trace.packets()).unwrap();
+        let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
         let mut scratch = EngineScratch::new();
         let mut out = Vec::new();
         for pass in 0..2 {
@@ -800,7 +800,7 @@ mod tests {
         assert!(live.load().profiler_armed());
 
         let trace = fw_synth::PacketTrace::zipf(&fw, 2_000, 1.1, 3, 4);
-        let batch = PacketBatch::from_packets(fw.schema().clone(), trace.packets()).unwrap();
+        let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
         let mut scratch = EngineScratch::default();
         let mut out = Vec::new();
         let expect = live.load().classify_columns(&batch).unwrap();
@@ -853,7 +853,7 @@ mod tests {
         let live = LiveMatcher::new(fw.clone()).unwrap();
         live.enable_specialization(1, 1);
         let trace = fw_synth::PacketTrace::zipf(&fw, 1_500, 1.1, 5, 6);
-        let batch = PacketBatch::from_packets(fw.schema().clone(), trace.packets()).unwrap();
+        let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
         let mut scratch = EngineScratch::default();
         let mut out = Vec::new();
         let expect = live.load().classify_columns(&batch).unwrap();

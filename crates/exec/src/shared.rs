@@ -411,10 +411,10 @@ mod tests {
         let root = pool.ensure(&arena, cons_root).unwrap();
 
         let mut got = vec![Decision::Accept; 3]; // stale junk must be cleared
-        let empty = PacketBatch::from_packets(fw.schema().clone(), &[]).unwrap();
+        let empty = PacketBatch::from_trace(fw.schema().clone(), &[]).unwrap();
         pool.classify_columns_into(root, &empty, &mut got).unwrap();
         assert!(got.is_empty());
-        let other = PacketBatch::from_packets(fw_model::Schema::paper_example(), &[]).unwrap();
+        let other = PacketBatch::from_trace(fw_model::Schema::paper_example(), &[]).unwrap();
         assert!(pool.classify_columns_into(root, &other, &mut got).is_err());
     }
 

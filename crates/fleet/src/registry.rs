@@ -1179,7 +1179,7 @@ mod tests {
         registry.add_tenant(TenantId(3), paper::team_b()).unwrap();
         let a = paper::team_a();
         let rows = packets(a.schema(), 5, 512);
-        let batch = PacketBatch::from_packets(a.schema().clone(), &rows).unwrap();
+        let batch = PacketBatch::from_trace(a.schema().clone(), &rows).unwrap();
         let baseline_a = registry.classify_batch(TenantId(1), &batch).unwrap();
         let baseline_b = registry.classify_batch(TenantId(3), &batch).unwrap();
         assert!(registry.cache_stats().is_none());
@@ -1235,7 +1235,7 @@ mod tests {
         // the edit's discrepancy region below.
         let mut rows = packets(a.schema(), 41, 400);
         rows.extend(a.witnesses());
-        let batch = PacketBatch::from_packets(a.schema().clone(), &rows).unwrap();
+        let batch = PacketBatch::from_trace(a.schema().clone(), &rows).unwrap();
         registry.classify_batch(TenantId(1), &batch).unwrap();
 
         let rules = a.rules().to_vec();
@@ -1292,7 +1292,7 @@ mod tests {
         registry.add_tenant(TenantId(1), base.clone()).unwrap();
         registry.enable_cache(1 << 14).unwrap();
         let pkts = packets(base.schema(), 9, 256);
-        let batch = PacketBatch::from_packets(base.schema().clone(), &pkts).unwrap();
+        let batch = PacketBatch::from_trace(base.schema().clone(), &pkts).unwrap();
         let baseline = registry.classify_batch(TenantId(1), &batch).unwrap();
         let warm = registry.cache_stats().unwrap();
         assert!(warm.insertions > 0);

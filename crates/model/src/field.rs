@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -82,6 +83,10 @@ impl FieldDef {
 /// schema (compared with `==`); mixing schemas is a caller error surfaced as
 /// [`ModelError::ArityMismatch`] or [`ModelError::UnknownField`].
 ///
+/// The field list sits behind an [`Arc`]: a clone allocates nothing, and
+/// `==` between clones of one schema returns on pointer identity (`Arc`'s
+/// `==` does for any `Eq` content).
+///
 /// # Example
 ///
 /// ```
@@ -96,7 +101,7 @@ impl FieldDef {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Schema {
-    fields: Vec<FieldDef>,
+    fields: Arc<[FieldDef]>,
 }
 
 impl Schema {
@@ -117,7 +122,9 @@ impl Schema {
                 });
             }
         }
-        Ok(Schema { fields })
+        Ok(Schema {
+            fields: fields.into(),
+        })
     }
 
     /// The classic TCP/IP five-tuple the paper's evaluation uses (§8.2.2):

@@ -59,6 +59,7 @@ pub mod prefix;
 mod rule;
 mod set;
 mod stats;
+pub mod trace_wire;
 
 pub use decision::Decision;
 pub use error::ModelError;

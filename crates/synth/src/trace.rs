@@ -3,10 +3,13 @@
 //! Traces serve two jobs in the evaluation harness: (a) a sampling oracle —
 //! replay the same trace through two policies (or a policy and its FDD) and
 //! compare decisions; (b) benchmark input for per-packet evaluation. The
-//! wire format is a fixed-width little-endian layout built with `bytes`, so
-//! large traces round-trip without any per-packet allocation on encode.
+//! wire format is the fixed-width little-endian layout of
+//! [`fw_model::trace_wire`], which both encodes and decodes it; a packet of
+//! up to five fields is stored inline, so neither direction allocates per
+//! packet.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use fw_model::trace_wire;
 use fw_model::{ModelError, Packet, Schema};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -25,7 +28,7 @@ impl PacketTrace {
         let mut rng = StdRng::seed_from_u64(seed);
         let maxes: Vec<u64> = schema.iter().map(|(_, f)| f.max()).collect();
         let packets = (0..n)
-            .map(|_| Packet::new(maxes.iter().map(|&m| rng.random_range(0..=m)).collect()))
+            .map(|_| maxes.iter().map(|&m| rng.random_range(0..=m)).collect())
             .collect();
         PacketTrace { schema, packets }
     }
@@ -52,8 +55,7 @@ impl PacketTrace {
         let packets = (0..n)
             .map(|_| {
                 let base = &witnesses[rng.random_range(0..witnesses.len())];
-                let values = base
-                    .values()
+                base.values()
                     .iter()
                     .zip(&maxes)
                     .map(|(&v, &m)| {
@@ -63,8 +65,7 @@ impl PacketTrace {
                             v
                         }
                     })
-                    .collect();
-                Packet::new(values)
+                    .collect()
             })
             .collect();
         PacketTrace { schema, packets }
@@ -171,18 +172,11 @@ impl PacketTrace {
         self.packets.is_empty()
     }
 
-    /// Encodes the trace: `u32` packet count, then each packet as `d`
-    /// little-endian `u64`s in schema order.
+    /// Encodes the trace in the [`fw_model::trace_wire`] format: `u32`
+    /// packet count, then each packet as `d` little-endian `u64`s in schema
+    /// order.
     pub fn encode(&self) -> Bytes {
-        let d = self.schema.len();
-        let mut buf = BytesMut::with_capacity(4 + self.packets.len() * d * 8);
-        buf.put_u32_le(u32::try_from(self.packets.len()).expect("trace exceeds u32 packets"));
-        for p in &self.packets {
-            for &v in p.values() {
-                buf.put_u64_le(v);
-            }
-        }
-        buf.freeze()
+        Bytes::from(trace_wire::encode(&self.schema, &self.packets))
     }
 
     /// Writes the encoded trace to `path`, so the `fwclass` and bench
@@ -217,34 +211,16 @@ impl PacketTrace {
     }
 
     /// Decodes a trace previously produced by [`PacketTrace::encode`] for
-    /// the same schema.
+    /// the same schema, through [`trace_wire::decode`].
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Parse`] on truncated input and the usual
-    /// validation errors for out-of-domain values.
-    pub fn decode(schema: Schema, mut bytes: Bytes) -> Result<PacketTrace, ModelError> {
-        if bytes.remaining() < 4 {
-            return Err(ModelError::Parse {
-                line: 0,
-                message: "trace header truncated".into(),
-            });
-        }
-        let n = bytes.get_u32_le() as usize;
-        let d = schema.len();
-        if bytes.remaining() < n * d * 8 {
-            return Err(ModelError::Parse {
-                line: 0,
-                message: "trace body truncated".into(),
-            });
-        }
-        let mut packets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let values = (0..d).map(|_| bytes.get_u64_le()).collect();
-            let p = Packet::new(values);
-            p.validate(&schema)?;
-            packets.push(p);
-        }
+    /// Returns [`ModelError::Parse`] unless the input is exactly
+    /// `4 + 8·n·d` bytes for its packet count `n` and the schema's `d`
+    /// fields, and [`ModelError::OutOfDomain`] for the first packet holding
+    /// an out-of-domain value.
+    pub fn decode(schema: Schema, bytes: Bytes) -> Result<PacketTrace, ModelError> {
+        let packets = trace_wire::decode(&schema, &bytes)?;
         Ok(PacketTrace { schema, packets })
     }
 }
@@ -287,13 +263,30 @@ mod tests {
     }
 
     #[test]
-    fn truncated_input_rejected() {
-        let schema = Schema::paper_example();
-        let t = PacketTrace::random(schema.clone(), 4, 1);
-        let bytes = t.encode();
-        let cut = bytes.slice(0..bytes.len() - 3);
-        assert!(PacketTrace::decode(schema.clone(), cut).is_err());
-        assert!(PacketTrace::decode(schema, Bytes::from_static(&[1])).is_err());
+    fn a_body_of_the_wrong_length_is_rejected() {
+        let schema = Schema::tcp_ip();
+        let bytes = PacketTrace::random(schema.clone(), 10, 4).encode().to_vec();
+        let is_parse_error = |schema: &Schema, bytes: &[u8]| {
+            matches!(
+                PacketTrace::decode(schema.clone(), Bytes::from(bytes.to_vec())),
+                Err(ModelError::Parse { .. })
+            )
+        };
+        // A cut header, and a body cut short.
+        assert!(is_parse_error(&schema, &bytes[..1]));
+        assert!(is_parse_error(&schema, &bytes[..bytes.len() - 3]));
+        // Trailing bytes after the last packet.
+        let mut trailing = bytes.clone();
+        trailing.extend_from_slice(&[0xAB; 13]);
+        assert!(is_parse_error(&schema, &trailing));
+        // A 5-field trace read under a 2-field schema of 64-bit fields: its
+        // body holds 2.5 times the bytes 10 such packets take.
+        let two = Schema::new(vec![
+            fw_model::FieldDef::new("a", 64).unwrap(),
+            fw_model::FieldDef::new("b", 64).unwrap(),
+        ])
+        .unwrap();
+        assert!(is_parse_error(&two, &bytes));
     }
 
     #[test]

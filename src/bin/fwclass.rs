@@ -32,7 +32,10 @@
 //!
 //! TRACE SOURCE (default --random 100000):
 //!     --trace FILE    replay a trace file written by --save-trace (or the
-//!                     bench harness) instead of synthesizing one
+//!                     bench harness) instead of synthesizing one. The file
+//!                     must be exactly 4 + 8·n·d bytes for its packet count
+//!                     n and the schema's d fields; any other length, or a
+//!                     value outside its field's domain, exits 1
 //!     --random N      N uniformly random packets over the schema
 //!     --biased N      N packets biased toward the policy's rule regions
 //!     --zipf N        N packets drawn Zipf-style from a pool of repeated

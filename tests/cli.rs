@@ -1,6 +1,6 @@
 //! Integration tests for the command-line tools, driven through the real
-//! binaries: `fwdiff` throughout, and the edit surfaces of `fwclass` and
-//! `fwfleet`.
+//! binaries: `fwdiff` throughout, the edit surfaces of `fwclass` and
+//! `fwfleet`, and `fwclass`'s trace files.
 
 use std::process::Command;
 
@@ -8,12 +8,17 @@ fn fwdiff() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fwdiff"))
 }
 
+/// A directory of its own under the system temp dir for one test's files.
+fn test_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fw-cli-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
 /// Writes the three-edit file both edit surfaces replay, in a directory of
 /// its own under the system temp dir, and returns its path.
 fn edit_file(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("fw-cli-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("edits.txt");
+    let path = test_dir(tag).join("edits.txt");
     std::fs::write(
         &path,
         "insert 0 proto=6, dport=23 -> discard\nremove 1\nswap 0 1\n",
@@ -275,4 +280,57 @@ fn fwfleet_applies_an_edit_file_to_one_tenant() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("swapped: true"), "got: {stdout}");
+}
+
+fn fwclass_with_trace(extra: &[&str], trace: &std::path::Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_fwclass"))
+        .args(extra)
+        .arg(trace)
+        .arg(repo_path("policies/dmz_v2.fw"))
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn fwclass_replays_a_saved_trace_file_and_checks_it() {
+    let dir = test_dir("trace-round-trip");
+    let trace = dir.join("zipf.trace");
+    let saved = fwclass_with_trace(&["--zipf", "3000", "--save-trace"], &trace);
+    let replayed = fwclass_with_trace(&["--engine", "auto", "--check", "--trace"], &trace);
+    let _ = std::fs::remove_dir_all(&dir);
+    for out in [&saved, &replayed] {
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stdout: {}\nstderr: {}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let saved = String::from_utf8(saved.stdout).unwrap();
+    assert!(saved.contains("wrote trace (3000 packets)"), "got: {saved}");
+    let replayed = String::from_utf8(replayed.stdout).unwrap();
+    assert!(
+        replayed.contains("== compiled matcher on all 3000 packets"),
+        "got: {replayed}"
+    );
+}
+
+#[test]
+fn fwclass_rejects_a_trace_file_with_trailing_bytes() {
+    let dir = test_dir("trace-trailing");
+    let trace = dir.join("random.trace");
+    let saved = fwclass_with_trace(&["--random", "100", "--save-trace"], &trace);
+    assert_eq!(saved.status.code(), Some(0));
+    let mut bytes = std::fs::read(&trace).expect("saved trace");
+    bytes.extend_from_slice(&[0xAB; 3]);
+    std::fs::write(&trace, &bytes).expect("rewrite trace");
+    let out = fwclass_with_trace(&["--trace"], &trace);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(1), "a damaged trace exits 1");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("parse error") && stderr.contains("trace body is 4003 bytes"),
+        "got: {stderr}"
+    );
 }
