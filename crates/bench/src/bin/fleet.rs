@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use fw_exec::CompiledFdd;
 use fw_fleet::{PolicyRegistry, TenantId};
-use fw_model::{Firewall, Interval, IntervalSet, Rule};
+use fw_model::{Firewall, Rule};
 use fw_synth::{perturb_fleet, PacketTrace};
 
 /// Tenants actually built standalone for the baseline average (and
@@ -67,23 +67,13 @@ struct Spec {
     assert_ratio: Option<f64>,
 }
 
-/// Approximate heap bytes of `fw`'s rule list: each rule plus one interval
-/// set per field.
+/// Approximate heap bytes of `fw`'s rule list: each rule plus its
+/// predicate's heap (the set vector, and the runs of every set of two runs
+/// or more).
 fn rule_list_bytes(fw: &Firewall) -> usize {
-    use std::mem::size_of;
-    let fields = fw.schema().iter().map(|(f, _)| f).collect::<Vec<_>>();
     fw.rules()
         .iter()
-        .map(|r| {
-            size_of::<Rule>()
-                + fields
-                    .iter()
-                    .map(|&f| {
-                        size_of::<IntervalSet>()
-                            + r.predicate().set(f).iter().len() * size_of::<Interval>()
-                    })
-                    .sum::<usize>()
-        })
+        .map(|r| std::mem::size_of::<Rule>() + r.predicate().heap_bytes())
         .sum()
 }
 

@@ -37,7 +37,7 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use fw_model::{Decision, FieldId, Interval, IntervalSet, Schema};
+use fw_model::{Decision, FieldId, IntervalSet, Schema};
 
 use crate::discrepancy::{coalesce, Discrepancy};
 use crate::fdd::{Edge, Fdd, Node, NodeId};
@@ -485,7 +485,7 @@ impl ConsArena {
         let label_bytes: usize = self
             .labels
             .iter()
-            .map(|s| size_of::<IntervalSet>() + s.iter().len() * size_of::<Interval>())
+            .map(|s| size_of::<IntervalSet>() + s.heap_bytes())
             .sum();
         let table_bytes = (self.table.capacity() + self.label_table.capacity())
             * (size_of::<u64>() + size_of::<u32>() + size_of::<u64>());

@@ -80,6 +80,7 @@ impl Fdd {
             cons: vec![FxMap::default(); d],
             terminals: [None; 4],
             path: Vec::with_capacity(d),
+            scratch: std::iter::repeat_with(Scratch::default).take(d).collect(),
         };
         let root = builder.build(0, &live)?;
         builder.fdd.set_root(root);
@@ -245,10 +246,11 @@ impl FieldTable {
         &self.runs[self.run_at[rule]..self.run_at[rule + 1]]
     }
 
-    /// The segments at which some live rule's membership changes,
-    /// ascending from 0: the cell's segments begin there.
-    fn cuts(&self, live: &[u64]) -> Vec<usize> {
-        let mut cuts = vec![0];
+    /// Fills `cuts` with the segments at which some live rule's membership
+    /// changes, ascending from 0: the cell's segments begin there.
+    fn cuts(&self, live: &[u64], cuts: &mut Vec<usize>) {
+        cuts.clear();
+        cuts.push(0);
         for_each_bit(live, |r| {
             for &(a, b) in self.runs_of(r) {
                 cuts.extend([a, b]);
@@ -259,7 +261,6 @@ impl FieldTable {
         if cuts.last() == Some(&self.starts.len()) {
             cuts.pop();
         }
-        cuts
     }
 
     /// Drops every survivor that has an earlier survivor in its shadow
@@ -285,6 +286,17 @@ impl FieldTable {
 /// ascending: its edges in canonical form.
 type Spans = Vec<(u64, u64, NodeId)>;
 
+/// The working buffers of one cell's build. A cell at field f is done with
+/// them before the next cell at f starts, and its children use field
+/// f + 1's, so one set per field serves the whole recursion.
+#[derive(Default)]
+struct Scratch {
+    cuts: Vec<usize>,
+    survivors: Vec<u64>,
+    prev: Vec<u64>,
+    spans: Spans,
+}
+
 struct FastBuilder<'a> {
     fdd: Fdd,
     firewall: &'a Firewall,
@@ -300,6 +312,8 @@ struct FastBuilder<'a> {
     terminals: [Option<NodeId>; 4],
     /// One value per field above the cell being built, for witnesses.
     path: Vec<u64>,
+    /// Per field, the buffers of the cell being built there.
+    scratch: Vec<Scratch>,
 }
 
 impl FastBuilder<'_> {
@@ -307,16 +321,38 @@ impl FastBuilder<'_> {
         if let Some(&node) = self.memo[field].get(live) {
             return Ok(node);
         }
+        let mut scratch = std::mem::take(&mut self.scratch[field]);
+        let node = self.build_cell(field, live, &mut scratch);
+        self.scratch[field] = scratch;
+        let node = node?;
+        self.memo[field].insert(live.into(), node);
+        Ok(node)
+    }
+
+    /// Builds the cell `live` at `field`, a memo miss.
+    fn build_cell(
+        &mut self,
+        field: usize,
+        live: &[u64],
+        scratch: &mut Scratch,
+    ) -> Result<NodeId, CoreError> {
         let tables = self.tables;
         let table = &tables[field];
         let next = tables.get(field + 1);
         let fid = FieldId(field);
         let top = self.fdd.schema().field(fid).domain().hi();
-        let cuts = table.cuts(live);
-
-        let mut spans: Spans = Vec::new();
-        let mut survivors = vec![0u64; live.len()];
-        let mut prev = vec![0u64; live.len()];
+        let Scratch {
+            cuts,
+            survivors,
+            prev,
+            spans,
+        } = scratch;
+        table.cuts(live, cuts);
+        spans.clear();
+        survivors.clear();
+        survivors.resize(live.len(), 0);
+        prev.clear();
+        prev.resize(live.len(), 0);
         for (i, &k) in cuts.iter().enumerate() {
             let lo = table.starts[k];
             let hi = cuts.get(i + 1).map_or(top, |&c| table.starts[c] - 1);
@@ -325,13 +361,13 @@ impl FastBuilder<'_> {
             }
             let child = match next {
                 // The last field: the first survivor is the first match.
-                None => match first_bit(&survivors) {
+                None => match first_bit(survivors) {
                     Some(r) => self.terminal(r),
                     None => return Err(self.uncovered(lo)),
                 },
                 Some(next) => {
-                    next.prune(&mut survivors);
-                    if first_bit(&survivors).is_none() {
+                    next.prune(survivors);
+                    if first_bit(survivors).is_none() {
                         return Err(self.uncovered(lo));
                     }
                     if survivors == prev {
@@ -339,9 +375,9 @@ impl FastBuilder<'_> {
                         continue;
                     }
                     self.path.push(lo);
-                    let child = self.build(field + 1, &survivors)?;
+                    let child = self.build(field + 1, survivors)?;
                     self.path.pop();
-                    std::mem::swap(&mut prev, &mut survivors);
+                    std::mem::swap(prev, survivors);
                     child
                 }
             };
@@ -351,13 +387,10 @@ impl FastBuilder<'_> {
             }
         }
 
-        let node = if spans.len() == 1 {
-            spans[0].2
-        } else {
-            self.internal(fid, spans)
-        };
-        self.memo[field].insert(live.into(), node);
-        Ok(node)
+        Ok(match spans.as_slice() {
+            [(_, _, only)] => *only,
+            _ => self.internal(fid, spans),
+        })
     }
 
     fn terminal(&mut self, rule: usize) -> NodeId {
@@ -371,28 +404,29 @@ impl FastBuilder<'_> {
         n
     }
 
-    fn internal(&mut self, field: FieldId, spans: Spans) -> NodeId {
-        if let Some(&n) = self.cons[field.0].get(spans.as_slice()) {
+    fn internal(&mut self, field: FieldId, spans: &[(u64, u64, NodeId)]) -> NodeId {
+        if let Some(&n) = self.cons[field.0].get(spans) {
             return n;
         }
         // One edge per child, in order of its lowest value.
-        let mut per_child: Vec<(NodeId, Vec<Interval>)> = Vec::new();
-        for &(lo, hi, child) in &spans {
-            let iv = Interval::new(lo, hi).expect("lo <= hi");
-            match per_child.iter_mut().find(|(c, _)| *c == child) {
-                Some((_, ivs)) => ivs.push(iv),
-                None => per_child.push((child, vec![iv])),
+        let mut edges: Vec<Edge> = Vec::new();
+        for (i, &(_, _, child)) in spans.iter().enumerate() {
+            if edges.iter().any(|e| e.target == child) {
+                continue;
             }
+            let label = IntervalSet::from_intervals(
+                spans[i..]
+                    .iter()
+                    .filter(|s| s.2 == child)
+                    .map(|&(lo, hi, _)| Interval::new(lo, hi).expect("lo <= hi")),
+            );
+            edges.push(Edge {
+                label,
+                target: child,
+            });
         }
-        let edges = per_child
-            .into_iter()
-            .map(|(target, ivs)| Edge {
-                label: IntervalSet::from_intervals(ivs),
-                target,
-            })
-            .collect();
         let n = self.fdd.push(Node::Internal { field, edges });
-        self.cons[field.0].insert(spans, n);
+        self.cons[field.0].insert(spans.to_vec(), n);
         n
     }
 

@@ -26,12 +26,14 @@
 //! comparisons parallelise one level up, one pair per thread (§7.3's
 //! cross comparison in `fw-diverse`).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 
 use fw_model::{Decision, FieldId, Firewall, IntervalSet, Predicate, Schema};
 
+use crate::cons::{FxHasher, FxMap};
 use crate::discrepancy::Discrepancy;
-use crate::fdd::{Fdd, Node, NodeId};
+use crate::fdd::{Edge, Fdd, Node, NodeId};
 use crate::CoreError;
 
 /// Index into a [`DiffProduct`] arena.
@@ -108,85 +110,61 @@ pub fn diff_firewalls(a: &Firewall, b: &Firewall) -> Result<DiffProduct, CoreErr
 }
 
 /// The product recursion's memo over `(NodeId, NodeId)` pairs plus the
-/// hash-consing interner of the [`PNode`] arena it fills.
+/// hash-consing interner of the [`PNode`] arena it fills. As in
+/// [`ConsArena`](crate::ConsArena), the interner maps a node's content
+/// hash to its id, so a node is stored once, in the arena, and never
+/// cloned into a key; a node whose hash collides with a different one
+/// goes to a (normally empty) spill list. Fx-hashed although the keys
+/// derive from the input policies, as in the fast constructor: a crafted
+/// pair can already force a product of exponential size, so collision
+/// resistance would buy nothing.
 #[derive(Default)]
 struct ProductArena {
     nodes: Vec<PNode>,
-    cons: HashMap<PNode, PId>,
-    memo: HashMap<(NodeId, NodeId), PId>,
+    table: FxMap<u64, PId>,
+    spill: Vec<PId>,
+    memo: FxMap<(NodeId, NodeId), PId>,
 }
 
 impl ProductArena {
     fn intern(&mut self, node: PNode) -> PId {
-        if let Some(&id) = self.cons.get(&node) {
-            return id;
-        }
+        let mut h = FxHasher::default();
+        node.hash(&mut h);
         let id = u32::try_from(self.nodes.len()).expect("product exceeds u32 indices");
-        self.nodes.push(node.clone());
-        self.cons.insert(node, id);
+        let nodes = &self.nodes;
+        match self.table.entry(h.finish()) {
+            Entry::Occupied(first) => {
+                let hit = std::iter::once(*first.get())
+                    .chain(self.spill.iter().copied())
+                    .find(|&p| nodes[p as usize] == node);
+                if let Some(hit) = hit {
+                    return hit;
+                }
+                self.spill.push(id);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+        }
+        self.nodes.push(node);
         id
     }
 }
 
-/// One overlay cell: a non-empty intersection of two edge labels and the
-/// child pair it leads to.
-type OverlayCell = (IntervalSet, NodeId, NodeId);
-
-/// Computes the overlay step at one node pair: the field the product
-/// branches on and the non-empty pairwise cells with their child pairs.
-///
-/// Returns `None` when both nodes are terminal (the recursion bottom).
-/// A node ranked after the chosen field behaves as a single full-domain
-/// self-edge — the paper's node-insertion step, performed virtually.
-fn overlay_cells(a: &Fdd, b: &Fdd, va: NodeId, vb: NodeId) -> Option<(FieldId, Vec<OverlayCell>)> {
-    let d = a.schema().len();
-    let rank_a = match a.node(va) {
-        Node::Terminal(_) => d,
-        Node::Internal { field, .. } => field.index(),
+/// The edges the product follows out of `v` on `field`: its own when it
+/// tests `field`, else one full-domain edge back to `v` itself — the
+/// paper's node-insertion step, performed virtually.
+fn edges_on<'a>(
+    fdd: &'a Fdd,
+    v: NodeId,
+    field: FieldId,
+    domain: &'a IntervalSet,
+) -> impl Iterator<Item = (&'a IntervalSet, NodeId)> + Clone {
+    let (own, inserted): (&[Edge], _) = match fdd.node(v) {
+        Node::Internal { field: f, edges } if *f == field => (edges, None),
+        _ => (&[], Some((domain, v))),
     };
-    let rank_b = match b.node(vb) {
-        Node::Terminal(_) => d,
-        Node::Internal { field, .. } => field.index(),
-    };
-    if rank_a == d && rank_b == d {
-        return None;
-    }
-    let field = FieldId(rank_a.min(rank_b));
-    let domain = IntervalSet::from_interval(a.schema().field(field).domain());
-    let edges_a: Vec<(IntervalSet, NodeId)> = if rank_a == field.index() {
-        match a.node(va) {
-            Node::Internal { edges, .. } => edges
-                .iter()
-                .map(|e| (e.label().clone(), e.target()))
-                .collect(),
-            Node::Terminal(_) => unreachable!("rank checked"),
-        }
-    } else {
-        vec![(domain.clone(), va)]
-    };
-    let edges_b: Vec<(IntervalSet, NodeId)> = if rank_b == field.index() {
-        match b.node(vb) {
-            Node::Internal { edges, .. } => edges
-                .iter()
-                .map(|e| (e.label().clone(), e.target()))
-                .collect(),
-            Node::Terminal(_) => unreachable!("rank checked"),
-        }
-    } else {
-        vec![(domain, vb)]
-    };
-    // Pairwise overlay: both lists partition the domain, so the non-empty
-    // pairwise intersections partition it too.
-    let mut cells = Vec::with_capacity(edges_a.len() + edges_b.len());
-    for (la, ta) in &edges_a {
-        for (lb, tb) in &edges_b {
-            let cell = la.intersect(lb);
-            if !cell.is_empty() {
-                cells.push((cell, *ta, *tb));
-            }
-        }
-    }
-    Some((field, cells))
+    own.iter().map(|e| (e.label(), e.target())).chain(inserted)
 }
 
 /// The memoised synchronized-product recursion: each distinct node pair
@@ -195,28 +173,42 @@ fn product_rec(a: &Fdd, b: &Fdd, va: NodeId, vb: NodeId, arena: &mut ProductAren
     if let Some(&r) = arena.memo.get(&(va, vb)) {
         return r;
     }
-    let r = match overlay_cells(a, b, va, vb) {
-        None => {
-            let da = a.terminal_decision(va).expect("both-terminal case");
-            let db = b.terminal_decision(vb).expect("both-terminal case");
-            arena.intern(PNode::Terminal(da, db))
-        }
-        Some((field, cells)) => {
-            let mut per_child: Vec<(PId, IntervalSet)> = Vec::new();
-            for (cell, ta, tb) in cells {
+    let d = a.schema().len();
+    let rank = |fdd: &Fdd, v: NodeId| match fdd.node(v) {
+        Node::Terminal(_) => d,
+        Node::Internal { field, .. } => field.index(),
+    };
+    let field = rank(a, va).min(rank(b, vb));
+    let r = if field == d {
+        let da = a.terminal_decision(va).expect("both-terminal case");
+        let db = b.terminal_decision(vb).expect("both-terminal case");
+        arena.intern(PNode::Terminal(da, db))
+    } else {
+        let field = FieldId(field);
+        let domain = IntervalSet::from_interval(a.schema().field(field).domain());
+        let edges_b = edges_on(b, vb, field, &domain);
+        // Pairwise overlay: both edge lists partition the domain, so the
+        // non-empty pairwise intersections partition it too.
+        let mut per_child: Vec<(PId, IntervalSet)> = Vec::new();
+        for (la, ta) in edges_on(a, va, field, &domain) {
+            for (lb, tb) in edges_b.clone() {
+                let cell = la.intersect(lb);
+                if cell.is_empty() {
+                    continue;
+                }
                 let child = product_rec(a, b, ta, tb, arena);
                 match per_child.iter_mut().find(|(c, _)| *c == child) {
                     Some((_, set)) => *set = set.union(&cell),
                     None => per_child.push((child, cell)),
                 }
             }
-            if per_child.len() == 1 {
-                per_child.pop().expect("len checked").0
-            } else {
-                per_child.sort_by_key(|(_, set)| set.min_value());
-                let edges = per_child.into_iter().map(|(c, s)| (s, c)).collect();
-                arena.intern(PNode::Internal { field, edges })
-            }
+        }
+        if per_child.len() == 1 {
+            per_child.pop().expect("len checked").0
+        } else {
+            per_child.sort_by_key(|(_, set)| set.min_value());
+            let edges = per_child.into_iter().map(|(c, s)| (s, c)).collect();
+            arena.intern(PNode::Internal { field, edges })
         }
     };
     arena.memo.insert((va, vb), r);
@@ -246,70 +238,55 @@ impl DiffProduct {
     /// inputs disagree, saturating — the raw, un-coalesced discrepancy
     /// count, the quantity the Fig. 12/13 harness tracks.
     pub fn cell_count(&self) -> u128 {
-        let mut memo: HashMap<PId, u128> = HashMap::new();
-        self.cells(self.root, &mut memo)
-    }
-
-    fn cells(&self, id: PId, memo: &mut HashMap<PId, u128>) -> u128 {
-        if let Some(&c) = memo.get(&id) {
-            return c;
-        }
-        let c = match &self.nodes[id as usize] {
+        let cells = self.bottom_up(|node, below: &[u128]| match node {
             PNode::Terminal(x, y) => u128::from(x != y),
-            PNode::Internal { edges, .. } => edges.iter().fold(0u128, |acc, (_, t)| {
-                acc.saturating_add(self.cells(*t, memo))
-            }),
-        };
-        memo.insert(id, c);
-        c
+            PNode::Internal { edges, .. } => edges
+                .iter()
+                .fold(0u128, |acc, &(_, t)| acc.saturating_add(below[t as usize])),
+        });
+        cells[self.root as usize]
     }
 
     /// Number of packets on which the two inputs disagree, saturating.
     pub fn packet_count(&self) -> u128 {
-        let mut memo: HashMap<PId, u128> = HashMap::new();
-        let below = self.packets(self.root, &mut memo);
+        let domain = |i: usize| self.schema.field(FieldId(i)).domain().count();
+        // Per node, the packets over the fields from its own field on.
+        let packets = self.bottom_up(|node, below: &[u128]| match node {
+            PNode::Terminal(x, y) => u128::from(x != y),
+            PNode::Internal { field, edges } => edges.iter().fold(0u128, |acc, (label, t)| {
+                // Fields strictly between this node and the child are
+                // unconstrained.
+                let gap: u128 = (field.index() + 1..self.rank(*t)).map(domain).product();
+                acc.saturating_add(
+                    label
+                        .count()
+                        .saturating_mul(gap)
+                        .saturating_mul(below[*t as usize]),
+                )
+            }),
+        });
         // Multiply in the domains of fields above the root's field.
-        let top = match &self.nodes[self.root as usize] {
-            PNode::Terminal(..) => self.schema.len(),
-            PNode::Internal { field, .. } => field.index(),
-        };
-        let free: u128 = (0..top)
-            .map(|i| self.schema.field(FieldId(i)).domain().count())
-            .product();
-        below.saturating_mul(free)
+        let free: u128 = (0..self.rank(self.root)).map(domain).product();
+        packets[self.root as usize].saturating_mul(free)
     }
 
-    fn packets(&self, id: PId, memo: &mut HashMap<PId, u128>) -> u128 {
-        // Packets over the fields >= this node's field.
-        if let Some(&c) = memo.get(&id) {
-            return c;
+    /// The field index a node tests, or the field count for a terminal.
+    fn rank(&self, id: PId) -> usize {
+        match &self.nodes[id as usize] {
+            PNode::Terminal(..) => self.schema.len(),
+            PNode::Internal { field, .. } => field.index(),
         }
-        let c = match &self.nodes[id as usize] {
-            PNode::Terminal(x, y) => u128::from(x != y),
-            PNode::Internal { field, edges } => {
-                let mut acc = 0u128;
-                for (label, t) in edges {
-                    let child_field = match &self.nodes[*t as usize] {
-                        PNode::Terminal(..) => self.schema.len(),
-                        PNode::Internal { field, .. } => field.index(),
-                    };
-                    // Fields strictly between this node and the child are
-                    // unconstrained.
-                    let gap: u128 = (field.index() + 1..child_field)
-                        .map(|i| self.schema.field(FieldId(i)).domain().count())
-                        .product();
-                    acc = acc.saturating_add(
-                        label
-                            .count()
-                            .saturating_mul(gap)
-                            .saturating_mul(self.packets(*t, memo)),
-                    );
-                }
-                acc
-            }
-        };
-        memo.insert(id, c);
-        c
+    }
+
+    /// One value per node, children first: a forward pass over the arena,
+    /// which interns every node after its children.
+    fn bottom_up<T>(&self, mut f: impl FnMut(&PNode, &[T]) -> T) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let v = f(node, &out);
+            out.push(v);
+        }
+        out
     }
 
     /// Visits every disagreement cell as `(predicate, left, right)`.
@@ -317,47 +294,63 @@ impl DiffProduct {
     where
         F: FnMut(&Predicate, Decision, Decision),
     {
-        let mut pred = Predicate::any(&self.schema);
-        self.walk(self.root, &mut pred, &mut f);
+        self.for_each_cell(|p, x, y| f(&p, x, y));
     }
 
-    fn walk<F>(&self, id: PId, pred: &mut Predicate, f: &mut F)
-    where
-        F: FnMut(&Predicate, Decision, Decision),
-    {
+    /// Hands `f` every disagreement cell, in edge order. The walk first
+    /// marks the nodes that reach a disagreeing terminal and descends only
+    /// into those, holding borrowed labels; a cell's predicate is built
+    /// once, at its terminal.
+    fn for_each_cell(&self, mut f: impl FnMut(Predicate, Decision, Decision)) {
+        let disagrees = self.bottom_up(|node, below: &[bool]| match node {
+            PNode::Terminal(x, y) => x != y,
+            PNode::Internal { edges, .. } => edges.iter().any(|&(_, t)| below[t as usize]),
+        });
+        let mut path = vec![None; self.schema.len()];
+        self.walk(self.root, &disagrees, &mut path, &mut f);
+    }
+
+    fn walk<'a>(
+        &'a self,
+        id: PId,
+        disagrees: &[bool],
+        path: &mut [Option<&'a IntervalSet>],
+        f: &mut impl FnMut(Predicate, Decision, Decision),
+    ) {
+        if !disagrees[id as usize] {
+            return;
+        }
         match &self.nodes[id as usize] {
             PNode::Terminal(x, y) => {
-                if x != y {
-                    f(pred, *x, *y);
-                }
+                let sets = path
+                    .iter()
+                    .zip(self.schema.iter())
+                    .map(|(label, (_, field))| match label {
+                        Some(set) => (*set).clone(),
+                        None => IntervalSet::from_interval(field.domain()),
+                    })
+                    .collect();
+                f(Predicate::from_sets_unchecked(sets), *x, *y);
             }
             PNode::Internal { field, edges } => {
-                let field = *field;
-                let saved = pred.set(field).clone();
                 for (label, t) in edges {
-                    *pred = pred
-                        .with_field(field, label.clone())
-                        .expect("edge labels are non-empty by invariant");
-                    self.walk(*t, pred, f);
+                    path[field.index()] = Some(label);
+                    self.walk(*t, disagrees, path, f);
                 }
-                *pred = pred
-                    .with_field(field, saved)
-                    .expect("saved set is non-empty");
+                path[field.index()] = None;
             }
         }
     }
 
     /// All disagreement cells, coalesced into Table-3-style regions.
     pub fn discrepancies(&self) -> Vec<Discrepancy> {
-        let mut out = Vec::new();
-        self.for_each_discrepancy(|p, x, y| out.push(Discrepancy::new(p.clone(), x, y)));
-        crate::discrepancy::coalesce(out)
+        crate::discrepancy::coalesce(self.raw_discrepancies())
     }
 
     /// All disagreement cells, uncoalesced (one per overlay path).
     pub fn raw_discrepancies(&self) -> Vec<Discrepancy> {
         let mut out = Vec::new();
-        self.for_each_discrepancy(|p, x, y| out.push(Discrepancy::new(p.clone(), x, y)));
+        self.for_each_cell(|p, x, y| out.push(Discrepancy::new(p, x, y)));
         out
     }
 }

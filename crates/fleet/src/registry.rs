@@ -86,8 +86,10 @@ impl RuleStore {
         self.rules.len()
     }
 
-    fn approx_bytes(&self, schema: &Schema) -> usize {
-        let rules: usize = self.rules.iter().map(|r| rule_bytes(schema, r)).sum();
+    /// The rule list's buffer, each predicate's heap (its set vector and
+    /// the runs of every set of two runs or more), and the hash table.
+    fn approx_bytes(&self) -> usize {
+        let rules: usize = self.rules.iter().map(|r| r.predicate().heap_bytes()).sum();
         let table: usize = self
             .table
             .values()
@@ -96,14 +98,6 @@ impl RuleStore {
             + self.table.capacity() * 8;
         rules + table + self.rules.capacity() * std::mem::size_of::<Rule>()
     }
-}
-
-fn rule_bytes(schema: &Schema, rule: &Rule) -> usize {
-    let mut bytes = std::mem::size_of::<Rule>();
-    for (field, _) in schema.iter() {
-        bytes += rule.predicate().set(field).iter().len() * 16;
-    }
-    bytes
 }
 
 /// Content hash of a policy: schema plus the exact ordered rule list.
@@ -374,10 +368,7 @@ impl Shard {
             .values()
             .map(|e| std::mem::size_of::<PolicyEntry>() + e.rule_ids.capacity() * 4 + 16)
             .sum();
-        self.arena.approx_bytes()
-            + self.pool.approx_bytes()
-            + self.store.approx_bytes(&self.schema)
-            + entries
+        self.arena.approx_bytes() + self.pool.approx_bytes() + self.store.approx_bytes() + entries
     }
 }
 

@@ -37,28 +37,40 @@
 //! # }
 //! ```
 
-use crate::prefix::parse_ipv4;
+// Policy text is untrusted input: no path from it may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use crate::{
-    Decision, FieldId, Interval, IntervalSet, ModelError, Predicate, Prefix, Rule, Schema,
+    Decision, FieldDef, Interval, IntervalSet, ModelError, Predicate, Prefix, Rule, Schema,
 };
 
 /// Parses a sequence of rules in the DSL, one per line; blank lines and
 /// `#`-comments are skipped.
+///
+/// One pass over the text's bytes: each line is cut at its first `#` and
+/// its last `->`, and each constraint's value set is built once, straight
+/// into the rule's predicate. A rule whose sets are all single runs costs
+/// one allocation, its predicate's set vector.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Parse`] carrying the 1-based line number of the
 /// first offending line, or a validation error from predicate construction.
 pub fn parse_rules(schema: &Schema, text: &str) -> Result<Vec<Rule>, ModelError> {
+    let mut parser = Parser::new(schema);
     let mut rules = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
+    for (idx, raw) in text.as_bytes().split(|&b| b == b'\n').enumerate() {
         // `#` starts a comment, whether at line start or trailing a rule.
-        let line = raw.split('#').next().unwrap_or("").trim();
+        let line = trim(before(raw, b'#'));
         if line.is_empty() {
             continue;
         }
-        rules.push(parse_rule_line(schema, line, line_no)?);
+        rules.push(parser.rule(line, idx + 1)?);
     }
     Ok(rules)
 }
@@ -69,7 +81,246 @@ pub fn parse_rules(schema: &Schema, text: &str) -> Result<Vec<Rule>, ModelError>
 ///
 /// As for [`parse_rules`], with line number 1.
 pub fn parse_rule(schema: &Schema, line: &str) -> Result<Rule, ModelError> {
-    parse_rule_line(schema, line.trim(), 1)
+    Parser::new(schema).rule(trim(line.as_bytes()), 1)
+}
+
+/// Reads a dotted-quad IPv4 address to its 32-bit integer: exactly four
+/// `.`-separated octets, each a decimal integer of at most 255. The DSL and
+/// [`crate::iptables`] read addresses through [`crate::prefix::parse_ipv4`],
+/// which is this reader.
+pub(crate) fn ipv4(text: &[u8]) -> Result<u64, ModelError> {
+    if text.iter().filter(|&&b| b == b'.').count() != 3 {
+        return Err(err(
+            0,
+            format!("`{}` is not a dotted-quad IPv4 address", lossy(text)),
+        ));
+    }
+    let mut v: u64 = 0;
+    for part in text.split(|&b| b == b'.') {
+        let octet = uint(part)
+            .ok_or_else(|| err(0, format!("`{}` is not a valid IPv4 octet", lossy(part))))?;
+        if octet > 255 {
+            return Err(err(0, format!("IPv4 octet {octet} exceeds 255")));
+        }
+        v = (v << 8) | octet;
+    }
+    Ok(v)
+}
+
+/// The rule scanner of one parse: the schema, plus a buffer for the
+/// alternatives of a value set, reused from one set to the next.
+struct Parser<'s> {
+    schema: &'s Schema,
+    alternatives: Vec<Interval>,
+}
+
+impl<'s> Parser<'s> {
+    fn new(schema: &'s Schema) -> Self {
+        Parser {
+            schema,
+            alternatives: Vec::new(),
+        }
+    }
+
+    /// One trimmed, comment-free rule: `predicate -> decision`.
+    ///
+    /// The checks run in a fixed order, so a line with several faults
+    /// reports the first: the arrow, the decision, then each constraint
+    /// from left to right (its name, whether it repeats a field, each
+    /// alternative of its value set, and last the field's domain).
+    fn rule(&mut self, line: &[u8], line_no: usize) -> Result<Rule, ModelError> {
+        let (pred, dec) =
+            rsplit_arrow(line).ok_or_else(|| err(line_no, "expected `predicate -> decision`"))?;
+        let dec = trim(dec);
+        let decision: Decision = match std::str::from_utf8(dec) {
+            Ok(name) => name.parse().map_err(|e| at_line(e, line_no))?,
+            Err(_) => return Err(err(line_no, format!("unknown decision `{}`", lossy(dec)))),
+        };
+        let predicate = self.predicate(trim(pred), line_no)?;
+        Ok(Rule::new(predicate, decision))
+    }
+
+    fn predicate(&mut self, text: &[u8], line_no: usize) -> Result<Predicate, ModelError> {
+        let schema = self.schema;
+        if text == b"*" {
+            return Ok(Predicate::any(schema));
+        }
+        if text.is_empty() {
+            return Err(err(
+                line_no,
+                "empty predicate; use `*` to match all packets",
+            ));
+        }
+        // A field's set stays empty until a constraint fills it; parsed
+        // sets are never empty, so a filled slot is a repeated field.
+        let mut sets = vec![IntervalSet::empty(); schema.len()];
+        for part in text.split(|&b| b == b',') {
+            let part = trim(part);
+            if part.is_empty() {
+                return Err(err(line_no, "empty constraint between commas"));
+            }
+            let (name, value) = split_once(part, b'=').ok_or_else(|| {
+                err(
+                    line_no,
+                    format!("expected `field=value` in `{}`", lossy(part)),
+                )
+            })?;
+            let name = trim(name);
+            let (slot, field) = sets
+                .iter_mut()
+                .zip(schema.iter())
+                .find(|(_, (_, f))| f.name().as_bytes() == name)
+                .map(|(slot, (_, f))| (slot, f))
+                .ok_or_else(|| err(line_no, format!("unknown field `{}`", lossy(name))))?;
+            if !slot.is_empty() {
+                return Err(err(
+                    line_no,
+                    format!("field `{}` constrained twice", field.name()),
+                ));
+            }
+            let set = self.value_set(trim(value), field, line_no)?;
+            if let Some(max) = set.max_value() {
+                if max > field.max() {
+                    return Err(ModelError::OutOfDomain {
+                        field: field.name().to_owned(),
+                        value: max,
+                        max: field.max(),
+                    });
+                }
+            }
+            *slot = set;
+        }
+        for (slot, (_, field)) in sets.iter_mut().zip(schema.iter()) {
+            if slot.is_empty() {
+                *slot = IntervalSet::from_interval(field.domain());
+            }
+        }
+        Ok(Predicate::from_sets_unchecked(sets))
+    }
+
+    /// `value ('|' value)*`, normalised into one canonical set.
+    fn value_set(
+        &mut self,
+        text: &[u8],
+        field: &FieldDef,
+        line_no: usize,
+    ) -> Result<IntervalSet, ModelError> {
+        self.alternatives.clear();
+        let mut first = None;
+        for alt in text.split(|&b| b == b'|') {
+            let alt = trim(alt);
+            if alt.is_empty() {
+                return Err(err(line_no, "empty alternative between `|`"));
+            }
+            let iv = value(alt, field, line_no)?;
+            // The buffer holds the alternatives after the first, so a
+            // single value allocates nothing.
+            if first.is_none() {
+                first = Some(iv);
+            } else {
+                self.alternatives.push(iv);
+            }
+        }
+        Ok(IntervalSet::from_intervals(
+            first.into_iter().chain(self.alternatives.drain(..)),
+        ))
+    }
+}
+
+/// One alternative: `*`, a prefix `base/plen`, a range `lo-hi` or a single
+/// value, where `base`, `lo`, `hi` and the value are integers or dotted
+/// quads (a dotted quad holds no `-`, so the first `-` splits a range).
+fn value(text: &[u8], field: &FieldDef, line_no: usize) -> Result<Interval, ModelError> {
+    if text == b"*" {
+        return Ok(field.domain());
+    }
+    if let Some((base, plen_text)) = split_once(text, b'/') {
+        let v = scalar(trim(base), line_no)?;
+        let plen = uint(trim(plen_text))
+            .and_then(|p| u32::try_from(p).ok())
+            .ok_or_else(|| {
+                err(
+                    line_no,
+                    format!("invalid prefix length `{}`", lossy(plen_text)),
+                )
+            })?;
+        return Ok(Prefix::new(v, plen, field.bits())?.interval());
+    }
+    if let Some((lo, hi)) = split_once(text, b'-') {
+        let lo = scalar(trim(lo), line_no)?;
+        let hi = scalar(trim(hi), line_no)?;
+        return Interval::new(lo, hi);
+    }
+    Ok(Interval::point(scalar(text, line_no)?))
+}
+
+/// A dotted quad if the token holds a `.`, else a decimal integer.
+fn scalar(text: &[u8], line_no: usize) -> Result<u64, ModelError> {
+    if text.contains(&b'.') {
+        ipv4(text).map_err(|e| at_line(e, line_no))
+    } else {
+        uint(text).ok_or_else(|| err(line_no, format!("invalid integer `{}`", lossy(text))))
+    }
+}
+
+/// A decimal integer as `u64::from_str` reads one: an optional `+`, then
+/// at least one digit, with no overflow.
+fn uint(text: &[u8]) -> Option<u64> {
+    let digits = match text.split_first() {
+        Some((b'+', rest)) => rest,
+        _ => text,
+    };
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(u64::from(digit))
+    })
+}
+
+/// The bytes before the first `delim`, or all of them.
+fn before(bytes: &[u8], delim: u8) -> &[u8] {
+    split_once(bytes, delim).map_or(bytes, |(head, _)| head)
+}
+
+/// `bytes` split around its first `delim`.
+fn split_once(bytes: &[u8], delim: u8) -> Option<(&[u8], &[u8])> {
+    let at = bytes.iter().position(|&b| b == delim)?;
+    let (head, tail) = bytes.split_at_checked(at)?;
+    Some((head, tail.get(1..)?))
+}
+
+/// `bytes` split around its last `->`.
+fn rsplit_arrow(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let at = bytes.windows(2).rposition(|w| w == b"->")?;
+    let (head, tail) = bytes.split_at_checked(at)?;
+    Some((head, tail.get(2..)?))
+}
+
+/// `bytes` without leading and trailing whitespace, as `str::trim` strips
+/// it: ASCII whitespace byte by byte, and the multi-byte Unicode spaces
+/// through `str::trim` when a non-ASCII byte is left at either end.
+fn trim(bytes: &[u8]) -> &[u8] {
+    let ws = |b: &u8| matches!(b, b'\t'..=b'\r' | b' ');
+    let start = bytes.iter().position(|b| !ws(b)).unwrap_or(bytes.len());
+    let end = bytes.iter().rposition(|b| !ws(b)).map_or(start, |e| e + 1);
+    let t = bytes.get(start..end).unwrap_or_default();
+    let wide_end = |b: Option<&u8>| b.is_some_and(|b| !b.is_ascii());
+    if wide_end(t.first()) || wide_end(t.last()) {
+        // Cut at ASCII bytes or at whitespace, so still whole characters.
+        if let Ok(s) = std::str::from_utf8(t) {
+            return s.trim().as_bytes();
+        }
+    }
+    t
+}
+
+fn lossy(bytes: &[u8]) -> std::borrow::Cow<'_, str> {
+    String::from_utf8_lossy(bytes)
 }
 
 fn err(line: usize, message: impl Into<String>) -> ModelError {
@@ -79,117 +330,19 @@ fn err(line: usize, message: impl Into<String>) -> ModelError {
     }
 }
 
-fn parse_rule_line(schema: &Schema, line: &str, line_no: usize) -> Result<Rule, ModelError> {
-    let (pred_text, dec_text) = line
-        .rsplit_once("->")
-        .ok_or_else(|| err(line_no, "expected `predicate -> decision`"))?;
-    let decision: Decision = dec_text.trim().parse().map_err(|e: ModelError| match e {
-        ModelError::Parse { message, .. } => err(line_no, message),
+/// `e` with its parse line set to `line`; other errors pass through.
+fn at_line(e: ModelError, line: usize) -> ModelError {
+    match e {
+        ModelError::Parse { message, .. } => err(line, message),
         other => other,
-    })?;
-    let predicate = parse_predicate(schema, pred_text.trim(), line_no)?;
-    Ok(Rule::new(predicate, decision))
-}
-
-fn parse_predicate(schema: &Schema, text: &str, line_no: usize) -> Result<Predicate, ModelError> {
-    if text == "*" {
-        return Ok(Predicate::any(schema));
-    }
-    if text.is_empty() {
-        return Err(err(
-            line_no,
-            "empty predicate; use `*` to match all packets",
-        ));
-    }
-    let mut pred = Predicate::any(schema);
-    let mut seen: Vec<FieldId> = Vec::new();
-    for part in text.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return Err(err(line_no, "empty constraint between commas"));
-        }
-        let (name, value) = part
-            .split_once('=')
-            .ok_or_else(|| err(line_no, format!("expected `field=value` in `{part}`")))?;
-        let name = name.trim();
-        let (id, field) = schema
-            .field_by_name(name)
-            .ok_or_else(|| err(line_no, format!("unknown field `{name}`")))?;
-        if seen.contains(&id) {
-            return Err(err(line_no, format!("field `{name}` constrained twice")));
-        }
-        seen.push(id);
-        let set = parse_value_set(value.trim(), field.bits(), line_no)?;
-        if let Some(max) = set.max_value() {
-            if max > field.max() {
-                return Err(ModelError::OutOfDomain {
-                    field: name.to_owned(),
-                    value: max,
-                    max: field.max(),
-                });
-            }
-        }
-        pred = pred.with_field(id, set)?;
-    }
-    Ok(pred)
-}
-
-fn parse_value_set(text: &str, bits: u32, line_no: usize) -> Result<IntervalSet, ModelError> {
-    let mut intervals = Vec::new();
-    for alt in text.split('|') {
-        let alt = alt.trim();
-        if alt.is_empty() {
-            return Err(err(line_no, "empty alternative between `|`"));
-        }
-        intervals.push(parse_value(alt, bits, line_no)?);
-    }
-    Ok(IntervalSet::from_intervals(intervals))
-}
-
-fn parse_value(text: &str, bits: u32, line_no: usize) -> Result<Interval, ModelError> {
-    if text == "*" {
-        let max = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        return Interval::new(0, max);
-    }
-    // Prefix notation `base/plen`, where base may be dotted-quad or integer.
-    if let Some((base, plen)) = text.split_once('/') {
-        let v = parse_scalar(base.trim(), line_no)?;
-        let plen: u32 = plen
-            .trim()
-            .parse()
-            .map_err(|_| err(line_no, format!("invalid prefix length `{plen}`")))?;
-        return Ok(Prefix::new(v, plen, bits)?.interval());
-    }
-    // Range `lo-hi` (dotted quads contain '.', so a '-' separating two
-    // dotted quads is unambiguous; plain integers contain no '-').
-    if let Some((lo, hi)) = text.split_once('-') {
-        let lo = parse_scalar(lo.trim(), line_no)?;
-        let hi = parse_scalar(hi.trim(), line_no)?;
-        return Interval::new(lo, hi);
-    }
-    let v = parse_scalar(text, line_no)?;
-    Ok(Interval::point(v))
-}
-
-fn parse_scalar(text: &str, line_no: usize) -> Result<u64, ModelError> {
-    if text.contains('.') {
-        parse_ipv4(text).map_err(|e| match e {
-            ModelError::Parse { message, .. } => err(line_no, message),
-            other => other,
-        })
-    } else {
-        text.parse::<u64>()
-            .map_err(|_| err(line_no, format!("invalid integer `{text}`")))
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::panic, clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use crate::FieldId;
 
     fn schema() -> Schema {
         Schema::paper_example()

@@ -49,14 +49,19 @@ impl Predicate {
     /// [`ModelError::EmptyPredicateField`] if some set is empty, and
     /// [`ModelError::OutOfDomain`] if some set leaves its field's domain.
     pub fn new(schema: &Schema, sets: Vec<IntervalSet>) -> Result<Self, ModelError> {
+        Predicate::check(schema, &sets)?;
+        Ok(Predicate { sets })
+    }
+
+    /// Checks `sets` as [`Predicate::new`] would, without taking them.
+    pub(crate) fn check(schema: &Schema, sets: &[IntervalSet]) -> Result<(), ModelError> {
         if sets.len() != schema.len() {
             return Err(ModelError::ArityMismatch {
                 expected: schema.len(),
                 found: sets.len(),
             });
         }
-        for (id, field) in schema.iter() {
-            let s = &sets[id.index()];
+        for ((_, field), s) in schema.iter().zip(sets) {
             if s.is_empty() {
                 return Err(ModelError::EmptyPredicateField {
                     field: field.name().to_owned(),
@@ -72,7 +77,7 @@ impl Predicate {
                 }
             }
         }
-        Ok(Predicate { sets })
+        Ok(())
     }
 
     /// Returns a copy with field `id` constrained to `set`.
@@ -114,6 +119,13 @@ impl Predicate {
     /// Number of fields.
     pub fn arity(&self) -> usize {
         self.sets.len()
+    }
+
+    /// Heap bytes the predicate owns: its vector of sets plus the runs of
+    /// every set that keeps them on the heap (two runs or more).
+    pub fn heap_bytes(&self) -> usize {
+        self.sets.capacity() * std::mem::size_of::<IntervalSet>()
+            + self.sets.iter().map(IntervalSet::heap_bytes).sum::<usize>()
     }
 
     /// Whether the packet satisfies `p1 ∈ S1 ∧ … ∧ pd ∈ Sd`.

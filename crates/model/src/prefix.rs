@@ -208,34 +208,14 @@ pub fn set_to_prefixes(set: &IntervalSet, bits: u32) -> Result<Vec<Prefix>, Mode
     Ok(out)
 }
 
-/// Parses a dotted-quad IPv4 address (`a.b.c.d`) to its 32-bit integer.
+/// Parses a dotted-quad IPv4 address (`a.b.c.d`) to its 32-bit integer,
+/// with the rule DSL's own reader (see [`crate::parse`]).
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::Parse`] on malformed input.
 pub fn parse_ipv4(s: &str) -> Result<u64, ModelError> {
-    let parts: Vec<&str> = s.split('.').collect();
-    if parts.len() != 4 {
-        return Err(ModelError::Parse {
-            line: 0,
-            message: format!("`{s}` is not a dotted-quad IPv4 address"),
-        });
-    }
-    let mut v: u64 = 0;
-    for p in parts {
-        let octet: u64 = p.parse().map_err(|_| ModelError::Parse {
-            line: 0,
-            message: format!("`{p}` is not a valid IPv4 octet"),
-        })?;
-        if octet > 255 {
-            return Err(ModelError::Parse {
-                line: 0,
-                message: format!("IPv4 octet {octet} exceeds 255"),
-            });
-        }
-        v = (v << 8) | octet;
-    }
-    Ok(v)
+    crate::parse::ipv4(s.as_bytes())
 }
 
 /// Formats a 32-bit integer as a dotted-quad IPv4 address.

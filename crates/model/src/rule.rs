@@ -77,7 +77,7 @@ impl Rule {
     ///
     /// Propagates the predicate validation errors of [`Predicate::new`].
     pub fn validate(&self, schema: &Schema) -> Result<(), ModelError> {
-        Predicate::new(schema, self.predicate.sets().to_vec()).map(|_| ())
+        Predicate::check(schema, self.predicate.sets())
     }
 
     /// Lowers a general rule into simple rules with the same decision whose

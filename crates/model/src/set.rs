@@ -1,4 +1,6 @@
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -14,6 +16,11 @@ use crate::Interval;
 /// sets are equal as sets if and only if they compare equal with `==` — which
 /// the whole FDD machinery relies on.
 ///
+/// A set of at most one run is stored inline; only a set of two runs or more
+/// owns a heap vector. Rule constraints and most FDD edge labels are single
+/// runs, so building and cloning them allocates nothing. `==`, `Hash`, `Ord`
+/// and `Debug` see only the runs, exactly as they would a `Vec<Interval>`.
+///
 /// # Example
 ///
 /// ```
@@ -27,21 +34,63 @@ use crate::Interval;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct IntervalSet {
     /// Sorted, pairwise disjoint and non-adjacent.
-    runs: Vec<Interval>,
+    runs: Runs,
+}
+
+/// The runs of an [`IntervalSet`]: inline up to one, on the heap from two.
+/// `Many` never holds fewer than two runs, so each set has one form.
+#[derive(Clone, Default, Serialize, Deserialize)]
+enum Runs {
+    #[default]
+    Empty,
+    One(Interval),
+    Many(Vec<Interval>),
+}
+
+impl Runs {
+    /// Appends `iv`, which starts after every run already held, merging it
+    /// into the last run when the two overlap or touch.
+    fn push(&mut self, iv: Interval) {
+        match self {
+            Runs::Empty => *self = Runs::One(iv),
+            Runs::One(last) => match last.merge(iv) {
+                Some(m) => *last = m,
+                None => *self = Runs::Many(vec![*last, iv]),
+            },
+            Runs::Many(runs) => match runs.last_mut() {
+                Some(last) => match last.merge(iv) {
+                    Some(m) => *last = m,
+                    None => runs.push(iv),
+                },
+                None => runs.push(iv),
+            },
+        }
+    }
+
+    /// The runs of a canonical vector, inline when it holds fewer than two.
+    fn from_vec(runs: Vec<Interval>) -> Runs {
+        match runs.as_slice() {
+            [] => Runs::Empty,
+            [only] => Runs::One(*only),
+            _ => Runs::Many(runs),
+        }
+    }
 }
 
 impl IntervalSet {
     /// The empty set.
     pub fn empty() -> Self {
-        IntervalSet { runs: Vec::new() }
+        IntervalSet { runs: Runs::Empty }
     }
 
     /// The set containing exactly one interval.
     pub fn from_interval(iv: Interval) -> Self {
-        IntervalSet { runs: vec![iv] }
+        IntervalSet {
+            runs: Runs::One(iv),
+        }
     }
 
     /// The set containing exactly one value.
@@ -55,68 +104,89 @@ impl IntervalSet {
     where
         I: IntoIterator<Item = Interval>,
     {
-        let mut runs: Vec<Interval> = intervals.into_iter().collect();
+        let mut it = intervals.into_iter();
+        let Some(first) = it.next() else {
+            return IntervalSet::empty();
+        };
+        let Some(second) = it.next() else {
+            return IntervalSet::from_interval(first);
+        };
+        let mut runs: Vec<Interval> = [first, second].into_iter().chain(it).collect();
         runs.sort_unstable_by_key(|iv| (iv.lo(), iv.hi()));
-        let mut out: Vec<Interval> = Vec::with_capacity(runs.len());
-        for iv in runs {
-            match out.last_mut() {
-                Some(last) => match last.merge(iv) {
-                    Some(m) => *last = m,
-                    None => out.push(iv),
-                },
-                None => out.push(iv),
+        // `dedup_by` hands over (next, last kept): fold each run into the
+        // last kept one while they overlap or touch.
+        runs.dedup_by(|next, kept| match kept.merge(*next) {
+            Some(m) => {
+                *kept = m;
+                true
             }
+            None => false,
+        });
+        IntervalSet {
+            runs: Runs::from_vec(runs),
         }
-        IntervalSet { runs: out }
     }
 
     /// Whether the set contains no values.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        matches!(self.runs, Runs::Empty)
     }
 
     /// Number of values in the set, as `u128` (the full 64-bit domain holds
     /// `2^64` values).
     pub fn count(&self) -> u128 {
-        self.runs.iter().map(|iv| iv.count()).sum()
+        self.iter().map(|iv| iv.count()).sum()
     }
 
     /// Number of maximal intervals in the canonical representation.
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        self.as_slice().len()
     }
 
     /// The intervals of the canonical representation, ascending.
     pub fn iter(&self) -> std::slice::Iter<'_, Interval> {
-        self.runs.iter()
+        self.as_slice().iter()
     }
 
     /// The intervals as a slice, ascending.
     pub fn as_slice(&self) -> &[Interval] {
-        &self.runs
+        match &self.runs {
+            Runs::Empty => &[],
+            Runs::One(iv) => std::slice::from_ref(iv),
+            Runs::Many(runs) => runs,
+        }
+    }
+
+    /// Heap bytes the set owns beyond its own size: none up to one run,
+    /// the run vector's capacity from two runs up.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.runs {
+            Runs::Empty | Runs::One(_) => 0,
+            Runs::Many(runs) => runs.capacity() * std::mem::size_of::<Interval>(),
+        }
     }
 
     /// If the set is exactly one interval, returns it.
     pub fn as_single_interval(&self) -> Option<Interval> {
-        match self.runs.as_slice() {
-            [only] => Some(*only),
+        match self.runs {
+            Runs::One(only) => Some(only),
             _ => None,
         }
     }
 
     /// The smallest value in the set, if any.
     pub fn min_value(&self) -> Option<u64> {
-        self.runs.first().map(|iv| iv.lo())
+        self.as_slice().first().map(|iv| iv.lo())
     }
 
     /// The largest value in the set, if any.
     pub fn max_value(&self) -> Option<u64> {
-        self.runs.last().map(|iv| iv.hi())
+        self.as_slice().last().map(|iv| iv.hi())
     }
 
     /// Whether `v` is a member of the set.
     pub fn contains(&self, v: u64) -> bool {
-        self.runs
+        self.as_slice()
             .binary_search_by(|iv| {
                 if iv.hi() < v {
                     std::cmp::Ordering::Less
@@ -131,19 +201,35 @@ impl IntervalSet {
 
     /// Set union.
     pub fn union(&self, other: &IntervalSet) -> IntervalSet {
-        IntervalSet::from_intervals(self.runs.iter().chain(other.runs.iter()).copied())
+        // Merge the two ascending run lists by lower bound; `push` folds
+        // each run into the last one it overlaps or touches.
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let mut out = Runs::Empty;
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let take_a = j == b.len() || (i < a.len() && a[i].lo() <= b[j].lo());
+            if take_a {
+                out.push(a[i]);
+                i += 1;
+            } else {
+                out.push(b[j]);
+                j += 1;
+            }
+        }
+        IntervalSet { runs: out }
     }
 
     /// Set intersection.
     pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
-        let mut out = Vec::new();
+        let (a, b) = (self.as_slice(), other.as_slice());
+        let mut out = Runs::Empty;
         let (mut i, mut j) = (0, 0);
-        while i < self.runs.len() && j < other.runs.len() {
-            let (a, b) = (self.runs[i], other.runs[j]);
-            if let Some(c) = a.intersect(b) {
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            if let Some(c) = x.intersect(y) {
                 out.push(c);
             }
-            if a.hi() <= b.hi() {
+            if x.hi() <= y.hi() {
                 i += 1;
             } else {
                 j += 1;
@@ -154,24 +240,25 @@ impl IntervalSet {
 
     /// Set difference `self \ other`.
     pub fn subtract(&self, other: &IntervalSet) -> IntervalSet {
-        let mut out = Vec::new();
+        let cuts = other.as_slice();
+        let mut out = Runs::Empty;
         let mut j = 0;
-        for &a in &self.runs {
+        for &a in self.as_slice() {
             let mut pending = a;
             let mut exhausted = false;
             // Skip other-runs entirely below `pending`.
-            while j < other.runs.len() && other.runs[j].hi() < pending.lo() {
+            while j < cuts.len() && cuts[j].hi() < pending.lo() {
                 j += 1;
             }
             let mut k = j;
-            while k < other.runs.len() && other.runs[k].lo() <= pending.hi() {
-                match pending.subtract(other.runs[k]) {
+            while k < cuts.len() && cuts[k].lo() <= pending.hi() {
+                match pending.subtract(cuts[k]) {
                     SubtractResult::Empty => {
                         exhausted = true;
                         break;
                     }
                     SubtractResult::One(rest) => {
-                        if rest.hi() < other.runs[k].lo() {
+                        if rest.hi() < cuts[k].lo() {
                             // Residue lies entirely left of the cut: done.
                             pending = rest;
                             exhausted = true;
@@ -201,13 +288,14 @@ impl IntervalSet {
 
     /// Whether every member of `self` is a member of `other`.
     pub fn is_subset_of(&self, other: &IntervalSet) -> bool {
+        let b = other.as_slice();
         let mut j = 0;
-        for &a in &self.runs {
-            while j < other.runs.len() && other.runs[j].hi() < a.lo() {
+        for &a in self.as_slice() {
+            while j < b.len() && b[j].hi() < a.lo() {
                 j += 1;
             }
-            match other.runs.get(j) {
-                Some(b) if b.contains_interval(a) => {}
+            match b.get(j) {
+                Some(r) if r.contains_interval(a) => {}
                 _ => return false,
             }
         }
@@ -216,13 +304,14 @@ impl IntervalSet {
 
     /// Whether the two sets share at least one value.
     pub fn intersects(&self, other: &IntervalSet) -> bool {
+        let (a, b) = (self.as_slice(), other.as_slice());
         let (mut i, mut j) = (0, 0);
-        while i < self.runs.len() && j < other.runs.len() {
-            let (a, b) = (self.runs[i], other.runs[j]);
-            if a.overlaps(b) {
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            if x.overlaps(y) {
                 return true;
             }
-            if a.hi() < b.hi() {
+            if x.hi() < y.hi() {
                 i += 1;
             } else {
                 j += 1;
@@ -233,7 +322,7 @@ impl IntervalSet {
 
     /// Whether the set equals the whole `domain`.
     pub fn covers(&self, domain: Interval) -> bool {
-        matches!(self.runs.as_slice(), [only] if *only == domain)
+        self.as_single_interval() == Some(domain)
     }
 
     /// An arbitrary representative value from the set, if non-empty.
@@ -241,6 +330,40 @@ impl IntervalSet {
     /// Used by testing oracles that need one witness packet per region.
     pub fn any_value(&self) -> Option<u64> {
         self.min_value()
+    }
+}
+
+impl PartialEq for IntervalSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for IntervalSet {}
+
+impl Hash for IntervalSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl PartialOrd for IntervalSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for IntervalSet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl fmt::Debug for IntervalSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IntervalSet")
+            .field("runs", &self.as_slice())
+            .finish()
     }
 }
 
@@ -258,7 +381,7 @@ impl FromIterator<Interval> for IntervalSet {
 
 impl Extend<Interval> for IntervalSet {
     fn extend<I: IntoIterator<Item = Interval>>(&mut self, iter: I) {
-        *self = IntervalSet::from_intervals(self.runs.iter().copied().chain(iter));
+        *self = IntervalSet::from_intervals(self.iter().copied().chain(iter));
     }
 }
 
@@ -267,16 +390,16 @@ impl<'a> IntoIterator for &'a IntervalSet {
     type IntoIter = std::slice::Iter<'a, Interval>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.runs.iter()
+        self.iter()
     }
 }
 
 impl fmt::Display for IntervalSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.runs.is_empty() {
+        if self.is_empty() {
             return write!(f, "∅");
         }
-        for (i, iv) in self.runs.iter().enumerate() {
+        for (i, iv) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, "|")?;
             }

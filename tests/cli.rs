@@ -154,6 +154,27 @@ fn missing_file_reports_error() {
 }
 
 #[test]
+fn malformed_line_is_reported_by_number() {
+    let dir = test_dir("malformed");
+    let bad = dir.join("bad.fw");
+    std::fs::write(
+        &bad,
+        "# line 1 is a comment\n\
+         dport=22, proto=6 -> discard\n\
+         dport=80 proto=6 -> accept\n\
+         * -> accept\n",
+    )
+    .expect("write policy");
+    let out = fwdiff()
+        .args([bad.display().to_string(), repo_path("policies/dmz_v1.fw")])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("line 3"), "got: {stderr}");
+}
+
+#[test]
 fn paper_schema_flag_works() {
     // Write two tiny paper-schema policies to a temp dir and diff them.
     let dir = std::env::temp_dir().join("fwdiff-cli-test");
