@@ -5,17 +5,13 @@
 //! — on Fig. 12 real-life-sized and Fig. 13 synthetic workloads, then
 //! writes `BENCH_exec.json`.
 //!
+//! `lanes_mpps` times the lane kernel, the image's one batch form; every
+//! row also asserts that its chain fusion strictly shrinks the walk: the
+//! kernel's pass count ([`fw_exec::LaneStats::passes`]) stays below
+//! `max_depth` on every policy at least two levels deep.
+//!
 //! Three adaptive sections ride the same harness:
 //!
-//! * **specialization** — every workload also profiles its own trace,
-//!   re-lowers the image ([`CompiledFdd::specialize`]) and times the
-//!   specialized arm; the twin is asserted byte-identical to the base
-//!   image on every packet *before* any timing, the per-workload heat
-//!   report and plan go to `PROFILE_exec.txt`, and on the skewed
-//!   `fig12/large(661)` rows the specialized arm must beat the best
-//!   uncached serving outright while strictly shrinking `max_depth` —
-//!   with auto serving with specialization enabled (decision cache
-//!   included) clearing 1.3x best uncached on the Zipf acceptance row.
 //! * **auto** — every workload also runs through the calibrated engine
 //!   route ([`fw_exec::calibrate`] on a trace sample, then
 //!   [`fw_exec::EngineChoice::classify_into`]); the bin *asserts* the auto
@@ -24,7 +20,12 @@
 //!   refining the choice from full-trace numbers when a sample-based pick
 //!   underperforms — this is the regression guard for workloads like
 //!   `fig13/synth-n100`/random where the plain walk beats the lane kernel.
-//! * **thread scaling** — the parallel lane pipeline
+//! * **cache** — every workload also runs warm behind a decision cache,
+//!   asserted identical cold and warm before timing; on the Zipf row of
+//!   `fig12/large(661)` cached serving must double the best uncached
+//!   serving and the calibrator must elect it, and on every uniform row
+//!   cache-enabled serving must stay within 3% of the auto route.
+//! * **thread scaling** — the sharded lane kernel
 //!   ([`CompiledFdd::classify_lanes_par_into`]) at 1/2/4/8 workers on the
 //!   largest random workload, with the parallel≡serial oracle asserted
 //!   before every timing. On a multi-core runner the 4-thread row must
@@ -43,8 +44,8 @@ use std::time::Instant;
 
 use fw_core::Fdd;
 use fw_exec::{
-    CompiledFdd, DecisionCache, EngineChoice, EngineKind, EngineScratch, LaneScratch, PacketBatch,
-    ParScratch, Profile, DEFAULT_LANE_WIDTH,
+    CompiledFdd, DecisionCache, EngineChoice, EngineKind, EngineScratch, PacketBatch,
+    DEFAULT_LANE_WIDTH,
 };
 use fw_model::{Decision, Firewall};
 use fw_synth::PacketTrace;
@@ -65,14 +66,6 @@ const AUTO_TOLERANCE: f64 = 0.97;
 /// Re-measure (and after two misses, re-route) this many times before
 /// declaring the auto route slower than the better of walk and lanes.
 const AUTO_ATTEMPTS: usize = 12;
-/// Auto serving with specialization enabled (re-calibrated full route,
-/// decision cache included) must beat the best uncached serving by this
-/// factor on the skewed `fig12/large(661)` Zipf row — the acceptance bar
-/// for profile-guided re-lowering. The specialized arm alone must
-/// additionally beat the best uncached serving outright on both skewed
-/// rows (it carries exactly the misses the cache cannot absorb).
-const SPEC_GAIN: f64 = 1.3;
-
 struct Row {
     workload: String,
     rules: usize,
@@ -84,7 +77,6 @@ struct Row {
     compiled_columns_mpps: f64,
     lanes_mpps: f64,
     auto_mpps: f64,
-    specialized_mpps: f64,
     cached_mpps: f64,
     cache_hit_rate: f64,
     cache_elected: bool,
@@ -92,8 +84,7 @@ struct Row {
     compiled_nodes: usize,
     arena_bytes: usize,
     max_depth: usize,
-    depth_before: usize,
-    depth_after: usize,
+    lane_passes: usize,
 }
 
 struct CacheSweepRow {
@@ -155,13 +146,7 @@ fn measure_auto(
     )
 }
 
-fn bench_trace(
-    name: &str,
-    fw: &Firewall,
-    trace: &PacketTrace,
-    kind: &'static str,
-    report: &mut String,
-) -> Row {
+fn bench_trace(name: &str, fw: &Firewall, trace: &PacketTrace, kind: &'static str) -> Row {
     let fdd = fw_core::Fdd::from_firewall_fast(fw).expect("benchmark policies are comprehensive");
     let compiled = CompiledFdd::from_firewall(fw).expect("benchmark policies compile");
     let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets())
@@ -201,7 +186,6 @@ fn bench_trace(
         }),
     );
     let mut out = Vec::new();
-    let mut scratch = LaneScratch::new();
     let compiled_mpps = median_mpps(
         n,
         time_repeats(|| {
@@ -222,7 +206,7 @@ fn bench_trace(
         n,
         time_repeats(|| {
             compiled
-                .classify_lanes_into(&batch, &mut scratch, &mut out)
+                .classify_lanes_into(&batch, &mut out)
                 .expect("same schema");
             std::hint::black_box(out.len());
         }),
@@ -380,219 +364,24 @@ fn bench_trace(
         );
     }
 
-    // Profile-guided specialization: gather heat on this very trace
-    // through the instrumented walk, re-lower the image, and assert the
-    // twin byte-identical to the base image on every packet BEFORE any
-    // timing — per-packet through the specialized walk AND through the
-    // spec engine route. The arm is then timed serial and sharded; the
-    // best wins. This section runs after the auto/cached measurements so
-    // their numbers stay twin-free (the calibrator would otherwise race
-    // the spec arm and fold it into `auto_mpps`).
-    let mut profile = Profile::new_for(&compiled);
-    let mut spec_out = Vec::new();
-    compiled
-        .classify_profiled_into(&batch, &mut profile, &mut spec_out)
-        .expect("same schema");
-    assert_eq!(
-        linear, spec_out,
-        "{name}/{kind}: instrumented walk diverges"
-    );
-    let plan = compiled
-        .specialize(&profile)
-        .expect("a non-empty profile always yields a plan");
-    {
-        let spec = compiled.spec().expect("specialize installs the twin");
-        for (p, d) in trace.packets().iter().zip(&linear) {
-            assert_eq!(
-                spec.classify(p),
-                *d,
-                "{name}/{kind}: specialized twin diverges at {p}"
-            );
-        }
-    }
-    let spec_choice = |threads: usize| EngineChoice {
-        kind: EngineKind::Spec,
-        threads,
-        cached: false,
-    };
-    {
-        let mut scratch = EngineScratch::default();
-        let mut got = Vec::new();
-        for threads in [1, cores] {
-            spec_choice(threads)
-                .classify_into(
-                    &compiled,
-                    Some(&fdd),
-                    Some(trace.packets()),
-                    &batch,
-                    &mut scratch,
-                    &mut got,
-                )
-                .expect("same schema");
-            assert_eq!(
-                linear, got,
-                "{name}/{kind}: spec route diverges at {threads} thread(s)"
-            );
-        }
-    }
-    let _ = writeln!(report, "=== {name}/{kind} ===");
-    report.push_str(&compiled.profile_report(&profile, 10));
-    let _ = writeln!(report, "{plan}\n");
-    let mut specialized_mpps = measure_auto(&compiled, &fdd, trace, &batch, spec_choice(1));
-    if cores > 1 {
-        specialized_mpps = specialized_mpps.max(measure_auto(
-            &compiled,
-            &fdd,
-            trace,
-            &batch,
-            spec_choice(cores),
-        ));
-    }
-
-    // Skewed acceptance gates, on the large real-life policy only:
-    //
-    // * chain fusion strictly shrinks the walk depth;
-    // * the specialized arm alone beats the best uncached serving
-    //   (single engines AND the auto route) — the re-lowering must pay
-    //   for itself on exactly the packets the decision cache misses;
-    // * on the Zipf row, auto serving with specialization enabled — the
-    //   re-calibrated full route with the twin mounted, decision cache
-    //   included — clears `SPEC_GAIN`x the best uncached serving.
-    if name == "fig12/large(661)" && kind != "random" {
-        assert!(
-            plan.depth_after < plan.depth_before,
-            "{name}/{kind}: specialization must strictly shrink max_depth \
-             (got {} -> {})",
-            plan.depth_before,
-            plan.depth_after
-        );
-        let best_uncached = best.max(auto_mpps);
-        for _ in 1..AUTO_ATTEMPTS {
-            if specialized_mpps >= best_uncached {
-                break;
-            }
-            specialized_mpps = specialized_mpps
-                .max(measure_auto(&compiled, &fdd, trace, &batch, spec_choice(1)))
-                .max(measure_auto(
-                    &compiled,
-                    &fdd,
-                    trace,
-                    &batch,
-                    spec_choice(cores),
-                ));
-        }
-        assert!(
-            specialized_mpps >= best_uncached,
-            "{name}/{kind}: specialized arm {specialized_mpps:.2} Mpps lost to the best \
-             uncached serving {best_uncached:.2} Mpps"
-        );
-        if kind == "zipf" {
-            let full = fw_exec::calibrate_with_cache(
-                &compiled,
-                Some(&fdd),
-                Some(trace.packets()),
-                &batch,
-                cores,
-                CACHE_CAPACITY,
-            )
-            .expect("benchmark batches are non-empty and schema-matched")
-            .choice;
-            let mut spec_cache =
-                DecisionCache::new(fw.schema().clone(), CACHE_CAPACITY).expect("non-zero capacity");
-            let mut scratch = EngineScratch::default();
-            let mut got = Vec::new();
-            for pass in ["cold", "warm"] {
-                full.classify_cached_into(
-                    &compiled,
-                    Some(&fdd),
-                    &batch,
-                    &mut spec_cache,
-                    &mut scratch,
-                    &mut got,
-                )
-                .expect("same schema");
-                assert_eq!(
-                    linear, got,
-                    "{name}/{kind}: specialization-enabled route diverges ({pass} cache)"
-                );
-            }
-            let floor = SPEC_GAIN * best_uncached;
-            let mut enabled = 0.0f64;
-            for _ in 0..AUTO_ATTEMPTS {
-                if enabled >= floor {
-                    break;
-                }
-                enabled = enabled.max(median_mpps(
-                    n,
-                    time_repeats(|| {
-                        full.classify_cached_into(
-                            &compiled,
-                            Some(&fdd),
-                            &batch,
-                            &mut spec_cache,
-                            &mut scratch,
-                            &mut got,
-                        )
-                        .expect("same schema");
-                        std::hint::black_box(got.len());
-                    }),
-                ));
-            }
-            assert!(
-                enabled >= floor,
-                "{name}/{kind}: auto serving with specialization enabled {enabled:.2} Mpps \
-                 did not reach {SPEC_GAIN}x the best uncached serving {best_uncached:.2} Mpps"
-            );
-        }
-    }
-
-    // Uniform guard: with the twin mounted the calibrator re-races every
-    // arm (spec included); whatever it routes to now must stay within 3%
-    // of the twin-free auto route — the spec arm may win, never drag.
-    if kind == "random" {
-        let recal = fw_exec::calibrate(&compiled, Some(&fdd), Some(trace.packets()), &batch, cores)
-            .expect("benchmark batches are non-empty and schema-matched")
-            .choice;
-        {
-            let mut scratch = EngineScratch::default();
-            let mut got = Vec::new();
-            recal
-                .classify_into(
-                    &compiled,
-                    Some(&fdd),
-                    Some(trace.packets()),
-                    &batch,
-                    &mut scratch,
-                    &mut got,
-                )
-                .expect("same schema");
-            assert_eq!(linear, got, "{name}/random: twin-mounted route diverges");
-        }
-        let mut effective = measure_auto(&compiled, &fdd, trace, &batch, recal);
-        for _ in 1..AUTO_ATTEMPTS {
-            if effective >= 0.97 * auto_mpps {
-                break;
-            }
-            effective = effective.max(measure_auto(&compiled, &fdd, trace, &batch, recal));
-        }
-        assert!(
-            effective >= 0.97 * auto_mpps,
-            "{name}/random: serving with the twin mounted {effective:.2} Mpps regressed \
-             more than 3% against the twin-free auto route {auto_mpps:.2} Mpps"
-        );
-    }
-
+    // Chain fusion strictly shrinks the walk: the lane kernel's pass count
+    // stays below the image's depth on every policy two or more levels deep.
     let s = compiled.stats();
+    let lane_passes = compiled.lane_stats().passes;
+    assert!(
+        s.max_depth < 2 || lane_passes < s.max_depth,
+        "{name}/{kind}: chain fusion must strictly shrink max_depth (got {} -> {lane_passes})",
+        s.max_depth
+    );
     println!(
         "{name}/{kind}: linear {linear_mpps:.2} Mpps | walk {fdd_walk_mpps:.2} Mpps | \
          compiled {compiled_mpps:.2} Mpps (x{:.1} vs linear) | columns {compiled_columns_mpps:.2} Mpps | \
-         lanes {lanes_mpps:.2} Mpps (x{:.2} vs walk) | auto {auto_mpps:.2} Mpps via {choice} | \
-         spec {specialized_mpps:.2} Mpps (depth {} -> {}) | \
+         lanes {lanes_mpps:.2} Mpps (x{:.2} vs walk, {lane_passes} passes for depth {}) | \
+         auto {auto_mpps:.2} Mpps via {choice} | \
          cached {cached_mpps:.2} Mpps (hit {:.0}%, elected {cache_elected})",
         compiled_mpps / linear_mpps,
         lanes_mpps / fdd_walk_mpps,
-        plan.depth_before,
-        plan.depth_after,
+        s.max_depth,
         cache_hit_rate * 100.0
     );
     Row {
@@ -606,7 +395,6 @@ fn bench_trace(
         compiled_columns_mpps,
         lanes_mpps,
         auto_mpps,
-        specialized_mpps,
         cached_mpps,
         cache_hit_rate,
         cache_elected,
@@ -614,12 +402,11 @@ fn bench_trace(
         compiled_nodes: s.nodes,
         arena_bytes: s.arena_bytes,
         max_depth: s.max_depth,
-        depth_before: plan.depth_before,
-        depth_after: plan.depth_after,
+        lane_passes,
     }
 }
 
-/// Thread scaling of the parallel lane pipeline on one workload/trace:
+/// Thread scaling of the sharded lane kernel on one workload/trace:
 /// the parallel≡serial oracle is asserted before every timing, so a lost
 /// or misordered decision can never hide behind a good number.
 fn bench_thread_scaling(
@@ -633,11 +420,10 @@ fn bench_thread_scaling(
     let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets())
         .expect("trace packets are schema-valid");
     let serial = compiled.classify_lanes(&batch).expect("same schema");
-    let mut scratch = ParScratch::default();
     let mut out = Vec::new();
     for threads in SCALING_THREADS {
         compiled
-            .classify_lanes_par_into(&batch, threads, &mut scratch, &mut out)
+            .classify_lanes_par_into(&batch, threads, &mut out)
             .expect("same schema");
         assert_eq!(
             serial, out,
@@ -647,7 +433,7 @@ fn bench_thread_scaling(
             trace.len(),
             time_repeats(|| {
                 compiled
-                    .classify_lanes_par_into(&batch, threads, &mut scratch, &mut out)
+                    .classify_lanes_par_into(&batch, threads, &mut out)
                     .expect("same schema");
                 std::hint::black_box(out.len());
             }),
@@ -662,13 +448,13 @@ fn bench_thread_scaling(
     }
 }
 
-fn bench_workload(rows: &mut Vec<Row>, report: &mut String, name: &str, fw: &Firewall, seed: u64) {
+fn bench_workload(rows: &mut Vec<Row>, name: &str, fw: &Firewall, seed: u64) {
     let random = PacketTrace::random(fw.schema().clone(), PACKETS, seed);
-    rows.push(bench_trace(name, fw, &random, "random", report));
+    rows.push(bench_trace(name, fw, &random, "random"));
     let biased = PacketTrace::biased(fw, PACKETS, SCATTER, seed + 1);
-    rows.push(bench_trace(name, fw, &biased, "biased", report));
+    rows.push(bench_trace(name, fw, &biased, "biased"));
     let zipf = PacketTrace::zipf(fw, PACKETS, 1.0, seed + 2, seed + 3);
-    rows.push(bench_trace(name, fw, &zipf, "zipf", report));
+    rows.push(bench_trace(name, fw, &zipf, "zipf"));
 }
 
 /// Cache hit-rate sweep on one workload: Zipf exponent vs hit rate and
@@ -744,23 +530,16 @@ fn sweep_cache(rows: &mut Vec<CacheSweepRow>, name: &str, fw: &Firewall, seed: u
 fn main() {
     let started = Instant::now();
     let mut rows = Vec::new();
-    let mut report = String::from(
-        "Profile-guided specialization report — per-workload heat and plan\n\
-         (hot nodes by visit count, hot cuts by hit count, then the\n\
-         re-lowering plan the specializer committed to).\n\n",
-    );
 
     // Fig. 12 shape: the real-life-sized policies.
     bench_workload(
         &mut rows,
-        &mut report,
         "fig12/avg(42)",
         &fw_synth::university_average(),
         10,
     );
     bench_workload(
         &mut rows,
-        &mut report,
         "fig12/large(661)",
         &fw_synth::university_large(),
         20,
@@ -769,13 +548,7 @@ fn main() {
     // Fig. 13 shape: synthetic policies of growing size.
     for (i, n) in [25usize, 100, 500].into_iter().enumerate() {
         let fw = fw_synth::Synthesizer::new(300 + i as u64).firewall(n);
-        bench_workload(
-            &mut rows,
-            &mut report,
-            &format!("fig13/synth-n{n}"),
-            &fw,
-            40 + i as u64,
-        );
+        bench_workload(&mut rows, &format!("fig13/synth-n{n}"), &fw, 40 + i as u64);
     }
 
     // Hit-rate sweep: skew exponent against hit rate and throughput on
@@ -809,7 +582,7 @@ fn main() {
         );
     }
 
-    // Thread scaling of the parallel lane pipeline on the largest
+    // Thread scaling of the sharded lane kernel on the largest
     // random workload (the batch the multi-core data plane exists for).
     let mut scaling = Vec::new();
     {
@@ -858,12 +631,12 @@ fn main() {
             "    {{\"workload\": \"{}\", \"rules\": {}, \"trace\": \"{}\", \"packets\": {}, \
              \"linear_mpps\": {:.3}, \"fdd_walk_mpps\": {:.3}, \"compiled_mpps\": {:.3}, \
              \"compiled_columns_mpps\": {:.3}, \"lanes_mpps\": {:.3}, \
-             \"auto_mpps\": {:.3}, \"specialized_mpps\": {:.3}, \"cached_mpps\": {:.3}, \
+             \"auto_mpps\": {:.3}, \"cached_mpps\": {:.3}, \
              \"cache_hit_rate\": {:.4}, \
              \"cache_elected\": {}, \"chosen_engine\": \"{}\", \
              \"speedup_vs_linear\": {:.3}, \"lanes_speedup_vs_walk\": {:.3}, \
              \"compiled_nodes\": {}, \"arena_bytes\": {}, \"max_depth\": {}, \
-             \"depth_before\": {}, \"depth_after\": {}}}{sep}",
+             \"lane_passes\": {}}}{sep}",
             r.workload,
             r.rules,
             r.trace,
@@ -874,7 +647,6 @@ fn main() {
             r.compiled_columns_mpps,
             r.lanes_mpps,
             r.auto_mpps,
-            r.specialized_mpps,
             r.cached_mpps,
             r.cache_hit_rate,
             r.cache_elected,
@@ -884,8 +656,7 @@ fn main() {
             r.compiled_nodes,
             r.arena_bytes,
             r.max_depth,
-            r.depth_before,
-            r.depth_after
+            r.lane_passes
         );
     }
     json.push_str("  ],\n");
@@ -923,9 +694,5 @@ fn main() {
         started.elapsed().as_secs_f64() * 1e3
     );
     std::fs::write("BENCH_exec.json", &json).expect("write BENCH_exec.json");
-    std::fs::write("PROFILE_exec.txt", &report).expect("write PROFILE_exec.txt");
-    println!(
-        "wrote BENCH_exec.json + PROFILE_exec.txt in {:?}",
-        started.elapsed()
-    );
+    println!("wrote BENCH_exec.json in {:?}", started.elapsed());
 }

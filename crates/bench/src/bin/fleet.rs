@@ -7,8 +7,8 @@
 //!
 //! The headline number is `memory_ratio`: independent bytes/tenant over
 //! registry bytes/tenant. Independent serving pays, per tenant, what one
-//! `LiveMatcher` keeps between edits: the compiled image (flat arena plus
-//! lane mirror) and the rule list. The source diagram it also keeps is
+//! `LiveMatcher` keeps between edits: the compiled image (its canonical
+//! arenas plus the lane kernel) and the rule list. The source diagram it also keeps is
 //! left out, so the baseline errs low. The registry pays the hash-consed
 //! union of all tenant diagrams, one interned copy of each distinct rule,
 //! and one deduplicated compiled pool. On the 10k-tenant
@@ -98,15 +98,15 @@ fn bench_fleet(rows: &mut Vec<Row>, name: &str, base: &Firewall, spec: &Spec) {
     let stats = registry.stats();
 
     // Independent baseline: build a spread of tenants standalone and
-    // average what each would hold — the compiled image (flat arena +
-    // lane mirror) plus the rule list a LiveMatcher keeps between edits.
+    // average what each would hold — the compiled image (canonical arenas
+    // + lane kernel) plus the rule list a LiveMatcher keeps between edits.
     let step = (tenants / BASELINE_SAMPLE).max(1);
     let sample: Vec<usize> = (0..tenants).step_by(step).take(BASELINE_SAMPLE).collect();
     let mut independent_bytes = 0usize;
     for &i in &sample {
         let compiled = CompiledFdd::from_firewall(&fleet[i]).expect("benchmark policies compile");
-        let s = compiled.stats();
-        independent_bytes += s.arena_bytes + s.lane_arena_bytes + rule_list_bytes(&fleet[i]);
+        independent_bytes +=
+            compiled.stats().arena_bytes + compiled.lane_stats().bytes + rule_list_bytes(&fleet[i]);
     }
     let independent_bytes_per_tenant = independent_bytes / sample.len();
 

@@ -53,7 +53,7 @@ struct Row {
     impact_full_us: f64,
     full_us: f64,
     nodes: usize,
-    lane_arena_bytes: usize,
+    lane_bytes: usize,
 }
 
 impl Row {
@@ -200,7 +200,7 @@ fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, s
             impact_full_us: best_us(impact_full_times),
             full_us: best_us(full_times),
             nodes: image.node_count(),
-            lane_arena_bytes: image.stats().lane_arena_bytes,
+            lane_bytes: image.lane_stats().bytes,
         };
         println!(
             "{name} k={k}: e2e full {:.0} µs (impact {:.0} + from_firewall {:.0}) | \
@@ -271,7 +271,7 @@ fn main() {
             "    {{\"workload\": \"{}\", \"rules\": {}, \"batch\": {}, \
              \"affected_packets\": {}, \"impact_us\": {:.1}, \"edit_us\": {:.1}, \
              \"impact_full_us\": {:.1}, \"full_us\": {:.1}, \"e2e_full_us\": {:.1}, \
-             \"e2e_speedup\": {:.2}, \"nodes\": {}, \"lane_arena_bytes\": {}}}{sep}",
+             \"e2e_speedup\": {:.2}, \"nodes\": {}, \"lane_bytes\": {}}}{sep}",
             r.workload,
             r.rules,
             r.batch,
@@ -283,7 +283,7 @@ fn main() {
             r.e2e_full_us(),
             r.e2e_full_us() / r.edit_us,
             r.nodes,
-            r.lane_arena_bytes
+            r.lane_bytes
         );
     }
     json.push_str("  ],\n");

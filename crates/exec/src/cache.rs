@@ -726,27 +726,6 @@ impl EngineChoice {
     }
 }
 
-impl CompiledFdd {
-    /// [`CompiledFdd::classify_auto_into`] with a cache front end: the
-    /// calibrated choice (or the default) classifies the misses.
-    ///
-    /// # Errors
-    ///
-    /// As for [`EngineChoice::classify_cached_into`].
-    pub fn classify_cached_into(
-        &self,
-        batch: &PacketBatch,
-        cache: &mut DecisionCache,
-        scratch: &mut EngineScratch,
-        out: &mut Vec<Decision>,
-    ) -> Result<(), ExecError> {
-        self.stats()
-            .calibrated
-            .unwrap_or_default()
-            .classify_cached_into(self, None, batch, cache, scratch, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -823,8 +802,8 @@ mod tests {
         let mut out = Vec::new();
         // Twice: the second pass serves mostly from the cache.
         for pass in 0..2 {
-            compiled
-                .classify_cached_into(&batch, &mut cache, &mut scratch, &mut out)
+            EngineChoice::default()
+                .classify_cached_into(&compiled, None, &batch, &mut cache, &mut scratch, &mut out)
                 .unwrap();
             assert_eq!(out, expect, "pass {pass}");
         }
@@ -928,7 +907,14 @@ mod tests {
         let other = fw_model::Schema::paper_example();
         let mut wrong = DecisionCache::new(other, 64).unwrap();
         assert!(matches!(
-            compiled.classify_cached_into(&batch, &mut wrong, &mut scratch, &mut out),
+            EngineChoice::default().classify_cached_into(
+                &compiled,
+                None,
+                &batch,
+                &mut wrong,
+                &mut scratch,
+                &mut out
+            ),
             Err(ExecError::Invariant(_))
         ));
     }

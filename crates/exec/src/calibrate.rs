@@ -1,21 +1,20 @@
 //! Adaptive engine calibration: measure, don't guess.
 //!
-//! The runtime serves a batch one of three ways — the plain FDD walk, the
-//! level-synchronous lane kernel (serial or sharded across cores), and the
-//! profile-specialized twin once one is installed — and no fixed choice
-//! wins everywhere: the walk outruns the lane kernel on some
-//! shallow-diagram trace shapes, and the twin pays only where its
-//! re-lowering does. So the choice is *calibrated*: a short micro-trial per
-//! (image, trace shape) races the arms over a bounded sample of the real
-//! batch, and the winner is recorded as an [`EngineChoice`] in the image's
-//! [`CompileStats`] (or in the [`crate::LiveMatcher`] serving it).
+//! The runtime serves a batch one of two ways — the plain FDD walk, or the
+//! level-synchronous lane kernel (serial or sharded across cores) — with
+//! an optional decision cache in front, and no fixed choice wins
+//! everywhere: the walk outruns the lane kernel on some shallow-diagram
+//! trace shapes, and the cache pays only on skewed traffic. So the choice
+//! is *calibrated*: a short micro-trial per (image, trace shape) races the
+//! arms over a bounded sample of the real batch, and the caller keeps the
+//! winning [`EngineChoice`] ([`crate::LiveMatcher`] holds its own).
 //!
 //! An arm is one candidate the calibrator times, and the race holds only
 //! arms that can win on some workload: the walk (when the caller has the
-//! diagram), the lane kernel at each thread count of the ladder, the twin
-//! (when installed), and the cached arm. The row-major scalar and the
-//! column walk never won a bench row; they remain as the reference engines
-//! the agreement oracles compare against, not as arms.
+//! diagram), the lane kernel at each thread count of the ladder, and the
+//! cached arm. The row-major scalar and the column walk never won a bench
+//! row; they remain as the reference engines the agreement oracles compare
+//! against, not as arms.
 //!
 //! The trial is deterministic in everything but the clock. Arms are timed
 //! in round-robin passes over a fixed sample prefix: each pass times every
@@ -28,8 +27,7 @@
 //!
 //! The FWEX wire format deliberately carries no calibration — the machine
 //! that decodes an image is not the machine (or the traffic) that encoded
-//! it. Decode leaves [`CompileStats::calibrated`] empty; serving surfaces
-//! recalibrate on load ([`CompiledFdd::calibrate`]) or fall back to
+//! it. Serving surfaces recalibrate on load ([`calibrate`]) or fall back to
 //! [`EngineChoice::default`].
 
 use std::time::Instant;
@@ -38,8 +36,7 @@ use fw_core::Fdd;
 use fw_model::{Decision, Packet};
 use serde::{Deserialize, Serialize};
 
-use crate::kernel::LaneScratch;
-use crate::par::{resolve_threads, ParScratch};
+use crate::kernel::resolve_threads;
 use crate::{CompiledFdd, DecisionCache, ExecError, PacketBatch};
 
 /// Packets of the sample prefix a calibration replays per timed pass —
@@ -58,14 +55,8 @@ pub enum EngineKind {
     /// Routed to the lane kernel when the caller has no diagram.
     Walk,
     /// The level-synchronous lane kernel, serial at `threads <= 1`,
-    /// sharded across scoped workers above that.
+    /// span-sharded across scoped workers above that.
     Lanes,
-    /// The profile-specialized twin image ([`crate::SpecializedFdd`]),
-    /// serial at `threads <= 1`, span-sharded above that. Raced only when
-    /// a twin is installed; a choice routed against an image without one
-    /// (e.g. after an edit swaps in a fresh image) serves through the lane
-    /// kernel at the same thread count until the next re-specialization.
-    Spec,
 }
 
 impl EngineKind {
@@ -74,7 +65,6 @@ impl EngineKind {
         match self {
             EngineKind::Walk => "walk",
             EngineKind::Lanes => "lanes",
-            EngineKind::Spec => "spec",
         }
     }
 }
@@ -85,8 +75,8 @@ impl EngineKind {
 pub struct EngineChoice {
     /// The engine to route batches through.
     pub kind: EngineKind,
-    /// Worker threads for [`EngineKind::Lanes`] and [`EngineKind::Spec`]
-    /// (`1` = serial); the walk is always serial.
+    /// Worker threads for [`EngineKind::Lanes`] (`1` = serial); the walk
+    /// is always serial.
     pub threads: usize,
     /// Whether a [`crate::DecisionCache`] front end sits before `kind`
     /// (the engine then only classifies the misses). Routing through the
@@ -145,14 +135,12 @@ pub struct Calibration {
     pub sample: usize,
 }
 
-/// Reusable scratch for [`EngineChoice::classify_into`] /
-/// [`CompiledFdd::classify_auto_into`]: whichever engine the choice routes
-/// to finds its working state here, so steady-state auto serving allocates
-/// nothing per batch.
+/// Reusable scratch for [`EngineChoice::classify_into`] and
+/// [`EngineChoice::classify_cached_into`]: whichever engine the choice
+/// routes to finds its working state here, so steady-state auto serving
+/// allocates nothing per batch.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
-    lane: LaneScratch,
-    par: ParScratch,
     /// One packet's gathered values, for the walk over a column batch.
     values: Vec<u64>,
     /// Miss-path buffers for the cached front end
@@ -173,11 +161,9 @@ impl EngineChoice {
     ///
     /// [`EngineKind::Walk`] needs the source diagram `walk`: it replays
     /// `rows` when given, else gathers each packet from the columns
-    /// through a reused buffer. A choice whose input is missing — a walk
-    /// without its diagram, a spec choice on an image without a twin —
-    /// serves through the lane kernel at the choice's thread count: the
-    /// decisions are identical on every engine, and the lane kernel is the
-    /// fastest batch-native one.
+    /// through a reused buffer. A walk without its diagram serves through
+    /// the lane kernel: the decisions are identical on every engine, and
+    /// the lane kernel is the fastest batch-native one.
     ///
     /// # Errors
     ///
@@ -192,18 +178,14 @@ impl EngineChoice {
         scratch: &mut EngineScratch,
         out: &mut Vec<Decision>,
     ) -> Result<(), ExecError> {
-        let spec = match self.kind {
-            EngineKind::Spec => compiled.spec(),
-            _ => None,
-        };
-        match (self.kind, walk, rows, spec) {
-            (EngineKind::Walk, Some(fdd), Some(rows), _) => {
+        match (self.kind, walk, rows) {
+            (EngineKind::Walk, Some(fdd), Some(rows)) => {
                 out.clear();
                 out.reserve(rows.len());
                 out.extend(rows.iter().map(|p| fdd.evaluate(p)));
                 Ok(())
             }
-            (EngineKind::Walk, Some(fdd), None, _) => {
+            (EngineKind::Walk, Some(fdd), None) => {
                 if batch.schema() != compiled.schema() {
                     return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
                         expected: compiled.schema().len(),
@@ -220,15 +202,9 @@ impl EngineChoice {
                 }
                 Ok(())
             }
-            (_, _, _, Some(spec)) if self.threads > 1 => {
-                spec.classify_par_into(batch, self.threads, out)
-            }
-            (_, _, _, Some(spec)) => spec.classify_columns_into(batch, out),
-            // The lane kernel, and every route whose input is missing.
-            _ if self.threads > 1 => {
-                compiled.classify_lanes_par_into(batch, self.threads, &mut scratch.par, out)
-            }
-            _ => compiled.classify_lanes_into(batch, &mut scratch.lane, out),
+            // The lane kernel, and a walk without its diagram.
+            _ if self.threads > 1 => compiled.classify_lanes_par_into(batch, self.threads, out),
+            _ => compiled.classify_lanes_into(batch, out),
         }
     }
 }
@@ -252,11 +228,10 @@ fn thread_ladder(max: usize) -> Vec<usize> {
 /// fastest, with all measurements.
 ///
 /// Arms, in fixed trial order: the plain walk (when `walk` is given; it
-/// replays `rows` when those are given too), the lane kernel at every
+/// replays `rows` when those are given too), then the lane kernel at every
 /// thread count on the ladder up to `max_threads` (`0` = all available
-/// cores), and the specialized twin serial and fully sharded (when one is
-/// installed). One untimed pass per arm warms it up (and forces the lazy
-/// lane mirror outside the timings); then `CALIBRATE_PASSES` (five)
+/// cores). One untimed pass per arm warms it up (and builds a decoded
+/// image's lazy lane kernel outside the timings); then `CALIBRATE_PASSES` (five)
 /// round-robin passes time every arm once each, and an arm's time is its
 /// minimum over the passes. Ties break toward the earlier arm.
 ///
@@ -340,20 +315,10 @@ pub fn calibrate_with_cache(
             .into_iter()
             .map(|threads| arm(EngineKind::Lanes, threads)),
     );
-    // The twin races only when installed. Serial plus fully sharded
-    // brackets its useful range — its scalar walk rarely profits from
-    // intermediate thread counts.
-    if compiled.spec().is_some() {
-        arms.push(arm(EngineKind::Spec, 1));
-        if max > 1 {
-            arms.push(arm(EngineKind::Spec, max));
-        }
-    }
-
     let mut scratch = EngineScratch::new();
     let mut out = Vec::new();
-    // Warm-up pass: forces the lazy mirror, faults the sample in, and (for
-    // the parallel arms) pages worker scratch to size.
+    // Warm-up pass: builds a decoded image's lazy kernel and faults the
+    // sample in.
     for choice in &arms {
         choice.classify_into(compiled, walk, sample_rows, &sample, &mut scratch, &mut out)?;
     }
@@ -453,96 +418,6 @@ pub fn calibrate_with_cache(
     })
 }
 
-impl CompiledFdd {
-    /// Calibrates this image against a representative batch and records
-    /// the winner in
-    /// [`CompileStats::calibrated`](crate::CompileStats::calibrated),
-    /// which [`CompiledFdd::classify_auto`] then routes through.
-    ///
-    /// See [`calibrate`] for the candidate set and determinism story.
-    /// `max_threads` caps the lane kernel's thread ladder (`0` = all
-    /// available cores). The choice is per (image, trace shape) and per
-    /// machine — it is never serialized; recalibrate after decode.
-    ///
-    /// # Errors
-    ///
-    /// As for [`calibrate`].
-    pub fn calibrate(
-        &mut self,
-        walk: Option<&Fdd>,
-        rows: Option<&[Packet]>,
-        batch: &PacketBatch,
-        max_threads: usize,
-    ) -> Result<Calibration, ExecError> {
-        let cal = calibrate(self, walk, rows, batch, max_threads)?;
-        self.stats.calibrated = Some(cal.choice);
-        Ok(cal)
-    }
-
-    /// [`CompiledFdd::calibrate`] with the cached candidate in the race
-    /// (see [`calibrate_with_cache`]); a winning cached choice is recorded
-    /// with `cached: true`, which cache-holding serving surfaces honour.
-    ///
-    /// # Errors
-    ///
-    /// As for [`calibrate_with_cache`].
-    pub fn calibrate_with_cache(
-        &mut self,
-        walk: Option<&Fdd>,
-        rows: Option<&[Packet]>,
-        batch: &PacketBatch,
-        max_threads: usize,
-        cache_capacity: usize,
-    ) -> Result<Calibration, ExecError> {
-        let cal = calibrate_with_cache(self, walk, rows, batch, max_threads, cache_capacity)?;
-        self.stats.calibrated = Some(cal.choice);
-        Ok(cal)
-    }
-
-    /// Classifies a batch through the calibrated engine choice
-    /// ([`CompileStats::calibrated`](crate::CompileStats::calibrated)),
-    /// falling back to [`EngineChoice::default`] on an uncalibrated image.
-    ///
-    /// # Errors
-    ///
-    /// As for the routed engine.
-    pub fn classify_auto(&self, batch: &PacketBatch) -> Result<Vec<Decision>, ExecError> {
-        let mut out = Vec::new();
-        self.classify_auto_into(batch, &mut EngineScratch::new(), &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`CompiledFdd::classify_auto`], into a caller-provided buffer
-    /// (cleared first) with caller-owned scratch — zero allocation per
-    /// batch at steady state.
-    ///
-    /// The image does not own its source diagram, so a walk choice serves
-    /// through the lane kernel here; callers holding the `Fdd` — the live
-    /// matcher, the CLI — route through [`EngineChoice::classify_into`]
-    /// directly.
-    ///
-    /// # Errors
-    ///
-    /// As for the routed engine.
-    pub fn classify_auto_into(
-        &self,
-        batch: &PacketBatch,
-        scratch: &mut EngineScratch,
-        out: &mut Vec<Decision>,
-    ) -> Result<(), ExecError> {
-        // The profiling sampling arm: an armed profiler claims every N-th
-        // batch for the instrumented walk (decision-identical); the
-        // disarmed check is one relaxed load.
-        if self.maybe_profile_into(batch, out)? {
-            return Ok(());
-        }
-        self.stats
-            .calibrated
-            .unwrap_or_default()
-            .classify_into(self, None, None, batch, scratch, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,12 +440,10 @@ mod tests {
 
     #[test]
     fn calibration_races_all_candidates_and_picks_a_winner() {
-        let (fw, mut compiled, batch) = setup(30, 600, 15);
+        let (fw, compiled, batch) = setup(30, 600, 15);
         let fdd = fw_core::Fdd::from_firewall_fast(&fw).unwrap().reduced();
         let trace: Vec<fw_model::Packet> = (0..batch.len()).map(|i| batch.packet(i)).collect();
-        let cal = compiled
-            .calibrate(Some(&fdd), Some(&trace), &batch, 2)
-            .unwrap();
+        let cal = calibrate(&compiled, Some(&fdd), Some(&trace), &batch, 2).unwrap();
         // The walk, then the lane kernel at every rung of ladder(2).
         let arms: Vec<EngineChoice> = cal.trials.iter().map(|t| t.choice).collect();
         assert_eq!(
@@ -583,7 +456,6 @@ mod tests {
         );
         assert_eq!(cal.sample, 600);
         assert!(cal.trials.iter().any(|t| t.choice == cal.choice));
-        assert_eq!(compiled.stats().calibrated, Some(cal.choice));
         let best = cal.trials.iter().map(|t| t.mpps).fold(0.0, f64::max);
         let winner = cal.trials.iter().find(|t| t.choice == cal.choice).unwrap();
         assert!(winner.mpps >= best, "winner must have the best trial time");
@@ -594,7 +466,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_matches_every_engine_for_every_choice() {
+    fn every_choice_serves_identically() {
         let (fw, compiled, batch) = setup(25, 401, 77);
         let fdd = fw_core::Fdd::from_firewall_fast(&fw).unwrap().reduced();
         let rows: Vec<fw_model::Packet> = (0..batch.len()).map(|i| batch.packet(i)).collect();
@@ -605,8 +477,6 @@ mod tests {
             choice(EngineKind::Walk, 1),
             choice(EngineKind::Lanes, 1),
             choice(EngineKind::Lanes, 4),
-            choice(EngineKind::Spec, 1),
-            choice(EngineKind::Spec, 3),
         ];
         for choice in choices {
             // With rows and walk available.
@@ -633,41 +503,33 @@ mod tests {
         }
     }
 
-    /// A choice whose input is missing — a walk without its diagram, a
-    /// spec choice without a twin — serves through the lane kernel, which
-    /// forces a decoded image's lazy lane mirror.
+    /// A walk without its diagram serves through the lane kernel, which
+    /// builds a decoded image's lazy kernel.
     #[test]
-    fn routes_with_missing_input_serve_through_the_lane_kernel() {
+    fn a_walk_without_its_diagram_serves_through_the_lane_kernel() {
         let (fw, compiled, batch) = setup(25, 300, 41);
         let expect = compiled.classify_columns(&batch).unwrap();
-        for choice in [choice(EngineKind::Walk, 1), choice(EngineKind::Spec, 2)] {
-            let decoded = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
-            assert!(decoded.lanes.get().is_none());
-            let mut out = Vec::new();
-            choice
-                .classify_into(
-                    &decoded,
-                    None,
-                    None,
-                    &batch,
-                    &mut EngineScratch::new(),
-                    &mut out,
-                )
-                .unwrap();
-            assert_eq!(out, expect, "{choice}");
-            assert!(
-                decoded.lanes.get().is_some(),
-                "{choice} ran the lane kernel"
-            );
-        }
+        let decoded = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
+        assert!(!decoded.lanes_built());
+        let mut out = Vec::new();
+        choice(EngineKind::Walk, 1)
+            .classify_into(
+                &decoded,
+                None,
+                None,
+                &batch,
+                &mut EngineScratch::new(),
+                &mut out,
+            )
+            .unwrap();
+        assert_eq!(out, expect);
+        assert!(decoded.lanes_built(), "the walk ran the lane kernel");
     }
 
     #[test]
     fn cached_candidate_joins_the_race_and_serves_identically() {
-        let (fw, mut compiled, batch) = setup(25, 900, 21);
-        let cal = compiled
-            .calibrate_with_cache(None, None, &batch, 1, 1 << 10)
-            .unwrap();
+        let (fw, compiled, batch) = setup(25, 900, 21);
+        let cal = calibrate_with_cache(&compiled, None, None, &batch, 1, 1 << 10).unwrap();
         // The serial lane kernel + the cached arm.
         assert_eq!(cal.trials.len(), 2);
         let last = cal.trials.last().unwrap();
@@ -693,65 +555,13 @@ mod tests {
     }
 
     #[test]
-    fn specialized_twin_joins_the_race_when_installed() {
-        let (_, mut compiled, batch) = setup(30, 700, 33);
-        let base = calibrate(&compiled, None, None, &batch, 2).unwrap();
-        assert!(
-            base.trials
-                .iter()
-                .all(|t| t.choice.kind != EngineKind::Spec),
-            "no twin, no spec arm"
+    fn choices_name_their_engine_threads_and_cache() {
+        assert_eq!(EngineChoice::default().to_string(), "lanes");
+        assert_eq!(choice(EngineKind::Lanes, 2).to_string(), "lanes/t2");
+        assert_eq!(
+            choice(EngineKind::Walk, 1).with_cache().to_string(),
+            "cache+walk"
         );
-        compiled
-            .specialize(&crate::Profile::new_for(&compiled))
-            .unwrap();
-        let cal = compiled.calibrate(None, None, &batch, 2).unwrap();
-        let spec_arms = cal
-            .trials
-            .iter()
-            .filter(|t| t.choice.kind == EngineKind::Spec)
-            .count();
-        assert_eq!(spec_arms, 2, "serial + sharded spec arms");
-        assert_eq!(cal.trials.len(), base.trials.len() + 2);
-        // Routing a spec choice serves identically with and without the
-        // twin installed (without, it serves through the lane kernel).
-        let expect = compiled.classify_columns(&batch).unwrap();
-        let choice = choice(EngineKind::Spec, 2);
-        assert_eq!(choice.to_string(), "spec/t2");
-        let mut scratch = EngineScratch::new();
-        let mut out = Vec::new();
-        choice
-            .classify_into(&compiled, None, None, &batch, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, expect);
-        compiled.clear_spec();
-        choice
-            .classify_into(&compiled, None, None, &batch, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, expect, "serves through the lane kernel without a twin");
-    }
-
-    #[test]
-    fn uncalibrated_auto_uses_the_default_and_agrees() {
-        let (_, compiled, batch) = setup(20, 333, 5);
-        assert_eq!(compiled.stats().calibrated, None);
-        let auto = compiled.classify_auto(&batch).unwrap();
-        assert_eq!(auto, compiled.classify_columns(&batch).unwrap());
-    }
-
-    #[test]
-    fn calibration_is_not_serialized() {
-        let (_, mut compiled, batch) = setup(20, 256, 8);
-        compiled.calibrate(None, None, &batch, 1).unwrap();
-        assert!(compiled.stats().calibrated.is_some());
-        let image = compiled.encode();
-        let back = CompiledFdd::decode(compiled.schema().clone(), image).unwrap();
-        assert_eq!(back.stats().calibrated, None, "FWEX carries no calibration");
-        // Stats are part of image equality, so the machine-local choice is
-        // the only thing separating a calibrated image from its decode.
-        let mut cleared = compiled.clone();
-        cleared.stats.calibrated = None;
-        assert_eq!(cleared, back);
     }
 
     #[test]
@@ -764,10 +574,10 @@ mod tests {
 
     #[test]
     fn calibrate_rejects_empty_and_mismatched_batches() {
-        let (fw, mut compiled, _) = setup(10, 16, 2);
+        let (fw, compiled, _) = setup(10, 16, 2);
         let empty = PacketBatch::from_trace(fw.schema().clone(), &[]).unwrap();
         assert!(matches!(
-            compiled.calibrate(None, None, &empty, 1),
+            calibrate(&compiled, None, None, &empty, 1),
             Err(ExecError::Batch(_))
         ));
         let other = PacketBatch::from_trace(
@@ -776,7 +586,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            compiled.calibrate(None, None, &other, 1),
+            calibrate(&compiled, None, None, &other, 1),
             Err(ExecError::Model(_))
         ));
     }

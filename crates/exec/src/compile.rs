@@ -44,8 +44,8 @@ pub(crate) const KIND_JUMP: u8 = 2;
 ///
 /// `level` is the node's BFS depth from the root. Ids are assigned in BFS
 /// order, so nodes of one level occupy a contiguous arena range
-/// ([`CompiledFdd::level_starts`]); the lane kernel relies on that to turn
-/// a frontier sorted by node index into streaming arena reads.
+/// ([`CompiledFdd::level_starts`]), and the lane kernel, which keeps the
+/// image's node ids, reads its descriptors level by level too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct NodeDesc {
     pub(crate) kind: u8,
@@ -71,22 +71,15 @@ pub struct CompileStats {
     pub cut_points: usize,
     /// Total entries across all jump tables.
     pub jump_entries: usize,
-    /// Bytes of arena storage (descriptors + cuts + targets + jump tables +
-    /// the lane-kernel mirror).
+    /// Bytes of the canonical arenas FWEX carries (descriptors + cuts +
+    /// targets + jump tables + level table). The lane kernel's bytes are
+    /// [`crate::LaneStats::bytes`].
     pub arena_bytes: usize,
-    /// Bytes of the lane kernel's padded search-only mirror alone — the
-    /// derived part of `arena_bytes`, which FWEX never carries.
-    pub lane_arena_bytes: usize,
     /// Maximum number of lookups on any root-to-decision walk.
     pub max_depth: usize,
-    /// Number of BFS levels (contiguous arena ranges the lane kernel
-    /// streams through); at most `max_depth + 1`.
+    /// Number of BFS levels (contiguous arena ranges); at most
+    /// `max_depth + 1`.
     pub levels: usize,
-    /// Engine choice picked by the last calibration pass
-    /// ([`CompiledFdd::calibrate`]); `None` for an uncalibrated image.
-    /// Machine- and trace-local, so the FWEX wire format never carries it
-    /// — decode leaves it `None` and serving surfaces recalibrate on load.
-    pub calibrated: Option<crate::calibrate::EngineChoice>,
 }
 
 /// Accounting for the image an edit publishes ([`crate::SwapReport`]).
@@ -102,7 +95,7 @@ pub struct RecompileStats {
 /// Build one with [`CompiledFdd::compile`] (from an existing [`Fdd`]) or
 /// [`CompiledFdd::from_firewall`] (construct, reduce, lower). See the crate
 /// docs for the runtime surface.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CompiledFdd {
     pub(crate) schema: Schema,
     pub(crate) root: u32,
@@ -115,55 +108,18 @@ pub struct CompiledFdd {
     /// per-node `level` bytes, which decoding re-validates against a fresh
     /// BFS of the image.
     pub(crate) level_starts: Vec<u32>,
-    /// Search-only mirror of the arenas that the lane kernel runs on;
-    /// derived, never serialized — see `kernel.rs`. Built eagerly by
-    /// `compile` but left empty by `decode`, where it fills on first lane
-    /// use via [`CompiledFdd::lane_arena`]: a fleet restore that only ever
-    /// walks the scalar path never pays the mirror build.
-    pub(crate) lanes: OnceLock<crate::kernel::LaneArena>,
+    /// The lane kernel's lowering of the arenas; derived, never serialized
+    /// (see `kernel.rs`). Built eagerly by `compile` but left empty by
+    /// `decode`, where it fills on first batch use.
+    pub(crate) lanes: OnceLock<crate::kernel::LaneKernel>,
     pub(crate) stats: CompileStats,
-    /// Sampling profile collector, armed by serving surfaces — see
-    /// `profile.rs`. Machine- and traffic-local like calibration: never
-    /// serialized, never part of equality, reset on clone.
-    pub(crate) profiler: crate::profile::ProfilerSlot,
-    /// The profile-specialized twin image, installed by
-    /// [`CompiledFdd::specialize`] — see `specialize.rs`. Interior-mutable
-    /// so a background re-specialization reaches every holder of the same
-    /// `Arc`; never serialized, never part of equality.
-    pub(crate) spec: std::sync::RwLock<Option<std::sync::Arc<crate::specialize::SpecializedFdd>>>,
-}
-
-/// Cloning copies the canonical image and the (cheap, `Arc`-shared)
-/// specialized twin, but resets the profiler: a clone may serve different
-/// traffic, and accumulated heat is not part of the image.
-impl Clone for CompiledFdd {
-    fn clone(&self) -> CompiledFdd {
-        CompiledFdd {
-            schema: self.schema.clone(),
-            root: self.root,
-            nodes: self.nodes.clone(),
-            cuts: self.cuts.clone(),
-            cut_targets: self.cut_targets.clone(),
-            jump: self.jump.clone(),
-            level_starts: self.level_starts.clone(),
-            lanes: self.lanes.clone(),
-            stats: self.stats.clone(),
-            profiler: Default::default(),
-            spec: std::sync::RwLock::new(
-                self.spec
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .clone(),
-            ),
-        }
-    }
 }
 
 /// Matcher equality is over the canonical image — schema, root, the four
-/// arenas, level table, and stats. The lane mirror is excluded: it is a
+/// arenas, level table, and stats. The lane kernel is excluded: it is a
 /// deterministic function of those arenas, so two equal matchers always
-/// mirror identically, and comparing it would make equality depend on
-/// whether the lazily-built mirror has been forced yet.
+/// lower identically, and comparing it would make equality depend on
+/// whether a decoded image's lazy kernel has been built yet.
 impl PartialEq for CompiledFdd {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
@@ -411,12 +367,6 @@ impl CompiledFdd {
         }
 
         let level_starts = build_level_starts(&nodes);
-        let lanes = OnceLock::from(crate::kernel::LaneArena::build(
-            &nodes,
-            &cuts,
-            &cut_targets,
-            &jump,
-        ));
         let mut compiled = CompiledFdd {
             schema,
             root: 0,
@@ -425,12 +375,11 @@ impl CompiledFdd {
             cut_targets,
             jump,
             level_starts,
-            lanes,
+            lanes: OnceLock::new(),
             stats: CompileStats::default(),
-            profiler: Default::default(),
-            spec: std::sync::RwLock::new(None),
         };
         compiled.stats = compiled.compute_stats();
+        compiled.lanes();
         Ok(compiled)
     }
 
@@ -488,20 +437,6 @@ impl CompiledFdd {
     /// Number of compiled nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The lane kernel's search-only mirror, built on first use.
-    ///
-    /// Compile populates it eagerly, so an edit swap pays the build on the
-    /// writer's side instead of in the next served batch; a decoded image
-    /// defers the build until a lane or auto classify actually runs, so
-    /// scalar-only serving — e.g. a fleet restore of thousands of tenants —
-    /// never pays it. `OnceLock` makes the deferred build race-free under
-    /// concurrent readers.
-    pub(crate) fn lane_arena(&self) -> &crate::kernel::LaneArena {
-        self.lanes.get_or_init(|| {
-            crate::kernel::LaneArena::build(&self.nodes, &self.cuts, &self.cut_targets, &self.jump)
-        })
     }
 
     /// The matcher's inner loop over a value slice in schema order.
@@ -573,14 +508,33 @@ impl CompiledFdd {
         out.extend(packets.iter().map(|p| self.decide(p.values())));
     }
 
-    /// Longest root-to-decision walk plus arena accounting. Relies on the
-    /// ordered-FDD property (targets test strictly later fields), which
-    /// compilation preserves and decoding verifies.
+    /// Each node's height: the longest distance from it to a decision.
+    /// The DP runs in decreasing field order, relying on the ordered-FDD
+    /// property (targets test strictly later fields), which compilation
+    /// preserves and decoding verifies.
+    pub(crate) fn heights(&self) -> Vec<u32> {
+        let mut height = vec![0u32; self.nodes.len()];
+        for f in (0..self.schema.len()).rev() {
+            for (i, n) in self.nodes.iter().enumerate() {
+                if n.kind == KIND_TERMINAL || n.field as usize != f {
+                    continue;
+                }
+                let targets = match n.kind {
+                    KIND_JUMP => &self.jump[n.off as usize..(n.off + n.len) as usize],
+                    _ => &self.cut_targets[n.off as usize..(n.off + n.len) as usize],
+                };
+                height[i] = targets
+                    .iter()
+                    .map(|&t| height[t as usize] + 1)
+                    .max()
+                    .unwrap_or(0);
+            }
+        }
+        height
+    }
+
+    /// Longest root-to-decision walk plus arena accounting.
     pub(crate) fn compute_stats(&self) -> CompileStats {
-        // Projected, not measured, so stats don't depend on (or force) the
-        // lazily-built mirror; `projected_bytes` is proven equal to the
-        // built size in `kernel.rs` tests.
-        let lane_arena_bytes = crate::kernel::LaneArena::projected_bytes(&self.nodes, &self.jump);
         let mut stats = CompileStats {
             nodes: self.nodes.len(),
             cut_points: self.cuts.len(),
@@ -589,10 +543,9 @@ impl CompiledFdd {
                 + self.cuts.len() * 8
                 + self.cut_targets.len() * 4
                 + self.jump.len() * 4
-                + self.level_starts.len() * 4
-                + lane_arena_bytes,
-            lane_arena_bytes,
+                + self.level_starts.len() * 4,
             levels: self.level_starts.len().saturating_sub(1),
+            max_depth: self.heights()[self.root as usize] as usize,
             ..CompileStats::default()
         };
         for n in &self.nodes {
@@ -602,33 +555,6 @@ impl CompiledFdd {
                 _ => stats.search_nodes += 1,
             }
         }
-        // Depth DP in decreasing field order: every internal node's targets
-        // test strictly later fields (or are terminals), so processing
-        // terminals first and internals from the last field backwards sees
-        // every target's depth before its sources.
-        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
-        order.sort_unstable_by_key(|&i| {
-            std::cmp::Reverse(if self.nodes[i].kind == KIND_TERMINAL {
-                usize::MAX
-            } else {
-                self.nodes[i].field as usize
-            })
-        });
-        let mut depth = vec![0u32; self.nodes.len()];
-        for &i in &order {
-            let n = self.nodes[i];
-            let targets: &[u32] = match n.kind {
-                KIND_TERMINAL => &[],
-                KIND_JUMP => &self.jump[n.off as usize..(n.off + n.len) as usize],
-                _ => &self.cut_targets[n.off as usize..(n.off + n.len) as usize],
-            };
-            depth[i] = targets
-                .iter()
-                .map(|&t| depth[t as usize] + 1)
-                .max()
-                .unwrap_or(0);
-        }
-        stats.max_depth = depth[self.root as usize] as usize;
         stats
     }
 
@@ -786,10 +712,6 @@ mod tests {
         assert_eq!(s.nodes, s.terminals + s.search_nodes + s.jump_nodes);
         assert!(s.max_depth <= compiled.schema().len());
         assert!(s.arena_bytes >= s.nodes * std::mem::size_of::<NodeDesc>());
-        assert!(
-            s.lane_arena_bytes > 0 && s.lane_arena_bytes < s.arena_bytes,
-            "mirror bytes broken out of (and counted in) the arena total"
-        );
     }
 
     #[test]

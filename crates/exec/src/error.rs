@@ -20,8 +20,7 @@ pub enum ExecError {
     /// mismatch, or structurally invalid content).
     Wire(String),
     /// A batch or serving configuration error (ragged columns, an empty
-    /// calibration batch, a zero cache capacity, a profile sized for
-    /// another image).
+    /// calibration batch, a zero cache capacity).
     Batch(String),
 }
 

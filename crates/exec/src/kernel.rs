@@ -1,288 +1,517 @@
-//! Level-synchronous lane kernel: SIMD-style batch classification.
+//! The lane kernel: the image's one batch form and the level-synchronous
+//! kernel that runs it.
 //!
 //! The scalar paths ([`CompiledFdd::classify`], the column walk) finish one
 //! packet's whole root-to-terminal chain before starting the next. On an
-//! out-of-order core that loop is not load-latency-bound — the core happily
-//! overlaps the independent chains of neighbouring packets — it is
-//! *mispredict*-bound: every node transition retires two data-dependent
-//! branches (the `match` on node kind and the exit of the `lower_bound`
-//! halving loop, whose trip count follows the cut count of whatever node
-//! the packet happens to hit), and a ~20-cycle flush per step swamps the
-//! handful of cheap arena loads.
+//! out-of-order core that loop is not load-latency-bound but
+//! *mispredict*-bound: every node transition retires data-dependent
+//! branches (the node-kind `match`, the exit of a binary search whose trip
+//! count follows the cut count of whatever node the packet hits), and a
+//! ~20-cycle flush per step swamps the handful of cheap arena loads. The
+//! lane kernel removes those branches, and halves the steps, by lowering
+//! the canonical arenas once more into a [`LaneKernel`]:
 //!
-//! The lane kernel removes those branches instead of hiding them:
-//!
-//! * **One node shape.** At lowering time every compiled node is re-expressed
-//!   in a uniform *search-only* side arena ([`LaneArena`]): jump tables are
-//!   run-length-encoded back into sorted cut form, and terminals become
-//!   one-cut nodes whose single target is themselves. A kernel step is
-//!   therefore always the same code — read a field column, binary-search a
-//!   cut slice, follow the target — with no kind dispatch. Terminals
-//!   self-loop, so finished lanes idle harmlessly instead of needing a
-//!   frontier compaction.
-//! * **One trip count.** Every node's cut slice is padded to the same
-//!   power of two — `1 << bits`, sized by the *widest* node in the arena
-//!   ([`LaneArena::bits`]) — by repeating its final domain-max cut and that
-//!   cut's target, so a probe can never leave the node and never needs
-//!   clamping. The search is then the classic branchless halving: exactly
-//!   `bits` iterations of load + compare + conditional add, per lane, per
-//!   pass, always. Monomorphising the chunk loop on `bits` unrolls it into
-//!   straight-line code; the branch predictor sees nothing but counted
-//!   loops. (Past `2^8` cuts the padding multiplier stops paying and a
-//!   length-clamped fallback loop takes over — same semantics, just not
-//!   unrolled.)
+//! * **Chain fusion.** Every internal node at even *height* (longest
+//!   distance to a decision) absorbs its children: one kernel step resolves
+//!   the node and, unless that already yields a decision, the child it
+//!   lands on. Terminal targets are pre-resolved to tagged decisions, and
+//!   single-edge pass-through chains (which an unreduced input diagram can
+//!   carry) are collapsed. A walk therefore takes at most
+//!   `ceil(max_depth / 2)` steps, a strict shrink for any diagram of depth
+//!   ≥ 2 ([`LaneStats::passes`]).
+//! * **Quantized ladders.** A node's sorted cuts get a two-level table: the
+//!   value's top `q` bits index a bucket whose bracket spans at most
+//!   [`QLADDER`] cuts (`q` is the smallest that guarantees it), so the
+//!   node resolves with one shift plus a fixed two-compare
+//!   conditional-move ladder: no loop, no branch. Jump tables are first
+//!   run-length-encoded back into cut form, so every node has one shape.
+//!   Tables are handed out in arena order from a fixed entry budget.
+//! * **Padded search past the budget.** A node the budget leaves out, or
+//!   whose cuts cluster too tightly for any table within
+//!   [`QJUMP_MAX_BITS`], keeps its cuts padded to one arena-wide power of
+//!   two by repeating its final (domain-max) cut and that cut's target.
+//!   Its search is the classic branchless halving with one trip count for
+//!   the whole arena; the kernel is monomorphised on that count, so the
+//!   halving unrolls into straight-line conditional moves. (Past `2^8`
+//!   cuts a node pads to its own power of two and the trip count becomes
+//!   per node.)
 //! * **Level-synchronous passes.** All [`DEFAULT_LANE_WIDTH`] packets of a
-//!   chunk advance one FDD level per pass, and [`CompileStats::max_depth`]
-//!   (the verified longest root-to-decision walk) bounds the pass count
-//!   exactly: the kernel runs `max_depth` passes with no "is everyone done
-//!   yet" scan and then harvests decisions. Node ids are BFS-ordered, so a
-//!   pass's descriptor reads move monotonically through the arena
-//!   (`CompiledFdd::level_starts` records the level ranges, re-validated on
-//!   decode).
-//! * **Zero steady-state allocation.** The chunk's mutable state — the
-//!   per-lane node cursors — lives in a caller-owned [`LaneScratch`], and
-//!   the kernel reads field columns through an absolute span offset instead
-//!   of materialising per-chunk column slices, so a serving loop that
-//!   reuses its scratch and output buffer touches the allocator only until
-//!   both reach their high-water mark.
-//! * **Software prefetch (parallel path).** The multi-core driver
-//!   (`par.rs`) enables a prefetch variant of the chunk body: after a lane
-//!   resolves its next node, the kernel touches that node's descriptor and
-//!   the head of its cut slice through [`std::hint::black_box`] — a
-//!   portable forced load under `forbid(unsafe_code)`, no intrinsics. With
-//!   [`DEFAULT_LANE_WIDTH`] independent lanes between one lane's prefetch
-//!   and its next use, the touched lines are warm by the time the next pass
-//!   reads them, which is exactly the memory-behaviour lever Hazelhurst's
-//!   analysis says dominates decision-diagram lookup cost.
+//!   chunk advance one step per pass, and [`LaneStats::passes`] (the
+//!   longest walk through the fused structure, re-derived from the built
+//!   kernel) bounds the pass count exactly, so independent lanes overlap
+//!   their loads instead of serializing them down one packet's walk. The
+//!   chunk's cursors live on the stack: a serving loop that reuses its
+//!   output buffer allocates nothing per batch.
 //!
-//! Within a pass the per-lane steps are fully independent, so the core
-//! overlaps many packets' loads; across the lane the uniform body is
-//! exactly the shape LLVM unrolls and schedules as straight-line
-//! conditional-move code (no nightly `std::simd`, no new dependencies).
+//! The kernel is machine-local derived state, like calibration: FWEX never
+//! carries it, image equality ignores it, and every engine decides
+//! identically by construction (`tests/specialize_agree.rs` and
+//! `tests/exec_agree.rs` hold it to the column walk and first match).
+//! Compile builds it eagerly; a decoded image builds it on first batch use.
 
 use fw_model::Decision;
 
 use crate::compile::{decision_from_u16, NodeDesc, KIND_JUMP, KIND_TERMINAL};
 use crate::{CompiledFdd, ExecError, PacketBatch};
 
-/// Lane width of [`CompiledFdd::classify_lanes`]: packets in flight per
-/// chunk.
+/// Lane width of the lane kernel: packets in flight per chunk.
 ///
-/// 32 packets keep a chunk's whole mutable state (32 `u32` node cursors)
-/// inside two cache lines next to the output slice while giving the
-/// out-of-order core far more independent steps per pass than it can
-/// retire per cycle. The width is a constant because widths 8 to 64 serve
+/// 32 packets keep a chunk's whole mutable state (32 `u32` cursors) in two
+/// cache lines while giving the out-of-order core far more independent
+/// steps per pass than it can retire per cycle. Widths 8 to 64 serve
 /// within noise of each other (the lane-width plateau in EXPERIMENTS.md).
 pub const DEFAULT_LANE_WIDTH: usize = 32;
 
-/// Reusable scratch state for the lane kernel: the per-lane node-cursor
-/// frontier of the chunk in flight.
-///
-/// [`CompiledFdd::classify_lanes_into`] takes one of these so a serving
-/// loop allocates nothing per batch once the scratch (and the caller's
-/// output buffer) reach their high-water mark; the parallel driver keeps
-/// one per worker. A scratch is engine-agnostic — the same instance can
-/// serve any matcher, growing as needed.
-#[derive(Debug, Default, Clone)]
-pub struct LaneScratch {
-    /// Node cursor per lane; length tracks the current chunk width.
-    pub(crate) state: Vec<u32>,
-}
+/// High bit of a kernel target: set means the low bits are a decision wire
+/// code, clear means a node id.
+const DECISION_BIT: u32 = 1 << 31;
 
-impl LaneScratch {
-    /// A fresh scratch. Allocates nothing until first use.
-    pub fn new() -> LaneScratch {
-        LaneScratch::default()
-    }
-}
-
-/// One node of the uniform kernel arena: always a cut search, never a jump
-/// table or an explicit terminal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct KNode {
-    /// Column to probe (0 for terminal self-loops; the read is harmless).
-    field: u32,
-    /// Start of this node's cut/target slice in [`LaneArena::cuts`].
-    off: u32,
-    /// Cut count. Kept for probe clamping; the loop trip count is the
-    /// arena-wide [`LaneArena::bits`] instead.
-    len: u32,
-}
-
-/// Widest node (in cut count, after mirroring) that still gets the padded
-/// power-of-two layout; `1 << PAD_MAX_BITS` cuts. Beyond this the padding's
-/// memory multiplier stops paying and the kernel takes the length-clamped
-/// fallback loop instead.
+/// Bucket-index bits are capped here (4097 table entries).
+const QJUMP_MAX_BITS: u32 = 12;
+/// Total quantized-table entries one kernel may allocate, in arena order
+/// (64 Ki entries = 256 KiB).
+const QJUMP_BUDGET_ENTRIES: usize = 1 << 16;
+/// Fixed search-window width of a quantized bucket: every bucket's bracket
+/// spans at most this many cuts, so a two-compare ladder resolves it.
+const QLADDER: usize = 4;
+/// Widest padded search (in trip count) the kernel is monomorphised for;
+/// `1 << PAD_MAX_BITS` cuts.
 const PAD_MAX_BITS: u32 = 8;
+/// Trip-count parameter of the chunk loop that reads each padded node's
+/// trip count from its descriptor instead.
+const WIDE: u32 = u32::MAX;
 
-/// The search-only mirror of a compiled matcher that the lane kernel runs
-/// on. Derived deterministically from the canonical arenas — eagerly at
-/// compile time, lazily on first lane use after a wire decode (see
-/// [`CompiledFdd::lane_arena`]); never serialized (the FWEX image stays in
-/// the canonical three-arena form).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct LaneArena {
-    nodes: Vec<KNode>,
-    /// Sorted upper bounds, all nodes concatenated. Terminals contribute a
-    /// single `u64::MAX` cut; jump tables are run-length-encoded back into
-    /// the cut convention (upper bound per constant run of targets). When
-    /// `bits <= PAD_MAX_BITS` every node is padded to exactly `1 << bits`
-    /// cuts by repeating its final (domain-max) cut, so a probe never needs
-    /// clamping — a duplicated cut duplicates its target, so landing
-    /// anywhere in the pad resolves identically.
-    cuts: Vec<u64>,
-    /// Target node id per cut, parallel to `cuts`. A terminal's target is
-    /// itself, which is what makes finished lanes self-loop.
-    targets: Vec<u32>,
-    /// Fixed bitwise-search iteration count: number of bits of the widest
-    /// node's cut count. Every search of every pass runs exactly this many
-    /// branch-free halvings.
-    bits: u32,
+/// Descriptor flag: resolve through the quantized ladder.
+const LD_QJUMP: u8 = 1;
+/// Descriptor flag: a step at this node also resolves the child it lands
+/// on.
+const LD_FUSED: u8 = 1 << 1;
+
+/// One node of the kernel: eight bytes, so a cache line carries eight.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneDesc {
+    /// [`LD_QJUMP`]: offset of the node's bucket table in `qstarts`.
+    /// Otherwise: offset of its padded cut slice in `cuts`/`targets`.
+    aux: u32,
+    field: u16,
+    /// [`LD_QJUMP`]: right shift from a value to its bucket. Otherwise:
+    /// the trip count of the padded search (`log2` of the slice length).
+    shift: u8,
+    flags: u8,
 }
 
-impl LaneArena {
-    /// The per-node slice size in an arena of the given `bits`: padded to
-    /// `1 << bits` while affordable, the node's own cut count otherwise
-    /// (`0` here means "unpadded").
-    fn pad_to(bits: u32) -> usize {
-        if bits <= PAD_MAX_BITS {
-            1usize << bits
-        } else {
-            0
+/// The shape of a built lane kernel, for reports, benches and tests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneStats {
+    /// Kernel passes per chunk: the longest walk through the fused
+    /// structure, at most `ceil(max_depth / 2)`.
+    pub passes: usize,
+    /// Internal nodes fused with their children (even height ≥ 2).
+    pub fused_nodes: usize,
+    /// Internal nodes resolved through a quantized ladder.
+    pub ladder_nodes: usize,
+    /// Internal nodes resolved through the padded halving search.
+    pub search_nodes: usize,
+    /// Trip count of the padded search when one count serves the whole
+    /// arena (`0` when no node needs it; above 8 every padded node keeps
+    /// its own count).
+    pub search_bits: u32,
+    /// Bytes of the kernel's arenas.
+    pub bytes: usize,
+}
+
+/// The lane kernel's lowering of one image; see the module docs.
+#[derive(Debug, Clone)]
+pub(crate) struct LaneKernel {
+    /// Tagged: a whole-diagram decision, or the root's node id.
+    root: u32,
+    /// Indexed by image node id; a terminal's entry is never read.
+    descs: Vec<LaneDesc>,
+    /// Sorted upper bounds, each node's slice padded past its last cut.
+    cuts: Vec<u64>,
+    /// Tagged targets parallel to `cuts`.
+    targets: Vec<u32>,
+    /// Bucket bounds of ladder nodes (absolute `cuts` indices).
+    qstarts: Vec<u32>,
+    stats: LaneStats,
+}
+
+/// A node's edges in cut form: a search node's own slices, or a jump table
+/// run-length-encoded into `rle` (one cut per constant run of targets, at
+/// the run's last value).
+fn edges<'a>(
+    image: &'a CompiledFdd,
+    n: NodeDesc,
+    rle: &'a mut (Vec<u64>, Vec<u32>),
+) -> (&'a [u64], &'a [u32]) {
+    let (off, len) = (n.off as usize, n.len as usize);
+    if n.kind != KIND_JUMP {
+        return (
+            &image.cuts[off..off + len],
+            &image.cut_targets[off..off + len],
+        );
+    }
+    let (cuts, targets) = rle;
+    cuts.clear();
+    targets.clear();
+    let table = &image.jump[off..off + len];
+    for (v, &t) in table.iter().enumerate() {
+        if table.get(v + 1) != Some(&t) {
+            cuts.push(v as u64);
+            targets.push(t);
         }
     }
+    (cuts, targets)
+}
 
-    /// Mirrors the canonical arenas into uniform search-only form. Assumes
-    /// structurally valid input (the constructors validate before calling).
-    pub(crate) fn build(
-        nodes: &[NodeDesc],
-        cuts: &[u64],
-        cut_targets: &[u32],
-        jump: &[u32],
-    ) -> LaneArena {
-        // Mirror pass: every node as (field, sorted cuts, parallel
-        // targets). Terminals become one-cut self-loops targeting their own
-        // arena id; jump tables are run-length-encoded back into the cut
-        // convention.
-        let mut mirrored: Vec<(u32, Vec<u64>, Vec<u32>)> = Vec::with_capacity(nodes.len());
-        let mut max_len = 1usize;
-        for (i, n) in nodes.iter().enumerate() {
-            let node = match n.kind {
-                KIND_TERMINAL => (
-                    0,
-                    vec![u64::MAX],
-                    vec![u32::try_from(i).expect("arena indexed by u32")],
-                ),
-                KIND_JUMP => {
-                    // Undo the dense expansion: one cut per constant run of
-                    // the table, upper bound = the run's last domain value.
-                    let table = &jump[n.off as usize..(n.off + n.len) as usize];
-                    let (mut nc, mut nt) = (Vec::new(), Vec::new());
-                    let mut v = 0usize;
-                    while v < table.len() {
-                        let t = table[v];
-                        while v + 1 < table.len() && table[v + 1] == t {
-                            v += 1;
-                        }
-                        nc.push(v as u64);
-                        nt.push(t);
-                        v += 1;
-                    }
-                    (u32::from(n.field), nc, nt)
-                }
-                _ => {
-                    let (o, l) = (n.off as usize, n.len as usize);
-                    (
-                        u32::from(n.field),
-                        cuts[o..o + l].to_vec(),
-                        cut_targets[o..o + l].to_vec(),
-                    )
-                }
+/// The right shift of the smallest quantization whose every bucket
+/// brackets at most [`QLADDER`] cuts, or `None` when no table within
+/// [`QJUMP_MAX_BITS`] can guarantee it. `cuts` holds more than `QLADDER`
+/// strictly ascending cuts ending at the domain max of a `bits`-bit field.
+///
+/// A bucket's bracket runs from its first cut through the first cut of the
+/// next bucket, so no four cuts may share a bucket, except the last bucket,
+/// which holds the domain max and may hold four. Four cuts `c[i..=i + 3]`
+/// that end before the domain max therefore have to fall apart, which
+/// takes every bit down to their highest differing one; one pass over
+/// those windows finds the smallest `q` that does it for all of them.
+fn ladder_shift(cuts: &[u64], bits: u32) -> Option<u32> {
+    let mut q = u32::max(1, usize::BITS - (cuts.len() / QLADDER).leading_zeros());
+    for w in cuts[..cuts.len() - 1].windows(QLADDER) {
+        let split = u64::BITS - (w[0] ^ w[QLADDER - 1]).leading_zeros();
+        q = q.max(bits + 1 - split);
+    }
+    (q <= QJUMP_MAX_BITS.min(bits)).then(|| bits - q)
+}
+
+impl LaneKernel {
+    /// Lowers `image` into the kernel. Assumes structurally valid input
+    /// (the constructors validate before the kernel is built).
+    pub(crate) fn build(image: &CompiledFdd) -> LaneKernel {
+        let nodes = &image.nodes;
+        let id = |i: usize| u32::try_from(i).expect("arena indexed by u32");
+        assert!(
+            nodes.len() < DECISION_BIT as usize,
+            "image within tag space"
+        );
+        // A base target in kernel form: a tagged decision, or the first
+        // branching node down its pass-through chain.
+        let tag = |mut t: u32| loop {
+            let n = nodes[t as usize];
+            if n.kind == KIND_TERMINAL {
+                return DECISION_BIT | u32::from(n.field);
+            }
+            if n.len != 1 {
+                return t;
+            }
+            t = if n.kind == KIND_JUMP {
+                image.jump[n.off as usize]
+            } else {
+                image.cut_targets[n.off as usize]
             };
-            max_len = max_len.max(node.1.len());
-            mirrored.push(node);
-        }
-
-        // Layout pass: concatenate, padding to `1 << bits` per node while
-        // the multiplier is affordable so probes never clamp. The pad
-        // repeats the final domain-max cut and its target, so a probe can
-        // land anywhere in it and resolve identically.
-        let bits = usize::BITS - max_len.leading_zeros();
-        let pad_to = LaneArena::pad_to(bits);
-        let mut arena = LaneArena {
-            bits,
-            ..LaneArena::default()
         };
-        for (field, nc, nt) in mirrored {
-            let off = u32::try_from(arena.cuts.len()).expect("mirror arenas within u32");
-            let len = u32::try_from(nc.len()).expect("node cuts within u32");
-            let pad = pad_to.saturating_sub(nc.len());
-            let (&last_cut, &last_target) = (
-                nc.last().expect("no empty nodes"),
-                nt.last().expect("no empty nodes"),
-            );
-            arena.cuts.extend_from_slice(&nc);
-            arena.targets.extend_from_slice(&nt);
-            arena.cuts.extend(std::iter::repeat_n(last_cut, pad));
-            arena.targets.extend(std::iter::repeat_n(last_target, pad));
-            arena.nodes.push(KNode { field, off, len });
-        }
-        arena
-    }
+        let heights = image.heights();
+        let fused = |b: usize| {
+            if heights[b] >= 2 && heights[b].is_multiple_of(2) {
+                LD_FUSED
+            } else {
+                0
+            }
+        };
 
-    /// Bytes of the mirrored arena — the ground truth
-    /// [`LaneArena::projected_bytes`] is tested against. Stats use the
-    /// projection so they never force (or depend on) the lazy build.
-    #[cfg(test)]
-    pub(crate) fn bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<KNode>()
-            + self.cuts.len() * 8
-            + self.targets.len() * 4
-    }
-
-    /// Bytes [`LaneArena::build`] over these canonical arenas *would*
-    /// occupy, computed without building (one streaming shape scan, no
-    /// allocation). Stats use this so a lazily-mirrored image reports the
-    /// same `lane_arena_bytes` as an eagerly-mirrored one.
-    pub(crate) fn projected_bytes(nodes: &[NodeDesc], jump: &[u32]) -> usize {
-        let mut max_len = 1usize;
-        let mut total = 0usize;
-        for n in nodes {
-            // Mirrored cut count per node, mirroring `build`'s shapes: terminals one self-loop cut, jump tables one cut per
-            // constant run, search nodes their own cut count.
-            let len = match n.kind {
-                KIND_TERMINAL => 1,
-                KIND_JUMP => {
-                    let table = &jump[n.off as usize..(n.off + n.len) as usize];
-                    let mut runs = 0usize;
-                    let mut prev = None;
-                    for &t in table {
-                        if prev != Some(t) {
-                            runs += 1;
-                            prev = Some(t);
-                        }
-                    }
-                    runs
-                }
-                _ => n.len as usize,
+        let mut k = LaneKernel {
+            root: tag(image.root),
+            descs: vec![LaneDesc::default(); nodes.len()],
+            cuts: Vec::new(),
+            targets: Vec::new(),
+            qstarts: Vec::new(),
+            stats: LaneStats::default(),
+        };
+        let mut rle = (Vec::new(), Vec::new());
+        let mut budget = QJUMP_BUDGET_ENTRIES;
+        let mut padded = Vec::new();
+        let mut widest = 1usize;
+        for (b, &n) in nodes.iter().enumerate() {
+            if n.kind == KIND_TERMINAL {
+                continue;
+            }
+            k.stats.fused_nodes += usize::from(fused(b) != 0);
+            let bits = image
+                .schema
+                .field(fw_model::FieldId(n.field as usize))
+                .bits();
+            let (cuts, raw) = edges(image, n, &mut rle);
+            let shift = match cuts.len() {
+                _ if bits >= 64 => None,
+                len if len <= QLADDER => Some(bits),
+                _ => ladder_shift(cuts, bits),
             };
-            max_len = max_len.max(len);
-            total += len;
+            let entries = shift.map_or(usize::MAX, |s| (1usize << (bits - s)) + 1);
+            if entries > budget {
+                widest = widest.max(cuts.len());
+                padded.push(b);
+                continue;
+            }
+            budget -= entries;
+            let shift = shift.expect("a table within budget has a shift");
+            let off = id(k.cuts.len());
+            k.descs[b] = LaneDesc {
+                aux: id(k.qstarts.len()),
+                field: n.field,
+                shift: u8::try_from(shift).expect("field bits fit u8"),
+                flags: LD_QJUMP | fused(b),
+            };
+            // Bucket `j`'s bracket starts at the first cut >= `j << shift`,
+            // so cut `i` starts every bucket after cut `i - 1`'s, up to and
+            // including its own. The closing bound is the last cut, the
+            // domain max.
+            let mut next = 0u64;
+            for (i, &c) in cuts.iter().enumerate() {
+                let through = (c >> shift) + 1;
+                let run = usize::try_from(through - next).expect("at most 4096 buckets");
+                k.qstarts.extend(std::iter::repeat_n(off + id(i), run));
+                next = through;
+            }
+            k.qstarts.push(off + id(cuts.len() - 1));
+            // The ladder reads a fixed QLADDER-wide window at each bracket
+            // start, so the slice is padded past its last cut: the pad
+            // sorts above any value and is never selected.
+            k.cuts.extend_from_slice(cuts);
+            k.cuts.extend(std::iter::repeat_n(u64::MAX, QLADDER - 1));
+            k.targets.extend(raw.iter().map(|&t| tag(t)));
+            let last = *k.targets.last().expect("internal nodes have an exit");
+            k.targets.extend(std::iter::repeat_n(last, QLADDER - 1));
+            k.stats.ladder_nodes += 1;
         }
-        let bits = usize::BITS - max_len.leading_zeros();
-        let pad_to = LaneArena::pad_to(bits);
-        let slots = if pad_to > 0 {
-            nodes.len() * pad_to
+
+        // Padded search for the rest: one arena-wide power of two while it
+        // is affordable, each node's own beyond that.
+        let arena_bits = widest.next_power_of_two().trailing_zeros();
+        for &b in &padded {
+            let n = nodes[b];
+            let (cuts, raw) = edges(image, n, &mut rle);
+            let bits = if arena_bits <= PAD_MAX_BITS {
+                arena_bits
+            } else {
+                cuts.len().next_power_of_two().trailing_zeros()
+            };
+            let pad = (1usize << bits) - cuts.len();
+            k.descs[b] = LaneDesc {
+                aux: id(k.cuts.len()),
+                field: n.field,
+                shift: u8::try_from(bits).expect("trip count fits u8"),
+                flags: fused(b),
+            };
+            let last = *cuts.last().expect("internal nodes have an exit");
+            k.cuts.extend_from_slice(cuts);
+            k.cuts.extend(std::iter::repeat_n(last, pad));
+            k.targets.extend(raw.iter().map(|&t| tag(t)));
+            let last = *k.targets.last().expect("internal nodes have an exit");
+            k.targets.extend(std::iter::repeat_n(last, pad));
+        }
+        k.stats.search_nodes = padded.len();
+        k.stats.search_bits = if padded.is_empty() { 0 } else { arena_bits };
+        k.stats.bytes = k.descs.len() * std::mem::size_of::<LaneDesc>()
+            + k.cuts.len() * 8
+            + k.targets.len() * 4
+            + k.qstarts.len() * 4;
+        k.stats.passes = k.passes(image);
+        k
+    }
+
+    /// The tagged exits of one node's slice (pads included: they repeat
+    /// the last target).
+    fn exits(&self, image: &CompiledFdd, b: usize) -> &[u32] {
+        let d = self.descs[b];
+        if d.flags & LD_QJUMP == 0 {
+            let off = d.aux as usize;
+            return &self.targets[off..off + (1usize << d.shift)];
+        }
+        let bits = image
+            .schema
+            .field(fw_model::FieldId(d.field as usize))
+            .bits();
+        let buckets = 1usize << (bits - u32::from(d.shift));
+        let lo = self.qstarts[d.aux as usize] as usize;
+        let hi = self.qstarts[d.aux as usize + buckets] as usize;
+        &self.targets[lo..=hi]
+    }
+
+    /// Longest walk in kernel steps, by DP over the built structure in
+    /// decreasing field order: every exit of a node tests a strictly later
+    /// field (the ordered-FDD property, preserved through fusion). `next[b]`
+    /// is the deepest walk left once a step has resolved node `b`, so a
+    /// fused node reads it off the children it lands on.
+    fn passes(&self, image: &CompiledFdd) -> usize {
+        if self.root & DECISION_BIT != 0 {
+            return 0;
+        }
+        let mut depth = vec![0u32; self.descs.len()];
+        let mut next = vec![0u32; self.descs.len()];
+        for f in (0..image.schema.len()).rev() {
+            for (b, n) in image.nodes.iter().enumerate() {
+                if n.kind == KIND_TERMINAL || n.field as usize != f {
+                    continue;
+                }
+                let fused = self.descs[b].flags & LD_FUSED != 0;
+                let (mut after, mut after_fused) = (0u32, 0u32);
+                for &t in self.exits(image, b) {
+                    if t & DECISION_BIT == 0 {
+                        after = after.max(depth[t as usize]);
+                        after_fused = after_fused.max(next[t as usize]);
+                    }
+                }
+                next[b] = after;
+                depth[b] = 1 + if fused { after_fused } else { after };
+            }
+        }
+        depth[self.root as usize] as usize
+    }
+
+    /// Resolves one node against a field value: the ladder, or the padded
+    /// halving with `BITS` trips ([`WIDE`]: the node's own count).
+    #[inline(always)]
+    fn resolve<const BITS: u32>(&self, d: LaneDesc, v: u64) -> u32 {
+        if d.flags & LD_QJUMP != 0 {
+            let lo = self.qstarts[d.aux as usize + (v >> d.shift) as usize] as usize;
+            let c = &self.cuts[lo..lo + QLADDER];
+            let mut pos = usize::from(c[1] < v) * 2;
+            pos += usize::from(c[pos] < v);
+            return self.targets[lo + pos];
+        }
+        let bits = if BITS == WIDE {
+            u32::from(d.shift)
         } else {
-            total
+            BITS
         };
-        nodes.len() * std::mem::size_of::<KNode>() + slots * 12
+        let off = d.aux as usize;
+        let c = &self.cuts[off..off + (1usize << bits)];
+        // Branchless lower bound over the padded slice: `bits` halvings,
+        // each one load + compare + conditional add. A value past the real
+        // cuts lands in the pad, whose repeated target makes the spot
+        // irrelevant.
+        let mut pos = 0usize;
+        for i in 0..bits {
+            let half = 1usize << (bits - 1 - i);
+            pos += usize::from(c[pos + half - 1] < v) * half;
+        }
+        self.targets[off + pos]
+    }
+
+    /// One kernel step from node `idx` for packet `j`: the node, and the
+    /// child it lands on when the node is fused.
+    #[inline(always)]
+    fn step<const BITS: u32>(&self, idx: usize, columns: &[Vec<u64>], j: usize) -> u32 {
+        let d = self.descs[idx];
+        let r = self.resolve::<BITS>(d, columns[d.field as usize][j]);
+        if d.flags & LD_FUSED != 0 && r & DECISION_BIT == 0 {
+            let c = self.descs[r as usize];
+            self.resolve::<BITS>(c, columns[c.field as usize][j])
+        } else {
+            r
+        }
+    }
+
+    /// Runs the kernel over the packet span `[start, start + out.len())` of
+    /// `columns`, writing decisions into `out` in packet order. The serial
+    /// path covers the batch in one span; the sharded path hands each
+    /// worker a disjoint span and the matching slice of the output.
+    pub(crate) fn span(&self, columns: &[Vec<u64>], start: usize, out: &mut [Decision]) {
+        if self.root & DECISION_BIT != 0 {
+            out.fill(decision_from_u16((self.root & !DECISION_BIT) as u16));
+            return;
+        }
+        // Monomorphise on the trip count so the halving unrolls.
+        match self.stats.search_bits {
+            0 => self.span_with::<0>(columns, start, out),
+            1 => self.span_with::<1>(columns, start, out),
+            2 => self.span_with::<2>(columns, start, out),
+            3 => self.span_with::<3>(columns, start, out),
+            4 => self.span_with::<4>(columns, start, out),
+            5 => self.span_with::<5>(columns, start, out),
+            6 => self.span_with::<6>(columns, start, out),
+            7 => self.span_with::<7>(columns, start, out),
+            8 => self.span_with::<8>(columns, start, out),
+            _ => self.span_with::<WIDE>(columns, start, out),
+        }
+    }
+
+    /// [`LaneKernel::span`] chunk by chunk: every lane of a chunk holds a
+    /// tagged cursor, and `passes` uniform passes take every cursor to a
+    /// decision. The first pass is hoisted (every lane starts at the root
+    /// and none is done yet); later passes skip finished lanes.
+    fn span_with<const BITS: u32>(&self, columns: &[Vec<u64>], start: usize, out: &mut [Decision]) {
+        let root = self.root as usize;
+        let mut state = [0u32; DEFAULT_LANE_WIDTH];
+        for (c, chunk) in out.chunks_mut(DEFAULT_LANE_WIDTH).enumerate() {
+            let base = start + c * DEFAULT_LANE_WIDTH;
+            let lanes = &mut state[..chunk.len()];
+            for (l, cursor) in lanes.iter_mut().enumerate() {
+                *cursor = self.step::<BITS>(root, columns, base + l);
+            }
+            for _pass in 1..self.stats.passes {
+                for (l, cursor) in lanes.iter_mut().enumerate() {
+                    if *cursor & DECISION_BIT == 0 {
+                        *cursor = self.step::<BITS>(*cursor as usize, columns, base + l);
+                    }
+                }
+            }
+            for (cursor, slot) in lanes.iter().zip(chunk) {
+                debug_assert!(
+                    cursor & DECISION_BIT != 0,
+                    "lane stopped on an internal node after its passes"
+                );
+                *slot = decision_from_u16((cursor & !DECISION_BIT) as u16);
+            }
+        }
+    }
+}
+
+/// Resolves a thread-count request: `0` means every available core.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        threads
     }
 }
 
 impl CompiledFdd {
-    /// Classifies a field-major batch with the level-synchronous lane
-    /// kernel, [`DEFAULT_LANE_WIDTH`] packets in flight at a time.
+    /// The lane kernel, built on first use.
+    ///
+    /// Compile builds it eagerly, so an edit swap pays the build on the
+    /// writer's side instead of in the next served batch; a decoded image
+    /// defers the build until a batch runs, so scalar-only serving (a
+    /// fleet restore of thousands of tenants) never pays it. `OnceLock`
+    /// makes the deferred build race-free under concurrent readers.
+    pub(crate) fn lanes(&self) -> &LaneKernel {
+        self.lanes.get_or_init(|| LaneKernel::build(self))
+    }
+
+    /// The lane kernel's shape, building the kernel if a decoded image has
+    /// not yet.
+    pub fn lane_stats(&self) -> LaneStats {
+        self.lanes().stats
+    }
+
+    /// Whether the lane kernel is built: always after compile, after
+    /// decode only once a batch (or [`CompiledFdd::lane_stats`]) ran.
+    pub fn lanes_built(&self) -> bool {
+        self.lanes.get().is_some()
+    }
+
+    fn check_batch(&self, batch: &PacketBatch) -> Result<(), ExecError> {
+        if batch.schema() != self.schema() {
+            return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
+                expected: self.schema().len(),
+                found: batch.schema().len(),
+            }));
+        }
+        Ok(())
+    }
+
+    /// Classifies a field-major batch with the lane kernel,
+    /// [`DEFAULT_LANE_WIDTH`] packets in flight at a time.
     ///
     /// Decisions are identical to [`CompiledFdd::classify_columns`] (and
     /// every other engine); only the schedule differs.
@@ -293,14 +522,13 @@ impl CompiledFdd {
     /// schema.
     pub fn classify_lanes(&self, batch: &PacketBatch) -> Result<Vec<Decision>, ExecError> {
         let mut out = Vec::new();
-        self.classify_lanes_into(batch, &mut LaneScratch::new(), &mut out)?;
+        self.classify_lanes_into(batch, &mut out)?;
         Ok(out)
     }
 
     /// Like [`CompiledFdd::classify_lanes`], into a caller-provided buffer
-    /// (cleared first), with caller-owned [`LaneScratch`] — zero heap
-    /// allocation per batch once scratch and buffer hit their high-water
-    /// marks.
+    /// (cleared first): no heap allocation per batch once the buffer hits
+    /// its high-water mark.
     ///
     /// # Errors
     ///
@@ -308,167 +536,60 @@ impl CompiledFdd {
     pub fn classify_lanes_into(
         &self,
         batch: &PacketBatch,
-        scratch: &mut LaneScratch,
         out: &mut Vec<Decision>,
     ) -> Result<(), ExecError> {
-        if batch.schema() != self.schema() {
-            return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
-                expected: self.schema().len(),
-                found: batch.schema().len(),
-            }));
-        }
+        self.check_batch(batch)?;
         out.clear();
         out.resize(batch.len(), Decision::Discard);
-        self.lanes_span::<false>(
-            self.lane_arena(),
-            batch.columns_raw(),
-            0,
-            &mut scratch.state,
-            out,
-        );
+        self.lanes().span(batch.columns_raw(), 0, out);
         Ok(())
     }
 
-    /// Runs the lane kernel over the packet span `[start, start +
-    /// out.len())` of `columns`, writing decisions into `out` in packet
-    /// order. The serial path covers the whole batch in one span; the
-    /// parallel driver (`par.rs`) hands each worker a disjoint span and the
-    /// matching disjoint slice of the output buffer, which is what makes
-    /// the merged result byte-identical to serial by construction.
+    /// [`CompiledFdd::classify_lanes_into`] sharded across `threads` scoped
+    /// workers (`0` = every available core, `1` = serial): the batch splits
+    /// into one contiguous span per worker, equal but for the last, and
+    /// each span's decisions land in its own slice of `out`, so the result
+    /// is the serial kernel's for every thread count.
     ///
-    /// `arena` is the forced lane mirror (callers resolve
-    /// [`CompiledFdd::lane_arena`] once, outside any worker); the `PF`
-    /// parameter selects the forced-load chunk variant. Assumes validated
-    /// inputs.
-    pub(crate) fn lanes_span<const PF: bool>(
+    /// # Errors
+    ///
+    /// As for [`CompiledFdd::classify_lanes`].
+    pub fn classify_lanes_par_into(
         &self,
-        arena: &LaneArena,
-        columns: &[Vec<u64>],
-        start: usize,
-        state: &mut Vec<u32>,
-        out: &mut [Decision],
-    ) {
-        let n = out.len();
-        let mut s = 0usize;
-        while s < n {
-            let w = DEFAULT_LANE_WIDTH.min(n - s);
-            let base = start + s;
-            // Monomorphise on the trip count so the bitwise search unrolls
-            // into straight-line conditional moves — the whole point of
-            // fixing the count arena-wide. Eight bits cover 256 cuts; wider
-            // nodes (unbounded rule sets) take the generic-loop fallback.
-            match arena.bits {
-                1 => self.lanes_chunk::<1, PF>(arena, columns, base, w, state),
-                2 => self.lanes_chunk::<2, PF>(arena, columns, base, w, state),
-                3 => self.lanes_chunk::<3, PF>(arena, columns, base, w, state),
-                4 => self.lanes_chunk::<4, PF>(arena, columns, base, w, state),
-                5 => self.lanes_chunk::<5, PF>(arena, columns, base, w, state),
-                6 => self.lanes_chunk::<6, PF>(arena, columns, base, w, state),
-                7 => self.lanes_chunk::<7, PF>(arena, columns, base, w, state),
-                8 => self.lanes_chunk::<8, PF>(arena, columns, base, w, state),
-                b => self.lanes_chunk_any::<PF>(b, arena, columns, base, w, state),
-            }
-            for (cursor, slot) in state.iter().zip(&mut out[s..s + w]) {
-                let nd = self.nodes[*cursor as usize];
-                debug_assert!(
-                    nd.kind == KIND_TERMINAL,
-                    "lane stopped on an internal node after max_depth passes"
-                );
-                *slot = decision_from_u16(nd.field);
-            }
-            s += w;
+        batch: &PacketBatch,
+        threads: usize,
+        out: &mut Vec<Decision>,
+    ) -> Result<(), ExecError> {
+        self.check_batch(batch)?;
+        out.clear();
+        out.resize(batch.len(), Decision::Discard);
+        // Force the lazy kernel once, outside the workers.
+        let kernel = self.lanes();
+        let columns = batch.columns_raw();
+        // Below one chunk per worker the spawn cost outweighs the overlap.
+        let threads = resolve_threads(threads).min(batch.len().div_ceil(DEFAULT_LANE_WIDTH));
+        if threads <= 1 {
+            kernel.span(columns, 0, out);
+            return Ok(());
         }
-    }
-
-    /// Runs one chunk of `w` lanes level-synchronously to completion:
-    /// exactly `max_depth` uniform passes (the verified longest
-    /// root-to-decision walk, so every cursor ends on a — possibly
-    /// self-looped — terminal). Lane `l` reads packet `base + l` of the
-    /// full field columns; `state` is the reused node-cursor scratch, left
-    /// holding the final terminal per lane. With `PF` the resolved target's
-    /// descriptor and cut-slice head are force-loaded (prefetched) a full
-    /// chunk-round before the next pass dereferences them.
-    fn lanes_chunk<const BITS: u32, const PF: bool>(
-        &self,
-        arena: &LaneArena,
-        columns: &[Vec<u64>],
-        base: usize,
-        w: usize,
-        state: &mut Vec<u32>,
-    ) {
-        state.clear();
-        state.resize(w, self.root);
-        for _pass in 0..self.stats.max_depth {
-            for (l, cursor) in state.iter_mut().enumerate() {
-                let n = arena.nodes[*cursor as usize];
-                let v = columns[n.field as usize][base + l];
-                let node_cuts = &arena.cuts[n.off as usize..n.off as usize + (1 << BITS)];
-                // Branchless lower bound over the padded power-of-two cut
-                // slice: BITS halvings, each one load + compare +
-                // conditional add, no clamping and no length in sight.
-                // `pos` ends on the first cut `>= v` (somewhere in the
-                // duplicate pad for values past the node's real cuts, where
-                // the duplicated target makes the landing spot irrelevant).
-                let mut pos = 0usize;
-                for i in 0..BITS {
-                    let half = 1usize << (BITS - 1 - i);
-                    pos += usize::from(node_cuts[pos + half - 1] < v) * half;
-                }
-                let t = arena.targets[n.off as usize + pos];
-                if PF {
-                    // Portable prefetch: force-load the next node's
-                    // descriptor and the head of its cut slice so the lines
-                    // are warm when the next pass returns to this lane
-                    // (terminals self-loop, so the touch is always in
-                    // bounds). `black_box` keeps the otherwise-dead loads.
-                    std::hint::black_box(arena.cuts[arena.nodes[t as usize].off as usize]);
-                }
-                *cursor = t;
+        let per = batch.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            let mut spans = out.chunks_mut(per).enumerate();
+            let (_, first) = spans.next().expect("a non-empty batch");
+            for (k, slice) in spans {
+                scope.spawn(move || kernel.span(columns, k * per, slice));
             }
-        }
-    }
-
-    /// Runtime-trip-count fallback of [`CompiledFdd::lanes_chunk`] for
-    /// arenas whose widest node exceeds 2^8 cuts. Identical semantics;
-    /// the search loop just cannot unroll.
-    fn lanes_chunk_any<const PF: bool>(
-        &self,
-        bits: u32,
-        arena: &LaneArena,
-        columns: &[Vec<u64>],
-        base: usize,
-        w: usize,
-        state: &mut Vec<u32>,
-    ) {
-        state.clear();
-        state.resize(w, self.root);
-        for _pass in 0..self.stats.max_depth {
-            for (l, cursor) in state.iter_mut().enumerate() {
-                let n = arena.nodes[*cursor as usize];
-                let v = columns[n.field as usize][base + l];
-                let len = n.len as usize;
-                let node_cuts = &arena.cuts[n.off as usize..n.off as usize + len];
-                let mut pos = 0usize;
-                let mut bit = 1usize << (bits - 1);
-                while bit != 0 {
-                    let next = pos | bit;
-                    let take = (next <= len) & (node_cuts[next.min(len) - 1] < v);
-                    pos |= if take { bit } else { 0 };
-                    bit >>= 1;
-                }
-                let t = arena.targets[n.off as usize + pos];
-                if PF {
-                    std::hint::black_box(arena.cuts[arena.nodes[t as usize].off as usize]);
-                }
-                *cursor = t;
-            }
-        }
+            // The calling thread serves the first span.
+            kernel.span(columns, 0, first);
+        });
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::lower_bound;
     use fw_model::{paper, Packet, Schema};
 
     fn batch_of(fw: &fw_model::Firewall, n: usize, seed: u64) -> PacketBatch {
@@ -476,78 +597,91 @@ mod tests {
         PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap()
     }
 
+    /// Reference for [`ladder_shift`]: every `q` from the smallest up, every
+    /// bucket's first cut found by binary search.
+    fn ladder_shift_by_search(cuts: &[u64], bits: u32) -> Option<u32> {
+        let cap = QJUMP_MAX_BITS.min(bits);
+        let mut q = u32::max(1, usize::BITS - (cuts.len() / QLADDER).leading_zeros());
+        while q <= cap {
+            let shift = bits - q;
+            let mut prev = 0usize;
+            let mut ok = true;
+            for b in 0..(1u64 << q) {
+                let first = lower_bound(cuts, b << shift);
+                if b > 0 && first - prev >= QLADDER {
+                    ok = false;
+                    break;
+                }
+                prev = first;
+            }
+            if ok && (cuts.len() - 1) - prev < QLADDER {
+                return Some(shift);
+            }
+            q += 1;
+        }
+        None
+    }
+
     #[test]
-    fn lanes_match_scalar_across_ragged_lengths() {
+    fn one_pass_ladder_shift_matches_the_bucket_search() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for bits in [6u32, 8, 16, 32] {
+            let max = (1u64 << bits) - 1;
+            for _ in 0..400 {
+                let len = 5 + (next() % 60) as usize;
+                // Clustered cuts half the time, so `None` shows up too.
+                let span = if next() % 2 == 0 { max } else { max.min(64) };
+                let mut cuts: Vec<u64> = (0..len).map(|_| next() % span.max(1)).collect();
+                cuts.push(max);
+                cuts.sort_unstable();
+                cuts.dedup();
+                if cuts.len() <= QLADDER {
+                    continue;
+                }
+                assert_eq!(
+                    ladder_shift(&cuts, bits),
+                    ladder_shift_by_search(&cuts, bits),
+                    "bits {bits}, cuts {cuts:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_match_columns_across_ragged_lengths() {
         let fw = fw_synth::Synthesizer::new(77).firewall(40);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        for n in [1usize, 3, 31, 32, 33, 401] {
-            let batch = batch_of(&fw, n, 1000 + n as u64);
-            let scalar = compiled.classify_columns(&batch).unwrap();
-            assert_eq!(scalar, compiled.classify_lanes(&batch).unwrap(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn lanes_into_reuses_buffer_and_handles_empty() {
-        let fw = paper::team_b();
-        let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        let batch = batch_of(&fw, 100, 3);
         let mut out = vec![Decision::AcceptLog; 7];
-        let mut scratch = LaneScratch::new();
-        compiled
-            .classify_lanes_into(&batch, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, compiled.classify_columns(&batch).unwrap());
-        let empty = PacketBatch::from_trace(fw.schema().clone(), &[]).unwrap();
-        compiled
-            .classify_lanes_into(&empty, &mut scratch, &mut out)
-            .unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn scratch_reuse_and_prefetch_variant_match_plain_kernel() {
-        let fw = fw_synth::Synthesizer::new(41).firewall(35);
-        let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        let mut scratch = LaneScratch::new();
-        let mut out = Vec::new();
-        // Same scratch across batches of different sizes.
-        for n in [5usize, 64, 101, 33, 1] {
-            let batch = batch_of(&fw, n, 7_000 + n as u64);
+        for n in [0usize, 1, 3, 31, 32, 33, 401] {
+            let batch = batch_of(&fw, n, 1000 + n as u64);
             let expect = compiled.classify_columns(&batch).unwrap();
-            compiled
-                .classify_lanes_into(&batch, &mut scratch, &mut out)
-                .unwrap();
+            compiled.classify_lanes_into(&batch, &mut out).unwrap();
             assert_eq!(out, expect, "n={n}");
-            // Prefetch chunk variant over the same span: identical
-            // decisions (it only adds forced loads).
-            let mut pf_out = vec![Decision::Discard; n];
-            compiled.lanes_span::<true>(
-                compiled.lane_arena(),
-                batch.columns_raw(),
-                0,
-                &mut scratch.state,
-                &mut pf_out,
-            );
-            assert_eq!(pf_out, expect, "prefetch n={n}");
+            for threads in [0usize, 2, 3, 8] {
+                compiled
+                    .classify_lanes_par_into(&batch, threads, &mut out)
+                    .unwrap();
+                assert_eq!(out, expect, "n={n}, {threads} thread(s)");
+            }
         }
     }
 
     #[test]
-    fn span_offsets_cover_partial_windows() {
+    fn spans_stitch_into_the_whole_batch() {
         let fw = fw_synth::Synthesizer::new(19).firewall(30);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
         let batch = batch_of(&fw, 97, 13);
         let expect = compiled.classify_columns(&batch).unwrap();
-        let arena = compiled.lane_arena();
-        let mut state = Vec::new();
-        // Stitch the batch from unaligned disjoint spans, exactly as the
-        // parallel driver does.
         let mut got = vec![Decision::Discard; 97];
         for (start, len) in [(0usize, 30usize), (30, 7), (37, 41), (78, 19)] {
-            let (_, tail) = got.split_at_mut(start);
-            let (slice, _) = tail.split_at_mut(len);
-            compiled.lanes_span::<false>(arena, batch.columns_raw(), start, &mut state, slice);
+            let slice = &mut got[start..start + len];
+            compiled.lanes().span(batch.columns_raw(), start, slice);
         }
         assert_eq!(got, expect);
     }
@@ -561,63 +695,110 @@ mod tests {
             compiled.classify_lanes(&other),
             Err(ExecError::Model(_))
         ));
+        let mut out = Vec::new();
+        assert!(matches!(
+            compiled.classify_lanes_par_into(&other, 2, &mut out),
+            Err(ExecError::Model(_))
+        ));
     }
 
     #[test]
-    fn single_terminal_policy_classifies_in_one_pass() {
-        let schema = Schema::paper_example();
-        let fw = fw_model::Firewall::parse(schema.clone(), "* -> discard-log\n").unwrap();
+    fn single_terminal_policy_takes_no_pass() {
+        let fw = fw_model::Firewall::parse(Schema::paper_example(), "* -> discard-log\n").unwrap();
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        assert_eq!(compiled.stats().levels, 1);
-        let batch = batch_of(&fw, 50, 9);
-        let lanes = compiled.classify_lanes(&batch).unwrap();
+        assert_eq!(compiled.lane_stats().passes, 0);
+        let lanes = compiled.classify_lanes(&batch_of(&fw, 50, 9)).unwrap();
         assert!(lanes.iter().all(|&d| d == Decision::DiscardLog));
     }
 
     #[test]
-    fn mirror_arena_is_search_only_and_self_consistent() {
-        let fw = fw_synth::Synthesizer::new(3).firewall(30);
+    fn fusion_halves_the_passes() {
+        for seed in [3u64, 8, 77] {
+            let fw = fw_synth::Synthesizer::new(seed).firewall(60);
+            let compiled = CompiledFdd::from_firewall(&fw).unwrap();
+            let (depth, s) = (compiled.stats().max_depth, compiled.lane_stats());
+            assert!(depth >= 2, "seed {seed}: a multi-level policy");
+            assert!(s.passes <= depth.div_ceil(2), "seed {seed}: {s:?}");
+            assert!(s.fused_nodes > 0, "seed {seed}");
+        }
+    }
+
+    /// The n = 500 policy of the exec bench's Fig. 13 rows outgrows the
+    /// table budget: some of its nodes resolve through ladders and the rest
+    /// through the padded search, so the oracles on it run both paths.
+    #[test]
+    fn fig13_n500_spills_past_the_table_budget() {
+        let fw = fw_synth::Synthesizer::new(302).firewall(500);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        let arena = compiled.lane_arena();
-        assert_eq!(arena.nodes.len(), compiled.nodes.len());
-        assert_eq!(arena.cuts.len(), arena.targets.len());
-        assert!(arena.bits >= 1);
-        let padded = 1usize << arena.bits;
-        for (i, (kn, n)) in arena.nodes.iter().zip(&compiled.nodes).enumerate() {
-            let (off, len) = (kn.off as usize, kn.len as usize);
-            let real = &arena.cuts[off..off + len];
-            assert!(real.windows(2).all(|c| c[0] < c[1]), "node {i} cuts sorted");
-            assert!(len <= padded, "node {i} within the trip budget");
-            let pad = &arena.cuts[off + len..off + padded];
-            assert!(
-                pad.iter().all(|&c| c == real[len - 1])
-                    && arena.targets[off + len..off + padded]
-                        .iter()
-                        .all(|&t| t == arena.targets[off + len - 1]),
-                "node {i} pad repeats the domain-max cut and its target"
-            );
-            if n.kind == KIND_TERMINAL {
-                assert_eq!((real, arena.targets[off]), (&[u64::MAX][..], i as u32));
+        let s = compiled.lane_stats();
+        assert!(s.ladder_nodes > 0, "{s:?}");
+        assert!(s.search_nodes > 0, "{s:?}");
+        assert!(
+            (1..=PAD_MAX_BITS).contains(&s.search_bits),
+            "one unrolled trip count: {s:?}"
+        );
+        let k = compiled.lanes();
+        let entries = k.qstarts.len();
+        assert!(entries <= QJUMP_BUDGET_ENTRIES, "{entries} table entries");
+        // Every padded slice repeats its last real cut and target.
+        for (b, d) in k.descs.iter().enumerate() {
+            let n = compiled.nodes[b];
+            if n.kind == KIND_TERMINAL || d.flags & LD_QJUMP != 0 {
+                continue;
             }
+            let off = d.aux as usize;
+            let slice = &k.cuts[off..off + (1 << d.shift)];
+            assert!(slice.windows(2).all(|w| w[0] <= w[1]), "node {b} sorted");
+            assert_eq!(u32::from(d.shift), s.search_bits);
+        }
+    }
+
+    /// 300 consecutive cuts on a 16-bit field cluster too tightly for any
+    /// table within the cap, and past 2^8 cuts the padded node keeps its
+    /// own trip count instead of the unrolled arena-wide one.
+    #[test]
+    fn wide_padded_nodes_take_their_own_trip_count() {
+        let schema = Schema::new(vec![
+            fw_model::FieldDef::new("a", 16).unwrap(),
+            fw_model::FieldDef::new("b", 3).unwrap(),
+        ])
+        .unwrap();
+        let mut text = String::new();
+        for v in 0..300u32 {
+            let d = if v % 2 == 0 { "accept" } else { "discard" };
+            text.push_str(&format!("a={v}, b=0-{} -> {d}\n", v % 8));
+        }
+        text.push_str("* -> discard-log\n");
+        let fw = fw_model::Firewall::parse(schema.clone(), &text).unwrap();
+        let compiled = CompiledFdd::from_firewall(&fw).unwrap();
+        let s = compiled.lane_stats();
+        assert!(s.search_bits > PAD_MAX_BITS, "{s:?}");
+        let mut packets: Vec<Packet> = (0..320u64)
+            .flat_map(|a| (0..8u64).map(move |b| Packet::new(vec![a, b])))
+            .collect();
+        packets.extend_from_slice(fw_synth::PacketTrace::random(schema.clone(), 500, 3).packets());
+        let batch = PacketBatch::from_trace(schema, &packets).unwrap();
+        let lanes = compiled.classify_lanes(&batch).unwrap();
+        assert_eq!(lanes, compiled.classify_columns(&batch).unwrap());
+        for (p, d) in packets.iter().zip(&lanes) {
+            assert_eq!(fw.decision_for(p), Some(*d), "at {p}");
         }
     }
 
     #[test]
-    fn projected_bytes_match_built_bytes() {
-        for seed in [3u64, 8, 77] {
-            let fw = fw_synth::Synthesizer::new(seed).firewall(30);
-            let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-            assert_eq!(
-                LaneArena::projected_bytes(&compiled.nodes, &compiled.jump),
-                compiled.lane_arena().bytes(),
-                "seed {seed}"
-            );
-        }
-        let fw = paper::team_a();
+    fn decoded_images_build_the_kernel_on_first_use() {
+        let fw = fw_synth::Synthesizer::new(6).firewall(20);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        assert_eq!(
-            LaneArena::projected_bytes(&compiled.nodes, &compiled.jump),
-            compiled.lane_arena().bytes()
-        );
+        assert!(compiled.lanes_built(), "compile builds the kernel");
+        let decoded = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
+        assert!(!decoded.lanes_built());
+        let batch = batch_of(&fw, 200, 4);
+        let mut out = Vec::new();
+        decoded
+            .classify_lanes_par_into(&batch, 4, &mut out)
+            .unwrap();
+        assert!(decoded.lanes_built());
+        assert_eq!(out, compiled.classify_lanes(&batch).unwrap());
+        assert_eq!(decoded.lane_stats(), compiled.lane_stats());
     }
 }

@@ -19,13 +19,15 @@
 //!   `&[Packet]` without per-packet allocation;
 //! * [`PacketBatch`] and [`CompiledFdd::classify_columns`] — a field-major
 //!   (column) packet layout for cache-friendly replay of large traces;
-//! * [`CompiledFdd::classify_lanes`] — the level-synchronous lane kernel:
-//!   a structure-of-arrays frontier of [`DEFAULT_LANE_WIDTH`] packets
-//!   advanced one FDD level per pass, with same-node runs resolved through
-//!   one shared cut array so the branchless search autovectorises (the
-//!   batch fast path — see `kernel.rs` for the scheduling story). The
-//!   row-major [`CompiledFdd::classify_batch`] and the column walk are the
-//!   reference engines the agreement oracles compare it against;
+//! * [`CompiledFdd::classify_lanes`] — the lane kernel, the image's one
+//!   batch form: the arenas lowered once more with chain fusion (one step
+//!   resolves two levels), quantized two-compare ladders, and a padded
+//!   fixed-trip halving search for the nodes past the ladder tables'
+//!   budget; [`DEFAULT_LANE_WIDTH`] packets advance one step per pass, and
+//!   [`CompiledFdd::classify_lanes_par_into`] shards the batch across
+//!   cores (see `kernel.rs`). The row-major
+//!   [`CompiledFdd::classify_batch`] and the column walk are the reference
+//!   engines the agreement oracles compare it against;
 //! * [`CompiledFdd::encode`] / [`CompiledFdd::decode`] — a fixed-width
 //!   little-endian wire format in the same `bytes` conventions as
 //!   `fw_synth::PacketTrace`, so a compiled policy can be shipped to the
@@ -38,22 +40,18 @@
 //!   against the published diagram in a throwaway hash-consed arena, and
 //!   lowers the new diagram by a fresh [`CompiledFdd::compile`] only if
 //!   some decision changed (see `live.rs`);
-//! * [`CompileStats`] / [`RecompileStats`] — node/arena/depth accounting in
-//!   the style of `fw_core::FddStats`, and the node count of an edit's
-//!   image;
+//! * [`CompileStats`] / [`RecompileStats`] / [`LaneStats`] — node, arena
+//!   and depth accounting of the canonical image in the style of
+//!   `fw_core::FddStats`, the node count of an edit's image, and the lane
+//!   kernel's shape;
 //! * [`SubgraphPool`] — cross-image shared compilation for fleet serving:
 //!   one pool of compiled nodes keyed by canonical `fw_core::ConsId`, so
 //!   subtrees shared between tenants of a multi-policy registry are
 //!   lowered once and an image is just a root index (see `shared.rs`);
-//! * [`Profile`] / [`CompiledFdd::specialize`] — profile-guided image
-//!   specialization: a sampling arm of the auto serving surfaces gathers
-//!   per-node visit and per-cut hit histograms at near-zero fast-path
-//!   cost, and [`SpecializedFdd`] re-lowers the same FDD under that heat
-//!   — hot-first arena layout, chain fusion (halving the walk's worst
-//!   case), quantized jump tables and hot-cut-first hybrid search. The
-//!   calibrator races the twin as [`EngineKind::Spec`] beside the walk and
-//!   the lane kernel ([`calibrate`]); decisions and FWEX are untouched
-//!   (see `profile.rs` / `specialize.rs`);
+//! * [`calibrate`] / [`EngineChoice`] — the adaptive route: a short
+//!   round-robin race of the walk, the lane kernel at each thread count
+//!   and (with [`calibrate_with_cache`]) the cached arm, whose winner the
+//!   caller keeps and serves through (see `calibrate.rs`);
 //! * [`DecisionCache`] — the skew-exploiting memoization front end: a
 //!   4-way set-associative table over packet field tuples with *exact*
 //!   impact-driven invalidation (an edit's `fw_core::ChangeImpact`
@@ -88,10 +86,7 @@ mod compile;
 mod error;
 mod kernel;
 mod live;
-mod par;
-mod profile;
 mod shared;
-mod specialize;
 mod wire;
 
 pub use batch::PacketBatch;
@@ -105,9 +100,6 @@ pub use calibrate::{
 };
 pub use compile::{CompileStats, CompiledFdd, RecompileStats, JUMP_TABLE_MAX_BITS};
 pub use error::ExecError;
-pub use kernel::{LaneScratch, DEFAULT_LANE_WIDTH};
+pub use kernel::{LaneStats, DEFAULT_LANE_WIDTH};
 pub use live::{LiveMatcher, SwapReport};
-pub use par::ParScratch;
-pub use profile::{Profile, PROFILE_SAMPLE_ROWS};
 pub use shared::SubgraphPool;
-pub use specialize::{SpecializePlan, SpecializedFdd};

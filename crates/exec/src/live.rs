@@ -20,8 +20,8 @@
 //! Batch serving routes through the adaptive engine: the published
 //! snapshot pairs the compiled image with the source diagram it was
 //! lowered from, so [`LiveMatcher::calibrate`] can race the walk, the lane
-//! kernel at each thread count, the specialized twin (when installed) and
-//! the cached arm over a live traffic sample and install the winner, and
+//! kernel at each thread count and the cached arm over a live traffic
+//! sample and install the winner, and
 //! [`LiveMatcher::classify_auto_into`] serves each batch through that
 //! choice against one coherent snapshot.
 //!
@@ -34,7 +34,7 @@
 //! changes some decision compiles the new diagram ([`CompiledFdd::compile`],
 //! no arena export), publishes the pair and invalidates the cache.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use fw_core::{ChangeImpact, Edit, Fdd, MaintainStats};
@@ -43,7 +43,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheStats, DecisionCache, InvalidationReport};
 use crate::calibrate::{Calibration, EngineChoice, EngineScratch};
-use crate::specialize::SpecializePlan;
 use crate::{CompiledFdd, ExecError, PacketBatch, RecompileStats};
 
 /// A served firewall: the authoritative policy plus the hot-swappable
@@ -100,44 +99,6 @@ pub struct LiveMatcher {
     /// Ticks once per published image (a rejected or no-op edit batch does
     /// not tick).
     epoch: AtomicU64,
-    /// Profile-guided specialization state
-    /// ([`LiveMatcher::enable_specialization`]). Shared with the detached
-    /// background worker via `Arc`, so a re-specialization outlives any
-    /// individual borrow of the matcher.
-    spec: Arc<SpecState>,
-}
-
-/// The knobs and hand-off slots of background re-specialization, shared
-/// between the serving path and the detached worker thread.
-#[derive(Debug)]
-struct SpecState {
-    /// Whether [`LiveMatcher::enable_specialization`] is on. Gates both the
-    /// profiler re-arm after an edit swap and the background trigger.
-    enabled: AtomicBool,
-    /// The sampling period the profiler is (re-)armed with.
-    every: AtomicU64,
-    /// Profiled packets that trigger a background re-specialization; `0`
-    /// means "never in the background" (only
-    /// [`LiveMatcher::respecialize_now`]).
-    respecialize_after: AtomicU64,
-    /// Set while a background worker is running — at most one in flight.
-    inflight: AtomicBool,
-    /// The engine choice the background worker measured over the profiler's
-    /// retained sample, picked up (and `cached`-flag-preserved) by the next
-    /// serving batch.
-    pending: Mutex<Option<EngineChoice>>,
-}
-
-impl Default for SpecState {
-    fn default() -> SpecState {
-        SpecState {
-            enabled: AtomicBool::new(false),
-            every: AtomicU64::new(0),
-            respecialize_after: AtomicU64::new(0),
-            inflight: AtomicBool::new(false),
-            pending: Mutex::new(None),
-        }
-    }
 }
 
 /// What one [`LiveMatcher::apply_edits`] call did — the per-tenant edit
@@ -180,7 +141,6 @@ impl LiveMatcher {
             choice: RwLock::new(EngineChoice::default()),
             cache: Mutex::new(None),
             epoch: AtomicU64::new(0),
-            spec: Arc::new(SpecState::default()),
         })
     }
 
@@ -309,34 +269,7 @@ impl LiveMatcher {
         scratch: &mut EngineScratch,
         out: &mut Vec<Decision>,
     ) -> Result<(), ExecError> {
-        // A background re-specialization hands its measured winner off
-        // here; keep the serving cache's on/off status — the worker raced
-        // uncached arms only, and "cached" is a front-end property the
-        // worker has no business flipping.
-        if let Some(mut won) = self
-            .spec
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            let mut choice = self.choice.write().unwrap_or_else(PoisonError::into_inner);
-            won.cached = choice.cached;
-            *choice = won;
-        }
         let choice = self.engine_choice();
-        if self.spec.enabled.load(Ordering::Relaxed) {
-            // The profiler's sampling arm sits in front of both routes, so
-            // cached serving keeps feeding the heat histograms too. A
-            // sampled batch bypasses the cache for that one batch (exact
-            // decisions, no probes/inserts) — a 1-in-N perturbation of the
-            // hit counters, not of any decision.
-            let (image, _) = self.load_pair();
-            if image.maybe_profile_into(batch, out)? {
-                self.maybe_respecialize(&image);
-                return Ok(());
-            }
-        }
         if choice.cached {
             let mut guard = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(cache) = guard.as_mut() {
@@ -350,115 +283,6 @@ impl LiveMatcher {
         }
         let (image, fdd) = self.load_pair();
         choice.classify_into(&image, Some(&fdd), None, batch, scratch, out)
-    }
-
-    /// Turns profile-guided specialization on: arms the current image's
-    /// sampling profiler at one batch in `every`, and after
-    /// `respecialize_after` profiled packets a detached background worker
-    /// re-lowers the image under the gathered heat
-    /// ([`CompiledFdd::specialize`]), races the specialized twin over the
-    /// profiler's retained sample, and hands the winning engine choice to
-    /// the next serving batch. `respecialize_after = 0` disables the
-    /// background trigger — callers then drive
-    /// [`respecialize_now`](Self::respecialize_now) themselves. (`every`
-    /// is clamped to at least 1, as for [`CompiledFdd::arm_profiler`].)
-    ///
-    /// Edit swaps keep the feature armed: [`apply_edits`](Self::apply_edits)
-    /// starts the fresh image's profiler before publishing it, and the
-    /// fresh image serves unspecialized (a `spec` engine choice serves
-    /// through the lane kernel) until the next re-specialization catches
-    /// up — exactness is never traded for heat.
-    pub fn enable_specialization(&self, every: u64, respecialize_after: u64) {
-        self.load().arm_profiler(every);
-        self.spec.every.store(every.max(1), Ordering::Relaxed);
-        self.spec
-            .respecialize_after
-            .store(respecialize_after, Ordering::Relaxed);
-        self.spec.enabled.store(true, Ordering::Release);
-    }
-
-    /// Turns specialization off: disarms the current image's profiler and
-    /// drops any un-applied background winner. The current image keeps its
-    /// specialized twin (it is exact and already raced in), so serving is
-    /// undisturbed; the next edit swap sheds it naturally.
-    pub fn disable_specialization(&self) {
-        self.spec.enabled.store(false, Ordering::Release);
-        self.load().disarm_profiler();
-        *self
-            .spec
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-    }
-
-    /// Synchronously re-specializes the current image from the profile
-    /// gathered so far: takes (and resets) the histograms, builds the
-    /// specialized twin, races it over the profiler's retained sample
-    /// batch, and installs the winning engine choice (preserving the
-    /// cache front end's on/off status). Returns the specializer's plan, or
-    /// `None` when no batch has been sampled yet.
-    ///
-    /// This is the deterministic, same-thread variant of the background
-    /// trigger — tests and CLIs use it to re-specialize at a point of their
-    /// choosing.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledFdd::specialize`] and [`crate::calibrate`].
-    pub fn respecialize_now(&self) -> Result<Option<SpecializePlan>, ExecError> {
-        let image = self.load();
-        let sample = image.profile_sample_batch();
-        let Some(profile) = image.take_profile() else {
-            return Ok(None);
-        };
-        let plan = image.specialize(&profile)?;
-        if let Some(sample) = sample {
-            let cal = crate::calibrate::calibrate(&image, None, None, &sample, 0)?;
-            let mut choice = self.choice.write().unwrap_or_else(PoisonError::into_inner);
-            let cached = choice.cached;
-            *choice = cal.choice;
-            choice.cached = cached;
-        }
-        Ok(Some(plan))
-    }
-
-    /// Fires the background re-specialization when the profiled-packet
-    /// threshold is crossed and no worker is already in flight. The worker
-    /// owns an `Arc` of the image it profiles — an edit swap mid-build just
-    /// means the twin lands on a retired snapshot (harmless: the fresh
-    /// image re-arms cold and triggers its own pass).
-    fn maybe_respecialize(&self, image: &Arc<CompiledFdd>) {
-        let after = self.spec.respecialize_after.load(Ordering::Relaxed);
-        if after == 0 || image.profiled_packets() < after {
-            return;
-        }
-        if self.spec.inflight.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let image = Arc::clone(image);
-        let state = Arc::clone(&self.spec);
-        std::thread::spawn(move || {
-            // Errors are swallowed by design: a failed background build
-            // leaves serving exactly as it was (no twin, no pending
-            // choice), and the next threshold crossing retries.
-            let _ = Self::respecialize_image(&image, &state);
-            state.inflight.store(false, Ordering::Release);
-        });
-    }
-
-    /// The worker body: specialize under the taken profile, race the twin
-    /// over the retained sample, park the winner for the serving path.
-    fn respecialize_image(image: &CompiledFdd, state: &SpecState) -> Result<(), ExecError> {
-        let sample = image.profile_sample_batch();
-        let Some(profile) = image.take_profile() else {
-            return Ok(());
-        };
-        image.specialize(&profile)?;
-        if let Some(sample) = sample {
-            let cal = crate::calibrate::calibrate(image, None, None, &sample, 0)?;
-            *state.pending.lock().unwrap_or_else(PoisonError::into_inner) = Some(cal.choice);
-        }
-        Ok(())
     }
 
     /// The current epoch: 0 at construction, +1 per published image.
@@ -526,12 +350,6 @@ impl LiveMatcher {
         let stats = RecompileStats {
             nodes_fresh: next.node_count(),
         };
-        // A fresh image starts cold (no profile, no specialized twin);
-        // re-arm its profiler before publishing so specialization keeps
-        // learning across the swap without a serving-path gap.
-        if self.spec.enabled.load(Ordering::Acquire) {
-            next.arm_profiler(self.spec.every.load(Ordering::Relaxed));
-        }
         *self.image.write().unwrap_or_else(PoisonError::into_inner) =
             (Arc::new(next), Arc::new(fdd));
         *policy = staged;
@@ -690,11 +508,7 @@ mod tests {
         // replay the image's semantics for the walk choice in particular.
         let (image, fdd) = live.load_pair();
         let expect = image.classify_columns(&batch).unwrap();
-        for kind in [
-            crate::EngineKind::Walk,
-            crate::EngineKind::Lanes,
-            crate::EngineKind::Spec,
-        ] {
+        for kind in [crate::EngineKind::Walk, crate::EngineKind::Lanes] {
             let choice = EngineChoice {
                 kind,
                 ..EngineChoice::default()
@@ -784,101 +598,6 @@ mod tests {
         assert!(final_stats.hits >= stats.hits);
         assert!(!live.engine_choice().cached);
         assert_eq!(live.cache_stats(), None);
-    }
-
-    /// Specialization must be decision-invisible end to end: enable, feed a
-    /// sampled batch, re-specialize synchronously, and the auto path still
-    /// agrees with the plain column kernel — across an edit swap that
-    /// re-arms the profiler on the fresh (unspecialized) image.
-    #[test]
-    fn specialized_serving_agrees_and_survives_edits() {
-        let fw = fw_synth::Synthesizer::new(63).firewall(60);
-        let live = LiveMatcher::new(fw.clone()).unwrap();
-        // Sample every batch; background trigger off — this test drives
-        // the re-specialization itself for determinism.
-        live.enable_specialization(1, 0);
-        assert!(live.load().profiler_armed());
-
-        let trace = fw_synth::PacketTrace::zipf(&fw, 2_000, 1.1, 3, 4);
-        let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
-        let mut scratch = EngineScratch::default();
-        let mut out = Vec::new();
-        let expect = live.load().classify_columns(&batch).unwrap();
-        live.classify_auto_into(&batch, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, expect, "a sampled batch must still decide exactly");
-        assert!(live.load().profiled_packets() > 0);
-
-        let plan = live
-            .respecialize_now()
-            .unwrap()
-            .expect("a profile was gathered");
-        assert!(plan.nodes > 0);
-        assert!(
-            live.load().spec().is_some(),
-            "the twin lands on the served image"
-        );
-        live.classify_auto_into(&batch, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, expect, "serving after re-specialization agrees");
-
-        // Edit swap: the fresh image has no twin yet, but its profiler is
-        // re-armed and serving stays exact (a `spec` choice serves through
-        // the lane kernel).
-        let flip = fw.rules()[0].with_decision(fw.rules()[0].decision().inverted());
-        let report = live
-            .apply_edits(&[Edit::Replace {
-                index: 0,
-                rule: flip,
-            }])
-            .unwrap();
-        assert!(report.swapped);
-        let image = live.load();
-        assert!(image.spec().is_none(), "a fresh image starts cold");
-        assert!(image.profiler_armed(), "profiler re-armed across the swap");
-        live.classify_auto_into(&batch, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, image.classify_columns(&batch).unwrap());
-
-        live.disable_specialization();
-        assert!(!live.load().profiler_armed());
-    }
-
-    /// The background trigger: past the threshold a detached worker builds
-    /// the twin off the serving path, and a later batch picks up its
-    /// measured engine choice without ever disagreeing with the kernel.
-    #[test]
-    fn background_respecialization_hands_off_a_choice() {
-        let fw = fw_synth::Synthesizer::new(17).firewall(50);
-        let live = LiveMatcher::new(fw.clone()).unwrap();
-        live.enable_specialization(1, 1);
-        let trace = fw_synth::PacketTrace::zipf(&fw, 1_500, 1.1, 5, 6);
-        let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
-        let mut scratch = EngineScratch::default();
-        let mut out = Vec::new();
-        let expect = live.load().classify_columns(&batch).unwrap();
-
-        // First batch is sampled, crosses the 1-packet threshold, spawns
-        // the worker.
-        live.classify_auto_into(&batch, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, expect);
-        for _ in 0..500 {
-            if live.load().spec().is_some() && !live.spec.inflight.load(Ordering::Acquire) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        }
-        assert!(
-            live.load().spec().is_some(),
-            "the background worker installs the twin"
-        );
-
-        // The next batch applies the parked choice (whatever won) and
-        // still decides identically.
-        live.classify_auto_into(&batch, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out, expect);
     }
 
     #[test]

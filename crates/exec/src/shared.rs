@@ -1,7 +1,7 @@
 //! Cross-image shared compilation: one compiled node pool for many roots.
 //!
 //! [`crate::CompiledFdd`] is the right shape for *one* policy: a private
-//! BFS-ordered arena, level-contiguous for the lane kernel. A fleet of
+//! BFS-ordered arena with its own lane kernel. A fleet of
 //! thousands of near-identical policies wants the opposite layout — one
 //! pool of compiled nodes keyed by the **canonical** [`fw_core::ConsId`]
 //! of the subfunction they compute, so a subtree shared by any number of
@@ -15,8 +15,8 @@
 //! [`crate::compile`] lowering helpers as a standalone image (one
 //! partition check, one jump/search layout decision), but into pool-wide
 //! arenas where `ConsId`-identical subtrees collapse to the same indices.
-//! The pool trades the lane mirror away: level-contiguity is a per-image
-//! property that cannot survive incremental multi-root growth, so serving
+//! The pool trades the lane kernel away: its fused, budgeted lowering is a
+//! per-image property that cannot survive incremental multi-root growth, so serving
 //! from the pool uses the scalar walk ([`SubgraphPool::decide`]) and the
 //! serial column walk ([`SubgraphPool::classify_columns_into`]), optionally
 //! behind a decision cache ([`SubgraphPool::classify_cached_into`]).

@@ -148,19 +148,13 @@ impl CompiledFdd {
             cut_targets,
             jump,
             level_starts,
-            // The lane mirror is *not* rebuilt here: it fills lazily on the
-            // first lane/auto classify (`CompiledFdd::lane_arena`), which
-            // runs after the structure checks below have accepted the
-            // image — `LaneArena::build` trusts those checks. A fleet
-            // restore that only walks the scalar path never pays the
-            // mirror build. Stats size the mirror by projection, so they
-            // match an eagerly-mirrored image exactly.
+            // The lane kernel is *not* built here: it fills lazily on the
+            // first batch (`CompiledFdd::lanes`), which runs after the
+            // structure checks below have accepted the image —
+            // `LaneKernel::build` trusts those checks. A fleet restore that
+            // only walks the scalar path never pays the kernel build.
             lanes: std::sync::OnceLock::new(),
             stats: crate::CompileStats::default(),
-            // Like calibration, profiling and specialization are
-            // serving-box state: a decoded image starts cold.
-            profiler: Default::default(),
-            spec: std::sync::RwLock::new(None),
         };
         compiled.validate_structure()?;
         compiled.stats = compiled.compute_stats();
@@ -187,16 +181,16 @@ mod tests {
     }
 
     #[test]
-    fn decode_defers_the_lane_mirror_until_first_lane_use() {
+    fn decode_defers_the_lane_kernel_until_first_batch() {
         let fw = fw_synth::Synthesizer::new(9).firewall(25);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
         let back = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
-        assert!(back.lanes.get().is_none(), "mirror built eagerly on decode");
-        assert_eq!(back.stats(), compiled.stats(), "projected stats differ");
+        assert!(!back.lanes_built(), "kernel built eagerly on decode");
+        assert_eq!(back.stats(), compiled.stats());
         let trace = fw_synth::PacketTrace::random(fw.schema().clone(), 64, 2);
         let batch = crate::PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
         let lanes = back.classify_lanes(&batch).unwrap();
-        assert!(back.lanes.get().is_some(), "lane use must force the mirror");
+        assert!(back.lanes_built(), "a batch must build the kernel");
         assert_eq!(lanes, compiled.classify_lanes(&batch).unwrap());
     }
 

@@ -9,16 +9,17 @@
 //!             [--scatter F] [--zipf-s S] [--seed S]
 //!             [--engine lanes|auto] [--threads T] [--cache CAP]
 //!             [--save-trace FILE] [--save-compiled FILE]
-//!             [--edits FILE] [--check] [--profile] <policy.fw>
+//!             [--edits FILE] [--check] <policy.fw>
 //!
 //! ENGINE (default lanes):
-//!     --engine lanes    level-synchronous lane kernel over a transposed
-//!                       (field-major) batch
+//!     --engine lanes    the lane kernel over a transposed (field-major)
+//!                       batch: chain-fused steps through quantized
+//!                       ladders, padded search past the ladder budget
 //!     --engine auto     race the calibrator's arms (FDD walk, lane kernel
 //!                       at each thread count) over a sample of the trace,
 //!                       then replay through the winner; prints each trial
 //!                       and the chosen engine
-//!     --threads T       worker threads for the parallel lane pipeline and
+//!     --threads T       worker threads for the sharded lane kernel and
 //!                       the calibrator's thread ladder (default 1; 0 means
 //!                       every available core)
 //!     --cache CAP       front the replay with a CAP-entry decision cache:
@@ -47,20 +48,13 @@
 //!     --seed S        RNG seed for synthesized traces (default 1)
 //!
 //! OUTPUT:
-//!     compiler stats (nodes, arena bytes, max depth), per-decision packet
-//!     counts, and throughput for the compiled matcher vs the O(n·d)
+//!     compiler stats (nodes, arena bytes, max depth), the lane kernel's
+//!     shape (passes, ladder and padded-search nodes, bytes), per-decision
+//!     packet counts, and throughput for the compiled matcher vs the O(n·d)
 //!     linear first-match scan
 //!
 //!     --check         also replay via the plain FDD walk and verify all
 //!                     three engines agree on every packet of the trace
-//!     --profile       replay the trace once more through the instrumented
-//!                     walk, print the hot-node / hot-cut heat report
-//!                     (visit counts per node, hit histograms per cut
-//!                     span), then build the profile-guided specialized
-//!                     image and print its plan — fused chains, quantized
-//!                     jump tables, hybrid hot-cut prefixes, depth
-//!                     before/after — verifying the specialized image
-//!                     agrees with the linear scan on every trace packet
 //!     --save-trace    write the replayed trace for later runs
 //!     --save-compiled write the compiled matcher's wire image
 //!
@@ -94,7 +88,7 @@ fn usage() -> ExitCode {
          [--trace FILE | --random N | --biased N | --zipf N] [--scatter F] \
          [--zipf-s S] [--seed S] [--engine lanes|auto] \
          [--threads T] [--cache CAP] [--save-trace FILE] \
-         [--save-compiled FILE] [--edits FILE] [--check] [--profile] <policy.fw>"
+         [--save-compiled FILE] [--edits FILE] [--check] <policy.fw>"
     );
     ExitCode::from(2)
 }
@@ -120,7 +114,6 @@ fn main() -> ExitCode {
     let mut save_compiled: Option<String> = None;
     let mut edits_file: Option<String> = None;
     let mut check = false;
-    let mut profile_heat = false;
     let mut files: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -226,7 +219,6 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--check" => check = true,
-            "--profile" => profile_heat = true,
             "--help" | "-h" => {
                 println!("fwclass: compiled packet classification over a policy file");
                 return usage();
@@ -288,6 +280,11 @@ fn main() -> ExitCode {
         s.arena_bytes,
         s.max_depth,
         s.levels
+    );
+    let lanes = compiled.lane_stats();
+    println!(
+        "lane kernel: {} passes, {} fused, {} ladder and {} padded-search nodes, {} bytes",
+        lanes.passes, lanes.fused_nodes, lanes.ladder_nodes, lanes.search_nodes, lanes.bytes
     );
 
     let trace = match &source {
@@ -440,17 +437,7 @@ fn main() -> ExitCode {
                 &mut diverse_firewall::exec::EngineScratch::default(),
                 &mut decisions,
             ),
-            None if threads == 1 => compiled.classify_lanes_into(
-                &batch,
-                &mut diverse_firewall::exec::LaneScratch::new(),
-                &mut decisions,
-            ),
-            None => compiled.classify_lanes_par_into(
-                &batch,
-                threads,
-                &mut diverse_firewall::exec::ParScratch::default(),
-                &mut decisions,
-            ),
+            None => compiled.classify_lanes_par_into(&batch, threads, &mut decisions),
         }
     };
     if let Err(e) = classified {
@@ -540,44 +527,6 @@ fn main() -> ExitCode {
              on all {n} packets",
             mpps(n, walk_time.as_secs_f64())
         );
-    }
-
-    if profile_heat {
-        let mut profile = diverse_firewall::exec::Profile::new_for(&compiled);
-        let mut profiled = Vec::new();
-        if let Err(e) = compiled.classify_profiled_into(&batch, &mut profile, &mut profiled) {
-            eprintln!("fwclass: --profile replay failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        if profiled != linear {
-            eprintln!("fwclass: BUG: instrumented walk disagrees with linear scan");
-            return ExitCode::FAILURE;
-        }
-        print!("{}", compiled.profile_report(&profile, 10));
-        match compiled.specialize(&profile) {
-            Ok(plan) => {
-                println!("{plan}");
-                let spec = compiled.spec().expect("specialize installs the twin");
-                for (p, d) in trace.packets().iter().zip(&linear) {
-                    if spec.classify(p) != *d {
-                        eprintln!(
-                            "fwclass: BUG: specialized image disagrees with linear scan at {p}"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-                println!(
-                    "specialized image verified against the linear scan on all {n} packets; \
-                     depth <= {} (base {})",
-                    spec.max_depth(),
-                    s.max_depth
-                );
-            }
-            Err(e) => {
-                eprintln!("fwclass: specialization failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
 
     if let Some(path) = &edits_file {

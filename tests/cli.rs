@@ -303,6 +303,25 @@ fn fwfleet_applies_an_edit_file_to_one_tenant() {
     assert!(stdout.contains("swapped: true"), "got: {stdout}");
 }
 
+/// The sampling profiler and the specialized twin it fed are gone: the
+/// lane kernel is the image's one batch form, so `--profile` is an
+/// unknown flag.
+#[test]
+fn fwclass_profile_is_an_unknown_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fwclass"))
+        .args(["--random", "100", "--profile"])
+        .arg(repo_path("policies/dmz_v2.fw"))
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "an unknown flag is a usage error"
+    );
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown flag --profile"), "got: {stderr}");
+}
+
 fn fwclass_with_trace(extra: &[&str], trace: &std::path::Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_fwclass"))
         .args(extra)

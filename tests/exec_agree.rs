@@ -8,16 +8,14 @@
 //! traces, wire-format round trips (including the v2 level metadata), and
 //! an exhaustive all-packets sweep of a tiny schema.
 //!
-//! The multi-core additions ride the same oracle: the parallel lane
-//! pipeline must be byte-identical to the serial kernel at every thread
-//! count (including counts that do not divide the batch), and the auto
-//! route must serve the same decisions under every [`EngineChoice`] a
-//! calibrator could install.
+//! The multi-core additions ride the same oracle: the sharded lane kernel
+//! must be byte-identical to the serial kernel at every thread count
+//! (including counts that do not divide the batch), and the auto route
+//! must serve the same decisions under every [`EngineChoice`] a calibrator
+//! could install.
 
 use diverse_firewall::core::Fdd;
-use diverse_firewall::exec::{
-    CompiledFdd, EngineChoice, EngineKind, EngineScratch, PacketBatch, ParScratch,
-};
+use diverse_firewall::exec::{CompiledFdd, EngineChoice, EngineKind, EngineScratch, PacketBatch};
 use diverse_firewall::model::{Decision, FieldDef, Firewall, Packet, Schema};
 use diverse_firewall::synth::{PacketTrace, Synthesizer};
 use proptest::prelude::*;
@@ -82,34 +80,29 @@ fn assert_four_way(fw: &Firewall, trace: &PacketTrace, tag: &str) {
     }
     assert_ragged_lanes(&compiled, &reloaded, trace.packets(), &lanes, tag);
 
-    // Parallel ≡ serial: the sharded pipeline must reproduce the serial
+    // Parallel ≡ serial: the sharded kernel must reproduce the serial
     // kernel bit for bit at every thread count — 401-packet traces are
     // never a multiple of the lane width or the thread count, so ragged
-    // final spans and idle workers are both exercised.
-    let mut par_scratch = ParScratch::default();
+    // final spans are exercised.
     let mut par_out = Vec::new();
     for threads in [1usize, 2, 3, 4, 8] {
         compiled
-            .classify_lanes_par_into(&batch, threads, &mut par_scratch, &mut par_out)
+            .classify_lanes_par_into(&batch, threads, &mut par_out)
             .unwrap();
         assert_eq!(
             par_out, lanes,
             "{tag}: parallel lanes diverge at {threads} thread(s)"
         );
     }
-    // The auto route with no stored calibration serves the default choice
-    // — same decisions, including through a decoded image whose lane
-    // mirror is built lazily on this very call.
-    assert_eq!(
-        compiled.classify_auto(&batch).unwrap(),
-        lanes,
-        "{tag}: auto"
-    );
-    assert_eq!(
-        reloaded.classify_auto(&batch).unwrap(),
-        lanes,
-        "{tag}: decoded auto"
-    );
+    // The uncalibrated default choice serves the same decisions, including
+    // through a decoded image whose lane kernel is built on this very call.
+    let mut scratch = EngineScratch::default();
+    for (image, what) in [(&compiled, "auto"), (&reloaded, "decoded auto")] {
+        EngineChoice::default()
+            .classify_into(image, None, None, &batch, &mut scratch, &mut par_out)
+            .unwrap();
+        assert_eq!(par_out, lanes, "{tag}: {what}");
+    }
 }
 
 proptest! {
@@ -184,7 +177,7 @@ fn engines_match_exhaustive_oracle_on_tiny_schema() {
         // packets checked cell-by-cell each time.
         let mut scratch = EngineScratch::default();
         let mut out = Vec::new();
-        for kind in [EngineKind::Walk, EngineKind::Lanes, EngineKind::Spec] {
+        for kind in [EngineKind::Walk, EngineKind::Lanes] {
             for threads in [1usize, 2, 4, 8] {
                 let choice = EngineChoice {
                     kind,
@@ -203,14 +196,22 @@ fn engines_match_exhaustive_oracle_on_tiny_schema() {
                 }
             }
         }
-        // And the calibrated entry point end to end: race the engines on
-        // the full domain, then serve through whatever won.
-        let mut tuned = compiled.clone();
-        let cal = tuned.calibrate(Some(&fdd), Some(&all), &batch, 2).unwrap();
-        assert_eq!(tuned.stats().calibrated, Some(cal.choice));
+        // And the calibrated route end to end: race the engines on the
+        // full domain, then serve through whatever won.
+        let cal = diverse_firewall::exec::calibrate(&compiled, Some(&fdd), Some(&all), &batch, 2)
+            .unwrap();
+        cal.choice
+            .classify_into(
+                &compiled,
+                Some(&fdd),
+                Some(&all),
+                &batch,
+                &mut scratch,
+                &mut out,
+            )
+            .unwrap();
         assert_eq!(
-            tuned.classify_auto(&batch).unwrap(),
-            linears,
+            out, linears,
             "policy {k}: calibrated auto ({}) diverges",
             cal.choice
         );
@@ -219,7 +220,7 @@ fn engines_match_exhaustive_oracle_on_tiny_schema() {
 
 /// The v2 wire format round-trips the per-node BFS level metadata exactly:
 /// the decoded matcher is indistinguishable from the original (stats,
-/// levels, lane-kernel mirror and all), and an image whose level byte is
+/// levels and all), and an image whose level byte is
 /// tampered with is rejected by the decoder's fresh-BFS re-validation
 /// rather than trusted.
 #[test]

@@ -1,67 +1,48 @@
-//! Equivalence oracle for profile-guided image specialization: the
-//! specialized twin must be byte-identical to the base image and to a
-//! fresh FDD walk of the authoritative policy — on the trace that fed the
-//! profile, on traffic with a completely different shape (an adversarial
-//! profile can misplace heat, never decisions), through every engine kind
-//! and thread count the calibrator can install while the twin is mounted
-//! (on ragged batch lengths),
-//! across live edit rounds with re-specialization between batches, after
-//! a wire roundtrip (which must shed the twin — FWEX stays unspecialized),
+//! Equivalence oracle for the lane kernel, the image's one batch form:
+//! its fused, laddered lowering must decide every packet exactly as the
+//! column walk of the canonical image, a fresh FDD walk and first match
+//! do — on random policies and traffic shapes, through every engine kind
+//! and thread count the calibrator can install (on ragged batch lengths),
+//! on the Fig. 13 n = 500 policy whose nodes outgrow the ladder tables'
+//! budget (so the padded-search spill path runs), across live edit rounds,
+//! after a wire roundtrip (which leaves the kernel to the first batch),
 //! and exhaustively on all 64 packets of a tiny 2-field schema.
 
 use diverse_firewall::core::Fdd;
 use diverse_firewall::exec::{
-    CompiledFdd, EngineChoice, EngineKind, EngineScratch, LiveMatcher, PacketBatch, Profile,
+    CompiledFdd, EngineChoice, EngineKind, EngineScratch, LiveMatcher, PacketBatch,
 };
 use diverse_firewall::model::{Decision, FieldDef, Firewall, Packet, Schema};
 use diverse_firewall::synth::{evolve, EvolutionProfile, PacketTrace, Synthesizer};
 use proptest::prelude::*;
 
-/// Gather a profile over `feed` and install the specialized twin on
-/// `compiled`, returning the profile's decisions (already checked against
-/// the plain column kernel by the caller where needed).
-fn profile_and_specialize(compiled: &CompiledFdd, fw: &Firewall, feed: &[Packet]) -> Profile {
-    let batch = PacketBatch::from_trace(fw.schema().clone(), feed).unwrap();
-    let mut profile = Profile::new_for(compiled);
-    let mut out = Vec::new();
-    compiled
-        .classify_profiled_into(&batch, &mut profile, &mut out)
-        .unwrap();
-    assert_eq!(
-        out,
-        compiled.classify_columns(&batch).unwrap(),
-        "instrumented walk must not change decisions"
-    );
-    compiled.specialize(&profile).unwrap();
-    profile
-}
-
-/// The core oracle: specialized ≡ base ≡ fresh FDD walk on every packet
-/// of `probes`, both per-packet and through every installable engine.
-fn assert_specialized_agrees(compiled: &CompiledFdd, fw: &Firewall, probes: &[Packet], tag: &str) {
-    let spec = compiled.spec().expect("twin installed");
+/// The core oracle: the lane kernel ≡ column walk ≡ fresh FDD walk ≡ first
+/// match on every packet of `probes`, and every installable engine choice
+/// serves the same decisions on ragged prefixes (partial lane chunks).
+fn assert_lanes_agree(compiled: &CompiledFdd, fw: &Firewall, probes: &[Packet], tag: &str) {
     let fdd = Fdd::from_firewall_fast(fw).unwrap();
-    for p in probes {
-        let base = compiled.classify(p);
-        assert_eq!(spec.classify(p), base, "{tag}: specialized diverges at {p}");
-        assert_eq!(fdd.evaluate(p), base, "{tag}: FDD walk diverges at {p}");
+    let batch = PacketBatch::from_trace(fw.schema().clone(), probes).unwrap();
+    let lanes = compiled.classify_lanes(&batch).unwrap();
+    assert_eq!(
+        lanes,
+        compiled.classify_columns(&batch).unwrap(),
+        "{tag}: lane kernel diverges from the column walk"
+    );
+    for (p, &d) in probes.iter().zip(&lanes) {
+        assert_eq!(fdd.evaluate(p), d, "{tag}: FDD walk diverges at {p}");
         assert_eq!(
             fw.decision_for(p),
-            Some(base),
-            "{tag}: first-match diverges at {p}"
+            Some(d),
+            "{tag}: first match diverges at {p}"
         );
     }
 
-    // Every engine kind × thread count serves identically with the twin
-    // mounted — including the spec arm itself, serial and sharded — on the
-    // whole probe set and on ragged prefixes of it (partial lane chunks).
     let mut scratch = EngineScratch::default();
     let mut got = Vec::new();
     let lengths = [1usize, 3, 31, 33, 401, probes.len()];
     for n in lengths.into_iter().filter(|&n| n <= probes.len()) {
         let batch = PacketBatch::from_trace(fw.schema().clone(), &probes[..n]).unwrap();
-        let expect = compiled.classify_columns(&batch).unwrap();
-        for kind in [EngineKind::Walk, EngineKind::Lanes, EngineKind::Spec] {
+        for kind in [EngineKind::Walk, EngineKind::Lanes] {
             for threads in [1usize, 3] {
                 let choice = EngineChoice {
                     kind,
@@ -78,10 +59,7 @@ fn assert_specialized_agrees(compiled: &CompiledFdd, fw: &Firewall, probes: &[Pa
                         &mut got,
                     )
                     .unwrap();
-                assert_eq!(
-                    got, expect,
-                    "{tag}: {choice} diverged on {n} packets with the twin mounted"
-                );
+                assert_eq!(got, lanes[..n], "{tag}: {choice} diverged on {n} packets");
             }
         }
     }
@@ -90,59 +68,45 @@ fn assert_specialized_agrees(compiled: &CompiledFdd, fw: &Firewall, probes: &[Pa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property: on random policies, a specialization fed by skewed
-    /// traffic serves exactly — on the feeding trace AND on uniform
-    /// probes the profile never saw.
+    /// Property: on random policies the lane kernel serves exactly, on
+    /// skewed traffic and on uniform probes alike, in at most half the
+    /// walk's depth (rounded up).
     #[test]
     fn specialized_image_agrees_on_random_policies(seed in 1u64..5_000, rules in 15usize..60) {
         let fw = Synthesizer::new(seed).firewall(rules);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        let feed = PacketTrace::zipf(&fw, 1_500, 1.1, seed, seed + 1);
-        profile_and_specialize(&compiled, &fw, feed.packets());
+        let lanes = compiled.lane_stats();
+        prop_assert!(lanes.passes <= compiled.stats().max_depth.div_ceil(2), "{:?}", lanes);
 
-        let plan = compiled.spec().unwrap().plan().clone();
-        prop_assert!(plan.depth_after <= plan.depth_before, "fusion never deepens the walk");
-
-        let unseen = PacketTrace::random(fw.schema().clone(), 800, seed + 2);
-        let mut probes: Vec<Packet> = feed.packets().to_vec();
-        probes.extend_from_slice(unseen.packets());
-        assert_specialized_agrees(&compiled, &fw, &probes, "random-policy");
+        let mut probes = PacketTrace::zipf(&fw, 1_500, 1.1, seed, seed + 1).packets().to_vec();
+        probes.extend_from_slice(PacketTrace::random(fw.schema().clone(), 800, seed + 2).packets());
+        assert_lanes_agree(&compiled, &fw, &probes, "random-policy");
     }
 
-    /// Property: live edit rounds with a re-specialization between every
-    /// batch keep serving exact. Edits land on the (unspecialized) fresh
-    /// image; the next re-specialization rebuilds the twin from heat
-    /// gathered on post-edit traffic.
+    /// Property: live edit rounds keep the auto route exact. Every edit
+    /// publishes a fresh image whose kernel compile built, and the next
+    /// batch serves the new semantics through it.
     #[test]
     fn edit_rounds_with_respecialization_stay_exact(seed in 1u64..2_000) {
         let fw = Synthesizer::new(seed).firewall(35);
         let live = LiveMatcher::new(fw.clone()).unwrap();
-        live.enable_specialization(1, 0); // sample every batch, manual respec
         let mut scratch = EngineScratch::default();
         let mut out = Vec::new();
         for round in 0..3u64 {
             let policy = live.policy();
             let trace = PacketTrace::zipf(&policy, 600, 1.1, seed + round, seed + round + 7);
             let batch = PacketBatch::from_trace(policy.schema().clone(), trace.packets()).unwrap();
-            // Sampled (profiled) serving stays exact...
+            live.calibrate(&batch, Some(trace.packets()), 2).unwrap();
             live.classify_auto_into(&batch, &mut scratch, &mut out).unwrap();
             for (p, d) in trace.packets().iter().zip(&out) {
-                prop_assert_eq!(Some(*d), policy.decision_for(p), "round {} pre-respec", round);
+                prop_assert_eq!(Some(*d), policy.decision_for(p), "round {} pre-edit", round);
             }
-            // ...the re-lowered twin stays exact...
-            live.respecialize_now().unwrap().expect("profile was gathered");
-            live.classify_auto_into(&batch, &mut scratch, &mut out).unwrap();
-            for (p, d) in trace.packets().iter().zip(&out) {
-                prop_assert_eq!(Some(*d), policy.decision_for(p), "round {} post-respec", round);
-            }
-            // ...and an edit batch swaps to a cold image that serves the
-            // NEW semantics immediately (a spec choice degrades, never
-            // serves stale structure).
             let edits: Vec<_> = evolve(&policy, 2, &EvolutionProfile::default(), seed + round)
                 .into_iter()
                 .map(|s| s.edit)
                 .collect();
             live.apply_edits(&edits).unwrap();
+            prop_assert!(live.load().lanes_built(), "compile builds the kernel");
             let after = live.policy();
             live.classify_auto_into(&batch, &mut scratch, &mut out).unwrap();
             for (p, d) in trace.packets().iter().zip(&out) {
@@ -152,56 +116,59 @@ proptest! {
     }
 }
 
-/// An adversarial profile — heat gathered on one traffic shape, serving a
-/// completely different one — may cost performance, never correctness:
-/// hybrid prefixes fall through to the full cut search and the layout is
-/// just a permutation.
+/// The Fig. 13 n = 500 policy of the `exec` bench: its nodes outgrow the
+/// ladder tables' budget, so part of every walk resolves through the
+/// padded search. Random, rule-biased and Zipf probes all agree.
 #[test]
-fn profile_gathered_on_a_served_on_b_is_exact() {
-    let fw = Synthesizer::new(97).firewall(50);
+fn spill_path_agrees_on_fig13_n500() {
+    let fw = Synthesizer::new(302).firewall(500);
     let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-    // Feed: heavily skewed toward a few flows.
-    let feed = PacketTrace::zipf(&fw, 4_000, 1.3, 11, 12);
-    profile_and_specialize(&compiled, &fw, feed.packets());
-    // Serve: uniform random plus rule-region-biased — shapes the profile
-    // never saw.
-    let mut probes = PacketTrace::random(fw.schema().clone(), 2_000, 13)
-        .packets()
-        .to_vec();
-    probes.extend_from_slice(PacketTrace::biased(&fw, 2_000, 0.3, 14).packets());
-    assert_specialized_agrees(&compiled, &fw, &probes, "adversarial-profile");
+    let lanes = compiled.lane_stats();
+    assert!(
+        lanes.ladder_nodes > 0 && lanes.search_nodes > 0,
+        "both node kinds present: {lanes:?}"
+    );
+    let probes = [
+        (
+            "random",
+            PacketTrace::random(fw.schema().clone(), 2_000, 41),
+        ),
+        ("biased", PacketTrace::biased(&fw, 2_000, 0.3, 42)),
+        ("zipf", PacketTrace::zipf(&fw, 2_000, 1.0, 43, 44)),
+    ];
+    for (kind, trace) in &probes {
+        assert_lanes_agree(&compiled, &fw, trace.packets(), kind);
+    }
 }
 
-/// FWEX stays unspecialized: encoding ignores the twin, and a decoded
-/// image starts cold (profiler disarmed, no twin) while serving
-/// identically.
+/// FWEX carries no batch form: a decoded image leaves the kernel unbuilt,
+/// and its first batch builds it and serves identically.
 #[test]
 fn wire_roundtrip_sheds_the_twin() {
     let fw = Synthesizer::new(41).firewall(30);
     let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-    let feed = PacketTrace::zipf(&fw, 1_000, 1.1, 5, 6);
-    profile_and_specialize(&compiled, &fw, feed.packets());
-    assert!(compiled.spec().is_some());
-
+    assert!(compiled.lanes_built());
     let decoded = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
-    assert!(decoded.spec().is_none(), "a decoded image starts cold");
-    assert!(!decoded.profiler_armed());
-    for p in feed.packets().iter().take(200) {
-        assert_eq!(decoded.classify(p), compiled.classify(p));
-    }
+    assert!(
+        !decoded.lanes_built(),
+        "a decoded image starts without a kernel"
+    );
+    assert_eq!(decoded, compiled, "equality ignores the kernel");
 
-    // And clearing the twin restores plain base serving.
-    compiled.clear_spec();
-    assert!(compiled.spec().is_none());
-    for p in feed.packets().iter().take(50) {
-        assert_eq!(Some(compiled.classify(p)), fw.decision_for(p));
+    let feed = PacketTrace::zipf(&fw, 1_000, 1.1, 5, 6);
+    let batch = PacketBatch::from_trace(fw.schema().clone(), feed.packets()).unwrap();
+    let served = decoded.classify_lanes(&batch).unwrap();
+    assert!(decoded.lanes_built(), "the first batch builds the kernel");
+    assert_eq!(decoded.lane_stats(), compiled.lane_stats());
+    assert_eq!(served, compiled.classify_lanes(&batch).unwrap());
+    for (p, d) in feed.packets().iter().zip(&served) {
+        assert_eq!(fw.decision_for(p), Some(*d));
     }
 }
 
-/// Exhaustive sweep: every packet of a 2-field, 8×8-value schema, with a
-/// profile fed by a skewed sub-trace. 64 packets, several hand-written
-/// policies — the specialized walk must match first-match semantics on
-/// the whole domain, not just sampled traffic.
+/// Exhaustive sweep: every packet of a 2-field, 8×8-value schema, for
+/// several hand-written policies — the lane kernel must match first-match
+/// semantics on the whole domain, not just sampled traffic.
 #[test]
 fn exhaustive_two_field_sweep() {
     let schema = Schema::new(vec![
@@ -221,24 +188,6 @@ fn exhaustive_two_field_sweep() {
         let text = format!("a={a_lo}-{a_hi}, b=1-6 -> {d1}\n* -> {d2}\n");
         let fw = Firewall::parse(schema.clone(), &text).unwrap();
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-
-        // Skew the profile onto a corner of the domain so the layout and
-        // hybrid prefixes genuinely move, then check the whole domain.
-        let feed: Vec<Packet> = all
-            .iter()
-            .flat_map(|p| {
-                let hot = usize::from(p.values()[0] == k % 8) * 9 + 1;
-                std::iter::repeat_n(p.clone(), hot)
-            })
-            .collect();
-        profile_and_specialize(&compiled, &fw, &feed);
-        let spec = compiled.spec().unwrap();
-        for p in &all {
-            assert_eq!(
-                Some(spec.classify(p)),
-                fw.decision_for(p),
-                "policy {k}: specialized diverges at {p}"
-            );
-        }
+        assert_lanes_agree(&compiled, &fw, &all, &format!("policy {k}"));
     }
 }
