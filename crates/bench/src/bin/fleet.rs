@@ -2,8 +2,9 @@
 //! Fig. 12 policies in one shared `fw-fleet` registry, measures resident
 //! bytes per tenant against the independent-serving baseline (one
 //! `LiveMatcher` worth of state per tenant), and times aggregate
-//! round-robin classification through the shared compiled pool. Writes
-//! `BENCH_fleet.json`.
+//! round-robin classification through the shared compiled pool: one
+//! packet per call (`serve_mpps`), and 64-packet bursts through the
+//! pool's lane loop (`serve_batch_mpps`). Writes `BENCH_fleet.json`.
 //!
 //! The headline number is `memory_ratio`: independent bytes/tenant over
 //! registry bytes/tenant. Independent serving pays, per tenant, what one
@@ -25,12 +26,13 @@
 //! shapes, dedup counts and sharing ratios are reproducible run to run;
 //! only timings vary with the machine. Before any timing, the run
 //! asserts registry decisions agree with each sampled tenant's
-//! standalone first-match scan on a biased trace.
+//! standalone first-match scan on a biased trace, and that the bursts'
+//! decisions equal the scalar ones and first match.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use fw_exec::CompiledFdd;
+use fw_exec::{CompiledFdd, PacketBatch};
 use fw_fleet::{PolicyRegistry, TenantId};
 use fw_model::{Firewall, Rule};
 use fw_synth::{perturb_fleet, PacketTrace};
@@ -38,6 +40,12 @@ use fw_synth::{perturb_fleet, PacketTrace};
 /// Tenants actually built standalone for the baseline average (and
 /// agreement-checked against the registry).
 const BASELINE_SAMPLE: usize = 8;
+
+/// Packets per burst of the batch serving row.
+const BURST: usize = 64;
+
+/// Bursts checked against the scalar path and first match before timing.
+const CHECKED_BURSTS: usize = 64;
 
 struct Row {
     workload: String,
@@ -53,6 +61,7 @@ struct Row {
     independent_bytes_per_tenant: usize,
     memory_ratio: f64,
     serve_mpps: f64,
+    serve_batch_mpps: f64,
     checked_packets: usize,
 }
 
@@ -142,6 +151,48 @@ fn bench_fleet(rows: &mut Vec<Row>, name: &str, base: &Firewall, spec: &Spec) {
     std::hint::black_box(accept);
     let serve_mpps = packets as f64 / elapsed / 1e6;
 
+    // Batch serving: the same trace in bursts, round-robin, each burst one
+    // `classify_batch_into` call. The first bursts are checked against
+    // the scalar path and first match before the timing.
+    let bursts: Vec<PacketBatch> = trace
+        .packets()
+        .chunks(BURST)
+        .map(|c| PacketBatch::from_trace(base.schema().clone(), c).expect("trace packets fit"))
+        .collect();
+    let mut out = Vec::new();
+    for (b, burst) in bursts.iter().enumerate().take(CHECKED_BURSTS) {
+        let tenant = ids[b % ids.len()];
+        registry
+            .classify_batch_into(tenant, burst, &mut out)
+            .expect("registered tenants serve");
+        let policy = &fleet[tenant.0 as usize];
+        for (p, &d) in trace.packets()[b * BURST..].iter().zip(&out) {
+            assert_eq!(
+                d,
+                registry
+                    .classify(tenant, p)
+                    .expect("registered tenants serve"),
+                "{name}: burst and scalar decisions differ for {tenant} at {p}"
+            );
+            assert_eq!(
+                Some(d),
+                policy.decision_for(p),
+                "{name}: burst diverges from first-match for {tenant} at {p}"
+            );
+            checked += 1;
+        }
+    }
+    let t = Instant::now();
+    for (b, burst) in bursts.iter().enumerate() {
+        registry
+            .classify_batch_into(ids[b % ids.len()], burst, &mut out)
+            .expect("registered tenants serve");
+        accept += usize::from(out[0].code() == 0);
+    }
+    let elapsed = t.elapsed().as_secs_f64();
+    std::hint::black_box(accept);
+    let serve_batch_mpps = packets as f64 / elapsed / 1e6;
+
     let registry_bytes_per_tenant = stats.bytes_per_tenant();
     let memory_ratio =
         independent_bytes_per_tenant as f64 / registry_bytes_per_tenant.max(1) as f64;
@@ -149,7 +200,7 @@ fn bench_fleet(rows: &mut Vec<Row>, name: &str, base: &Firewall, spec: &Spec) {
         "{name}: {tenants} tenants ({} distinct) built in {build_ms:.0} ms | \
          registry ~{} B/tenant vs independent ~{} B/tenant (x{memory_ratio:.1} smaller) | \
          arena {} live nodes, pool {} nodes, {} interned rules | \
-         {serve_mpps:.2} Mpps round-robin",
+         {serve_mpps:.2} Mpps round-robin, {serve_batch_mpps:.2} Mpps in bursts of {BURST}",
         stats.distinct_policies,
         registry_bytes_per_tenant,
         independent_bytes_per_tenant,
@@ -177,6 +228,7 @@ fn bench_fleet(rows: &mut Vec<Row>, name: &str, base: &Firewall, spec: &Spec) {
         independent_bytes_per_tenant,
         memory_ratio,
         serve_mpps,
+        serve_batch_mpps,
         checked_packets: checked,
     });
 }
@@ -274,7 +326,7 @@ fn main() {
              \"arena_nodes_live\": {}, \"pool_nodes\": {}, \"build_ms\": {:.1}, \
              \"registry_bytes\": {}, \"registry_bytes_per_tenant\": {}, \
              \"independent_bytes_per_tenant\": {}, \"memory_ratio\": {:.2}, \
-             \"serve_mpps\": {:.2}, \"checked_packets\": {}}}{sep}",
+             \"serve_mpps\": {:.2}, \"serve_batch_mpps\": {:.2}, \"checked_packets\": {}}}{sep}",
             r.workload,
             r.tenants,
             r.percent,
@@ -288,6 +340,7 @@ fn main() {
             r.independent_bytes_per_tenant,
             r.memory_ratio,
             r.serve_mpps,
+            r.serve_batch_mpps,
             r.checked_packets
         );
     }

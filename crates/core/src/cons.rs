@@ -116,7 +116,10 @@ pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 pub struct ConsId(u32);
 
 impl ConsId {
-    fn index(self) -> usize {
+    /// The node's position in its arena: dense from zero, below
+    /// [`ConsArena::len`], so per-node tables outside the arena can be
+    /// plain vectors indexed by id.
+    pub fn index(self) -> usize {
         self.0 as usize
     }
 }

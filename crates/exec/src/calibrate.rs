@@ -83,7 +83,7 @@ pub struct EngineChoice {
     /// cache is the caller's move — [`EngineChoice::classify_into`]
     /// ignores this flag and [`crate::LiveMatcher`] honours it. The fleet
     /// registry takes no engine choice: its shards serve through the
-    /// pool's column walk, behind a cache when one is enabled.
+    /// pool's lane loop, behind a cache when one is enabled.
     pub cached: bool,
 }
 

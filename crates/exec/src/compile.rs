@@ -466,10 +466,13 @@ impl CompiledFdd {
     ///
     /// # Panics
     ///
-    /// Panics (by index) if the packet has the wrong arity or a value
-    /// outside its field's domain; use [`CompiledFdd::try_classify`] for
-    /// untrusted input.
+    /// Panics if the packet has the wrong arity or a value outside its
+    /// field's domain (the message names the field); use
+    /// [`CompiledFdd::try_classify`] for untrusted input.
     pub fn classify(&self, packet: &Packet) -> Decision {
+        if let Err(e) = packet.validate(&self.schema) {
+            panic!("CompiledFdd::classify: {e}");
+        }
         self.decide(packet.values())
     }
 
@@ -486,9 +489,10 @@ impl CompiledFdd {
 
     /// Classifies a batch of packets, returning decisions in order.
     ///
-    /// # Panics
-    ///
-    /// As for [`CompiledFdd::classify`].
+    /// The packets are not validated: a value outside its field's domain
+    /// gets an unspecified decision or a panic. Validate untrusted input
+    /// first ([`PacketBatch`](crate::PacketBatch) or
+    /// [`CompiledFdd::try_classify`]).
     pub fn classify_batch(&self, packets: &[Packet]) -> Vec<Decision> {
         let mut out = Vec::new();
         self.classify_batch_into(packets, &mut out);
@@ -497,11 +501,8 @@ impl CompiledFdd {
 
     /// Classifies a batch into a caller-provided buffer (cleared first), so
     /// steady-state replay does no per-batch allocation beyond the buffer's
-    /// high-water mark.
-    ///
-    /// # Panics
-    ///
-    /// As for [`CompiledFdd::classify`].
+    /// high-water mark. Packets are not validated, as for
+    /// [`CompiledFdd::classify_batch`].
     pub fn classify_batch_into(&self, packets: &[Packet], out: &mut Vec<Decision>) {
         out.clear();
         out.reserve(packets.len());
@@ -758,6 +759,15 @@ mod tests {
             base.recompile(&other_fdd, &impact),
             Err(ExecError::Invariant(_))
         ));
+    }
+
+    /// `classify` checks its packet: a value past its field's domain would
+    /// otherwise read a neighbouring node's slot.
+    #[test]
+    #[should_panic(expected = "field `proto`")]
+    fn classify_panics_on_out_of_domain_values() {
+        let compiled = CompiledFdd::from_firewall(&fw_synth::university_large()).unwrap();
+        compiled.classify(&Packet::new(vec![1, 2, 3, 4, 256]));
     }
 
     #[test]

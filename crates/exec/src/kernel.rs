@@ -63,8 +63,9 @@ use crate::{CompiledFdd, ExecError, PacketBatch};
 pub const DEFAULT_LANE_WIDTH: usize = 32;
 
 /// High bit of a kernel target: set means the low bits are a decision wire
-/// code, clear means a node id.
-const DECISION_BIT: u32 = 1 << 31;
+/// code, clear means a node id. The subgraph pool tags its targets the same
+/// way.
+pub(crate) const DECISION_BIT: u32 = 1 << 31;
 
 /// Bucket-index bits are capped here (4097 table entries).
 const QJUMP_MAX_BITS: u32 = 12;
@@ -73,7 +74,7 @@ const QJUMP_MAX_BITS: u32 = 12;
 const QJUMP_BUDGET_ENTRIES: usize = 1 << 16;
 /// Fixed search-window width of a quantized bucket: every bucket's bracket
 /// spans at most this many cuts, so a two-compare ladder resolves it.
-const QLADDER: usize = 4;
+pub(crate) const QLADDER: usize = 4;
 /// Widest padded search (in trip count) the kernel is monomorphised for;
 /// `1 << PAD_MAX_BITS` cuts.
 const PAD_MAX_BITS: u32 = 8;
@@ -175,13 +176,28 @@ fn edges<'a>(
 /// that end before the domain max therefore have to fall apart, which
 /// takes every bit down to their highest differing one; one pass over
 /// those windows finds the smallest `q` that does it for all of them.
-fn ladder_shift(cuts: &[u64], bits: u32) -> Option<u32> {
+pub(crate) fn ladder_shift(cuts: &[u64], bits: u32) -> Option<u32> {
     let mut q = u32::max(1, usize::BITS - (cuts.len() / QLADDER).leading_zeros());
     for w in cuts[..cuts.len() - 1].windows(QLADDER) {
         let split = u64::BITS - (w[0] ^ w[QLADDER - 1]).leading_zeros();
         q = q.max(bits + 1 - split);
     }
     (q <= QJUMP_MAX_BITS.min(bits)).then(|| bits - q)
+}
+
+/// The bucket table of a ladder at `shift`, as runs: `(i, run)` says that
+/// cut `i` starts the next `run` buckets. Bucket `j`'s bracket starts at
+/// the first cut >= `j << shift`, so cut `i` starts every bucket after
+/// cut `i - 1`'s, up to and including its own; the runs cover the
+/// `2^(bits - shift)` buckets of a field whose domain max is the last cut.
+pub(crate) fn bucket_runs(cuts: &[u64], shift: u32) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut next = 0u64;
+    cuts.iter().enumerate().map(move |(i, &c)| {
+        let through = (c >> shift) + 1;
+        let run = usize::try_from(through - next).expect("at most 4096 buckets");
+        next = through;
+        (i, run)
+    })
 }
 
 impl LaneKernel {
@@ -261,16 +277,9 @@ impl LaneKernel {
                 shift: u8::try_from(shift).expect("field bits fit u8"),
                 flags: LD_QJUMP | fused(b),
             };
-            // Bucket `j`'s bracket starts at the first cut >= `j << shift`,
-            // so cut `i` starts every bucket after cut `i - 1`'s, up to and
-            // including its own. The closing bound is the last cut, the
-            // domain max.
-            let mut next = 0u64;
-            for (i, &c) in cuts.iter().enumerate() {
-                let through = (c >> shift) + 1;
-                let run = usize::try_from(through - next).expect("at most 4096 buckets");
+            // The closing bound is the last cut, the domain max.
+            for (i, run) in bucket_runs(cuts, shift) {
                 k.qstarts.extend(std::iter::repeat_n(off + id(i), run));
-                next = through;
             }
             k.qstarts.push(off + id(cuts.len() - 1));
             // The ladder reads a fixed QLADDER-wide window at each bracket
@@ -467,12 +476,27 @@ impl LaneKernel {
     }
 }
 
-/// Resolves a thread-count request: `0` means every available core.
+/// Resolves a thread-count request against this machine's cores. A
+/// serial request resolves without asking the system for them.
 pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 1 {
+        return 1;
+    }
+    threads_on(
+        threads,
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    )
+}
+
+/// A thread-count request on `cores` cores: `0` means every core, and a
+/// larger request is clamped to them. The sharded kernel hands each worker
+/// one equal span, so a worker beyond the cores only makes the batch wait
+/// for whichever span was descheduled.
+fn threads_on(threads: usize, cores: usize) -> usize {
     if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        cores
     } else {
-        threads
+        threads.min(cores)
     }
 }
 
@@ -546,7 +570,8 @@ impl CompiledFdd {
     }
 
     /// [`CompiledFdd::classify_lanes_into`] sharded across `threads` scoped
-    /// workers (`0` = every available core, `1` = serial): the batch splits
+    /// workers (`0` = every available core, `1` = serial; a request past
+    /// the available cores is clamped to them): the batch splits
     /// into one contiguous span per worker, equal but for the last, and
     /// each span's decisions land in its own slice of `out`, so the result
     /// is the serial kernel's for every thread count.
@@ -651,6 +676,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn thread_requests_clamp_to_the_cores() {
+        assert_eq!(threads_on(0, 2), 2, "0 means every core");
+        assert_eq!(threads_on(1, 2), 1);
+        assert_eq!(threads_on(2, 2), 2);
+        assert_eq!(threads_on(8, 2), 2, "never more workers than cores");
+        assert_eq!(threads_on(3, 16), 3);
+        assert_eq!(threads_on(4, 1), 1);
     }
 
     #[test]

@@ -47,7 +47,9 @@
 //! * [`SubgraphPool`] — cross-image shared compilation for fleet serving:
 //!   one pool of compiled nodes keyed by canonical `fw_core::ConsId`, so
 //!   subtrees shared between tenants of a multi-policy registry are
-//!   lowered once and an image is just a root index (see `shared.rs`);
+//!   lowered once, in the lane kernel's node shape, and an image is just
+//!   a root index; batches run the kernel's 32-lane schedule over it (see
+//!   `shared.rs`);
 //! * [`calibrate`] / [`EngineChoice`] — the adaptive route: a short
 //!   round-robin race of the walk, the lane kernel at each thread count
 //!   and (with [`calibrate_with_cache`]) the cached arm, whose winner the

@@ -10,40 +10,120 @@
 //! the dedup sound: equal id ⟺ equal function, so reusing a compiled node
 //! across images can never change a classification.
 //!
-//! A [`SubgraphPool`] therefore *is* the cross-image dedup of cut arrays
-//! and jump tables: a node's spans are emitted through the same
-//! [`crate::compile`] lowering helpers as a standalone image (one
-//! partition check, one jump/search layout decision), but into pool-wide
-//! arenas where `ConsId`-identical subtrees collapse to the same indices.
-//! The pool trades the lane kernel away: its fused, budgeted lowering is a
-//! per-image property that cannot survive incremental multi-root growth, so serving
-//! from the pool uses the scalar walk ([`SubgraphPool::decide`]) and the
-//! serial column walk ([`SubgraphPool::classify_columns_into`]), optionally
-//! behind a decision cache ([`SubgraphPool::classify_cached_into`]).
+//! [`SubgraphPool::ensure`] lowers each new node once, straight into the
+//! lane kernel's node shape (`kernel.rs`):
+//!
+//! * **Tagged targets.** An exit is a node id, or a decision with
+//!   [`DECISION_BIT`] set, so a walk never visits a terminal. A policy of
+//!   one decision is a tagged root.
+//! * **Cuts only, each beside its target.** A node keeps one cut per
+//!   canonical edge interval, a run of equal targets, so a narrow field
+//!   gets no jump table. On a field of at most 32 bits an entry packs the cut
+//!   above its target in one `u64`: comparing the entry with the value
+//!   shifted up compares the cut, and the target shares the cache line of
+//!   the last cut read. A wider field's node holds its cuts, then its
+//!   targets.
+//! * **Ladders under a size rule.** A node of a field of at most 32 bits
+//!   whose cuts admit a [`QLADDER`]-cut ladder (the kernel's
+//!   `ladder_shift`) gets one when its bucket table holds at most
+//!   [`TABLE_ENTRIES_PER_CUT`] entries per cut; a node of up to
+//!   [`QLADDER`] cuts needs one bucket and always does. A bucket entry is
+//!   the offset of its bracket in the node's own entries, filled by the
+//!   kernel's `bucket_runs`, so it fits in a byte; the table sits right
+//!   before the node's entries, eight buckets to a word, and every
+//!   one-bucket ladder shares the pool's first word. A per-node rule
+//!   stands in for the kernel's per-image budget: it holds as the pool
+//!   grows root by root, and it keeps tables for the nodes whose cuts
+//!   spread over their field.
+//! * **Clamped search elsewhere.** The remaining nodes (fields over 32
+//!   bits, cuts clustered too tightly, tables over the rule) run the
+//!   halving search over a virtual power of two, each probe clamped to the
+//!   node's last cut, so no pad is stored.
+//!
+//! [`SubgraphPool::classify_columns_into`] then runs the kernel's
+//! schedule: [`DEFAULT_LANE_WIDTH`] packets advance one node per pass
+//! until every lane holds a decision, so the lanes overlap their loads
+//! instead of serializing them down one packet's walk. The scalar
+//! [`SubgraphPool::classify`] walks the same arrays, and the cached path
+//! ([`SubgraphPool::classify_cached_into`]) serves its misses through the
+//! batch path. Chain fusion stays with the image kernel: a pool node is
+//! shared by images of different depths, so it has no one parity.
 
 use fw_core::{ConsArena, ConsId, ConsView, FxMap};
-use fw_model::{Decision, Packet, Schema};
+use fw_model::{Decision, FieldId, Packet, Schema};
 
 use crate::batch::PacketBatch;
-use crate::compile::{
-    decision_from_u16, emit_internal, lower_bound, verify_partition, NodeDesc, KIND_JUMP,
-    KIND_TERMINAL,
-};
-use crate::ExecError;
+use crate::compile::{decision_from_u16, verify_partition};
+use crate::kernel::{bucket_runs, ladder_shift, DECISION_BIT, QLADDER};
+use crate::{ExecError, DEFAULT_LANE_WIDTH};
+
+/// The most bucket-table entries a ladder may take per cut of its node.
+const TABLE_ENTRIES_PER_CUT: usize = 16;
+
+/// The most cuts a ladder may have past one bucket: its bracket starts,
+/// offsets below its second-to-last cut, then fit in a byte.
+const LADDER_MAX_CUTS: usize = u8::MAX as usize + 2;
+
+/// The widest field whose entries pack a cut above its target.
+const PACKED_MAX_BITS: u32 = 32;
+
+/// Node flag: resolve through the ladder, else the clamped search.
+const LADDER: u8 = 1;
+/// Node flag: the field is too wide to pack, so the node's entries hold
+/// its cuts, then its targets.
+const SPLIT: u8 = 1 << 1;
+
+/// A `ConsId` the pool has not compiled.
+const ABSENT: u32 = u32::MAX;
+
+/// Trip-count parameter of the lane loop that reads each search node's
+/// trip count from the node instead.
+const NODE_TRIPS: u32 = u32::MAX;
+
+/// One compiled internal node: twelve bytes.
+#[derive(Debug, Clone, Copy)]
+struct PoolNode {
+    /// The node's first entry in `entries`.
+    off: u32,
+    /// [`LADDER`]: the first word of its bucket table in `entries`.
+    /// Otherwise: its cut count.
+    aux: u32,
+    field: u16,
+    /// [`LADDER`]: right shift from a value to its bucket. Otherwise: the
+    /// search's trip count, `ceil(log2(cuts))`.
+    shift: u8,
+    flags: u8,
+}
+
+/// The decision a tagged target carries.
+#[inline]
+fn decision_of(tagged: u32) -> Decision {
+    decision_from_u16((tagged & !DECISION_BIT) as u16)
+}
 
 /// A pool of compiled FDD nodes shared across any number of roots (see
-/// module docs). Roots are plain node indices returned by
-/// [`ensure`](SubgraphPool::ensure); a "compiled image" for one policy is
-/// nothing but such an index.
+/// module docs). A root is the tagged target [`ensure`](SubgraphPool::ensure)
+/// returns: a node index, or the decision of a policy that needs no test.
+/// A "compiled image" for one policy is nothing but such a root.
 #[derive(Debug, Clone)]
 pub struct SubgraphPool {
     schema: Schema,
-    nodes: Vec<NodeDesc>,
-    cuts: Vec<u64>,
-    cut_targets: Vec<u32>,
-    jump: Vec<u32>,
-    /// The dedup map: canonical subfunction → its one compiled node.
-    map: FxMap<ConsId, u32>,
+    /// Internal nodes, each after every node it reaches.
+    nodes: Vec<PoolNode>,
+    /// Each node's cuts, sorted and ending at the field's domain max, with
+    /// their tagged targets: packed as `cut << 32 | target`, or (a
+    /// [`SPLIT`] node) the cuts followed by the targets. A multi-bucket
+    /// ladder's table precedes its entries; word 0 is the table of every
+    /// one-bucket ladder.
+    entries: Vec<u64>,
+    /// The dedup map, dense by [`ConsId::index`]: canonical subfunction →
+    /// its tagged target, [`ABSENT`] where none is compiled.
+    ids: Vec<u32>,
+    /// Terminals compiled: a terminal takes no node, since targets carry
+    /// their decisions, but it counts as one compiled node.
+    terminals: usize,
+    /// The widest search node's trip count (0 while there is none).
+    search_bits: u32,
 }
 
 impl SubgraphPool {
@@ -52,10 +132,10 @@ impl SubgraphPool {
         SubgraphPool {
             schema,
             nodes: Vec::new(),
-            cuts: Vec::new(),
-            cut_targets: Vec::new(),
-            jump: Vec::new(),
-            map: FxMap::default(),
+            entries: vec![0],
+            ids: Vec::new(),
+            terminals: 0,
+            search_bits: 0,
         }
     }
 
@@ -64,23 +144,24 @@ impl SubgraphPool {
         &self.schema
     }
 
-    /// Total compiled nodes across every image in the pool.
+    /// Total compiled nodes across every image in the pool, terminals
+    /// included.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() + self.terminals
     }
 
     /// Compiles the subgraph of `arena` rooted at `root` into the pool and
-    /// returns its node index. Every sub-`ConsId` already compiled — by
+    /// returns its root. Every sub-`ConsId` already compiled — by
     /// this call, an earlier root, or another tenant entirely — is reused
     /// by index; only genuinely new subfunctions emit nodes. Calling twice
-    /// with the same root is free and returns the same index.
+    /// with the same root is free and returns the same root.
     ///
     /// # Errors
     ///
     /// [`ExecError::Invariant`] if `arena` is on a different schema, the
     /// diagram reaches the unmatched sentinel (serve only comprehensive
-    /// policies), a node's edges fail the domain-partition check, or an
-    /// arena exceeds `u32` indexing.
+    /// policies), a node's edges fail the domain-partition check, or the
+    /// pool outgrows `u32` offsets or 2^31 nodes.
     pub fn ensure(&mut self, arena: &ConsArena, root: ConsId) -> Result<u32, ExecError> {
         if arena.schema() != &self.schema {
             return Err(ExecError::Invariant(
@@ -93,17 +174,16 @@ impl SubgraphPool {
     // Depth is bounded by the schema's field count, so plain recursion is
     // safe here (as in the arena's own walks).
     fn ensure_rec(&mut self, arena: &ConsArena, id: ConsId) -> Result<u32, ExecError> {
-        if let Some(&n) = self.map.get(&id) {
-            return Ok(n);
+        if let Some(&t) = self.ids.get(id.index()) {
+            if t != ABSENT {
+                return Ok(t);
+            }
         }
-        let desc = match arena.view(id) {
-            ConsView::Terminal(Some(d)) => NodeDesc {
-                kind: KIND_TERMINAL,
-                level: 0,
-                field: u16::from(d.code()),
-                off: 0,
-                len: 0,
-            },
+        let t = match arena.view(id) {
+            ConsView::Terminal(Some(d)) => {
+                self.terminals += 1;
+                DECISION_BIT | u32::from(d.code())
+            }
             ConsView::Terminal(None) => {
                 return Err(ExecError::Invariant(
                     "subgraph pool cannot compile a non-comprehensive diagram \
@@ -120,21 +200,89 @@ impl SubgraphPool {
                     }
                 }
                 verify_partition(&self.schema, format!("{id:?}"), field, &mut spans)?;
-                emit_internal(
-                    &self.schema,
-                    field,
-                    0,
-                    &spans,
-                    &mut self.cuts,
-                    &mut self.cut_targets,
-                    &mut self.jump,
-                )?
+                self.lower(field, &spans)?
             }
         };
+        if self.ids.len() <= id.index() {
+            self.ids.resize(id.index() + 1, ABSENT);
+        }
+        self.ids[id.index()] = t;
+        Ok(t)
+    }
+
+    /// Appends one internal node from its verified domain-partition spans
+    /// (targets already tagged) and returns its index.
+    fn lower(&mut self, field: FieldId, spans: &[(u64, u64, u32)]) -> Result<u32, ExecError> {
+        let invariant = |m: &str| ExecError::Invariant(format!("subgraph pool exceeds {m}"));
         let n = u32::try_from(self.nodes.len())
-            .map_err(|_| ExecError::Invariant("subgraph pool exceeds u32 indices".into()))?;
-        self.nodes.push(desc);
-        self.map.insert(id, n);
+            .ok()
+            .filter(|&n| n < DECISION_BIT)
+            .ok_or_else(|| invariant("2^31 nodes"))?;
+        let off = u32::try_from(self.entries.len()).map_err(|_| invariant("u32 offsets"))?;
+        let fidx = u16::try_from(field.index()).map_err(|_| invariant("u16 field indices"))?;
+        // The arena's edges are canonical, so each span is already a whole
+        // run of equal targets and its upper bound is a cut.
+        let cuts: Vec<u64> = spans.iter().map(|s| s.1).collect();
+        let len = cuts.len();
+        let bits = self.schema.field(field).bits();
+        let shift = match len {
+            _ if bits > PACKED_MAX_BITS => None,
+            len if len <= QLADDER => Some(bits),
+            len if len > LADDER_MAX_CUTS => None,
+            _ => ladder_shift(&cuts, bits)
+                .filter(|&s| 1usize << (bits - s) <= TABLE_ENTRIES_PER_CUT * len),
+        };
+        let node = match shift {
+            Some(shift) => {
+                let aux = if len <= QLADDER {
+                    0
+                } else {
+                    // The table goes right before the node's entries, eight
+                    // bucket bytes to a word. A bracket that starts at the
+                    // last cut would read past it. One cut earlier resolves
+                    // the same: every value in such a bucket lies above the
+                    // second-to-last cut.
+                    let aux = off;
+                    let mut table = Vec::with_capacity(len * TABLE_ENTRIES_PER_CUT);
+                    for (i, run) in bucket_runs(&cuts, shift) {
+                        let first = u8::try_from(i.min(len - 2)).expect("LADDER_MAX_CUTS");
+                        table.extend(std::iter::repeat_n(first, run));
+                    }
+                    self.entries.extend(table.chunks(8).map(|w| {
+                        let mut word = [0u8; 8];
+                        word[..w.len()].copy_from_slice(w);
+                        u64::from_le_bytes(word)
+                    }));
+                    aux
+                };
+                PoolNode {
+                    off: u32::try_from(self.entries.len()).map_err(|_| invariant("u32 offsets"))?,
+                    aux,
+                    field: fidx,
+                    shift: u8::try_from(shift).expect("field bits fit u8"),
+                    flags: LADDER,
+                }
+            }
+            None => {
+                let trips = usize::BITS - (len - 1).leading_zeros();
+                self.search_bits = self.search_bits.max(trips);
+                PoolNode {
+                    off,
+                    aux: u32::try_from(len).map_err(|_| invariant("u32 cuts per node"))?,
+                    field: fidx,
+                    shift: u8::try_from(trips).expect("trip count fits u8"),
+                    flags: if bits > PACKED_MAX_BITS { SPLIT } else { 0 },
+                }
+            }
+        };
+        if bits > PACKED_MAX_BITS {
+            self.entries.extend_from_slice(&cuts);
+            self.entries.extend(spans.iter().map(|s| u64::from(s.2)));
+        } else {
+            let packed = spans.iter().map(|&(_, hi, t)| (hi << 32) | u64::from(t));
+            self.entries.extend(packed);
+        }
+        self.nodes.push(node);
         Ok(n)
     }
 
@@ -142,55 +290,108 @@ impl SubgraphPool {
     /// [`ConsArena::compact_mapped`]. Entries whose `ConsId` was not
     /// retained are dropped from the *map* only — their compiled nodes
     /// stay in the pool (harmless garbage until the owner decides to
-    /// rebuild), so every previously returned root index keeps working.
+    /// rebuild), so every previously returned root keeps working.
     pub fn remap_keys(&mut self, map: &FxMap<ConsId, ConsId>) {
-        self.map = self
-            .map
-            .drain()
-            .filter_map(|(old, n)| map.get(&old).map(|&new| (new, n)))
-            .collect();
+        let mut ids = Vec::new();
+        for (old, new) in map {
+            let t = self.ids.get(old.index()).copied().unwrap_or(ABSENT);
+            if t == ABSENT {
+                continue;
+            }
+            if ids.len() <= new.index() {
+                ids.resize(new.index() + 1, ABSENT);
+            }
+            ids[new.index()] = t;
+        }
+        self.ids = ids;
+    }
+
+    /// One step from node `n` on its field's value `v`: the tagged target
+    /// the value lands on. A search takes `TRIPS` halvings ([`NODE_TRIPS`]:
+    /// the node's own count), at least the node's own. `v` must lie in the
+    /// field's domain; a value past it reads another node's entries.
+    #[inline(always)]
+    fn resolve<const TRIPS: u32>(&self, n: PoolNode, v: u64) -> u32 {
+        let off = n.off as usize;
+        let e = &self.entries;
+        if n.flags & LADDER != 0 {
+            // The kernel's two-compare ladder on packed entries. The
+            // bracket's second entry is always the node's own; the third
+            // is read only when the answer lies at or past it.
+            let key = v << 32;
+            let lo = off + self.bracket(n, (v >> n.shift) as usize);
+            let mut i = lo + usize::from(e[lo + 1] < key) * 2;
+            i += usize::from(e[i] < key);
+            return e[i] as u32;
+        }
+        // Branchless halving over a virtual power of two whose tail
+        // repeats the last cut, the domain max, which no value exceeds: a
+        // clamped probe reads what a stored pad would hold.
+        let len = n.aux as usize;
+        let split = n.flags & SPLIT != 0;
+        let key = if split { v } else { v << 32 };
+        let trips = if TRIPS == NODE_TRIPS {
+            u32::from(n.shift)
+        } else {
+            TRIPS
+        };
+        let c = &e[off..off + len];
+        let mut pos = 0usize;
+        for i in 0..trips {
+            let half = 1usize << (trips - 1 - i);
+            pos += usize::from(c[(pos + half - 1).min(len - 1)] < key) * half;
+        }
+        e[off + pos + if split { len } else { 0 }] as u32
+    }
+
+    /// Where bucket `b`'s bracket starts in ladder `n`'s entries.
+    #[inline(always)]
+    fn bracket(&self, n: PoolNode, b: usize) -> usize {
+        let word = self.entries[n.aux as usize + b / 8];
+        usize::from(word.to_le_bytes()[b % 8])
     }
 
     /// The matcher's inner loop from `root` over a value slice in schema
-    /// order — identical discipline to `CompiledFdd::decide`, against the
-    /// pool-wide arenas.
+    /// order.
     #[inline]
     fn decide(&self, root: u32, values: &[u64]) -> Decision {
-        let mut idx = root as usize;
-        loop {
-            let n = self.nodes[idx];
-            match n.kind {
-                KIND_TERMINAL => return decision_from_u16(n.field),
-                KIND_JUMP => {
-                    let v = values[n.field as usize];
-                    idx = self.jump[n.off as usize + v as usize] as usize;
-                }
-                _ => {
-                    let v = values[n.field as usize];
-                    let off = n.off as usize;
-                    let len = n.len as usize;
-                    let i = lower_bound(&self.cuts[off..off + len], v);
-                    idx = self.cut_targets[off + i] as usize;
-                }
-            }
+        let mut t = root;
+        while t & DECISION_BIT == 0 {
+            let n = self.nodes[t as usize];
+            t = self.resolve::<NODE_TRIPS>(n, values[n.field as usize]);
         }
+        decision_of(t)
     }
 
-    /// Classifies one packet against the image rooted at `root` (an index
+    /// Classifies one packet against the image rooted at `root` (a root
     /// from [`ensure`](SubgraphPool::ensure)).
     ///
     /// # Panics
     ///
-    /// Panics (by index) if `root` is not an index this pool returned, or
-    /// the packet has the wrong arity or out-of-domain values; fleet
-    /// callers validate at the registry boundary.
+    /// Panics if the packet has the wrong arity or a value outside its
+    /// field's domain (the message names the field), or (by index) if
+    /// `root` is not one this pool returned; use
+    /// [`try_classify`](Self::try_classify) for untrusted input.
     pub fn classify(&self, root: u32, packet: &Packet) -> Decision {
-        self.decide(root, packet.values())
+        self.try_classify(root, packet)
+            .unwrap_or_else(|e| panic!("SubgraphPool::classify: {e}"))
+    }
+
+    /// Classifies one packet after validating it against the schema.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Model`] for wrong arity or out-of-domain values.
+    pub fn try_classify(&self, root: u32, packet: &Packet) -> Result<Decision, ExecError> {
+        packet.validate(&self.schema)?;
+        Ok(self.decide(root, packet.values()))
     }
 
     /// Classifies every packet of a field-major batch against the image
     /// rooted at `root`, appending decisions in packet order to `out`
-    /// (cleared first).
+    /// (cleared first). [`DEFAULT_LANE_WIDTH`] packets are in flight at a
+    /// time, each chunk's cursors on the stack, so a serving loop that
+    /// reuses `out` allocates nothing per batch.
     ///
     /// # Errors
     ///
@@ -209,28 +410,60 @@ impl SubgraphPool {
             }));
         }
         out.clear();
-        out.resize(batch.len(), Decision::Accept);
-        for (i, slot) in out.iter_mut().enumerate() {
-            let mut idx = root as usize;
-            *slot = loop {
-                let n = self.nodes[idx];
-                match n.kind {
-                    KIND_TERMINAL => break decision_from_u16(n.field),
-                    KIND_JUMP => {
-                        let v = batch.column(n.field as usize)[i];
-                        idx = self.jump[n.off as usize + v as usize] as usize;
-                    }
-                    _ => {
-                        let v = batch.column(n.field as usize)[i];
-                        let off = n.off as usize;
-                        let len = n.len as usize;
-                        let k = lower_bound(&self.cuts[off..off + len], v);
-                        idx = self.cut_targets[off + k] as usize;
-                    }
-                }
-            };
+        if root & DECISION_BIT != 0 {
+            out.resize(batch.len(), decision_of(root));
+            return Ok(());
+        }
+        out.resize(batch.len(), Decision::Discard);
+        // Monomorphise on the trip count so the halving unrolls, up to
+        // 2^8 cuts.
+        let columns = batch.columns_raw();
+        match self.search_bits {
+            0..=1 => self.lanes::<1>(root, columns, out),
+            2 => self.lanes::<2>(root, columns, out),
+            3 => self.lanes::<3>(root, columns, out),
+            4 => self.lanes::<4>(root, columns, out),
+            5 => self.lanes::<5>(root, columns, out),
+            6 => self.lanes::<6>(root, columns, out),
+            7 => self.lanes::<7>(root, columns, out),
+            8 => self.lanes::<8>(root, columns, out),
+            _ => self.lanes::<NODE_TRIPS>(root, columns, out),
         }
         Ok(())
+    }
+
+    /// The kernel's schedule from internal node `root`: every lane of a
+    /// chunk holds a tagged cursor and advances one node per pass until
+    /// all of them hold decisions.
+    fn lanes<const TRIPS: u32>(&self, root: u32, columns: &[Vec<u64>], out: &mut [Decision]) {
+        let step = |t: u32, j: usize| {
+            let n = self.nodes[t as usize];
+            self.resolve::<TRIPS>(n, columns[n.field as usize][j])
+        };
+        let mut state = [0u32; DEFAULT_LANE_WIDTH];
+        for (c, chunk) in out.chunks_mut(DEFAULT_LANE_WIDTH).enumerate() {
+            let base = c * DEFAULT_LANE_WIDTH;
+            let lanes = &mut state[..chunk.len()];
+            // Every lane starts at the root; `live` keeps the tag bit of
+            // any lane still on a node.
+            let mut live = 0u32;
+            for (l, cursor) in lanes.iter_mut().enumerate() {
+                *cursor = step(root, base + l);
+                live |= !*cursor;
+            }
+            while live & DECISION_BIT != 0 {
+                live = 0;
+                for (l, cursor) in lanes.iter_mut().enumerate() {
+                    if *cursor & DECISION_BIT == 0 {
+                        *cursor = step(*cursor, base + l);
+                        live |= !*cursor;
+                    }
+                }
+            }
+            for (cursor, slot) in lanes.iter().zip(chunk) {
+                *slot = decision_of(*cursor);
+            }
+        }
     }
 
     /// [`classify_columns_into`](Self::classify_columns_into) behind a
@@ -277,50 +510,95 @@ impl SubgraphPool {
         )
     }
 
-    /// Compiled nodes reachable from `root` — what this image would cost
-    /// *standalone*; the difference against the nodes it actually added is
-    /// the structural-sharing win.
+    /// Compiled nodes reachable from `root`, terminals included — what this
+    /// image would cost *standalone*; the difference against the nodes it
+    /// actually added is the structural-sharing win.
     pub fn reachable(&self, root: u32) -> usize {
         let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![root as usize];
-        seen[root as usize] = true;
+        let mut decisions = [false; 1 << 8];
         let mut count = 0usize;
-        while let Some(idx) = stack.pop() {
-            count += 1;
-            let n = self.nodes[idx];
-            match n.kind {
-                KIND_TERMINAL => {}
-                KIND_JUMP => {
-                    for &t in &self.jump[n.off as usize..(n.off + n.len) as usize] {
-                        if !seen[t as usize] {
-                            seen[t as usize] = true;
-                            stack.push(t as usize);
-                        }
-                    }
+        let mut visit = |t: u32, stack: &mut Vec<u32>| {
+            let first = if t & DECISION_BIT != 0 {
+                !std::mem::replace(&mut decisions[(t & 0xff) as usize], true)
+            } else {
+                let first = !seen[t as usize];
+                if first {
+                    seen[t as usize] = true;
+                    stack.push(t);
                 }
-                _ => {
-                    for &t in &self.cut_targets[n.off as usize..(n.off + n.len) as usize] {
-                        if !seen[t as usize] {
-                            seen[t as usize] = true;
-                            stack.push(t as usize);
-                        }
-                    }
-                }
+                first
+            };
+            count += usize::from(first);
+        };
+        let mut stack = Vec::new();
+        visit(root, &mut stack);
+        while let Some(t) = stack.pop() {
+            for e in self.exits(self.nodes[t as usize]) {
+                visit(e, &mut stack);
             }
         }
         count
     }
 
-    /// Approximate heap bytes of the pool: descriptors, cut/jump arenas,
-    /// and the dedup map (per-entry overhead approximated) — the shared
-    /// serving-side cost the fleet registry reports.
+    /// A node's tagged exits, one per cut. A ladder keeps no cut count: its
+    /// entries end at the field's domain max.
+    fn exits(&self, n: PoolNode) -> impl Iterator<Item = u32> + '_ {
+        let off = n.off as usize;
+        let (start, len) = if n.flags & LADDER != 0 {
+            let max = self.schema.field(FieldId(n.field as usize)).max();
+            let last = self.entries[off..]
+                .iter()
+                .position(|&e| e >> 32 == max)
+                .expect("every node's cuts end at the domain max");
+            (off, last + 1)
+        } else if n.flags & SPLIT != 0 {
+            (off + n.aux as usize, n.aux as usize)
+        } else {
+            (off, n.aux as usize)
+        };
+        self.entries[start..start + len].iter().map(|&e| e as u32)
+    }
+
+    /// The pool's node shape, in the terms of the image kernel's
+    /// [`crate::LaneStats`]: `passes` is the longest walk from any node,
+    /// `fused_nodes` is 0 (the pool does not fuse), `search_bits` is the
+    /// widest search's trip count, and `bytes` is
+    /// [`approx_bytes`](Self::approx_bytes).
+    pub fn lane_stats(&self) -> crate::LaneStats {
+        let mut stats = crate::LaneStats {
+            search_bits: self.search_bits,
+            bytes: self.approx_bytes(),
+            ..crate::LaneStats::default()
+        };
+        // Nodes follow every node they reach, so one forward pass sees
+        // each node's exits settled.
+        let mut depth = vec![0u32; self.nodes.len()];
+        for (i, &n) in self.nodes.iter().enumerate() {
+            if n.flags & LADDER != 0 {
+                stats.ladder_nodes += 1;
+            } else {
+                stats.search_nodes += 1;
+            }
+            let below = self
+                .exits(n)
+                .filter(|&t| t & DECISION_BIT == 0)
+                .map(|t| depth[t as usize])
+                .max()
+                .unwrap_or(0);
+            depth[i] = 1 + below;
+            stats.passes = stats.passes.max(depth[i] as usize);
+        }
+        stats
+    }
+
+    /// Approximate heap bytes of the pool: nodes, entries (bucket tables
+    /// included) and the dedup map — the shared serving-side cost the
+    /// fleet registry reports.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.nodes.len() * size_of::<NodeDesc>()
-            + self.cuts.len() * size_of::<u64>()
-            + self.cut_targets.len() * size_of::<u32>()
-            + self.jump.len() * size_of::<u32>()
-            + self.map.capacity() * (size_of::<ConsId>() + size_of::<u32>() + size_of::<u64>())
+        self.nodes.len() * size_of::<PoolNode>()
+            + self.entries.len() * size_of::<u64>()
+            + self.ids.len() * size_of::<u32>()
     }
 }
 
@@ -400,10 +678,10 @@ mod tests {
         assert!(other.ensure(&arena, cons_root).is_err());
     }
 
-    /// The column walk clears stale output, serves an empty batch, and
+    /// The batch path clears stale output, serves an empty batch, and
     /// rejects a batch over another schema.
     #[test]
-    fn column_walk_clears_the_output_and_rejects_other_schemas() {
+    fn batch_path_clears_the_output_and_rejects_other_schemas() {
         let fw = fw_synth::Synthesizer::new(31).firewall(40);
         let mut arena = ConsArena::new(fw.schema().clone());
         let cons_root = intern(&mut arena, &fw);
@@ -481,5 +759,72 @@ mod tests {
         for p in fw.witnesses() {
             assert_eq!(Some(pool.classify(root, &p)), fw.decision_for(&p));
         }
+    }
+
+    /// A fleet pool of the 661-rule policy, lowered node by node.
+    fn large_fleet_pool() -> SubgraphPool {
+        let base = fw_synth::university_large();
+        let mut arena = ConsArena::new(base.schema().clone());
+        let mut pool = SubgraphPool::new(base.schema().clone());
+        for fw in fw_synth::perturb_fleet(&base, 3, 5, 8) {
+            let root = intern(&mut arena, &fw);
+            pool.ensure(&arena, root).unwrap();
+        }
+        pool
+    }
+
+    /// Every node holds the lowering's invariants: cuts strictly ascending
+    /// to the domain max, a ladder's table within the size rule and its
+    /// brackets inside the node, a search's trip count its own.
+    #[test]
+    fn nodes_keep_the_lowering_invariants() {
+        let pool = large_fleet_pool();
+        let mut multi_bucket = 0;
+        for n in &pool.nodes {
+            let fd = pool.schema.field(FieldId(n.field as usize));
+            let len = pool.exits(*n).count();
+            let off = n.off as usize;
+            let cuts: Vec<u64> = pool.entries[off..off + len]
+                .iter()
+                .map(|e| e >> 32)
+                .collect();
+            assert!(cuts.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(cuts[len - 1], fd.max());
+            assert_eq!(n.flags & SPLIT, 0, "tcp/ip fields pack");
+            if n.flags & LADDER == 0 {
+                assert_eq!(n.aux as usize, len);
+                assert!(1usize << n.shift >= len && 1usize << n.shift < 2 * len);
+                assert!(u32::from(n.shift) <= pool.search_bits);
+                continue;
+            }
+            if len <= QLADDER {
+                assert_eq!((n.aux, u32::from(n.shift)), (0, fd.bits()));
+                continue;
+            }
+            multi_bucket += 1;
+            let entries = 1usize << (fd.bits() - u32::from(n.shift));
+            assert!(entries <= TABLE_ENTRIES_PER_CUT * len && len <= LADDER_MAX_CUTS);
+            assert!((n.aux as usize + entries.div_ceil(8)) <= n.off as usize);
+            let table: Vec<usize> = (0..entries).map(|b| pool.bracket(*n, b)).collect();
+            assert!(table.windows(2).all(|w| w[0] <= w[1]));
+            assert!(table.iter().all(|&b| b + 2 <= len));
+        }
+        assert!(multi_bucket > 0, "the fleet needs tables past one bucket");
+    }
+
+    /// `approx_bytes` counts each array of the lowering, every one of
+    /// which a fleet pool fills.
+    #[test]
+    fn approx_bytes_counts_every_array() {
+        let pool = large_fleet_pool();
+        let arrays = [
+            pool.nodes.len() * 12,
+            pool.entries.len() * 8,
+            pool.ids.len() * 4,
+        ];
+        assert!(arrays.iter().all(|&b| b > 0), "{arrays:?}");
+        assert_eq!(std::mem::size_of::<PoolNode>(), 12);
+        assert_eq!(pool.approx_bytes(), arrays.iter().sum::<usize>());
+        assert_eq!(pool.lane_stats().bytes, pool.approx_bytes());
     }
 }

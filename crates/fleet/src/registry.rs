@@ -5,20 +5,25 @@
 //! [`Schema`]. A shard owns one [`ConsArena`] (every tenant diagram in
 //! canonical hash-consed form — equal subfunction ⟺ equal node), one
 //! interned rule store (a rule shared by 10k near-copy policies is stored
-//! once), and one [`SubgraphPool`] (compiled cut arrays and jump tables
-//! deduplicated across tenants by canonical node id). Distinct tenants
+//! once), and one [`SubgraphPool`] (compiled nodes in the lane kernel's
+//! shape, deduplicated across tenants by canonical node id). Distinct tenants
 //! with byte-identical policies collapse to a single refcounted policy
 //! entry by content hash, with a full rule-list equality check guarding
 //! against hash collisions.
 //!
 //! `add_tenant`/`apply_edits` build the tenant's diagram by fast
 //! construction and intern it into the shared arena, keeping only the
-//! canonical root. The arena is compacted opportunistically behind the
-//! writer lock once garbage dominates, with every retained root remapped
-//! and the pool's key map rewritten in place.
+//! canonical root. Interning adds only nodes the new root reaches, so
+//! garbage arises only where a policy is released: `remove_tenant` and
+//! `apply_edits` compact the arena behind the writer lock once garbage
+//! dominates, with every retained root remapped and the pool's key map
+//! rewritten in place; `add_tenant` never walks the arena.
 //!
-//! A batch is served by the shard pool's serial column walk, behind the
-//! shard's decision cache when one is enabled.
+//! A batch is served by the shard pool's lane loop
+//! ([`SubgraphPool::classify_columns_into`]: 32 packets a pass through
+//! ladders and clamped searches), behind the shard's decision cache when
+//! one is enabled. One packet takes the pool's scalar walk over the same
+//! arrays, which validates it.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -26,7 +31,8 @@ use std::sync::{Mutex, RwLock};
 
 use fw_core::{ChangeImpact, ConsArena, ConsId, Edit, Fdd, FxHasher, FxMap};
 use fw_exec::{
-    CacheScratch, CacheStats, DecisionCache, InvalidationReport, PacketBatch, SubgraphPool,
+    CacheScratch, CacheStats, DecisionCache, ExecError, InvalidationReport, PacketBatch,
+    SubgraphPool,
 };
 use fw_model::{Decision, Firewall, Packet, Rule, Schema};
 use serde::{Deserialize, Serialize};
@@ -341,27 +347,6 @@ impl Shard {
         }
     }
 
-    fn validate_packet(&self, packet: &Packet) -> Result<(), FleetError> {
-        if packet.len() != self.schema.len() {
-            return Err(FleetError::InvalidPacket(format!(
-                "expected {} fields, got {}",
-                self.schema.len(),
-                packet.len()
-            )));
-        }
-        for (field, def) in self.schema.iter() {
-            let v = packet.values()[field.index()];
-            if v > def.max() {
-                return Err(FleetError::InvalidPacket(format!(
-                    "field {} value {v} exceeds domain max {}",
-                    def.name(),
-                    def.max()
-                )));
-            }
-        }
-        Ok(())
-    }
-
     fn approx_bytes(&self) -> usize {
         let entries: usize = self
             .policies
@@ -604,9 +589,11 @@ impl PolicyRegistry {
             let entry = shard.policies.get_mut(&hash).expect("matched above");
             entry.refs += 1;
         } else {
+            // Interning adds only nodes the new root reaches, so an add
+            // leaves no garbage to compact; `remove_tenant` and
+            // `apply_edits` check for it where it arises.
             let root = shard.arena.intern_fdd(&Fdd::from_firewall_fast(&policy)?)?;
             shard.attach_policy(hash, &policy, root)?;
-            shard.maybe_compact_arena();
         }
         inner.tenants.insert(
             tenant,
@@ -647,12 +634,17 @@ impl PolicyRegistry {
         let guard = self.inner.read().unwrap_or_else(|e| e.into_inner());
         let state = guard.state(tenant)?;
         let shard = &guard.shards[state.shard];
-        shard.validate_packet(packet)?;
         let entry = shard
             .policies
             .get(&state.hash)
             .expect("registry invariant: tenant points at a live policy");
-        Ok(shard.pool.classify(entry.root_node, packet))
+        shard
+            .pool
+            .try_classify(entry.root_node, packet)
+            .map_err(|e| match e {
+                ExecError::Model(m) => FleetError::InvalidPacket(m.to_string()),
+                other => FleetError::Exec(other),
+            })
     }
 
     /// Classify a whole batch against `tenant`'s policy.
@@ -1105,6 +1097,45 @@ mod tests {
                 expected.decision_for(&p).unwrap()
             );
         }
+    }
+
+    /// Adds never compact: interning adds only nodes the new root reaches.
+    /// Garbage that removals left below `ARENA_COMPACT_FLOOR` therefore
+    /// survives the adds that carry the arena past it, and the next
+    /// removal compacts it.
+    #[test]
+    fn adds_past_the_compaction_floor_leave_compaction_to_removals() {
+        let registry = PolicyRegistry::new();
+        let mut next = 0u64;
+        let mut add = |registry: &PolicyRegistry| {
+            let fw = fw_synth::Synthesizer::new(500 + next).firewall(60);
+            registry.add_tenant(TenantId(next), fw).unwrap();
+            next += 1;
+            next
+        };
+        while registry.stats().arena_nodes < ARENA_COMPACT_FLOOR - 600 {
+            add(&registry);
+        }
+        let filled = registry.stats();
+        for id in 1..filled.tenants as u64 {
+            registry.remove_tenant(TenantId(id)).unwrap();
+        }
+        assert_eq!(registry.stats().arena_nodes, filled.arena_nodes);
+
+        let mut last = 0;
+        while registry.stats().arena_nodes < ARENA_COMPACT_FLOOR {
+            last = add(&registry) - 1;
+        }
+        let crossed = registry.stats();
+        assert!(
+            crossed.arena_nodes > ARENA_GARBAGE_FACTOR * crossed.arena_live_nodes,
+            "garbage dominates past the floor, uncompacted: {crossed:?}"
+        );
+
+        registry.remove_tenant(TenantId(last)).unwrap();
+        let after = registry.stats();
+        assert_eq!(after.arena_nodes, after.arena_live_nodes, "{after:?}");
+        assert!(after.arena_nodes < ARENA_COMPACT_FLOOR);
     }
 
     #[test]
