@@ -6,6 +6,12 @@
 //! diff-cell counts in `BENCH_smoke.json` are reproducible run to run
 //! (only the timings vary with the machine).
 //!
+//! The `builds` rows time construction alone on policies of 661 and 3,000
+//! rules in which no rule lies inside an earlier one. Fast construction
+//! drops every such contained rule before building its tables, and most
+//! rules of the pairs' policies are contained, so these rows are its
+//! worst case: a pre-pass that drops nothing.
+//!
 //! Run with: `cargo run --release -p fw-bench --bin smoke`
 
 use std::fmt::Write as _;
@@ -20,6 +26,30 @@ struct SmokeRow {
     nodes_b: usize,
     product_nodes: usize,
     cells: u128,
+}
+
+struct BuildRow {
+    name: String,
+    rules: usize,
+    construct_ms: f64,
+    nodes: usize,
+}
+
+fn bench_build(name: &str, fw: &fw_model::Firewall) -> BuildRow {
+    let t = Instant::now();
+    let fdd = fw_core::Fdd::from_firewall_fast(fw).unwrap();
+    let t_con = t.elapsed();
+    println!(
+        "{name}: construct {t_con:?} ({} rules, {} nodes)",
+        fw.len(),
+        fdd.node_count()
+    );
+    BuildRow {
+        name: name.to_owned(),
+        rules: fw.len(),
+        construct_ms: t_con.as_secs_f64() * 1e3,
+        nodes: fdd.node_count(),
+    }
 }
 
 fn bench_pair(name: &str, a: &fw_model::Firewall, b: &fw_model::Firewall) -> SmokeRow {
@@ -81,6 +111,14 @@ fn main() {
         rows.push(bench_pair(&format!("independent n={n}"), &a, &b));
     }
 
+    let builds: Vec<BuildRow> = [661usize, 3000]
+        .into_iter()
+        .map(|n| {
+            let fw = fw_synth::Synthesizer::new(n as u64).uncontained_firewall(n);
+            bench_build(&format!("uncontained n={n}"), &fw)
+        })
+        .collect();
+
     let mut json = String::from("{\n  \"pairs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 < rows.len() { "," } else { "" };
@@ -97,6 +135,15 @@ fn main() {
             r.nodes_b,
             r.product_nodes,
             r.cells
+        );
+    }
+    json.push_str("  ],\n  \"builds\": [\n");
+    for (i, r) in builds.iter().enumerate() {
+        let sep = if i + 1 < builds.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{}\", \"rules\": {}, \"construct_ms\": {:.3}, \"nodes\": {}}}{sep}",
+            r.name, r.rules, r.construct_ms, r.nodes
         );
     }
     let _ = writeln!(

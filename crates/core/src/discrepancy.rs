@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use fw_model::{Decision, IntervalSet, Packet, Predicate, Schema};
+use fw_model::{Decision, Interval, IntervalSet, Packet, Predicate, Schema};
 use serde::{Deserialize, Serialize};
 
 /// One functional discrepancy between two firewall versions: all packets in
@@ -154,7 +154,10 @@ pub fn coalesce_multi(ds: Vec<MultiDiscrepancy>) -> Vec<MultiDiscrepancy> {
 ///
 /// Grouping buckets on a content hash of the key — no set is cloned to
 /// build a bucket — and verifies real equality inside each bucket, so a
-/// hash collision can never merge regions that differ.
+/// hash collision can never merge regions that differ. A bucket is a chain
+/// of item indexes, ascending, linked through one vector; the map, the
+/// links and the group buffers are allocated once per call and reused by
+/// every pass.
 fn coalesce_by<T, Key, K, FM, FR>(mut ds: Vec<T>, key: K, pred_mut: FM, pred_ref: FR) -> Vec<T>
 where
     Key: std::hash::Hash + Eq,
@@ -167,63 +170,98 @@ where
         return ds;
     }
     let arity = pred_ref(&ds[0]).arity();
+    // Hash → (first, last) item of its bucket; buckets in order of first
+    // appearance; each item's successor in its bucket.
+    let mut buckets: crate::cons::FxMap<u64, (usize, usize)> = Default::default();
+    let mut firsts: Vec<usize> = Vec::with_capacity(ds.len());
+    let mut next: Vec<Option<usize>> = Vec::with_capacity(ds.len());
+    let mut bucket: Vec<usize> = Vec::new();
+    let mut group: Vec<usize> = Vec::new();
+    let mut runs: Vec<Interval> = Vec::new();
+    let mut dead: Vec<bool> = Vec::with_capacity(ds.len());
+    let mut merges: Vec<(usize, IntervalSet)> = Vec::new();
     loop {
         let mut merged_any = false;
         for field in 0..arity {
             let id = fw_model::FieldId(field);
-            let mut buckets: crate::cons::FxMap<u64, Vec<usize>> = Default::default();
+            buckets.clear();
+            firsts.clear();
+            next.clear();
+            next.resize(ds.len(), None);
             for (i, d) in ds.iter().enumerate() {
                 let mut h = crate::cons::FxHasher::default();
                 key(d).hash(&mut h);
                 for f in (0..arity).filter(|&f| f != field) {
                     pred_ref(d).set(fw_model::FieldId(f)).hash(&mut h);
                 }
-                buckets.entry(h.finish()).or_default().push(i);
-            }
-            let mut dead = vec![false; ds.len()];
-            let mut merges: Vec<(usize, IntervalSet)> = Vec::new();
-            {
-                let same = |a: usize, b: usize| {
-                    key(&ds[a]) == key(&ds[b])
-                        && (0..arity).filter(|&f| f != field).all(|f| {
-                            let fid = fw_model::FieldId(f);
-                            pred_ref(&ds[a]).set(fid) == pred_ref(&ds[b]).set(fid)
-                        })
-                };
-                for bucket in buckets.into_values() {
-                    if bucket.len() < 2 {
-                        continue;
+                match buckets.entry(h.finish()) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        let (_, last) = e.get_mut();
+                        next[*last] = Some(i);
+                        *last = i;
                     }
-                    let mut groups: Vec<Vec<usize>> = Vec::new();
-                    'place: for &i in &bucket {
-                        for g in groups.iter_mut() {
-                            if same(g[0], i) {
-                                g.push(i);
-                                continue 'place;
-                            }
-                        }
-                        groups.push(vec![i]);
-                    }
-                    for g in groups {
-                        if g.len() < 2 {
-                            continue;
-                        }
-                        merged_any = true;
-                        let union = g
-                            .iter()
-                            .map(|&i| pred_ref(&ds[i]).set(id).clone())
-                            .reduce(|a, b| a.union(&b))
-                            .expect("group is non-empty");
-                        merges.push((g[0], union));
-                        for &i in &g[1..] {
-                            dead[i] = true;
-                        }
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert((i, i));
+                        firsts.push(i);
                     }
                 }
             }
-            for (i, union) in merges {
-                *pred_mut(&mut ds[i]) = pred_ref(&ds[i])
-                    .with_field(id, union)
+            dead.clear();
+            dead.resize(ds.len(), false);
+            merges.clear();
+            let same = |a: usize, b: usize| {
+                key(&ds[a]) == key(&ds[b])
+                    && (0..arity).filter(|&f| f != field).all(|f| {
+                        let fid = fw_model::FieldId(f);
+                        pred_ref(&ds[a]).set(fid) == pred_ref(&ds[b]).set(fid)
+                    })
+            };
+            for &first in &firsts {
+                if next[first].is_none() {
+                    continue;
+                }
+                bucket.clear();
+                let mut at = Some(first);
+                while let Some(i) = at {
+                    bucket.push(i);
+                    at = next[i];
+                }
+                // Split the bucket into groups of equal items, each led by
+                // its lowest index.
+                while let Some(&leader) = bucket.first() {
+                    group.clear();
+                    bucket.retain(|&i| {
+                        let member = i == leader || same(leader, i);
+                        if member {
+                            group.push(i);
+                        }
+                        !member
+                    });
+                    if group.len() < 2 {
+                        continue;
+                    }
+                    merged_any = true;
+                    runs.clear();
+                    for &i in &group {
+                        runs.extend_from_slice(pred_ref(&ds[i]).set(id).as_slice());
+                        dead[i] = i != leader;
+                    }
+                    runs.sort_unstable_by_key(|iv| iv.lo());
+                    // Adjacent regions usually fuse into one run, which
+                    // the set holds inline.
+                    let one = runs[1..]
+                        .iter()
+                        .try_fold(runs[0], |hull, &iv| hull.merge(iv));
+                    let union = match one {
+                        Some(hull) => IntervalSet::from_interval(hull),
+                        None => IntervalSet::from_intervals(runs.iter().copied()),
+                    };
+                    merges.push((leader, union));
+                }
+            }
+            for (i, union) in merges.drain(..) {
+                pred_mut(&mut ds[i])
+                    .set_field(id, union)
                     .expect("union of non-empty sets is non-empty");
             }
             let mut at = 0;

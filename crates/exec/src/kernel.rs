@@ -476,6 +476,16 @@ impl LaneKernel {
     }
 }
 
+/// The number of workers [`CompiledFdd::classify_lanes_par_into`] runs
+/// for a request of `threads` (`0` = every core) over a batch of
+/// `packets`: the request clamped to this machine's cores and to one lane
+/// chunk per worker, and at least one.
+pub fn lane_workers(threads: usize, packets: usize) -> usize {
+    resolve_threads(threads)
+        .min(packets.div_ceil(DEFAULT_LANE_WIDTH))
+        .max(1)
+}
+
 /// Resolves a thread-count request against this machine's cores. A
 /// serial request resolves without asking the system for them.
 pub(crate) fn resolve_threads(threads: usize) -> usize {
@@ -592,8 +602,8 @@ impl CompiledFdd {
         let kernel = self.lanes();
         let columns = batch.columns_raw();
         // Below one chunk per worker the spawn cost outweighs the overlap.
-        let threads = resolve_threads(threads).min(batch.len().div_ceil(DEFAULT_LANE_WIDTH));
-        if threads <= 1 {
+        let threads = lane_workers(threads, batch.len());
+        if threads == 1 {
             kernel.span(columns, 0, out);
             return Ok(());
         }

@@ -102,6 +102,6 @@ pub use calibrate::{
 };
 pub use compile::{CompileStats, CompiledFdd, RecompileStats, JUMP_TABLE_MAX_BITS};
 pub use error::ExecError;
-pub use kernel::{LaneStats, DEFAULT_LANE_WIDTH};
+pub use kernel::{lane_workers, LaneStats, DEFAULT_LANE_WIDTH};
 pub use live::{LiveMatcher, SwapReport};
 pub use shared::SubgraphPool;

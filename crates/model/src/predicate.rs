@@ -87,6 +87,17 @@ impl Predicate {
     /// Returns [`ModelError::UnknownField`] if `id` is out of range and
     /// [`ModelError::EmptyPredicateField`] if `set` is empty.
     pub fn with_field(&self, id: FieldId, set: IntervalSet) -> Result<Self, ModelError> {
+        let mut out = self.clone();
+        out.set_field(id, set)?;
+        Ok(out)
+    }
+
+    /// Constrains field `id` to `set` in place.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Predicate::with_field`]; the predicate is then unchanged.
+    pub fn set_field(&mut self, id: FieldId, set: IntervalSet) -> Result<(), ModelError> {
         if id.index() >= self.sets.len() {
             return Err(ModelError::UnknownField {
                 name: id.to_string(),
@@ -97,9 +108,8 @@ impl Predicate {
                 field: id.to_string(),
             });
         }
-        let mut sets = self.sets.clone();
-        sets[id.index()] = set;
-        Ok(Predicate { sets })
+        self.sets[id.index()] = set;
+        Ok(())
     }
 
     /// The value set of field `id`.

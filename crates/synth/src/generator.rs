@@ -122,6 +122,56 @@ impl Synthesizer {
         Firewall::new(self.schema.clone(), rules).expect("generated rules are valid")
     }
 
+    /// Generates a comprehensive policy with exactly `n` rules (`n ≥ 1`)
+    /// in which no rule lies inside an earlier one: `n − 1` distinct rules
+    /// drawn as [`Synthesizer::firewall`] draws them, ordered by how many
+    /// packets they match (fewest first, ties in draw order), then a
+    /// catch-all. A rule inside another matches at most as many packets,
+    /// and as many only if the two are equal, so none is shadowed by an
+    /// earlier one. Real policies list exceptions before the general rules
+    /// in this way; for `Fdd::from_firewall_fast`, which first drops every
+    /// rule an earlier one contains, it is the case with nothing to drop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use fw_synth::Synthesizer;
+    ///
+    /// let fw = Synthesizer::new(42).uncontained_firewall(100);
+    /// assert_eq!(fw.len(), 100);
+    /// let rules = fw.rules();
+    /// for (i, r) in rules.iter().enumerate() {
+    ///     assert!(rules[..i]
+    ///         .iter()
+    ///         .all(|q| !r.predicate().is_subset_of(q.predicate())));
+    /// }
+    /// ```
+    pub fn uncontained_firewall(&mut self, n: usize) -> Firewall {
+        assert!(n >= 1, "a firewall needs at least one rule");
+        let prefixes = self.prefix_pool();
+        let ports = self.port_pool();
+        let mut seen = std::collections::HashSet::new();
+        let mut rules = Vec::with_capacity(n);
+        while rules.len() < n - 1 {
+            let rule = self.rule(&prefixes, &ports);
+            if seen.insert(rule.predicate().clone()) {
+                rules.push(rule);
+            }
+        }
+        rules.sort_by_key(|r| r.predicate().count());
+        let default_decision = if self.rng.random_bool(0.7) {
+            Decision::Accept
+        } else {
+            Decision::Discard
+        };
+        rules.push(Rule::catch_all(&self.schema, default_decision));
+        Firewall::new(self.schema.clone(), rules).expect("generated rules are valid")
+    }
+
     /// The policy's address pool: site-local prefixes of realistic lengths
     /// (an /8 or /16 "campus", /24 subnets, /32 hosts).
     fn prefix_pool(&mut self) -> Vec<IntervalSet> {

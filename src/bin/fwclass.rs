@@ -383,6 +383,9 @@ fn main() -> ExitCode {
         None
     };
 
+    // What the lane kernel runs for --threads on this machine and batch:
+    // used by the non-calibrated paths and printed with the result.
+    let workers = diverse_firewall::exec::lane_workers(threads, batch.len());
     let mut decisions = Vec::new();
     // With --cache, one untimed fill pass leaves the trace's distinct
     // tuples resident so the timed replay measures warm serving — the
@@ -396,7 +399,7 @@ fn main() -> ExitCode {
             None => (
                 EngineChoice {
                     kind: EngineKind::Lanes,
-                    threads,
+                    threads: workers,
                     cached: true,
                 },
                 None,
@@ -437,7 +440,7 @@ fn main() -> ExitCode {
                 &mut diverse_firewall::exec::EngineScratch::default(),
                 &mut decisions,
             ),
-            None => compiled.classify_lanes_par_into(&batch, threads, &mut decisions),
+            None => compiled.classify_lanes_par_into(&batch, workers, &mut decisions),
         }
     };
     if let Err(e) = classified {
@@ -468,8 +471,8 @@ fn main() -> ExitCode {
         Some((choice, _)) if cache.is_some() => format!("auto -> {}", choice.with_cache()),
         Some((choice, _)) => format!("auto -> {choice}"),
         None => {
-            let base = if threads != 1 {
-                format!("lanes, {threads} thread(s)")
+            let base = if workers != 1 {
+                format!("lanes, {workers} thread(s)")
             } else {
                 "lanes".to_string()
             };

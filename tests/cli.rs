@@ -322,6 +322,29 @@ fn fwclass_profile_is_an_unknown_flag() {
     assert!(stderr.contains("unknown flag --profile"), "got: {stderr}");
 }
 
+/// `fwclass --threads` prints the workers the lane kernel runs: the
+/// request clamped to this machine's cores and to one 32-packet chunk per
+/// worker.
+#[test]
+fn fwclass_prints_the_worker_count_it_runs() {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    // 64 packets make two chunks, so 8 threads run at most 2 anywhere.
+    for (packets, runs) in [(4096, cores.min(8)), (64, cores.min(2))] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fwclass"))
+            .args(["--random", &packets.to_string(), "--threads", "8"])
+            .arg(repo_path("policies/dmz_v2.fw"))
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(0), "got: {stdout}");
+        let label = match runs {
+            1 => "compiled matcher (lanes)".to_string(),
+            n => format!("compiled matcher (lanes, {n} thread(s))"),
+        };
+        assert!(stdout.contains(&label), "{packets} packets: got {stdout}");
+    }
+}
+
 fn fwclass_with_trace(extra: &[&str], trace: &std::path::Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_fwclass"))
         .args(extra)
