@@ -12,6 +12,12 @@
 //! rules of the pairs' policies are contained, so these rows are its
 //! worst case: a pre-pass that drops nothing.
 //!
+//! The `cross` rows time `cross_compare` of 3 and 8 teams of 661 rules
+//! (perturbations of the real-life stand-in): every team built once into
+//! one arena and every pair diffed there. The `reductions` rows time
+//! `Fdd::reduced` of the literal (Fig. 7) trees of the 42-rule policy and
+//! of a 100-rule synthetic one. No other workload reaches either path.
+//!
 //! Run with: `cargo run --release -p fw-bench --bin smoke`
 
 use std::fmt::Write as _;
@@ -33,6 +39,56 @@ struct BuildRow {
     rules: usize,
     construct_ms: f64,
     nodes: usize,
+}
+
+struct CrossRow {
+    teams: usize,
+    ms: f64,
+    regions: usize,
+}
+
+struct ReduceRow {
+    name: String,
+    nodes: usize,
+    reduced_nodes: usize,
+    reduce_ms: f64,
+}
+
+fn bench_cross(base: &fw_model::Firewall, teams: usize) -> CrossRow {
+    let versions: Vec<fw_model::Firewall> = (0..teams as u64)
+        .map(|k| fw_synth::perturb(base, 5 * (k as u32 + 1), k))
+        .collect();
+    let t = Instant::now();
+    let pairs = fw_core::cross_compare(&versions).unwrap();
+    let took = t.elapsed();
+    let regions = pairs.iter().map(|(_, ds)| ds.len()).sum();
+    println!(
+        "cross_compare {teams} teams: {took:?} ({} pairs, {regions} regions)",
+        pairs.len()
+    );
+    CrossRow {
+        teams,
+        ms: took.as_secs_f64() * 1e3,
+        regions,
+    }
+}
+
+fn bench_reduce(name: &str, fw: &fw_model::Firewall) -> ReduceRow {
+    let literal = fw_core::Fdd::from_firewall(fw).unwrap();
+    let t = Instant::now();
+    let reduced = literal.reduced();
+    let took = t.elapsed();
+    println!(
+        "{name}: reduced {} nodes to {} in {took:?}",
+        literal.node_count(),
+        reduced.node_count()
+    );
+    ReduceRow {
+        name: name.to_owned(),
+        nodes: literal.node_count(),
+        reduced_nodes: reduced.node_count(),
+        reduce_ms: took.as_secs_f64() * 1e3,
+    }
 }
 
 fn bench_build(name: &str, fw: &fw_model::Firewall) -> BuildRow {
@@ -119,6 +175,18 @@ fn main() {
         })
         .collect();
 
+    let cross: Vec<CrossRow> = [3usize, 8]
+        .into_iter()
+        .map(|teams| bench_cross(&large, teams))
+        .collect();
+    let reductions = [
+        bench_reduce("literal avg(42)", &avg),
+        bench_reduce(
+            "literal n=100",
+            &fw_synth::Synthesizer::new(100).firewall(100),
+        ),
+    ];
+
     let mut json = String::from("{\n  \"pairs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let sep = if i + 1 < rows.len() { "," } else { "" };
@@ -144,6 +212,26 @@ fn main() {
             json,
             "    {{\"name\": \"{}\", \"rules\": {}, \"construct_ms\": {:.3}, \"nodes\": {}}}{sep}",
             r.name, r.rules, r.construct_ms, r.nodes
+        );
+    }
+    json.push_str("  ],\n  \"cross\": [\n");
+    for (i, r) in cross.iter().enumerate() {
+        let sep = if i + 1 < cross.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"cross_compare {} teams\", \"teams\": {}, \"ms\": {:.3}, \
+             \"regions\": {}}}{sep}",
+            r.teams, r.teams, r.ms, r.regions
+        );
+    }
+    json.push_str("  ],\n  \"reductions\": [\n");
+    for (i, r) in reductions.iter().enumerate() {
+        let sep = if i + 1 < reductions.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{}\", \"nodes\": {}, \"reduced_nodes\": {}, \
+             \"reduce_ms\": {:.3}}}{sep}",
+            r.name, r.nodes, r.reduced_nodes, r.reduce_ms
         );
     }
     let _ = writeln!(

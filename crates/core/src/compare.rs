@@ -10,13 +10,12 @@
 //! [`compare_firewalls`] bundles the full pipeline: construct (§3), simplify
 //! and shape (§4), compare (§5).
 //!
-//! This pipeline prices every comparison at whole-policy cost. When the two
-//! inputs are *versions of one policy* — they share a long common rule-list
-//! tail — [`ChangeImpact::between`](crate::ChangeImpact::between) instead
-//! builds both diagrams by fast construction, interns them into one
-//! hash-consed arena, and diffs the roots with a short-circuit product that
-//! skips every subgraph the two sides share by id (see `cons.rs`). Same
-//! discrepancies, edit-path cost.
+//! [`compare_firewalls_via_shaping`] runs that pipeline literally and
+//! prices every comparison at the size of the shaped trees. The default,
+//! [`compare_firewalls`], builds both diagrams by fast construction,
+//! interns them into one hash-consed arena and pairs the roots there,
+//! skipping every subgraph the two sides share by id (see `cons.rs`). Same
+//! discrepancies; for two versions of one policy, edit-path cost.
 
 use fw_model::{Firewall, Predicate};
 
@@ -87,7 +86,7 @@ fn walk(
 ///
 /// This runs the fast pipeline — memoised construction
 /// ([`Fdd::from_firewall_fast`]) plus the synchronized product
-/// ([`crate::diff_product`]) — which visits exactly the cells the paper's
+/// ([`crate::diff_product`]) — which finds exactly the cells the paper's
 /// shaping + comparison pipeline visits, once each.
 /// [`compare_firewalls_via_shaping`] runs the paper-literal tree pipeline
 /// and produces the same regions.
@@ -137,13 +136,19 @@ pub fn compare_firewalls_via_shaping(
 }
 
 /// Whether two firewalls are semantically equivalent (`f1 ≡ f2`, §3.1):
-/// they map every packet to the same decision.
+/// they map every packet to the same decision, so their diagrams intern to
+/// one root in one arena.
 ///
 /// # Errors
 ///
 /// As for [`compare_firewalls`].
 pub fn equivalent(a: &Firewall, b: &Firewall) -> Result<bool, CoreError> {
-    Ok(crate::product::diff_firewalls(a, b)?.is_equivalent())
+    if a.schema() != b.schema() {
+        return Err(CoreError::SchemaMismatch);
+    }
+    let fa = Fdd::from_firewall_fast(a)?;
+    let fb = Fdd::from_firewall_fast(b)?;
+    Ok(fa.isomorphic(&fb))
 }
 
 #[cfg(test)]

@@ -1,28 +1,39 @@
 //! A hash-consed FDD arena: one canonical node table where structural
-//! equality *is* id equality.
+//! equality *is* id equality, and the one place diagrams are canonicalised
+//! and paired.
 //!
-//! [`Fdd`] keeps each diagram in its own vector, and canonical form is
-//! something a pass ([`Fdd::reduced`]) establishes after the fact. The
-//! arena takes the discipline BDD packages use (Hazelhurst's access-list
-//! analyses): every node is interned at creation into one shared table,
-//! canonicalised on the way in (sibling edges merged per child, min-value
-//! edge order, a node whose single edge covers the whole domain elided to
-//! its child), so
+//! [`Fdd`] keeps each diagram in its own vector, in whatever shape its
+//! builder left it. The arena takes the discipline BDD packages use
+//! (Hazelhurst's access-list analyses): every node is interned at creation
+//! into one shared table, canonicalised on the way in (sibling edges
+//! merged per child, min-value edge order, a node whose single edge covers
+//! the whole domain elided to its child), so
 //!
 //! * two subdiagrams compute the same function **iff** they have the same
 //!   [`ConsId`] — subtree equivalence is one `u32` compare, which is what
-//!   lets a diff product short-circuit ([`ConsArena::diff`]);
+//!   lets the pair walk short-circuit;
 //! * a rebuilt-but-unchanged subdiagram costs no memory — interning
 //!   returns the existing id.
 //!
 //! Diagrams enter through [`ConsArena::intern_fdd`], bottom-up: the fast,
 //! the paper-literal and the reduced diagram of one policy all intern to
-//! one root. The edit path rests on that. An edited policy is rebuilt by
-//! [`Fdd::from_firewall_fast`] and interned beside the old diagram, and the
-//! diff of the two roots skips every subgraph they share, so the impact
-//! costs the changed region, not the policy. The fleet registry keeps every
-//! tenant of a schema in one arena, so near-copies share their common
-//! subdiagrams by id.
+//! one root. Everything canonical reads off that:
+//!
+//! * [`Fdd::reduced`] is an intern into a fresh arena followed by an
+//!   export ([`ConsArena::to_fdd`]); [`Fdd::isomorphic`] and
+//!   [`crate::equivalent`] compare two roots of one arena.
+//! * The pair walk ([`ConsArena::diff`]) memoises on `(ConsId, ConsId)`,
+//!   returns at once on equal ids, and builds the [`DiffProduct`] that
+//!   [`crate::diff_product`], [`crate::compare_firewalls`],
+//!   [`ChangeImpact`](crate::ChangeImpact) and [`crate::cross_compare`]
+//!   all read their discrepancies from.
+//!
+//! The edit path rests on the short circuit. An edited policy is rebuilt
+//! by [`Fdd::from_firewall_fast`] and interned beside the old diagram, and
+//! the diff of the two roots skips every subgraph they share, so the
+//! impact costs the changed region, not the policy. The fleet registry
+//! keeps every tenant of a schema in one arena, so near-copies share their
+//! common subdiagrams by id.
 //!
 //! Arena terminals carry `Option<Decision>`: `None` is the *unmatched*
 //! sentinel, the diagram of the empty rule list (no rule matches). A
@@ -39,8 +50,9 @@ use std::hash::BuildHasherDefault;
 
 use fw_model::{Decision, FieldId, IntervalSet, Schema};
 
-use crate::discrepancy::{coalesce, Discrepancy};
+use crate::discrepancy::Discrepancy;
 use crate::fdd::{Edge, Fdd, Node, NodeId};
+use crate::product::{DiffNode, DiffProduct, SAME};
 use crate::CoreError;
 
 /// A tiny multiply-xor hasher (the classic `FxHash` construction): every
@@ -709,79 +721,114 @@ impl ConsArena {
         n
     }
 
-    /// All functional discrepancies between the diagrams rooted at `a` and
-    /// `b`, as coalesced disjoint regions.
+    /// A fresh arena over `a`'s schema holding both diagrams, with their
+    /// roots.
     ///
-    /// This is the short-circuit counterpart of [`crate::diff_product`]:
-    /// the synchronized walk returns *empty* the moment it sees `a == b`,
-    /// because in a hash-consed arena equal ids are equal functions — so
-    /// after a localized edit the walk touches only the region the edit
-    /// actually changed, never the shared bulk of the diagram.
+    /// # Errors
+    ///
+    /// [`CoreError::SchemaMismatch`] if the schemas differ.
+    pub(crate) fn of_pair(a: &Fdd, b: &Fdd) -> Result<(ConsArena, ConsId, ConsId), CoreError> {
+        let mut arena = ConsArena::new(a.schema().clone());
+        let ra = arena.intern_fdd(a)?;
+        let rb = arena.intern_fdd(b)?;
+        Ok((arena, ra, rb))
+    }
+
+    /// The synchronized product of the diagrams rooted at `a` and `b`:
+    /// the pair walk overlays each distinct pair of ids once and returns
+    /// the agreeing leaf the moment it sees `a == b`, because in a
+    /// hash-consed arena equal ids are equal functions. After a localized
+    /// edit it touches only the region the edit changed, never the shared
+    /// bulk of the diagram.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Invariant`] if the walk reaches the unmatched sentinel
+    /// (pair the total diagrams of comprehensive policies).
+    pub(crate) fn product(&self, a: ConsId, b: ConsId) -> Result<DiffProduct, CoreError> {
+        let mut walk = PairWalk {
+            arena: self,
+            memo: FxMap::default(),
+            nodes: vec![DiffNode::Same],
+        };
+        let root = walk.pair(a, b)?;
+        Ok(DiffProduct::new(self.schema.clone(), walk.nodes, root))
+    }
+
+    /// All functional discrepancies between the diagrams rooted at `a` and
+    /// `b`, as coalesced disjoint regions: the [`DiffProduct::discrepancies`]
+    /// of their product, which skips every subgraph the two share.
     ///
     /// # Errors
     ///
     /// [`CoreError::Invariant`] if either diagram reaches the unmatched
     /// sentinel (diff the total diagrams of comprehensive policies).
     pub fn diff(&self, a: ConsId, b: ConsId) -> Result<Vec<Discrepancy>, CoreError> {
-        let mut d = Differ {
-            arena: self,
-            memo: FxMap::default(),
-            nodes: Vec::new(),
-        };
-        let root = d.pair(a, b)?;
-        let mut sets: Vec<IntervalSet> = self
-            .schema
-            .iter()
-            .map(|(_, f)| IntervalSet::from_interval(f.domain()))
-            .collect();
-        let mut raw = Vec::new();
-        d.emit(root, &mut sets, &mut raw);
-        Ok(coalesce(raw))
+        Ok(self.product(a, b)?.discrepancies())
     }
 }
 
-/// One node of the (tiny) short-circuit diff product.
-enum DiffNode {
-    /// The operands agree on every packet reaching here.
-    Same,
-    /// Every packet reaching here decides `.0` on the left, `.1` on the
-    /// right.
-    Differ(Decision, Decision),
-    /// The operands must be split on `field` to compare further.
-    Split {
-        field: FieldId,
-        edges: Vec<(IntervalSet, usize)>,
-    },
+impl Fdd {
+    /// Returns the canonical reduced form: no two reachable nodes are
+    /// isomorphic, no node has two outgoing edges to the same child, and a
+    /// node with a single full-domain edge is elided. The diagram is
+    /// interned into a fresh [`ConsArena`], which canonicalises on the way
+    /// in, and exported again. `self` must satisfy [`Fdd::validate`], as
+    /// every diagram this crate builds does.
+    ///
+    /// Two equivalent ordered FDDs over the same schema reduce to
+    /// structurally identical diagrams, which is what [`Fdd::isomorphic`]
+    /// checks.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// # fn main() -> Result<(), fw_core::CoreError> {
+    /// use fw_core::Fdd;
+    /// use fw_model::paper;
+    ///
+    /// let fdd = Fdd::from_firewall(&paper::team_a())?;
+    /// let reduced = fdd.reduced();
+    /// assert!(reduced.node_count() <= fdd.node_count());
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn reduced(&self) -> Fdd {
+        let mut arena = ConsArena::new(self.schema().clone());
+        let root = arena
+            .intern_fdd(self)
+            .expect("an arena over the diagram's own schema");
+        arena
+            .to_fdd(root)
+            .expect("an Fdd has no unmatched sentinel to reach")
+    }
+
+    /// Whether two FDDs have identical reduced structure — i.e. they are
+    /// equivalent *as ordered diagrams over the same schema*: both intern
+    /// to one root in one arena.
+    ///
+    /// This is a complete equivalence test for diagrams over one schema,
+    /// and is cheaper than a diff when no discrepancy listing is needed.
+    pub fn isomorphic(&self, other: &Fdd) -> bool {
+        matches!(ConsArena::of_pair(self, other), Ok((_, a, b)) if a == b)
+    }
 }
 
-struct Differ<'a> {
+/// The pair walk behind [`ConsArena::product`]: one product node per
+/// distinct pair of unequal ids, pushed after its children.
+struct PairWalk<'a> {
     arena: &'a ConsArena,
-    memo: FxMap<(ConsId, ConsId), usize>,
+    memo: FxMap<(ConsId, ConsId), u32>,
     nodes: Vec<DiffNode>,
 }
 
-/// The interned index of the shared `Same` node (pushed first).
-const SAME: usize = 0;
-
-/// Adds `cell → child` to a diff node's edge list, unioning cells that
-/// reach the same child so regions come out coalesced per child.
-fn record(edges: &mut Vec<(IntervalSet, usize)>, cell: IntervalSet, child: usize) {
-    match edges.iter_mut().find(|(_, c)| *c == child) {
-        Some((set, _)) => *set = set.union(&cell),
-        None => edges.push((cell, child)),
-    }
-}
-
-impl Differ<'_> {
-    fn push(&mut self, n: DiffNode) -> usize {
+impl PairWalk<'_> {
+    fn push(&mut self, n: DiffNode) -> u32 {
         self.nodes.push(n);
-        self.nodes.len() - 1
+        u32::try_from(self.nodes.len() - 1).expect("product exceeds u32 indices")
     }
 
-    fn pair(&mut self, a: ConsId, b: ConsId) -> Result<usize, CoreError> {
-        if self.nodes.is_empty() {
-            self.nodes.push(DiffNode::Same);
-        }
+    fn pair(&mut self, a: ConsId, b: ConsId) -> Result<u32, CoreError> {
         if a == b {
             // The short circuit: equal ids are equal functions.
             return Ok(SAME);
@@ -789,14 +836,13 @@ impl Differ<'_> {
         if let Some(&id) = self.memo.get(&(a, b)) {
             return Ok(id);
         }
-        let (ra, rb) = (self.arena.rank(a), self.arena.rank(b));
-        let d = self.arena.schema.len();
-        let id = if ra == d && rb == d {
-            let da = self.arena.terminal_decision(a).expect("rank d is terminal");
-            let db = self.arena.terminal_decision(b).expect("rank d is terminal");
-            match (da, db) {
-                (Some(x), Some(y)) if x == y => SAME,
-                (Some(x), Some(y)) => self.push(DiffNode::Differ(x, y)),
+        let arena = self.arena;
+        let (ra, rb) = (arena.rank(a), arena.rank(b));
+        let d = arena.schema.len();
+        let node = if ra == d && rb == d {
+            match (arena.terminal_decision(a), arena.terminal_decision(b)) {
+                // Terminals are consed: unequal ids, unequal decisions.
+                (Some(Some(x)), Some(Some(y))) => DiffNode::Differ(x, y),
                 _ => {
                     return Err(CoreError::Invariant(
                         "diff reached the unmatched sentinel; operands must be total".into(),
@@ -807,21 +853,20 @@ impl Differ<'_> {
             let field = FieldId(ra.min(rb));
             // Read the interned edges in place; a node ranked deeper than
             // `field` acts as a single full-domain edge back to itself, so
-            // its cells are the other side's labels verbatim.
-            let arena = self.arena;
+            // its cells are the other side's labels verbatim. Each child
+            // pair comes from one cell only, because both sides' edges are
+            // merged per child.
             let ea = (ra == field.index()).then(|| arena.edges(a).expect("rank is internal").1);
             let eb = (rb == field.index()).then(|| arena.edges(b).expect("rank is internal").1);
-            let mut edges: Vec<(IntervalSet, usize)> = Vec::new();
-            let mut all_same = true;
+            let mut edges: Vec<(IntervalSet, u32)> = Vec::new();
             match (ea, eb) {
                 (Some(ea), Some(eb)) => {
                     for &(la, ca) in ea {
                         let (alo, ahi) = arena.label_window(la);
                         for &(lb, cb) in eb {
                             // Equal interned ids are equal (non-empty)
-                            // sets — the usual case when both roots share
-                            // an arena — and the packed windows rule out
-                            // most of the rest without touching a set.
+                            // sets, and the packed windows rule out most
+                            // of the rest without touching a set.
                             let cell = if la == lb {
                                 None
                             } else {
@@ -836,10 +881,9 @@ impl Differ<'_> {
                                 Some(cell)
                             };
                             let child = self.pair(ca, cb)?;
-                            all_same &= child == SAME;
                             if child != SAME {
-                                let cell = cell.unwrap_or_else(|| arena.label(la).clone());
-                                record(&mut edges, cell, child);
+                                edges
+                                    .push((cell.unwrap_or_else(|| arena.label(la).clone()), child));
                             }
                         }
                     }
@@ -847,54 +891,33 @@ impl Differ<'_> {
                 (Some(ea), None) => {
                     for &(la, ca) in ea {
                         let child = self.pair(ca, b)?;
-                        all_same &= child == SAME;
                         if child != SAME {
-                            record(&mut edges, arena.label(la).clone(), child);
+                            edges.push((arena.label(la).clone(), child));
                         }
                     }
                 }
                 (None, Some(eb)) => {
                     for &(lb, cb) in eb {
                         let child = self.pair(a, cb)?;
-                        all_same &= child == SAME;
                         if child != SAME {
-                            record(&mut edges, arena.label(lb).clone(), child);
+                            edges.push((arena.label(lb).clone(), child));
                         }
                     }
                 }
                 (None, None) => unreachable!("min rank is internal at `field`"),
             }
-            if all_same {
-                // Different structure, same function on every cell — fold
-                // to `Same` so enclosing pairs can short-circuit too.
-                SAME
-            } else {
-                self.push(DiffNode::Split { field, edges })
-            }
+            debug_assert!(
+                !edges.is_empty(),
+                "unequal ids in a canonical arena are unequal functions"
+            );
+            // Disjoint cells have distinct least values: the order the
+            // raw cells come out in.
+            edges.sort_unstable_by_key(|(cell, _)| cell.min_value());
+            DiffNode::Split { field, edges }
         };
+        let id = self.push(node);
         self.memo.insert((a, b), id);
         Ok(id)
-    }
-
-    fn emit(&self, id: usize, sets: &mut Vec<IntervalSet>, out: &mut Vec<Discrepancy>) {
-        match &self.nodes[id] {
-            DiffNode::Same => {}
-            DiffNode::Differ(l, r) => out.push(Discrepancy::new(
-                fw_model::Predicate::from_sets_unchecked(sets.clone()),
-                *l,
-                *r,
-            )),
-            DiffNode::Split { field, edges } => {
-                for (label, child) in edges {
-                    if *child == SAME {
-                        continue;
-                    }
-                    let saved = std::mem::replace(&mut sets[field.index()], label.clone());
-                    self.emit(*child, sets, out);
-                    sets[field.index()] = saved;
-                }
-            }
-        }
     }
 }
 
@@ -1046,5 +1069,109 @@ mod tests {
         assert_eq!(a.len(), 3);
         let after = a.to_fdd(roots[0]).unwrap();
         assert!(before.isomorphic(&after));
+    }
+
+    fn exhaustive_eq(x: &Fdd, y: &Fdd) {
+        for a in 0..8u64 {
+            for b in 0..8u64 {
+                let p = fw_model::Packet::new(vec![a, b]);
+                assert_eq!(x.decision_for(&p), y.decision_for(&p), "at {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn reduction_preserves_semantics() {
+        let fw = fw_model::Firewall::parse(
+            tiny_schema(),
+            "a=0-3, b=2-5 -> discard\na=2-6 -> accept\n* -> discard\n",
+        )
+        .unwrap();
+        let fdd = Fdd::from_firewall(&fw).unwrap();
+        let red = fdd.reduced();
+        red.validate().unwrap();
+        exhaustive_eq(&fdd, &red);
+        assert!(red.node_count() <= fdd.node_count());
+    }
+
+    #[test]
+    fn reduction_elides_trivial_levels() {
+        // Field b is never tested meaningfully: all paths accept.
+        let fw =
+            fw_model::Firewall::parse(tiny_schema(), "a=0-7 -> accept\n* -> discard\n").unwrap();
+        let red = Fdd::from_firewall(&fw).unwrap().reduced();
+        // The whole diagram collapses to a single accept terminal.
+        assert_eq!(red.node_count(), 1);
+        assert_eq!(red.path_count(), 1);
+    }
+
+    #[test]
+    fn reduction_merges_isomorphic_subtrees() {
+        let fw = fw_model::Firewall::parse(
+            tiny_schema(),
+            "a=0-1, b=0-3 -> discard\na=4-5, b=0-3 -> discard\n* -> accept\n",
+        )
+        .unwrap();
+        let fdd = Fdd::from_firewall(&fw).unwrap();
+        let red = fdd.reduced();
+        exhaustive_eq(&fdd, &red);
+        // The identical subtrees under a=0-1 and a=4-5 are shared now.
+        assert!(!red.is_tree() || red.node_count() < fdd.node_count());
+    }
+
+    #[test]
+    fn reduction_merges_same_child_edges() {
+        // a=0-1 and a=6-7 behave identically => one edge with a 2-run label.
+        let fw =
+            fw_model::Firewall::parse(tiny_schema(), "a=2-5 -> discard\n* -> accept\n").unwrap();
+        let red = Fdd::from_firewall(&fw).unwrap().reduced();
+        match red.view(red.root()) {
+            crate::fdd::NodeView::Internal { edges, .. } => {
+                assert_eq!(edges.len(), 2);
+                let multi = edges.iter().find(|e| e.label().run_count() == 2);
+                assert!(multi.is_some(), "expected a merged 2-run edge label");
+            }
+            _ => panic!("root should be internal"),
+        }
+    }
+
+    #[test]
+    fn isomorphic_detects_equivalence_across_rule_orders() {
+        // Two different-looking but equivalent policies.
+        let f1 = fw_model::Firewall::parse(
+            tiny_schema(),
+            "a=0-3 -> accept\na=4-7 -> discard\n* -> accept\n",
+        )
+        .unwrap();
+        let f2 =
+            fw_model::Firewall::parse(tiny_schema(), "a=4-7 -> discard\n* -> accept\n").unwrap();
+        let x = Fdd::from_firewall(&f1).unwrap();
+        let y = Fdd::from_firewall(&f2).unwrap();
+        assert!(x.isomorphic(&y));
+        // And inequivalence is detected.
+        let f3 = fw_model::Firewall::parse(tiny_schema(), "* -> accept").unwrap();
+        assert!(!x.isomorphic(&Fdd::from_firewall(&f3).unwrap()));
+    }
+
+    #[test]
+    fn paper_fdds_reduce_and_stay_correct() {
+        for fw in [fw_model::paper::team_a(), fw_model::paper::team_b()] {
+            let fdd = Fdd::from_firewall(&fw).unwrap();
+            let red = fdd.reduced();
+            red.validate().unwrap();
+            for p in fw.witnesses() {
+                assert_eq!(red.decision_for(&p), fw.decision_for(&p));
+            }
+            assert!(red.node_count() <= fdd.node_count());
+        }
+    }
+
+    #[test]
+    fn reduction_is_idempotent() {
+        let fdd = Fdd::from_firewall(&fw_model::paper::team_b()).unwrap();
+        let once = fdd.reduced();
+        let twice = once.reduced();
+        assert!(once.isomorphic(&twice));
+        assert_eq!(once.node_count(), twice.node_count());
     }
 }

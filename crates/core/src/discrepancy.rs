@@ -128,22 +128,57 @@ impl MultiDiscrepancy {
 /// whose predicates agree on all fields but one union into a single
 /// predicate with that field's sets merged — an exact, loss-free rewrite.
 pub fn coalesce(ds: Vec<Discrepancy>) -> Vec<Discrepancy> {
-    coalesce_by(
-        ds,
-        |d| (d.left, d.right),
-        |d| &mut d.predicate,
-        |d| &d.predicate,
-    )
+    coalesce_by(ds)
 }
 
 /// Merges `N`-way discrepancy regions exactly like [`coalesce`].
 pub fn coalesce_multi(ds: Vec<MultiDiscrepancy>) -> Vec<MultiDiscrepancy> {
-    coalesce_by(
-        ds,
-        |d| d.decisions.clone(),
-        |d| &mut d.predicate,
-        |d| &d.predicate,
-    )
+    coalesce_by(ds)
+}
+
+/// What [`coalesce_by`] reads and rewrites of a region.
+trait Region {
+    /// The decisions that must be equal for two regions to merge, borrowed
+    /// where they are stored, so grouping clones nothing.
+    type Key<'a>: std::hash::Hash + Eq
+    where
+        Self: 'a;
+
+    fn key(&self) -> Self::Key<'_>;
+    fn region(&self) -> &Predicate;
+    fn region_mut(&mut self) -> &mut Predicate;
+}
+
+impl Region for Discrepancy {
+    type Key<'a> = (Decision, Decision);
+
+    fn key(&self) -> (Decision, Decision) {
+        (self.left, self.right)
+    }
+
+    fn region(&self) -> &Predicate {
+        &self.predicate
+    }
+
+    fn region_mut(&mut self) -> &mut Predicate {
+        &mut self.predicate
+    }
+}
+
+impl Region for MultiDiscrepancy {
+    type Key<'a> = &'a [Decision];
+
+    fn key(&self) -> &[Decision] {
+        &self.decisions
+    }
+
+    fn region(&self) -> &Predicate {
+        &self.predicate
+    }
+
+    fn region_mut(&mut self) -> &mut Predicate {
+        &mut self.predicate
+    }
 }
 
 /// Shared coalescing engine: repeated passes, one per field; within a pass,
@@ -158,18 +193,12 @@ pub fn coalesce_multi(ds: Vec<MultiDiscrepancy>) -> Vec<MultiDiscrepancy> {
 /// of item indexes, ascending, linked through one vector; the map, the
 /// links and the group buffers are allocated once per call and reused by
 /// every pass.
-fn coalesce_by<T, Key, K, FM, FR>(mut ds: Vec<T>, key: K, pred_mut: FM, pred_ref: FR) -> Vec<T>
-where
-    Key: std::hash::Hash + Eq,
-    K: Fn(&T) -> Key + Copy,
-    FM: Fn(&mut T) -> &mut Predicate + Copy,
-    FR: Fn(&T) -> &Predicate + Copy,
-{
+fn coalesce_by<T: Region>(mut ds: Vec<T>) -> Vec<T> {
     use std::hash::{Hash, Hasher};
     if ds.len() < 2 {
         return ds;
     }
-    let arity = pred_ref(&ds[0]).arity();
+    let arity = ds[0].region().arity();
     // Hash → (first, last) item of its bucket; buckets in order of first
     // appearance; each item's successor in its bucket.
     let mut buckets: crate::cons::FxMap<u64, (usize, usize)> = Default::default();
@@ -190,9 +219,9 @@ where
             next.resize(ds.len(), None);
             for (i, d) in ds.iter().enumerate() {
                 let mut h = crate::cons::FxHasher::default();
-                key(d).hash(&mut h);
+                d.key().hash(&mut h);
                 for f in (0..arity).filter(|&f| f != field) {
-                    pred_ref(d).set(fw_model::FieldId(f)).hash(&mut h);
+                    d.region().set(fw_model::FieldId(f)).hash(&mut h);
                 }
                 match buckets.entry(h.finish()) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
@@ -210,10 +239,10 @@ where
             dead.resize(ds.len(), false);
             merges.clear();
             let same = |a: usize, b: usize| {
-                key(&ds[a]) == key(&ds[b])
+                ds[a].key() == ds[b].key()
                     && (0..arity).filter(|&f| f != field).all(|f| {
                         let fid = fw_model::FieldId(f);
-                        pred_ref(&ds[a]).set(fid) == pred_ref(&ds[b]).set(fid)
+                        ds[a].region().set(fid) == ds[b].region().set(fid)
                     })
             };
             for &first in &firsts {
@@ -243,7 +272,7 @@ where
                     merged_any = true;
                     runs.clear();
                     for &i in &group {
-                        runs.extend_from_slice(pred_ref(&ds[i]).set(id).as_slice());
+                        runs.extend_from_slice(ds[i].region().set(id).as_slice());
                         dead[i] = i != leader;
                     }
                     runs.sort_unstable_by_key(|iv| iv.lo());
@@ -260,7 +289,8 @@ where
                 }
             }
             for (i, union) in merges.drain(..) {
-                pred_mut(&mut ds[i])
+                ds[i]
+                    .region_mut()
                     .set_field(id, union)
                     .expect("union of non-empty sets is non-empty");
             }
@@ -273,7 +303,7 @@ where
         if !merged_any {
             // Bucket draining shuffles nothing, but keep the historical
             // deterministic order for emitted rows.
-            ds.sort_by(|a, b| pred_ref(a).sets().cmp(pred_ref(b).sets()));
+            ds.sort_by(|a, b| a.region().sets().cmp(b.region().sets()));
             return ds;
         }
     }

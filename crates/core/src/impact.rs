@@ -10,7 +10,7 @@ use fw_model::{FieldId, Firewall, Packet, Rule, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::discrepancy::Discrepancy;
-use crate::{ConsArena, CoreError, Fdd};
+use crate::{CoreError, Fdd};
 
 /// A single firewall policy edit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,7 +86,8 @@ impl ChangeImpact {
     /// Compares the policy `before` and `after` a change (§1.3: "the impact
     /// of the changes can literally be defined as the functional
     /// discrepancies between the firewall before changes and the firewall
-    /// after changes").
+    /// after changes"). Both policies are built by fast construction and
+    /// diffed in one arena, as [`crate::compare_firewalls`] does.
     ///
     /// # Errors
     ///
@@ -112,19 +113,6 @@ impl ChangeImpact {
     /// # }
     /// ```
     pub fn between(before: &Firewall, after: &Firewall) -> Result<ChangeImpact, CoreError> {
-        // The edit path: when the two policies share most of their rule
-        // tail (the signature of an edit batch), both are rebuilt by fast
-        // construction and diffed in one arena, where the short-circuit
-        // diff only walks where they differ. Unrelated policies go through
-        // the full §3–§5 pipeline.
-        if before.schema() == after.schema()
-            && 2 * common_tail(before, after) >= before.len().max(after.len())
-        {
-            return ChangeImpact::between_diagrams(
-                &Fdd::from_firewall_fast(before)?,
-                &Fdd::from_firewall_fast(after)?,
-            );
-        }
         Ok(ChangeImpact {
             discrepancies: crate::compare_firewalls(before, after)?,
         })
@@ -156,26 +144,25 @@ impl ChangeImpact {
         Ok((after, impact))
     }
 
-    /// The impact of replacing diagram `before` by diagram `after`: both
-    /// are interned into a throwaway [`ConsArena`], where equal
-    /// subfunctions share an id, and [`ConsArena::diff`] of the two roots
-    /// skips every subgraph they share. The cost is two interns plus the
-    /// region that changed.
+    /// The impact of replacing diagram `before` by diagram `after`: the
+    /// discrepancies of their [`diff_product`](crate::diff_product), which
+    /// interns both into a throwaway [`ConsArena`](crate::ConsArena) where
+    /// equal subfunctions share an id and skips every subgraph they share.
+    /// The cost is two interns plus the region that changed.
     ///
     /// # Errors
     ///
     /// [`CoreError::SchemaMismatch`] if the diagrams are over different
     /// schemas.
     pub fn between_diagrams(before: &Fdd, after: &Fdd) -> Result<ChangeImpact, CoreError> {
-        let mut arena = ConsArena::new(before.schema().clone());
-        let a = arena.intern_fdd(before)?;
-        let b = arena.intern_fdd(after)?;
-        Ok(ChangeImpact::from_discrepancies(arena.diff(a, b)?))
+        Ok(ChangeImpact::from_discrepancies(
+            crate::diff_product(before, after)?.discrepancies(),
+        ))
     }
 
     /// Wraps an already computed discrepancy set, so serving layers that
     /// keep their own arena (the fleet registry) can turn a
-    /// [`ConsArena::diff`] of two roots into the same impact report the
+    /// [`ConsArena::diff`](crate::ConsArena::diff) of two roots into the same impact report the
     /// single-policy pipeline produces.
     pub fn from_discrepancies(discrepancies: Vec<Discrepancy>) -> ChangeImpact {
         ChangeImpact { discrepancies }
@@ -244,17 +231,6 @@ impl ChangeImpact {
     pub fn affected_packets_in(&self, schema: &Schema) -> u128 {
         self.affected_packets().min(schema.packet_space())
     }
-}
-
-/// Length of the longest common rule-list suffix — the part of the two
-/// policies an edit batch left untouched.
-fn common_tail(a: &Firewall, b: &Firewall) -> usize {
-    a.rules()
-        .iter()
-        .rev()
-        .zip(b.rules().iter().rev())
-        .take_while(|(x, y)| x == y)
-        .count()
 }
 
 #[cfg(test)]
@@ -385,7 +361,6 @@ mod tests {
         let fw = paper::team_a();
         let blocker = Rule::catch_all(fw.schema(), Decision::Discard);
         let after = fw.with_rule_inserted(0, blocker).unwrap();
-        assert_eq!(common_tail(&fw, &after), fw.len());
         let local = ChangeImpact::between(&fw, &after).unwrap();
         let full = crate::compare_firewalls(&fw, &after).unwrap();
         assert_eq!(

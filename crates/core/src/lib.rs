@@ -16,10 +16,15 @@
 //! 3. **Comparison** (§5, [`compare_shaped`]) — walk the shaped pair in
 //!    lockstep and report every disagreeing region as a [`Discrepancy`].
 //!
-//! [`compare_firewalls`] runs the whole pipeline; [`ChangeImpact`] applies
-//! it to policy-edit analysis (§1.3); [`direct_compare`] extends it to `N`
-//! versions (§7.3); [`Fdd::reduced`] provides the canonical DAG form used by
-//! rule generation and fast equivalence checking.
+//! [`compare_firewalls_via_shaping`] runs that pipeline as published. The
+//! default, [`compare_firewalls`], reaches the same discrepancies through
+//! fast construction ([`Fdd::from_firewall_fast`]) and one hash-consed
+//! [`ConsArena`], the crate's single canonical node table: both diagrams
+//! are interned there and paired by a walk that skips every subgraph they
+//! share. [`ChangeImpact`] applies it to policy-edit analysis (§1.3);
+//! [`cross_compare`] and [`direct_compare`] extend it to `N` versions
+//! (§7.3); [`Fdd::reduced`] exports the arena's canonical DAG form, used by
+//! rule generation.
 //!
 //! # Example
 //!
@@ -55,7 +60,6 @@ mod maintain;
 mod multiway;
 mod product;
 pub mod query;
-mod reduce;
 mod shape;
 mod simplify;
 mod stats;

@@ -11,27 +11,32 @@ use fw_model::{Firewall, Predicate};
 
 use crate::discrepancy::{coalesce, coalesce_multi, Discrepancy, MultiDiscrepancy};
 use crate::fdd::{Edge, Fdd, Node, NodeId};
-use crate::CoreError;
+use crate::{ConsArena, CoreError};
 
 /// Pairwise discrepancies keyed by version index pair `(i, j)`, `i < j`.
 pub type PairwiseDiscrepancies = Vec<((usize, usize), Vec<Discrepancy>)>;
 
 /// Cross comparison: all pairwise discrepancy sets, keyed by version index
-/// pair `(i, j)` with `i < j`.
+/// pair `(i, j)` with `i < j`. Each version is built once, by fast
+/// construction, into one [`ConsArena`], and every pair is diffed there:
+/// the versions share their common subdiagrams by id, and each diff skips
+/// them.
 ///
 /// # Errors
 ///
-/// As for [`crate::compare_firewalls`]; also rejects fewer than two
-/// versions.
+/// As for [`crate::compare_firewalls`] on the first failing pair in
+/// `(i, j)` order; also rejects fewer than two versions.
 pub fn cross_compare(versions: &[Firewall]) -> Result<PairwiseDiscrepancies, CoreError> {
     check_versions(versions)?;
+    let mut arena = ConsArena::new(versions[0].schema().clone());
+    let roots = versions
+        .iter()
+        .map(|v| arena.intern_fdd(&Fdd::from_firewall_fast(v)?))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut out = Vec::new();
-    for i in 0..versions.len() {
-        for j in (i + 1)..versions.len() {
-            out.push((
-                (i, j),
-                crate::compare_firewalls(&versions[i], &versions[j])?,
-            ));
+    for i in 0..roots.len() {
+        for j in (i + 1)..roots.len() {
+            out.push(((i, j), arena.diff(roots[i], roots[j])?));
         }
     }
     Ok(out)

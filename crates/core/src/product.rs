@@ -1,56 +1,54 @@
-//! Memoised **synchronized-product comparison** of two FDDs.
+//! The **synchronized product** of two FDDs: the diagram the paper's
+//! shaping + comparison pipeline (§4–§5) walks.
 //!
-//! The paper's shaping + comparison pipeline (§4–§5) aligns two *trees*
-//! until they are semi-isomorphic and then walks them in lockstep. The
-//! cells it visits are exactly the overlay of the two diagrams' decision
-//! paths — which is the *product* of the two diagrams. Computing that
-//! product directly over the **reduced DAGs**, memoised per node pair,
-//! yields the identical discrepancy cells while visiting each distinct
-//! subproblem once; this is the engineering that lets two independent
-//! 3,000-rule policies compare in seconds (§8.2.2) without materialising
-//! the worst-case `O((n+m)^d)` tree.
+//! Shaping aligns two *trees* until they are semi-isomorphic and then walks
+//! them in lockstep. The cells it visits are exactly the overlay of the two
+//! diagrams' decision paths — the *product* of the two diagrams. The
+//! product is computed over canonical DAGs instead: both diagrams are
+//! interned into one [`ConsArena`], where equal subfunctions share an id,
+//! and the arena's pair walk (`cons.rs`) overlays each distinct pair of ids
+//! once and stops at every pair of equal ids. The discrepancy cells are the
+//! ones the paper's pipeline finds, without materialising the worst-case
+//! `O((n+m)^d)` tree; this is what lets two independent 3,000-rule policies
+//! compare in seconds (§8.2.2), and what makes the diff of two versions of
+//! one policy cost only the region they differ on.
 //!
-//! The result, [`DiffProduct`], is itself a decision diagram whose
-//! terminals carry *pairs* of decisions; everything the evaluation needs —
-//! equivalence, cell counts, affected-packet counts, full human-readable
-//! discrepancy listings — reads off it.
-//!
-//! The product here still builds both diagrams from scratch before
-//! pairing them. For the edit path — two *versions* of one policy — the
-//! hash-consed diff in `cons.rs` goes one step further: both versions
-//! live in one arena, shared subgraphs have equal ids, and the pairing
-//! short-circuits to "no discrepancy" without visiting them (see
-//! [`ChangeImpact::between`](crate::ChangeImpact::between)).
-//!
-//! The recursion is serial: one memo and one node interner. Independent
-//! comparisons parallelise one level up, one pair per thread (§7.3's
-//! cross comparison in `fw-diverse`).
-
-use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
+//! The result, [`DiffProduct`], is itself a decision diagram: its
+//! terminals carry the *pairs* of decisions the inputs disagree on, and
+//! every packet on which they agree reaches one shared agreeing leaf.
+//! Equivalence, cell counts, affected-packet counts and the full
+//! human-readable discrepancy listing all read off it.
 
 use fw_model::{Decision, FieldId, Firewall, IntervalSet, Predicate, Schema};
 
-use crate::cons::{FxHasher, FxMap};
+use crate::cons::ConsArena;
 use crate::discrepancy::Discrepancy;
-use crate::fdd::{Edge, Fdd, Node, NodeId};
+use crate::fdd::Fdd;
 use crate::CoreError;
 
-/// Index into a [`DiffProduct`] arena.
-type PId = u32;
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum PNode {
-    Terminal(Decision, Decision),
-    Internal {
+/// One node of a [`DiffProduct`].
+#[derive(Debug, Clone)]
+pub(crate) enum DiffNode {
+    /// The inputs agree on every packet reaching here.
+    Same,
+    /// Every packet reaching here decides `.0` on the left and `.1` on the
+    /// right, and `.0 != .1`.
+    Differ(Decision, Decision),
+    /// A test of `field`. Its edges, sorted by least value, lead only to
+    /// disagreeing children; the rest of the domain reaches [`SAME`].
+    Split {
         field: FieldId,
-        edges: Vec<(IntervalSet, PId)>,
+        edges: Vec<(IntervalSet, u32)>,
     },
 }
 
+/// The index of the shared [`DiffNode::Same`] leaf: every product holds it
+/// first.
+pub(crate) const SAME: u32 = 0;
+
 /// The synchronized product of two FDDs over one schema: a decision
-/// diagram mapping every packet to the *pair* of decisions the two inputs
-/// assign it.
+/// diagram mapping every packet on which the inputs disagree to the *pair*
+/// of decisions they assign it.
 ///
 /// # Example
 ///
@@ -70,32 +68,26 @@ enum PNode {
 #[derive(Debug, Clone)]
 pub struct DiffProduct {
     schema: Schema,
-    nodes: Vec<PNode>,
-    root: PId,
+    /// Children before parents, [`SAME`] first.
+    nodes: Vec<DiffNode>,
+    root: u32,
 }
 
 /// Builds the synchronized product of two valid FDDs (tree or DAG) over
-/// the same schema.
+/// the same schema: both are interned into a throwaway [`ConsArena`] and
+/// paired there.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::SchemaMismatch`] if the schemas differ.
 pub fn diff_product(a: &Fdd, b: &Fdd) -> Result<DiffProduct, CoreError> {
-    if a.schema() != b.schema() {
-        return Err(CoreError::SchemaMismatch);
-    }
-    let mut arena = ProductArena::default();
-    let root = product_rec(a, b, a.root(), b.root(), &mut arena);
-    Ok(DiffProduct {
-        schema: a.schema().clone(),
-        nodes: arena.nodes,
-        root,
-    })
+    let (arena, ra, rb) = ConsArena::of_pair(a, b)?;
+    arena.product(ra, rb)
 }
 
 /// Compares two firewalls through the fast pipeline: fast construction
 /// (memoised partitioning) plus the synchronized product. Produces exactly
-/// the same discrepancy set as [`crate::compare_firewalls`].
+/// the same discrepancy set as [`crate::compare_firewalls_via_shaping`].
 ///
 /// # Errors
 ///
@@ -109,129 +101,33 @@ pub fn diff_firewalls(a: &Firewall, b: &Firewall) -> Result<DiffProduct, CoreErr
     diff_product(&fa, &fb)
 }
 
-/// The product recursion's memo over `(NodeId, NodeId)` pairs plus the
-/// hash-consing interner of the [`PNode`] arena it fills. As in
-/// [`ConsArena`](crate::ConsArena), the interner maps a node's content
-/// hash to its id, so a node is stored once, in the arena, and never
-/// cloned into a key; a node whose hash collides with a different one
-/// goes to a (normally empty) spill list. Fx-hashed although the keys
-/// derive from the input policies, as in the fast constructor: a crafted
-/// pair can already force a product of exponential size, so collision
-/// resistance would buy nothing.
-#[derive(Default)]
-struct ProductArena {
-    nodes: Vec<PNode>,
-    table: FxMap<u64, PId>,
-    spill: Vec<PId>,
-    memo: FxMap<(NodeId, NodeId), PId>,
-}
-
-impl ProductArena {
-    fn intern(&mut self, node: PNode) -> PId {
-        let mut h = FxHasher::default();
-        node.hash(&mut h);
-        let id = u32::try_from(self.nodes.len()).expect("product exceeds u32 indices");
-        let nodes = &self.nodes;
-        match self.table.entry(h.finish()) {
-            Entry::Occupied(first) => {
-                let hit = std::iter::once(*first.get())
-                    .chain(self.spill.iter().copied())
-                    .find(|&p| nodes[p as usize] == node);
-                if let Some(hit) = hit {
-                    return hit;
-                }
-                self.spill.push(id);
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(id);
-            }
-        }
-        self.nodes.push(node);
-        id
-    }
-}
-
-/// The edges the product follows out of `v` on `field`: its own when it
-/// tests `field`, else one full-domain edge back to `v` itself — the
-/// paper's node-insertion step, performed virtually.
-fn edges_on<'a>(
-    fdd: &'a Fdd,
-    v: NodeId,
-    field: FieldId,
-    domain: &'a IntervalSet,
-) -> impl Iterator<Item = (&'a IntervalSet, NodeId)> + Clone {
-    let (own, inserted): (&[Edge], _) = match fdd.node(v) {
-        Node::Internal { field: f, edges } if *f == field => (edges, None),
-        _ => (&[], Some((domain, v))),
-    };
-    own.iter().map(|e| (e.label(), e.target())).chain(inserted)
-}
-
-/// The memoised synchronized-product recursion: each distinct node pair
-/// is overlaid once, and equal product nodes are interned once.
-fn product_rec(a: &Fdd, b: &Fdd, va: NodeId, vb: NodeId, arena: &mut ProductArena) -> PId {
-    if let Some(&r) = arena.memo.get(&(va, vb)) {
-        return r;
-    }
-    let d = a.schema().len();
-    let rank = |fdd: &Fdd, v: NodeId| match fdd.node(v) {
-        Node::Terminal(_) => d,
-        Node::Internal { field, .. } => field.index(),
-    };
-    let field = rank(a, va).min(rank(b, vb));
-    let r = if field == d {
-        let da = a.terminal_decision(va).expect("both-terminal case");
-        let db = b.terminal_decision(vb).expect("both-terminal case");
-        arena.intern(PNode::Terminal(da, db))
-    } else {
-        let field = FieldId(field);
-        let domain = IntervalSet::from_interval(a.schema().field(field).domain());
-        let edges_b = edges_on(b, vb, field, &domain);
-        // Pairwise overlay: both edge lists partition the domain, so the
-        // non-empty pairwise intersections partition it too.
-        let mut per_child: Vec<(PId, IntervalSet)> = Vec::new();
-        for (la, ta) in edges_on(a, va, field, &domain) {
-            for (lb, tb) in edges_b.clone() {
-                let cell = la.intersect(lb);
-                if cell.is_empty() {
-                    continue;
-                }
-                let child = product_rec(a, b, ta, tb, arena);
-                match per_child.iter_mut().find(|(c, _)| *c == child) {
-                    Some((_, set)) => *set = set.union(&cell),
-                    None => per_child.push((child, cell)),
-                }
-            }
-        }
-        if per_child.len() == 1 {
-            per_child.pop().expect("len checked").0
-        } else {
-            per_child.sort_by_key(|(_, set)| set.min_value());
-            let edges = per_child.into_iter().map(|(c, s)| (s, c)).collect();
-            arena.intern(PNode::Internal { field, edges })
-        }
-    };
-    arena.memo.insert((va, vb), r);
-    r
-}
-
 impl DiffProduct {
+    /// Wraps the nodes a pair walk built: children before parents,
+    /// [`SAME`] first.
+    pub(crate) fn new(schema: Schema, nodes: Vec<DiffNode>, root: u32) -> DiffProduct {
+        debug_assert!(matches!(nodes.first(), Some(DiffNode::Same)));
+        DiffProduct {
+            schema,
+            nodes,
+            root,
+        }
+    }
+
     /// The common schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    /// Number of distinct product nodes (a size measure for the overlay).
+    /// Number of product nodes: the disagreeing ones plus the one shared
+    /// agreeing leaf (a size measure for the overlay).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Whether the two inputs are semantically equivalent: no reachable
-    /// terminal carries two different decisions.
+    /// Whether the two inputs are semantically equivalent: every packet
+    /// reaches the agreeing leaf.
     pub fn is_equivalent(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|n| !matches!(n, PNode::Terminal(x, y) if x != y))
+        self.root == SAME
     }
 
     /// Number of *cells* (decision paths of the overlay) on which the two
@@ -239,8 +135,9 @@ impl DiffProduct {
     /// count, the quantity the Fig. 12/13 harness tracks.
     pub fn cell_count(&self) -> u128 {
         let cells = self.bottom_up(|node, below: &[u128]| match node {
-            PNode::Terminal(x, y) => u128::from(x != y),
-            PNode::Internal { edges, .. } => edges
+            DiffNode::Same => 0,
+            DiffNode::Differ(..) => 1,
+            DiffNode::Split { edges, .. } => edges
                 .iter()
                 .fold(0u128, |acc, &(_, t)| acc.saturating_add(below[t as usize])),
         });
@@ -252,8 +149,9 @@ impl DiffProduct {
         let domain = |i: usize| self.schema.field(FieldId(i)).domain().count();
         // Per node, the packets over the fields from its own field on.
         let packets = self.bottom_up(|node, below: &[u128]| match node {
-            PNode::Terminal(x, y) => u128::from(x != y),
-            PNode::Internal { field, edges } => edges.iter().fold(0u128, |acc, (label, t)| {
+            DiffNode::Same => 0,
+            DiffNode::Differ(..) => 1,
+            DiffNode::Split { field, edges } => edges.iter().fold(0u128, |acc, (label, t)| {
                 // Fields strictly between this node and the child are
                 // unconstrained.
                 let gap: u128 = (field.index() + 1..self.rank(*t)).map(domain).product();
@@ -270,17 +168,17 @@ impl DiffProduct {
         packets[self.root as usize].saturating_mul(free)
     }
 
-    /// The field index a node tests, or the field count for a terminal.
-    fn rank(&self, id: PId) -> usize {
+    /// The field index a node tests, or the field count for a leaf.
+    fn rank(&self, id: u32) -> usize {
         match &self.nodes[id as usize] {
-            PNode::Terminal(..) => self.schema.len(),
-            PNode::Internal { field, .. } => field.index(),
+            DiffNode::Split { field, .. } => field.index(),
+            DiffNode::Same | DiffNode::Differ(..) => self.schema.len(),
         }
     }
 
-    /// One value per node, children first: a forward pass over the arena,
-    /// which interns every node after its children.
-    fn bottom_up<T>(&self, mut f: impl FnMut(&PNode, &[T]) -> T) -> Vec<T> {
+    /// One value per node, children first: a forward pass over the nodes,
+    /// which the walk pushes after their children.
+    fn bottom_up<T>(&self, mut f: impl FnMut(&DiffNode, &[T]) -> T) -> Vec<T> {
         let mut out = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
             let v = f(node, &out);
@@ -297,31 +195,24 @@ impl DiffProduct {
         self.for_each_cell(|p, x, y| f(&p, x, y));
     }
 
-    /// Hands `f` every disagreement cell, in edge order. The walk first
-    /// marks the nodes that reach a disagreeing terminal and descends only
-    /// into those, holding borrowed labels; a cell's predicate is built
-    /// once, at its terminal.
+    /// Hands `f` every disagreement cell, in edge order. Every node but the
+    /// agreeing leaf reaches a disagreement, and no edge leads to that
+    /// leaf, so the walk descends everywhere, holding borrowed labels; a
+    /// cell's predicate is built once, at its terminal.
     fn for_each_cell(&self, mut f: impl FnMut(Predicate, Decision, Decision)) {
-        let disagrees = self.bottom_up(|node, below: &[bool]| match node {
-            PNode::Terminal(x, y) => x != y,
-            PNode::Internal { edges, .. } => edges.iter().any(|&(_, t)| below[t as usize]),
-        });
         let mut path = vec![None; self.schema.len()];
-        self.walk(self.root, &disagrees, &mut path, &mut f);
+        self.walk(self.root, &mut path, &mut f);
     }
 
     fn walk<'a>(
         &'a self,
-        id: PId,
-        disagrees: &[bool],
+        id: u32,
         path: &mut [Option<&'a IntervalSet>],
         f: &mut impl FnMut(Predicate, Decision, Decision),
     ) {
-        if !disagrees[id as usize] {
-            return;
-        }
         match &self.nodes[id as usize] {
-            PNode::Terminal(x, y) => {
+            DiffNode::Same => {}
+            DiffNode::Differ(x, y) => {
                 let sets = path
                     .iter()
                     .zip(self.schema.iter())
@@ -332,10 +223,10 @@ impl DiffProduct {
                     .collect();
                 f(Predicate::from_sets_unchecked(sets), *x, *y);
             }
-            PNode::Internal { field, edges } => {
+            DiffNode::Split { field, edges } => {
                 for (label, t) in edges {
                     path[field.index()] = Some(label);
-                    self.walk(*t, disagrees, path, f);
+                    self.walk(*t, path, f);
                 }
                 path[field.index()] = None;
             }

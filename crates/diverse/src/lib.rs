@@ -42,7 +42,7 @@ pub mod report;
 mod resolution;
 mod session;
 
-pub use comparison::{cross_compare_parallel, Comparison};
+pub use comparison::Comparison;
 pub use error::DiverseError;
 pub use finalize::{compile_final, finalize, method1, method2, verify_final};
 pub use resolution::{Resolution, ResolvedDiscrepancy};

@@ -257,8 +257,7 @@ impl ResolvedSession {
     > {
         let agreed = finalize(&self.comparison, &self.resolution)?;
         let (after, impact) = fw_core::ChangeImpact::of_edits(&agreed, edits)?;
-        let fdd = fw_core::Fdd::from_firewall_fast(&after)?.reduced();
-        let image = fw_exec::CompiledFdd::compile(&fdd)?;
+        let image = fw_exec::CompiledFdd::compile(&fw_core::Fdd::from_firewall_fast(&after)?)?;
         let stats = fw_exec::RecompileStats {
             nodes_fresh: image.node_count(),
         };

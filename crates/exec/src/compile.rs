@@ -383,17 +383,16 @@ impl CompiledFdd {
         Ok(compiled)
     }
 
-    /// Constructs the policy's FDD (memoised construction), reduces it to
-    /// the canonical DAG, and lowers that — the one-call path from a
-    /// finalized rule sequence to a servable matcher.
+    /// Constructs the policy's FDD by memoised construction, whose output
+    /// is already the canonical reduced DAG, and lowers it — the one-call
+    /// path from a finalized rule sequence to a servable matcher.
     ///
     /// # Errors
     ///
     /// As for [`Fdd::from_firewall_fast`] (the policy must be
     /// comprehensive) and [`CompiledFdd::compile`].
     pub fn from_firewall(fw: &Firewall) -> Result<CompiledFdd, ExecError> {
-        let fdd = Fdd::from_firewall_fast(fw)?.reduced();
-        CompiledFdd::compile(&fdd)
+        CompiledFdd::compile(&Fdd::from_firewall_fast(fw)?)
     }
 
     /// The image to publish after an edit: [`CompiledFdd::compile`] of the

@@ -86,7 +86,7 @@ pub fn save_fleet(registry: &PolicyRegistry, dir: &Path) -> Result<(), FleetErro
     for (hash, (schema_idx, firewall)) in &policies {
         manifest.push_str(&format!("policy {schema_idx} {hash:016x}\n"));
         std::fs::write(dir.join(format!("{hash:016x}.rules")), firewall.to_dsl())?;
-        let compiled = CompiledFdd::compile(&Fdd::from_firewall(firewall)?.reduced())?;
+        let compiled = CompiledFdd::compile(&Fdd::from_firewall_fast(firewall)?)?;
         std::fs::write(
             dir.join(format!("{hash:016x}.fwex")),
             &compiled.encode()[..],
@@ -220,6 +220,8 @@ pub fn load_fleet(dir: &Path) -> Result<PolicyRegistry, FleetError> {
 
     let n_tenants = expect_count(&mut lines, "tenants")?;
     let registry = PolicyRegistry::new();
+    // One tenant per stored policy, for the final cross-check.
+    let mut served_by: BTreeMap<u64, TenantId> = BTreeMap::new();
     for _ in 0..n_tenants {
         let line = lines
             .next()
@@ -241,6 +243,7 @@ pub fn load_fleet(dir: &Path) -> Result<PolicyRegistry, FleetError> {
             store_err(format!("tenant {id} references unknown policy {hash:016x}"))
         })?;
         registry.add_tenant(TenantId(id), firewall.clone())?;
+        served_by.entry(hash).or_insert(TenantId(id));
     }
     if lines.next() != Some("end") {
         return Err(store_err("manifest missing end marker"));
@@ -248,20 +251,13 @@ pub fn load_fleet(dir: &Path) -> Result<PolicyRegistry, FleetError> {
 
     // Final cross-check: the rebuilt shared pool must agree with each
     // decoded standalone image through the registry's own serving path.
-    for (hash, firewall) in &policies {
+    for (hash, tenant) in &served_by {
         let image = &images[hash];
-        if let Some(tenant) = registry.tenant_ids().into_iter().find(|t| {
-            registry
-                .policy(*t)
-                .map(|fw| policy_hash(&fw) == *hash)
-                .unwrap_or(false)
-        }) {
-            for packet in firewall.witnesses() {
-                if registry.classify(tenant, &packet)? != image.classify(&packet) {
-                    return Err(store_err(format!(
-                        "rebuilt pool disagrees with persisted image for policy {hash:016x}"
-                    )));
-                }
+        for packet in policies[hash].witnesses() {
+            if registry.classify(*tenant, &packet)? != image.classify(&packet) {
+                return Err(store_err(format!(
+                    "rebuilt pool disagrees with persisted image for policy {hash:016x}"
+                )));
             }
         }
     }

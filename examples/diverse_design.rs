@@ -8,9 +8,10 @@
 //!
 //! Run with: `cargo run --example diverse_design`
 
+use diverse_firewall::core::cross_compare;
 use diverse_firewall::core::{label, FddBuilder};
 use diverse_firewall::diverse::report::{comparison_report, resolution_report};
-use diverse_firewall::diverse::{cross_compare_parallel, finalize, Comparison, Resolution};
+use diverse_firewall::diverse::{finalize, Comparison, Resolution};
 use diverse_firewall::gen::generate_rules;
 use diverse_firewall::model::{Decision, FieldDef, FieldId, Firewall, Schema};
 
@@ -92,9 +93,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("Team {n}:\n{v}");
     }
 
-    // Cross comparison (§7.3): every pair, compared in parallel.
+    // Cross comparison (§7.3): every team built once into one arena, and
+    // every pair diffed there.
     println!("=== cross comparison (pairwise) ===");
-    for ((i, j), ds) in cross_compare_parallel(&versions)? {
+    for ((i, j), ds) in cross_compare(&versions)? {
         println!("{} vs {}: {} discrepancies", names[i], names[j], ds.len());
     }
 

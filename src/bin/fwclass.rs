@@ -340,7 +340,7 @@ fn main() -> ExitCode {
     // diagram) is set-up cost, like the transpose above.
     let calibrated = if auto {
         let fdd = match diverse_firewall::core::Fdd::from_firewall_fast(&fw) {
-            Ok(f) => f.reduced(),
+            Ok(f) => f,
             Err(e) => {
                 eprintln!("fwclass: {e}");
                 return ExitCode::FAILURE;

@@ -303,6 +303,31 @@ fn fwfleet_applies_an_edit_file_to_one_tenant() {
     assert!(stdout.contains("swapped: true"), "got: {stdout}");
 }
 
+/// A fleet of 661-rule tenants saves and reloads. The store compiles each
+/// distinct policy from its fast, already reduced diagram, and the load
+/// cross-checks one tenant per stored policy.
+#[test]
+fn fwfleet_saves_and_reloads_a_fleet_of_large_policies() {
+    let dir = test_dir("fleet-store").join("fleet");
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_fwfleet"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "fwfleet {args:?}\nstdout: {}\nstderr: {}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    run(&["--rules", "661", "--tenants", "8", "--save-dir", dir_arg]);
+    run(&["--load-dir", dir_arg, "--random", "2000", "--verify"]);
+    let _ = std::fs::remove_dir_all(dir.parent().expect("fleet dir has a parent"));
+}
+
 /// The sampling profiler and the specialized twin it fed are gone: the
 /// lane kernel is the image's one batch form, so `--profile` is an
 /// unknown flag.

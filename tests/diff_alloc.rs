@@ -16,7 +16,7 @@ use std::cmp::Ordering;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::hint::black_box;
 
-use diverse_firewall::core::{coalesce, diff_product, Fdd};
+use diverse_firewall::core::{coalesce, coalesce_multi, diff_product, Fdd, MultiDiscrepancy};
 use diverse_firewall::model::{parse, Firewall, Interval, IntervalSet};
 use diverse_firewall::synth::{perturb, university_large};
 use rand::prelude::*;
@@ -139,6 +139,27 @@ fn coalescing_allocates_its_scratch_once() {
     // one vector per union that keeps several runs: 46 here. With a map,
     // a dead list and group vectors per field pass it was 1,177.
     assert!(made <= 64, "coalesce made {made} allocations");
+}
+
+#[test]
+fn coalescing_n_way_regions_clones_no_decision_vectors() {
+    let policy = university_large();
+    let a = Fdd::from_firewall_fast(&policy).expect("comprehensive");
+    let b = Fdd::from_firewall_fast(&perturb(&policy, 10, 1)).expect("comprehensive");
+    let raw: Vec<MultiDiscrepancy> = diff_product(&a, &b)
+        .expect("one schema")
+        .raw_discrepancies()
+        .into_iter()
+        .map(|d| MultiDiscrepancy::new(d.predicate().clone(), vec![d.left(), d.right()]))
+        .collect();
+    assert_eq!(raw.len(), 143);
+    let mut merged = None;
+    let made = allocations_in(|| merged = Some(coalesce_multi(raw)));
+    assert_eq!(merged.map(|d| d.len()), Some(15));
+    // The same budget as the two-version coalescing above: the groups key
+    // on the decision slices in place. Cloning each region's decision
+    // vector for every key hashed and compared made 812 here.
+    assert!(made <= 64, "coalesce_multi made {made} allocations");
 }
 
 #[test]

@@ -6,6 +6,7 @@
 use diverse_firewall::core::{
     compare_firewalls, compare_firewalls_via_shaping, cross_compare, direct_compare, project_pair,
 };
+use diverse_firewall::model::{paper, Firewall, Schema};
 use diverse_firewall::synth::{perturb, PacketTrace, Synthesizer};
 use proptest::prelude::*;
 
@@ -84,6 +85,30 @@ fn cross_and_direct_comparison_agree_for_three_versions() {
             );
         }
     }
+}
+
+/// Cross comparison diffs every pair in one shared arena, and each pair's
+/// regions are exactly its own comparison's; a failure is the first
+/// failing pair's error in `(i, j)` order.
+#[test]
+fn cross_compare_matches_pairwise_and_reports_the_first_error() {
+    let versions = vec![paper::team_a(), paper::team_b(), paper::team_a()];
+    for ((i, j), ds) in cross_compare(&versions).unwrap() {
+        assert_eq!(ds, compare_firewalls(&versions[i], &versions[j]).unwrap());
+    }
+
+    // Version 1 lacks its catch-all and version 3 covers six protocols
+    // only. Pair (0, 1) is the first to fail in (i, j) order and the
+    // slowest to (a 3,000-rule build); (0, 3) and (2, 3) fail fast on
+    // version 3.
+    let schema = Schema::tcp_ip();
+    let small = Synthesizer::new(5).firewall(60);
+    let large = Synthesizer::new(6).firewall(3_000);
+    let gap = Firewall::new(schema.clone(), large.rules()[..large.len() - 1].to_vec()).unwrap();
+    let narrow = Firewall::parse(schema, "proto=0-5 -> accept\n").unwrap();
+    let versions = vec![small.clone(), gap, small, narrow];
+    let first = compare_firewalls(&versions[0], &versions[1]).unwrap_err();
+    assert_eq!(cross_compare(&versions), Err(first));
 }
 
 proptest! {
