@@ -12,11 +12,17 @@
 //! rules of the pairs' policies are contained, so these rows are its
 //! worst case: a pre-pass that drops nothing.
 //!
-//! The `cross` rows time `cross_compare` of 3 and 8 teams of 661 rules
-//! (perturbations of the real-life stand-in): every team built once into
-//! one arena and every pair diffed there. The `reductions` rows time
-//! `Fdd::reduced` of the literal (Fig. 7) trees of the 42-rule policy and
-//! of a 100-rule synthetic one. No other workload reaches either path.
+//! The `direct` and `cross` rows compare 2, 3, 4 and 8 teams of 661 rules
+//! (perturbations of the real-life stand-in), every team built once into
+//! one arena: `direct_compare` walks the product of all the teams' roots,
+//! and `cross_compare` diffs every pair of them. Their times are medians
+//! (with quartiles) of 11 rounds that interleave every row, so the rows
+//! compare under the same machine load. The `finalize` rows run the
+//! resolution phase (§6) on 2 and 3 teams of the 42-rule policy, resolved
+//! by majority: the comparison, Method 1, and Method 2 on team 0. The
+//! `reductions` rows time `Fdd::reduced` of the literal (Fig. 7) trees of
+//! the 42-rule policy and of a 100-rule synthetic one. No other workload
+//! reaches these paths.
 //!
 //! Run with: `cargo run --release -p fw-bench --bin smoke`
 
@@ -41,12 +47,6 @@ struct BuildRow {
     nodes: usize,
 }
 
-struct CrossRow {
-    teams: usize,
-    ms: f64,
-    regions: usize,
-}
-
 struct ReduceRow {
     name: String,
     nodes: usize,
@@ -54,23 +54,94 @@ struct ReduceRow {
     reduce_ms: f64,
 }
 
-fn bench_cross(base: &fw_model::Firewall, teams: usize) -> CrossRow {
-    let versions: Vec<fw_model::Firewall> = (0..teams as u64)
+/// Times `direct_compare` of 2, 3, 4 and 8 teams and `cross_compare` of
+/// 3, 4 and 8, interleaved over `rounds` rounds; returns each arm's kind
+/// with its JSON row.
+fn bench_teams(base: &fw_model::Firewall, rounds: usize) -> Vec<(&'static str, String)> {
+    let all: Vec<fw_model::Firewall> = (0..8u64)
         .map(|k| fw_synth::perturb(base, 5 * (k as u32 + 1), k))
         .collect();
-    let t = Instant::now();
-    let pairs = fw_core::cross_compare(&versions).unwrap();
-    let took = t.elapsed();
-    let regions = pairs.iter().map(|(_, ds)| ds.len()).sum();
-    println!(
-        "cross_compare {teams} teams: {took:?} ({} pairs, {regions} regions)",
-        pairs.len()
-    );
-    CrossRow {
-        teams,
-        ms: took.as_secs_f64() * 1e3,
-        regions,
+    let arms: Vec<(&'static str, usize)> = [2, 3, 4, 8]
+        .map(|n| ("direct", n))
+        .into_iter()
+        .chain([3, 4, 8].map(|n| ("cross", n)))
+        .collect();
+    let mut samples = vec![Vec::with_capacity(rounds); arms.len()];
+    let mut regions = vec![0; arms.len()];
+    for _ in 0..rounds {
+        for (k, &(kind, n)) in arms.iter().enumerate() {
+            let versions = &all[..n];
+            let t = Instant::now();
+            regions[k] = if kind == "direct" {
+                std::hint::black_box(fw_core::direct_compare(versions).unwrap()).len()
+            } else {
+                let pairs = std::hint::black_box(fw_core::cross_compare(versions).unwrap());
+                pairs.iter().map(|(_, ds)| ds.len()).sum()
+            };
+            samples[k].push(t.elapsed().as_secs_f64() * 1e3);
+        }
     }
+    arms.iter()
+        .zip(samples)
+        .zip(regions)
+        .map(|((&(kind, teams), mut ms), regions)| {
+            ms.sort_by(f64::total_cmp);
+            let q = |f: f64| ms[((ms.len() - 1) as f64 * f).round() as usize];
+            let (q1, median, q3) = (q(0.25), q(0.5), q(0.75));
+            println!("{kind} {teams} teams: median {median:.3} ms (IQR {q1:.3}-{q3:.3}), {regions} regions");
+            let cells = if kind == "direct" {
+                format!("\"raw_cells\": {}, ", raw_cells(&all[..teams]))
+            } else {
+                String::new()
+            };
+            let row = format!(
+                "{{\"name\": \"{kind}_compare {teams} teams\", \"teams\": {teams}, \
+                 \"ms\": {median:.3}, \"ms_q1\": {q1:.3}, \"ms_q3\": {q3:.3}, {cells}\
+                 \"regions\": {regions}}}"
+            );
+            (kind, row)
+        })
+        .collect()
+}
+
+/// The uncoalesced cells of the product of all `versions`.
+fn raw_cells(versions: &[fw_model::Firewall]) -> u128 {
+    let mut arena = fw_core::ConsArena::new(versions[0].schema().clone());
+    let roots: Vec<fw_core::ConsId> = versions
+        .iter()
+        .map(|v| {
+            let fdd = fw_core::Fdd::from_firewall_fast(v).unwrap();
+            arena.intern_fdd(&fdd).unwrap()
+        })
+        .collect();
+    arena.product(&roots).unwrap().cell_count()
+}
+
+/// Runs the comparison and both §6 methods on `versions`, resolved by
+/// majority; returns the JSON row.
+fn bench_finalize(versions: Vec<fw_model::Firewall>) -> String {
+    let teams = versions.len();
+    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    let t = Instant::now();
+    let cmp = fw_diverse::Comparison::of(versions).unwrap();
+    let compare = ms(t);
+    let res = fw_diverse::Resolution::by_majority(&cmp);
+    let t = Instant::now();
+    let m1 = fw_diverse::method1(&cmp, &res).unwrap();
+    let method1 = ms(t);
+    let t = Instant::now();
+    let m2 = fw_diverse::method2(&cmp, &res, 0).unwrap();
+    let method2 = ms(t);
+    let (found, r1, r2) = (cmp.discrepancies().len(), m1.len(), m2.len());
+    println!(
+        "finalize {teams} teams: compare {compare:.3} ms ({found} discrepancies), \
+         method 1 {method1:.3} ms ({r1} rules), method 2 {method2:.3} ms ({r2} rules)"
+    );
+    format!(
+        "{{\"name\": \"finalize avg(42) {teams} teams\", \"teams\": {teams}, \
+         \"discrepancies\": {found}, \"compare_ms\": {compare:.3}, \"method1_ms\": {method1:.3}, \
+         \"method2_ms\": {method2:.3}, \"method1_rules\": {r1}, \"method2_rules\": {r2}}}"
+    )
 }
 
 fn bench_reduce(name: &str, fw: &fw_model::Firewall) -> ReduceRow {
@@ -175,10 +246,13 @@ fn main() {
         })
         .collect();
 
-    let cross: Vec<CrossRow> = [3usize, 8]
-        .into_iter()
-        .map(|teams| bench_cross(&large, teams))
-        .collect();
+    let teams = bench_teams(&large, 11);
+    let finals = [2usize, 3].map(|n| {
+        let mut versions = vec![avg.clone()];
+        versions.extend([8, 9].map(|seed| fw_synth::perturb(&avg, 10, seed)));
+        versions.truncate(n);
+        bench_finalize(versions)
+    });
     let reductions = [
         bench_reduce("literal avg(42)", &avg),
         bench_reduce(
@@ -214,16 +288,23 @@ fn main() {
             r.name, r.rules, r.construct_ms, r.nodes
         );
     }
-    json.push_str("  ],\n  \"cross\": [\n");
-    for (i, r) in cross.iter().enumerate() {
-        let sep = if i + 1 < cross.len() { "," } else { "" };
-        let _ = writeln!(
+    for kind in ["direct", "cross"] {
+        let rows: Vec<&str> = teams
+            .iter()
+            .filter(|r| r.0 == kind)
+            .map(|r| &*r.1)
+            .collect();
+        let _ = write!(
             json,
-            "    {{\"name\": \"cross_compare {} teams\", \"teams\": {}, \"ms\": {:.3}, \
-             \"regions\": {}}}{sep}",
-            r.teams, r.teams, r.ms, r.regions
+            "  ],\n  \"{kind}\": [\n    {}\n",
+            rows.join(",\n    ")
         );
     }
+    let _ = write!(
+        json,
+        "  ],\n  \"finalize\": [\n    {}\n",
+        finals.join(",\n    ")
+    );
     json.push_str("  ],\n  \"reductions\": [\n");
     for (i, r) in reductions.iter().enumerate() {
         let sep = if i + 1 < reductions.len() { "," } else { "" };

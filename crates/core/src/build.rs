@@ -62,11 +62,8 @@ impl Fdd {
         for rule in rules {
             append(&mut fdd, root, rule, 0);
         }
-        if let Some((_, field, missing)) = fdd.first_incompleteness() {
-            let name = fdd.schema().field(field).name().to_owned();
-            return Err(CoreError::NotComprehensive {
-                witness: format!("{name}={missing}"),
-            });
+        if let Some(witness) = fdd.uncovered_witness() {
+            return Err(CoreError::NotComprehensive { witness });
         }
         fdd.compact();
         debug_assert!(fdd.validate().is_ok());
@@ -160,7 +157,7 @@ impl IncrementalBuilder {
     pub fn is_comprehensive(&self) -> bool {
         self.fdd
             .as_ref()
-            .is_some_and(|f| f.first_incompleteness().is_none())
+            .is_some_and(|f| f.uncovered_witness().is_none())
     }
 
     /// Finishes construction, checking comprehensiveness (§3.1).
@@ -173,11 +170,8 @@ impl IncrementalBuilder {
         let mut fdd = self.fdd.ok_or(CoreError::NotComprehensive {
             witness: "no rules appended".to_owned(),
         })?;
-        if let Some((_, field, missing)) = fdd.first_incompleteness() {
-            let name = fdd.schema().field(field).name().to_owned();
-            return Err(CoreError::NotComprehensive {
-                witness: format!("{name}={missing}"),
-            });
+        if let Some(witness) = fdd.uncovered_witness() {
+            return Err(CoreError::NotComprehensive { witness });
         }
         fdd.compact();
         debug_assert!(fdd.validate().is_ok());
@@ -408,6 +402,61 @@ mod tests {
         let mut decisions = Vec::new();
         fdd.for_each_path(|_, d| decisions.push(d));
         assert!(decisions.iter().all(|&d| d == Decision::Accept));
+    }
+
+    /// The packet a witness spells: its named values, every other field at
+    /// its domain minimum.
+    fn witness_packet(schema: &Schema, witness: &str) -> Packet {
+        let mut values: Vec<u64> = schema.iter().map(|(_, f)| f.domain().lo()).collect();
+        for pair in witness.split(", ") {
+            let (name, value) = pair.split_once('=').expect("field=value");
+            let (id, _) = schema
+                .iter()
+                .find(|(_, f)| f.name() == name)
+                .expect("a schema field");
+            values[id.0] = value.parse().expect("a decimal value");
+        }
+        Packet::new(values)
+    }
+
+    #[test]
+    fn every_constructor_names_an_unmatched_packet() {
+        let policies = [
+            (tiny_schema(), "a=0-3 -> accept"),
+            (tiny_schema(), "a=0-3, b=0-3 -> accept\na=4-7 -> discard\n"),
+            // b=4-7 alone does not name the gap: rule 2 discards (0, 4).
+            (tiny_schema(), "b=0-3 -> accept\na=0-6 -> discard\n"),
+            // The gap is src in 10.0.0.0/8 with dport above 21: dport alone
+            // does not name it, since src=11.0.0.1 matches rule 3.
+            (
+                Schema::tcp_ip(),
+                "src=10.0.0.0/8, dport=0-21 -> accept\n\
+                 src=0.0.0.0/5 -> discard\n\
+                 src=11.0.0.0-255.255.255.255 -> accept\n\
+                 src=8.0.0.0-9.255.255.255 -> accept\n",
+            ),
+        ];
+        for (schema, text) in policies {
+            let fw = Firewall::parse(schema, text).unwrap();
+            let incremental = || {
+                let mut b = IncrementalBuilder::new(fw.schema().clone());
+                for rule in fw.rules() {
+                    b.append(rule)?;
+                }
+                b.finish()
+            };
+            for (name, built) in [
+                ("literal", Fdd::from_firewall(&fw)),
+                ("incremental", incremental()),
+                ("fast", Fdd::from_firewall_fast(&fw)),
+            ] {
+                let Err(CoreError::NotComprehensive { witness }) = built else {
+                    panic!("{name}: {text} leaves packets unmatched");
+                };
+                let p = witness_packet(fw.schema(), &witness);
+                assert_eq!(fw.decision_for(&p), None, "{name}: {witness} is matched");
+            }
+        }
     }
 
     #[test]

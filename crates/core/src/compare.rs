@@ -6,12 +6,12 @@
 //! the identical predicate. The discrepancy set is exactly
 //! `fa.rules − fb.rules` paired with its companions — the paper shows this
 //! captures **all** functional discrepancies between the original firewalls.
+//! The same lockstep walk serves any number of mutually shaped diagrams,
+//! which is how [`crate::direct_compare_via_shaping`] compares `N`.
 //!
-//! [`compare_firewalls`] bundles the full pipeline: construct (§3), simplify
-//! and shape (§4), compare (§5).
-//!
-//! [`compare_firewalls_via_shaping`] runs that pipeline literally and
-//! prices every comparison at the size of the shaped trees. The default,
+//! [`compare_firewalls_via_shaping`] runs the full pipeline literally —
+//! construct (§3), simplify and shape (§4), compare (§5) — and prices
+//! every comparison at the size of the shaped trees. The default,
 //! [`compare_firewalls`], builds both diagrams by fast construction,
 //! interns them into one hash-consed arena and pairs the roots there,
 //! skipping every subgraph the two sides share by id (see `cons.rs`). Same
@@ -19,7 +19,7 @@
 
 use fw_model::{Firewall, Predicate};
 
-use crate::discrepancy::Discrepancy;
+use crate::discrepancy::{Discrepancy, MultiDiscrepancy};
 use crate::fdd::{Fdd, Node, NodeId};
 use crate::shape::{semi_isomorphic, shape_pair};
 use crate::CoreError;
@@ -41,41 +41,60 @@ pub fn compare_shaped(a: &Fdd, b: &Fdd) -> Result<Vec<Discrepancy>, CoreError> {
             "compare_shaped requires semi-isomorphic inputs; run shape_pair first".to_owned(),
         ));
     }
-    let mut out = Vec::new();
-    let mut pred = Predicate::any(a.schema());
-    walk(a, a.root(), b, b.root(), &mut pred, &mut out);
-    Ok(out)
+    Ok(lockstep(&[a, b])
+        .into_iter()
+        .map(|d| Discrepancy::new(d.predicate().clone(), d.decisions()[0], d.decisions()[1]))
+        .collect())
 }
 
-fn walk(
-    a: &Fdd,
-    va: NodeId,
-    b: &Fdd,
-    vb: NodeId,
-    pred: &mut Predicate,
-    out: &mut Vec<Discrepancy>,
-) {
-    match (a.node(va), b.node(vb)) {
-        (Node::Terminal(da), Node::Terminal(db)) => {
-            if da != db {
-                out.push(Discrepancy::new(pred.clone(), *da, *db));
+/// The lockstep walk of §5 over any number of mutually semi-isomorphic
+/// diagrams: every decision path on which their terminals do not all
+/// agree, with each diagram's decision, in edge order.
+pub(crate) fn lockstep(fdds: &[&Fdd]) -> Vec<MultiDiscrepancy> {
+    let roots: Vec<NodeId> = fdds.iter().map(|f| f.root()).collect();
+    let mut out = Vec::new();
+    walk(
+        fdds,
+        &roots,
+        &mut Predicate::any(fdds[0].schema()),
+        &mut out,
+    );
+    out
+}
+
+fn walk(fdds: &[&Fdd], nodes: &[NodeId], pred: &mut Predicate, out: &mut Vec<MultiDiscrepancy>) {
+    match fdds[0].node(nodes[0]) {
+        Node::Terminal(_) => {
+            let decisions: Vec<_> = fdds
+                .iter()
+                .zip(nodes)
+                .map(|(f, &n)| f.terminal_decision(n).expect("semi-isomorphic terminals"))
+                .collect();
+            if decisions.windows(2).any(|w| w[0] != w[1]) {
+                out.push(MultiDiscrepancy::new(pred.clone(), decisions));
             }
         }
-        (Node::Internal { field, edges: ea }, Node::Internal { edges: eb, .. }) => {
+        Node::Internal { field, edges } => {
             let field = *field;
             let saved = pred.set(field).clone();
-            for (x, y) in ea.iter().zip(eb) {
-                debug_assert_eq!(x.label, y.label, "semi-isomorphism checked upfront");
+            for (idx, e) in edges.iter().enumerate() {
+                let children: Vec<NodeId> = fdds
+                    .iter()
+                    .zip(nodes)
+                    .map(|(f, &n)| match f.node(n) {
+                        Node::Internal { edges, .. } => edges[idx].target,
+                        Node::Terminal(_) => unreachable!("semi-isomorphic nodes"),
+                    })
+                    .collect();
                 *pred = pred
-                    .with_field(field, x.label.clone())
+                    .with_field(field, e.label.clone())
                     .expect("edge labels are non-empty by invariant");
-                walk(a, x.target, b, y.target, pred, out);
+                walk(fdds, &children, pred, out);
             }
             *pred = pred
                 .with_field(field, saved)
                 .expect("saved set is non-empty");
         }
-        _ => unreachable!("semi-isomorphism checked upfront"),
     }
 }
 

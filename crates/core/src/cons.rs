@@ -11,7 +11,7 @@
 //!
 //! * two subdiagrams compute the same function **iff** they have the same
 //!   [`ConsId`] — subtree equivalence is one `u32` compare, which is what
-//!   lets the pair walk short-circuit;
+//!   lets the product walk short-circuit;
 //! * a rebuilt-but-unchanged subdiagram costs no memory — interning
 //!   returns the existing id.
 //!
@@ -22,11 +22,13 @@
 //! * [`Fdd::reduced`] is an intern into a fresh arena followed by an
 //!   export ([`ConsArena::to_fdd`]); [`Fdd::isomorphic`] and
 //!   [`crate::equivalent`] compare two roots of one arena.
-//! * The pair walk ([`ConsArena::diff`]) memoises on `(ConsId, ConsId)`,
-//!   returns at once on equal ids, and builds the [`DiffProduct`] that
-//!   [`crate::diff_product`], [`crate::compare_firewalls`],
-//!   [`ChangeImpact`](crate::ChangeImpact) and [`crate::cross_compare`]
-//!   all read their discrepancies from.
+//! * The product walk memoises on the tuple of [`ConsId`]s of any number
+//!   of roots, returns at once when they are all equal, and builds the
+//!   [`DiffProduct`] that every comparison reads its discrepancies from:
+//!   two roots for [`ConsArena::diff`], [`crate::diff_product`],
+//!   [`crate::compare_firewalls`], [`ChangeImpact`](crate::ChangeImpact)
+//!   and each pair of [`crate::cross_compare`]; all `N` versions at once
+//!   for [`crate::direct_compare`].
 //!
 //! The edit path rests on the short circuit. An edited policy is rebuilt
 //! by [`Fdd::from_firewall_fast`] and interned beside the old diagram, and
@@ -51,6 +53,7 @@ use std::hash::BuildHasherDefault;
 use fw_model::{Decision, FieldId, IntervalSet, Schema};
 
 use crate::discrepancy::Discrepancy;
+use crate::error::spell_region;
 use crate::fdd::{Edge, Fdd, Node, NodeId};
 use crate::product::{DiffNode, DiffProduct, SAME};
 use crate::CoreError;
@@ -121,6 +124,72 @@ impl std::hash::Hasher for FxHasher {
 
 /// A `HashMap` on [`FxHasher`] — the arena-internal map type.
 pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A map from slices of `K` to values that keeps every key back to back in
+/// one vector, so that an insert allocates nothing once the vectors have
+/// grown: fast construction's survivor-set memo and the product walk's
+/// id-tuple memo. Fx-hashed although the keys come from input policies: a
+/// crafted policy can already force exponentially many cells (Theorem 1),
+/// so collision resistance would buy nothing.
+pub(crate) struct SliceMap<K, V> {
+    /// Key hash → the newest entry with that hash.
+    heads: FxMap<u64, u32>,
+    entries: Vec<SliceEntry<V>>,
+    keys: Vec<K>,
+}
+
+/// One key of a [`SliceMap`]: `keys[at..at + len]`, with the entry
+/// inserted before it under the same hash, if any.
+struct SliceEntry<V> {
+    at: u32,
+    len: u32,
+    older: Option<u32>,
+    value: V,
+}
+
+impl<K, V> Default for SliceMap<K, V> {
+    fn default() -> Self {
+        SliceMap {
+            heads: FxMap::default(),
+            entries: Vec::new(),
+            keys: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + std::hash::Hash, V: Copy> SliceMap<K, V> {
+    fn hash(key: &[K]) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        h.finish()
+    }
+
+    pub(crate) fn get(&self, key: &[K]) -> Option<V> {
+        let mut at = self.heads.get(&Self::hash(key)).copied();
+        while let Some(e) = at {
+            let entry = &self.entries[e as usize];
+            if &self.keys[entry.at as usize..][..entry.len as usize] == key {
+                return Some(entry.value);
+            }
+            at = entry.older;
+        }
+        None
+    }
+
+    /// Adds `key`, which the map does not hold.
+    pub(crate) fn insert(&mut self, key: &[K], value: V) {
+        let e = u32::try_from(self.entries.len()).expect("under 2^32 entries");
+        let older = self.heads.insert(Self::hash(key), e);
+        self.entries.push(SliceEntry {
+            at: u32::try_from(self.keys.len()).expect("under 2^32 key words"),
+            len: u32::try_from(key.len()).expect("under 2^32 key words"),
+            older,
+            value,
+        });
+        self.keys.extend_from_slice(key);
+    }
+}
 
 /// A canonical node id in a [`ConsArena`]. Two ids from the same arena are
 /// equal iff their subdiagrams compute the same function.
@@ -558,10 +627,7 @@ impl ConsArena {
             ConsNode::Terminal(None) => Some(if path.is_empty() {
                 "any packet (empty rule suffix)".to_owned()
             } else {
-                path.iter()
-                    .map(|(f, v)| format!("{}={v}", self.schema.field(*f).name()))
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                spell_region(&self.schema, path.iter().copied())
             }),
             ConsNode::Terminal(Some(_)) => None,
             ConsNode::Internal { field, edges } => {
@@ -734,25 +800,39 @@ impl ConsArena {
         Ok((arena, ra, rb))
     }
 
-    /// The synchronized product of the diagrams rooted at `a` and `b`:
-    /// the pair walk overlays each distinct pair of ids once and returns
-    /// the agreeing leaf the moment it sees `a == b`, because in a
+    /// The synchronized product of the diagrams rooted at `roots`: the
+    /// product walk overlays each distinct tuple of ids once and returns
+    /// the agreeing leaf the moment it sees all of them equal, because in a
     /// hash-consed arena equal ids are equal functions. After a localized
     /// edit it touches only the region the edit changed, never the shared
     /// bulk of the diagram.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Invariant`] if the walk reaches the unmatched sentinel
-    /// (pair the total diagrams of comprehensive policies).
-    pub(crate) fn product(&self, a: ConsId, b: ConsId) -> Result<DiffProduct, CoreError> {
-        let mut walk = PairWalk {
+    /// [`CoreError::Invariant`] if fewer than two roots are given, or if
+    /// the walk reaches the unmatched sentinel (walk the total diagrams of
+    /// comprehensive policies).
+    pub fn product(&self, roots: &[ConsId]) -> Result<DiffProduct, CoreError> {
+        if roots.len() < 2 {
+            return Err(CoreError::Invariant(
+                "a product needs at least two diagrams".to_owned(),
+            ));
+        }
+        let mut walk = ProductWalk {
             arena: self,
-            memo: FxMap::default(),
+            memo: SliceMap::default(),
             nodes: vec![DiffNode::Same],
+            decisions: Vec::new(),
+            tuples: vec![Vec::new(); self.schema.len()],
         };
-        let root = walk.pair(a, b)?;
-        Ok(DiffProduct::new(self.schema.clone(), walk.nodes, root))
+        let root = walk.node(roots)?;
+        Ok(DiffProduct::new(
+            self.schema.clone(),
+            walk.nodes,
+            walk.decisions,
+            roots.len(),
+            root,
+        ))
     }
 
     /// All functional discrepancies between the diagrams rooted at `a` and
@@ -764,7 +844,7 @@ impl ConsArena {
     /// [`CoreError::Invariant`] if either diagram reaches the unmatched
     /// sentinel (diff the total diagrams of comprehensive policies).
     pub fn diff(&self, a: ConsId, b: ConsId) -> Result<Vec<Discrepancy>, CoreError> {
-        Ok(self.product(a, b)?.discrepancies())
+        Ok(self.product(&[a, b])?.discrepancies())
     }
 }
 
@@ -814,98 +894,117 @@ impl Fdd {
     }
 }
 
-/// The pair walk behind [`ConsArena::product`]: one product node per
-/// distinct pair of unequal ids, pushed after its children.
-struct PairWalk<'a> {
+/// The product walk behind [`ConsArena::product`]: one product node per
+/// distinct tuple of ids that are not all equal, pushed after its children.
+struct ProductWalk<'a> {
     arena: &'a ConsArena,
-    memo: FxMap<(ConsId, ConsId), u32>,
+    memo: SliceMap<ConsId, u32>,
     nodes: Vec<DiffNode>,
+    /// The decision tuples of the [`DiffNode::Differ`] leaves, back to
+    /// back.
+    decisions: Vec<Decision>,
+    /// Per field, the child tuple of the node being walked there.
+    tuples: Vec<Vec<ConsId>>,
 }
 
-impl PairWalk<'_> {
-    fn push(&mut self, n: DiffNode) -> u32 {
-        self.nodes.push(n);
-        u32::try_from(self.nodes.len() - 1).expect("product exceeds u32 indices")
+/// One cell of the overlay at a product node, as the walk narrows it: the
+/// whole domain, then an interned label while every edge taken so far
+/// carries that label, then their intersection.
+enum Cell {
+    Whole,
+    Label(LabelId),
+    Set(IntervalSet),
+}
+
+impl Cell {
+    /// The cell's `(min, max)`.
+    fn window(&self, arena: &ConsArena) -> (u64, u64) {
+        match self {
+            Cell::Whole => (0, u64::MAX),
+            Cell::Label(m) => arena.label_window(*m),
+            Cell::Set(set) => (
+                set.min_value().expect("cells are nonempty"),
+                set.max_value().expect("cells are nonempty"),
+            ),
+        }
     }
 
-    fn pair(&mut self, a: ConsId, b: ConsId) -> Result<u32, CoreError> {
-        if a == b {
+    /// Whether the cell meets label `l`, without building their
+    /// intersection. Equal interned ids are equal sets.
+    fn meets(&self, arena: &ConsArena, l: LabelId) -> bool {
+        match self {
+            Cell::Whole => true,
+            Cell::Label(m) => *m == l || arena.label(*m).intersects(arena.label(l)),
+            Cell::Set(set) => set.intersects(arena.label(l)),
+        }
+    }
+
+    /// The cell narrowed to label `l`.
+    fn narrow(&self, arena: &ConsArena, l: LabelId) -> Cell {
+        match self {
+            Cell::Whole => Cell::Label(l),
+            Cell::Label(m) if *m == l => Cell::Label(l),
+            Cell::Label(m) => Cell::Set(arena.label(*m).intersect(arena.label(l))),
+            Cell::Set(set) => Cell::Set(set.intersect(arena.label(l))),
+        }
+    }
+
+    fn into_set(self, arena: &ConsArena) -> IntervalSet {
+        match self {
+            Cell::Whole => unreachable!("a narrowed cell is a label or a set"),
+            Cell::Label(l) => arena.label(l).clone(),
+            Cell::Set(set) => set,
+        }
+    }
+}
+
+impl ProductWalk<'_> {
+    fn node(&mut self, ids: &[ConsId]) -> Result<u32, CoreError> {
+        if ids.iter().all(|&id| id == ids[0]) {
             // The short circuit: equal ids are equal functions.
             return Ok(SAME);
         }
-        if let Some(&id) = self.memo.get(&(a, b)) {
+        if let Some(id) = self.memo.get(ids) {
             return Ok(id);
         }
         let arena = self.arena;
-        let (ra, rb) = (arena.rank(a), arena.rank(b));
-        let d = arena.schema.len();
-        let node = if ra == d && rb == d {
-            match (arena.terminal_decision(a), arena.terminal_decision(b)) {
-                // Terminals are consed: unequal ids, unequal decisions.
-                (Some(Some(x)), Some(Some(y))) => DiffNode::Differ(x, y),
-                _ => {
-                    return Err(CoreError::Invariant(
-                        "diff reached the unmatched sentinel; operands must be total".into(),
-                    ))
+        let rank = ids.iter().map(|&id| arena.rank(id)).min();
+        let rank = rank.expect("a product of at least two roots");
+        let node = if rank == arena.schema.len() {
+            // Terminals are consed: ids not all equal, decisions not all
+            // equal.
+            let at = u32::try_from(self.decisions.len()).expect("product exceeds u32 indices");
+            for &id in ids {
+                match arena.terminal_decision(id) {
+                    Some(Some(x)) => self.decisions.push(x),
+                    _ => {
+                        return Err(CoreError::Invariant(
+                            "diff reached the unmatched sentinel; operands must be total".into(),
+                        ))
+                    }
                 }
             }
+            DiffNode::Differ(at)
         } else {
-            let field = FieldId(ra.min(rb));
-            // Read the interned edges in place; a node ranked deeper than
-            // `field` acts as a single full-domain edge back to itself, so
-            // its cells are the other side's labels verbatim. Each child
-            // pair comes from one cell only, because both sides' edges are
-            // merged per child.
-            let ea = (ra == field.index()).then(|| arena.edges(a).expect("rank is internal").1);
-            let eb = (rb == field.index()).then(|| arena.edges(b).expect("rank is internal").1);
+            let field = FieldId(rank);
+            let last = ids.iter().rposition(|&id| arena.rank(id) == rank);
+            let last = last.expect("the least rank is some id's");
             let mut edges: Vec<(IntervalSet, u32)> = Vec::new();
-            match (ea, eb) {
-                (Some(ea), Some(eb)) => {
-                    for &(la, ca) in ea {
-                        let (alo, ahi) = arena.label_window(la);
-                        for &(lb, cb) in eb {
-                            // Equal interned ids are equal (non-empty)
-                            // sets, and the packed windows rule out most
-                            // of the rest without touching a set.
-                            let cell = if la == lb {
-                                None
-                            } else {
-                                let (blo, bhi) = arena.label_window(lb);
-                                if bhi < alo || ahi < blo {
-                                    continue;
-                                }
-                                let cell = arena.label(la).intersect(arena.label(lb));
-                                if cell.is_empty() {
-                                    continue;
-                                }
-                                Some(cell)
-                            };
-                            let child = self.pair(ca, cb)?;
-                            if child != SAME {
-                                edges
-                                    .push((cell.unwrap_or_else(|| arena.label(la).clone()), child));
-                            }
-                        }
-                    }
-                }
-                (Some(ea), None) => {
-                    for &(la, ca) in ea {
-                        let child = self.pair(ca, b)?;
-                        if child != SAME {
-                            edges.push((arena.label(la).clone(), child));
-                        }
-                    }
-                }
-                (None, Some(eb)) => {
-                    for &(lb, cb) in eb {
-                        let child = self.pair(a, cb)?;
-                        if child != SAME {
-                            edges.push((arena.label(lb).clone(), child));
-                        }
-                    }
-                }
-                (None, None) => unreachable!("min rank is internal at `field`"),
-            }
+            // A node's child tuples rank below its field, so one buffer
+            // per field serves the whole recursion.
+            let mut children = std::mem::take(&mut self.tuples[rank]);
+            children.clear();
+            children.extend_from_slice(ids);
+            let walked = self.overlay(
+                field,
+                &ids[..=last],
+                0,
+                Cell::Whole,
+                &mut children,
+                &mut edges,
+            );
+            self.tuples[rank] = children;
+            walked?;
             debug_assert!(
                 !edges.is_empty(),
                 "unequal ids in a canonical arena are unequal functions"
@@ -915,9 +1014,58 @@ impl PairWalk<'_> {
             edges.sort_unstable_by_key(|(cell, _)| cell.min_value());
             DiffNode::Split { field, edges }
         };
-        let id = self.push(node);
-        self.memo.insert((a, b), id);
+        self.nodes.push(node);
+        let id = u32::try_from(self.nodes.len() - 1).expect("product exceeds u32 indices");
+        self.memo.insert(ids, id);
         Ok(id)
+    }
+
+    /// Narrows `cell` by each edge of `ids[k]` in turn, then of every later
+    /// id, and walks the children of every nonempty cell, keeping the
+    /// disagreeing ones in `edges`; only those cells are built. `ids` ends
+    /// with the last id testing `field`. The interned edges are read in
+    /// place. An id ranked deeper than `field` acts as a single full-domain
+    /// edge back to itself, which `children` already holds. Each child
+    /// tuple comes from one cell only, because every node's edges are
+    /// merged per child.
+    fn overlay(
+        &mut self,
+        field: FieldId,
+        ids: &[ConsId],
+        k: usize,
+        cell: Cell,
+        children: &mut [ConsId],
+        edges: &mut Vec<(IntervalSet, u32)>,
+    ) -> Result<(), CoreError> {
+        let arena = self.arena;
+        let out = match arena.edges(ids[k]) {
+            Some((f, out)) if f == field => out,
+            _ => return self.overlay(field, ids, k + 1, cell, children, edges),
+        };
+        // The packed windows rule out most edges without touching a set,
+        // and edges come in order of their least value, so the first one
+        // starting past the cell ends the scan.
+        let (lo, hi) = cell.window(arena);
+        for &(l, c) in out {
+            let (llo, lhi) = arena.label_window(l);
+            if llo > hi {
+                break;
+            }
+            if lhi < lo || !cell.meets(arena, l) {
+                continue;
+            }
+            children[k] = c;
+            if k + 1 < ids.len() {
+                let next = cell.narrow(arena, l);
+                self.overlay(field, ids, k + 1, next, children, edges)?;
+            } else {
+                let child = self.node(children)?;
+                if child != SAME {
+                    edges.push((cell.narrow(arena, l).into_set(arena), child));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1019,6 +1167,7 @@ mod tests {
         let dis = a.terminal(Some(Decision::Discard));
         let left = a.internal(FieldId(0), vec![(acc, set(0, 3)), (dis, set(4, 7))]);
         assert!(a.diff(left, left).unwrap().is_empty());
+        assert!(a.product(&[left]).is_err());
 
         let right = a.internal(FieldId(0), vec![(acc, set(0, 4)), (dis, set(5, 7))]);
         let ds = a.diff(left, right).unwrap();

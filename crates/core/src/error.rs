@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use fw_model::ModelError;
+use fw_model::{FieldId, ModelError, Schema};
 
 /// Errors produced by the FDD algorithms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,6 +52,19 @@ impl Error for CoreError {
             _ => None,
         }
     }
+}
+
+/// Spells a packet region as `field=value` pairs, one per constrained
+/// field, every other field free: the form every constructor and
+/// [`crate::ConsArena::unmatched_witness`] report an unmatched packet in.
+pub(crate) fn spell_region(
+    schema: &Schema,
+    path: impl IntoIterator<Item = (FieldId, u64)>,
+) -> String {
+    path.into_iter()
+        .map(|(f, v)| format!("{}={v}", schema.field(f).name()))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 impl From<ModelError> for CoreError {

@@ -42,7 +42,8 @@
 
 use fw_model::{Decision, FieldId, Firewall, Interval, IntervalSet};
 
-use crate::cons::FxMap;
+use crate::cons::{FxMap, SliceMap};
+use crate::error::spell_region;
 use crate::fdd::{Edge, Fdd, Node, NodeId};
 use crate::CoreError;
 
@@ -472,71 +473,6 @@ impl<'a> FieldTable<'a> {
 /// ascending: its edges in canonical form.
 type Spans = Vec<(u64, u64, NodeId)>;
 
-/// A map from slices of `T` to nodes that keeps every key back to back in
-/// one vector, so that an insert allocates nothing once the vectors have
-/// grown. Fx-hashed although the keys come from the input policy: a
-/// crafted policy can already force exponentially many cells (Theorem 1),
-/// so collision resistance would buy nothing.
-struct SliceMap<T> {
-    /// Key hash → the newest entry with that hash.
-    heads: FxMap<u64, u32>,
-    entries: Vec<SliceEntry>,
-    keys: Vec<T>,
-}
-
-/// One key of a [`SliceMap`]: `keys[at..at + len]`, with the entry
-/// inserted before it under the same hash, if any.
-struct SliceEntry {
-    at: u32,
-    len: u32,
-    older: Option<u32>,
-    node: NodeId,
-}
-
-impl<T> Default for SliceMap<T> {
-    fn default() -> Self {
-        SliceMap {
-            heads: FxMap::default(),
-            entries: Vec::new(),
-            keys: Vec::new(),
-        }
-    }
-}
-
-impl<T: Copy + Eq + std::hash::Hash> SliceMap<T> {
-    fn hash(key: &[T]) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = crate::cons::FxHasher::default();
-        key.hash(&mut h);
-        h.finish()
-    }
-
-    fn get(&self, key: &[T]) -> Option<NodeId> {
-        let mut at = self.heads.get(&Self::hash(key)).copied();
-        while let Some(e) = at {
-            let entry = &self.entries[e as usize];
-            if &self.keys[entry.at as usize..][..entry.len as usize] == key {
-                return Some(entry.node);
-            }
-            at = entry.older;
-        }
-        None
-    }
-
-    /// Adds `key`, which the map does not hold.
-    fn insert(&mut self, key: &[T], node: NodeId) {
-        let e = u32::try_from(self.entries.len()).expect("under 2^32 cells");
-        let older = self.heads.insert(Self::hash(key), e);
-        self.entries.push(SliceEntry {
-            at: u32::try_from(self.keys.len()).expect("under 2^32 key words"),
-            len: u32::try_from(key.len()).expect("under 2^32 key words"),
-            older,
-            node,
-        });
-        self.keys.extend_from_slice(key);
-    }
-}
-
 /// The working buffers of one cell's build. A cell at field f is done with
 /// them before the next cell at f starts, and its children use field
 /// f + 1's, so one set per field serves the whole recursion.
@@ -554,9 +490,9 @@ struct FastBuilder<'a> {
     decisions: Vec<Decision>,
     tables: &'a [FieldTable<'a>],
     /// Per field, survivor set → subdiagram.
-    memo: Vec<SliceMap<u64>>,
+    memo: Vec<SliceMap<u64, NodeId>>,
     /// Per field, structural hash-consing of internal nodes.
-    cons: Vec<SliceMap<(u64, u64, NodeId)>>,
+    cons: Vec<SliceMap<(u64, u64, NodeId), NodeId>>,
     /// The terminal of each decision, by wire code.
     terminals: [Option<NodeId>; 4],
     /// One value per field above the cell being built, for witnesses.
@@ -683,15 +619,8 @@ impl FastBuilder<'_> {
     /// `path`: the whole path down to it, in the `field=value, …` form of
     /// [`crate::ConsArena::unmatched_witness`].
     fn uncovered(&self, value: u64) -> CoreError {
-        let schema = self.fdd.schema();
-        let witness = self
-            .path
-            .iter()
-            .chain([&value])
-            .enumerate()
-            .map(|(f, v)| format!("{}={v}", schema.field(FieldId(f)).name()))
-            .collect::<Vec<_>>()
-            .join(", ");
+        let path = self.path.iter().chain([&value]).enumerate();
+        let witness = spell_region(self.fdd.schema(), path.map(|(f, &v)| (FieldId(f), v)));
         CoreError::NotComprehensive { witness }
     }
 }
@@ -833,46 +762,6 @@ mod tests {
                 let p = Packet::new(vec![a, b]);
                 assert_eq!(fast.decision_for(&p), fw.decision_for(&p), "at {p}");
             }
-        }
-    }
-
-    /// The packet a witness spells: its named values, every other field at
-    /// its domain minimum.
-    fn witness_packet(schema: &Schema, witness: &str) -> Packet {
-        let mut values: Vec<u64> = schema.iter().map(|(_, f)| f.domain().lo()).collect();
-        for pair in witness.split(", ") {
-            let (name, value) = pair.split_once('=').expect("field=value");
-            let (id, _) = schema
-                .iter()
-                .find(|(_, f)| f.name() == name)
-                .expect("a schema field");
-            values[id.0] = value.parse().expect("a decimal value");
-        }
-        Packet::new(values)
-    }
-
-    #[test]
-    fn fast_detects_non_comprehensive() {
-        let policies = [
-            (tiny_schema(), "a=0-3 -> accept"),
-            (tiny_schema(), "a=0-3, b=0-3 -> accept\na=4-7 -> discard\n"),
-            // The gap is src in 10.0.0.0/8 with dport above 21: dport alone
-            // does not name it, since src=11.0.0.1 matches rule 3.
-            (
-                Schema::tcp_ip(),
-                "src=10.0.0.0/8, dport=0-21 -> accept\n\
-                 src=0.0.0.0/5 -> discard\n\
-                 src=11.0.0.0-255.255.255.255 -> accept\n\
-                 src=8.0.0.0-9.255.255.255 -> accept\n",
-            ),
-        ];
-        for (schema, text) in policies {
-            let fw = fw_model::Firewall::parse(schema, text).unwrap();
-            let Err(CoreError::NotComprehensive { witness }) = Fdd::from_firewall_fast(&fw) else {
-                panic!("{text} leaves packets unmatched");
-            };
-            let p = witness_packet(fw.schema(), &witness);
-            assert_eq!(fw.decision_for(&p), None, "{witness} is matched");
         }
     }
 

@@ -694,28 +694,41 @@ impl Fdd {
         fdd
     }
 
-    /// The uncovered region of field values at each reachable internal node,
-    /// used to explain non-comprehensive inputs.
-    pub(crate) fn first_incompleteness(&self) -> Option<(NodeId, FieldId, IntervalSet)> {
-        let mut stack = vec![self.root];
-        let mut seen = vec![false; self.nodes.len()];
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut seen[id.index()], true) {
-                continue;
-            }
-            if let Node::Internal { field, edges } = self.node(id) {
-                let domain = self.schema.field(*field).domain();
-                let mut union = IntervalSet::empty();
-                for e in edges {
-                    union = union.union(&e.label);
-                    stack.push(e.target);
-                }
-                if !union.covers(domain) {
-                    return Some((id, *field, union.complement(domain)));
-                }
-            }
+    /// A packet region no path of the tree decides, or `None` if every
+    /// node's edges cover its field's domain: the path from the root down
+    /// to the first node found with a gap, then one value of the gap, in
+    /// the `field=value, …` form of [`CoreError::NotComprehensive`]. Every
+    /// packet of the region falls off the tree there, whatever its fields
+    /// below. The literal constructor's partial diagrams are trees.
+    pub(crate) fn uncovered_witness(&self) -> Option<String> {
+        let mut path = Vec::new();
+        self.gap_below(self.root, &mut path)
+            .then(|| crate::error::spell_region(&self.schema, path))
+    }
+
+    // Depth is bounded by the schema's field count, so plain recursion is
+    // safe here.
+    fn gap_below(&self, id: NodeId, path: &mut Vec<(FieldId, u64)>) -> bool {
+        let Node::Internal { field, edges } = self.node(id) else {
+            return false;
+        };
+        let mut union = IntervalSet::empty();
+        for e in edges {
+            union = union.union(&e.label);
         }
-        None
+        let domain = self.schema.field(*field).domain();
+        if let Some(gap) = union.complement(domain).min_value() {
+            path.push((*field, gap));
+            return true;
+        }
+        for e in edges {
+            path.push((*field, e.label.min_value().expect("labels are nonempty")));
+            if self.gap_below(e.target, path) {
+                return true;
+            }
+            path.pop();
+        }
+        false
     }
 }
 
@@ -991,8 +1004,6 @@ mod tests {
         fdd.set_root(root);
         fdd.validate_partial().unwrap();
         assert!(fdd.validate().is_err());
-        let (_, f, missing) = fdd.first_incompleteness().unwrap();
-        assert_eq!(f, FieldId(0));
-        assert_eq!(missing, label(8, 15));
+        assert_eq!(fdd.uncovered_witness().as_deref(), Some("x=8"));
     }
 }

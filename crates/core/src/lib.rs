@@ -20,11 +20,13 @@
 //! default, [`compare_firewalls`], reaches the same discrepancies through
 //! fast construction ([`Fdd::from_firewall_fast`]) and one hash-consed
 //! [`ConsArena`], the crate's single canonical node table: both diagrams
-//! are interned there and paired by a walk that skips every subgraph they
-//! share. [`ChangeImpact`] applies it to policy-edit analysis (§1.3);
-//! [`cross_compare`] and [`direct_compare`] extend it to `N` versions
-//! (§7.3); [`Fdd::reduced`] exports the arena's canonical DAG form, used by
-//! rule generation.
+//! are interned there and walked as one product that skips every subgraph
+//! they share. [`ChangeImpact`] applies it to policy-edit analysis (§1.3).
+//! The same walk takes any number of roots, so [`cross_compare`] (every
+//! pair) and [`direct_compare`] (all versions at once) extend it to `N`
+//! versions (§7.3); [`direct_compare_via_shaping`] is §7.3 as published.
+//! [`Fdd::reduced`] exports the arena's canonical DAG form, used by rule
+//! generation.
 //!
 //! # Example
 //!
@@ -74,7 +76,10 @@ pub use error::CoreError;
 pub use fdd::{domain_label, label, Edge, Fdd, FddBuilder, NodeId, NodeView};
 pub use impact::{ChangeImpact, Edit};
 pub use maintain::{MaintainStats, SuffixChain};
-pub use multiway::{cross_compare, direct_compare, project_pair, shape_all, PairwiseDiscrepancies};
+pub use multiway::{
+    cross_compare, direct_compare, direct_compare_via_shaping, project_pair, shape_all,
+    PairwiseDiscrepancies,
+};
 pub use product::{diff_firewalls, diff_product, DiffProduct};
 pub use query::{any_match, query_fdd, query_firewall, QueryAnswer};
 pub use shape::{semi_isomorphic, shape_pair};

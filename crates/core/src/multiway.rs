@@ -3,36 +3,33 @@
 //! The paper offers two routes: *cross comparison* (run the pairwise
 //! pipeline on each of the `N·(N−1)/2` unordered pairs) and *direct
 //! comparison* (extend shaping and comparison to `N` diagrams at once —
-//! "considered fairly straightforward"). Both are implemented here;
-//! [`direct_compare`] generalises node shaping by aligning all `N` edge
-//! lists against the union of their boundary points in a single pass.
+//! "considered fairly straightforward"). Both build every version once,
+//! by fast construction, into one [`ConsArena`]: [`cross_compare`] runs
+//! the arena's product walk on each pair of roots, and [`direct_compare`]
+//! runs it once on all `N` roots, whose terminals carry one decision per
+//! version. [`direct_compare_via_shaping`] keeps the published route —
+//! every version shaped with all the others by generalised node shaping
+//! ([`shape_all`]) and walked in lockstep — as the reference for both.
 
-use fw_model::{Firewall, Predicate};
+use fw_model::Firewall;
 
 use crate::discrepancy::{coalesce, coalesce_multi, Discrepancy, MultiDiscrepancy};
 use crate::fdd::{Edge, Fdd, Node, NodeId};
-use crate::{ConsArena, CoreError};
+use crate::{ConsArena, ConsId, CoreError};
 
 /// Pairwise discrepancies keyed by version index pair `(i, j)`, `i < j`.
 pub type PairwiseDiscrepancies = Vec<((usize, usize), Vec<Discrepancy>)>;
 
 /// Cross comparison: all pairwise discrepancy sets, keyed by version index
-/// pair `(i, j)` with `i < j`. Each version is built once, by fast
-/// construction, into one [`ConsArena`], and every pair is diffed there:
-/// the versions share their common subdiagrams by id, and each diff skips
-/// them.
+/// pair `(i, j)` with `i < j`. Every pair is diffed in the one arena all
+/// versions are built into: the versions share their common subdiagrams by
+/// id, and each diff skips them.
 ///
 /// # Errors
 ///
-/// As for [`crate::compare_firewalls`] on the first failing pair in
-/// `(i, j)` order; also rejects fewer than two versions.
+/// As for [`direct_compare`].
 pub fn cross_compare(versions: &[Firewall]) -> Result<PairwiseDiscrepancies, CoreError> {
-    check_versions(versions)?;
-    let mut arena = ConsArena::new(versions[0].schema().clone());
-    let roots = versions
-        .iter()
-        .map(|v| arena.intern_fdd(&Fdd::from_firewall_fast(v)?))
-        .collect::<Result<Vec<_>, _>>()?;
+    let (arena, roots) = intern_versions(versions)?;
     let mut out = Vec::new();
     for i in 0..roots.len() {
         for j in (i + 1)..roots.len() {
@@ -42,14 +39,15 @@ pub fn cross_compare(versions: &[Firewall]) -> Result<PairwiseDiscrepancies, Cor
     Ok(out)
 }
 
-/// Direct `N`-way comparison: shapes all `N` FDDs into mutually
-/// semi-isomorphic form in one pass and reports every region where the
-/// versions do not all agree, with the decision of each version.
+/// Direct `N`-way comparison: every region where the versions do not all
+/// agree, with the decision of each version. One product walk over all `N`
+/// versions' roots in one arena finds them, skipping every subgraph the
+/// versions share.
 ///
 /// # Errors
 ///
-/// As for [`crate::compare_firewalls`]; also rejects fewer than two
-/// versions.
+/// As for [`crate::compare_firewalls`] on the first failing version, in
+/// version order; also rejects fewer than two versions.
 ///
 /// # Example
 ///
@@ -65,28 +63,45 @@ pub fn cross_compare(versions: &[Firewall]) -> Result<PairwiseDiscrepancies, Cor
 /// # }
 /// ```
 pub fn direct_compare(versions: &[Firewall]) -> Result<Vec<MultiDiscrepancy>, CoreError> {
-    check_versions(versions)?;
-    if versions.len() == 2 {
-        // Two versions: the memoised product pipeline visits the same
-        // cells as N-way shaping, far faster on large policies.
-        let prod = crate::product::diff_firewalls(&versions[0], &versions[1])?;
-        let mut out = Vec::new();
-        prod.for_each_discrepancy(|p, x, y| {
-            out.push(MultiDiscrepancy::new(p.clone(), vec![x, y]));
-        });
-        return Ok(coalesce_multi(out));
-    }
+    let (arena, roots) = intern_versions(versions)?;
+    Ok(arena.product(&roots)?.multi_discrepancies())
+}
+
+/// Direct comparison as published: the paper-literal construction of every
+/// version, shaped with all the others in one pass ([`shape_all`]) and
+/// walked in lockstep — the `N`-version mirror of
+/// [`crate::compare_firewalls_via_shaping`]. It reports the same disputed
+/// packets with the same decisions as [`direct_compare`], cut into finer
+/// regions. The shaped trees grow quickly: use it on small policies, as a
+/// reference.
+///
+/// # Errors
+///
+/// As for [`direct_compare`].
+pub fn direct_compare_via_shaping(
+    versions: &[Firewall],
+) -> Result<Vec<MultiDiscrepancy>, CoreError> {
     let fdds = shape_all(versions)?;
-    let roots: Vec<NodeId> = fdds.iter().map(Fdd::root).collect();
-    let mut out = Vec::new();
-    let mut pred = Predicate::any(fdds[0].schema());
-    walk_n(&fdds, &roots, &mut pred, &mut out);
-    Ok(coalesce_multi(out))
+    let fdds: Vec<&Fdd> = fdds.iter().collect();
+    Ok(coalesce_multi(crate::compare::lockstep(&fdds)))
+}
+
+/// Builds every version by fast construction into one fresh arena, in
+/// version order, and returns the arena with the versions' roots.
+fn intern_versions(versions: &[Firewall]) -> Result<(ConsArena, Vec<ConsId>), CoreError> {
+    check_versions(versions)?;
+    let mut arena = ConsArena::new(versions[0].schema().clone());
+    let roots = versions
+        .iter()
+        .map(|v| arena.intern_fdd(&Fdd::from_firewall_fast(v)?))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((arena, roots))
 }
 
 /// Shapes all `N` versions into mutually semi-isomorphic FDDs in one pass —
 /// the generalisation of [`crate::shape_pair`] that §7.3's direct comparison
-/// needs. The `i`-th output is equivalent to `versions[i]`.
+/// as published needs ([`direct_compare_via_shaping`]). The `i`-th output
+/// is equivalent to `versions[i]`.
 ///
 /// # Errors
 ///
@@ -226,47 +241,6 @@ fn shape_n(fdds: &mut [Fdd], nodes: Vec<NodeId>) -> Vec<NodeId> {
         }
     }
     tops
-}
-
-fn walk_n(fdds: &[Fdd], nodes: &[NodeId], pred: &mut Predicate, out: &mut Vec<MultiDiscrepancy>) {
-    match fdds[0].node(nodes[0]) {
-        Node::Terminal(_) => {
-            let decisions: Vec<_> = fdds
-                .iter()
-                .zip(nodes)
-                .map(|(f, &n)| f.terminal_decision(n).expect("aligned terminals"))
-                .collect();
-            if decisions.windows(2).any(|w| w[0] != w[1]) {
-                out.push(MultiDiscrepancy::new(pred.clone(), decisions));
-            }
-        }
-        Node::Internal { field, edges } => {
-            let field = *field;
-            let k = edges.len();
-            let saved = pred.set(field).clone();
-            for idx in 0..k {
-                let label = match fdds[0].node(nodes[0]) {
-                    Node::Internal { edges, .. } => edges[idx].label.clone(),
-                    Node::Terminal(_) => unreachable!(),
-                };
-                let children: Vec<NodeId> = fdds
-                    .iter()
-                    .zip(nodes)
-                    .map(|(f, &n)| match f.node(n) {
-                        Node::Internal { edges, .. } => edges[idx].target,
-                        Node::Terminal(_) => unreachable!("semi-isomorphic tuple"),
-                    })
-                    .collect();
-                *pred = pred
-                    .with_field(field, label)
-                    .expect("edge labels are non-empty by invariant");
-                walk_n(fdds, &children, pred, out);
-            }
-            *pred = pred
-                .with_field(field, saved)
-                .expect("saved set is non-empty");
-        }
-    }
 }
 
 /// Projects an `N`-way discrepancy list onto one version pair, yielding the

@@ -6,8 +6,8 @@
 //! diagrams' decision paths — the *product* of the two diagrams. The
 //! product is computed over canonical DAGs instead: both diagrams are
 //! interned into one [`ConsArena`], where equal subfunctions share an id,
-//! and the arena's pair walk (`cons.rs`) overlays each distinct pair of ids
-//! once and stops at every pair of equal ids. The discrepancy cells are the
+//! and the arena's product walk (`cons.rs`) overlays each distinct pair of
+//! ids once and stops at every pair of equal ids. The discrepancy cells are the
 //! ones the paper's pipeline finds, without materialising the worst-case
 //! `O((n+m)^d)` tree; this is what lets two independent 3,000-rule policies
 //! compare in seconds (§8.2.2), and what makes the diff of two versions of
@@ -17,12 +17,14 @@
 //! terminals carry the *pairs* of decisions the inputs disagree on, and
 //! every packet on which they agree reaches one shared agreeing leaf.
 //! Equivalence, cell counts, affected-packet counts and the full
-//! human-readable discrepancy listing all read off it.
+//! human-readable discrepancy listing all read off it. The same walk takes
+//! any number of roots: [`crate::direct_compare`] builds the product of
+//! all `N` versions at once, whose terminals carry `N`-tuples.
 
 use fw_model::{Decision, FieldId, Firewall, IntervalSet, Predicate, Schema};
 
 use crate::cons::ConsArena;
-use crate::discrepancy::Discrepancy;
+use crate::discrepancy::{Discrepancy, MultiDiscrepancy};
 use crate::fdd::Fdd;
 use crate::CoreError;
 
@@ -31,9 +33,9 @@ use crate::CoreError;
 pub(crate) enum DiffNode {
     /// The inputs agree on every packet reaching here.
     Same,
-    /// Every packet reaching here decides `.0` on the left and `.1` on the
-    /// right, and `.0 != .1`.
-    Differ(Decision, Decision),
+    /// Every packet reaching here decides the tuple at this offset of the
+    /// product's decisions, one per input, and not all of them agree.
+    Differ(u32),
     /// A test of `field`. Its edges, sorted by least value, lead only to
     /// disagreeing children; the rest of the domain reaches [`SAME`].
     Split {
@@ -46,9 +48,15 @@ pub(crate) enum DiffNode {
 /// first.
 pub(crate) const SAME: u32 = 0;
 
-/// The synchronized product of two FDDs over one schema: a decision
-/// diagram mapping every packet on which the inputs disagree to the *pair*
-/// of decisions they assign it.
+/// The synchronized product of two or more FDDs over one schema: a
+/// decision diagram mapping every packet on which the inputs do not all
+/// agree to the tuple of decisions they assign it. [`diff_product`] pairs
+/// two diagrams; [`ConsArena::product`] takes any number of roots of one
+/// arena. The pair readers ([`discrepancies`], [`raw_discrepancies`])
+/// need a product of two.
+///
+/// [`discrepancies`]: DiffProduct::discrepancies
+/// [`raw_discrepancies`]: DiffProduct::raw_discrepancies
 ///
 /// # Example
 ///
@@ -70,6 +78,11 @@ pub struct DiffProduct {
     schema: Schema,
     /// Children before parents, [`SAME`] first.
     nodes: Vec<DiffNode>,
+    /// The decision tuples of the [`DiffNode::Differ`] leaves, back to
+    /// back.
+    decisions: Vec<Decision>,
+    /// The number of inputs.
+    arity: usize,
     root: u32,
 }
 
@@ -82,7 +95,7 @@ pub struct DiffProduct {
 /// Returns [`CoreError::SchemaMismatch`] if the schemas differ.
 pub fn diff_product(a: &Fdd, b: &Fdd) -> Result<DiffProduct, CoreError> {
     let (arena, ra, rb) = ConsArena::of_pair(a, b)?;
-    arena.product(ra, rb)
+    arena.product(&[ra, rb])
 }
 
 /// Compares two firewalls through the fast pipeline: fast construction
@@ -102,13 +115,22 @@ pub fn diff_firewalls(a: &Firewall, b: &Firewall) -> Result<DiffProduct, CoreErr
 }
 
 impl DiffProduct {
-    /// Wraps the nodes a pair walk built: children before parents,
-    /// [`SAME`] first.
-    pub(crate) fn new(schema: Schema, nodes: Vec<DiffNode>, root: u32) -> DiffProduct {
+    /// Wraps what a product walk over `arity` roots built: the nodes,
+    /// children before parents and [`SAME`] first, and the leaves'
+    /// decision tuples.
+    pub(crate) fn new(
+        schema: Schema,
+        nodes: Vec<DiffNode>,
+        decisions: Vec<Decision>,
+        arity: usize,
+        root: u32,
+    ) -> DiffProduct {
         debug_assert!(matches!(nodes.first(), Some(DiffNode::Same)));
         DiffProduct {
             schema,
             nodes,
+            decisions,
+            arity,
             root,
         }
     }
@@ -187,19 +209,11 @@ impl DiffProduct {
         out
     }
 
-    /// Visits every disagreement cell as `(predicate, left, right)`.
-    pub fn for_each_discrepancy<F>(&self, mut f: F)
-    where
-        F: FnMut(&Predicate, Decision, Decision),
-    {
-        self.for_each_cell(|p, x, y| f(&p, x, y));
-    }
-
-    /// Hands `f` every disagreement cell, in edge order. Every node but the
-    /// agreeing leaf reaches a disagreement, and no edge leads to that
-    /// leaf, so the walk descends everywhere, holding borrowed labels; a
-    /// cell's predicate is built once, at its terminal.
-    fn for_each_cell(&self, mut f: impl FnMut(Predicate, Decision, Decision)) {
+    /// Hands `f` every disagreement cell with its decision tuple, in edge
+    /// order. Every node but the agreeing leaf reaches a disagreement, and
+    /// no edge leads to that leaf, so the walk descends everywhere, holding
+    /// borrowed labels; a cell's predicate is built once, at its terminal.
+    fn for_each_cell(&self, mut f: impl FnMut(Predicate, &[Decision])) {
         let mut path = vec![None; self.schema.len()];
         self.walk(self.root, &mut path, &mut f);
     }
@@ -208,11 +222,11 @@ impl DiffProduct {
         &'a self,
         id: u32,
         path: &mut [Option<&'a IntervalSet>],
-        f: &mut impl FnMut(Predicate, Decision, Decision),
+        f: &mut impl FnMut(Predicate, &[Decision]),
     ) {
         match &self.nodes[id as usize] {
             DiffNode::Same => {}
-            DiffNode::Differ(x, y) => {
+            &DiffNode::Differ(at) => {
                 let sets = path
                     .iter()
                     .zip(self.schema.iter())
@@ -221,7 +235,11 @@ impl DiffProduct {
                         None => IntervalSet::from_interval(field.domain()),
                     })
                     .collect();
-                f(Predicate::from_sets_unchecked(sets), *x, *y);
+                let at = at as usize;
+                f(
+                    Predicate::from_sets_unchecked(sets),
+                    &self.decisions[at..at + self.arity],
+                );
             }
             DiffNode::Split { field, edges } => {
                 for (label, t) in edges {
@@ -234,15 +252,33 @@ impl DiffProduct {
     }
 
     /// All disagreement cells, coalesced into Table-3-style regions.
+    ///
+    /// # Panics
+    ///
+    /// If the product is not of two inputs.
     pub fn discrepancies(&self) -> Vec<Discrepancy> {
         crate::discrepancy::coalesce(self.raw_discrepancies())
     }
 
     /// All disagreement cells, uncoalesced (one per overlay path).
+    ///
+    /// # Panics
+    ///
+    /// If the product is not of two inputs.
     pub fn raw_discrepancies(&self) -> Vec<Discrepancy> {
+        assert_eq!(self.arity, 2, "a pair reader needs a product of two");
         let mut out = Vec::new();
-        self.for_each_cell(|p, x, y| out.push(Discrepancy::new(p, x, y)));
+        self.for_each_cell(|p, ds| out.push(Discrepancy::new(p, ds[0], ds[1])));
         out
+    }
+
+    /// All cells on which the inputs do not all agree, with one decision
+    /// per input, coalesced into regions: the reader for a product of any
+    /// number of inputs.
+    pub fn multi_discrepancies(&self) -> Vec<MultiDiscrepancy> {
+        let mut out = Vec::new();
+        self.for_each_cell(|p, ds| out.push(MultiDiscrepancy::new(p, ds.to_vec())));
+        crate::discrepancy::coalesce_multi(out)
     }
 }
 

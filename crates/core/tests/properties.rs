@@ -181,19 +181,21 @@ proptest! {
 
     #[test]
     fn direct_compare_matches_oracle(
-        fa in arb_firewall(), fb in arb_firewall(), fc in arb_firewall()
+        fa in arb_firewall(), fb in arb_firewall(), fc in arb_firewall(), fd in arb_firewall()
     ) {
-        let vs = [fa, fb, fc];
-        let ds = direct_compare(&vs).unwrap();
-        for p in all_packets(vs[0].schema()) {
-            let decs: Vec<_> = vs.iter().map(|f| f.decision_for(&p).unwrap()).collect();
-            let disagree = decs.windows(2).any(|w| w[0] != w[1]);
-            match ds.iter().find(|d| d.predicate().matches(&p)) {
-                Some(d) => {
-                    prop_assert!(disagree, "covered point must disagree: {}", p);
-                    prop_assert_eq!(d.decisions(), &decs[..], "at {}", p);
+        let four = [fa, fb, fc, fd];
+        for vs in [&four[..3], &four[..]] {
+            let ds = direct_compare(vs).unwrap();
+            for p in all_packets(vs[0].schema()) {
+                let decs: Vec<_> = vs.iter().map(|f| f.decision_for(&p).unwrap()).collect();
+                let disagree = decs.windows(2).any(|w| w[0] != w[1]);
+                match ds.iter().find(|d| d.predicate().matches(&p)) {
+                    Some(d) => {
+                        prop_assert!(disagree, "covered point must disagree: {}", p);
+                        prop_assert_eq!(d.decisions(), &decs[..], "at {}", p);
+                    }
+                    None => prop_assert!(!disagree, "uncovered point must agree: {}", p),
                 }
-                None => prop_assert!(!disagree, "uncovered point must agree: {}", p),
             }
         }
     }

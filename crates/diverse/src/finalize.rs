@@ -1,34 +1,34 @@
 //! Generating the final, unanimously agreed firewall from a resolution —
 //! the two methods of paper §6, plus the self-check that they agree.
 
+use fw_core::Fdd;
 use fw_model::{Firewall, Rule};
 
 use crate::{Comparison, DiverseError, Resolution};
 
-/// **Method 1** (§6.1): correct a shaped FDD's terminal decisions per the
-/// resolution, then generate a compact rule sequence from the corrected
-/// diagram.
+/// **Method 1** (§6.1): correct version 0's diagram per the resolution,
+/// then generate a compact rule sequence from the corrected diagram.
 ///
-/// Any version's shaped diagram works (after correction they are all
-/// identical); this uses version 0's.
+/// The paper corrects the terminals of a shaped diagram; here version 0 is
+/// built by fast construction with one rule per resolved region on top,
+/// which is the same function: the regions are disjoint, and each decides
+/// as resolved. Any version would do, since after correction they all
+/// compute the same function, and rule generation reduces its input
+/// first, so its output depends on that function alone.
 ///
 /// # Errors
 ///
-/// Propagates shaping/generation errors; returns
-/// [`DiverseError::ResolutionMismatch`] if a resolved region does not align
-/// with the shaped diagram (cannot happen for a resolution built from the
-/// same comparison).
+/// Propagates construction and generation errors.
 pub fn method1(cmp: &Comparison, res: &Resolution) -> Result<Firewall, DiverseError> {
-    let mut shaped = fw_core::shape_all(cmp.versions())?;
-    let mut corrected = shaped.swap_remove(0);
-    for entry in res.entries() {
-        corrected
-            .overwrite_region(entry.discrepancy().predicate(), entry.decision())
-            .map_err(|e| DiverseError::ResolutionMismatch {
-                message: e.to_string(),
-            })?;
-    }
-    Ok(fw_gen::generate_rules(&corrected)?)
+    let base = &cmp.versions()[0];
+    let corrections = res
+        .entries()
+        .iter()
+        .map(|e| Rule::new(e.discrepancy().predicate().clone(), e.decision()));
+    let rules = corrections.chain(base.rules().iter().cloned()).collect();
+    let corrected = Firewall::new(base.schema().clone(), rules)?;
+    let fdd = Fdd::from_firewall_fast(&corrected)?;
+    Ok(fw_gen::generate_rules(&fdd)?)
 }
 
 /// **Method 2** (§6.2): prepend to version `base` the correction rules for
@@ -223,6 +223,38 @@ mod tests {
         let m2b = method2(&cmp, &res, 1).unwrap(); // Table 7 analogue
         assert!(fw_core::equivalent(&m1, &m2a).unwrap());
         assert!(fw_core::equivalent(&m1, &m2b).unwrap());
+    }
+
+    /// Method 1 as published: version 0 shaped with all the others, its
+    /// terminals overwritten per resolved region, and rules generated.
+    fn method1_literal(cmp: &Comparison, res: &Resolution) -> Firewall {
+        let mut corrected = fw_core::shape_all(cmp.versions()).unwrap().swap_remove(0);
+        for e in res.entries() {
+            corrected
+                .overwrite_region(e.discrepancy().predicate(), e.decision())
+                .unwrap();
+        }
+        fw_gen::generate_rules(&corrected).unwrap()
+    }
+
+    #[test]
+    fn method1_emits_the_literal_routes_rules() {
+        let mut cases = vec![paper_setup()];
+        let avg = fw_synth::university_average();
+        for teams in [2, 3] {
+            let mut versions = vec![avg.clone()];
+            versions.extend([8, 9].map(|seed| fw_synth::perturb(&avg, 10, seed)));
+            versions.truncate(teams);
+            let cmp = Comparison::of(versions).unwrap();
+            let res = Resolution::by_majority(&cmp);
+            cases.push((cmp, res));
+        }
+        for (cmp, res) in &cases {
+            assert_eq!(
+                method1(cmp, res).unwrap().to_string(),
+                method1_literal(cmp, res).to_string()
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,15 @@
 //! walk that the arena walk replaced. The pairs are the `smoke` bin's, the
 //! Fig. 12 and Fig. 13 harnesses' at the run counts of `results/`, and the
 //! 661-rule policy against twenty of its 5% variants.
+//!
+//! `direct_compare` of two versions is pinned on the same pairs: its
+//! constants were captured while two versions still took the pair walk
+//! and any other number took tree shaping.
 
-use diverse_firewall::core::{cross_compare, diff_firewalls, Discrepancy, Fdd};
-use diverse_firewall::model::Firewall;
+use diverse_firewall::core::{
+    cross_compare, diff_firewalls, direct_compare, Discrepancy, Fdd, MultiDiscrepancy,
+};
+use diverse_firewall::model::{Decision, Firewall, Predicate};
 use diverse_firewall::synth::{perturb, university_average, university_large, Synthesizer};
 
 /// FNV-1a over a canonical byte form of the outputs.
@@ -31,20 +37,31 @@ impl Digest {
         self.bytes(&v.to_le_bytes());
     }
 
+    fn region(&mut self, pred: &Predicate, decisions: &[Decision]) {
+        for set in pred.sets() {
+            self.word(set.run_count() as u128);
+            for iv in set.iter() {
+                self.word(u128::from(iv.lo()));
+                self.word(u128::from(iv.hi()));
+            }
+        }
+        for decision in decisions {
+            self.bytes(decision.to_string().as_bytes());
+            self.bytes(&[0]);
+        }
+    }
+
     fn regions(&mut self, ds: &[Discrepancy]) {
         self.word(ds.len() as u128);
         for d in ds {
-            for set in d.predicate().sets() {
-                self.word(set.run_count() as u128);
-                for iv in set.iter() {
-                    self.word(u128::from(iv.lo()));
-                    self.word(u128::from(iv.hi()));
-                }
-            }
-            for decision in [d.left(), d.right()] {
-                self.bytes(decision.to_string().as_bytes());
-                self.bytes(&[0]);
-            }
+            self.region(d.predicate(), &[d.left(), d.right()]);
+        }
+    }
+
+    fn multi_regions(&mut self, ds: &[MultiDiscrepancy]) {
+        self.word(ds.len() as u128);
+        for d in ds {
+            self.region(d.predicate(), d.decisions());
         }
     }
 
@@ -63,6 +80,16 @@ fn digest_pairs<'a>(pairs: impl IntoIterator<Item = (&'a Firewall, Firewall)>) -
     let mut digest = Digest::new();
     for (a, b) in pairs {
         digest.pair(a, &b);
+    }
+    format!("{:016x}", digest.0)
+}
+
+/// The digest of `direct_compare` of each pair, as two versions.
+fn digest_direct<'a>(pairs: impl IntoIterator<Item = (&'a Firewall, Firewall)>) -> String {
+    let mut digest = Digest::new();
+    for (a, b) in pairs {
+        let ds = direct_compare(&[a.clone(), b]).expect("comprehensive, one schema");
+        digest.multi_regions(&ds);
     }
     format!("{:016x}", digest.0)
 }
@@ -205,6 +232,56 @@ fn reduction_keeps_its_node_counts() {
             [2_459, 72, 72, 72],
             [20_266, 190, 190, 190],
             [195_058, 122, 122, 122],
+        ]
+    );
+}
+
+#[test]
+fn direct_comparison_of_two_keeps_its_outputs() {
+    let avg = university_average();
+    let large = university_large();
+    let mut s1 = Synthesizer::new(100);
+    let mut s2 = Synthesizer::new(200);
+    let independent: Vec<(Firewall, Firewall)> = [500usize, 1000, 2000, 3000]
+        .map(|n| (s1.firewall(n), s2.firewall(n)))
+        .into();
+    let fig13: Vec<(Firewall, Firewall)> = [200usize, 600, 1000, 1400, 1800, 2200, 2600, 3000]
+        .iter()
+        .flat_map(|&n| {
+            (0..5u64).map(move |run| {
+                let base = n as u64 * 100 + run;
+                (
+                    Synthesizer::new(base).firewall(n),
+                    Synthesizer::new(base + 50).firewall(n),
+                )
+            })
+        })
+        .collect();
+    let mut got = vec![
+        digest_direct([
+            (&avg, perturb(&avg, 20, 1)),
+            (&large, perturb(&large, 10, 1)),
+        ]),
+        digest_direct(independent.iter().map(|(a, b)| (a, b.clone()))),
+    ];
+    for fw in [&large, &avg] {
+        got.push(digest_direct((5..=50).step_by(5).flat_map(|x| {
+            (0..10u64).map(move |run| (fw, perturb(fw, x, run * 1000 + u64::from(x))))
+        })));
+    }
+    got.push(digest_direct(fig13.iter().map(|(a, b)| (a, b.clone()))));
+    got.push(digest_direct(
+        (1..=20u64).map(|seed| (&large, perturb(&large, 5, seed))),
+    ));
+    assert_eq!(
+        got,
+        [
+            "55e24b193b96e675",
+            "55cf2c7574c5278c",
+            "713c2f14e662e04b",
+            "54e8479766d18efe",
+            "b11e5c64cc886c6c",
+            "7658187e098ab892",
         ]
     );
 }

@@ -4,10 +4,11 @@
 //! exhaustive oracle.
 
 use diverse_firewall::core::{
-    compare_firewalls, compare_firewalls_via_shaping, cross_compare, direct_compare, project_pair,
+    compare_firewalls, compare_firewalls_via_shaping, cross_compare, direct_compare,
+    direct_compare_via_shaping, project_pair,
 };
 use diverse_firewall::model::{paper, Firewall, Schema};
-use diverse_firewall::synth::{perturb, PacketTrace, Synthesizer};
+use diverse_firewall::synth::{perturb, university_average, PacketTrace, Synthesizer};
 use proptest::prelude::*;
 
 #[test]
@@ -85,6 +86,81 @@ fn cross_and_direct_comparison_agree_for_three_versions() {
             );
         }
     }
+}
+
+/// The product walk and the paper's N-way shaping report the same
+/// disputed packets with the same decision tuples. The product's regions
+/// are coarser, so agreement is witness-checked both ways. Cases with a
+/// fourth version run with three and with four; shaping grows fast, so
+/// the larger synthetic triples are 10% perturbations of one policy.
+#[test]
+fn direct_comparison_agrees_with_shaping_for_three_and_four_versions() {
+    let avg = university_average();
+    let mut cases: Vec<(String, Vec<Firewall>)> = vec![
+        (
+            "paper".into(),
+            vec![
+                paper::team_a(),
+                paper::team_b(),
+                paper::team_b(),
+                paper::team_a(),
+            ],
+        ),
+        (
+            "avg(42)".into(),
+            std::iter::once(avg.clone())
+                .chain([8, 9, 10].map(|seed| perturb(&avg, 10, seed)))
+                .collect(),
+        ),
+        (
+            "independent n=15".into(),
+            (0..3)
+                .map(|k| Synthesizer::new(10 + k).firewall(15))
+                .collect(),
+        ),
+    ];
+    for (n, teams) in [(25usize, 4u64), (50, 3), (100, 3)] {
+        let base = Synthesizer::new(n as u64).firewall(n);
+        let versions = (0..teams).map(|k| perturb(&base, 10, k)).collect();
+        cases.push((format!("perturbed n={n}"), versions));
+    }
+    for (name, versions) in &cases {
+        for teams in 3..=versions.len() {
+            let versions = &versions[..teams];
+            let direct = direct_compare(versions).unwrap();
+            let shaped = direct_compare_via_shaping(versions).unwrap();
+            assert!(!direct.is_empty(), "{name}: the versions differ");
+            for (xs, ys, way) in [
+                (&direct, &shaped, "direct⊆shaping"),
+                (&shaped, &direct, "shaping⊆direct"),
+            ] {
+                for d in xs.iter() {
+                    let w = d.witness();
+                    assert!(
+                        ys.iter()
+                            .any(|e| e.predicate().matches(&w) && e.decisions() == d.decisions()),
+                        "{name}, {teams} teams: {way} failed at witness {w}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Direct comparison, like cross comparison, fails with the first failing
+/// version's error in version order.
+#[test]
+fn direct_compare_reports_the_first_failing_version() {
+    let schema = Schema::tcp_ip();
+    let small = Synthesizer::new(5).firewall(60);
+    let large = Synthesizer::new(6).firewall(3_000);
+    let gap = Firewall::new(schema.clone(), large.rules()[..large.len() - 1].to_vec()).unwrap();
+    let narrow = Firewall::parse(schema, "proto=0-5 -> accept\n").unwrap();
+    let first = compare_firewalls(&small, &gap).unwrap_err();
+    let versions = vec![small.clone(), gap, small, narrow.clone()];
+    assert_eq!(direct_compare(&versions), Err(first));
+    let later = compare_firewalls(&versions[0], &narrow).unwrap_err();
+    assert_eq!(direct_compare(&[versions[0].clone(), narrow]), Err(later));
 }
 
 /// Cross comparison diffs every pair in one shared arena, and each pair's
