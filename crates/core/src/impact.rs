@@ -6,7 +6,7 @@
 //! real errors come from inserting rules at the top of a policy);
 //! [`ChangeImpact::of_edits`] applies a batch and reports its exact impact.
 
-use fw_model::{FieldId, Firewall, Packet, Rule, Schema};
+use fw_model::{Firewall, Packet, Rule, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::discrepancy::Discrepancy;
@@ -177,30 +177,6 @@ impl ChangeImpact {
     /// changed) — e.g. removing a redundant rule.
     pub fn is_noop(&self) -> bool {
         self.discrepancies.is_empty()
-    }
-
-    /// The fields some changed region actually constrains: an FDD subtree
-    /// whose path region is free on every dirty field (or disjoint from all
-    /// changed regions) decides identically before and after the change, so
-    /// a consumer patching a compiled form can keep it verbatim.
-    /// `fw_exec::CompiledFdd::recompile` is that consumer.
-    ///
-    /// Returns field ids in schema order; empty iff [`Self::is_noop`].
-    pub fn dirty_fields(&self, schema: &Schema) -> Vec<FieldId> {
-        let mut dirty = vec![false; schema.len()];
-        for d in &self.discrepancies {
-            for (id, fd) in schema.iter() {
-                if !d.predicate().set(id).covers(fd.domain()) {
-                    dirty[id.index()] = true;
-                }
-            }
-        }
-        dirty
-            .iter()
-            .enumerate()
-            .filter(|&(_, &is_dirty)| is_dirty)
-            .map(|(i, _)| FieldId(i))
-            .collect()
     }
 
     /// Whether the given packet's decision changed.
@@ -388,56 +364,6 @@ mod tests {
             ChangeImpact::of_edits(&fw, &[Edit::Remove { index: 99 }]),
             Err(CoreError::Model(_))
         ));
-    }
-
-    #[test]
-    fn dirty_fields_name_exactly_the_constrained_fields() {
-        let fw =
-            fw_model::Firewall::parse(tiny_schema(), "a=0-3 -> accept\n* -> discard\n").unwrap();
-        // Narrowing on `a` only: `b` stays free in every changed region.
-        let blocker = Rule::new(
-            Predicate::any(fw.schema())
-                .with_field(FieldId(0), IntervalSet::from_value(2))
-                .unwrap(),
-            Decision::Discard,
-        );
-        let (_, impact) = ChangeImpact::of_edits(
-            &fw,
-            &[Edit::Insert {
-                index: 0,
-                rule: blocker,
-            }],
-        )
-        .unwrap();
-        assert_eq!(impact.dirty_fields(fw.schema()), vec![FieldId(0)]);
-
-        // A no-op dirties nothing.
-        let (_, noop) = ChangeImpact::of_edits(
-            &fw,
-            &[Edit::Replace {
-                index: 0,
-                rule: fw.rules()[0].clone(),
-            }],
-        )
-        .unwrap();
-        assert!(noop.is_noop());
-        assert!(noop.dirty_fields(fw.schema()).is_empty());
-
-        // Flipping a policy's only (catch-all) rule changes the whole
-        // domain: the changed region constrains no field, so `dirty_fields`
-        // is empty even though the change reaches everything — region
-        // intersection, not field membership, is what decides reuse.
-        let all = fw_model::Firewall::parse(tiny_schema(), "* -> accept\n").unwrap();
-        let (_, flip) = ChangeImpact::of_edits(
-            &all,
-            &[Edit::Replace {
-                index: 0,
-                rule: Rule::catch_all(all.schema(), Decision::Discard),
-            }],
-        )
-        .unwrap();
-        assert!(!flip.is_noop());
-        assert!(flip.dirty_fields(all.schema()).is_empty());
     }
 
     #[test]

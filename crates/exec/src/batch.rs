@@ -167,31 +167,6 @@ fn validate_columns(schema: &Schema, columns: &[Vec<u64>]) -> Result<(), ModelEr
 }
 
 impl CompiledFdd {
-    /// The scalar walk over a field-major batch: identical to
-    /// [`CompiledFdd::decide`] but reading `columns[field][i]` directly, so
-    /// the batch is never reassembled into row-major temporaries.
-    #[inline]
-    pub(crate) fn decide_column(&self, batch: &PacketBatch, i: usize) -> Decision {
-        let mut idx = self.root as usize;
-        loop {
-            let n = self.nodes[idx];
-            match n.kind {
-                crate::compile::KIND_TERMINAL => return crate::compile::decision_from_u16(n.field),
-                crate::compile::KIND_JUMP => {
-                    let v = batch.columns[n.field as usize][i];
-                    idx = self.jump[n.off as usize + v as usize] as usize;
-                }
-                _ => {
-                    let v = batch.columns[n.field as usize][i];
-                    let off = n.off as usize;
-                    let len = n.len as usize;
-                    let k = crate::compile::lower_bound(&self.cuts[off..off + len], v);
-                    idx = self.cut_targets[off + k] as usize;
-                }
-            }
-        }
-    }
-
     /// Classifies every packet of a field-major batch, returning decisions
     /// in packet order.
     ///
@@ -224,7 +199,10 @@ impl CompiledFdd {
         }
         out.clear();
         out.reserve(batch.len());
-        out.extend((0..batch.len()).map(|i| self.decide_column(batch, i)));
+        // The scalar walk reads `columns[field][i]` directly, so the batch
+        // is never reassembled into row-major temporaries.
+        let columns = batch.columns_raw();
+        out.extend((0..batch.len()).map(|i| self.decide(|f| columns[f][i])));
         Ok(())
     }
 }

@@ -391,21 +391,6 @@ impl DecisionCache {
         self.insert_at(base, tag, generation, decision, |f| values[f])
     }
 
-    /// [`probe`](Self::probe) for packet `i` of a field-major batch,
-    /// reading the tuple straight out of the columns (no gather, no
-    /// allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch's arity differs from the cache schema's or `i`
-    /// is out of range.
-    pub fn probe_batch(&mut self, tag: u64, batch: &PacketBatch, i: usize) -> Option<Decision> {
-        let columns = batch.columns_raw();
-        assert_eq!(columns.len(), self.width, "probe arity mismatch");
-        let base = self.set_base(tag, |f| columns[f][i]);
-        self.probe_at(base, tag, |f| columns[f][i])
-    }
-
     /// [`insert`](Self::insert) for packet `i` of a field-major batch.
     ///
     /// # Panics

@@ -5,7 +5,7 @@
 //! packet's whole root-to-terminal chain before starting the next. On an
 //! out-of-order core that loop is not load-latency-bound but
 //! *mispredict*-bound: every node transition retires data-dependent
-//! branches (the node-kind `match`, the exit of a binary search whose trip
+//! branches (the terminal test, the exit of a binary search whose trip
 //! count follows the cut count of whatever node the packet hits), and a
 //! ~20-cycle flush per step swamps the handful of cheap arena loads. The
 //! lane kernel removes those branches, and halves the steps, by lowering
@@ -23,9 +23,10 @@
 //!   value's top `q` bits index a bucket whose bracket spans at most
 //!   [`QLADDER`] cuts (`q` is the smallest that guarantees it), so the
 //!   node resolves with one shift plus a fixed two-compare
-//!   conditional-move ladder: no loop, no branch. Jump tables are first
-//!   run-length-encoded back into cut form, so every node has one shape.
-//!   Tables are handed out in arena order from a fixed entry budget.
+//!   conditional-move ladder: no loop, no branch. The ladder reads the
+//!   image node's own cuts, which every internal node has whatever its
+//!   field's width. Tables are handed out in arena order from a fixed
+//!   entry budget.
 //! * **Padded search past the budget.** A node the budget leaves out, or
 //!   whose cuts cluster too tightly for any table within
 //!   [`QJUMP_MAX_BITS`], keeps its cuts padded to one arena-wide power of
@@ -51,7 +52,7 @@
 
 use fw_model::Decision;
 
-use crate::compile::{decision_from_u16, NodeDesc, KIND_JUMP, KIND_TERMINAL};
+use crate::compile::{decision_from_u16, KIND_TERMINAL};
 use crate::{CompiledFdd, ExecError, PacketBatch};
 
 /// Lane width of the lane kernel: packets in flight per chunk.
@@ -137,34 +138,6 @@ pub(crate) struct LaneKernel {
     stats: LaneStats,
 }
 
-/// A node's edges in cut form: a search node's own slices, or a jump table
-/// run-length-encoded into `rle` (one cut per constant run of targets, at
-/// the run's last value).
-fn edges<'a>(
-    image: &'a CompiledFdd,
-    n: NodeDesc,
-    rle: &'a mut (Vec<u64>, Vec<u32>),
-) -> (&'a [u64], &'a [u32]) {
-    let (off, len) = (n.off as usize, n.len as usize);
-    if n.kind != KIND_JUMP {
-        return (
-            &image.cuts[off..off + len],
-            &image.cut_targets[off..off + len],
-        );
-    }
-    let (cuts, targets) = rle;
-    cuts.clear();
-    targets.clear();
-    let table = &image.jump[off..off + len];
-    for (v, &t) in table.iter().enumerate() {
-        if table.get(v + 1) != Some(&t) {
-            cuts.push(v as u64);
-            targets.push(t);
-        }
-    }
-    (cuts, targets)
-}
-
 /// The right shift of the smallest quantization whose every bucket
 /// brackets at most [`QLADDER`] cuts, or `None` when no table within
 /// [`QJUMP_MAX_BITS`] can guarantee it. `cuts` holds more than `QLADDER`
@@ -220,11 +193,7 @@ impl LaneKernel {
             if n.len != 1 {
                 return t;
             }
-            t = if n.kind == KIND_JUMP {
-                image.jump[n.off as usize]
-            } else {
-                image.cut_targets[n.off as usize]
-            };
+            t = image.cut_targets[n.off as usize];
         };
         let heights = image.heights();
         let fused = |b: usize| {
@@ -243,7 +212,6 @@ impl LaneKernel {
             qstarts: Vec::new(),
             stats: LaneStats::default(),
         };
-        let mut rle = (Vec::new(), Vec::new());
         let mut budget = QJUMP_BUDGET_ENTRIES;
         let mut padded = Vec::new();
         let mut widest = 1usize;
@@ -256,7 +224,7 @@ impl LaneKernel {
                 .schema
                 .field(fw_model::FieldId(n.field as usize))
                 .bits();
-            let (cuts, raw) = edges(image, n, &mut rle);
+            let (cuts, raw) = image.edges(n);
             let shift = match cuts.len() {
                 _ if bits >= 64 => None,
                 len if len <= QLADDER => Some(bits),
@@ -298,7 +266,7 @@ impl LaneKernel {
         let arena_bits = widest.next_power_of_two().trailing_zeros();
         for &b in &padded {
             let n = nodes[b];
-            let (cuts, raw) = edges(image, n, &mut rle);
+            let (cuts, raw) = image.edges(n);
             let bits = if arena_bits <= PAD_MAX_BITS {
                 arena_bits
             } else {

@@ -3,12 +3,12 @@
 //! The paper's end product (§6) is one agreed-upon firewall; this crate is
 //! how that firewall *runs*. A finalized [`fw_core::Fdd`] is lowered into a
 //! [`CompiledFdd`]: a contiguous arena of fixed-size node descriptors with
-//! no pointers and no per-packet allocation, where each internal node
-//! resolves its field value either through a dense jump table (fields of at
-//! most [`JUMP_TABLE_MAX_BITS`] bits) or a sorted cut-point array walked by
-//! branchless binary search. Decision-diagram lowering into flat lookup
-//! structures follows Hazelhurst's observation that analysis DAGs and fast
-//! lookup structures are the same object at different addresses.
+//! no pointers and no per-packet allocation, where every internal node,
+//! whatever its field's width, resolves its field value through its sorted
+//! cut points (one per edge interval) by branchless binary search.
+//! Decision-diagram lowering into flat lookup structures follows
+//! Hazelhurst's observation that analysis DAGs and fast lookup structures
+//! are the same object at different addresses.
 //!
 //! On top of the matcher sit the runtime surfaces the evaluation harness
 //! and the `fwclass` binary share:
@@ -28,10 +28,12 @@
 //!   cores (see `kernel.rs`). The row-major
 //!   [`CompiledFdd::classify_batch`] and the column walk are the reference
 //!   engines the agreement oracles compare it against;
-//! * [`CompiledFdd::encode`] / [`CompiledFdd::decode`] — a fixed-width
-//!   little-endian wire format in the same `bytes` conventions as
-//!   `fw_synth::PacketTrace`, so a compiled policy can be shipped to the
-//!   box that serves it;
+//! * [`CompiledFdd::encode`] / [`CompiledFdd::decode`] — FWEX, a
+//!   fixed-width little-endian wire format in the same `bytes` conventions
+//!   as `fw_synth::PacketTrace`, so a compiled policy can be shipped to the
+//!   box that serves it; decoding takes untrusted bytes, accepts only an
+//!   image exactly as long as its counts give, and re-validates its
+//!   structure (see `wire.rs`);
 //! * [`LiveMatcher`] — online serving: the policy plus its image behind an
 //!   atomically swapped `Arc`, where [`LiveMatcher::apply_edits`] runs the
 //!   edit→impact→compile pipeline and in-flight snapshots finish on the
@@ -100,7 +102,7 @@ pub use calibrate::{
     calibrate, calibrate_with_cache, Calibration, EngineChoice, EngineKind, EngineScratch, Trial,
     CALIBRATE_SAMPLE,
 };
-pub use compile::{CompileStats, CompiledFdd, RecompileStats, JUMP_TABLE_MAX_BITS};
+pub use compile::{CompileStats, CompiledFdd, RecompileStats};
 pub use error::ExecError;
 pub use kernel::{lane_workers, LaneStats, DEFAULT_LANE_WIDTH};
 pub use live::{LiveMatcher, SwapReport};

@@ -17,8 +17,8 @@
 //!   [`DECISION_BIT`] set, so a walk never visits a terminal. A policy of
 //!   one decision is a tagged root.
 //! * **Cuts only, each beside its target.** A node keeps one cut per
-//!   canonical edge interval, a run of equal targets, so a narrow field
-//!   gets no jump table. On a field of at most 32 bits an entry packs the cut
+//!   canonical edge interval, a run of equal targets, as an image node
+//!   does. On a field of at most 32 bits an entry packs the cut
 //!   above its target in one `u64`: comparing the entry with the value
 //!   shifted up compares the cut, and the target shares the cache line of
 //!   the last cut read. A wider field's node holds its cuts, then its

@@ -268,18 +268,15 @@ fn main() -> ExitCode {
     let compile_time = t.elapsed();
     let s = compiled.stats();
     println!(
-        "compiled {} rules in {compile_time:?}: {} nodes ({} search, {} jump, {} terminal), \
-         {} cut points, {} jump entries, {} arena bytes, depth <= {}, {} levels",
+        "compiled {} rules in {compile_time:?}: {} nodes ({} search, {} terminal), \
+         {} cut points, {} arena bytes, depth <= {}",
         fw.len(),
         s.nodes,
         s.search_nodes,
-        s.jump_nodes,
         s.terminals,
         s.cut_points,
-        s.jump_entries,
         s.arena_bytes,
-        s.max_depth,
-        s.levels
+        s.max_depth
     );
     let lanes = compiled.lane_stats();
     println!(

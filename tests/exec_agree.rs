@@ -5,7 +5,7 @@
 //! column-major) and the level-synchronous lane kernel
 //! ([`CompiledFdd::classify_lanes`], across ragged batch lengths) must
 //! return the same decision — on random policies, biased
-//! traces, wire-format round trips (including the v2 level metadata), and
+//! traces, wire-format round trips, FWEX images mutated byte by byte, and
 //! an exhaustive all-packets sweep of a tiny schema.
 //!
 //! The multi-core additions ride the same oracle: the sharded lane kernel
@@ -15,7 +15,9 @@
 //! could install.
 
 use diverse_firewall::core::Fdd;
-use diverse_firewall::exec::{CompiledFdd, EngineChoice, EngineKind, EngineScratch, PacketBatch};
+use diverse_firewall::exec::{
+    CompiledFdd, EngineChoice, EngineKind, EngineScratch, ExecError, PacketBatch,
+};
 use diverse_firewall::model::{Decision, FieldDef, Firewall, Packet, Schema};
 use diverse_firewall::synth::{PacketTrace, Synthesizer};
 use proptest::prelude::*;
@@ -218,40 +220,144 @@ fn engines_match_exhaustive_oracle_on_tiny_schema() {
     }
 }
 
-/// The v2 wire format round-trips the per-node BFS level metadata exactly:
-/// the decoded matcher is indistinguishable from the original (stats,
-/// levels and all), and an image whose level byte is
-/// tampered with is rejected by the decoder's fresh-BFS re-validation
-/// rather than trusted.
+/// What decoding `bytes` may do: fail with [`ExecError::Wire`], or accept
+/// an image that re-encodes to the same bytes and serves `probes` alike
+/// through the scalar, column and lane paths. Returns whether it accepted.
+fn decodes_cleanly(schema: &Schema, bytes: &[u8], probes: &[Packet], what: &str) -> bool {
+    match CompiledFdd::decode(schema.clone(), bytes.to_vec().into()) {
+        Err(ExecError::Wire(_)) => false,
+        Err(e) => panic!("{what}: a non-wire error: {e}"),
+        Ok(image) => {
+            assert_eq!(
+                image.encode()[..],
+                bytes[..],
+                "{what}: re-encodes differently"
+            );
+            let batch = PacketBatch::from_trace(schema.clone(), probes).unwrap();
+            let scalar: Vec<Decision> = probes.iter().map(|p| image.classify(p)).collect();
+            assert_eq!(
+                image.classify_columns(&batch).unwrap(),
+                scalar,
+                "{what}: columns"
+            );
+            assert_eq!(
+                image.classify_lanes(&batch).unwrap(),
+                scalar,
+                "{what}: lanes"
+            );
+            true
+        }
+    }
+}
+
+/// FWEX v3 round-trips a compiled image exactly, and no mutation of an
+/// image's bytes makes decoding panic: on the images of paper teams A and
+/// B, avg(42) and the 661-rule policy, every truncation, appended bytes,
+/// inflated node and cut counts, a nonzero spare byte in a node word, a
+/// node naming field 65535 and the version set to 1 or 2 are rejected
+/// with [`ExecError::Wire`], and a byte flip at every header byte and at a
+/// stride over the arenas either is rejected or yields an image that
+/// re-encodes to the flipped bytes and serves a probe trace alike through
+/// every path.
 #[test]
-fn wire_round_trip_preserves_level_metadata_and_rejects_tampering() {
+fn wire_v3_round_trips_and_survives_mutation() {
     let fw = Synthesizer::new(99).firewall(60);
     let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-    let image = compiled.encode();
-    let reloaded = CompiledFdd::decode(fw.schema().clone(), image.clone()).unwrap();
+    let reloaded = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
     assert_eq!(
         compiled, reloaded,
         "decode must reproduce the matcher exactly"
     );
-    let s = reloaded.stats();
-    assert!(s.levels >= 2, "real policies span multiple BFS levels");
-    assert!(s.levels <= s.max_depth + 1, "levels bounded by walk depth");
 
-    // Bump the recorded level of the *last* node (guaranteed non-root, and
-    // reachable — BFS emission order means every emitted node is reachable)
-    // in its node word's high byte: header is 8 u32s + one u32 per field,
-    // node i's packed word sits 3 u32s per node after that.
-    let d = fw.schema().len();
-    let mut bytes = image.to_vec();
-    let word_at = |n: usize| 4 * (8 + d + 3 * n);
-    let node_count = compiled.node_count();
-    let off = word_at(node_count - 1) + 3; // little-endian high byte = level
-    bytes[off] = bytes[off].wrapping_add(1);
-    let err = CompiledFdd::decode(fw.schema().clone(), bytes.into());
-    assert!(
-        err.is_err(),
-        "tampered level byte must fail the decoder's BFS re-validation"
-    );
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let policies = [
+        ("paper A", diverse_firewall::model::paper::team_a()),
+        ("paper B", diverse_firewall::model::paper::team_b()),
+        ("avg(42)", diverse_firewall::synth::university_average()),
+        ("large(661)", diverse_firewall::synth::university_large()),
+    ];
+    for (name, fw) in &policies {
+        let schema = fw.schema().clone();
+        let compiled = CompiledFdd::from_firewall(fw).unwrap();
+        let image = compiled.encode().to_vec();
+        let probes = PacketTrace::random(schema.clone(), 40, next())
+            .packets()
+            .to_vec();
+        assert!(decodes_cleanly(&schema, &image, &probes, name));
+        let rejects = |bytes: &[u8], what: &str| {
+            assert!(
+                matches!(
+                    CompiledFdd::decode(schema.clone(), bytes.to_vec().into()),
+                    Err(ExecError::Wire(_))
+                ),
+                "{name}: {what} accepted"
+            );
+        };
+
+        for cut in 0..image.len() {
+            rejects(&image[..cut], &format!("truncation to {cut} bytes"));
+        }
+        for extra in [1usize, 4, 13, 64] {
+            let mut long = image.clone();
+            long.extend((0..extra).map(|_| next() as u8));
+            rejects(&long, &format!("{extra} appended bytes"));
+        }
+
+        // Header words: magic, version, d, d widths, root, node count, cut
+        // count; then 12 bytes per node.
+        let d = schema.len();
+        let word = |bytes: &mut [u8], at: usize, f: &dyn Fn(u32) -> u32| {
+            let old = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            bytes[at..at + 4].copy_from_slice(&f(old).to_le_bytes());
+        };
+        for version in [1, 2] {
+            let mut old = image.clone();
+            word(&mut old, 4, &|_| version);
+            rejects(&old, &format!("version {version}"));
+        }
+        let (nodes_at, cuts_at) = (4 * (4 + d), 4 * (5 + d));
+        for at in [nodes_at, cuts_at] {
+            for grow in [1u32, 1 << 20, u32::MAX] {
+                let mut inflated = image.clone();
+                word(&mut inflated, at, &|n| n.saturating_add(grow));
+                rejects(&inflated, &format!("count at byte {at} grown by {grow}"));
+            }
+        }
+        let body = 4 * (6 + d);
+        let node_count = compiled.node_count();
+        for node in [0, node_count / 2, node_count - 1] {
+            for spare in [1u8, 0x80] {
+                let mut bad = image.clone();
+                bad[body + 12 * node + 3] = spare;
+                rejects(&bad, &format!("spare byte {spare} in node {node}"));
+            }
+            // The widest field index (or decision code) a node word holds.
+            let mut bad = image.clone();
+            bad[body + 12 * node..body + 12 * node + 2].copy_from_slice(&[0xFF, 0xFF]);
+            rejects(&bad, &format!("field 65535 in node {node}"));
+        }
+
+        let (mut accepted, mut rejected) = (0, 0);
+        let flips = (0..body).chain((body..image.len()).step_by(7));
+        for at in flips {
+            let mut flipped = image.clone();
+            flipped[at] ^= (next() as u8).max(1);
+            let what = format!("{name}: flip at byte {at}");
+            if decodes_cleanly(&schema, &flipped, &probes, &what) {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(rejected > 0, "{name}: no flip rejected");
+        assert!(accepted > 0, "{name}: no flip accepted, so none was served");
+    }
 }
 
 /// The paper's running example compiles and serves the same decisions as

@@ -6,8 +6,8 @@
 //! perturbed fleets of the Fig. 12 and Fig. 13 policies (whose pools hold
 //! both ladder and search nodes), on ragged burst lengths around the lane
 //! width, on shapes at the edges of the lowering (one decision, a narrow
-//! field that a standalone image lowers to a jump table, a 64-bit field),
-//! and on registry fleets taken through edits, removals and maintenance.
+//! field of many short runs, a 64-bit field), and on registry fleets taken
+//! through edits, removals and maintenance.
 
 use diverse_firewall::core::{ConsArena, Edit, Fdd};
 use diverse_firewall::exec::{CompiledFdd, PacketBatch, SubgraphPool};
@@ -147,9 +147,9 @@ fn single_decision_policy_is_a_tagged_root() {
     }
 }
 
-/// An 8-bit field, which a standalone image lowers to a jump table,
-/// becomes one cut per run of equal targets; exhaustive over both fields,
-/// with runs short enough that the root's ladder takes many buckets.
+/// An 8-bit field becomes one cut per run of equal targets, in the pool as
+/// in the standalone image; exhaustive over both fields, with runs short
+/// enough that the root's ladder takes many buckets.
 #[test]
 fn narrow_field_runs_agree_exhaustively() {
     let schema = Schema::new(vec![

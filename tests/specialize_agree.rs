@@ -141,6 +141,81 @@ fn spill_path_agrees_on_fig13_n500() {
     }
 }
 
+/// A lane kernel's shape: passes, fused, ladder and padded-search nodes,
+/// search bits and bytes.
+type Shape = (usize, usize, usize, usize, u32, usize);
+
+fn shape(fw: &Firewall) -> Shape {
+    let s = CompiledFdd::from_firewall(fw).unwrap().lane_stats();
+    (
+        s.passes,
+        s.fused_nodes,
+        s.ladder_nodes,
+        s.search_nodes,
+        s.search_bits,
+        s.bytes,
+    )
+}
+
+/// The kernel's shape on the 661-rule policy's 5% variants, seeds 0–19,
+/// as built when an image stored every node of a field of at most 8 bits
+/// as a per-value jump table and the kernel run-length-encoded it back
+/// into cuts.
+const VARIANT_SHAPES: [Shape; 20] = [
+    (3, 72, 115, 6, 4, 52780),
+    (3, 72, 114, 6, 4, 53640),
+    (3, 63, 100, 6, 4, 45988),
+    (3, 73, 117, 5, 4, 53128),
+    (3, 71, 114, 6, 4, 51304),
+    (3, 70, 112, 6, 4, 51140),
+    (3, 71, 113, 6, 4, 52608),
+    (3, 71, 112, 6, 4, 51764),
+    (3, 71, 116, 3, 4, 47772),
+    (3, 68, 115, 4, 4, 52240),
+    (3, 73, 118, 6, 4, 51212),
+    (3, 65, 103, 5, 4, 46132),
+    (3, 68, 111, 4, 4, 51252),
+    (3, 67, 110, 5, 4, 48892),
+    (3, 75, 112, 16, 4, 52184),
+    (3, 73, 111, 6, 4, 51820),
+    (3, 71, 114, 6, 4, 52420),
+    (3, 76, 112, 16, 4, 49432),
+    (3, 67, 107, 5, 4, 48492),
+    (3, 51, 84, 3, 4, 34824),
+];
+
+/// Every internal node of an image is its sorted cuts, whatever its
+/// field's width, so the kernel reads each node's cuts directly: on the
+/// exec bench's policies (avg(42), the 661-rule policy and the Fig. 13
+/// rows) and the 661-rule policy's 5% variants it builds the same kernel,
+/// pinned here, as when narrow fields went through jump tables.
+#[test]
+fn lane_kernel_shape_holds_on_the_bench_policies() {
+    assert_eq!(
+        shape(&diverse_firewall::synth::university_average()),
+        (3, 45, 67, 1, 3, 36056),
+        "avg(42)"
+    );
+    let large = diverse_firewall::synth::university_large();
+    assert_eq!(shape(&large), (3, 71, 113, 6, 4, 52024), "large(661)");
+    for (seed, want) in (0u64..).zip(VARIANT_SHAPES) {
+        let variant = diverse_firewall::synth::perturb(&large, 5, seed);
+        assert_eq!(shape(&variant), want, "5% variant, seed {seed}");
+    }
+    let fig13 = [
+        (25, (3, 20, 33, 2, 3, 9512)),
+        (100, (3, 104, 81, 61, 4, 288656)),
+        (500, (3, 249, 88, 250, 5, 379804)),
+    ];
+    for (seed, (n, want)) in (300u64..).zip(fig13) {
+        assert_eq!(
+            shape(&Synthesizer::new(seed).firewall(n)),
+            want,
+            "fig13/synth-n{n}"
+        );
+    }
+}
+
 /// FWEX carries no batch form: a decoded image leaves the kernel unbuilt,
 /// and its first batch builds it and serves identically.
 #[test]
