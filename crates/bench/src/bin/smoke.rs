@@ -18,8 +18,13 @@
 //! and `cross_compare` diffs every pair of them. Their times are medians
 //! (with quartiles) of 11 rounds that interleave every row, so the rows
 //! compare under the same machine load. The `finalize` rows run the
-//! resolution phase (§6) on 2 and 3 teams of the 42-rule policy, resolved
-//! by majority: the comparison, Method 1, and Method 2 on team 0. The
+//! resolution phase (§6) on 2 and 3 teams of the 42-rule policy (10%
+//! perturbations) and of the 661-rule one (1%), seeds 8 and 9, resolved by
+//! majority: `finalize` as a whole, then the comparison, Method 1, Method 2
+//! on every base and `verify_final`, each on its own, with both methods'
+//! rule counts. The `redundancy` rows time `analyze_redundancy` (what
+//! `fwdiff --lint` runs) and `remove_redundant_rules` on the 661-rule
+//! policy and a 150-rule synthetic one. Both are medians of 5 rounds. The
 //! `reductions` rows time `Fdd::reduced` of the literal (Fig. 7) trees of
 //! the 42-rule policy and of a 100-rule synthetic one. No other workload
 //! reaches these paths.
@@ -117,30 +122,87 @@ fn raw_cells(versions: &[fw_model::Firewall]) -> u128 {
     arena.product(&roots).unwrap().cell_count()
 }
 
-/// Runs the comparison and both §6 methods on `versions`, resolved by
-/// majority; returns the JSON row.
-fn bench_finalize(versions: Vec<fw_model::Firewall>) -> String {
+/// The median of `ms`.
+fn median(mut ms: Vec<f64>) -> f64 {
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+/// Runs the resolution phase on `versions`, resolved by majority, over
+/// `rounds` rounds: `finalize` as a whole, then each of its stages on its
+/// own (the comparison, Method 1, Method 2 on every base and
+/// `verify_final` of Method 1's output). Returns the JSON row of medians.
+fn bench_finalize(name: &str, versions: Vec<fw_model::Firewall>, rounds: usize) -> String {
     let teams = versions.len();
     let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
-    let cmp = fw_diverse::Comparison::of(versions).unwrap();
-    let compare = ms(t);
-    let res = fw_diverse::Resolution::by_majority(&cmp);
-    let t = Instant::now();
-    let m1 = fw_diverse::method1(&cmp, &res).unwrap();
-    let method1 = ms(t);
-    let t = Instant::now();
-    let m2 = fw_diverse::method2(&cmp, &res, 0).unwrap();
-    let method2 = ms(t);
-    let (found, r1, r2) = (cmp.discrepancies().len(), m1.len(), m2.len());
+    let mut samples = vec![Vec::with_capacity(rounds); 4 + teams];
+    let (mut found, mut r1, mut r2) = (0, 0, vec![0; teams]);
+    for _ in 0..rounds {
+        let t = Instant::now();
+        let cmp = fw_diverse::Comparison::of(versions.clone()).unwrap();
+        samples[0].push(ms(t));
+        let res = fw_diverse::Resolution::by_majority(&cmp);
+        let t = Instant::now();
+        let agreed = fw_diverse::finalize(&cmp, &res).unwrap();
+        samples[1].push(ms(t));
+        let t = Instant::now();
+        let m1 = fw_diverse::method1(&cmp, &res).unwrap();
+        samples[2].push(ms(t));
+        assert_eq!(m1, agreed, "{name}: finalize returns Method 1's firewall");
+        for (base, rules) in r2.iter_mut().enumerate() {
+            let t = Instant::now();
+            *rules = fw_diverse::method2(&cmp, &res, base).unwrap().len();
+            samples[4 + base].push(ms(t));
+        }
+        let t = Instant::now();
+        fw_diverse::verify_final(&cmp, &res, &m1).unwrap();
+        samples[3].push(ms(t));
+        (found, r1) = (cmp.discrepancies().len(), m1.len());
+    }
+    let mut medians = samples.into_iter().map(median);
+    let mut next = || medians.next().expect("one median per stage");
+    let (compare, finalize, method1, verify) = (next(), next(), next(), next());
+    let method2: Vec<String> = (0..teams).map(|_| format!("{:.3}", next())).collect();
     println!(
-        "finalize {teams} teams: compare {compare:.3} ms ({found} discrepancies), \
-         method 1 {method1:.3} ms ({r1} rules), method 2 {method2:.3} ms ({r2} rules)"
+        "finalize {name} {teams} teams: {finalize:.3} ms; compare {compare:.3} ms \
+         ({found} discrepancies), method 1 {method1:.3} ms ({r1} rules), \
+         method 2 per base {} ms ({r2:?} rules), verify_final {verify:.3} ms",
+        method2.join("/")
+    );
+    let r2: Vec<String> = r2.iter().map(usize::to_string).collect();
+    format!(
+        "{{\"name\": \"finalize {name} {teams} teams\", \"teams\": {teams}, \
+         \"discrepancies\": {found}, \"finalize_ms\": {finalize:.3}, \"compare_ms\": {compare:.3}, \
+         \"method1_ms\": {method1:.3}, \"method2_ms\": [{}], \"verify_final_ms\": {verify:.3}, \
+         \"method1_rules\": {r1}, \"method2_rules\": [{}]}}",
+        method2.join(", "),
+        r2.join(", ")
+    )
+}
+
+/// Times `analyze_redundancy` and `remove_redundant_rules` on `fw` over
+/// `rounds` rounds; returns the JSON row of medians.
+fn bench_redundancy(name: &str, fw: &fw_model::Firewall, rounds: usize) -> String {
+    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    let (mut analyze, mut remove) = (Vec::new(), Vec::new());
+    let (mut redundant, mut kept) = (0, 0);
+    for _ in 0..rounds {
+        let t = Instant::now();
+        redundant = fw_gen::analyze_redundancy(fw).redundant.len();
+        analyze.push(ms(t));
+        let t = Instant::now();
+        kept = fw_gen::remove_redundant_rules(fw).unwrap().len();
+        remove.push(ms(t));
+    }
+    let (analyze, remove) = (median(analyze), median(remove));
+    let rules = fw.len();
+    println!(
+        "redundancy {name}: analyze {analyze:.3} ms ({redundant} of {rules} redundant), \
+         remove {remove:.3} ms ({kept} kept)"
     );
     format!(
-        "{{\"name\": \"finalize avg(42) {teams} teams\", \"teams\": {teams}, \
-         \"discrepancies\": {found}, \"compare_ms\": {compare:.3}, \"method1_ms\": {method1:.3}, \
-         \"method2_ms\": {method2:.3}, \"method1_rules\": {r1}, \"method2_rules\": {r2}}}"
+        "{{\"name\": \"redundancy {name}\", \"rules\": {rules}, \"analyze_ms\": {analyze:.3}, \
+         \"redundant\": {redundant}, \"remove_ms\": {remove:.3}, \"kept\": {kept}}}"
     )
 }
 
@@ -247,12 +309,23 @@ fn main() {
         .collect();
 
     let teams = bench_teams(&large, 11);
-    let finals = [2usize, 3].map(|n| {
-        let mut versions = vec![avg.clone()];
-        versions.extend([8, 9].map(|seed| fw_synth::perturb(&avg, 10, seed)));
-        versions.truncate(n);
-        bench_finalize(versions)
-    });
+    let mut finals = Vec::new();
+    for (name, base, percent) in [("avg(42)", &avg, 10), ("large(661)", &large, 1)] {
+        for n in [2usize, 3] {
+            let mut versions = vec![base.clone()];
+            versions.extend([8, 9].map(|seed| fw_synth::perturb(base, percent, seed)));
+            versions.truncate(n);
+            finals.push(bench_finalize(name, versions, 5));
+        }
+    }
+    let redundancy = [
+        bench_redundancy("large(661)", &large, 5),
+        bench_redundancy(
+            "synth n=150",
+            &fw_synth::Synthesizer::new(11).firewall(150),
+            5,
+        ),
+    ];
     let reductions = [
         bench_reduce("literal avg(42)", &avg),
         bench_reduce(
@@ -302,8 +375,9 @@ fn main() {
     }
     let _ = write!(
         json,
-        "  ],\n  \"finalize\": [\n    {}\n",
-        finals.join(",\n    ")
+        "  ],\n  \"finalize\": [\n    {}\n  ],\n  \"redundancy\": [\n    {}\n",
+        finals.join(",\n    "),
+        redundancy.join(",\n    ")
     );
     json.push_str("  ],\n  \"reductions\": [\n");
     for (i, r) in reductions.iter().enumerate() {

@@ -29,6 +29,10 @@
 //!   [`crate::compare_firewalls`], [`ChangeImpact`](crate::ChangeImpact)
 //!   and each pair of [`crate::cross_compare`]; all `N` versions at once
 //!   for [`crate::direct_compare`].
+//! * Phase 3 (§6) asks whether a rule changes a policy's function:
+//!   [`ConsArena::prepend`] puts one rule above a diagram, and
+//!   [`ConsArena::agree_outside`] compares two roots where a third leaves
+//!   packets unmatched (`fw-gen`'s redundancy checks).
 //!
 //! The edit path rests on the short circuit. An edited policy is rebuilt
 //! by [`Fdd::from_firewall_fast`] and interned beside the old diagram, and
@@ -50,7 +54,7 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use fw_model::{Decision, FieldId, IntervalSet, Schema};
+use fw_model::{Decision, FieldId, IntervalSet, Predicate, Rule, Schema};
 
 use crate::discrepancy::Discrepancy;
 use crate::error::spell_region;
@@ -467,6 +471,13 @@ impl ConsArena {
             edges.push((lid, c));
         }
         self.scratch_per_child = per_child;
+        self.intern_edges(field, edges)
+    }
+
+    /// Interns an internal node at `field` from edges whose children are
+    /// distinct, in any order (two or more of them): sorts them into the
+    /// canonical order and probes the table.
+    fn intern_edges(&mut self, field: FieldId, mut edges: Vec<(LabelId, ConsId)>) -> ConsId {
         // Disjoint labels have distinct least values, so this order is
         // canonical for the function.
         let label_meta = &self.label_meta;
@@ -845,6 +856,125 @@ impl ConsArena {
     /// sentinel (diff the total diagrams of comprehensive policies).
     pub fn diff(&self, a: ConsId, b: ConsId) -> Result<Vec<Discrepancy>, CoreError> {
         Ok(self.product(&[a, b])?.discrepancies())
+    }
+
+    /// The diagram of `rule` placed first above the diagram `below`:
+    /// packets in the rule's box get its decision, every other packet goes
+    /// to `below`. Prepending a list's rules from the last to the first
+    /// onto `terminal(None)` builds its diagram. Only the box is walked:
+    /// an edge outside it keeps its child and its interned label, so the
+    /// result shares everything else with `below`.
+    pub fn prepend(&mut self, rule: &Rule, below: ConsId) -> ConsId {
+        let top = self.terminal(Some(rule.decision()));
+        self.prepend_rec(rule.predicate(), top, 0, below, &mut FxMap::default())
+    }
+
+    // Depth is bounded by the schema's field count, so plain recursion is
+    // safe here.
+    fn prepend_rec(
+        &mut self,
+        pred: &Predicate,
+        top: ConsId,
+        field: usize,
+        below: ConsId,
+        memo: &mut FxMap<(usize, ConsId), ConsId>,
+    ) -> ConsId {
+        // Past the last field the rule constrains, the box decides.
+        let schema = &self.schema;
+        let wild =
+            (field..schema.len()).all(|f| pred.sets()[f].covers(schema.field(FieldId(f)).domain()));
+        if wild || below == top {
+            return top;
+        }
+        if let Some(&id) = memo.get(&(field, below)) {
+            return id;
+        }
+        let (fid, set) = (FieldId(field), &pred.sets()[field]);
+        let edges = match self.edges(below) {
+            Some((f, edges)) if f == fid => edges.to_vec(),
+            // Constant on this field: one edge over the whole domain.
+            _ => {
+                let domain = IntervalSet::from_interval(self.schema.field(fid).domain());
+                vec![(self.intern_label(domain), below)]
+            }
+        };
+        let mut parts = Vec::with_capacity(edges.len() + 1);
+        for (lid, child) in edges {
+            // An edge outside the box keeps its label id; one across the
+            // box's border is split, and its inner part descends.
+            let label = self.label(lid);
+            if !label.intersects(set) {
+                parts.push((lid, child));
+                continue;
+            }
+            let inner = if label.is_subset_of(set) {
+                lid
+            } else {
+                let (outer, inner) = (label.subtract(set), label.intersect(set));
+                parts.push((self.intern_label(outer), child));
+                self.intern_label(inner)
+            };
+            parts.push((inner, self.prepend_rec(pred, top, field + 1, child, memo)));
+        }
+        // Parts that share a child merge their labels.
+        parts.sort_unstable_by_key(|&(_, c)| c);
+        parts.dedup_by(|later, kept| {
+            let same = later.1 == kept.1;
+            if same {
+                kept.0 = self.intern_label(self.label(kept.0).union(self.label(later.0)));
+            }
+            same
+        });
+        let id = match parts[..] {
+            [(_, only)] => only,
+            _ => self.intern_edges(fid, parts),
+        };
+        memo.insert((field, below), id);
+        id
+    }
+
+    /// Whether the diagrams rooted at `a` and `b` decide alike every packet
+    /// that the diagram rooted at `cover` leaves unmatched (takes to the
+    /// `None` sentinel). A yes/no walk that builds nothing: it returns at
+    /// equal ids and at covered leaves, and stops at the first disagreement.
+    pub fn agree_outside(&self, cover: ConsId, a: ConsId, b: ConsId) -> bool {
+        self.agree_rec([cover, a, b], &mut FxMap::default())
+    }
+
+    /// [`agree_outside`](Self::agree_outside) of `ids`, remembering the
+    /// triples that agree.
+    fn agree_rec(&self, ids: [ConsId; 3], agreed: &mut FxMap<[ConsId; 3], ()>) -> bool {
+        let covered = |id| matches!(self.terminal_decision(id), Some(Some(_)));
+        if ids[1] == ids[2] || covered(ids[0]) || agreed.contains_key(&ids) {
+            return true;
+        }
+        let [c, a, b] = ids.map(|id| self.rank(id));
+        let rank = c.min(a).min(b);
+        if rank == self.schema.len() {
+            // Unequal terminals where `cover` leaves the packets unmatched.
+            return false;
+        }
+        // Each node's edges at this field, or one whole-domain edge to
+        // itself if it tests a later field.
+        let (field, whole) = (FieldId(rank), self.schema.field(FieldId(rank)).domain());
+        let whole = IntervalSet::from_interval(whole);
+        let edges = |id: ConsId| match self.edges(id) {
+            Some((f, out)) if f == field => out.iter().map(|&(l, c)| (self.label(l), c)).collect(),
+            _ => vec![(&whole, id)],
+        };
+        let [cover, a, b] = ids.map(edges);
+        for (lc, c) in cover.into_iter().filter(|&(_, c)| !covered(c)) {
+            for &(la, x) in &a {
+                let cell = lc.intersect(la);
+                for &(lb, y) in &b {
+                    if cell.intersects(lb) && !self.agree_rec([c, x, y], agreed) {
+                        return false;
+                    }
+                }
+            }
+        }
+        agreed.insert(ids, ());
+        true
     }
 }
 
@@ -1312,6 +1442,105 @@ mod tests {
                 assert_eq!(red.decision_for(&p), fw.decision_for(&p));
             }
             assert!(red.node_count() <= fdd.node_count());
+        }
+    }
+
+    /// A three-field schema: deep enough that one node can be reached at
+    /// two different fields.
+    fn three_fields() -> Schema {
+        Schema::new(vec![
+            FieldDef::new("a", 3).unwrap(),
+            FieldDef::new("b", 2).unwrap(),
+            FieldDef::new("c", 2).unwrap(),
+        ])
+        .unwrap()
+    }
+
+    /// The rule list that `seed` draws over [`three_fields`]: up to five
+    /// rules of one-run boxes, with or without a catch-all at the end.
+    fn drawn_rules(seed: u64) -> Vec<fw_model::Rule> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let schema = three_fields();
+        let mut rules = Vec::new();
+        for _ in 0..next(6) {
+            let sets = schema.iter().map(|(_, f)| {
+                let (lo, hi) = (next(f.max() + 1), next(f.max() + 1));
+                set(lo.min(hi), lo.max(hi))
+            });
+            let pred = fw_model::Predicate::new(&schema, sets.collect()).unwrap();
+            rules.push(fw_model::Rule::new(pred, Decision::ALL[next(4) as usize]));
+        }
+        if next(2) == 0 {
+            rules.push(fw_model::Rule::catch_all(&schema, Decision::Accept));
+        }
+        rules
+    }
+
+    /// Every packet of [`three_fields`].
+    fn packets() -> impl Iterator<Item = fw_model::Packet> {
+        (0..8u64).flat_map(|a| {
+            (0..4u64)
+                .flat_map(move |b| (0..4u64).map(move |c| fw_model::Packet::new(vec![a, b, c])))
+        })
+    }
+
+    /// The decision of the diagram at `id` for packet `p`.
+    fn decide(arena: &ConsArena, mut id: ConsId, p: &fw_model::Packet) -> Option<Decision> {
+        loop {
+            match arena.view(id) {
+                ConsView::Terminal(d) => return d,
+                ConsView::Internal { field, edges } => {
+                    let v = p.value(field);
+                    id = edges.iter().find(|(l, _)| l.contains(v)).unwrap().1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prepend_builds_first_match_and_the_fast_root() {
+        for seed in 0..300 {
+            let rules = drawn_rules(seed);
+            let mut a = ConsArena::new(three_fields());
+            let mut root = a.terminal(None);
+            for r in rules.iter().rev() {
+                root = a.prepend(r, root);
+            }
+            for p in packets() {
+                let first = rules.iter().find(|r| r.matches(&p)).map(|r| r.decision());
+                assert_eq!(decide(&a, root, &p), first, "seed {seed} at {p}");
+            }
+            if let Ok(fw) = fw_model::Firewall::new(three_fields(), rules) {
+                if let Ok(fast) = Fdd::from_firewall_fast(&fw) {
+                    assert_eq!(a.intern_fdd(&fast).unwrap(), root, "seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn agree_outside_checks_only_uncovered_packets() {
+        for seed in 0..300 {
+            let mut a = ConsArena::new(three_fields());
+            let mut roots = [a.terminal(None); 3];
+            for (k, root) in roots.iter_mut().enumerate() {
+                for r in drawn_rules(seed * 3 + k as u64).iter().rev() {
+                    *root = a.prepend(r, *root);
+                }
+            }
+            let [cover, x, y] = roots;
+            let brute = packets()
+                .all(|p| decide(&a, cover, &p).is_some() || decide(&a, x, &p) == decide(&a, y, &p));
+            assert_eq!(a.agree_outside(cover, x, y), brute, "seed {seed}");
+            assert!(a.agree_outside(cover, x, x));
+            let none = a.terminal(None);
+            assert_eq!(a.agree_outside(none, x, y), x == y, "seed {seed}");
         }
     }
 

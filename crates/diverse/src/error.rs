@@ -16,7 +16,8 @@ pub enum DiverseError {
     /// into an executable matcher).
     Exec(fw_exec::ExecError),
     /// A resolution does not match the comparison it claims to resolve
-    /// (wrong number of entries, or decisions for unknown regions).
+    /// (its entries are not the comparison's discrepancies, in order), or
+    /// names a version the comparison does not have.
     ResolutionMismatch {
         /// Human-readable description of the mismatch.
         message: String,

@@ -1,34 +1,47 @@
 //! Generating the final, unanimously agreed firewall from a resolution —
 //! the two methods of paper §6, plus the self-check that they agree.
 
-use fw_core::Fdd;
+use fw_core::{ConsArena, ConsId, Fdd};
 use fw_model::{Firewall, Rule};
 
 use crate::{Comparison, DiverseError, Resolution};
 
+/// Version `base` with a correction rule on top for each discrepancy it
+/// decided wrongly, the last one first (§6.2, Step 1): the resolved
+/// function, as the disputed regions are disjoint. `res` must resolve
+/// `cmp`: its entries must be `cmp`'s discrepancies, in order.
+fn corrected(cmp: &Comparison, res: &Resolution, base: usize) -> Result<Firewall, DiverseError> {
+    let mismatch = |message| Err(DiverseError::ResolutionMismatch { message });
+    let entries = res.entries().iter().map(|e| e.discrepancy());
+    if !entries.eq(cmp.discrepancies()) {
+        return mismatch("the resolution's entries are not the comparison's discrepancies".into());
+    }
+    let Some(version) = cmp.versions().get(base) else {
+        let versions = cmp.versions().len();
+        return mismatch(format!("base version {base} out of range 0..{versions}"));
+    };
+    let wrong = res.entries().iter().rev();
+    let wrong = wrong.filter(|e| e.discrepancy().decisions()[base] != e.decision());
+    let corrections = wrong.map(|e| Rule::new(e.discrepancy().predicate().clone(), e.decision()));
+    let rules = corrections.chain(version.rules().iter().cloned()).collect();
+    Ok(Firewall::new(version.schema().clone(), rules)?)
+}
+
 /// **Method 1** (§6.1): correct version 0's diagram per the resolution,
 /// then generate a compact rule sequence from the corrected diagram.
 ///
-/// The paper corrects the terminals of a shaped diagram; here version 0 is
-/// built by fast construction with one rule per resolved region on top,
-/// which is the same function: the regions are disjoint, and each decides
-/// as resolved. Any version would do, since after correction they all
-/// compute the same function, and rule generation reduces its input
-/// first, so its output depends on that function alone.
+/// The paper corrects the terminals of a shaped diagram; here version 0
+/// with [`method2`]'s correction rules on top is built by fast
+/// construction, which is the same function. Rule generation reduces its
+/// input first, so its output depends on that function alone.
 ///
 /// # Errors
 ///
-/// Propagates construction and generation errors.
+/// Returns [`DiverseError::ResolutionMismatch`] if `res` does not resolve
+/// `cmp`; propagates construction and generation errors.
 pub fn method1(cmp: &Comparison, res: &Resolution) -> Result<Firewall, DiverseError> {
-    let base = &cmp.versions()[0];
-    let corrections = res
-        .entries()
-        .iter()
-        .map(|e| Rule::new(e.discrepancy().predicate().clone(), e.decision()));
-    let rules = corrections.chain(base.rules().iter().cloned()).collect();
-    let corrected = Firewall::new(base.schema().clone(), rules)?;
-    let fdd = Fdd::from_firewall_fast(&corrected)?;
-    Ok(fw_gen::generate_rules(&fdd)?)
+    let corrected = Fdd::from_firewall_fast(&corrected(cmp, res, 0)?)?;
+    Ok(fw_gen::generate_rules(&corrected)?)
 }
 
 /// **Method 2** (§6.2): prepend to version `base` the correction rules for
@@ -37,39 +50,24 @@ pub fn method1(cmp: &Comparison, res: &Resolution) -> Result<Firewall, DiverseEr
 ///
 /// # Errors
 ///
-/// Returns [`DiverseError::ResolutionMismatch`] if `base` is out of range;
-/// propagates compaction errors.
+/// Returns [`DiverseError::ResolutionMismatch`] if `res` does not resolve
+/// `cmp` or `base` is out of range; propagates compaction errors.
 pub fn method2(cmp: &Comparison, res: &Resolution, base: usize) -> Result<Firewall, DiverseError> {
-    let versions = cmp.versions();
-    if base >= versions.len() {
-        return Err(DiverseError::ResolutionMismatch {
-            message: format!("base version {base} out of range 0..{}", versions.len()),
-        });
-    }
-    let mut fw = versions[base].clone();
-    // Corrections go on top (highest priority), for exactly the regions the
-    // base version got wrong.
-    for entry in res.entries() {
-        if entry.discrepancy().decisions()[base] != entry.decision() {
-            let rule = Rule::new(entry.discrepancy().predicate().clone(), entry.decision());
-            fw = fw.with_rule_inserted(0, rule)?;
-        }
-    }
-    Ok(fw_gen::remove_redundant_rules(&fw)?)
+    Ok(fw_gen::remove_redundant_rules(&corrected(cmp, res, base)?)?)
 }
 
-/// Runs both methods, verifies they agree with each other and with the
+/// Runs both methods, checks that they agree with each other and with the
 /// resolution, and returns the Method 1 firewall.
 ///
-/// The verification is the workflow's safety net: the final policy must
-/// (a) decide every resolved region as agreed, (b) agree with **all**
-/// versions wherever they already agreed, and (c) be identical under both
-/// generation methods.
+/// The check is the workflow's safety net: Method 1's output and Method
+/// 2's on every base must intern to the resolved function's root (as in
+/// [`verify_final`]) in one arena.
 ///
 /// # Errors
 ///
-/// Returns [`DiverseError::VerificationFailed`] naming the first violated
-/// check; propagates generation errors.
+/// Returns [`DiverseError::ResolutionMismatch`] if `res` does not resolve
+/// `cmp`, and [`DiverseError::VerificationFailed`] naming the first output
+/// that deviates and a region where it does; propagates generation errors.
 ///
 /// # Example
 ///
@@ -86,17 +84,36 @@ pub fn method2(cmp: &Comparison, res: &Resolution, base: usize) -> Result<Firewa
 /// # }
 /// ```
 pub fn finalize(cmp: &Comparison, res: &Resolution) -> Result<Firewall, DiverseError> {
-    let m1 = method1(cmp, res)?;
-    verify_final(cmp, res, &m1)?;
+    let corrected = Fdd::from_firewall_fast(&corrected(cmp, res, 0)?)?;
+    let m1 = fw_gen::generate_rules(&corrected)?;
+    let mut arena = ConsArena::new(corrected.schema().clone());
+    let resolved = arena.intern_fdd(&corrected)?;
+    check(&mut arena, resolved, &m1, "method 1")?;
     for base in 0..cmp.versions().len() {
-        let m2 = method2(cmp, res, base)?;
-        if !fw_core::equivalent(&m1, &m2)? {
-            return Err(DiverseError::VerificationFailed {
-                message: format!("method 1 and method 2 (base {base}) disagree"),
-            });
-        }
+        let (m2, what) = (method2(cmp, res, base)?, format!("method 2 (base {base})"));
+        check(&mut arena, resolved, &m2, &what)?;
     }
     Ok(m1)
+}
+
+/// Checks that `fw` interns to `want` in `arena`, else names a region where
+/// it deviates.
+fn check(
+    arena: &mut ConsArena,
+    want: ConsId,
+    fw: &Firewall,
+    what: &str,
+) -> Result<(), DiverseError> {
+    let root = arena.intern_fdd(&Fdd::from_firewall_fast(fw)?)?;
+    if root == want {
+        return Ok(());
+    }
+    let region = arena.diff(want, root)?.swap_remove(0);
+    let message = format!(
+        "{what} deviates from the resolution on {}",
+        region.display(fw.schema())
+    );
+    Err(DiverseError::VerificationFailed { message })
 }
 
 /// Runs [`finalize`] and lowers the agreed firewall into an executable
@@ -133,62 +150,24 @@ pub fn compile_final(
 /// Checks that `final_fw` satisfies the resolution: resolved regions map to
 /// the agreed decisions, and undisputed packets keep the common decision.
 ///
-/// The check is exact (via the comparison pipeline, not sampling): the
-/// final firewall's discrepancies against each version must lie entirely
-/// inside the resolved regions where that version was wrong.
+/// The check is exact: once `res` is known to resolve `cmp`, that is the
+/// resolved function, so `final_fw` must intern to the root of the
+/// resolved regions on top of version 0 in one arena.
 ///
 /// # Errors
 ///
-/// Returns [`DiverseError::VerificationFailed`] describing the violation.
+/// Returns [`DiverseError::ResolutionMismatch`] if `res` does not resolve
+/// `cmp`, and [`DiverseError::VerificationFailed`] naming a region where
+/// `final_fw` deviates from the resolution.
 pub fn verify_final(
     cmp: &Comparison,
     res: &Resolution,
     final_fw: &Firewall,
 ) -> Result<(), DiverseError> {
-    // (a) Each resolved region maps entirely to the agreed decision:
-    // compare against a one-rule policy is overkill; instead check that the
-    // final firewall differs from version i exactly on regions where
-    // version i was wrong.
-    for (i, version) in cmp.versions().iter().enumerate() {
-        let diff = fw_core::compare_firewalls(version, final_fw)?;
-        for d in diff {
-            // The disagreement must be justified by resolved regions in
-            // which version i was wrong and the final decision is the
-            // agreed one. Comparison output may coalesce across several
-            // resolved regions, so test containment in their *union* via
-            // box subtraction.
-            let mut remainder = vec![d.predicate().clone()];
-            for e in res.entries() {
-                if e.discrepancy().decisions()[i] != e.decision() && d.right() == e.decision() {
-                    remainder = fw_gen::boxes::subtract_all(remainder, e.discrepancy().predicate());
-                    if remainder.is_empty() {
-                        break;
-                    }
-                }
-            }
-            let justified = remainder.is_empty();
-            if !justified {
-                return Err(DiverseError::VerificationFailed {
-                    message: format!(
-                        "final firewall deviates from version {i} on an unresolved region: {}",
-                        d.display(final_fw.schema())
-                    ),
-                });
-            }
-        }
-        // Conversely, every region version i got wrong must actually differ.
-        for e in res.entries() {
-            if e.discrepancy().decisions()[i] != e.decision() {
-                let w = e.discrepancy().witness();
-                if final_fw.decision_for(&w) != Some(e.decision()) {
-                    return Err(DiverseError::VerificationFailed {
-                        message: format!("final firewall ignores the resolution at witness {w}"),
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
+    let corrected = Fdd::from_firewall_fast(&corrected(cmp, res, 0)?)?;
+    let mut arena = ConsArena::new(corrected.schema().clone());
+    let resolved = arena.intern_fdd(&corrected)?;
+    check(&mut arena, resolved, final_fw, "final firewall")
 }
 
 #[cfg(test)]

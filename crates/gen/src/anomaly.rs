@@ -165,7 +165,10 @@ mod tests {
         let f = fw("a=0-5 -> accept\na=2-4 -> discard\n* -> discard\n");
         let anomalies = kinds(&f);
         assert!(anomalies.contains(&(0, 1, AnomalyKind::Shadowing)));
-        assert!(crate::is_upward_redundant(&f, 1));
+        let report = crate::analyze_redundancy(&f);
+        assert!(report
+            .redundant
+            .contains(&(1, crate::RedundancyKind::Upward)));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use fw_core::{CoreError, Fdd, NodeId, NodeView};
-use fw_model::{Decision, Firewall, IntervalSet, Predicate, Rule};
+use fw_model::{Firewall, Rule};
 
 /// Generates a compact, comprehensive rule sequence equivalent to `fdd`.
 ///
@@ -43,62 +43,30 @@ use fw_model::{Decision, Firewall, IntervalSet, Predicate, Rule};
 pub fn generate_rules(fdd: &Fdd) -> Result<Firewall, CoreError> {
     fdd.validate()?;
     let reduced = fdd.reduced();
-    let mut memo: HashMap<NodeId, Vec<PartialRule>> = HashMap::new();
-    let partials = emit(&reduced, reduced.root(), &mut memo);
-    let schema = reduced.schema().clone();
-    let rules: Vec<Rule> = partials
-        .iter()
-        .map(|pr| {
-            let mut pred = Predicate::any(&schema);
-            for (field, set) in &pr.constraints {
-                pred = pred
-                    .with_field(*field, set.clone())
-                    .expect("edge labels are valid field sets");
-            }
-            Rule::new(pred, pr.decision)
-        })
-        .collect();
-    let fw = Firewall::new(schema, rules)?;
-    crate::remove_redundant_rules(&fw)
+    let rules = emit(&reduced, reduced.root(), &mut HashMap::new());
+    crate::remove_redundant_rules(&Firewall::new(reduced.schema().clone(), rules)?)
 }
 
-/// A rule under construction: explicit per-field constraints (unlisted
-/// fields mean `all`) plus the decision.
-#[derive(Debug, Clone)]
-struct PartialRule {
-    constraints: Vec<(fw_model::FieldId, IntervalSet)>,
-    decision: Decision,
+/// The number of *simple* rules a rule list expands to — the cost function
+/// the marking step minimises (a multi-interval field costs one simple rule
+/// per interval).
+fn cost(rules: &[Rule]) -> u128 {
+    let runs = |r: &Rule| {
+        let sets = r.predicate().sets().iter();
+        sets.fold(1, |n: u128, s| n.saturating_mul(s.run_count() as u128))
+    };
+    rules.iter().map(runs).sum()
 }
 
-/// The number of *simple* rules a partial-rule list expands to — the cost
-/// function the marking step minimises (a multi-interval constraint costs
-/// one simple rule per interval).
-fn cost(rules: &[PartialRule]) -> u128 {
-    rules
-        .iter()
-        .map(|r| {
-            r.constraints.iter().fold(1u128, |acc, (_, s)| {
-                acc.saturating_mul(s.run_count() as u128)
-            })
-        })
-        .sum()
-}
-
-fn emit(fdd: &Fdd, id: NodeId, memo: &mut HashMap<NodeId, Vec<PartialRule>>) -> Vec<PartialRule> {
+fn emit(fdd: &Fdd, id: NodeId, memo: &mut HashMap<NodeId, Vec<Rule>>) -> Vec<Rule> {
     if let Some(cached) = memo.get(&id) {
         return cached.clone();
     }
     let out = match fdd.view(id) {
-        NodeView::Terminal(d) => {
-            vec![PartialRule {
-                constraints: Vec::new(),
-                decision: d,
-            }]
-        }
+        NodeView::Terminal(d) => vec![Rule::catch_all(fdd.schema(), d)],
         NodeView::Internal { field, edges } => {
             // Recurse first so marking can weigh subtree costs.
-            let subs: Vec<Vec<PartialRule>> =
-                edges.iter().map(|e| emit(fdd, e.target(), memo)).collect();
+            let subs: Vec<Vec<Rule>> = edges.iter().map(|e| emit(fdd, e.target(), memo)).collect();
             // Mark the edge with the largest saving: spelling edge i out
             // costs runs_i × cost_i; leaving it unconstrained costs cost_i.
             let marked = edges
@@ -117,13 +85,10 @@ fn emit(fdd: &Fdd, id: NodeId, memo: &mut HashMap<NodeId, Vec<PartialRule>>) -> 
                 if i == marked {
                     continue;
                 }
-                for pr in sub {
-                    let mut constraints = vec![(field, e.label().clone())];
-                    constraints.extend(pr.constraints.iter().cloned());
-                    out.push(PartialRule {
-                        constraints,
-                        decision: pr.decision,
-                    });
+                for r in sub {
+                    let pred = r.predicate().with_field(field, e.label().clone());
+                    let pred = pred.expect("edge labels are valid field sets");
+                    out.push(Rule::new(pred, r.decision()));
                 }
             }
             // Marked edge last, field unconstrained.
@@ -138,7 +103,7 @@ fn emit(fdd: &Fdd, id: NodeId, memo: &mut HashMap<NodeId, Vec<PartialRule>>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fw_model::{paper, FieldDef, Packet, Schema};
+    use fw_model::{paper, Decision, FieldDef, Packet, Schema};
 
     fn tiny_schema() -> Schema {
         Schema::new(vec![

@@ -9,7 +9,8 @@
 //! * [`remove_redundant_rules`] deletes every rule whose removal preserves
 //!   semantics, classified as *upward* or *downward* redundancy exactly as
 //!   in ref \[19]. Method 2 applies it after prepending correction rules to
-//!   an original policy.
+//!   an original policy. Both it and [`analyze_redundancy`] decide each
+//!   rule by comparing roots in one [`fw_core::ConsArena`].
 //!
 //! # Example
 //!
@@ -32,13 +33,11 @@
 #![warn(missing_debug_implementations)]
 
 mod anomaly;
-pub mod boxes;
 mod generate;
 mod redundancy;
 
 pub use anomaly::{analyze_anomalies, Anomaly, AnomalyKind};
 pub use generate::generate_rules;
 pub use redundancy::{
-    analyze_redundancy, effective_boxes, is_redundant, is_upward_redundant, remove_redundant_rules,
-    RedundancyKind, RedundancyReport,
+    analyze_redundancy, remove_redundant_rules, RedundancyKind, RedundancyReport,
 };

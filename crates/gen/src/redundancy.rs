@@ -3,23 +3,14 @@
 //! Step 2) to compact a policy after prepending correction rules.
 //!
 //! A rule is *redundant* iff removing it leaves the policy's semantics
-//! unchanged. Following \[19], redundancy splits into:
-//!
-//! * **upward redundancy** — the rule's *effective portion* (the part of
-//!   its predicate not matched by any higher-priority rule) is empty: the
-//!   rule never fires;
-//! * **downward redundancy** — the rule fires, but every packet in its
-//!   effective portion would receive the same decision from the rules below
-//!   it.
-//!
-//! The effective portion is computed exactly with box arithmetic
-//! ([`crate::boxes`]), so both checks are exact, not heuristic.
+//! unchanged: **upward** if no packet reaches it (higher-priority rules
+//! cover its box), **downward** if every packet that reaches it would get
+//! the same decision from the rules below it. Both checks are exact root
+//! comparisons in one [`ConsArena`].
 
-use fw_core::CoreError;
-use fw_model::{Decision, Firewall, Predicate};
+use fw_core::{ConsArena, CoreError};
+use fw_model::{Decision, Firewall};
 use serde::{Deserialize, Serialize};
-
-use crate::boxes::{subtract, subtract_all};
 
 /// Why a rule is redundant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,87 +30,68 @@ pub struct RedundancyReport {
     /// Classification treats each rule in the context of the *original*
     /// policy; removing several "redundant" rules at once is not always
     /// sound (two identical rules can each be redundant given the other),
-    /// which is why [`remove_redundant_rules`] re-analyses after every
-    /// removal.
+    /// which is why [`remove_redundant_rules`] checks each rule against
+    /// the rules it kept below it.
     pub redundant: Vec<(usize, RedundancyKind)>,
 }
 
-/// The effective portion of rule `index`: disjoint boxes of packets that
-/// reach the rule (match it, and no higher-priority rule).
-pub fn effective_boxes(fw: &Firewall, index: usize) -> Vec<Predicate> {
-    let mut boxes = vec![fw.rules()[index].predicate().clone()];
-    for earlier in &fw.rules()[..index] {
-        boxes = subtract_all(boxes, earlier.predicate());
-        if boxes.is_empty() {
-            break;
+/// Each rule's redundancy in `fw`, from the last rule to the first, against
+/// every rule below it or (`prune`) only those found essential.
+///
+/// `cover[i]` is rules `0..i` prepended under one decision: it leaves
+/// unmatched exactly the packets no rule before `i` matches. Rule `i` is
+/// upward redundant iff `cover[i + 1] = cover[i]`, and redundant iff it
+/// leaves the suffix's decision unchanged wherever `cover[i]` is unmatched.
+fn classify(fw: &Firewall, prune: bool) -> Vec<Option<RedundancyKind>> {
+    let mut arena = ConsArena::new(fw.schema().clone());
+    let mut cover = vec![arena.terminal(None)];
+    for rule in fw.rules() {
+        let top = cover[cover.len() - 1];
+        cover.push(arena.prepend(&rule.with_decision(Decision::Accept), top));
+    }
+    let (mut below, mut kinds) = (arena.terminal(None), vec![None; fw.len()]);
+    for (i, rule) in fw.rules().iter().enumerate().rev() {
+        let upward = cover[i + 1] == cover[i];
+        if prune && upward {
+            // A pruning pass drops an upward redundant rule unseen.
+            kinds[i] = Some(RedundancyKind::Upward);
+            continue;
+        }
+        let with = arena.prepend(rule, below);
+        if upward {
+            kinds[i] = Some(RedundancyKind::Upward);
+        } else if arena.agree_outside(cover[i], with, below) {
+            kinds[i] = Some(RedundancyKind::Downward);
+        }
+        if !prune || kinds[i].is_none() {
+            below = with;
         }
     }
-    boxes
+    kinds
 }
 
-/// Whether rule `index` is **upward redundant**: no packet reaches it.
-pub fn is_upward_redundant(fw: &Firewall, index: usize) -> bool {
-    effective_boxes(fw, index).is_empty()
-}
-
-/// Whether rule `index` is redundant (upward or downward), i.e. whether
-/// removing it preserves the policy's semantics.
-pub fn is_redundant(fw: &Firewall, index: usize) -> Option<RedundancyKind> {
-    let boxes = effective_boxes(fw, index);
-    if boxes.is_empty() {
-        return Some(RedundancyKind::Upward);
-    }
-    let decision = fw.rules()[index].decision();
-    let below = &fw.rules()[index + 1..];
-    for b in boxes {
-        if !residual_decides(below, &b, decision) {
-            return None;
-        }
-    }
-    Some(RedundancyKind::Downward)
-}
-
-/// Whether the rule sequence `rules` maps **every** packet of box `b` to
-/// `decision` under first-match semantics.
-fn residual_decides(rules: &[fw_model::Rule], b: &Predicate, decision: Decision) -> bool {
-    match rules.first() {
-        None => false, // uncovered packets exist: removal would break comprehensiveness
-        Some(r) => {
-            if let Some(hit) = b.intersect(r.predicate()) {
-                if r.decision() != decision {
-                    return false;
-                }
-                // The matched part is settled; recurse on the remainder.
-                let _ = hit;
-                subtract(b, r.predicate())
-                    .iter()
-                    .all(|rest| residual_decides(&rules[1..], rest, decision))
-            } else {
-                residual_decides(&rules[1..], b, decision)
-            }
-        }
-    }
-}
-
-/// Classifies every rule of `fw` as redundant or essential.
+/// Classifies every rule of `fw` as redundant or essential, each in the
+/// context of the whole original policy.
 pub fn analyze_redundancy(fw: &Firewall) -> RedundancyReport {
-    let redundant = (0..fw.len())
-        .filter_map(|i| is_redundant(fw, i).map(|k| (i, k)))
-        .collect();
-    RedundancyReport { redundant }
+    let kinds = classify(fw, false).into_iter().enumerate();
+    RedundancyReport {
+        redundant: kinds.filter_map(|(i, k)| Some((i, k?))).collect(),
+    }
 }
 
 /// Removes redundant rules until none remain, preserving semantics exactly
 /// (§6.2, Step 2: "a rule is redundant if and only if removing the rule
 /// does not change the semantics of the firewall").
 ///
-/// Rules are re-analysed after each removal, since redundancy of one rule
-/// can depend on the presence of another.
+/// One pass from the last rule to the first drops each rule redundant
+/// among the rules before it and those kept after it: the fixpoint of
+/// removing the last redundant rule and re-analysing, since removing a
+/// rule never makes a later essential one redundant.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Model`] if the firewall would become empty (cannot
-/// happen for comprehensive inputs).
+/// happen: the last rule kept decides its box).
 ///
 /// # Example
 ///
@@ -140,20 +112,10 @@ pub fn analyze_redundancy(fw: &Firewall) -> RedundancyReport {
 /// # }
 /// ```
 pub fn remove_redundant_rules(fw: &Firewall) -> Result<Firewall, CoreError> {
-    let mut current = fw.clone();
-    loop {
-        // Prefer removing later rules first: their removal never changes
-        // which packets reach earlier rules, keeping passes cheap.
-        let found = (0..current.len())
-            .rev()
-            .find_map(|i| is_redundant(&current, i).map(|_| i));
-        match found {
-            Some(i) if current.len() > 1 => {
-                current = current.with_rule_removed(i)?;
-            }
-            _ => return Ok(current),
-        }
-    }
+    let kinds = classify(fw, true);
+    let rules = fw.rules().iter().zip(kinds);
+    let kept = rules.filter(|(_, k)| k.is_none()).map(|(r, _)| r.clone());
+    Ok(Firewall::new(fw.schema().clone(), kept.collect())?)
 }
 
 #[cfg(test)]
@@ -173,40 +135,37 @@ mod tests {
         Firewall::parse(tiny_schema(), text).unwrap()
     }
 
-    #[test]
-    fn effective_boxes_shrink_under_shadowing() {
-        let f = fw("a=0-3 -> accept\na=0-5 -> discard\n* -> accept\n");
-        // Rule 1's effective portion is a in 4..=5 only.
-        let boxes = effective_boxes(&f, 1);
-        assert!(!boxes.is_empty());
-        for b in &boxes {
-            assert!(b.set(fw_model::FieldId(0)).contains(4));
-            assert!(!b.set(fw_model::FieldId(0)).contains(3));
-        }
+    /// Rule `i`'s kind in `f`'s report, if it is redundant.
+    fn kind(f: &Firewall, i: usize) -> Option<RedundancyKind> {
+        let report = analyze_redundancy(f);
+        report
+            .redundant
+            .iter()
+            .find(|&&(j, _)| j == i)
+            .map(|&(_, k)| k)
     }
 
     #[test]
     fn upward_redundant_rule_detected() {
         let f = fw("a=0-5 -> accept\na=2-4 -> discard\n* -> discard\n");
-        assert_eq!(is_redundant(&f, 1), Some(RedundancyKind::Upward));
-        assert!(is_upward_redundant(&f, 1));
-        assert!(!is_upward_redundant(&f, 0));
+        assert_eq!(kind(&f, 1), Some(RedundancyKind::Upward));
+        assert_eq!(kind(&f, 0), None);
     }
 
     #[test]
     fn downward_redundant_rule_detected() {
         let f = fw("a=0-3 -> accept\n* -> accept\n");
-        assert_eq!(is_redundant(&f, 0), Some(RedundancyKind::Downward));
+        assert_eq!(kind(&f, 0), Some(RedundancyKind::Downward));
         // But a conflicting decision below keeps the rule essential.
         let g = fw("a=0-3 -> accept\n* -> discard\n");
-        assert_eq!(is_redundant(&g, 0), None);
+        assert_eq!(kind(&g, 0), None);
     }
 
     #[test]
     fn partial_shadowing_is_not_redundant() {
         // Rule 1 still decides a in 4..=5 differently from the catch-all.
         let f = fw("a=0-3 -> accept\na=0-5 -> discard\n* -> accept\n");
-        assert_eq!(is_redundant(&f, 1), None);
+        assert_eq!(kind(&f, 1), None);
     }
 
     #[test]
@@ -244,7 +203,7 @@ mod tests {
         // The catch-all never fires because earlier rules jointly cover
         // the space.
         let f = fw("a=0-3 -> accept\na=4-7 -> discard\n* -> accept\n");
-        assert_eq!(is_redundant(&f, 2), Some(RedundancyKind::Upward));
+        assert_eq!(kind(&f, 2), Some(RedundancyKind::Upward));
         let compact = remove_redundant_rules(&f).unwrap();
         assert_eq!(compact.len(), 2);
         assert!(fw_core::equivalent(&f, &compact).unwrap());

@@ -3,7 +3,9 @@
 //! redundancy analysis must agree with the semantic oracle (`f ≡ f \ r`).
 
 use fw_core::Fdd;
-use fw_gen::{analyze_redundancy, generate_rules, is_redundant, remove_redundant_rules};
+use fw_gen::{
+    analyze_redundancy, generate_rules, remove_redundant_rules, RedundancyKind, RedundancyReport,
+};
 use fw_model::{
     Decision, FieldDef, Firewall, Interval, IntervalSet, Packet, Predicate, Rule, Schema,
 };
@@ -32,6 +34,15 @@ fn all_packets(schema: &Schema) -> Vec<Packet> {
         packets = next;
     }
     packets.into_iter().map(Packet::new).collect()
+}
+
+/// Rule `i`'s kind in `report`, if it is redundant.
+fn kind(report: &RedundancyReport, i: usize) -> Option<RedundancyKind> {
+    report
+        .redundant
+        .iter()
+        .find(|&&(j, _)| j == i)
+        .map(|&(_, k)| k)
 }
 
 fn arb_set(bits: u32) -> impl Strategy<Value = IntervalSet> {
@@ -88,8 +99,9 @@ proptest! {
 
     #[test]
     fn redundancy_matches_semantic_oracle(fw in arb_firewall()) {
+        let report = analyze_redundancy(&fw);
         for i in 0..fw.len() {
-            let claimed = is_redundant(&fw, i).is_some();
+            let claimed = kind(&report, i).is_some();
             if fw.len() == 1 {
                 prop_assert!(!claimed);
                 continue;
@@ -101,6 +113,17 @@ proptest! {
                 .iter()
                 .all(|p| fw.decision_for(p) == without.decision_for(p));
             prop_assert_eq!(claimed, oracle, "rule {} of\n{}", i, fw);
+        }
+    }
+
+    #[test]
+    fn upward_redundancy_means_no_packet_is_first_matched(fw in arb_firewall()) {
+        let report = analyze_redundancy(&fw);
+        let packets = all_packets(fw.schema());
+        for i in 0..fw.len() {
+            let fires = packets.iter().any(|p| fw.first_match(p) == Some(i));
+            let upward = kind(&report, i) == Some(RedundancyKind::Upward);
+            prop_assert_eq!(upward, !fires, "rule {} of\n{}", i, fw);
         }
     }
 
@@ -130,6 +153,7 @@ proptest! {
     #[test]
     fn anomaly_classification_is_semantically_consistent(fw in arb_firewall()) {
         use fw_gen::{analyze_anomalies, AnomalyKind};
+        let report = analyze_redundancy(&fw);
         for a in analyze_anomalies(&fw) {
             let earlier = &fw.rules()[a.earlier];
             let later = &fw.rules()[a.later];
@@ -139,7 +163,7 @@ proptest! {
                     // so the later rule can never be anyone's first match.
                     prop_assert!(later.predicate().is_subset_of(earlier.predicate()));
                     prop_assert!(
-                        fw_gen::is_upward_redundant(&fw, a.later),
+                        kind(&report, a.later) == Some(RedundancyKind::Upward),
                         "fully covered rule {} still fires",
                         a.later
                     );
@@ -155,25 +179,6 @@ proptest! {
                     prop_assert_ne!(earlier.decision(), later.decision());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn effective_boxes_partition_the_effective_region(fw in arb_firewall(), idx in 0..8usize) {
-        use fw_gen::effective_boxes;
-        let i = idx % fw.len();
-        let boxes = effective_boxes(&fw, i);
-        // Disjoint.
-        for (x, a) in boxes.iter().enumerate() {
-            for b in &boxes[x + 1..] {
-                prop_assert!(a.intersect(b).is_none());
-            }
-        }
-        // Exact: packet is in some box iff rule i is its first match.
-        for p in all_packets(fw.schema()) {
-            let expect = fw.first_match(&p) == Some(i);
-            let got = boxes.iter().any(|b| b.matches(&p));
-            prop_assert_eq!(expect, got, "rule {} at {}", i, p);
         }
     }
 }

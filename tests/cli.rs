@@ -94,21 +94,25 @@ fn bad_usage_exits_2() {
 }
 
 /// The whole report, byte for byte, and the exit code of four diffs over
-/// the fixture policies, against the files in `tests/golden/`.
+/// the fixture policies and of one lint (pairwise anomalies and
+/// redundant rules), against the files in `tests/golden/`.
 #[test]
 fn diff_reports_match_the_golden_files() {
-    let runs: [(&[&str], &str); 4] = [
+    let runs: [(&[&str], &str, i32); 5] = [
         (
             &["policies/dmz_v1.fw", "policies/dmz_v2.fw"],
             "fwdiff_dmz_v1_dmz_v2.txt",
+            1,
         ),
         (
             &["policies/dmz_v1.fw", "policies/messy.fw"],
             "fwdiff_dmz_v1_messy.txt",
+            1,
         ),
         (
             &["policies/dmz_v2.fw", "policies/messy.fw"],
             "fwdiff_dmz_v2_messy.txt",
+            1,
         ),
         (
             &[
@@ -118,19 +122,17 @@ fn diff_reports_match_the_golden_files() {
                 "policies/router_v2.rules",
             ],
             "fwdiff_router_v1_router_v2_iptables.txt",
+            1,
         ),
+        (&["--lint", "policies/messy.fw"], "fwdiff_lint_messy.txt", 0),
     ];
-    for (args, golden) in runs {
+    for (args, golden, code) in runs {
         let out = fwdiff()
             .current_dir(env!("CARGO_MANIFEST_DIR"))
             .args(args)
             .output()
             .expect("binary runs");
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "{golden}: differing policies exit 1"
-        );
+        assert_eq!(out.status.code(), Some(code), "{golden}: exit code");
         let expect =
             std::fs::read(repo_path(&format!("tests/golden/{golden}"))).expect("golden file");
         assert!(
