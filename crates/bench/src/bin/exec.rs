@@ -18,8 +18,11 @@
 //!   route is never slower than the better of the walk and the lane kernel
 //!   (the calibrator's uncached serial arms; small measurement tolerance),
 //!   refining the choice from full-trace numbers when a sample-based pick
-//!   underperforms — this is the regression guard for workloads like
-//!   `fig13/synth-n100`/random where the plain walk beats the lane kernel.
+//!   underperforms. The lane kernel beats the walk on every row of
+//!   `BENCH_exec.json` (on `fig13/synth-n100` random, 65.7 against 23.1
+//!   Mpps), so the gate guards against a calibration that elects the walk,
+//!   or a route slower than the arm it elects. A failure names the choice
+//!   the route held on its last attempt and how many attempts it made.
 //! * **cache** — every workload also runs warm behind a decision cache,
 //!   asserted identical cold and warm before timing; on the Zipf row of
 //!   `fig12/large(661)` cached serving must double the best uncached
@@ -251,10 +254,12 @@ fn bench_trace(name: &str, fw: &Firewall, trace: &PacketTrace, kind: &'static st
         .expect("non-empty")
         .0;
     let mut auto_mpps = measure_auto(&compiled, &fdd, trace, &batch, choice);
+    let mut attempts = 1;
     for attempt in 1..AUTO_ATTEMPTS {
         if auto_mpps >= AUTO_TOLERANCE * best {
             break;
         }
+        attempts += 1;
         if attempt >= 2 && choice.kind != best_kind {
             choice = EngineChoice {
                 kind: best_kind,
@@ -267,7 +272,7 @@ fn bench_trace(name: &str, fw: &Firewall, trace: &PacketTrace, kind: &'static st
     assert!(
         auto_mpps >= AUTO_TOLERANCE * best,
         "{name}/{kind}: auto route {auto_mpps:.2} Mpps lost to the better of walk and lanes \
-         {best:.2} Mpps ({best_kind:?})"
+         {best:.2} Mpps ({best_kind:?}); it held {choice} on the last of {attempts} attempts"
     );
 
     // Cached front end: agreement asserted cold AND warm before any

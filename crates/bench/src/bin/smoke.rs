@@ -6,6 +6,12 @@
 //! diff-cell counts in `BENCH_smoke.json` are reproducible run to run
 //! (only the timings vary with the machine).
 //!
+//! The `parse` rows time `Firewall::parse` on the text of the 661-rule
+//! policy, of a 5% variant of it (seed 1) and of the 3,000-rule policy of
+//! the `builds` rows: medians and quartiles of 11 interleaved rounds, with
+//! the text's bytes and the rate in MB/s. Every `fwdiff` run and
+//! perfbench `diff` request starts by parsing text of this kind.
+//!
 //! The `builds` rows time construction alone on policies of 661 and 3,000
 //! rules in which no rule lies inside an earlier one. Fast construction
 //! drops every such contained rule before building its tables, and most
@@ -59,6 +65,47 @@ struct ReduceRow {
     reduce_ms: f64,
 }
 
+/// The first quartile, median and third quartile of `ms`.
+fn quartiles(mut ms: Vec<f64>) -> (f64, f64, f64) {
+    ms.sort_by(f64::total_cmp);
+    let q = |f: f64| ms[((ms.len() - 1) as f64 * f).round() as usize];
+    (q(0.25), q(0.5), q(0.75))
+}
+
+/// Times `Firewall::parse` of each named text over `rounds` interleaved
+/// rounds; returns the JSON rows.
+fn bench_parse(texts: &[(&str, String)], schema: &fw_model::Schema, rounds: usize) -> Vec<String> {
+    let mut samples = vec![Vec::with_capacity(rounds); texts.len()];
+    let mut rules = vec![0; texts.len()];
+    for _ in 0..rounds {
+        for (k, (_, text)) in texts.iter().enumerate() {
+            let t = Instant::now();
+            let fw = fw_model::Firewall::parse(schema.clone(), text).unwrap();
+            samples[k].push(t.elapsed().as_secs_f64() * 1e3);
+            rules[k] = std::hint::black_box(fw).len();
+        }
+    }
+    texts
+        .iter()
+        .zip(samples)
+        .zip(rules)
+        .map(|(((name, text), ms), rules)| {
+            let (q1, median, q3) = quartiles(ms);
+            let bytes = text.len();
+            let mb_per_s = bytes as f64 / (median * 1e3);
+            println!(
+                "parse {name}: {rules} rules, {bytes} bytes, median {median:.3} ms \
+                 (IQR {q1:.3}-{q3:.3}), {mb_per_s:.1} MB/s"
+            );
+            format!(
+                "{{\"name\": \"parse {name}\", \"rules\": {rules}, \"bytes\": {bytes}, \
+                 \"ms\": {median:.3}, \"ms_q1\": {q1:.3}, \"ms_q3\": {q3:.3}, \
+                 \"mb_per_s\": {mb_per_s:.1}}}"
+            )
+        })
+        .collect()
+}
+
 /// Times `direct_compare` of 2, 3, 4 and 8 teams and `cross_compare` of
 /// 3, 4 and 8, interleaved over `rounds` rounds; returns each arm's kind
 /// with its JSON row.
@@ -89,10 +136,8 @@ fn bench_teams(base: &fw_model::Firewall, rounds: usize) -> Vec<(&'static str, S
     arms.iter()
         .zip(samples)
         .zip(regions)
-        .map(|((&(kind, teams), mut ms), regions)| {
-            ms.sort_by(f64::total_cmp);
-            let q = |f: f64| ms[((ms.len() - 1) as f64 * f).round() as usize];
-            let (q1, median, q3) = (q(0.25), q(0.5), q(0.75));
+        .map(|((&(kind, teams), ms), regions)| {
+            let (q1, median, q3) = quartiles(ms);
             println!("{kind} {teams} teams: median {median:.3} ms (IQR {q1:.3}-{q3:.3}), {regions} regions");
             let cells = if kind == "direct" {
                 format!("\"raw_cells\": {}, ", raw_cells(&all[..teams]))
@@ -308,6 +353,21 @@ fn main() {
         })
         .collect();
 
+    let texts = [
+        ("large(661)", large.to_dsl()),
+        (
+            "large(661) 5% variant",
+            fw_synth::perturb(&large, 5, 1).to_dsl(),
+        ),
+        (
+            "uncontained n=3000",
+            fw_synth::Synthesizer::new(3000)
+                .uncontained_firewall(3000)
+                .to_dsl(),
+        ),
+    ];
+    let parses = bench_parse(&texts, large.schema(), 11);
+
     let teams = bench_teams(&large, 11);
     let mut finals = Vec::new();
     for (name, base, percent) in [("avg(42)", &avg, 10), ("large(661)", &large, 1)] {
@@ -361,6 +421,11 @@ fn main() {
             r.name, r.rules, r.construct_ms, r.nodes
         );
     }
+    let _ = write!(
+        json,
+        "  ],\n  \"parse\": [\n    {}\n",
+        parses.join(",\n    ")
+    );
     for kind in ["direct", "cross"] {
         let rows: Vec<&str> = teams
             .iter()

@@ -43,6 +43,8 @@ impl ResolvedDiscrepancy {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Resolution {
     entries: Vec<ResolvedDiscrepancy>,
+    /// How many versions the comparison held.
+    versions: usize,
 }
 
 impl Resolution {
@@ -73,7 +75,10 @@ impl Resolution {
                 decision,
             })
             .collect();
-        Ok(Resolution { entries })
+        Ok(Resolution {
+            entries,
+            versions: cmp.versions().len(),
+        })
     }
 
     /// Resolves every discrepancy with a chooser function over the disputed
@@ -95,6 +100,7 @@ impl Resolution {
                     }
                 })
                 .collect(),
+            versions: cmp.versions().len(),
         }
     }
 
@@ -147,11 +153,14 @@ impl Resolution {
     }
 
     /// Whether version `i` decided every discrepancy correctly — if so, the
-    /// final firewall can simply be that team's design (§6).
-    pub fn version_is_correct(&self, i: usize) -> bool {
-        self.entries
-            .iter()
-            .all(|e| e.discrepancy().decisions()[i] == e.decision())
+    /// final firewall can simply be that team's design (§6). `None` for a
+    /// version the comparison did not hold.
+    pub fn version_is_correct(&self, i: usize) -> Option<bool> {
+        (i < self.versions).then(|| {
+            self.entries
+                .iter()
+                .all(|e| e.discrepancy().decisions().get(i) == Some(&e.decision()))
+        })
     }
 }
 
@@ -185,8 +194,8 @@ mod tests {
             .entries()
             .iter()
             .all(|e| e.decision() == Decision::Accept));
-        assert!(ra.version_is_correct(0));
-        assert!(!ra.version_is_correct(1));
+        assert_eq!(ra.version_is_correct(0), Some(true));
+        assert_eq!(ra.version_is_correct(1), Some(false));
         let rb = Resolution::by_version(&c, 1).unwrap();
         assert!(rb
             .entries()
@@ -215,7 +224,21 @@ mod tests {
             .entries()
             .iter()
             .all(|e| e.decision() == Decision::Discard));
-        assert!(r.version_is_correct(1));
+        assert_eq!(r.version_is_correct(1), Some(true));
+    }
+
+    #[test]
+    fn a_version_the_comparison_lacks_is_neither_correct_nor_not() {
+        let r = Resolution::by_majority(&cmp());
+        assert_eq!(r.version_is_correct(1), Some(true));
+        assert_eq!(r.version_is_correct(2), None);
+        assert_eq!(r.version_is_correct(usize::MAX), None);
+        // With nothing to resolve, every version held is correct.
+        let same = Comparison::of(vec![paper::team_a(), paper::team_a()]).unwrap();
+        let r = Resolution::by_majority(&same);
+        assert!(r.entries().is_empty());
+        assert_eq!(r.version_is_correct(1), Some(true));
+        assert_eq!(r.version_is_correct(2), None);
     }
 
     #[test]

@@ -43,15 +43,10 @@ impl Firewall {
     /// Returns [`ModelError::InvalidFirewall`] for an empty rule list, or the
     /// first rule validation error.
     pub fn new(schema: Schema, rules: Vec<Rule>) -> Result<Self, ModelError> {
-        if rules.is_empty() {
-            return Err(ModelError::InvalidFirewall {
-                message: "no rules".to_owned(),
-            });
-        }
         for r in &rules {
             r.validate(&schema)?;
         }
-        Ok(Firewall { schema, rules })
+        Firewall::of_valid(schema, rules)
     }
 
     /// Parses a firewall from the rule DSL (see [`crate::parse`]).
@@ -62,7 +57,19 @@ impl Firewall {
     /// errors as in [`Firewall::new`].
     pub fn parse(schema: Schema, text: &str) -> Result<Self, ModelError> {
         let rules = crate::parse::parse_rules(&schema, text)?;
-        Firewall::new(schema, rules)
+        // The parser checks every constraint against its field's domain and
+        // gives every other field its whole domain, so its rules are valid.
+        Firewall::of_valid(schema, rules)
+    }
+
+    /// A firewall of rules already valid over `schema`.
+    fn of_valid(schema: Schema, rules: Vec<Rule>) -> Result<Self, ModelError> {
+        if rules.is_empty() {
+            return Err(ModelError::InvalidFirewall {
+                message: "no rules".to_owned(),
+            });
+        }
+        Ok(Firewall { schema, rules })
     }
 
     /// The schema all rules range over.

@@ -215,7 +215,7 @@ pub fn set_to_prefixes(set: &IntervalSet, bits: u32) -> Result<Vec<Prefix>, Mode
 ///
 /// Returns [`ModelError::Parse`] on malformed input.
 pub fn parse_ipv4(s: &str) -> Result<u64, ModelError> {
-    crate::parse::ipv4(s.as_bytes())
+    crate::parse::ipv4(s)
 }
 
 /// Formats a 32-bit integer as a dotted-quad IPv4 address.

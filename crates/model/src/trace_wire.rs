@@ -29,6 +29,14 @@
 //! # }
 //! ```
 
+// Trace bytes are untrusted input: no path from them may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
+
 use crate::{ModelError, Packet, Schema};
 
 /// Bytes of the header: the packet count, a little-endian `u32`.
@@ -43,6 +51,10 @@ pub(crate) const VALUE_LEN: usize = 8;
 ///
 /// Panics if a packet's arity differs from the schema's, or if there are
 /// more than `u32::MAX` packets.
+#[allow(
+    clippy::expect_used,
+    reason = "the caller's packets and count are trusted, and the panics are documented"
+)]
 pub fn encode(schema: &Schema, packets: &[Packet]) -> Vec<u8> {
     let d = schema.len();
     let count = u32::try_from(packets.len()).expect("trace exceeds u32 packets");
@@ -102,15 +114,16 @@ pub fn decode(schema: &Schema, bytes: &[u8]) -> Result<Vec<Packet>, ModelError> 
     Err(packets
         .iter()
         .find_map(|p| p.validate(schema).err())
-        .expect("the fold found an out-of-domain value"))
+        .unwrap_or_else(|| parse("trace holds a value outside its field's domain".into())))
 }
 
 /// One encoded value.
-pub(crate) fn value(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"))
+pub(crate) fn value(bytes: [u8; VALUE_LEN]) -> u64 {
+    u64::from_le_bytes(bytes)
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
 

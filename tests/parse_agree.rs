@@ -544,6 +544,22 @@ fn byte_scanner_agrees_on_hand_picked_edge_cases() {
         "",
         "\n\n# only comments\n",
         "* -> accept\nwat\n",
+        // Where a one-pass lexer can part from split-then-trim.
+        "dport=5-->accept",
+        "dport=1 - 2 -> accept",
+        "src=1.2.3.4 / 8 -> accept",
+        "src=1. 2.3.4 -> accept",
+        "dport = 80 -> accept",
+        "d port=80 -> accept",
+        "dport=80, -> accept",
+        "dport=80 ,proto=6 -> accept",
+        "dport=*|80 -> accept",
+        "dport=*-5 -> accept",
+        "dport=5/ -> accept",
+        "proto=6->accept",
+        "dport=80\u{a0}|\u{2003}90 -> accept",
+        "dport=8\u{a0}0 -> accept",
+        "dport=80 -> accept\u{a0}# note",
     ] {
         check(&schema, text);
     }
