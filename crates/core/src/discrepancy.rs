@@ -58,7 +58,7 @@ impl Discrepancy {
     }
 
     /// Paper-style rendering with field names from `schema`; see
-    /// [`display_predicate_prefixed`] for the prefix conversion.
+    /// [`Predicate::display`] for the prefix conversion.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> DisplayDiscrepancy<'a> {
         DisplayDiscrepancy { d: self, schema }
     }
@@ -309,15 +309,6 @@ fn coalesce_by<T: Region>(mut ds: Vec<T>) -> Vec<T> {
     }
 }
 
-/// Formats `pred` over `schema` with §7.1's output conversion:
-/// unconstrained fields elided; 32-bit fields rendered as IP prefixes (or
-/// dotted ranges when a run does not align to one prefix); other fields as
-/// integers or integer intervals. Delegates to
-/// [`fw_model::Predicate::display`], which implements the conversion.
-pub fn display_predicate_prefixed(pred: &Predicate, schema: &Schema) -> String {
-    pred.display(schema).to_string()
-}
-
 /// Helper returned by [`Discrepancy::display`].
 #[derive(Debug)]
 pub struct DisplayDiscrepancy<'a> {
@@ -330,7 +321,7 @@ impl fmt::Display for DisplayDiscrepancy<'_> {
         write!(
             f,
             "{} | first: {}, second: {}",
-            display_predicate_prefixed(self.d.predicate(), self.schema),
+            self.d.predicate().display(self.schema),
             self.d.left,
             self.d.right
         )
@@ -346,11 +337,7 @@ pub struct DisplayMultiDiscrepancy<'a> {
 
 impl fmt::Display for DisplayMultiDiscrepancy<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} |",
-            display_predicate_prefixed(self.d.predicate(), self.schema)
-        )?;
+        write!(f, "{} |", self.d.predicate().display(self.schema))?;
         for (i, d) in self.d.decisions.iter().enumerate() {
             write!(
                 f,

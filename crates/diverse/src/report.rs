@@ -4,7 +4,6 @@
 
 use std::fmt::Write as _;
 
-use fw_core::discrepancy::display_predicate_prefixed;
 use fw_core::ChangeImpact;
 use fw_model::Firewall;
 
@@ -21,12 +20,7 @@ pub fn comparison_report(cmp: &Comparison, team_names: &[&str]) -> String {
         cmp.discrepancies().len()
     );
     for (i, d) in cmp.discrepancies().iter().enumerate() {
-        let _ = write!(
-            out,
-            "{:>3}. {}",
-            i + 1,
-            display_predicate_prefixed(d.predicate(), schema)
-        );
+        let _ = write!(out, "{:>3}. {}", i + 1, d.predicate().display(schema));
         for (v, dec) in d.decisions().iter().enumerate() {
             let name = team_names.get(v).copied().unwrap_or("team");
             let _ = write!(out, " | {name}: {dec}");
@@ -80,7 +74,7 @@ pub fn impact_report(before: &Firewall, impact: &ChangeImpact) -> String {
             out,
             "{:>3}. {} | before: {}, after: {}",
             i + 1,
-            display_predicate_prefixed(d.predicate(), schema),
+            d.predicate().display(schema),
             d.left(),
             d.right()
         );
@@ -118,7 +112,7 @@ pub fn impact_report_attributed(
             out,
             "{:>3}. {} | before: {} (via {}), after: {} (via {})",
             i + 1,
-            display_predicate_prefixed(d.predicate(), schema),
+            d.predicate().display(schema),
             d.left(),
             fmt_rule(br),
             d.right(),

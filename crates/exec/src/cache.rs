@@ -37,7 +37,7 @@
 //! land after the edit's invalidation ran (the torn-invalidation case the
 //! oracle in `tests/cache_agree.rs` drives directly).
 
-use fw_core::{ChangeImpact, Fdd};
+use fw_core::ChangeImpact;
 use fw_model::{Decision, Schema};
 use serde::{Deserialize, Serialize};
 
@@ -58,7 +58,7 @@ const HASH_K: u64 = 0x517c_c1b7_2722_0a95;
 
 /// One `FxHash` round.
 #[inline]
-fn mix(state: u64, v: u64) -> u64 {
+pub(crate) fn mix(state: u64, v: u64) -> u64 {
     (state.rotate_left(5) ^ v).wrapping_mul(HASH_K)
 }
 
@@ -672,8 +672,9 @@ impl EngineChoice {
     }
 
     /// Routes one batch through `cache`, classifying misses through this
-    /// choice's engine (see the module docs for the identity argument). Entries are keyed [`UNTAGGED`]: one
-    /// cache per served image.
+    /// choice's lane kernel (see the module docs for the identity
+    /// argument). Entries are keyed [`UNTAGGED`]: one cache per served
+    /// image.
     ///
     /// # Errors
     ///
@@ -683,7 +684,6 @@ impl EngineChoice {
     pub fn classify_cached_into(
         &self,
         compiled: &CompiledFdd,
-        walk: Option<&Fdd>,
         batch: &PacketBatch,
         cache: &mut DecisionCache,
         scratch: &mut EngineScratch,
@@ -704,7 +704,7 @@ impl EngineChoice {
         let mut cs = std::mem::take(&mut scratch.cache);
         let result =
             classify_cached_with(cache, UNTAGGED, batch, &mut cs, out, |miss, miss_out| {
-                engine.classify_into(compiled, walk, None, miss, scratch, miss_out)
+                engine.classify_into(compiled, None, None, miss, scratch, miss_out)
             });
         scratch.cache = cs;
         result
@@ -788,7 +788,7 @@ mod tests {
         // Twice: the second pass serves mostly from the cache.
         for pass in 0..2 {
             EngineChoice::default()
-                .classify_cached_into(&compiled, None, &batch, &mut cache, &mut scratch, &mut out)
+                .classify_cached_into(&compiled, &batch, &mut cache, &mut scratch, &mut out)
                 .unwrap();
             assert_eq!(out, expect, "pass {pass}");
         }
@@ -894,7 +894,6 @@ mod tests {
         assert!(matches!(
             EngineChoice::default().classify_cached_into(
                 &compiled,
-                None,
                 &batch,
                 &mut wrong,
                 &mut scratch,

@@ -1,20 +1,27 @@
 //! Adaptive engine calibration: measure, don't guess.
 //!
-//! The runtime serves a batch one of two ways — the plain FDD walk, or the
-//! level-synchronous lane kernel (serial or sharded across cores) — with
-//! an optional decision cache in front, and no fixed choice wins
-//! everywhere: the walk outruns the lane kernel on some shallow-diagram
-//! trace shapes, and the cache pays only on skewed traffic. So the choice
-//! is *calibrated*: a short micro-trial per (image, trace shape) races the
-//! arms over a bounded sample of the real batch, and the caller keeps the
-//! winning [`EngineChoice`] ([`crate::LiveMatcher`] holds its own).
+//! The runtime serves a batch through the lane kernel, serial or sharded
+//! across cores, with an optional decision cache in front, and no fixed
+//! choice wins everywhere: a second worker pays only on batches large
+//! enough to cover its spawn, and the cache pays only on traffic that
+//! repeats. So the choice is *calibrated*: a short micro-trial per (image,
+//! trace shape) races the arms over a bounded sample of the real batch, and
+//! the caller keeps the winning [`EngineChoice`] ([`crate::LiveMatcher`]
+//! holds its own).
 //!
 //! An arm is one candidate the calibrator times, and the race holds only
-//! arms that can win on some workload: the walk (when the caller has the
-//! diagram), the lane kernel at each thread count of the ladder, and the
-//! cached arm. The row-major scalar and the column walk never won a bench
-//! row; they remain as the reference engines the agreement oracles compare
-//! against, not as arms.
+//! arms that can win: the lane kernel at each thread count of the ladder,
+//! and the cached arm. The plain FDD walk, the row-major scalar and the
+//! column walk never won a bench row; they remain as the reference engines
+//! the agreement oracles compare against, not as arms.
+//!
+//! The cached arm starts from the sample, not the clock. Its steady-state
+//! hit rate is estimated from how often the sample's tuples repeat
+//! ([`Calibration::hit_rate`]); a sample that repeats no tuple estimates
+//! 0 and rejects the cache without a trial, because at a zero hit rate the
+//! cached arm costs the engine plus a probe per packet whatever the
+//! timings. A sample with repeats times its hit path in the caller's own
+//! cache and elects it only past the uncached arm's noise.
 //!
 //! The trial is deterministic in everything but the clock. Arms are timed
 //! in round-robin passes over a fixed sample prefix: each pass times every
@@ -36,6 +43,7 @@ use fw_core::Fdd;
 use fw_model::{Decision, Packet};
 use serde::{Deserialize, Serialize};
 
+use crate::cache::mix;
 use crate::kernel::resolve_threads;
 use crate::{CompiledFdd, DecisionCache, ExecError, PacketBatch};
 
@@ -47,53 +55,28 @@ pub const CALIBRATE_SAMPLE: usize = 4096;
 /// Round-robin timed passes; each arm keeps its minimum.
 const CALIBRATE_PASSES: usize = 5;
 
-/// One classification engine the runtime can route a batch through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EngineKind {
-    /// The plain FDD walk (`fw_core::Fdd::evaluate`): pointer-chasing but
-    /// shallow, and unbeatable on diagrams small enough to live in L1.
-    /// Routed to the lane kernel when the caller has no diagram.
-    Walk,
-    /// The level-synchronous lane kernel, serial at `threads <= 1`,
-    /// span-sharded across scoped workers above that.
-    Lanes,
-}
-
-impl EngineKind {
-    /// Stable lowercase name, as reported in benches and CLI output.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Walk => "walk",
-            EngineKind::Lanes => "lanes",
-        }
-    }
-}
-
-/// A calibrated routing decision: which engine, across how many threads,
-/// and whether a decision cache fronts it.
+/// A calibrated routing decision: the lane kernel across how many
+/// threads, and whether a decision cache fronts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineChoice {
-    /// The engine to route batches through.
-    pub kind: EngineKind,
-    /// Worker threads for [`EngineKind::Lanes`] (`1` = serial); the walk
-    /// is always serial.
+    /// Lane-kernel worker threads (`1` = serial).
     pub threads: usize,
-    /// Whether a [`crate::DecisionCache`] front end sits before `kind`
-    /// (the engine then only classifies the misses). Routing through the
-    /// cache is the caller's move — [`EngineChoice::classify_into`]
-    /// ignores this flag and [`crate::LiveMatcher`] honours it. The fleet
-    /// registry takes no engine choice: its shards serve through the
-    /// pool's lane loop, behind a cache when one is enabled.
+    /// Whether a [`crate::DecisionCache`] front end sits before the lane
+    /// kernel (the kernel then only classifies the misses). Routing
+    /// through the cache is the caller's move —
+    /// [`EngineChoice::classify_into`] ignores this flag and
+    /// [`crate::LiveMatcher`] honours it. The fleet registry takes no
+    /// engine choice: its shards serve through the pool's lane loop, behind
+    /// a cache when one is enabled.
     pub cached: bool,
 }
 
 impl Default for EngineChoice {
-    /// The uncalibrated fallback: the serial lane kernel, the fastest arm
-    /// on 14 of 15 bench rows. No cache front end: memoizing only pays on
-    /// skewed traffic, which must be measured, not presumed.
+    /// The uncalibrated fallback: the serial lane kernel. No cache front
+    /// end: memoizing only pays on traffic that repeats, which must be
+    /// measured, not presumed.
     fn default() -> EngineChoice {
         EngineChoice {
-            kind: EngineKind::Lanes,
             threads: 1,
             cached: false,
         }
@@ -105,7 +88,7 @@ impl std::fmt::Display for EngineChoice {
         if self.cached {
             f.write_str("cache+")?;
         }
-        f.write_str(self.kind.name())?;
+        f.write_str("lanes")?;
         if self.threads > 1 {
             write!(f, "/t{}", self.threads)?;
         }
@@ -118,7 +101,8 @@ impl std::fmt::Display for EngineChoice {
 pub struct Trial {
     /// The candidate that was raced.
     pub choice: EngineChoice,
-    /// Its best observed throughput over the sample, in Mpps.
+    /// Its best observed throughput over the sample, in Mpps (for the
+    /// cached arm, the projection at [`Calibration::hit_rate`]).
     pub mpps: f64,
 }
 
@@ -126,23 +110,29 @@ pub struct Trial {
 /// measurement, for reporting and regression tracking.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Calibration {
-    /// The fastest candidate (ties break toward the earlier one in the
-    /// fixed candidate order).
+    /// The elected candidate: the fastest lane rung (ties break toward the
+    /// fewer threads), behind the cache if the cached arm won by more than
+    /// that rung's noise.
     pub choice: EngineChoice,
     /// Every candidate raced, in trial order.
     pub trials: Vec<Trial>,
     /// Packets in the sample prefix each pass replayed.
     pub sample: usize,
+    /// The sample's steady-state hit estimate: the share of its packets
+    /// whose field tuple occurs in it more than once, Good–Turing's
+    /// `1 − N₁/n` for `N₁` tuples seen once among `n` packets. A cache
+    /// that keeps what it has seen hits about this share of the packets
+    /// that follow; a cold pass over the sample hits only
+    /// `1 − distinct/n`. `0` for a sample without a repeated tuple.
+    pub hit_rate: f64,
 }
 
 /// Reusable scratch for [`EngineChoice::classify_into`] and
-/// [`EngineChoice::classify_cached_into`]: whichever engine the choice
-/// routes to finds its working state here, so steady-state auto serving
-/// allocates nothing per batch.
+/// [`EngineChoice::classify_cached_into`]: the cached front end finds its
+/// miss-path buffers here, so steady-state auto serving allocates nothing
+/// per batch.
 #[derive(Debug, Default)]
 pub struct EngineScratch {
-    /// One packet's gathered values, for the walk over a column batch.
-    values: Vec<u64>,
     /// Miss-path buffers for the cached front end
     /// ([`EngineChoice::classify_cached_into`]).
     pub(crate) cache: crate::cache::CacheScratch,
@@ -156,55 +146,30 @@ impl EngineScratch {
 }
 
 impl EngineChoice {
-    /// Routes one batch through the chosen engine, into a caller-provided
-    /// buffer (cleared first).
+    /// Routes one batch through the lane kernel at this choice's thread
+    /// count, into a caller-provided buffer (cleared first).
     ///
-    /// [`EngineKind::Walk`] needs the source diagram `walk`: it replays
-    /// `rows` when given, else gathers each packet from the columns
-    /// through a reused buffer. A walk without its diagram serves through
-    /// the lane kernel: the decisions are identical on every engine, and
-    /// the lane kernel is the fastest batch-native one.
+    /// `walk`, `rows` and `scratch` are ignored: the lane kernel needs
+    /// none of them. They stay in the signature because the benchmark
+    /// harness (`perfbench/`) passes them, until its next change drops
+    /// them (ROADMAP item 3).
     ///
     /// # Errors
     ///
-    /// As for the routed engine ([`ExecError::Model`] on a schema
-    /// mismatch).
+    /// [`ExecError::Model`] on a schema mismatch.
     pub fn classify_into(
         &self,
         compiled: &CompiledFdd,
-        walk: Option<&Fdd>,
-        rows: Option<&[Packet]>,
+        _walk: Option<&Fdd>,
+        _rows: Option<&[Packet]>,
         batch: &PacketBatch,
-        scratch: &mut EngineScratch,
+        _scratch: &mut EngineScratch,
         out: &mut Vec<Decision>,
     ) -> Result<(), ExecError> {
-        match (self.kind, walk, rows) {
-            (EngineKind::Walk, Some(fdd), Some(rows)) => {
-                out.clear();
-                out.reserve(rows.len());
-                out.extend(rows.iter().map(|p| fdd.evaluate(p)));
-                Ok(())
-            }
-            (EngineKind::Walk, Some(fdd), None) => {
-                if batch.schema() != compiled.schema() {
-                    return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
-                        expected: compiled.schema().len(),
-                        found: batch.schema().len(),
-                    }));
-                }
-                let columns = batch.columns_raw();
-                out.clear();
-                out.reserve(batch.len());
-                for i in 0..batch.len() {
-                    scratch.values.clear();
-                    scratch.values.extend(columns.iter().map(|c| c[i]));
-                    out.push(fdd.evaluate_values(&scratch.values));
-                }
-                Ok(())
-            }
-            // The lane kernel, and a walk without its diagram.
-            _ if self.threads > 1 => compiled.classify_lanes_par_into(batch, self.threads, out),
-            _ => compiled.classify_lanes_into(batch, out),
+        if self.threads > 1 {
+            compiled.classify_lanes_par_into(batch, self.threads, out)
+        } else {
+            compiled.classify_lanes_into(batch, out)
         }
     }
 }
@@ -224,59 +189,57 @@ fn thread_ladder(max: usize) -> Vec<usize> {
     ladder
 }
 
-/// Races every arm over a bounded prefix of `batch` and returns the
-/// fastest, with all measurements.
+/// [`Calibration::hit_rate`] of `sample`. Tuples are told apart by a
+/// 64-bit hash of their fields, so a collision could only merge two of
+/// them into one repeated tuple and raise the estimate; it never touches a
+/// decision.
+fn steady_hit_rate(sample: &PacketBatch) -> f64 {
+    let mut hashes = vec![0u64; sample.len()];
+    for column in sample.columns_raw() {
+        for (h, &v) in hashes.iter_mut().zip(column) {
+            *h = mix(*h, v);
+        }
+    }
+    hashes.sort_unstable();
+    let singletons = hashes.chunk_by(|a, b| a == b).filter(|run| run.len() == 1);
+    1.0 - singletons.count() as f64 / hashes.len().max(1) as f64
+}
+
+/// Races the arms over a bounded prefix of `batch` and returns the
+/// winner, with all measurements.
 ///
-/// Arms, in fixed trial order: the plain walk (when `walk` is given; it
-/// replays `rows` when those are given too), then the lane kernel at every
-/// thread count on the ladder up to `max_threads` (`0` = all available
-/// cores). One untimed pass per arm warms it up (and builds a decoded
-/// image's lazy lane kernel outside the timings); then `CALIBRATE_PASSES` (five)
-/// round-robin passes time every arm once each, and an arm's time is its
-/// minimum over the passes. Ties break toward the earlier arm.
+/// Arms: the lane kernel at every thread count on the ladder up to
+/// `max_threads` (`0` = all available cores), and the fastest rung behind
+/// `cache`, reported in that order. One untimed pass per rung warms it up
+/// (and builds a decoded image's lazy lane kernel outside the timings);
+/// then `CALIBRATE_PASSES` (five) round-robin passes time every arm once
+/// each, the cached arm first, and an arm's time is its minimum over the
+/// passes. Ties break toward the earlier rung.
+///
+/// The cached arm races only when `cache` is given and the sample repeats
+/// some tuple ([`Calibration::hit_rate`] above zero). Its front end
+/// partitions a batch into hits and misses before any insert lands, so an
+/// untimed fill pass first leaves the sample's distinct tuples resident in
+/// `cache`, a second warms the hit path up, and the timed passes measure
+/// the hit path alone. The arm's projected time per sample prices every
+/// packet at a probe and the estimated misses at the fastest rung too. The
+/// cache is elected only if that projection beats the rung by more than
+/// the rung's spread over the passes, the median absolute deviation of its
+/// five times: one lucky-fast or preempted pass moves neither the spread
+/// nor the election. Otherwise the choice stays uncached. `cache` must be
+/// keyed for `compiled`: it keeps the fill's entries, which are
+/// `compiled`'s decisions, and its counters include the trial's probes.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::Model`] if `batch` was built over a different
-/// schema, and [`ExecError::Batch`] for an empty batch (nothing to
-/// measure).
+/// schema, [`ExecError::Batch`] for an empty batch (nothing to measure),
+/// and [`ExecError::Invariant`] if `cache` ranges over another schema.
 pub fn calibrate(
     compiled: &CompiledFdd,
-    walk: Option<&Fdd>,
-    rows: Option<&[Packet]>,
     batch: &PacketBatch,
     max_threads: usize,
-) -> Result<Calibration, ExecError> {
-    calibrate_with_cache(compiled, walk, rows, batch, max_threads, 0)
-}
-
-/// [`calibrate`] with one extra arm: the best uncached engine fronted by a
-/// [`crate::DecisionCache`] of `cache_capacity` entries (skipped when
-/// `cache_capacity` is zero).
-///
-/// The cached arm is a component race rather than a raw replay: one cold
-/// fill pass over a throwaway cache leaves the sample's distinct tuples
-/// resident, the round-robin passes time the pure hit path beside the
-/// other arms, and the trial's reported figure is the projected
-/// steady-state throughput at the sample's repetition rate (misses are
-/// costed as the best uncached engine plus the probe/insert overhead). A
-/// Zipf or replayed-flow sample elects the cache; a uniform-random sample
-/// (every tuple distinct) projects below the best engine and rejects it.
-/// The cached arm still goes through the agreement-checked
-/// [`EngineChoice::classify_cached_into`] path, so like every other arm it
-/// can only change speed, never decisions.
-///
-/// # Errors
-///
-/// As for [`calibrate`], plus any error from the cached arm's probe
-/// machinery (never for a valid batch).
-pub fn calibrate_with_cache(
-    compiled: &CompiledFdd,
-    walk: Option<&Fdd>,
-    rows: Option<&[Packet]>,
-    batch: &PacketBatch,
-    max_threads: usize,
-    cache_capacity: usize,
+    cache: Option<&mut DecisionCache>,
 ) -> Result<Calibration, ExecError> {
     if batch.schema() != compiled.schema() {
         return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
@@ -290,131 +253,103 @@ pub fn calibrate_with_cache(
         ));
     }
     let sample_len = batch.len().min(CALIBRATE_SAMPLE);
-    let sample = PacketBatch::from_columns(
-        compiled.schema().clone(),
+    let prefix;
+    let sample = if sample_len == batch.len() {
         batch
-            .columns_raw()
-            .iter()
-            .map(|c| c[..sample_len].to_vec())
-            .collect(),
-    )?;
-    let sample_rows = rows.map(|r| &r[..sample_len.min(r.len())]);
-
-    let arm = |kind, threads| EngineChoice {
-        kind,
-        threads,
-        cached: false,
+    } else {
+        prefix = PacketBatch::from_columns(
+            compiled.schema().clone(),
+            batch
+                .columns_raw()
+                .iter()
+                .map(|c| c[..sample_len].to_vec())
+                .collect(),
+        )?;
+        &prefix
     };
-    let max = resolve_threads(max_threads);
-    let mut arms: Vec<EngineChoice> = Vec::new();
-    if walk.is_some() {
-        arms.push(arm(EngineKind::Walk, 1));
-    }
-    arms.extend(
-        thread_ladder(max)
-            .into_iter()
-            .map(|threads| arm(EngineKind::Lanes, threads)),
-    );
+    let hit_rate = steady_hit_rate(sample);
+    let mut cache = cache.filter(|_| hit_rate > 0.0);
+
+    let arms: Vec<EngineChoice> = thread_ladder(resolve_threads(max_threads))
+        .into_iter()
+        .map(|threads| EngineChoice {
+            threads,
+            cached: false,
+        })
+        .collect();
     let mut scratch = EngineScratch::new();
     let mut out = Vec::new();
-    // Warm-up pass: builds a decoded image's lazy kernel and faults the
-    // sample in.
     for choice in &arms {
-        choice.classify_into(compiled, walk, sample_rows, &sample, &mut scratch, &mut out)?;
+        choice.classify_into(compiled, None, None, sample, &mut scratch, &mut out)?;
     }
-    // The cached arm's front end serves its misses through the default
-    // engine. The batch front end partitions a whole batch into hits and
-    // misses before any insert lands, so a cold pass can never hit — timing
-    // cold passes would reject the cache on every trace shape. Instead one
-    // cold fill pass leaves the sample's *distinct* tuples resident
-    // (inserts refresh matching slots, so the resident count is the
-    // distinct count), and the timed passes measure the pure hit path.
+    // The cached arm's misses go through the serial kernel, the default.
+    // Its first pass fills the cache, its second warms the hit path up.
     let hit_path = EngineChoice::default().with_cache();
-    let mut cache = match cache_capacity {
-        0 => None,
-        capacity => {
-            let mut cache = DecisionCache::new(compiled.schema().clone(), capacity)?;
-            hit_path.classify_cached_into(
-                compiled,
-                None,
-                &sample,
-                &mut cache,
-                &mut scratch,
-                &mut out,
-            )?;
-            Some(cache)
+    if let Some(cache) = cache.as_deref_mut() {
+        for _ in 0..2 {
+            hit_path.classify_cached_into(compiled, sample, cache, &mut scratch, &mut out)?;
         }
-    };
-    let distinct = cache.as_ref().map_or(0, |c| c.len().min(sample_len));
+    }
 
-    let mut secs = vec![f64::INFINITY; arms.len()];
+    // Each pass times the hit path first, so its first timed pass follows
+    // its warm-up directly, as cached batches follow one another in
+    // serving; right after a lane pass it finds part of its table evicted.
+    let mut secs = vec![[0.0f64; CALIBRATE_PASSES]; arms.len()];
     let mut hit_secs = f64::INFINITY;
-    for _ in 0..CALIBRATE_PASSES {
-        for (choice, best) in arms.iter().zip(&mut secs) {
+    for pass in 0..CALIBRATE_PASSES {
+        if let Some(cache) = cache.as_deref_mut() {
             let t = Instant::now();
-            choice.classify_into(compiled, walk, sample_rows, &sample, &mut scratch, &mut out)?;
-            std::hint::black_box(out.len());
-            *best = best.min(t.elapsed().as_secs_f64());
-        }
-        if let Some(cache) = cache.as_mut() {
-            let t = Instant::now();
-            hit_path.classify_cached_into(
-                compiled,
-                None,
-                &sample,
-                cache,
-                &mut scratch,
-                &mut out,
-            )?;
+            hit_path.classify_cached_into(compiled, sample, cache, &mut scratch, &mut out)?;
             std::hint::black_box(out.len());
             hit_secs = hit_secs.min(t.elapsed().as_secs_f64());
         }
+        for (choice, times) in arms.iter().zip(&mut secs) {
+            let t = Instant::now();
+            choice.classify_into(compiled, None, None, sample, &mut scratch, &mut out)?;
+            std::hint::black_box(out.len());
+            times[pass] = t.elapsed().as_secs_f64();
+        }
+    }
+    for times in &mut secs {
+        times.sort_unstable_by(f64::total_cmp);
     }
 
     let mpps = |secs: f64| sample_len as f64 / secs / 1e6;
     let mut trials: Vec<Trial> = arms
         .iter()
         .zip(&secs)
-        .map(|(&choice, &s)| Trial {
+        .map(|(&choice, times)| Trial {
             choice,
-            mpps: mpps(s),
+            mpps: mpps(times[0]),
         })
         .collect();
-    // Strict `>` keeps the earlier arm on ties — deterministic given equal
-    // clocks. The ladder always holds the serial lane kernel, so `trials`
-    // is never empty.
+    // Strict `<` keeps the earlier rung on ties. The ladder always holds
+    // the serial kernel, so `secs` is never empty.
     let mut best = 0;
-    for (i, t) in trials.iter().enumerate() {
-        if t.mpps > trials[best].mpps {
+    for (i, times) in secs.iter().enumerate() {
+        if times[0] < secs[best][0] {
             best = i;
         }
     }
-    let (mut best_choice, best_mpps) = (trials[best].choice, trials[best].mpps);
+    let mut choice = arms[best];
     if cache.is_some() {
-        // The cached trial's figure is the projected steady-state
-        // throughput at the sample's repetition rate: hits serve at the
-        // measured hit speed, misses pay the best uncached engine *plus*
-        // the probe/insert overhead (approximated by the hit-path cost). A
-        // uniform-random sample has distinct == sample_len, projects
-        // strictly below the best engine, and rejects the cache; a skewed
-        // sample's repeated flows project above it and elect the cache.
-        let hit_mpps = mpps(hit_secs);
-        let hit_rate = 1.0 - distinct as f64 / sample_len as f64;
-        let miss_cost = 1.0 / best_mpps + 1.0 / hit_mpps;
-        let projected = 1.0 / (hit_rate / hit_mpps + (1.0 - hit_rate) * miss_cost);
-        let candidate = best_choice.with_cache();
+        let lanes = &secs[best];
+        let projected = hit_secs + (1.0 - hit_rate) * lanes[0];
+        let median = lanes[CALIBRATE_PASSES / 2];
+        let mut deviations = lanes.map(|t| (t - median).abs());
+        deviations.sort_unstable_by(f64::total_cmp);
+        let spread = deviations[CALIBRATE_PASSES / 2];
         trials.push(Trial {
-            choice: candidate,
-            mpps: projected,
+            choice: choice.with_cache(),
+            mpps: mpps(projected),
         });
-        if projected > best_mpps {
-            best_choice = candidate;
-        }
+        choice.cached = projected < lanes[0] - spread;
     }
     Ok(Calibration {
-        choice: best_choice,
+        choice,
         trials,
         sample: sample_len,
+        hit_rate,
     })
 }
 
@@ -430,56 +365,48 @@ mod tests {
         (fw, compiled, batch)
     }
 
-    fn choice(kind: EngineKind, threads: usize) -> EngineChoice {
+    fn zipf_batch(fw: &fw_model::Firewall, n: usize, seed: u64) -> PacketBatch {
+        let trace = fw_synth::PacketTrace::zipf(fw, n, 1.0, seed, seed + 1);
+        PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap()
+    }
+
+    fn lanes(threads: usize) -> EngineChoice {
         EngineChoice {
-            kind,
             threads,
             cached: false,
         }
     }
 
     #[test]
-    fn calibration_races_all_candidates_and_picks_a_winner() {
-        let (fw, compiled, batch) = setup(30, 600, 15);
-        let fdd = fw_core::Fdd::from_firewall_fast(&fw).unwrap().reduced();
-        let trace: Vec<fw_model::Packet> = (0..batch.len()).map(|i| batch.packet(i)).collect();
-        let cal = calibrate(&compiled, Some(&fdd), Some(&trace), &batch, 2).unwrap();
-        // The walk, then the lane kernel at every rung of ladder(2).
+    fn calibration_races_every_rung_and_picks_the_fastest() {
+        let (_, compiled, batch) = setup(30, 600, 15);
+        let cal = calibrate(&compiled, &batch, 2, None).unwrap();
         let arms: Vec<EngineChoice> = cal.trials.iter().map(|t| t.choice).collect();
-        assert_eq!(
-            arms,
-            [
-                choice(EngineKind::Walk, 1),
-                choice(EngineKind::Lanes, 1),
-                choice(EngineKind::Lanes, 2)
-            ]
-        );
+        let rungs: Vec<EngineChoice> = thread_ladder(resolve_threads(2))
+            .into_iter()
+            .map(lanes)
+            .collect();
+        assert_eq!(arms, rungs, "one arm per rung, no cached arm");
         assert_eq!(cal.sample, 600);
-        assert!(cal.trials.iter().any(|t| t.choice == cal.choice));
         let best = cal.trials.iter().map(|t| t.mpps).fold(0.0, f64::max);
         let winner = cal.trials.iter().find(|t| t.choice == cal.choice).unwrap();
         assert!(winner.mpps >= best, "winner must have the best trial time");
-        // Without the diagram, only the lane kernel races.
-        let lanes_only = calibrate(&compiled, None, None, &batch, 1).unwrap();
-        assert_eq!(lanes_only.trials.len(), 1);
-        assert_eq!(lanes_only.choice, EngineChoice::default());
+        let serial = calibrate(&compiled, &batch, 1, None).unwrap();
+        assert_eq!(serial.trials.len(), 1);
+        assert_eq!(serial.choice, EngineChoice::default());
     }
 
     #[test]
     fn every_choice_serves_identically() {
         let (fw, compiled, batch) = setup(25, 401, 77);
-        let fdd = fw_core::Fdd::from_firewall_fast(&fw).unwrap().reduced();
+        let fdd = fw_core::Fdd::from_firewall_fast(&fw).unwrap();
         let rows: Vec<fw_model::Packet> = (0..batch.len()).map(|i| batch.packet(i)).collect();
         let expect = compiled.classify_columns(&batch).unwrap();
         let mut scratch = EngineScratch::new();
         let mut out = Vec::new();
-        let choices = [
-            choice(EngineKind::Walk, 1),
-            choice(EngineKind::Lanes, 1),
-            choice(EngineKind::Lanes, 4),
-        ];
-        for choice in choices {
-            // With rows and walk available.
+        for threads in [1, 4] {
+            let choice = lanes(threads);
+            // The diagram and rows are ignored.
             choice
                 .classify_into(
                     &compiled,
@@ -491,28 +418,22 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(out, expect, "{choice} with rows");
-            // Batch-only: the walk gathers from columns.
-            choice
-                .classify_into(&compiled, Some(&fdd), None, &batch, &mut scratch, &mut out)
-                .unwrap();
-            assert_eq!(out, expect, "{choice} batch-only");
             choice
                 .classify_into(&compiled, None, None, &batch, &mut scratch, &mut out)
                 .unwrap();
-            assert_eq!(out, expect, "{choice} without a diagram");
+            assert_eq!(out, expect, "{choice} batch-only");
         }
     }
 
-    /// A walk without its diagram serves through the lane kernel, which
-    /// builds a decoded image's lazy kernel.
+    /// Routing a decoded image builds its lazy lane kernel.
     #[test]
-    fn a_walk_without_its_diagram_serves_through_the_lane_kernel() {
+    fn routing_builds_a_decoded_images_lane_kernel() {
         let (fw, compiled, batch) = setup(25, 300, 41);
         let expect = compiled.classify_columns(&batch).unwrap();
         let decoded = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
         assert!(!decoded.lanes_built());
         let mut out = Vec::new();
-        choice(EngineKind::Walk, 1)
+        EngineChoice::default()
             .classify_into(
                 &decoded,
                 None,
@@ -523,45 +444,89 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out, expect);
-        assert!(decoded.lanes_built(), "the walk ran the lane kernel");
+        assert!(decoded.lanes_built());
+    }
+
+    #[test]
+    fn steady_hit_rate_is_the_share_of_packets_whose_tuple_repeats() {
+        // Tuples a, a, a, b, c, c, d: b and d are seen once.
+        let schema = fw_model::paper::team_a().schema().clone();
+        let tuple = |v: u64| fw_model::Packet::new(vec![0, v, v, 25, 0]);
+        let packets: Vec<_> = [1, 1, 1, 2, 3, 3, 4].into_iter().map(tuple).collect();
+        let batch = PacketBatch::from_trace(schema, &packets).unwrap();
+        assert!((steady_hit_rate(&batch) - (1.0 - 2.0 / 7.0)).abs() < 1e-12);
+
+        // Uniform packets never repeat.
+        for seed in [3, 4, 5] {
+            let (_, _, batch) = setup(20, CALIBRATE_SAMPLE, seed);
+            assert_eq!(steady_hit_rate(&batch), 0.0, "seed {seed}");
+        }
+
+        // Zipf samples of 4,096 packets over 4,096 flows: above the cold
+        // pass's `1 − distinct/n`, below 1.
+        for seed in [6, 7, 8] {
+            let fw = fw_synth::Synthesizer::new(seed).firewall(40);
+            let trace = fw_synth::PacketTrace::zipf(&fw, 16 * CALIBRATE_SAMPLE, 1.0, seed, seed);
+            let head = &trace.packets()[..CALIBRATE_SAMPLE];
+            let batch = PacketBatch::from_trace(fw.schema().clone(), head).unwrap();
+            let n = batch.len();
+            let distinct: std::collections::HashSet<_> = head.iter().collect();
+            let cold = 1.0 - distinct.len() as f64 / n as f64;
+            let steady = steady_hit_rate(&batch);
+            assert!(
+                cold < steady && steady < 1.0,
+                "seed {seed}: {cold} {steady}"
+            );
+        }
+    }
+
+    /// A sample without a repeated tuple rejects the cache with no trial:
+    /// no cached arm races, and the cache is left untouched.
+    #[test]
+    fn a_sample_without_repeats_races_no_cached_arm() {
+        for seed in [11, 12, 13] {
+            let (fw, compiled, batch) = setup(25, 2_000, seed);
+            let mut cache = DecisionCache::new(fw.schema().clone(), 1 << 12).unwrap();
+            let cal = calibrate(&compiled, &batch, 1, Some(&mut cache)).unwrap();
+            assert_eq!(cal.hit_rate, 0.0);
+            assert!(!cal.choice.cached);
+            assert!(cal.trials.iter().all(|t| !t.choice.cached));
+            assert!(cache.is_empty());
+            assert_eq!(cache.stats(), crate::CacheStats::default());
+        }
     }
 
     #[test]
     fn cached_candidate_joins_the_race_and_serves_identically() {
-        let (fw, compiled, batch) = setup(25, 900, 21);
-        let cal = calibrate_with_cache(&compiled, None, None, &batch, 1, 1 << 10).unwrap();
-        // The serial lane kernel + the cached arm.
-        assert_eq!(cal.trials.len(), 2);
-        let last = cal.trials.last().unwrap();
-        assert!(last.choice.cached, "the cached arm races last");
-        assert_eq!(last.choice.to_string(), "cache+lanes");
-        assert_eq!(
-            cal.trials.iter().filter(|t| t.choice.cached).count(),
-            1,
-            "exactly one cached candidate"
-        );
-        // Plain calibrate never races the cache.
-        let base = calibrate(&compiled, None, None, &batch, 1).unwrap();
-        assert!(base.trials.iter().all(|t| !t.choice.cached));
-        // Whatever won, serving through the cached front end is identical.
+        let fw = fw_synth::Synthesizer::new(21).firewall(25);
+        let compiled = CompiledFdd::from_firewall(&fw).unwrap();
+        let batch = zipf_batch(&fw, 900, 21);
+        let mut cache = DecisionCache::new(fw.schema().clone(), 1 << 10).unwrap();
+        let cal = calibrate(&compiled, &batch, 1, Some(&mut cache)).unwrap();
+        assert!(cal.hit_rate > 0.0);
+        // The serial lane kernel, then the cached arm.
+        let arms: Vec<String> = cal.trials.iter().map(|t| t.choice.to_string()).collect();
+        assert_eq!(arms, ["lanes", "cache+lanes"]);
+        // The fill left correct decisions resident.
+        assert!(!cache.is_empty());
         let expect = compiled.classify_columns(&batch).unwrap();
-        let mut cache = crate::DecisionCache::new(fw.schema().clone(), 1 << 10).unwrap();
         let mut scratch = EngineScratch::new();
         let mut out = Vec::new();
         cal.choice
-            .classify_cached_into(&compiled, None, &batch, &mut cache, &mut scratch, &mut out)
+            .classify_cached_into(&compiled, &batch, &mut cache, &mut scratch, &mut out)
             .unwrap();
         assert_eq!(out, expect);
+        // Without a cache, no cached arm races.
+        let base = calibrate(&compiled, &batch, 1, None).unwrap();
+        assert!(base.trials.iter().all(|t| !t.choice.cached));
     }
 
     #[test]
-    fn choices_name_their_engine_threads_and_cache() {
+    fn choices_name_their_threads_and_cache() {
         assert_eq!(EngineChoice::default().to_string(), "lanes");
-        assert_eq!(choice(EngineKind::Lanes, 2).to_string(), "lanes/t2");
-        assert_eq!(
-            choice(EngineKind::Walk, 1).with_cache().to_string(),
-            "cache+walk"
-        );
+        assert_eq!(lanes(2).to_string(), "lanes/t2");
+        assert_eq!(lanes(1).with_cache().to_string(), "cache+lanes");
+        assert_eq!(lanes(4).with_cache().to_string(), "cache+lanes/t4");
     }
 
     #[test]
@@ -577,7 +542,7 @@ mod tests {
         let (fw, compiled, _) = setup(10, 16, 2);
         let empty = PacketBatch::from_trace(fw.schema().clone(), &[]).unwrap();
         assert!(matches!(
-            calibrate(&compiled, None, None, &empty, 1),
+            calibrate(&compiled, &empty, 1, None),
             Err(ExecError::Batch(_))
         ));
         let other = PacketBatch::from_trace(
@@ -586,7 +551,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            calibrate(&compiled, None, None, &other, 1),
+            calibrate(&compiled, &other, 1, None),
             Err(ExecError::Model(_))
         ));
     }

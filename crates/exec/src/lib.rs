@@ -53,16 +53,16 @@
 //!   a root index; batches run the kernel's 32-lane schedule over it (see
 //!   `shared.rs`);
 //! * [`calibrate`] / [`EngineChoice`] — the adaptive route: a short
-//!   round-robin race of the walk, the lane kernel at each thread count
-//!   and (with [`calibrate_with_cache`]) the cached arm, whose winner the
+//!   round-robin race of the lane kernel at each thread count and, given a
+//!   cache and a sample that repeats, the cached arm, whose winner the
 //!   caller keeps and serves through (see `calibrate.rs`);
 //! * [`DecisionCache`] — the skew-exploiting memoization front end: a
 //!   4-way set-associative table over packet field tuples with *exact*
 //!   impact-driven invalidation (an edit's `fw_core::ChangeImpact`
 //!   region is intersected against resident entries, falling back to an
 //!   O(1) epoch bump past the [`InvalidationPlan::choose`] crossover),
-//!   raced by [`calibrate_with_cache`] so skewed traffic elects it and
-//!   uniform traffic rejects it (see `cache.rs`).
+//!   raced by [`calibrate`] so skewed traffic elects it and uniform
+//!   traffic rejects it (see `cache.rs`).
 //!
 //! # Example
 //!
@@ -98,10 +98,7 @@ pub use cache::{
     CacheScratch, CacheStats, DecisionCache, InvalidationPlan, InvalidationReport, CACHE_WAYS,
     UNTAGGED,
 };
-pub use calibrate::{
-    calibrate, calibrate_with_cache, Calibration, EngineChoice, EngineKind, EngineScratch, Trial,
-    CALIBRATE_SAMPLE,
-};
+pub use calibrate::{calibrate, Calibration, EngineChoice, EngineScratch, Trial, CALIBRATE_SAMPLE};
 pub use compile::{CompileStats, CompiledFdd, RecompileStats};
 pub use error::ExecError;
 pub use kernel::{lane_workers, LaneStats, DEFAULT_LANE_WIDTH};

@@ -17,13 +17,11 @@
 //! in a definite order; the [`epoch`](LiveMatcher::epoch) counter ticks
 //! once per published image for cheap change detection.
 //!
-//! Batch serving routes through the adaptive engine: the published
-//! snapshot pairs the compiled image with the source diagram it was
-//! lowered from, so [`LiveMatcher::calibrate`] can race the walk, the lane
-//! kernel at each thread count and the cached arm over a live traffic
-//! sample and install the winner, and
-//! [`LiveMatcher::classify_auto_into`] serves each batch through that
-//! choice against one coherent snapshot.
+//! Batch serving routes through the adaptive engine:
+//! [`LiveMatcher::calibrate`] races the lane kernel at each thread count
+//! and, with a cache enabled, the cached arm over a live traffic sample
+//! and installs the winner, and [`LiveMatcher::classify_auto_into`] serves
+//! each batch through that choice against one coherent snapshot.
 //!
 //! The write path rebuilds. The matcher keeps only the rule list and the
 //! published (image, diagram) pair. An edit batch is staged on one copy of
@@ -73,10 +71,10 @@ pub struct LiveMatcher {
     /// the whole edit pipeline (readers never touch it).
     policy: Mutex<Firewall>,
     /// The published image paired with the source diagram it was lowered
-    /// from — swapped together, atomically, so the auto engine's walk
-    /// choice always replays the same semantics the compiled image serves.
-    /// Readers only clone the `Arc`s under the read lock; classification
-    /// happens entirely on the clones.
+    /// from — swapped together, atomically, so the next edit batch diffs
+    /// against the diagram of exactly the image being served. Readers only
+    /// clone the `Arc`s under the read lock; classification happens
+    /// entirely on the clones.
     image: RwLock<(Arc<CompiledFdd>, Arc<Fdd>)>,
     /// The calibrated engine choice batches route through
     /// ([`LiveMatcher::classify_auto_into`]); starts at
@@ -153,9 +151,9 @@ impl LiveMatcher {
     }
 
     /// The current image together with the source diagram it was lowered
-    /// from — the pair the auto engine serves against. Both pointers come
-    /// from the same published snapshot, so a concurrent swap can never
-    /// hand back an image and a diagram with different semantics.
+    /// from. Both pointers come from the same published snapshot, so a
+    /// concurrent swap can never hand back an image and a diagram with
+    /// different semantics.
     pub fn load_pair(&self) -> (Arc<CompiledFdd>, Arc<Fdd>) {
         let guard = self.image.read().unwrap_or_else(PoisonError::into_inner);
         (Arc::clone(&guard.0), Arc::clone(&guard.1))
@@ -216,12 +214,20 @@ impl LiveMatcher {
             .map(|c| c.stats())
     }
 
-    /// Races every arm over a sample of `batch` against the current
-    /// snapshot (walk included — the matcher keeps the source diagram on
-    /// hand) and installs the winner for
-    /// [`classify_auto_into`](Self::classify_auto_into). Pass `rows` when
-    /// the serving loop also has the row-major trace, so the walk arm
-    /// replays rows; `max_threads = 0` means "all available cores".
+    /// Races the arms over a sample of `batch` against the current image
+    /// ([`crate::calibrate`]) and installs the winner for
+    /// [`classify_auto_into`](Self::classify_auto_into); `max_threads = 0`
+    /// means "all available cores". `rows` is ignored: it stays in the
+    /// signature because the benchmark harness (`perfbench/`) passes it,
+    /// until its next change drops it (ROADMAP item 3).
+    ///
+    /// With a cache enabled, a sample that repeats some tuple also races
+    /// the cached arm in the serving cache itself, so the skewed samples
+    /// that elect the front end leave it holding their flows. The cache
+    /// lock is held for the whole race (a few milliseconds), and the image
+    /// is loaded under it, as a cached batch does: every entry the trial
+    /// inserts is a decision of an image at least as new as the last
+    /// invalidation.
     ///
     /// # Errors
     ///
@@ -229,28 +235,12 @@ impl LiveMatcher {
     pub fn calibrate(
         &self,
         batch: &PacketBatch,
-        rows: Option<&[Packet]>,
+        _rows: Option<&[Packet]>,
         max_threads: usize,
     ) -> Result<Calibration, ExecError> {
-        let capacity = self
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map_or(0, DecisionCache::capacity);
-        let (image, fdd) = self.load_pair();
-        // With a cache enabled, the cached arm races too (over a
-        // throwaway cache — the serving cache's residents are untouched);
-        // the installed winner carries `cached` accordingly, so skewed
-        // samples turn the front end on and uniform samples turn it off.
-        let cal = crate::calibrate::calibrate_with_cache(
-            &image,
-            Some(&fdd),
-            rows,
-            batch,
-            max_threads,
-            capacity,
-        )?;
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let cal = crate::calibrate::calibrate(&self.load(), batch, max_threads, cache.as_mut())?;
+        drop(cache);
         *self.choice.write().unwrap_or_else(PoisonError::into_inner) = cal.choice;
         Ok(cal)
     }
@@ -277,12 +267,10 @@ impl LiveMatcher {
                 // inserts was decided by an image at least as new as the
                 // last invalidation that ran (see the field docs for the
                 // cross-edit soundness argument).
-                let (image, fdd) = self.load_pair();
-                return choice.classify_cached_into(&image, Some(&fdd), batch, cache, scratch, out);
+                return choice.classify_cached_into(&self.load(), batch, cache, scratch, out);
             }
         }
-        let (image, fdd) = self.load_pair();
-        choice.classify_into(&image, Some(&fdd), None, batch, scratch, out)
+        choice.classify_into(&self.load(), None, None, batch, scratch, out)
     }
 
     /// The current epoch: 0 at construction, +1 per published image.
@@ -504,24 +492,19 @@ mod tests {
             .unwrap();
         assert_eq!(auto, live.load().classify_columns(&batch).unwrap());
 
-        // Force every kind through the live pair — the stored diagram must
-        // replay the image's semantics for the walk choice in particular.
-        let (image, fdd) = live.load_pair();
-        let expect = image.classify_columns(&batch).unwrap();
-        for kind in [crate::EngineKind::Walk, crate::EngineKind::Lanes] {
-            let choice = EngineChoice {
-                kind,
-                ..EngineChoice::default()
-            };
-            let mut got = Vec::new();
-            choice
-                .classify_into(&image, Some(&fdd), None, &batch, &mut scratch, &mut got)
+        // Install every rung by hand: each serves the live image alike.
+        let expect = live.load().classify_columns(&batch).unwrap();
+        for threads in [1, 2] {
+            live.set_engine_choice(EngineChoice {
+                threads,
+                cached: false,
+            });
+            live.classify_auto_into(&batch, &mut scratch, &mut auto)
                 .unwrap();
-            assert_eq!(got, expect, "kind {kind:?} disagrees through the live pair");
+            assert_eq!(auto, expect, "{threads} thread(s) disagree");
         }
 
-        // Swap, then serve again: the auto path follows the new image and
-        // the new diagram together.
+        // Swap, then serve again: the auto path follows the new image.
         let flip = fw.rules()[0].with_decision(fw.rules()[0].decision().inverted());
         let report = live
             .apply_edits(&[Edit::Replace {

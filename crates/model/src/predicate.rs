@@ -280,28 +280,51 @@ impl std::fmt::Display for DisplayPredicate<'_> {
 /// (§7.1's output conversion): a prefix (`224.168.0.0/16`) when a run is
 /// prefix-aligned, a bare dotted quad for single addresses, and a dotted
 /// range otherwise; runs joined with `|`. The DSL parser accepts every
-/// form, so `Display` output still round-trips.
+/// form, so `Display` output still round-trips. A run is one prefix exactly
+/// when its size is a power of two and its low end a multiple of that
+/// size, so the test takes no prefix list, and the digits go straight to
+/// the formatter: rendering allocates nothing.
 fn fmt_ip_set(f: &mut std::fmt::Formatter<'_>, s: &IntervalSet) -> std::fmt::Result {
-    use crate::prefix::{format_ipv4, interval_to_prefixes};
     for (i, iv) in s.iter().enumerate() {
         if i > 0 {
-            write!(f, "|")?;
+            f.write_str("|")?;
         }
-        match interval_to_prefixes(*iv, 32) {
-            Ok(ps) if ps.len() == 1 => {
-                let p = ps[0];
-                if p.plen() == 32 {
-                    write!(f, "{}", format_ipv4(p.value()))?;
-                } else {
-                    write!(f, "{p}")?;
-                }
+        let size = (iv.hi() - iv.lo()).wrapping_add(1);
+        fmt_ipv4(f, iv.lo())?;
+        if iv.hi() <= u64::from(u32::MAX) && size.is_power_of_two() && iv.lo() % size == 0 {
+            if size > 1 {
+                write!(f, "/{}", 32 - size.trailing_zeros())?;
             }
-            _ => {
-                write!(f, "{}-{}", format_ipv4(iv.lo()), format_ipv4(iv.hi()))?;
-            }
+        } else {
+            f.write_str("-")?;
+            fmt_ipv4(f, iv.hi())?;
         }
     }
     Ok(())
+}
+
+/// Writes the low 32 bits of `v` as a dotted quad, digit by digit into a
+/// stack buffer handed to the formatter in one piece.
+fn fmt_ipv4(f: &mut std::fmt::Formatter<'_>, v: u64) -> std::fmt::Result {
+    let mut buf = [b'.'; 15];
+    let mut len = 0;
+    for shift in [24, 16, 8, 0] {
+        if shift != 24 {
+            len += 1;
+        }
+        let octet = ((v >> shift) & 0xFF) as u8;
+        if octet >= 100 {
+            buf[len] = b'0' + octet / 100;
+            len += 1;
+        }
+        if octet >= 10 {
+            buf[len] = b'0' + octet / 10 % 10;
+            len += 1;
+        }
+        buf[len] = b'0' + octet % 10;
+        len += 1;
+    }
+    f.write_str(std::str::from_utf8(&buf[..len]).map_err(|_| std::fmt::Error)?)
 }
 
 /// A convenience alias used across the workspace: a predicate where every

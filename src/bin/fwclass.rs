@@ -15,8 +15,8 @@
 //!     --engine lanes    the lane kernel over a transposed (field-major)
 //!                       batch: chain-fused steps through quantized
 //!                       ladders, padded search past the ladder budget
-//!     --engine auto     race the calibrator's arms (FDD walk, lane kernel
-//!                       at each thread count) over a sample of the trace,
+//!     --engine auto     race the calibrator's arms (the lane kernel at
+//!                       each thread count) over a sample of the trace,
 //!                       then replay through the winner; prints each trial
 //!                       and the chosen engine
 //!     --threads T       worker threads for the sharded lane kernel and
@@ -27,9 +27,10 @@
 //!                       selected engine and are inserted back. The timed
 //!                       replay runs warm (an untimed fill pass precedes
 //!                       it) and a cache stats line (hits/misses/hit rate)
-//!                       prints after it. With --engine auto the
-//!                       calibrator races a `cache+` arm too and its trial
-//!                       line is printed with the rest
+//!                       prints after it. With --engine auto and a trace
+//!                       sample that repeats some packet, the calibrator
+//!                       races a `cache+` arm too (in this cache) and its
+//!                       trial line is printed with the rest
 //!
 //! TRACE SOURCE (default --random 100000):
 //!     --trace FILE    replay a trace file written by --save-trace (or the
@@ -332,42 +333,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-    // The auto engine races the calibrator's arms over a trace sample
-    // before the timed replay — calibration (and the FDD walk arm's
-    // diagram) is set-up cost, like the transpose above.
-    let calibrated = if auto {
-        let fdd = match diverse_firewall::core::Fdd::from_firewall_fast(&fw) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("fwclass: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // A zero capacity makes this the plain `calibrate` race; with
-        // --cache the `cache+` arm runs too and prints with the trials.
-        let cal = match diverse_firewall::exec::calibrate_with_cache(
-            &compiled,
-            Some(&fdd),
-            Some(trace.packets()),
-            &batch,
-            threads,
-            cache_capacity,
-        ) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("fwclass: calibration failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for t in &cal.trials {
-            println!("  trial {:<14} {:7.2} Mpps", t.choice.to_string(), t.mpps);
-        }
-        println!("calibrated on {} packet(s): {}", cal.sample, cal.choice);
-        Some((cal.choice, fdd))
-    } else {
-        None
-    };
-
     let mut cache = if cache_capacity > 0 {
         match diverse_firewall::exec::DecisionCache::new(schema.clone(), cache_capacity) {
             Ok(c) => Some(c),
@@ -376,6 +341,32 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
+    } else {
+        None
+    };
+    // The auto engine races the calibrator's arms over a trace sample
+    // before the timed replay — calibration is set-up cost, like the
+    // transpose above. With --cache the `cache+` arm runs in that cache
+    // too and prints with the trials.
+    let calibrated = if auto {
+        let cal =
+            match diverse_firewall::exec::calibrate(&compiled, &batch, threads, cache.as_mut()) {
+                Ok(c) => c,
+                Err(e) => {
+                    eprintln!("fwclass: calibration failed: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+        for t in &cal.trials {
+            println!("  trial {:<14} {:7.2} Mpps", t.choice.to_string(), t.mpps);
+        }
+        println!(
+            "calibrated on {} packet(s), hit estimate {:.1}%: {}",
+            cal.sample,
+            100.0 * cal.hit_rate,
+            cal.choice
+        );
+        Some(cal.choice)
     } else {
         None
     };
@@ -390,49 +381,30 @@ fn main() -> ExitCode {
     // front end partitions before inserting, so a cold pass can never hit
     // its own insertions and would only time the fill.
     let cached_plan = cache.as_mut().map(|cache| {
-        use diverse_firewall::exec::{EngineChoice, EngineKind};
-        let (choice, walk) = match &calibrated {
-            Some((choice, fdd)) => (choice.with_cache(), Some(fdd)),
-            None => (
-                EngineChoice {
-                    kind: EngineKind::Lanes,
-                    threads: workers,
-                    cached: true,
-                },
-                None,
-            ),
-        };
+        let choice = calibrated
+            .unwrap_or(diverse_firewall::exec::EngineChoice {
+                threads: workers,
+                cached: false,
+            })
+            .with_cache();
         let mut scratch = diverse_firewall::exec::EngineScratch::default();
-        let fill = choice.classify_cached_into(
-            &compiled,
-            walk,
-            &batch,
-            cache,
-            &mut scratch,
-            &mut decisions,
-        );
+        let fill =
+            choice.classify_cached_into(&compiled, &batch, cache, &mut scratch, &mut decisions);
         cache.reset_stats();
-        (choice, walk, scratch, fill)
+        (choice, scratch, fill)
     });
     let t = Instant::now();
-    let classified = if let Some((choice, walk, mut scratch, fill)) = cached_plan {
+    let classified = if let Some((choice, mut scratch, fill)) = cached_plan {
         let cache = cache.as_mut().expect("plan implies cache");
         fill.and_then(|()| {
-            choice.classify_cached_into(
-                &compiled,
-                walk,
-                &batch,
-                cache,
-                &mut scratch,
-                &mut decisions,
-            )
+            choice.classify_cached_into(&compiled, &batch, cache, &mut scratch, &mut decisions)
         })
     } else {
         match &calibrated {
-            Some((choice, fdd)) => choice.classify_into(
+            Some(choice) => choice.classify_into(
                 &compiled,
-                Some(fdd),
-                Some(trace.packets()),
+                None,
+                None,
                 &batch,
                 &mut diverse_firewall::exec::EngineScratch::default(),
                 &mut decisions,
@@ -465,8 +437,8 @@ fn main() -> ExitCode {
     let mpps = |n: usize, secs: f64| n as f64 / secs / 1e6;
     let n = trace.len();
     let engine_label = match &calibrated {
-        Some((choice, _)) if cache.is_some() => format!("auto -> {}", choice.with_cache()),
-        Some((choice, _)) => format!("auto -> {choice}"),
+        Some(choice) if cache.is_some() => format!("auto -> {}", choice.with_cache()),
+        Some(choice) => format!("auto -> {choice}"),
         None => {
             let base = if workers != 1 {
                 format!("lanes, {workers} thread(s)")

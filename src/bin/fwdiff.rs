@@ -17,8 +17,9 @@
 //!
 //! Policy files use the rule DSL of `fw_model::parse` (one rule per line,
 //! `#` comments, e.g. `src=10.0.0.0/8, dport=443, proto=6 -> accept`), or
-//! `iptables-save` output with `--format iptables` (implies the tcp-ip
-//! schema).
+//! `iptables-save` output with `--format iptables`, which is read under the
+//! tcp-ip schema whatever `--schema` says. A report renders each region
+//! under the schema its policies were read with.
 
 use std::process::ExitCode;
 
@@ -52,10 +53,7 @@ fn main() -> ExitCode {
             },
             "--format" => match args.next().as_deref() {
                 Some("dsl") => iptables = false,
-                Some("iptables") => {
-                    iptables = true;
-                    schema = Schema::tcp_ip();
-                }
+                Some("iptables") => iptables = true,
                 other => {
                     eprintln!("fwdiff: unknown format {other:?}");
                     return usage();
@@ -133,7 +131,7 @@ fn main() -> ExitCode {
             }
             let ds = prod.discrepancies();
             for (i, d) in ds.iter().enumerate() {
-                println!("{:>3}. {}", i + 1, d.display(&schema));
+                println!("{:>3}. {}", i + 1, d.display(prod.schema()));
             }
             println!(
                 "{} discrepancy region(s), {} packet(s) decided differently",

@@ -144,6 +144,35 @@ fn diff_reports_match_the_golden_files() {
     }
 }
 
+/// `iptables-save` input is read under the tcp-ip schema whatever
+/// `--schema` says, and the report renders under the schema the policies
+/// were read with, so `--schema paper` changes nothing, before or after
+/// `--format`.
+#[test]
+fn iptables_reports_ignore_the_schema_flag_in_either_order() {
+    let expect = std::fs::read(repo_path(
+        "tests/golden/fwdiff_router_v1_router_v2_iptables.txt",
+    ))
+    .expect("golden file");
+    for flags in [
+        ["--format", "iptables", "--schema", "paper"],
+        ["--schema", "paper", "--format", "iptables"],
+    ] {
+        let out = fwdiff()
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .args(flags)
+            .args(["policies/router_v1.rules", "policies/router_v2.rules"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: exit code");
+        assert!(
+            out.stdout == expect,
+            "{flags:?}: report differs\n--- got\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
 #[test]
 fn missing_file_reports_error() {
     let out = fwdiff()

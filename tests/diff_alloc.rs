@@ -1,10 +1,12 @@
 //! Heap traffic of the `fwdiff` request path, and the observable behaviour
 //! of `IntervalSet`'s inline storage.
 //!
-//! A counting global allocator measures what parsing a policy and
-//! extracting discrepancies allocate: one allocation per rule for a policy
-//! whose sets are single runs, plus the rule vector's growth, and a few
-//! for the discrepancies of two equivalent policies, whatever their size.
+//! A counting global allocator measures what parsing a policy,
+//! extracting discrepancies and rendering them allocate: one allocation
+//! per rule for a policy whose sets are single runs, plus the rule
+//! vector's growth, a few for the discrepancies of two equivalent
+//! policies, whatever their size, and for a rendered report only the
+//! growth of the buffer it is written into.
 //! A Vec-backed twin of `IntervalSet` — the representation before one-run
 //! sets moved inline — checks every operation, comparison, hash and text
 //! form. The counter is per thread, so the tests of this binary may run in
@@ -13,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::cmp::Ordering;
+use std::fmt::Write as _;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::hint::black_box;
 
@@ -102,6 +105,47 @@ fn parsing_allocates_once_per_rule_of_single_runs() {
         assert!(
             made <= n + growth,
             "parsing {n} rules made {made} allocations (growth {growth})"
+        );
+    }
+}
+
+/// Rendering a whole `fwdiff` report writes straight into its output: a
+/// buffer sized for the report takes no allocation, and an empty one takes
+/// at most one per doubling of its length.
+#[test]
+fn rendering_a_report_allocates_only_its_output_buffer() {
+    let large = university_large();
+    let a = Fdd::from_firewall_fast(&large).expect("comprehensive");
+    for seed in 1..=3u64 {
+        let variant = perturb(&large, 5, seed);
+        let b = Fdd::from_firewall_fast(&variant).expect("comprehensive");
+        let product = diff_product(&a, &b).expect("one schema");
+        let schema = product.schema();
+        let regions = product.discrepancies();
+        assert!(!regions.is_empty(), "seed {seed}: the variant differs");
+        let render = |out: &mut String| {
+            for (i, d) in regions.iter().enumerate() {
+                writeln!(out, "{:>3}. {}", i + 1, d.display(schema)).expect("a String takes it");
+            }
+        };
+        let mut expect = String::new();
+        render(&mut expect);
+        let mut out = String::with_capacity(expect.len());
+        let made = allocations_in(|| render(&mut out));
+        assert_eq!(out, expect);
+        assert_eq!(
+            made,
+            0,
+            "seed {seed}: rendering {} regions into a sized buffer allocated",
+            regions.len()
+        );
+        let mut out = String::new();
+        let made = allocations_in(|| render(&mut out));
+        let doublings = (usize::BITS - out.len().leading_zeros()) as usize;
+        assert!(
+            made <= doublings,
+            "seed {seed}: {made} allocations for a {}-byte report",
+            out.len()
         );
     }
 }

@@ -12,11 +12,11 @@
 //! must be byte-identical to the serial kernel at every thread count
 //! (including counts that do not divide the batch), and the auto route
 //! must serve the same decisions under every [`EngineChoice`] a calibrator
-//! could install.
+//! could install, cached or not.
 
 use diverse_firewall::core::Fdd;
 use diverse_firewall::exec::{
-    CompiledFdd, EngineChoice, EngineKind, EngineScratch, ExecError, PacketBatch,
+    CompiledFdd, DecisionCache, EngineChoice, EngineScratch, ExecError, PacketBatch,
 };
 use diverse_firewall::model::{Decision, FieldDef, Firewall, Packet, Schema};
 use diverse_firewall::synth::{PacketTrace, Synthesizer};
@@ -174,43 +174,41 @@ fn engines_match_exhaustive_oracle_on_tiny_schema() {
         assert_ragged_lanes(&compiled, &reloaded, &all, &linears, &format!("policy {k}"));
 
         // The whole domain through the auto route, under every engine
-        // choice a calibrator could install: every kind, serial and
-        // sharded, with and without the diagram and rows at hand — 64
-        // packets checked cell-by-cell each time.
+        // choice a calibrator could install: serial and sharded, uncached
+        // and behind a cache, cold and warm — 64 packets checked
+        // cell-by-cell each time.
         let mut scratch = EngineScratch::default();
         let mut out = Vec::new();
-        for kind in [EngineKind::Walk, EngineKind::Lanes] {
-            for threads in [1usize, 2, 4, 8] {
-                let choice = EngineChoice {
-                    kind,
-                    threads,
-                    cached: false,
-                };
-                for (walk, rows) in [
-                    (Some(&fdd), Some(&all[..])),
-                    (Some(&fdd), None),
-                    (None, None),
-                ] {
-                    choice
-                        .classify_into(&compiled, walk, rows, &batch, &mut scratch, &mut out)
-                        .unwrap();
-                    assert_eq!(out, linears, "policy {k}: {choice} diverges");
-                }
+        for threads in [1usize, 2, 4, 8] {
+            let choice = EngineChoice {
+                threads,
+                cached: false,
+            };
+            choice
+                .classify_into(&compiled, None, None, &batch, &mut scratch, &mut out)
+                .unwrap();
+            assert_eq!(out, linears, "policy {k}: {choice} diverges");
+            let mut cache = DecisionCache::new(schema.clone(), 16).unwrap();
+            for pass in ["cold", "warm"] {
+                choice
+                    .with_cache()
+                    .classify_cached_into(&compiled, &batch, &mut cache, &mut scratch, &mut out)
+                    .unwrap();
+                assert_eq!(
+                    out,
+                    linears,
+                    "policy {k}: {} diverges {pass}",
+                    choice.with_cache()
+                );
             }
         }
         // And the calibrated route end to end: race the engines on the
-        // full domain, then serve through whatever won.
-        let cal = diverse_firewall::exec::calibrate(&compiled, Some(&fdd), Some(&all), &batch, 2)
-            .unwrap();
+        // full domain, behind a cache, then serve through whatever won.
+        let mut cache = DecisionCache::new(schema.clone(), 64).unwrap();
+        let cal =
+            diverse_firewall::exec::calibrate(&compiled, &batch, 2, Some(&mut cache)).unwrap();
         cal.choice
-            .classify_into(
-                &compiled,
-                Some(&fdd),
-                Some(&all),
-                &batch,
-                &mut scratch,
-                &mut out,
-            )
+            .classify_cached_into(&compiled, &batch, &mut cache, &mut scratch, &mut out)
             .unwrap();
         assert_eq!(
             out, linears,

@@ -1,17 +1,15 @@
 //! Equivalence oracle for the lane kernel, the image's one batch form:
 //! its fused, laddered lowering must decide every packet exactly as the
 //! column walk of the canonical image, a fresh FDD walk and first match
-//! do — on random policies and traffic shapes, through every engine kind
-//! and thread count the calibrator can install (on ragged batch lengths),
+//! do — on random policies and traffic shapes, through every thread count
+//! the calibrator can install (on ragged batch lengths),
 //! on the Fig. 13 n = 500 policy whose nodes outgrow the ladder tables'
 //! budget (so the padded-search spill path runs), across live edit rounds,
 //! after a wire roundtrip (which leaves the kernel to the first batch),
 //! and exhaustively on all 64 packets of a tiny 2-field schema.
 
 use diverse_firewall::core::Fdd;
-use diverse_firewall::exec::{
-    CompiledFdd, EngineChoice, EngineKind, EngineScratch, LiveMatcher, PacketBatch,
-};
+use diverse_firewall::exec::{CompiledFdd, EngineChoice, EngineScratch, LiveMatcher, PacketBatch};
 use diverse_firewall::model::{Decision, FieldDef, Firewall, Packet, Schema};
 use diverse_firewall::synth::{evolve, EvolutionProfile, PacketTrace, Synthesizer};
 use proptest::prelude::*;
@@ -42,25 +40,15 @@ fn assert_lanes_agree(compiled: &CompiledFdd, fw: &Firewall, probes: &[Packet], 
     let lengths = [1usize, 3, 31, 33, 401, probes.len()];
     for n in lengths.into_iter().filter(|&n| n <= probes.len()) {
         let batch = PacketBatch::from_trace(fw.schema().clone(), &probes[..n]).unwrap();
-        for kind in [EngineKind::Walk, EngineKind::Lanes] {
-            for threads in [1usize, 3] {
-                let choice = EngineChoice {
-                    kind,
-                    threads,
-                    ..EngineChoice::default()
-                };
-                choice
-                    .classify_into(
-                        compiled,
-                        Some(&fdd),
-                        Some(&probes[..n]),
-                        &batch,
-                        &mut scratch,
-                        &mut got,
-                    )
-                    .unwrap();
-                assert_eq!(got, lanes[..n], "{tag}: {choice} diverged on {n} packets");
-            }
+        for threads in [1usize, 3] {
+            let choice = EngineChoice {
+                threads,
+                ..EngineChoice::default()
+            };
+            choice
+                .classify_into(compiled, None, None, &batch, &mut scratch, &mut got)
+                .unwrap();
+            assert_eq!(got, lanes[..n], "{tag}: {choice} diverged on {n} packets");
         }
     }
 }
