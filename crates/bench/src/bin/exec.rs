@@ -16,20 +16,21 @@
 //!   route ([`fw_exec::calibrate`] on a trace sample, then
 //!   [`fw_exec::EngineChoice::classify_into`]); the bin *asserts* the auto
 //!   route is never slower than the better of the walk and the lane
-//!   kernel (small measurement tolerance), refining the choice to the
-//!   serial kernel when a sample-based pick underperforms. The walk is no
-//!   longer an arm but stays in the gate as the reference it was: a row
-//!   where the walk outran the lane kernel fails here. A failure names the
-//!   choice the route held on its last attempt and how many attempts it
-//!   made.
+//!   kernel (small measurement tolerance), re-measuring the calibrated
+//!   choice, never another, before it fails. The walk is no longer an arm
+//!   but stays in the gate as the reference it was: a row where the walk
+//!   outran the lane kernel fails here, and so does a row whose calibrator
+//!   elected a thread rung slower than the serial kernel. A failure names
+//!   the elected choice and how many attempts it made.
 //! * **cache** — every workload also runs warm behind a decision cache,
 //!   asserted identical cold and warm before timing; on the Zipf row of
 //!   `fig12/large(661)` cached serving must double the best uncached
-//!   serving. After the row's timed sections the calibrator runs five
-//!   more times, each behind a fresh cache as a serving set-up runs it
-//!   (`calibrate_ms` is their median wall time): the five must elect the
-//!   cache alike, and must elect it on that Zipf row. On every uniform row
-//!   cache-enabled serving must stay within 3% of the auto route.
+//!   serving. Before any of the row's timed sections, right after its
+//!   image is compiled, the calibrator runs five times, each behind a
+//!   fresh cache as a serving set-up runs it (`calibrate_ms` is their
+//!   median wall time): the five must elect the cache alike, and must
+//!   elect it on that Zipf row. On every uniform row cache-enabled serving
+//!   must stay within 3% of the auto route.
 //! * **thread scaling** — the sharded lane kernel
 //!   ([`CompiledFdd::classify_lanes_par_into`]) at 1/2/4/8 workers on the
 //!   largest random workload, with the parallel≡serial oracle asserted
@@ -66,8 +67,8 @@ const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// and the lane kernel — a pure noise allowance, since the winning route
 /// runs the same code as the engine it routes to.
 const AUTO_TOLERANCE: f64 = 0.97;
-/// Re-measure (and after two misses, re-route) this many times before
-/// declaring the auto route slower than the better of walk and lanes.
+/// Re-measure the calibrated choice this many times before declaring the
+/// auto route slower than the better of walk and lanes.
 const AUTO_ATTEMPTS: usize = 12;
 /// Calibrations per workload; all of them must elect the cache alike.
 const ELECTIONS: usize = 5;
@@ -146,7 +147,38 @@ fn bench_trace(name: &str, fw: &Firewall, trace: &PacketTrace, kind: &'static st
         .expect("trace packets are schema-valid");
     let n = trace.len();
 
-    // Four-way oracle first: every engine, every packet, identical answer.
+    // Cache election, first, as a serving set-up runs it right after
+    // compiling: calibrate five times, each behind a fresh cache, and
+    // require one election of all of them — skewed traces elect the cache,
+    // uniform ones reject it.
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let mut calibrate_ms = Vec::with_capacity(ELECTIONS);
+    let elections: Vec<EngineChoice> = (0..ELECTIONS)
+        .map(|_| {
+            let mut cache =
+                DecisionCache::new(fw.schema().clone(), CACHE_CAPACITY).expect("non-zero capacity");
+            let t = Instant::now();
+            let cal = fw_exec::calibrate(&compiled, &batch, cores, Some(&mut cache))
+                .expect("benchmark batches are non-empty and schema-matched");
+            calibrate_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            cal.choice
+        })
+        .collect();
+    let cache_elected = elections[0].cached;
+    assert!(
+        elections.iter().all(|c| c.cached == cache_elected),
+        "{name}/{kind}: {ELECTIONS} calibrations elected the cache differently: {}",
+        elections
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    calibrate_ms.sort_by(f64::total_cmp);
+    let calibrate_ms = calibrate_ms[ELECTIONS / 2];
+
+    // Four-way oracle before any timing: every engine, every packet,
+    // identical answer.
     let linear: Vec<Decision> = trace
         .packets()
         .iter()
@@ -208,14 +240,11 @@ fn bench_trace(name: &str, fw: &Firewall, trace: &PacketTrace, kind: &'static st
     // Adaptive engine: calibrate on a trace sample, verify the routed
     // decisions against the oracle, then measure through the auto route.
     // The route must never lose to the better of the walk and the lane
-    // kernel (modulo measurement noise): if a sample-based choice
-    // underperforms on the full trace, refine it to the serial kernel —
-    // the calibrator's contract is the route, and the measured
-    // single-engine table is strictly better information than a
-    // 4096-packet sample. The row-major and column walks are reference
-    // engines the route never serves through, so they are not in the gate.
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let mut choice = fw_exec::calibrate(&compiled, &batch, cores, None)
+    // kernel (modulo measurement noise), and it is re-measured as elected:
+    // a thread rung that wins the sample but loses the full trace fails
+    // here. The row-major and column walks are reference engines the
+    // route never serves through, so they are not in the gate.
+    let choice = fw_exec::calibrate(&compiled, &batch, cores, None)
         .expect("benchmark batches are non-empty and schema-matched")
         .choice;
     {
@@ -229,21 +258,15 @@ fn bench_trace(name: &str, fw: &Firewall, trace: &PacketTrace, kind: &'static st
     let best = fdd_walk_mpps.max(lanes_mpps);
     let mut auto_mpps = measure_auto(&compiled, &batch, choice);
     let mut attempts = 1;
-    for attempt in 1..AUTO_ATTEMPTS {
-        if auto_mpps >= AUTO_TOLERANCE * best {
-            break;
-        }
+    while attempts < AUTO_ATTEMPTS && auto_mpps < AUTO_TOLERANCE * best {
         attempts += 1;
-        if attempt >= 2 {
-            choice = EngineChoice::default();
-        }
         auto_mpps = auto_mpps.max(measure_auto(&compiled, &batch, choice));
     }
     assert!(
         auto_mpps >= AUTO_TOLERANCE * best,
         "{name}/{kind}: auto route {auto_mpps:.2} Mpps lost to the better of walk \
-         {fdd_walk_mpps:.2} and lanes {lanes_mpps:.2} Mpps; it held {choice} on the last of \
-         {attempts} attempts"
+         {fdd_walk_mpps:.2} and lanes {lanes_mpps:.2} Mpps; the calibrator elected {choice}, \
+         best of {attempts} attempts"
     );
 
     // Cached front end: agreement asserted cold AND warm before any
@@ -284,34 +307,6 @@ fn bench_trace(name: &str, fw: &Firewall, trace: &PacketTrace, kind: &'static st
         }),
     );
     let cache_hit_rate = cache.stats().hit_rate();
-
-    // Cache election: calibrate five more times, each behind a fresh cache
-    // as a serving set-up does, and require one election of all of them —
-    // skewed traces elect the cache, uniform ones reject it.
-    let mut calibrate_ms = Vec::with_capacity(ELECTIONS);
-    let elections: Vec<EngineChoice> = (0..ELECTIONS)
-        .map(|_| {
-            let mut cache =
-                DecisionCache::new(fw.schema().clone(), CACHE_CAPACITY).expect("non-zero capacity");
-            let t = Instant::now();
-            let cal = fw_exec::calibrate(&compiled, &batch, cores, Some(&mut cache))
-                .expect("benchmark batches are non-empty and schema-matched");
-            calibrate_ms.push(t.elapsed().as_secs_f64() * 1e3);
-            cal.choice
-        })
-        .collect();
-    let cache_elected = elections[0].cached;
-    assert!(
-        elections.iter().all(|c| c.cached == cache_elected),
-        "{name}/{kind}: {ELECTIONS} calibrations elected the cache differently: {}",
-        elections
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    calibrate_ms.sort_by(f64::total_cmp);
-    let calibrate_ms = calibrate_ms[ELECTIONS / 2];
 
     // Uniform-random guard: when the calibrator elects the cache on a
     // uniform trace, cache-enabled serving must stay within 3% of the

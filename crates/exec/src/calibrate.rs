@@ -21,14 +21,16 @@
 //! 0 and rejects the cache without a trial, because at a zero hit rate the
 //! cached arm costs the engine plus a probe per packet whatever the
 //! timings. A sample with repeats times its hit path in the caller's own
-//! cache and elects it only past the uncached arm's noise.
+//! cache and elects it only past the noise of the serial rung, the one
+//! the single-threaded hit path is timed beside.
 //!
 //! The trial is deterministic in everything but the clock. Arms are timed
 //! in round-robin passes over a fixed sample prefix: each pass times every
 //! arm once, so a slow stretch of a shared machine hits every arm alike
 //! instead of whichever arm happened to run through it. Each arm keeps its
-//! minimum over the passes (noise on a quiet machine is one-sided), and
-//! ties break toward the earlier arm. Decisions never depend on the choice
+//! minimum over the passes (noise on a quiet machine is one-sided), and an
+//! arm displaces the serial lane kernel, the default, only by beating it
+//! past that rung's spread over the passes. Decisions never depend on the choice
 //! at all: every arm is proven decision-identical by the agreement oracles,
 //! so calibration can only change speed.
 //!
@@ -37,6 +39,7 @@
 //! it. Serving surfaces recalibrate on load ([`calibrate`]) or fall back to
 //! [`EngineChoice::default`].
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use fw_core::Fdd;
@@ -110,9 +113,9 @@ pub struct Trial {
 /// measurement, for reporting and regression tracking.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Calibration {
-    /// The elected candidate: the fastest lane rung (ties break toward the
-    /// fewer threads), behind the cache if the cached arm won by more than
-    /// that rung's noise.
+    /// The elected candidate: the serial lane kernel, or the fastest rung
+    /// that beat it by more than its spread over the passes, behind the
+    /// cache if the cached arm beat that rung by more than the same spread.
     pub choice: EngineChoice,
     /// Every candidate raced, in trial order.
     pub trials: Vec<Trial>,
@@ -166,11 +169,7 @@ impl EngineChoice {
         _scratch: &mut EngineScratch,
         out: &mut Vec<Decision>,
     ) -> Result<(), ExecError> {
-        if self.threads > 1 {
-            compiled.classify_lanes_par_into(batch, self.threads, out)
-        } else {
-            compiled.classify_lanes_into(batch, out)
-        }
+        compiled.classify_lanes_par_into(batch, self.threads, out)
     }
 }
 
@@ -209,12 +208,22 @@ fn steady_hit_rate(sample: &PacketBatch) -> f64 {
 /// winner, with all measurements.
 ///
 /// Arms: the lane kernel at every thread count on the ladder up to
-/// `max_threads` (`0` = all available cores), and the fastest rung behind
+/// `max_threads` (`0` = all available cores), and the elected rung behind
 /// `cache`, reported in that order. One untimed pass per rung warms it up
 /// (and builds a decoded image's lazy lane kernel outside the timings);
 /// then `CALIBRATE_PASSES` (five) round-robin passes time every arm once
 /// each, the cached arm first, and an arm's time is its minimum over the
-/// passes. Ties break toward the earlier rung.
+/// passes.
+///
+/// An arm displaces the serial lane kernel, the default, only by beating
+/// it by more than the serial rung's spread: the median absolute
+/// deviation of its five times, which one lucky-fast or preempted pass
+/// does not move. The serial rung sets the margin for every arm because
+/// its passes carry only the machine's noise, which the single-threaded
+/// hit path shares; a rung with more threads also pays a spawn and a
+/// second core's wake-up in each pass. So the elected rung is the fastest
+/// of those that beat the serial rung by more than its spread, or the
+/// serial rung itself.
 ///
 /// The cached arm races only when `cache` is given and the sample repeats
 /// some tuple ([`Calibration::hit_rate`] above zero). Its front end
@@ -222,13 +231,10 @@ fn steady_hit_rate(sample: &PacketBatch) -> f64 {
 /// untimed fill pass first leaves the sample's distinct tuples resident in
 /// `cache`, a second warms the hit path up, and the timed passes measure
 /// the hit path alone. The arm's projected time per sample prices every
-/// packet at a probe and the estimated misses at the fastest rung too. The
-/// cache is elected only if that projection beats the rung by more than
-/// the rung's spread over the passes, the median absolute deviation of its
-/// five times: one lucky-fast or preempted pass moves neither the spread
-/// nor the election. Otherwise the choice stays uncached. `cache` must be
-/// keyed for `compiled`: it keeps the fill's entries, which are
-/// `compiled`'s decisions, and its counters include the trial's probes.
+/// packet at a probe and the estimated misses at the elected rung too; the
+/// cache is elected if that beats the rung by more than the spread.
+/// `cache` keeps the fill's entries, which are `compiled`'s decisions, and
+/// its counters include the trial's probes.
 ///
 /// # Errors
 ///
@@ -241,116 +247,181 @@ pub fn calibrate(
     max_threads: usize,
     cache: Option<&mut DecisionCache>,
 ) -> Result<Calibration, ExecError> {
-    if batch.schema() != compiled.schema() {
-        return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
-            expected: compiled.schema().len(),
-            found: batch.schema().len(),
-        }));
-    }
-    if batch.is_empty() {
-        return Err(ExecError::Batch(
-            "cannot calibrate over an empty batch".into(),
-        ));
-    }
-    let sample_len = batch.len().min(CALIBRATE_SAMPLE);
-    let prefix;
-    let sample = if sample_len == batch.len() {
-        batch
-    } else {
-        prefix = PacketBatch::from_columns(
-            compiled.schema().clone(),
-            batch
-                .columns_raw()
-                .iter()
-                .map(|c| c[..sample_len].to_vec())
-                .collect(),
-        )?;
-        &prefix
-    };
-    let hit_rate = steady_hit_rate(sample);
-    let mut cache = cache.filter(|_| hit_rate > 0.0);
+    Sample::new(compiled, batch)?.race(compiled, max_threads, cache)
+}
 
-    let arms: Vec<EngineChoice> = thread_ladder(resolve_threads(max_threads))
-        .into_iter()
-        .map(|threads| EngineChoice {
-            threads,
-            cached: false,
-        })
-        .collect();
-    let mut scratch = EngineScratch::new();
-    let mut out = Vec::new();
-    for choice in &arms {
-        choice.classify_into(compiled, None, None, sample, &mut scratch, &mut out)?;
-    }
-    // The cached arm's misses go through the serial kernel, the default.
-    // Its first pass fills the cache, its second warms the hit path up.
-    let hit_path = EngineChoice::default().with_cache();
-    if let Some(cache) = cache.as_deref_mut() {
-        for _ in 0..2 {
-            hit_path.classify_cached_into(compiled, sample, cache, &mut scratch, &mut out)?;
+/// The prefix of a batch that a calibration replays, with its hit
+/// estimate: [`calibrate`] in two steps, so that [`crate::LiveMatcher`]
+/// locks its cache only for a race that times it.
+pub(crate) struct Sample<'a> {
+    packets: Cow<'a, PacketBatch>,
+    hit_rate: f64,
+}
+
+impl<'a> Sample<'a> {
+    /// The first [`CALIBRATE_SAMPLE`] packets of `batch`, and their
+    /// [`Calibration::hit_rate`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`calibrate`]: a schema mismatch or an empty batch.
+    pub(crate) fn new(
+        compiled: &CompiledFdd,
+        batch: &'a PacketBatch,
+    ) -> Result<Sample<'a>, ExecError> {
+        if batch.schema() != compiled.schema() {
+            return Err(ExecError::Model(fw_model::ModelError::ArityMismatch {
+                expected: compiled.schema().len(),
+                found: batch.schema().len(),
+            }));
         }
+        if batch.is_empty() {
+            return Err(ExecError::Batch(
+                "cannot calibrate over an empty batch".into(),
+            ));
+        }
+        let packets = if batch.len() <= CALIBRATE_SAMPLE {
+            Cow::Borrowed(batch)
+        } else {
+            Cow::Owned(PacketBatch::from_columns(
+                batch.schema().clone(),
+                batch
+                    .columns_raw()
+                    .iter()
+                    .map(|c| c[..CALIBRATE_SAMPLE].to_vec())
+                    .collect(),
+            )?)
+        };
+        let hit_rate = steady_hit_rate(&packets);
+        Ok(Sample { packets, hit_rate })
     }
 
-    // Each pass times the hit path first, so its first timed pass follows
-    // its warm-up directly, as cached batches follow one another in
-    // serving; right after a lane pass it finds part of its table evicted.
-    let mut secs = vec![[0.0f64; CALIBRATE_PASSES]; arms.len()];
-    let mut hit_secs = f64::INFINITY;
-    for pass in 0..CALIBRATE_PASSES {
-        if let Some(cache) = cache.as_deref_mut() {
-            let t = Instant::now();
-            hit_path.classify_cached_into(compiled, sample, cache, &mut scratch, &mut out)?;
-            std::hint::black_box(out.len());
-            hit_secs = hit_secs.min(t.elapsed().as_secs_f64());
+    /// Whether the sample repeats some tuple, so that a cached arm races.
+    pub(crate) fn repeats(&self) -> bool {
+        self.hit_rate > 0.0
+    }
+
+    /// [`calibrate`]'s race over this sample.
+    ///
+    /// # Errors
+    ///
+    /// As for [`calibrate`].
+    pub(crate) fn race(
+        &self,
+        compiled: &CompiledFdd,
+        max_threads: usize,
+        cache: Option<&mut DecisionCache>,
+    ) -> Result<Calibration, ExecError> {
+        if cache
+            .as_ref()
+            .is_some_and(|c| c.schema() != compiled.schema())
+        {
+            return Err(ExecError::Invariant(
+                "decision cache and compiled image schemas differ".into(),
+            ));
         }
-        for (choice, times) in arms.iter().zip(&mut secs) {
-            let t = Instant::now();
+        let mut cache = cache.filter(|_| self.repeats());
+        let sample = &*self.packets;
+        let arms: Vec<EngineChoice> = thread_ladder(resolve_threads(max_threads))
+            .into_iter()
+            .map(|threads| EngineChoice {
+                threads,
+                cached: false,
+            })
+            .collect();
+        let mut scratch = EngineScratch::new();
+        let mut out = Vec::new();
+        for choice in &arms {
             choice.classify_into(compiled, None, None, sample, &mut scratch, &mut out)?;
-            std::hint::black_box(out.len());
-            times[pass] = t.elapsed().as_secs_f64();
         }
-    }
-    for times in &mut secs {
-        times.sort_unstable_by(f64::total_cmp);
-    }
+        // The cached arm's misses go through the serial kernel, the default.
+        // Its first pass fills the cache, its second warms the hit path up.
+        let hit_path = EngineChoice::default().with_cache();
+        if let Some(cache) = cache.as_deref_mut() {
+            for _ in 0..2 {
+                hit_path.classify_cached_into(compiled, sample, cache, &mut scratch, &mut out)?;
+            }
+        }
 
-    let mpps = |secs: f64| sample_len as f64 / secs / 1e6;
-    let mut trials: Vec<Trial> = arms
-        .iter()
-        .zip(&secs)
-        .map(|(&choice, times)| Trial {
+        // Each pass times the hit path first, so its first timed pass
+        // follows its warm-up directly, as cached batches follow one
+        // another in serving; right after a lane pass it finds part of its
+        // table evicted.
+        let mut secs = vec![[0.0f64; CALIBRATE_PASSES]; arms.len()];
+        let mut hit_secs = f64::INFINITY;
+        for pass in 0..CALIBRATE_PASSES {
+            if let Some(cache) = cache.as_deref_mut() {
+                let t = Instant::now();
+                hit_path.classify_cached_into(compiled, sample, cache, &mut scratch, &mut out)?;
+                std::hint::black_box(out.len());
+                hit_secs = hit_secs.min(t.elapsed().as_secs_f64());
+            }
+            for (choice, times) in arms.iter().zip(&mut secs) {
+                let t = Instant::now();
+                choice.classify_into(compiled, None, None, sample, &mut scratch, &mut out)?;
+                std::hint::black_box(out.len());
+                times[pass] = t.elapsed().as_secs_f64();
+            }
+        }
+        for times in &mut secs {
+            times.sort_unstable_by(f64::total_cmp);
+        }
+
+        let mpps = |secs: f64| sample.len() as f64 / secs / 1e6;
+        let mut trials: Vec<Trial> = arms
+            .iter()
+            .zip(&secs)
+            .map(|(&choice, times)| Trial {
+                choice,
+                mpps: mpps(times[0]),
+            })
+            .collect();
+        // The ladder starts at the serial kernel, so `secs[0]` is its times.
+        let (best, cached) = elect(&secs, cache.is_some().then_some(hit_secs), self.hit_rate);
+        let mut choice = arms[best];
+        if let Some((projected, elected)) = cached {
+            trials.push(Trial {
+                choice: choice.with_cache(),
+                mpps: mpps(projected),
+            });
+            choice.cached = elected;
+        }
+        Ok(Calibration {
             choice,
-            mpps: mpps(times[0]),
+            trials,
+            sample: sample.len(),
+            hit_rate: self.hit_rate,
         })
-        .collect();
-    // Strict `<` keeps the earlier rung on ties. The ladder always holds
-    // the serial kernel, so `secs` is never empty.
+    }
+}
+
+/// The election over each rung's sorted pass times, the serial rung's
+/// first. An arm displaces the serial default only by beating it past
+/// the serial rung's spread: the fastest rung that beats it by more than
+/// that (or the serial rung itself), and, when the hit path was timed
+/// (`hit`, its fastest pass), the cached arm's projected time per sample
+/// and whether it beats the elected rung by more than the same spread.
+fn elect(
+    secs: &[[f64; CALIBRATE_PASSES]],
+    hit: Option<f64>,
+    hit_rate: f64,
+) -> (usize, Option<(f64, bool)>) {
+    let serial = secs[0];
+    let median = serial[CALIBRATE_PASSES / 2];
+    let mut deviations = serial.map(|t| (t - median).abs());
+    deviations.sort_unstable_by(f64::total_cmp);
+    let spread = deviations[CALIBRATE_PASSES / 2];
     let mut best = 0;
     for (i, times) in secs.iter().enumerate() {
-        if times[0] < secs[best][0] {
+        if times[0] < secs[best][0] && times[0] < serial[0] - spread {
             best = i;
         }
     }
-    let mut choice = arms[best];
-    if cache.is_some() {
-        let lanes = &secs[best];
-        let projected = hit_secs + (1.0 - hit_rate) * lanes[0];
-        let median = lanes[CALIBRATE_PASSES / 2];
-        let mut deviations = lanes.map(|t| (t - median).abs());
-        deviations.sort_unstable_by(f64::total_cmp);
-        let spread = deviations[CALIBRATE_PASSES / 2];
-        trials.push(Trial {
-            choice: choice.with_cache(),
-            mpps: mpps(projected),
-        });
-        choice.cached = projected < lanes[0] - spread;
-    }
-    Ok(Calibration {
-        choice,
-        trials,
-        sample: sample_len,
-        hit_rate,
-    })
+    let cached = hit.map(|hit| {
+        let projected = hit + (1.0 - hit_rate) * secs[best][0];
+        (projected, projected < secs[best][0] - spread)
+    });
+    (best, cached)
 }
 
 #[cfg(test)]
@@ -378,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn calibration_races_every_rung_and_picks_the_fastest() {
+    fn calibration_races_every_rung_and_elects_one() {
         let (_, compiled, batch) = setup(30, 600, 15);
         let cal = calibrate(&compiled, &batch, 2, None).unwrap();
         let arms: Vec<EngineChoice> = cal.trials.iter().map(|t| t.choice).collect();
@@ -388,9 +459,9 @@ mod tests {
             .collect();
         assert_eq!(arms, rungs, "one arm per rung, no cached arm");
         assert_eq!(cal.sample, 600);
-        let best = cal.trials.iter().map(|t| t.mpps).fold(0.0, f64::max);
+        // The serial rung, or one that beat it.
         let winner = cal.trials.iter().find(|t| t.choice == cal.choice).unwrap();
-        assert!(winner.mpps >= best, "winner must have the best trial time");
+        assert!(winner.mpps >= cal.trials[0].mpps);
         let serial = calibrate(&compiled, &batch, 1, None).unwrap();
         assert_eq!(serial.trials.len(), 1);
         assert_eq!(serial.choice, EngineChoice::default());
@@ -519,6 +590,48 @@ mod tests {
         // Without a cache, no cached arm races.
         let base = calibrate(&compiled, &batch, 1, None).unwrap();
         assert!(base.trials.iter().all(|t| !t.choice.cached));
+    }
+
+    /// Every arm's margin is the serial rung's spread: a two-thread rung
+    /// that won by one fast pass, its passes spread by a fifth of its
+    /// time, neither blocks nor flips a cache that beats it by 19%.
+    #[test]
+    fn arms_are_elected_past_the_serial_rungs_spread() {
+        // Median absolute deviations: 1 and 20.
+        let serial = [100.0, 101.0, 101.0, 102.0, 110.0];
+        let jittery = [95.0, 120.0, 130.0, 150.0, 200.0];
+        // 66.5 + (1 − 0.9) · 95 = 76, 19 below the two-thread rung.
+        let (best, cached) = elect(&[serial, jittery], Some(66.5), 0.9);
+        assert_eq!(best, 1);
+        let (projected, elected) = cached.unwrap();
+        assert!((projected - 76.0).abs() < 1e-9);
+        assert!(elected);
+
+        // A serial rung spread by 4: 3 faster stays uncached, 5 faster wins.
+        let serial = [100.0, 104.0, 108.0, 112.0, 130.0];
+        assert_eq!(elect(&[serial], Some(47.0), 0.5), (0, Some((97.0, false))));
+        assert_eq!(elect(&[serial], Some(45.0), 0.5), (0, Some((95.0, true))));
+
+        // A serial rung spread by 2 at 100: a rung 3 faster displaces it,
+        // one 1 faster does not, and without a timed hit path nothing is
+        // projected.
+        let serial = [100.0, 102.0, 104.0, 106.0, 120.0];
+        assert_eq!(elect(&[serial, [97.0; 5]], None, 0.9), (1, None));
+        assert_eq!(elect(&[serial, [99.0; 5]], None, 0.9), (0, None));
+        assert_eq!(elect(&[[100.0; 5], [100.0; 5]], None, 0.9), (0, None));
+    }
+
+    /// A cache over another schema is refused even when the sample has no
+    /// repeats and so races no cached arm.
+    #[test]
+    fn a_cache_over_another_schema_is_refused() {
+        let (_, compiled, batch) = setup(20, 500, 31);
+        assert_eq!(steady_hit_rate(&batch), 0.0);
+        let mut other = DecisionCache::new(fw_model::Schema::paper_example(), 64).unwrap();
+        assert!(matches!(
+            calibrate(&compiled, &batch, 1, Some(&mut other)),
+            Err(ExecError::Invariant(_))
+        ));
     }
 
     #[test]

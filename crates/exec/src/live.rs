@@ -40,7 +40,7 @@ use fw_model::{Decision, Firewall, Packet};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheStats, DecisionCache, InvalidationReport};
-use crate::calibrate::{Calibration, EngineChoice, EngineScratch};
+use crate::calibrate::{Calibration, EngineChoice, EngineScratch, Sample};
 use crate::{CompiledFdd, ExecError, PacketBatch, RecompileStats};
 
 /// A served firewall: the authoritative policy plus the hot-swappable
@@ -223,11 +223,12 @@ impl LiveMatcher {
     ///
     /// With a cache enabled, a sample that repeats some tuple also races
     /// the cached arm in the serving cache itself, so the skewed samples
-    /// that elect the front end leave it holding their flows. The cache
-    /// lock is held for the whole race (a few milliseconds), and the image
-    /// is loaded under it, as a cached batch does: every entry the trial
-    /// inserts is a decision of an image at least as new as the last
-    /// invalidation.
+    /// that elect the front end leave it holding their flows. Only such a
+    /// race takes the cache lock, and holds it throughout (a few
+    /// milliseconds), with the image loaded under it, as a cached batch
+    /// does: every entry the trial inserts is a decision of an image at
+    /// least as new as the last invalidation. Any other calibration leaves
+    /// cached serving and edits unblocked.
     ///
     /// # Errors
     ///
@@ -238,8 +239,16 @@ impl LiveMatcher {
         _rows: Option<&[Packet]>,
         max_threads: usize,
     ) -> Result<Calibration, ExecError> {
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        let cal = crate::calibrate::calibrate(&self.load(), batch, max_threads, cache.as_mut())?;
+        let sample = Sample::new(&self.load(), batch)?;
+        let mut cache = sample
+            .repeats()
+            .then(|| self.cache.lock().unwrap_or_else(PoisonError::into_inner))
+            .filter(|cache| cache.is_some());
+        let cal = sample.race(
+            &self.load(),
+            max_threads,
+            cache.as_deref_mut().and_then(Option::as_mut),
+        )?;
         drop(cache);
         *self.choice.write().unwrap_or_else(PoisonError::into_inner) = cal.choice;
         Ok(cal)
@@ -465,6 +474,29 @@ mod tests {
             }])
             .unwrap();
         assert!(report.affected_packets <= space);
+    }
+
+    /// A calibration that races no cached arm leaves the cache lock alone:
+    /// with the lock held elsewhere, a uniform sample still calibrates,
+    /// and elects no cache.
+    #[test]
+    fn calibrating_without_repeats_leaves_the_cache_unlocked() {
+        let fw = fw_synth::Synthesizer::new(6).firewall(30);
+        let live = LiveMatcher::new(fw.clone()).unwrap();
+        live.enable_cache(1 << 10).unwrap();
+        let trace = fw_synth::PacketTrace::random(fw.schema().clone(), 500, 12);
+        let batch = PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
+        let held = live.cache.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| tx.send(live.calibrate(&batch, None, 1).map(|c| c.choice)));
+            let done = rx.recv_timeout(std::time::Duration::from_secs(60));
+            drop(held);
+            assert!(
+                matches!(done, Ok(Ok(choice)) if choice == EngineChoice::default()),
+                "{done:?}"
+            );
+        });
     }
 
     /// The auto path must agree with the plain column kernel under every
